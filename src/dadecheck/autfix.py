@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .exactnum import NotRationalInteger, SQRT2, SqrtTwoRat, as_integer
 from .paramsets import DEFAULT_BUDGET, enumerate_classes, fixed_classes_doubling
-from .tabledsl import FixRow, Model, build_env, eval_expr, eval_expr_int
+from .tabledsl import FixRow, Model, ParamSetSpec, build_env, eval_expr, eval_expr_int
 
 
 class FormulaOnlyRow(ValueError):
@@ -60,13 +60,16 @@ def fixed_count_formula(row: FixRow, t: int) -> int:
         raise NonIntegralFormula(f"{row.id}: {e}") from e
 
 
-_ENUM_CACHE: Dict[Tuple[str, int], object] = {}
+# Keyed on the spec itself, not its id: two models in one process may hold
+# different sets under one id.
+_ENUM_CACHE: Dict[Tuple[ParamSetSpec, int, int], object] = {}
 
 
 def _enum(model: Model, set_id: str, n: int, budget: int):
-    key = (set_id, n)
+    spec = model.paramset(set_id)
+    key = (spec, n, budget)
     if key not in _ENUM_CACHE:
-        _ENUM_CACHE[key] = enumerate_classes(model.paramset(set_id), n, budget)
+        _ENUM_CACHE[key] = enumerate_classes(spec, n, budget)
     return _ENUM_CACHE[key]
 
 

@@ -73,11 +73,15 @@ def run_task(task) -> List[dict]:
     model = _model()
     budget = cfg["budget"]
     mode = cfg["mode"]
-    t0 = time.perf_counter()
+    last = time.perf_counter()
     out: List[dict] = []
 
     def ms():
-        return 1000.0 * (time.perf_counter() - t0)
+        """Milliseconds since the previous record of this task (or its start)."""
+        nonlocal last
+        now = time.perf_counter()
+        elapsed, last = now - last, now
+        return 1000.0 * elapsed
 
     if kind == "lemmas":
         recs = autfix.verify_gcd_lemmas(cfg["max_n"])

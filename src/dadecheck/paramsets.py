@@ -24,6 +24,8 @@ from .tabledsl import (
     build_env,
     eval_expr,
     eval_expr_int,
+    expr_to_str,
+    pred_to_str,
 )
 
 DEFAULT_BUDGET = 1 << 22
@@ -58,26 +60,108 @@ def _moduli(spec: ParamSetSpec, n: int) -> Tuple[int, ...]:
 _INDEX_VARS = ("k", "l")
 
 
-def _affine_coeffs(expr, env, nvars: int, moduli) -> Tuple[List[int], int]:
-    """Integer coefficients (a_1..a_nvars, c) of an expression affine in the indices."""
-    def at(point):
-        e = dict(env)
-        for name, v in zip(_INDEX_VARS, point):
-            e[name] = v
-        return eval_expr_int(expr, e)
+# --- affine compilation ------------------------------------------------------
 
-    zero = [0] * nvars
-    c = at(zero)
-    coeffs = []
-    for i in range(nvars):
-        p = list(zero)
-        p[i] = 1
-        coeffs.append(at(p) - c)
-    # affinity check at the all-ones point
-    ones = at([1] * nvars)
-    if ones != c + sum(coeffs):
-        raise MapClosureError(f"expression {expr!r} is not affine in the indices")
-    return coeffs, c
+
+def _degree(node, varnames) -> int:
+    """Total degree of an expression in the named indices, capped at 2."""
+    op = node[0]
+    if op == "int":
+        return 0
+    if op == "sym":
+        return int(node[1] in varnames)
+    if op == "neg":
+        return _degree(node[1], varnames)
+    a, b = _degree(node[1], varnames), _degree(node[2], varnames)
+    if op in ("add", "sub"):
+        return max(a, b)
+    if op == "mul":
+        return min(a + b, 2)
+    if op == "div":
+        return a if b == 0 else 2
+    # pow: only a constant power, or the first power of an affine base
+    return a if b == 0 and (a == 0 or node[2] == ("int", 1)) else 2
+
+
+def _affine(exprs, env, varnames) -> Tuple[int, List[List[Fraction]]]:
+    """Compile expressions affine in the named indices to exact coefficients.
+
+    Returns (D, rows): row j is [a_1, ..., a_v, c] with expression j equal to
+    a_1*var_1 + ... + a_v*var_v + c, and D is the least common denominator of
+    every entry.  Affinity is checked on the expression tree, so a product or
+    power of indices is rejected whatever values it takes.
+    """
+    def at(expr, point):
+        e = dict(env)
+        e.update(zip(varnames, point))
+        return eval_expr(expr, e).as_fraction()
+
+    nv = len(varnames)
+    units = [[int(i == j) for j in range(nv)] for i in range(nv)]
+    rows = []
+    for expr in exprs:
+        if _degree(expr, varnames) > 1:
+            raise MapClosureError(
+                f"expression {expr_to_str(expr)} is not affine in {', '.join(varnames)}"
+            )
+        c = at(expr, [0] * nv)
+        rows.append([at(expr, p) - c for p in units] + [c])
+    return math.lcm(*(f.denominator for row in rows for f in row)), rows
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _fits_int64(bound: int, what: str) -> None:
+    if bound > _INT64_MAX:
+        raise OverflowError(f"{what}: intermediate values up to {bound} overflow int64")
+
+
+def _grid(ranges) -> List[np.ndarray]:
+    """Every index tuple of Z_r1 x ... x Z_rk, one int64 array per index."""
+    return [a.ravel() for a in np.indices(ranges, dtype=np.int64)]
+
+
+def _points(exprs, varnames, arrays, env, side: str) -> Tuple[int, np.ndarray]:
+    """Points of a parameterized torus as (D, N x 4 int64 array of D * value mod D).
+
+    arrays hold the index tuples (none for a single point).  Torus-side values
+    are on the eps basis and are moved to the simple-root basis of X.
+    """
+    denom, rows = _affine(exprs, env, varnames)
+    top = max((int(arr.max()) for arr in arrays if arr.size), default=0)
+    _fits_int64(denom * max(denom, top + 1), "torus points")
+    npts = len(arrays[0]) if arrays else 1
+    vecs = np.empty((npts, len(rows)), dtype=np.int64)
+    for col, row in enumerate(rows):
+        acc = np.full(npts, int(row[-1] * denom) % denom, dtype=np.int64)
+        for a, arr in zip(row, arrays):
+            acc = (acc + (int(a * denom) % denom) * arr) % denom
+        vecs[:, col] = acc
+    if side == "torus":
+        vecs = _eps_to_x_array(vecs, denom)
+    return denom, vecs
+
+
+def _eps_to_x_array(a: np.ndarray, m: int) -> np.ndarray:
+    """Values on eps_1..eps_4 -> values on the simple-root basis (odd order m)."""
+    inv2 = pow(2, -1, m)
+    out = np.empty_like(a)
+    out[:, 0] = (a[:, 1] - a[:, 2]) % m
+    out[:, 1] = (a[:, 2] - a[:, 3]) % m
+    out[:, 2] = a[:, 3] % m
+    out[:, 3] = ((a[:, 0] - a[:, 1] - a[:, 2] - a[:, 3]) % m * inv2) % m
+    return out
+
+
+def _act(vecs: np.ndarray, mat, denom: int, side: str) -> np.ndarray:
+    """Images mod D of D-scaled points under an integer matrix on X.
+
+    Dual-side points are row vectors (v M); torus-side points are columns (M v).
+    """
+    m = np.array(mat, dtype=np.int64)
+    _fits_int64(4 * denom * int(np.abs(m).max()), "matrix action")
+    return (vecs @ m if side == "dual" else vecs @ m.T) % denom
 
 
 @dataclass(frozen=True)
@@ -129,11 +213,12 @@ def equivalence_group(spec: ParamSetSpec, n: int, limit: int = 512) -> AffineGro
     for vars_, targets in spec.equiv:
         if tuple(vars_) != _INDEX_VARS[:nv]:
             raise MapClosureError(f"{spec.id}: map variables must be {_INDEX_VARS[:nv]}")
-        rows = []
-        for i, tgt in enumerate(targets):
-            coeffs, c = _affine_coeffs(tgt, env, nv, moduli)
-            rows.append(tuple(x % moduli[i] for x in coeffs + [c]))
-        g = tuple(rows)
+        denom, rows = _affine(targets, env, _INDEX_VARS[:nv])
+        if denom != 1:
+            raise MapClosureError(f"{spec.id}: map {vars_}->... has non-integral coefficients")
+        g = tuple(
+            tuple(int(x) % moduli[i] for x in row) for i, row in enumerate(rows)
+        )
         if not _well_defined(g, moduli):
             raise MapClosureError(f"{spec.id}: map {vars_}->... not well-defined mod {moduli}")
         gens.append(g)
@@ -154,38 +239,34 @@ def equivalence_group(spec: ParamSetSpec, n: int, limit: int = 512) -> AffineGro
 # --- admissibility -----------------------------------------------------------
 
 
-def _atom_mask(atom, env, arrays, moduli):
-    """Vectorized predicate atom over index arrays."""
-    _, op, e1, e2 = atom
-    nv = len(moduli)
+def _pred_mask(pred, env, varnames, arrays, moduli):
+    """Vectorized predicate over index arrays.
+
+    An atom compares two affine forms modulo the common modulus of the indices
+    it uses; "m div e" tests e mod m.
+    """
+    if pred[0] != "atom":
+        a = _pred_mask(pred[1], env, varnames, arrays, moduli)
+        b = _pred_mask(pred[2], env, varnames, arrays, moduli)
+        return (a & b) if pred[0] == "and" else (a | b)
+    _, op, e1, e2 = pred
     if op == "div":
-        d = eval_expr_int(e1, env)
-        coeffs, c = _affine_coeffs(e2, env, nv, moduli)
-        val = sum(a * arr for a, arr in zip(coeffs, arrays)) + c
-        return (val % d) == 0
-    coeffs1, c1 = _affine_coeffs(e1, env, nv, moduli)
-    coeffs2, c2 = _affine_coeffs(e2, env, nv, moduli)
-    coeffs = [a - b for a, b in zip(coeffs1, coeffs2)]
-    c = c1 - c2
-    used = [i for i in range(nv) if coeffs[i]]
-    if used:
-        mods = {moduli[i] for i in used}
-        if len(mods) != 1:
-            raise MapClosureError("predicate atom mixes indices with different moduli")
-        m = mods.pop()
+        m = eval_expr_int(e1, env)
+        denom, (row,) = _affine([e2], env, varnames)
     else:
-        m = moduli[0]
-    val = (sum(a * arr for a, arr in zip(coeffs, arrays)) + c) % m
-    eq = val == 0
-    return eq if op == "=" else ~eq
-
-
-def _pred_mask(pred, env, arrays, moduli):
-    if pred[0] == "atom":
-        return _atom_mask(pred, env, arrays, moduli)
-    a = _pred_mask(pred[1], env, arrays, moduli)
-    b = _pred_mask(pred[2], env, arrays, moduli)
-    return (a & b) if pred[0] == "and" else (a | b)
+        denom, (r1, r2) = _affine([e1, e2], env, varnames)
+        row = [a - b for a, b in zip(r1, r2)]
+        mods = {moduli[i] for i, a in enumerate(row[:-1]) if a} or {moduli[0]}
+        if len(mods) != 1:
+            raise MapClosureError(
+                f"atom {pred_to_str(pred)} mixes indices with different moduli"
+            )
+        (m,) = mods
+    if denom != 1:
+        raise MapClosureError(f"non-integral coefficient in {pred_to_str(pred)}")
+    val = sum(int(a) * arr for a, arr in zip(row, arrays)) + int(row[-1])
+    hit = val % m == 0
+    return ~hit if op == "!=" else hit
 
 
 def admissible_arrays(spec: ParamSetSpec, n: int, budget: int = DEFAULT_BUDGET):
@@ -194,15 +275,10 @@ def admissible_arrays(spec: ParamSetSpec, n: int, budget: int = DEFAULT_BUDGET):
     total = math.prod(moduli)
     if total > budget:
         raise BudgetExceeded(f"{spec.id}: {total} tuples exceeds budget {budget}")
-    if len(moduli) == 1:
-        arrays = [np.arange(moduli[0], dtype=np.int64)]
-    else:
-        k = np.repeat(np.arange(moduli[0], dtype=np.int64), moduli[1])
-        l = np.tile(np.arange(moduli[1], dtype=np.int64), moduli[0])
-        arrays = [k, l]
+    arrays = _grid(moduli)
     if spec.exclude is not None:
-        env = build_env(n)
-        keep = ~_pred_mask(spec.exclude, env, arrays, moduli)
+        keep = ~_pred_mask(spec.exclude, build_env(n), _INDEX_VARS[:len(moduli)], arrays,
+                           moduli)
         arrays = [a[keep] for a in arrays]
     return moduli, arrays
 
@@ -337,133 +413,34 @@ def _fam_ranges(fam: ClassFam, n: int) -> Tuple[int, ...]:
     return tuple(eval_expr_int(r, env) for r in fam.ranges)
 
 
-def _frac_affine_coeffs(expr, env, varnames) -> Tuple[List[Fraction], Fraction]:
-    """Fractional affine coefficients of an expression in the named indices."""
-    def at(point):
-        e = dict(env)
-        for name, v in zip(varnames, point):
-            e[name] = v
-        return eval_expr(expr, e).as_fraction()
-
-    nv = len(varnames)
-    zero = [0] * nv
-    c = at(zero)
-    coeffs = []
-    for i in range(nv):
-        p = list(zero)
-        p[i] = 1
-        coeffs.append(at(p) - c)
-    if at([1] * nv) != c + sum(coeffs):
-        raise MapClosureError(f"expression {expr!r} is not affine in the indices")
-    return coeffs, c
-
-
 def _fam_index_arrays(fam: ClassFam, n: int, budget: int):
     """Admissible index tuples as numpy arrays (vectorized exclusion)."""
     ranges = _fam_ranges(fam, n)
-    if not ranges:
-        return ranges, [np.zeros(1, dtype=np.int64)] * 0
     if math.prod(ranges) > budget:
         raise BudgetExceeded(f"{fam.id}: {math.prod(ranges)} tuples exceeds budget")
-    if len(ranges) == 1:
-        arrays = [np.arange(ranges[0], dtype=np.int64)]
-    else:
-        arrays = [
-            np.repeat(np.arange(ranges[0], dtype=np.int64), ranges[1]),
-            np.tile(np.arange(ranges[1], dtype=np.int64), ranges[0]),
-        ]
+    arrays = _grid(ranges)
     if fam.exclude is not None:
-        env = build_env(n)
-        keep = ~_fam_pred_mask(fam, fam.exclude, env, arrays, ranges)
+        keep = ~_pred_mask(fam.exclude, build_env(n), fam.vars, arrays, ranges)
         arrays = [a[keep] for a in arrays]
     return ranges, arrays
 
 
-def _fam_pred_mask(fam, pred, env, arrays, ranges):
-    if pred[0] == "and":
-        return _fam_pred_mask(fam, pred[1], env, arrays, ranges) & _fam_pred_mask(
-            fam, pred[2], env, arrays, ranges
-        )
-    if pred[0] == "or":
-        return _fam_pred_mask(fam, pred[1], env, arrays, ranges) | _fam_pred_mask(
-            fam, pred[2], env, arrays, ranges
-        )
-    _, op, e1, e2 = pred
-    nv = len(fam.vars)
-    if op == "div":
-        d = eval_expr_int(e1, env)
-        coeffs, c = _affine_named(e2, env, fam.vars)
-        val = sum(a * arr for a, arr in zip(coeffs, arrays)) + c
-        return (val % d) == 0
-    c1, k1 = _affine_named(e1, env, fam.vars)
-    c2, k2 = _affine_named(e2, env, fam.vars)
-    coeffs = [a - b for a, b in zip(c1, c2)]
-    k = k1 - k2
-    used = [i for i in range(nv) if coeffs[i]]
-    mods = {ranges[i] for i in used} or {ranges[0]}
-    if len(mods) != 1:
-        raise MapClosureError(f"{fam.id}: atom mixes indices with different moduli")
-    m = mods.pop()
-    val = (sum(a * arr for a, arr in zip(coeffs, arrays)) + k) % m
-    eq = val == 0
-    return eq if op == "=" else ~eq
-
-
-def _affine_named(expr, env, varnames) -> Tuple[List[int], int]:
-    coeffs, c = _frac_affine_coeffs(expr, env, varnames)
-    out = []
-    for f in coeffs + [c]:
-        if f.denominator != 1:
-            raise MapClosureError(f"non-integral coefficient in {expr!r}")
-        out.append(int(f))
-    return out[:-1], out[-1]
-
-
 def family_elements(fam: ClassFam, n: int, budget: int = DEFAULT_BUDGET):
     """Admissible family members as (denominator, N x 4 integer array mod it)."""
-    ranges, arrays = _fam_index_arrays(fam, n, budget)
-    env = build_env(n)
-    coeffs = []
-    consts = []
-    denom = 1
-    for cexpr in fam.coords:
-        cs, c0 = _frac_affine_coeffs(cexpr, env, fam.vars)
-        coeffs.append(cs)
-        consts.append(c0)
-        for f in cs + [c0]:
-            denom = denom * f.denominator // math.gcd(denom, f.denominator)
-    npts = len(arrays[0]) if arrays else 1
-    vecs = np.empty((npts, 4), dtype=np.int64)
-    for col in range(4):
-        acc = np.full(npts, int(consts[col] * denom) % denom, dtype=np.int64)
-        for a, arr in zip(coeffs[col], arrays):
-            acc = acc + (int(a * denom) % denom) * arr
-        vecs[:, col] = acc % denom
-    if fam.side == "torus":
-        vecs = _eps_to_x_array(vecs, denom)
-    return denom, vecs
+    _, arrays = _fam_index_arrays(fam, n, budget)
+    return _points(fam.coords, fam.vars, arrays, build_env(n), fam.side)
 
 
-def _eps_to_x_array(a: np.ndarray, m: int) -> np.ndarray:
-    """Values on eps_1..eps_4 -> values on the simple-root basis (odd order m)."""
-    inv2 = pow(2, -1, m)
-    out = np.empty_like(a)
-    out[:, 0] = (a[:, 1] - a[:, 2]) % m
-    out[:, 1] = (a[:, 2] - a[:, 3]) % m
-    out[:, 2] = a[:, 3] % m
-    out[:, 3] = ((a[:, 0] - a[:, 1] - a[:, 2] - a[:, 3]) * inv2) % m
-    return out
-
-
-_CENT_CACHE: Dict[Tuple[str, ...], List] = {}
+# Keyed on the word and the generator matrices it is spelled in.
+_CENT_CACHE: Dict[tuple, List] = {}
 
 
 def _centralizer_mats(model: Model, word: Tuple[str, ...]):
-    if word not in _CENT_CACHE:
-        gens = {g: m for g, m in model.weylgens.items()}
-        w = rootdatum.word_matrix(word, gens)
-        _CENT_CACHE[word] = rootdatum.f_centralizer(w)
-    return _CENT_CACHE[word]
+    key = (word, tuple(sorted(model.weylgens.items())))
+    if key not in _CENT_CACHE:
+        w = rootdatum.word_matrix(word, model.weylgens)
+        _CENT_CACHE[key] = rootdatum.f_centralizer(w)
+    return _CENT_CACHE[key]
 
 
 def family_class_count(fam: ClassFam, model: Model, n: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -481,8 +458,7 @@ def family_class_count(fam: ClassFam, model: Model, n: int, budget: int = DEFAUL
     mats = _centralizer_mats(model, fam.word)
     best = None
     for mat in mats:
-        m = np.array(mat, dtype=np.int64)
-        img = (vecs @ m if fam.side == "dual" else vecs @ m.T) % denom
+        img = _act(vecs, mat, denom, fam.side)
         key = ((img[:, 0] * denom + img[:, 1]) * denom + img[:, 2]) * denom + img[:, 3]
         best = key if best is None else np.minimum(best, key)
     return int(np.unique(best).size)

@@ -8,8 +8,11 @@ m0^2 = 2, so the Frobenius on X is the integer matrix 2^n * m0.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 Matrix = Tuple[Tuple[int, ...], ...]
 
@@ -279,8 +282,6 @@ def smith_normal_form(m: Matrix) -> List[int]:
         for j in range(i + 1, len(diag)):
             x, y = diag[i], diag[j]
             if x and y:
-                import math
-
                 g = math.gcd(x, y)
                 diag[i], diag[j] = g, x * y // g
     return diag
@@ -626,119 +627,50 @@ def weyl_table_checks(model, n_list=(1, 2, 3, 4, 5)):
     return records
 
 
-def _mod1(fr: "Fraction") -> "Fraction":
-    return Fraction(fr.numerator % fr.denominator, fr.denominator)
-
-
-def _coord_vector(coords, env) -> tuple:
-    from .tabledsl import eval_expr
-
-    out = []
-    for c in coords:
-        v = eval_expr(c, env).as_fraction()
-        out.append(_mod1(v))
-    return tuple(out)
-
-
-def _iter_points(ranges):
-    if len(ranges) == 1:
-        for i in range(ranges[0]):
-            yield (i,)
-    else:
-        for i in range(ranges[0]):
-            for j in range(ranges[1]):
-                yield (i, j)
-
-
-def _apply_row_frac(v, m):
-    return tuple(_mod1(sum(v[i] * m[i][j] for i in range(4))) for j in range(4))
-
-
-def _apply_col_frac(v, m):
-    return tuple(_mod1(sum(m[i][j] * v[j] for j in range(4))) for i in range(4))
-
-
-def _eps_to_x_frac(v):
-    # values on eps basis -> values on the simple-root basis; the halving is
-    # exact on odd-denominator points
-    half = []
-    x = v[0] - v[1] - v[2] - v[3]
-    den = x.denominator
-    if den % 2 == 0:
-        raise ValueError("even denominator in torus coordinates")
-    inv2 = (den + 1) // 2
-    return (
-        _mod1(v[1] - v[2]),
-        _mod1(v[2] - v[3]),
-        _mod1(v[3]),
-        _mod1(x * inv2),
-    )
-
-
-def torus_param_checks(model, n: int, enumerate_limit: int = 1 << 16):
+def torus_param_checks(model, n: int, enumerate_limit: int = 1 << 20):
     """Table of torus parameterizations: range products and explicit fixed points."""
-    from .tabledsl import build_env, eval_expr_int
-
-    records = []
-    env0 = build_env(n)
-    mf = frobenius_matrix(n)
-    for wid in sorted(model.weylclasses):
-        wc = model.weylclasses[wid]
-        w = word_matrix(wc.word, model.weylgens)
-        order = eval_expr_int(wc.order, env0)
-        ranges = [eval_expr_int(r, env0) for r in wc.tranges]
-        prod = 1
-        for r in ranges:
-            prod *= r
-        records.append(_record("torus_param_count", wid, n, order, prod))
-        if prod > enumerate_limit:
-            continue
-        composite = mat_mul(w, mf)
-        elems = set()
-        all_fixed = True
-        for pt in _iter_points(ranges):
-            env = dict(env0)
-            for name, val in zip(wc.tvars, pt):
-                env[name] = val
-            v = _eps_to_x_frac(_coord_vector(wc.tcoords, env))
-            elems.add(v)
-            if _apply_col_frac(v, composite) != v:
-                all_fixed = False
-        records.append(_record("torus_param_fixed", wid, n, True, all_fixed))
-        records.append(_record("torus_param_distinct", wid, n, order, len(elems)))
-    return records
+    return _torus_checks(model, n, enumerate_limit, "torus")
 
 
-def dual_torus_check(model, n: int, enumerate_limit: int = 1 << 16):
+def dual_torus_check(model, n: int, enumerate_limit: int = 1 << 20):
     """Every listed dual-torus element is (wF*)-fixed; counts match the order."""
+    return _torus_checks(model, n, enumerate_limit, "dual")
+
+
+def _torus_checks(model, n: int, enumerate_limit: int, side: str):
+    """Enumerate each class's torus (or dual torus) as int64 points mod D.
+
+    A point v is fixed when its image under (w . 2^n m0) is v again; the
+    distinct count is the number of distinct points.
+    """
+    from .paramsets import _act, _grid, _points
     from .tabledsl import build_env, eval_expr_int
 
+    prefix = "torus_param" if side == "torus" else "dual_torus"
     records = []
     env0 = build_env(n)
     mf = frobenius_matrix(n)
     for wid in sorted(model.weylclasses):
         wc = model.weylclasses[wid]
-        w = word_matrix(wc.word, model.weylgens)
+        if side == "torus":
+            varnames, ranges, coords = wc.tvars, wc.tranges, wc.tcoords
+        else:
+            varnames, ranges, coords = wc.svars, wc.sranges, wc.scoords
         order = eval_expr_int(wc.order, env0)
-        ranges = [eval_expr_int(r, env0) for r in wc.sranges]
-        prod = 1
-        for r in ranges:
-            prod *= r
+        ranges = [eval_expr_int(r, env0) for r in ranges]
+        prod = math.prod(ranges)
+        if side == "torus":
+            records.append(_record("torus_param_count", wid, n, order, prod))
         if prod > enumerate_limit:
             continue
-        composite = mat_mul(w, mf)
-        elems = set()
-        all_fixed = True
-        for pt in _iter_points(ranges):
-            env = dict(env0)
-            for name, val in zip(wc.svars, pt):
-                env[name] = val
-            v = _coord_vector(wc.scoords, env)
-            elems.add(v)
-            if _apply_row_frac(v, composite) != v:
-                all_fixed = False
-        records.append(_record("dual_torus_fixed", wid, n, True, all_fixed))
-        records.append(_record("dual_torus_distinct", wid, n, order, len(elems)))
+        composite = mat_mul(word_matrix(wc.word, model.weylgens), mf)
+        denom, vecs = _points(coords, varnames, _grid(ranges), env0, side)
+        fixed = bool(np.array_equal(_act(vecs, composite, denom, side), vecs))
+        records.append(_record(prefix + "_fixed", wid, n, True, fixed))
+        # one opaque 32-byte value per point: equal points are equal bytes, and
+        # a flat unique sorts these much faster than np.unique(axis=0)
+        distinct = len(np.unique(np.ascontiguousarray(vecs).view(np.dtype((np.void, 32)))))
+        records.append(_record(prefix + "_distinct", wid, n, order, distinct))
     return records
 
 

@@ -311,18 +311,35 @@ def parse_blocks(text: str):
 # expression evaluation
 
 
+# n -> the environment of build_env(n) without t and indices.  n is the whole
+# key: PHI_POLYS is a module constant and every value is an immutable
+# SqrtTwoRat.  Filled on first use, so loading a model evaluates nothing.
+_BASE_ENV: Dict[int, Dict[str, object]] = {}
+
+
+def _base_env(n: int) -> Dict[str, object]:
+    env = _BASE_ENV.get(n)
+    if env is None:
+        env = {
+            "n": SqrtTwoRat(n),
+            "q": SqrtTwoRat(0, 1 << n),
+            "s2": SQRT2,
+            "th": SqrtTwoRat(1 << n),
+        }
+        for name, poly in PHI_POLYS.items():
+            env[name] = poly.eval(n)
+        _BASE_ENV[n] = env
+    return env
+
+
 def build_env(n: int, t: Optional[int] = None, **indices) -> Dict[str, object]:
-    """Numeric environment: q = 2^n sqrt2, th = 2^n, plus the named phi values."""
-    env: Dict[str, object] = {
-        "n": SqrtTwoRat(n),
-        "q": SqrtTwoRat(0, 1 << n),
-        "s2": SQRT2,
-        "th": SqrtTwoRat(1 << n),
-    }
+    """Numeric environment: q = 2^n sqrt2, th = 2^n, plus the named phi values.
+
+    Each call returns a fresh dict; the phi values are evaluated once per n.
+    """
+    env = dict(_base_env(n))
     if t is not None:
         env["t"] = SqrtTwoRat(t)
-    for name, poly in PHI_POLYS.items():
-        env[name] = poly.eval(n)
     for k, v in indices.items():
         env[k] = SqrtTwoRat.coerce(v)
     return env

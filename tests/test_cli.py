@@ -118,3 +118,16 @@ def test_failed_check_exits_one(tmp_path, capsys):
     rc = main(["verify", "fixrows", "--n", "1", "--data-dir", str(dest)])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().err
+
+
+def test_millis_is_per_record_not_running_total():
+    import time
+
+    from dadecheck import cli
+
+    cli._model()  # load outside the timed region
+    t0 = time.perf_counter()
+    records = cli.run_task(("weyl", 1, {"max_n": 1, "budget": 1 << 22, "mode": "formula"}))
+    wall_ms = 1000.0 * (time.perf_counter() - t0)
+    assert len(records) > 100
+    assert sum(r["millis"] for r in records) <= wall_ms + 1.0

@@ -130,3 +130,50 @@ def test_trusted_inputs_flagged(model):
 
     names = {r.name.split(":")[0] for r in trusted_input_flags(model)}
     assert names == {"GI_50", "GI_51", "GI_ss"}
+
+
+def _expr(text):
+    from dadecheck.tabledsl import _Parser, tokenize
+
+    return _Parser(tokenize(text)).parse_expr()
+
+
+@pytest.mark.parametrize("text, varnames", [
+    ("a^2/(q^2-1)", ("a",)),
+    ("k^2", ("k",)),
+    ("a*b", ("a", "b")),
+    ("(th+a)*(1-b)/p8", ("a", "b")),
+])
+def test_affine_compiler_rejects_non_affine(text, varnames):
+    from dadecheck.paramsets import MapClosureError, _affine
+    from dadecheck.tabledsl import build_env
+
+    with pytest.raises(MapClosureError):
+        _affine([_expr(text)], build_env(1), varnames)
+
+
+def test_affine_compiler_coefficients():
+    from fractions import Fraction
+
+    from dadecheck.paramsets import _affine
+    from dadecheck.tabledsl import build_env
+
+    exprs = [_expr("(2*th-1)*a/(q^2-1) + b/7"), _expr("-(a-3*b)^1 + th^2")]
+    denom, rows = _affine(exprs, build_env(1), ("a", "b"))
+    assert rows == [[Fraction(3, 7), Fraction(1, 7), 0], [-1, 3, 4]]
+    assert denom == 7
+
+
+def test_centralizer_cache_keyed_on_generators(model):
+    import dataclasses
+
+    from dadecheck import rootdatum as rd
+    from dadecheck.paramsets import _centralizer_mats
+
+    gens = dict(model.weylgens)
+    gens["r1"], gens["r2"] = gens["r2"], gens["r1"]
+    swapped = dataclasses.replace(model, weylgens=gens)
+    first = _centralizer_mats(model, ("r1", "r3"))
+    second = _centralizer_mats(swapped, ("r1", "r3"))
+    assert sorted(second) == sorted(rd.f_centralizer(rd.word_matrix(("r1", "r3"), gens)))
+    assert sorted(first) != sorted(second)

@@ -155,3 +155,40 @@ def test_singular_matrix_detected():
     # branch is only reachable through degenerate matrices directly
     with pytest.raises(rd.SingularMatrix):
         rd.mat_inv_int(((0,) * 4,) * 4)
+
+
+def test_torus_enumeration_n3_covers_every_class(model):
+    torus = [r for r in rd.torus_param_checks(model, 3) if r.check != "torus_param_count"]
+    dual = rd.dual_torus_check(model, 3)
+    assert len(torus) + len(model.weylclasses) == 33
+    assert len(dual) == 22
+    for r in torus + dual:
+        assert r.ok, (r.check, r.name, r.expected, r.actual)
+
+
+def test_transposed_action_is_not_fixed(model, monkeypatch):
+    from dadecheck import paramsets
+
+    act = paramsets._act
+    flipped = {"torus": "dual", "dual": "torus"}
+    monkeypatch.setattr(paramsets, "_act", lambda v, m, d, side: act(v, m, d, flipped[side]))
+    for check, recs in (("torus_param_fixed", rd.torus_param_checks(model, 1)),
+                        ("dual_torus_fixed", rd.dual_torus_check(model, 1))):
+        fixed = [r for r in recs if r.check == check]
+        assert len(fixed) == len(model.weylclasses)
+        assert not any(r.actual for r in fixed), check
+
+
+@pytest.mark.parametrize("field", ["tcoords", "scoords"])
+def test_perturbed_coordinate_row_fails(model, field):
+    import dataclasses
+
+    wc = model.weylclasses["T3"]
+    rows = list(getattr(wc, field))
+    rows[1] = ("add", rows[1], rows[0])
+    edited = dataclasses.replace(
+        model,
+        weylclasses=dict(model.weylclasses, T3=dataclasses.replace(wc, **{field: tuple(rows)})),
+    )
+    recs = rd.torus_param_checks(edited, 1) + rd.dual_torus_check(edited, 1)
+    assert any(not r.ok for r in recs)

@@ -141,3 +141,15 @@ def test_expr_serialize_roundtrip(e):
     from dadecheck.tabledsl import expr_to_str
 
     assert _expr(expr_to_str(e)) == e
+
+
+def test_build_env_returns_fresh_copies():
+    from dadecheck.exactnum import SqrtTwoRat
+
+    env = build_env(2, t=1, k=3)
+    env["q"] = SqrtTwoRat(0)
+    env["p8"] = SqrtTwoRat(0)
+    again = build_env(2)
+    assert again["q"] == SqrtTwoRat(0, 4)
+    assert eval_expr_int(_expr("p8"), again) == 1025
+    assert "t" not in again and "k" not in again
