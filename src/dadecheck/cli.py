@@ -11,8 +11,9 @@ defaults to the packaged tables, or $DADE_DATA_DIR.
 
 Every check instance becomes one JSON record
     {"schema": 1, "check": ..., "name": ..., "n": ..., "expected": ...,
-     "actual": ..., "status": "pass"|"fail", "millis": ...}
-and the process exits 0 only if every record passed (2 on usage/parse errors).
+     "actual": ..., "status": "pass"|"fail"|"skip", "millis": ...}
+where a skipped record also carries its "reason", and the process exits 0
+only if no record failed (2 on usage/parse errors).
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ ALL_CHECKS = ("lemmas", "params", "fixrows", "dade", "weyl", "classes", "relatio
 SCHEMA = 1
 
 
-def _rec(check, name, n, expected, actual, millis, **extra):
-    status = "pass" if expected == actual else "fail"
+def _rec(check, name, n, expected, actual, millis, reason=None, **extra):
     rec = {
         "schema": SCHEMA,
         "check": check,
@@ -42,9 +42,11 @@ def _rec(check, name, n, expected, actual, millis, **extra):
         "n": n,
         "expected": repr(expected),
         "actual": repr(actual),
-        "status": status,
-        "millis": round(millis, 3),
+        "status": "skip" if reason is not None else "pass" if expected == actual else "fail",
     }
+    if reason is not None:
+        rec["reason"] = reason
+    rec["millis"] = round(millis, 3)
     rec.update(extra)
     return rec
 
@@ -89,7 +91,7 @@ def run_task(task) -> List[dict]:
             out.append(_rec("lemma_" + r.lemma, r.params, None, r.expected, r.actual, ms()))
     elif kind == "params":
         for r in paramsets.cardinality_check(model, n, budget):
-            out.append(_rec(r.check, r.name, n, r.expected, r.actual, ms()))
+            out.append(_rec(r.check, r.name, n, r.expected, r.actual, ms(), r.reason))
         for r in paramsets.semisimple_sum_checks(model, n):
             out.append(_rec(r.check, r.name, n, r.expected, r.actual, ms()))
         for r in paramsets.trusted_input_flags(model):
@@ -129,9 +131,9 @@ def run_task(task) -> List[dict]:
         for r in rootdatum.weyl_table_checks(model, (n,)):
             out.append(_rec(r.check, r.name, r.n, r.expected, r.actual, ms()))
         for r in rootdatum.torus_param_checks(model, n):
-            out.append(_rec(r.check, r.name, n, r.expected, r.actual, ms()))
+            out.append(_rec(r.check, r.name, n, r.expected, r.actual, ms(), r.reason))
         for r in rootdatum.dual_torus_check(model, n):
-            out.append(_rec(r.check, r.name, n, r.expected, r.actual, ms()))
+            out.append(_rec(r.check, r.name, n, r.expected, r.actual, ms(), r.reason))
         for r in rootdatum.pairing_checks(model, n):
             out.append(_rec(r.check, r.name, n, r.expected, r.actual, ms()))
         for r in rootdatum.subsystem_checks(model):
@@ -260,11 +262,12 @@ def _emit(records: List[dict], cfg) -> int:
         with open(cfg["report"], "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     failures = [r for r in records if r["status"] == "fail"]
-    passes = len(records) - len(failures)
+    skips = sum(1 for r in records if r["status"] == "skip")
+    passes = len(records) - len(failures) - skips
     for r in failures[:40]:
         print(f"FAIL {r['check']} {r['name']} n={r.get('n')} "
               f"expected {r['expected']} got {r['actual']}", file=sys.stderr)
-    print(f"{passes} passed, {len(failures)} failed of {len(records)} checks")
+    print(f"{passes} passed, {len(failures)} failed, {skips} skipped of {len(records)} checks")
     return 1 if failures else 0
 
 
@@ -345,9 +348,11 @@ def _cmd_report(path) -> int:
     failures = 0
     for check in sorted(by_check):
         recs = by_check[check]
-        bad = [r for r in recs if r["status"] == "fail"]
-        failures += len(bad)
-        print(f"{check:28s} {len(recs) - len(bad):6d} passed {len(bad):4d} failed")
+        counts = {s: sum(1 for r in recs if r["status"] == s) for s in ("pass", "fail", "skip")}
+        millis = sum(r["millis"] for r in recs)
+        failures += counts["fail"]
+        print(f"{check:28s} {counts['pass']:6d} passed {counts['fail']:4d} failed "
+              f"{counts['skip']:4d} skipped {millis:12.3f} ms")
     print(f"total: {len(records)} records, {failures} failures")
     return 1 if failures else 0
 

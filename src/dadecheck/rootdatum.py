@@ -206,14 +206,33 @@ def f_conjugacy_classes(weyl: Optional[frozenset] = None):
     return classes
 
 
-def f_centralizer(w: Matrix, weyl: Optional[frozenset] = None) -> List[Matrix]:
-    """All v with v^-1 w F(v) = w; |result| matches the table of F-classes."""
-    weyl = weyl or generate_weyl()
-    out = []
-    for v in weyl:
-        if mat_mul(w, frobenius_twist(v)) == mat_mul(v, w):
-            out.append(v)
-    return out
+# Keyed on the generator matrices: W as a sorted (|W|, 4, 4) array and its
+# F-twist m0^-1 W m0, element by element.
+_WEYL_ARRAYS: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _weyl_arrays(gens: Optional[Dict[str, Matrix]]) -> Tuple[np.ndarray, np.ndarray]:
+    gens = gens or WEYL_GENERATORS
+    key = tuple(sorted(gens.items()))
+    if key not in _WEYL_ARRAYS:
+        weyl = np.array(sorted(generate_weyl(gens)), dtype=np.int64)
+        m0 = np.array(M0, dtype=np.int64)
+        twisted = m0 @ weyl @ m0
+        if np.any(twisted % 2):
+            raise ValueError("twist left the lattice; generators not in W?")
+        _WEYL_ARRAYS[key] = weyl, twisted // 2
+    return _WEYL_ARRAYS[key]
+
+
+def f_centralizer(w: Matrix, gens: Optional[Dict[str, Matrix]] = None) -> np.ndarray:
+    """All v in W with v^-1 w F(v) = w, as a (k, 4, 4) int64 array.
+
+    W is generated from gens (the default reflections if None); the number of
+    elements is the centralizer order of the F-class of w.
+    """
+    weyl, twisted = _weyl_arrays(gens)
+    wm = np.array(w, dtype=np.int64)
+    return weyl[np.all(wm @ twisted == weyl @ wm, axis=(1, 2))]
 
 
 def frobenius_matrix(n: int) -> Matrix:
@@ -587,11 +606,10 @@ def _direction(v):
 # --- table-driven verification ------------------------------------------------
 
 
-def _record(check, name, n, expected, actual, note=None):
+def _record(check, name, n, expected, actual, note=None, reason=None):
     from .paramsets import CheckRecord
 
-    r = CheckRecord(check, name, n if n is not None else 0, expected, actual)
-    return r
+    return CheckRecord(check, name, n if n is not None else 0, expected, actual, reason)
 
 
 def weyl_table_checks(model, n_list=(1, 2, 3, 4, 5)):
@@ -662,6 +680,9 @@ def _torus_checks(model, n: int, enumerate_limit: int, side: str):
         if side == "torus":
             records.append(_record("torus_param_count", wid, n, order, prod))
         if prod > enumerate_limit:
+            reason = f"{prod} points exceed the enumeration limit {enumerate_limit}"
+            records.append(_record(prefix + "_fixed", wid, n, True, None, reason=reason))
+            records.append(_record(prefix + "_distinct", wid, n, order, None, reason=reason))
             continue
         composite = mat_mul(word_matrix(wc.word, model.weylgens), mf)
         denom, vecs = _points(coords, varnames, _grid(ranges), env0, side)

@@ -48,6 +48,44 @@ def test_report_roundtrip(tmp_path, capsys):
     assert "0 failures" in capsys.readouterr().out
 
 
+def test_report_counts_and_times_each_kind(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    records = [
+        {"check": "a", "status": "pass", "millis": 1.5},
+        {"check": "a", "status": "fail", "millis": 2.0},
+        {"check": "a", "status": "skip", "reason": "limit", "millis": 0.25},
+        {"check": "b", "status": "skip", "reason": "limit", "millis": 4.0},
+    ]
+    report.write_text(json.dumps(records))
+    assert main(["report", str(report)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["a", "1", "passed", "1", "failed", "1", "skipped", "3.750", "ms"]
+    assert lines[1].split() == ["b", "0", "passed", "0", "failed", "1", "skipped", "4.000", "ms"]
+
+
+def test_skips_carry_reason_and_exit_zero(tmp_path, capsys):
+    # at n = 5 every torus has more than 2^20 points: enumeration is skipped
+    report = tmp_path / "r.json"
+    assert main(["verify", "weyl", "--n", "5", "--report", str(report)]) == 0
+    records = json.loads(report.read_text())
+    skips = [r for r in records if r["status"] == "skip"]
+    assert len(skips) == 44
+    assert {r["check"] for r in skips} == {"torus_param_fixed", "torus_param_distinct",
+                                          "dual_torus_fixed", "dual_torus_distinct"}
+    assert all("exceed the enumeration limit" in r["reason"] for r in skips)
+    assert all("reason" not in r for r in records if r["status"] != "skip")
+    assert "105 passed, 0 failed, 44 skipped of 149 checks" in capsys.readouterr().out
+
+
+def test_params_n4_drops_no_family(tmp_path):
+    report = tmp_path / "r.json"
+    assert main(["verify", "params", "--n", "4", "--report", str(report)]) == 0
+    records = json.loads(report.read_text())
+    assert len(records) == 125  # 111 while 14 families were dropped
+    assert all(r["status"] == "pass" for r in records)
+    assert sum(r["check"] == "family_count" for r in records) == 36
+
+
 def test_report_deterministic(tmp_path):
     r1 = tmp_path / "a.json"
     r2 = tmp_path / "b.json"

@@ -164,10 +164,22 @@ def test_affine_compiler_coefficients():
     assert denom == 7
 
 
+def _centralizer_by_definition(word, gens):
+    """v in W with v^-1 w F(v) = w, i.e. w F(v) = v w, one element at a time."""
+    from dadecheck import rootdatum as rd
+
+    w = rd.word_matrix(word, gens)
+    return {v for v in rd.generate_weyl(gens)
+            if rd.mat_mul(w, rd.frobenius_twist(v)) == rd.mat_mul(v, w)}
+
+
+def _as_tuples(mats):
+    return {tuple(map(tuple, m.tolist())) for m in mats}
+
+
 def test_centralizer_cache_keyed_on_generators(model):
     import dataclasses
 
-    from dadecheck import rootdatum as rd
     from dadecheck.paramsets import _centralizer_mats
 
     gens = dict(model.weylgens)
@@ -175,5 +187,68 @@ def test_centralizer_cache_keyed_on_generators(model):
     swapped = dataclasses.replace(model, weylgens=gens)
     first = _centralizer_mats(model, ("r1", "r3"))
     second = _centralizer_mats(swapped, ("r1", "r3"))
-    assert sorted(second) == sorted(rd.f_centralizer(rd.word_matrix(("r1", "r3"), gens)))
-    assert sorted(first) != sorted(second)
+    assert _as_tuples(first) == _centralizer_by_definition(("r1", "r3"), model.weylgens)
+    assert _as_tuples(second) == _centralizer_by_definition(("r1", "r3"), gens)
+    assert _as_tuples(first) != _as_tuples(second)
+
+
+def test_centralizer_orders_match_table(model):
+    from dadecheck.paramsets import _centralizer_mats
+
+    for wc in model.weylclasses.values():
+        assert len(_centralizer_mats(model, wc.word)) == wc.cent, wc.word
+
+
+def _orbit_count_reference(fam, model, n):
+    """Orbits on the family members by closing each point, on tuples of ints."""
+    from dadecheck.paramsets import _centralizer_mats, family_elements
+
+    denom, vecs = family_elements(fam, n)
+    mats = [m.tolist() for m in _centralizer_mats(model, fam.word)]
+    if fam.side == "torus":  # columns: v -> M v
+        mats = [list(zip(*m)) for m in mats]
+    seen, orbits = set(), 0
+    for v in map(tuple, vecs.tolist()):
+        if v in seen:
+            continue
+        orbits += 1
+        seen |= {tuple(sum(v[i] * m[i][j] for i in range(4)) % denom for j in range(4))
+                 for m in mats}
+    return orbits
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_orbit_kernel_matches_reference(model, n):
+    # includes g2/g3/h5/h6, whose orbits leave the member set
+    for fid in sorted(model.classfams):
+        fam = model.classfams[fid]
+        assert family_class_count(fam, model, n) == _orbit_count_reference(fam, model, n), fid
+
+
+# Dropped at n = 4 until the orbit key stopped packing four coordinates into
+# one int64 (denominator^4 >= 2^62).
+N4_FAMILIES = [f"{side}{i}" for side in "gh" for i in (7, 9, 11, 12, 16, 17, 18)]
+
+
+def test_formerly_dropped_n4_families_match_formula(model):
+    for fid in N4_FAMILIES:
+        fam = model.classfams[fid]
+        assert family_class_count(fam, model, 4) == family_formula_count(fam, 4), fid
+
+
+def test_orbit_kernel_exactness_bound():
+    from dadecheck.paramsets import _orbit_count
+
+    ident = np.eye(4, dtype=np.int64)[None]
+    vecs = np.zeros((1, 4), dtype=np.int64)
+    assert _orbit_count(vecs, ident, 94906265, "dual") == 1  # D*D just below 2^53
+    with pytest.raises(OverflowError):
+        _orbit_count(vecs, ident, 94906266, "dual")  # D*D above 2^53
+    with pytest.raises(OverflowError):
+        _orbit_count(vecs, ident * (1 << 40), 1 << 11, "torus")  # 4*D*max|M| = 2^53
+
+
+def test_budget_skip_is_a_record(model):
+    recs = cardinality_check(model, 1, budget=0, include_families=False)
+    assert recs and all(r.reason and "exceeds budget" in r.reason for r in recs)
+    assert not any(r.ok for r in recs)

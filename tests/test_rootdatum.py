@@ -99,11 +99,17 @@ def test_pairings(model):
 
 def test_param_count_invariant_n3(model):
     # formula-level check only: the declared index ranges multiply out to the
-    # determinant at n = 3 (element enumeration is covered at n <= 2)
+    # determinant at n = 3; above the limit each enumeration record is a skip
     recs = rd.torus_param_checks(model, 3, enumerate_limit=0)
-    assert {r.check for r in recs} == {"torus_param_count"}
-    for r in recs:
+    counts = [r for r in recs if r.check == "torus_param_count"]
+    skips = [r for r in recs if r.check != "torus_param_count"]
+    assert len(counts) == 11
+    for r in counts:
         assert r.ok, (r.name, r.expected, r.actual)
+    assert sorted(r.check for r in skips) == ["torus_param_distinct"] * 11 + ["torus_param_fixed"] * 11
+    for r in skips:
+        assert r.actual is None and not r.ok
+        assert r.reason.endswith("points exceed the enumeration limit 0"), r.reason
 
 
 def test_subsystem_type_examples():
