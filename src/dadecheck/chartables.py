@@ -40,10 +40,11 @@ class Record:
     expected: object
     actual: object
     note: Optional[str] = None
+    reason: Optional[str] = None  # set when the check was skipped, and why
 
     @property
     def ok(self) -> bool:
-        return self.expected == self.actual
+        return self.reason is None and self.expected == self.actual
 
 
 # --- class equation -----------------------------------------------------------
@@ -348,15 +349,24 @@ def admissible_norm_parameters(model: Model, n: int, which: str) -> List[int]:
     return list(range(1, order))
 
 
+# The norm is summed in floating point and checked to a tolerance, which is
+# trusted only this far; above it every parameter gets a skip record.
+NORM_MAX_N = 2
+
+
 def f_norm_check(
     model: Model, n: int, which: str, tol: float = 1e-9
 ) -> List[Record]:
     records = []
     for k in admissible_norm_parameters(model, n, which):
+        name = f"{which}(k={k})"
+        if n > NORM_MAX_N:
+            records.append(Record("f_norm", name, n, True, None, reason=(
+                f"the floating-point norm is checked only for n <= {NORM_MAX_N}")))
+            continue
         got = f_norm(model, n, which, k)
         records.append(
-            Record("f_norm", f"{which}(k={k})", n, True, abs(got - 2.0) < tol,
-                   note=f"norm={got!r}")
+            Record("f_norm", name, n, True, abs(got - 2.0) < tol, note=f"norm={got!r}")
         )
     return records
 

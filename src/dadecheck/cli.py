@@ -31,6 +31,8 @@ from .paramsets import DEFAULT_BUDGET
 from .tabledsl import TableSyntaxError, DanglingReference
 
 ALL_CHECKS = ("lemmas", "params", "fixrows", "dade", "weyl", "classes", "relations")
+# Kinds with a task of the checks that do not depend on n, run once per run.
+N_FREE = ("lemmas", "weyl")
 SCHEMA = 1
 
 
@@ -127,17 +129,20 @@ def run_task(task) -> List[dict]:
             out.append(_rec("dade_exact", r.ledger, n, r.rhs, r.lhs, ms(), d=r.d, u=r.u))
         for r in dadeverify.ledger_consistency(model, n):
             out.append(_rec(r.check, r.name, n, r.expected, r.actual, ms()))
-    elif kind == "weyl":
-        for r in rootdatum.weyl_table_checks(model, (n,)):
+    elif kind == "weyl" and n is None:
+        for r in rootdatum.weyl_table_checks(model, ()):
             out.append(_rec(r.check, r.name, r.n, r.expected, r.actual, ms()))
+        for r in rootdatum.subsystem_checks(model):
+            out.append(_rec(r.check, r.name, None, r.expected, r.actual, ms()))
+    elif kind == "weyl":
+        for r in rootdatum.torus_order_checks(model, n):
+            out.append(_rec(r.check, r.name, n, r.expected, r.actual, ms()))
         for r in rootdatum.torus_param_checks(model, n):
             out.append(_rec(r.check, r.name, n, r.expected, r.actual, ms(), r.reason))
         for r in rootdatum.dual_torus_check(model, n):
             out.append(_rec(r.check, r.name, n, r.expected, r.actual, ms(), r.reason))
         for r in rootdatum.pairing_checks(model, n):
             out.append(_rec(r.check, r.name, n, r.expected, r.actual, ms()))
-        for r in rootdatum.subsystem_checks(model):
-            out.append(_rec(r.check, r.name, None, r.expected, r.actual, ms()))
     elif kind == "classes":
         for r in chartables.class_equation(model, n):
             out.append(_rec(r.check, r.name, n, r.expected, r.actual, ms()))
@@ -146,10 +151,9 @@ def run_task(task) -> List[dict]:
             out.append(_rec(r.check, r.name, r.n, r.expected, r.actual, ms()))
         for r in chartables.exponent_integrality(model, (n,)):
             out.append(_rec(r.check, r.name, n, r.expected, r.actual, ms()))
-        if n <= 2:
-            for which in ("f8", "f10"):
-                for r in chartables.f_norm_check(model, n, which):
-                    out.append(_rec(r.check, r.name, n, r.expected, r.actual, ms()))
+        for which in ("f8", "f10"):
+            for r in chartables.f_norm_check(model, n, which):
+                out.append(_rec(r.check, r.name, n, r.expected, r.actual, ms(), r.reason))
         for r in chartables.degree_identity_check(model, (n,)):
             out.append(_rec(r.check, r.name, r.n, r.expected, r.actual, ms()))
     else:
@@ -291,6 +295,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (TableSyntaxError, DanglingReference, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except rootdatum.WeylDataError as e:
+        print(f"error: Weyl generator data (weylgen in weyl.def): {e}", file=sys.stderr)
+        return 2
 
 
 def _cmd_params(args, cfg) -> int:
@@ -302,13 +309,15 @@ def _cmd_params(args, cfg) -> int:
     records = []
     for n in cfg["n_list"]:
         t0 = time.perf_counter()
-        enum = paramsets.enumerate_classes(spec, n, cfg["budget"])
+        try:
+            enum = paramsets.enumerate_classes(spec, n, cfg["budget"])
+            count, reason = enum.count, None
+        except paramsets.BudgetExceeded as e:
+            enum, count, reason = None, None, str(e)
         millis = 1000.0 * (time.perf_counter() - t0)
-        expected = paramsets.formula_count(spec, n) if spec.card else enum.count
-        records.append(
-            _rec("cardinality", spec.id, n, expected, enum.count, millis)
-        )
-        if args.list:
+        expected = paramsets.formula_count(spec, n) if spec.card else count
+        records.append(_rec("cardinality", spec.id, n, expected, count, millis, reason))
+        if args.list and enum is not None:
             for rep in enum.representatives():
                 print(" ".join(str(x) for x in rep))
     return _emit(records, cfg)
@@ -316,15 +325,13 @@ def _cmd_params(args, cfg) -> int:
 
 def _cmd_verify(args, cfg) -> int:
     kinds = ALL_CHECKS if args.what == "all" else (args.what,)
+    opts = {"max_n": cfg["max_n"], "budget": cfg["budget"], "mode": cfg["mode"]}
     tasks = []
     for kind in kinds:
-        if kind == "lemmas":
-            tasks.append((kind, None, {"max_n": cfg["max_n"], "budget": cfg["budget"],
-                                       "mode": cfg["mode"]}))
-        else:
-            for n in cfg["n_list"]:
-                tasks.append((kind, n, {"max_n": cfg["max_n"], "budget": cfg["budget"],
-                                        "mode": cfg["mode"]}))
+        if kind in N_FREE:
+            tasks.append((kind, None, opts))
+        if kind != "lemmas":
+            tasks.extend((kind, n, opts) for n in cfg["n_list"])
     records: List[dict] = []
     if cfg["workers"] > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(

@@ -376,8 +376,12 @@ def enumerate_classes(
         raise ValueError(f"{spec.id} has no explicit index structure")
     moduli, arrays = admissible_arrays(spec, n, budget)
     group = equivalence_group(spec, n)
-    keys = _canonical_keys(arrays, group)
-    canonical = np.unique(keys)
+    # sort and keep the first of each run: numpy's hashed np.unique is far
+    # slower than a sort on int64 keys of this size
+    keys = np.sort(_canonical_keys(arrays, group))
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    canonical = keys[first]
     if check_closure:
         if len(moduli) == 1:
             raw = arrays[0]

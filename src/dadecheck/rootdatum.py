@@ -9,6 +9,7 @@ m0^2 = 2, so the Frobenius on X is the integer matrix 2^n * m0.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -17,7 +18,11 @@ import numpy as np
 Matrix = Tuple[Tuple[int, ...], ...]
 
 
-class ClosureOverflow(RuntimeError):
+class WeylDataError(ValueError):
+    """The Weyl generators give no finite lattice group that the twist normalizes."""
+
+
+class ClosureOverflow(WeylDataError):
     """Generator closure exceeded the sanity bound (bad generator data)."""
 
 
@@ -120,36 +125,6 @@ def word_matrix(word: Iterable[str], gens: Optional[Dict[str, Matrix]] = None) -
     return m
 
 
-_WEYL_CACHE: Optional[frozenset] = None
-
-
-def generate_weyl(gens: Optional[Dict[str, Matrix]] = None, limit: int = 2000) -> frozenset:
-    """Closure of the four reflections under multiplication; |W| = 1152."""
-    global _WEYL_CACHE
-    if gens is None and _WEYL_CACHE is not None:
-        return _WEYL_CACHE
-    gmats = list((gens or WEYL_GENERATORS).values())
-    seen = {_IDENT}
-    frontier = [_IDENT]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gmats:
-                p = mat_mul(m, g)
-                if p not in seen:
-                    seen.add(p)
-                    nxt.append(p)
-                    if len(seen) > limit:
-                        raise ClosureOverflow(
-                            f"Weyl closure exceeded {limit} elements"
-                        )
-        frontier = nxt
-    out = frozenset(seen)
-    if gens is None:
-        _WEYL_CACHE = out
-    return out
-
-
 def frobenius_twist(v: Matrix) -> Matrix:
     """F-conjugate of a Weyl element: m0^-1 v m0 (integral since F normalizes W)."""
     m = mat_mul(mat_mul(M0, v), M0)
@@ -161,67 +136,126 @@ def frobenius_twist(v: Matrix) -> Matrix:
     return tuple(out)
 
 
-_GEN_MOVES = None
+def _void_rows(a: np.ndarray) -> np.ndarray:
+    """Each int64 row (or matrix) of a as one opaque value: equal rows, equal bytes."""
+    flat = np.ascontiguousarray(a, dtype=np.int64).reshape(len(a), -1)
+    return flat.view(np.dtype((np.void, 8 * flat.shape[1]))).ravel()
 
 
-def _gen_moves():
-    """Per-generator F-conjugation data: (g^-1, F(g)) for each reflection."""
-    global _GEN_MOVES
-    if _GEN_MOVES is None:
-        _GEN_MOVES = [
-            (mat_inv_int(g), frobenius_twist(g)) for g in WEYL_GENERATORS.values()
-        ]
-    return _GEN_MOVES
+# Bound on the entries met while closing up the generators: it keeps every
+# int64 product of two of them exact.
+_ENTRY_BOUND = 1 << 20
 
 
-def f_class_of(w: Matrix) -> frozenset:
-    """F-conjugacy class of w: closure of w under v -> g^-1 v F(g).
+def _closure(gmats: Sequence[Matrix], limit: int) -> np.ndarray:
+    """The group the generators generate, sorted as the matrices sort as tuples.
 
-    F-conjugation by a product composes from generator conjugations, so the
-    orbit closes under the four generator moves alone.
+    Breadth first: each layer is the previous layer's new elements times every
+    generator.  The monoid this closes is finite only if it is a group.
     """
-    orbit = {w}
-    frontier = [w]
-    moves = _gen_moves()
-    while frontier:
-        u = frontier.pop()
-        for ginv, gtw in moves:
-            x = mat_mul(mat_mul(ginv, u), gtw)
-            if x not in orbit:
-                orbit.add(x)
-                frontier.append(x)
-    return frozenset(orbit)
+    gens = np.array(gmats, dtype=np.int64)
+    elems = np.eye(4, dtype=np.int64)[None]
+    frontier = elems
+    while len(frontier):
+        if np.abs(frontier).max() > _ENTRY_BOUND:
+            raise ClosureOverflow(f"Weyl closure met an entry above {_ENTRY_BOUND}")
+        pool = np.concatenate([elems, (frontier[:, None] @ gens).reshape(-1, 4, 4)])
+        _, first = np.unique(_void_rows(pool), return_index=True)
+        frontier = pool[first[first >= len(elems)]]
+        elems = np.concatenate([elems, frontier])
+        if len(elems) > limit:
+            raise ClosureOverflow(f"Weyl closure exceeded {limit} elements")
+    return elems[np.lexsort(elems.reshape(len(elems), -1).T[::-1])]
 
 
-def f_conjugacy_classes(weyl: Optional[frozenset] = None):
-    """Orbits of w ~ v^-1 w F(v); returns (representative, size, centralizer order)."""
-    weyl = weyl or generate_weyl()
-    remaining = set(weyl)
+@dataclass(frozen=True)
+class WeylGroup:
+    """W as int64 arrays, built once per generator set by ``_weyl_arrays``.
+
+    elems is sorted as the matrices sort as tuples; twisted and inverses hold
+    m0^-1 w m0 and w^-1 element by element.  labels numbers the F-classes in
+    the order of their least elements, and classes gives each one's least
+    element (an index into elems) and its size.
+    """
+
+    elems: np.ndarray
+    twisted: np.ndarray
+    inverses: np.ndarray
+    labels: np.ndarray
+    classes: Tuple[Tuple[int, int], ...]
+    keys: np.ndarray  # _void_rows(elems) in byte order, for _lookup
+    order: np.ndarray  # positions in elems of keys
+
+
+def _lookup(keys: np.ndarray, order: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Positions in elems of the given (k, 4, 4) matrices, which must lie in W."""
+    want = _void_rows(mats)
+    pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    if not np.array_equal(keys[pos], want):
+        raise WeylDataError("the F-twist of W is not W: m0 does not normalize W")
+    return order[pos]
+
+
+def _build_weyl(gmats: Sequence[Matrix], limit: int) -> WeylGroup:
+    elems = _closure(gmats, limit)
+    m0 = np.array(M0, dtype=np.int64)
+    twisted = m0 @ elems @ m0
+    if np.any(twisted % 2):
+        raise WeylDataError("twist left the lattice; generators not in W?")
+    twisted //= 2
+    try:
+        inverses = np.rint(np.linalg.inv(elems)).astype(np.int64)
+    except np.linalg.LinAlgError:
+        raise WeylDataError("a Weyl generator is singular") from None
+    if not np.all(elems @ inverses == np.eye(4, dtype=np.int64)):
+        raise WeylDataError("a Weyl generator has no integral inverse")
+    keys = _void_rows(elems)
+    order = np.argsort(keys)
+    keys = keys[order]
+    # the F-class of w is {v^-1 w F(v)}: one batched product per class, its
+    # representative the least element no earlier class holds
+    labels = np.full(len(elems), -1)
     classes = []
-    while remaining:
-        rep = min(remaining)  # deterministic representative
-        orbit = f_class_of(rep)
-        remaining -= orbit
-        classes.append((rep, len(orbit), len(weyl) // len(orbit)))
-    return classes
+    while (free := np.flatnonzero(labels < 0)).size:
+        orbit = _lookup(keys, order, inverses @ elems[free[0]] @ twisted)
+        labels[orbit] = len(classes)
+        classes.append((int(free[0]), len(np.unique(orbit))))
+    return WeylGroup(elems, twisted, inverses, labels, tuple(classes), keys, order)
 
 
-# Keyed on the generator matrices: W as a sorted (|W|, 4, 4) array and its
-# F-twist m0^-1 W m0, element by element.
-_WEYL_ARRAYS: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
+# Keyed on the generator matrices.
+_WEYL_ARRAYS: Dict[tuple, WeylGroup] = {}
 
 
-def _weyl_arrays(gens: Optional[Dict[str, Matrix]]) -> Tuple[np.ndarray, np.ndarray]:
+def _weyl_arrays(gens: Optional[Dict[str, Matrix]] = None, limit: int = 2000) -> WeylGroup:
     gens = gens or WEYL_GENERATORS
     key = tuple(sorted(gens.items()))
     if key not in _WEYL_ARRAYS:
-        weyl = np.array(sorted(generate_weyl(gens)), dtype=np.int64)
-        m0 = np.array(M0, dtype=np.int64)
-        twisted = m0 @ weyl @ m0
-        if np.any(twisted % 2):
-            raise ValueError("twist left the lattice; generators not in W?")
-        _WEYL_ARRAYS[key] = weyl, twisted // 2
-    return _WEYL_ARRAYS[key]
+        _WEYL_ARRAYS[key] = _build_weyl(list(gens.values()), limit)
+    weyl = _WEYL_ARRAYS[key]
+    if len(weyl.elems) > limit:
+        raise ClosureOverflow(f"Weyl closure exceeded {limit} elements")
+    return weyl
+
+
+def _as_matrix(a: np.ndarray) -> Matrix:
+    return tuple(map(tuple, a.tolist()))
+
+
+def generate_weyl(gens: Optional[Dict[str, Matrix]] = None, limit: int = 2000) -> frozenset:
+    """The group generated by the reflections, as tuple matrices; |W| = 1152."""
+    return frozenset(map(_as_matrix, _weyl_arrays(gens, limit).elems))
+
+
+def f_conjugacy_classes(gens: Optional[Dict[str, Matrix]] = None):
+    """Orbits of w ~ v^-1 w F(v); returns (representative, size, centralizer order).
+
+    The representative is the least element of its class, and the classes
+    come in the order of their representatives.
+    """
+    weyl = _weyl_arrays(gens)
+    return [(_as_matrix(weyl.elems[rep]), size, len(weyl.elems) // size)
+            for rep, size in weyl.classes]
 
 
 def f_centralizer(w: Matrix, gens: Optional[Dict[str, Matrix]] = None) -> np.ndarray:
@@ -230,9 +264,9 @@ def f_centralizer(w: Matrix, gens: Optional[Dict[str, Matrix]] = None) -> np.nda
     W is generated from gens (the default reflections if None); the number of
     elements is the centralizer order of the F-class of w.
     """
-    weyl, twisted = _weyl_arrays(gens)
+    weyl = _weyl_arrays(gens)
     wm = np.array(w, dtype=np.int64)
-    return weyl[np.all(wm @ twisted == weyl @ wm, axis=(1, 2))]
+    return weyl.elems[np.all(wm @ weyl.twisted == weyl.elems @ wm, axis=(1, 2))]
 
 
 def frobenius_matrix(n: int) -> Matrix:
@@ -613,35 +647,41 @@ def _record(check, name, n, expected, actual, note=None, reason=None):
 
 
 def weyl_table_checks(model, n_list=(1, 2, 3, 4, 5)):
-    """|W|, the F-class census, centralizer orders, and both torus orders."""
+    """|W|, the F-class census and centralizer orders; torus orders for each n."""
+    gens = model.weylgens or None
+    classes = f_conjugacy_classes(gens)
+    weyl = _weyl_arrays(gens)
+    records = [
+        _record("weyl_order", "W", None, 1152, len(weyl.elems)),
+        _record("f_class_count", "W", None, len(model.weylclasses), len(classes)),
+        _record("f_class_partition", "W", None, len(weyl.elems),
+                sum(s for _, s, _ in classes)),
+    ]
+    seen = set()
+    for wid in sorted(model.weylclasses):
+        wc = model.weylclasses[wid]
+        w = np.array([word_matrix(wc.word, model.weylgens)], dtype=np.int64)
+        label = int(weyl.labels[_lookup(weyl.keys, weyl.order, w)[0]])
+        records.append(_record("f_class_distinct", wid, None, False, label in seen))
+        seen.add(label)
+        records.append(_record("centralizer_order", wid, None, wc.cent, classes[label][2]))
+    for n in n_list:
+        records.extend(torus_order_checks(model, n))
+    return records
+
+
+def torus_order_checks(model, n: int):
+    """Each class's torus order from the table against det and the SNF cokernel."""
     from .tabledsl import build_env, eval_expr_int
 
     records = []
-    weyl = generate_weyl(model.weylgens if model.weylgens else None)
-    records.append(_record("weyl_order", "W", None, 1152, len(weyl)))
-    classes = f_conjugacy_classes(weyl)
-    records.append(_record("f_class_count", "W", None, len(model.weylclasses), len(classes)))
-    records.append(
-        _record("f_class_partition", "W", None, len(weyl), sum(s for _, s, _ in classes))
-    )
-    reps = {}
+    env = build_env(n)
     for wid in sorted(model.weylclasses):
         wc = model.weylclasses[wid]
         w = word_matrix(wc.word, model.weylgens)
-        cls = f_class_of(w)
-        rep = min(cls)
-        records.append(
-            _record("f_class_distinct", wid, None, False, rep in reps,
-                    note=f"same class as {reps.get(rep)}"),
-        )
-        reps[rep] = wid
-        records.append(_record("centralizer_order", wid, None, wc.cent, 1152 // len(cls)))
-        for n in n_list:
-            expected = eval_expr_int(wc.order, build_env(n))
-            det = torus_order(w, n)
-            snf = torus_fixed_count(w, n)
-            records.append(_record("torus_order_det", wid, n, expected, det))
-            records.append(_record("torus_order_snf", wid, n, expected, snf))
+        expected = eval_expr_int(wc.order, env)
+        records.append(_record("torus_order_det", wid, n, expected, torus_order(w, n)))
+        records.append(_record("torus_order_snf", wid, n, expected, torus_fixed_count(w, n)))
     return records
 
 
@@ -688,9 +728,8 @@ def _torus_checks(model, n: int, enumerate_limit: int, side: str):
         denom, vecs = _points(coords, varnames, _grid(ranges), env0, side)
         fixed = bool(np.array_equal(_act(vecs, composite, denom, side), vecs))
         records.append(_record(prefix + "_fixed", wid, n, True, fixed))
-        # one opaque 32-byte value per point: equal points are equal bytes, and
-        # a flat unique sorts these much faster than np.unique(axis=0)
-        distinct = len(np.unique(np.ascontiguousarray(vecs).view(np.dtype((np.void, 32)))))
+        # a flat unique of opaque values sorts much faster than np.unique(axis=0)
+        distinct = len(np.unique(_void_rows(vecs)))
         records.append(_record(prefix + "_distinct", wid, n, order, distinct))
     return records
 

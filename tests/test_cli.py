@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from dadecheck.cli import main
 
 
@@ -164,8 +166,93 @@ def test_millis_is_per_record_not_running_total():
     from dadecheck import cli
 
     cli._model()  # load outside the timed region
-    t0 = time.perf_counter()
-    records = cli.run_task(("weyl", 1, {"max_n": 1, "budget": 1 << 22, "mode": "formula"}))
-    wall_ms = 1000.0 * (time.perf_counter() - t0)
+    records = []
+    for n in (None, 1):  # the weyl checks that do not depend on n, then those at n = 1
+        t0 = time.perf_counter()
+        task = cli.run_task(("weyl", n, {"max_n": 1, "budget": 1 << 22, "mode": "formula"}))
+        wall_ms = 1000.0 * (time.perf_counter() - t0)
+        assert sum(r["millis"] for r in task) <= wall_ms + 1.0
+        records += task
     assert len(records) > 100
-    assert sum(r["millis"] for r in records) <= wall_ms + 1.0
+
+
+def test_weyl_census_runs_once_per_run(tmp_path, monkeypatch):
+    from dadecheck import rootdatum
+
+    calls = {"f_conjugacy_classes": 0, "subsystem_checks": 0}
+    for name in calls:
+        fn = getattr(rootdatum, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(rootdatum, name, counted)
+    report = tmp_path / "r.json"
+    assert main(["verify", "weyl", "--n", "1", "--n", "2", "--n", "3",
+                 "--report", str(report)]) == 0
+    assert calls == {"f_conjugacy_classes": 1, "subsystem_checks": 1}
+    records = json.loads(report.read_text())
+    assert sum(r["check"] == "centralizer_order" for r in records) == 11
+    assert sum(r["check"] == "torus_order_det" for r in records) == 33
+
+
+def _data_copy(tmp_path, fname, old, new):
+    from importlib import resources
+    import dadecheck
+
+    src = resources.files("dadecheck") / "data"
+    dest = tmp_path / "data"
+    dest.mkdir()
+    for f in dadecheck.DATA_FILES:
+        text = (src / f).read_text()
+        if f == fname:
+            assert old in text
+            text = text.replace(old, new, 1)
+        (dest / f).write_text(text)
+    return str(dest)
+
+
+R4 = "matrix: [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, -1]]"
+
+
+@pytest.mark.parametrize("r4, message", [
+    # an infinite group: the closure passes its bound
+    ("matrix: [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 2], [0, 0, 0, -1]]", "exceeded"),
+    # r1 again: a finite group that the twist does not normalize
+    ("matrix: [[-1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]", "normalize"),
+])
+@pytest.mark.parametrize("command", [["verify", "weyl"], ["verify", "params"]])
+def test_bad_weyl_generators_exit_two(tmp_path, capsys, r4, message, command):
+    data = _data_copy(tmp_path, "weyl.def", R4, r4)
+    assert main(command + ["--n", "1", "--data-dir", data]) == 2
+    err = capsys.readouterr().err
+    assert "Weyl generator data" in err and message in err
+
+
+def test_params_budget_overflow_is_skip(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    assert main(["params", "--n", "4", "--set", "BI_1", "--budget", "65536",
+                 "--report", str(report)]) == 0
+    (rec,) = json.loads(report.read_text())
+    assert rec["status"] == "skip" and rec["actual"] == "None"
+    assert rec["reason"] == "BI_1: 261121 tuples exceeds budget 65536"
+    assert "0 passed, 0 failed, 1 skipped of 1 checks" in capsys.readouterr().out
+
+
+def test_norms_above_float_limit_are_skips(tmp_path, model):
+    from dadecheck import chartables
+
+    report = tmp_path / "r.json"
+    assert main(["verify", "relations", "--n", "2", "--n", "3", "--report", str(report)]) == 0
+    norms = [r for r in json.loads(report.read_text()) if r["check"] == "f_norm"]
+    for n, status in ((2, "pass"), (3, "skip")):
+        got = [r for r in norms if r["n"] == n]
+        ks = [f"{w}(k={k})" for w in ("f8", "f10")
+              for k in chartables.admissible_norm_parameters(model, n, w)]
+        assert sorted(r["name"] for r in got) == sorted(ks)
+        assert {r["status"] for r in got} == {status}
+    assert len([r for r in norms if r["n"] == 2]) == 64
+    assert all("reason" not in r for r in norms if r["n"] == 2)
+    assert all(r["reason"] == "the floating-point norm is checked only for n <= 2"
+               for r in norms if r["n"] == 3)

@@ -167,9 +167,10 @@ def test_affine_compiler_coefficients():
 def _centralizer_by_definition(word, gens):
     """v in W with v^-1 w F(v) = w, i.e. w F(v) = v w, one element at a time."""
     from dadecheck import rootdatum as rd
+    from weyl_oracle import weyl_closure
 
     w = rd.word_matrix(word, gens)
-    return {v for v in rd.generate_weyl(gens)
+    return {v for v in weyl_closure(gens)
             if rd.mat_mul(w, rd.frobenius_twist(v)) == rd.mat_mul(v, w)}
 
 

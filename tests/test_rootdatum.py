@@ -3,6 +3,7 @@
 import pytest
 
 from dadecheck import rootdatum as rd
+from weyl_oracle import f_classes, weyl_closure
 
 
 def test_weyl_order():
@@ -39,6 +40,29 @@ def test_eleven_f_classes():
     assert sorted(c for _, _, c in classes) == [4, 6, 8, 8, 12, 12, 16, 16, 48, 96, 96]
     # class equation of the F-action: sum of 1152/|C| over classes
     assert sum(1152 // c for _, _, c in classes) == 1152
+
+
+def test_weyl_arrays_match_tuple_oracle(model):
+    # the packaged reflections, then a second set in the same process with
+    # r4 replaced by the reflection r3 r4 r3: same W, another cache entry
+    gens = model.weylgens
+    conj = dict(gens, r4=rd.mat_mul(rd.mat_mul(gens["r3"], gens["r4"]), gens["r3"]))
+    for g in (gens, conj):
+        weyl = rd._weyl_arrays(g)
+        ref = sorted(weyl_closure(g))
+        assert [rd._as_matrix(v) for v in weyl.elems] == ref
+        assert [rd._as_matrix(v) for v in weyl.twisted] == [rd.frobenius_twist(v) for v in ref]
+        assert all(rd.mat_mul(v, rd._as_matrix(vi)) == rd.mat_identity()
+                   for v, vi in zip(ref, weyl.inverses))
+        assert rd.f_conjugacy_classes(g) == f_classes(g)
+    assert rd._weyl_arrays(conj) is not rd._weyl_arrays(gens)
+
+
+def test_twist_off_the_lattice_is_weyl_data_error():
+    # swapping e2 and e4 is a finite group whose m0-twist has odd entries
+    swap = ((1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0))
+    with pytest.raises(rd.WeylDataError, match="twist left the lattice"):
+        rd.generate_weyl({"s": swap})
 
 
 def test_torus_order_examples(model):
