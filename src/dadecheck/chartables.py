@@ -28,10 +28,6 @@ from .tabledsl import (
 from .dadeverify import two_part_exponent
 
 
-class NonIntegralIndex(ValueError):
-    """|G|/|C| failed to be an integer: a transcription error in the tables."""
-
-
 @dataclass
 class Record:
     check: str
@@ -51,20 +47,27 @@ class Record:
 
 
 def class_equation(model: Model, n: int) -> List[Record]:
+    """Sum over class rows of |G|/|C| = |G|, and every |C| dividing |G|.
+
+    A row whose centralizer does not divide |G| (a transcription error) is
+    left out of the sum and named in the failed divisibility record.
+    """
     env = build_env(n)
     order = eval_expr_int(model.order_expr, env)
     total = 0
-    divisibility_ok = True
+    not_dividing = []
     for rid in sorted(model.classrows):
         row = model.classrows[rid]
         cent = eval_expr_int(row.cent, env)
         if order % cent:
-            raise NonIntegralIndex(f"{rid}: centralizer {cent} does not divide |G|")
+            not_dividing.append(rid)
+            continue
         mult = family_formula_count(model.classfams[row.family], n)
         total += mult * (order // cent)
     return [
         Record("class_equation", "sum", n, order, total),
-        Record("centralizer_divisibility", "all", n, True, divisibility_ok),
+        # True when every centralizer divides, else the rows whose do not divide
+        Record("centralizer_divisibility", "all", n, True, not_dividing or True),
     ]
 
 

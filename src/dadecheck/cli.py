@@ -32,7 +32,7 @@ from .tabledsl import TableSyntaxError, DanglingReference
 
 ALL_CHECKS = ("lemmas", "params", "fixrows", "dade", "weyl", "classes", "relations")
 # Kinds with a task of the checks that do not depend on n, run once per run.
-N_FREE = ("lemmas", "weyl")
+N_FREE = ("lemmas", "params", "weyl")
 SCHEMA = 1
 
 
@@ -91,13 +91,14 @@ def run_task(task) -> List[dict]:
         recs = autfix.verify_gcd_lemmas(cfg["max_n"])
         for r in recs:
             out.append(_rec("lemma_" + r.lemma, r.params, None, r.expected, r.actual, ms()))
+    elif kind == "params" and n is None:
+        for r in paramsets.trusted_input_flags(model):
+            out.append(_rec(r.check, r.name, r.n, r.expected, r.actual, ms()))
     elif kind == "params":
         for r in paramsets.cardinality_check(model, n, budget):
             out.append(_rec(r.check, r.name, n, r.expected, r.actual, ms(), r.reason))
         for r in paramsets.semisimple_sum_checks(model, n):
             out.append(_rec(r.check, r.name, n, r.expected, r.actual, ms()))
-        for r in paramsets.trusted_input_flags(model):
-            out.append(_rec(r.check, r.name, None, r.expected, r.actual, ms()))
     elif kind == "fixrows":
         for r in autfix.verify_fixrows(model, n, budget):
             expected = r.formula
@@ -133,7 +134,7 @@ def run_task(task) -> List[dict]:
         for r in rootdatum.weyl_table_checks(model, ()):
             out.append(_rec(r.check, r.name, r.n, r.expected, r.actual, ms()))
         for r in rootdatum.subsystem_checks(model):
-            out.append(_rec(r.check, r.name, None, r.expected, r.actual, ms()))
+            out.append(_rec(r.check, r.name, r.n, r.expected, r.actual, ms()))
     elif kind == "weyl":
         for r in rootdatum.torus_order_checks(model, n):
             out.append(_rec(r.check, r.name, n, r.expected, r.actual, ms()))

@@ -8,6 +8,7 @@ checked against the closed-form cardinality column of the tables.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -144,24 +145,34 @@ def _grid(ranges) -> List[np.ndarray]:
     return [a.ravel() for a in np.indices(ranges, dtype=np.int64)]
 
 
+def _chart(exprs, varnames, env, side: str) -> Tuple[int, np.ndarray]:
+    """Coordinates affine in the indices as (D, (nv + 1) x 4 int64 rows mod D).
+
+    Row k < nv is the D-scaled coefficient vector of index k and row nv the
+    constant, so the point at index tuple a is sum_k a_k R_k + R_nv mod D.
+    Torus-side values are on the eps basis; the change to the simple-root
+    basis of X is linear mod D, so it is applied to the rows.
+    """
+    denom, rows = _affine(exprs, env, varnames)
+    chart = np.array([[int(row[k] * denom) % denom for row in rows]
+                      for k in range(len(varnames) + 1)], dtype=np.int64)
+    if side == "torus":
+        chart = _eps_to_x_array(chart, denom)
+    return denom, chart
+
+
 def _points(exprs, varnames, arrays, env, side: str) -> Tuple[int, np.ndarray]:
     """Points of a parameterized torus as (D, N x 4 int64 array of D * value mod D).
 
-    arrays hold the index tuples (none for a single point).  Torus-side values
-    are on the eps basis and are moved to the simple-root basis of X.
+    arrays hold the index tuples (none for a single point).
     """
-    denom, rows = _affine(exprs, env, varnames)
+    denom, chart = _chart(exprs, varnames, env, side)
     top = max((int(arr.max()) for arr in arrays if arr.size), default=0)
     _fits_int64(denom * max(denom, top + 1), "torus points")
     npts = len(arrays[0]) if arrays else 1
-    vecs = np.empty((npts, len(rows)), dtype=np.int64)
-    for col, row in enumerate(rows):
-        acc = np.full(npts, int(row[-1] * denom) % denom, dtype=np.int64)
-        for a, arr in zip(row, arrays):
-            acc = (acc + (int(a * denom) % denom) * arr) % denom
-        vecs[:, col] = acc
-    if side == "torus":
-        vecs = _eps_to_x_array(vecs, denom)
+    vecs = np.repeat(chart[-1:], npts, axis=0)
+    for arr, row in zip(arrays, chart):
+        vecs = (vecs + arr[:, None] * row) % denom
     return denom, vecs
 
 
@@ -440,44 +451,211 @@ def _fam_ranges(fam: ClassFam, n: int) -> Tuple[int, ...]:
 
 
 def _fam_index_arrays(fam: ClassFam, n: int, budget: int):
-    """Admissible index tuples as numpy arrays (vectorized exclusion)."""
+    """Index ranges, the admissible mask over the grid (None if nothing is
+    excluded), and the admissible index tuples as numpy arrays."""
     ranges = _fam_ranges(fam, n)
     if math.prod(ranges) > budget:
         raise BudgetExceeded(f"{fam.id}: {math.prod(ranges)} tuples exceeds budget")
     arrays = _grid(ranges)
+    keep = None
     if fam.exclude is not None:
         keep = ~_pred_mask(fam.exclude, build_env(n), fam.vars, arrays, ranges)
         arrays = [a[keep] for a in arrays]
-    return ranges, arrays
+    return ranges, keep, arrays
 
 
 def family_elements(fam: ClassFam, n: int, budget: int = DEFAULT_BUDGET):
     """Admissible family members as (denominator, N x 4 integer array mod it)."""
-    _, arrays = _fam_index_arrays(fam, n, budget)
+    _, _, arrays = _fam_index_arrays(fam, n, budget)
     return _points(fam.coords, fam.vars, arrays, build_env(n), fam.side)
+
+
+@dataclass(frozen=True)
+class Centralizer:
+    """A finite matrix group with its conjugacy classes and a generating set.
+
+    mats is (|C|, 4, 4) int64; classes holds (representative, class size)
+    and gens the generators, both as indices into mats.
+    """
+
+    mats: np.ndarray
+    classes: Tuple[Tuple[int, int], ...]
+    gens: Tuple[int, ...]
+
+
+def _group_structure(mats: np.ndarray) -> Centralizer:
+    """Conjugacy classes and generators of a finite matrix group, exactly.
+
+    Every product is looked up among the elements, so the inverse of g is
+    the element h with g h = 1; no inverse is computed in floating point.
+    """
+    size = len(mats)
+    keys = rootdatum._void_rows(mats)
+    order = np.argsort(keys)
+    keys = keys[order]
+
+    def index(m):
+        want = rootdatum._void_rows(m)
+        pos = np.minimum(np.searchsorted(keys, want), size - 1)
+        if not np.array_equal(keys[pos], want):
+            raise ValueError("the matrices are not closed under products")
+        return order[pos]
+
+    table = index((mats[:, None] @ mats[None]).reshape(-1, 4, 4)).reshape(size, size)  # g h
+    one = int(index(np.eye(4, dtype=np.int64)[None])[0])
+    inverse = np.argmax(table == one, axis=1)
+    if not np.all(table[np.arange(size), inverse] == one):
+        raise ValueError("an element has no inverse among the matrices")
+    conj = table[table, inverse[:, None]]  # conj[g, x] is g x g^-1
+    labels = np.full(size, -1)
+    classes = []
+    for x in range(size):
+        if labels[x] < 0:
+            members = np.unique(conj[:, x])
+            labels[members] = len(classes)
+            classes.append((x, len(members)))
+    # greedy generators: each one is the first element outside the subgroup so far
+    gens: List[int] = []
+    inside = np.zeros(size, dtype=bool)
+    inside[one] = True
+    for x in range(size):
+        if inside[x]:
+            continue
+        gens.append(x)
+        frontier = np.flatnonzero(inside)
+        while frontier.size:
+            img = table[np.ix_(frontier, gens)].ravel()
+            frontier = np.unique(img[~inside[img]])
+            inside[frontier] = True
+    return Centralizer(mats, tuple(classes), tuple(gens))
 
 
 # Keyed on the word and the generator matrices it is spelled in, which also
 # generate the Weyl group the centralizer is taken in.
-_CENT_CACHE: Dict[tuple, np.ndarray] = {}
+_CENT_CACHE: Dict[tuple, Centralizer] = {}
 
 
-def _centralizer_mats(model: Model, word: Tuple[str, ...]) -> np.ndarray:
+def _centralizer(model: Model, word: Tuple[str, ...]) -> Centralizer:
     key = (word, tuple(sorted(model.weylgens.items())))
     if key not in _CENT_CACHE:
         w = rootdatum.word_matrix(word, model.weylgens)
-        _CENT_CACHE[key] = rootdatum.f_centralizer(w, model.weylgens)
+        _CENT_CACHE[key] = _group_structure(rootdatum.f_centralizer(w, model.weylgens))
     return _CENT_CACHE[key]
 
 
 def family_class_count(fam: ClassFam, model: Model, n: int, budget: int = DEFAULT_BUDGET) -> int:
     """Orbits of the F-centralizer of the family's torus on its admissible members.
 
-    An orbit may pass through coordinates outside the family chart without
-    affecting the count.
+    Counted on the index grid by Burnside's lemma where the chart carries the
+    action (_burnside_count), else by the orbit kernel on the member points,
+    whose orbits may pass through coordinates outside the chart.
     """
-    denom, vecs = family_elements(fam, n, budget)
-    return _orbit_count(vecs, _centralizer_mats(model, fam.word), denom, fam.side)
+    ranges, keep, arrays = _fam_index_arrays(fam, n, budget)
+    cent = _centralizer(model, fam.word)
+    count = _burnside_count(fam, n, cent, ranges, keep, arrays)
+    if count is None:
+        denom, vecs = _points(fam.coords, fam.vars, arrays, build_env(n), fam.side)
+        count = _orbit_count(vecs, cent.mats, denom, fam.side)
+    return count
+
+
+def _left_inverse(rows: np.ndarray, ranges: Sequence[int], denom: int) -> Optional[np.ndarray]:
+    """Functionals l_k on (Z_D)^4 with l_k(R_m) = [k == m] mod r_k, as rows, or None.
+
+    l_k is read off one coordinate whose entry in R_k is a unit mod r_k, or
+    solved on a pair of coordinates whose 2 x 2 minor is a unit; either way it
+    is then checked on every row.  It is well defined mod D only if r_k | D.
+    """
+    nv = len(ranges)
+    rows = rows.tolist()
+    lam = np.zeros((nv, 4), dtype=np.int64)
+    pairs = list(itertools.combinations(range(4), 2)) if nv == 2 else []
+    for k, r in enumerate(ranges):
+        if denom % r or any(r * x % denom for x in rows[k]):
+            return None
+        for cols in [(j,) for j in range(4)] + pairs:
+            minor = [[rows[m][j] for j in cols] for m in range(nv)]
+            if len(cols) == 1:
+                det, sol = minor[k][0], [1]
+            else:
+                (a, b), (c, d) = minor
+                det, sol = a * d - b * c, ([d, -c] if k == 0 else [-b, a])
+            if math.gcd(det, r) != 1:
+                continue
+            cand = [0] * 4
+            for j, x in zip(cols, sol):
+                cand[j] = x * pow(det, -1, r) % r
+            if all(sum(x * y for x, y in zip(rows[m], cand)) % r == int(m == k)
+                   for m in range(nv)):
+                lam[k] = cand
+                break
+        else:
+            return None
+    return lam
+
+
+def _induced_maps(chart, lam, mats, ranges, denom: int, side: str):
+    """Each group element g as an affine map a -> L_g a + t_g on the index grid.
+
+    Returns (L, t) stacked over the group, or None unless phi(L_g a + t_g) =
+    g phi(a) for every g, which is checked exactly on the chart's rows: each
+    image of a row must be the combination of the index rows that its
+    coefficients name.  Sides act as in _act.
+    """
+    nv = len(ranges)
+    act = mats if side == "dual" else mats.transpose(0, 2, 1)
+    _fits_int64(max(4, nv) * denom * max(denom, int(np.abs(act).max())), "chart action")
+    img = (chart @ act) % denom  # (|C|, nv + 1, 4): R_m g and R_nv g
+    img[:, nv] = (img[:, nv] - chart[nv]) % denom  # the translation part
+    coef = (img @ lam.T) % np.array(ranges, dtype=np.int64)  # coef[g, m, k] = l_k(row m)
+    if not np.array_equal((coef @ chart[:nv]) % denom, img):
+        return None
+    return coef[:, :nv].transpose(0, 2, 1), coef[:, nv]
+
+
+def _apply(lin, shift, arrays, ranges) -> List[np.ndarray]:
+    """Images of the index tuples under a -> lin a + shift, mod each range."""
+    return [(sum(int(c) * a for c, a in zip(lin[k], arrays)) + int(shift[k])) % r
+            for k, r in enumerate(ranges)]
+
+
+def _burnside_count(fam: ClassFam, n: int, cent: Centralizer, ranges, keep, arrays
+                    ) -> Optional[int]:
+    """Orbits of the centralizer on the admissible members, on the index grid.
+
+    Burnside's lemma: orbits = (1/|C|) sum over classes of |class| * |Fix(a_g)|,
+    with a_g the map g induces on the index grid.  None when that does not
+    apply: the family has no index, the chart has no exact left inverse, some
+    element leaves the chart, or the admissible set is not stable under a
+    generator of the centralizer (so under the group).
+    """
+    if not ranges:
+        return None
+    nv = len(ranges)
+    denom, chart = _chart(fam.coords, fam.vars, build_env(n), fam.side)
+    lam = _left_inverse(chart[:nv], ranges, denom)
+    if lam is None:
+        return None
+    maps = _induced_maps(chart, lam, cent.mats, ranges, denom, fam.side)
+    if maps is None:
+        return None
+    lin, shift = maps
+    _fits_int64((nv + 1) * max(ranges) ** 2, "index map")
+    if keep is not None:
+        for g in cent.gens:
+            if not keep[np.ravel_multi_index(_apply(lin[g], shift[g], arrays, ranges),
+                                             ranges)].all():
+                return None
+    total = 0
+    for rep, size in cent.classes:
+        img = _apply(lin[rep], shift[rep], arrays, ranges)
+        fixed = np.logical_and.reduce([i == a for i, a in zip(img, arrays)])
+        total += size * int(np.count_nonzero(fixed))
+    orbits, rest = divmod(total, len(cent.mats))
+    if rest:
+        raise ArithmeticError(
+            f"{fam.id}: Burnside sum {total} is not divisible by |C| = {len(cent.mats)}")
+    return orbits
 
 
 # Points per block of the orbit kernel.  Under the largest F-centralizer (96
@@ -544,7 +722,7 @@ def family_formula_count(fam: ClassFam, n: int) -> int:
 class CheckRecord:
     check: str
     name: str
-    n: int
+    n: Optional[int]  # None for a check that does not depend on n
     expected: object
     actual: object
     reason: Optional[str] = None  # set when the check was skipped, and why
@@ -605,7 +783,7 @@ def trusted_input_flags(model: Model) -> List[CheckRecord]:
         if spec.note and (
             spec.note.startswith("count_taken_from") or "external" in spec.note
         ):
-            out.append(CheckRecord("trusted_input", f"{sid}:{spec.note}", 0,
+            out.append(CheckRecord("trusted_input", f"{sid}:{spec.note}", None,
                                    "flagged", "flagged"))
     return out
 

@@ -8,6 +8,7 @@ m0^2 = 2, so the Frobenius on X is the integer matrix 2^n * m0.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -459,55 +460,36 @@ def _inner(a, b) -> Fraction:
 
 
 def closed_subsystem(pi: Sequence[Tuple[int, ...]]) -> frozenset:
-    """Z pi intersect Phi, computed by exact membership of integer combinations."""
+    """Z pi intersect Phi: the roots that are integer combinations of pi.
+
+    One |pi| x |pi| minor of pi is inverted exactly, once, as A / d with A
+    integral.  A root's only candidate coefficients are its entries on those
+    columns times A / d; rounded down, they rebuild the root on every
+    coordinate exactly when it is an integer combination of pi.
+    """
     if not pi:
         return frozenset()
-    roots = roots_in_x()
     for r in pi:
-        if r not in roots:
+        if r not in roots_in_x():
             raise ValueError(f"{r} is not a root")
-    # rank check
-    try:
-        _rank = _matrix_rank(pi)
-    except Exception:
-        raise NotLinearlyIndependent("pi is not a valid root list")
-    if _rank != len(pi):
-        raise NotLinearlyIndependent("pi is linearly dependent")
-    out = set()
-    for r in roots:
-        if _in_span_integral(r, pi):
-            out.add(r)
-    return frozenset(out)
-
-
-def _matrix_rank(rows) -> int:
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(m[0])
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
-        if piv is None:
+    k = len(pi)
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    for cols in itertools.combinations(range(4), k):
+        minor = [[r[c] for c in cols] for r in pi]
+        try:
+            inv = [_solve_in_basis(e, minor) for e in units]
+        except NotLinearlyIndependent:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][c]
-        m[rank] = [v / pv for v in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [v - f * w for v, w in zip(m[i], m[rank])]
-        rank += 1
-    return rank
-
-
-def _in_span_integral(r, pi) -> bool:
-    """Is r an integer combination of pi?  (Z-span membership.)"""
-    try:
-        coeffs = _solve_in_basis(r, pi)
-    except NotLinearlyIndependent:
-        raise
-    except ValueError:
-        return False
-    return all(c.denominator == 1 for c in coeffs)
+        break
+    else:
+        raise NotLinearlyIndependent("pi is linearly dependent")
+    d = math.lcm(*(x.denominator for row in inv for x in row))
+    scaled = np.array([[int(x * d) for x in row] for row in inv], dtype=np.int64)
+    roots = sorted(roots_in_x())
+    vecs = np.array(roots, dtype=np.int64)
+    coeffs = (vecs[:, list(cols)] @ scaled) // d
+    keep = np.all(coeffs @ np.array(pi) == vecs, axis=1)
+    return frozenset(r for r, kept in zip(roots, keep) if kept)
 
 
 def subsystem_type(pi: Sequence[Tuple[int, ...]]) -> str:
@@ -643,7 +625,7 @@ def _direction(v):
 def _record(check, name, n, expected, actual, note=None, reason=None):
     from .paramsets import CheckRecord
 
-    return CheckRecord(check, name, n if n is not None else 0, expected, actual, reason)
+    return CheckRecord(check, name, n, expected, actual, reason)
 
 
 def weyl_table_checks(model, n_list=(1, 2, 3, 4, 5)):

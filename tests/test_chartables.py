@@ -127,13 +127,21 @@ def test_chi45_defect(model):
 
 
 def test_non_integral_index_detected(model):
+    from dadecheck.paramsets import family_formula_count
     from dadecheck.tabledsl import parse_model_files, serialize_model
 
     broken = parse_model_files({"m.def": serialize_model(model)})
     row = broken.classrows["c_1_1"]
     broken.classrows["c_1_1"] = type(row)(row.id, row.family, _expr("(q^2-1)^3"))
-    with pytest.raises(ct.NonIntegralIndex):
-        ct.class_equation(broken, 1)
+    equation, divisibility = ct.class_equation(broken, 1)
+    assert divisibility.check == "centralizer_divisibility" and not divisibility.ok
+    assert divisibility.actual == ["c_1_1"]
+    # the row is left out of the sum, which therefore falls short of |G|
+    good, _ = ct.class_equation(model, 1)
+    assert good.ok and not equation.ok
+    lost = family_formula_count(model.classfams[row.family], 1) * (
+        good.expected // eval_expr_int(row.cent, build_env(1)))
+    assert equation.actual == good.actual - lost
 
 
 def test_group_order_factorizes(model):

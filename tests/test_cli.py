@@ -256,3 +256,42 @@ def test_norms_above_float_limit_are_skips(tmp_path, model):
     assert all("reason" not in r for r in norms if r["n"] == 2)
     assert all(r["reason"] == "the floating-point norm is checked only for n <= 2"
                for r in norms if r["n"] == 3)
+
+
+def test_n_free_records_carry_null_n(tmp_path):
+    from collections import Counter
+
+    report = tmp_path / "r.json"
+    assert main(["verify", "weyl", "--n", "1", "--n", "2", "--report", str(report)]) == 0
+    counts = Counter((r["check"], r["n"]) for r in json.loads(report.read_text()))
+    n_free = {"weyl_order": 1, "f_class_count": 1, "f_class_partition": 1,
+              "f_class_distinct": 11, "centralizer_order": 11,
+              "subsystem_type": 18, "subsystem_stable": 18}
+    for check, count in n_free.items():
+        assert counts[(check, None)] == count, check
+    assert not any(n == 0 for _, n in counts)
+    for n in (1, 2):
+        assert counts[("torus_order_det", n)] == 11
+
+
+def test_centralizer_not_dividing_fails_record(tmp_path, capsys):
+    data = _data_copy(tmp_path, "classes.def", "  cent: q^20*(q^4-1)\n",
+                      "  cent: q^30*(q^4-1)\n")
+    assert main(["verify", "classes", "--n", "1", "--data-dir", data]) == 1
+    err = capsys.readouterr().err
+    assert "FAIL centralizer_divisibility all n=1 expected True got ['c_1_2']" in err
+    assert "Traceback" not in err
+
+
+def test_trusted_input_flags_run_once_per_run(tmp_path, monkeypatch):
+    from dadecheck import paramsets
+
+    calls = []
+    real = paramsets.trusted_input_flags
+    monkeypatch.setattr(paramsets, "trusted_input_flags",
+                        lambda model: calls.append(1) or real(model))
+    report = tmp_path / "r.json"
+    assert main(["verify", "params", "--n", "1", "--n", "2", "--report", str(report)]) == 0
+    assert len(calls) == 1
+    flags = [r for r in json.loads(report.read_text()) if r["check"] == "trusted_input"]
+    assert len(flags) == 3 and all(r["n"] is None for r in flags)

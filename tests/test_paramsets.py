@@ -9,6 +9,7 @@ from dadecheck.paramsets import (
     class_count,
     enumerate_classes,
     family_class_count,
+    family_elements,
     family_formula_count,
     formula_count,
     semisimple_sum_checks,
@@ -181,31 +182,31 @@ def _as_tuples(mats):
 def test_centralizer_cache_keyed_on_generators(model):
     import dataclasses
 
-    from dadecheck.paramsets import _centralizer_mats
+    from dadecheck.paramsets import _centralizer
 
     gens = dict(model.weylgens)
     gens["r1"], gens["r2"] = gens["r2"], gens["r1"]
     swapped = dataclasses.replace(model, weylgens=gens)
-    first = _centralizer_mats(model, ("r1", "r3"))
-    second = _centralizer_mats(swapped, ("r1", "r3"))
+    first = _centralizer(model, ("r1", "r3")).mats
+    second = _centralizer(swapped, ("r1", "r3")).mats
     assert _as_tuples(first) == _centralizer_by_definition(("r1", "r3"), model.weylgens)
     assert _as_tuples(second) == _centralizer_by_definition(("r1", "r3"), gens)
     assert _as_tuples(first) != _as_tuples(second)
 
 
 def test_centralizer_orders_match_table(model):
-    from dadecheck.paramsets import _centralizer_mats
+    from dadecheck.paramsets import _centralizer
 
     for wc in model.weylclasses.values():
-        assert len(_centralizer_mats(model, wc.word)) == wc.cent, wc.word
+        assert len(_centralizer(model, wc.word).mats) == wc.cent, wc.word
 
 
 def _orbit_count_reference(fam, model, n):
     """Orbits on the family members by closing each point, on tuples of ints."""
-    from dadecheck.paramsets import _centralizer_mats, family_elements
+    from dadecheck.paramsets import _centralizer
 
     denom, vecs = family_elements(fam, n)
-    mats = [m.tolist() for m in _centralizer_mats(model, fam.word)]
+    mats = [m.tolist() for m in _centralizer(model, fam.word).mats]
     if fam.side == "torus":  # columns: v -> M v
         mats = [list(zip(*m)) for m in mats]
     seen, orbits = set(), 0
@@ -218,12 +219,135 @@ def _orbit_count_reference(fam, model, n):
     return orbits
 
 
-@pytest.mark.parametrize("n", [1, 2])
+# Families the Burnside path hands to the orbit kernel: g1, g5, h1 and h5
+# have no index, and the orbits of g2, g3, h2, h3 and h6 leave their charts.
+FALLBACK = {"g1", "g2", "g3", "g5", "h1", "h2", "h3", "h5", "h6"}
+
+
+def _both_paths(fam, model, n, cent=None):
+    """(Burnside count or None, orbit kernel count) of one family."""
+    from dadecheck.paramsets import (DEFAULT_BUDGET, _burnside_count, _centralizer,
+                                     _fam_index_arrays, _orbit_count)
+
+    if cent is None:
+        cent = _centralizer(model, fam.word)
+    ranges, keep, arrays = _fam_index_arrays(fam, n, DEFAULT_BUDGET)
+    denom, vecs = family_elements(fam, n)
+    return (_burnside_count(fam, n, cent, ranges, keep, arrays),
+            _orbit_count(vecs, cent.mats, denom, fam.side))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_orbit_kernel_matches_reference(model, n):
-    # includes g2/g3/h5/h6, whose orbits leave the member set
+    # the kernel also counts g2/g3/h5/h6, whose orbits leave the member set
     for fid in sorted(model.classfams):
         fam = model.classfams[fid]
-        assert family_class_count(fam, model, n) == _orbit_count_reference(fam, model, n), fid
+        burnside, kernel = _both_paths(fam, model, n)
+        ref = _orbit_count_reference(fam, model, n)
+        assert kernel == ref, fid
+        assert burnside == (None if fid in FALLBACK else ref), fid
+        assert family_class_count(fam, model, n) == ref, fid
+
+
+@pytest.mark.parametrize("fid", ["g13", "g14", "h13", "h14"])
+def test_burnside_n4_largest_centralizers_match_formula(model, fid):
+    from dadecheck.paramsets import _centralizer
+
+    fam = model.classfams[fid]
+    assert len(_centralizer(model, fam.word).mats) == 96
+    burnside, _ = _both_paths(fam, model, 4)
+    assert burnside == family_formula_count(fam, 4)
+
+
+def _family_data_copy(tmp_path, fid, edits):
+    """The packaged model with text replaced inside one family's block."""
+    from importlib import resources
+
+    import dadecheck
+
+    src = resources.files("dadecheck") / "data"
+    for fname in dadecheck.DATA_FILES:
+        text = (src / fname).read_text()
+        if fname == "classes.def":
+            head, rest = text.split(f"classfam {fid} {{", 1)
+            block, tail = rest.split("}", 1)
+            for old, new in edits:
+                assert old in block
+                block = block.replace(old, new)
+            text = head + f"classfam {fid} {{" + block + "}" + tail
+        (tmp_path / fname).write_text(text)
+    return dadecheck.load_model(str(tmp_path))
+
+
+@pytest.mark.parametrize("fid, edits", [
+    # the i = -j tuples come back, and the centralizer moves them off it:
+    # the admissible set is no longer stable
+    ("h13", [(" or i = -j", ""), (" or j = -i", "")]),
+    # every member twice: the chart has no left inverse (and with nothing
+    # excluded, no stability check stands in for that)
+    ("h8", [("ranges: [p8b]", "ranges: [2*p8b]"), ("  exclude: i = 0\n", "")]),
+])
+def test_chart_failures_fall_back(model, tmp_path, fid, edits):
+    broken = _family_data_copy(tmp_path, fid, edits)
+    fam = broken.classfams[fid]
+    for n in (1, 2):
+        assert _both_paths(model.classfams[fid], model, n)[0] is not None
+        burnside, kernel = _both_paths(fam, broken, n)
+        assert burnside is None
+        assert kernel == _orbit_count_reference(fam, broken, n)
+        assert family_class_count(fam, broken, n) == kernel
+
+
+def test_transposed_centralizer_same_count_on_both_paths(model, monkeypatch):
+    from dadecheck import paramsets
+
+    real = paramsets._centralizer
+    monkeypatch.setattr(paramsets, "_centralizer", lambda m, word: paramsets._group_structure(
+        np.ascontiguousarray(real(m, word).mats.transpose(0, 2, 1))))
+    wrong = 0
+    for n in (1, 2):
+        for fid in sorted(model.classfams):
+            fam = model.classfams[fid]
+            burnside, kernel = _both_paths(fam, model, n)
+            assert burnside in (None, kernel), fid
+            assert family_class_count(fam, model, n) == kernel, fid
+            wrong += kernel != family_formula_count(fam, n)
+    assert wrong  # the transposed action is not the centralizer's
+
+
+def test_burnside_sum_must_divide(model):
+    from dadecheck.paramsets import Centralizer, _centralizer
+
+    fam = model.classfams["g8"]
+    cent = _centralizer(model, fam.word)
+    one = next(i for i, m in enumerate(cent.mats) if (m == np.eye(4)).all())
+    _, vecs = family_elements(fam, 2)
+    assert len(vecs) % len(cent.mats)  # the identity class alone sums to N
+    with pytest.raises(ArithmeticError, match="not divisible"):
+        _both_paths(fam, model, 2, Centralizer(cent.mats, ((one, 1),), cent.gens))
+
+
+def test_centralizer_classes_and_generators(model):
+    from dadecheck import rootdatum as rd
+    from dadecheck.paramsets import _centralizer
+
+    for wc in model.weylclasses.values():
+        cent = _centralizer(model, wc.word)
+        elems = [tuple(map(tuple, m.tolist())) for m in cent.mats]
+        classes = set()
+        for rep, size in cent.classes:
+            x = elems[rep]
+            conj = frozenset(rd.mat_mul(rd.mat_mul(g, x), rd.mat_inv_int(g)) for g in elems)
+            assert len(conj) == size, wc.id
+            classes.add(conj)
+        assert len(classes) == len(cent.classes)
+        assert sum(len(c) for c in classes) == len(elems) == len(set().union(*classes))
+        group, frontier = {rd.mat_identity()}, [rd.mat_identity()]
+        while frontier:
+            new = {rd.mat_mul(h, elems[g]) for h in frontier for g in cent.gens} - group
+            group |= new
+            frontier = list(new)
+        assert group == set(elems), wc.id
 
 
 # Dropped at n = 4 until the orbit key stopped packing four coordinates into

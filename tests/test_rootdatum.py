@@ -158,6 +158,21 @@ def test_subsystem_closure_is_closed():
                 assert s in psi
 
 
+def test_closed_subsystem_matches_per_root_solve(model):
+    # reference: one exact elimination per root, as closed_subsystem once did
+    # B2 = [r2, r3] solves on a minor other than the first columns
+    for pi in [fam.pi for fam in model.classfams.values() if fam.pi]:
+        want = set()
+        for r in rd.roots_in_x():
+            try:
+                coeffs = rd._solve_in_basis(r, pi)
+            except ValueError:  # outside the span
+                continue
+            if all(c.denominator == 1 for c in coeffs):
+                want.add(r)
+        assert rd.closed_subsystem(pi) == want, pi
+
+
 def test_not_linearly_independent():
     with pytest.raises(rd.NotLinearlyIndependent):
         rd.subsystem_type([(1, 0, 0, 0), (-1, 0, 0, 0)])
