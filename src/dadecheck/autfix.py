@@ -11,11 +11,11 @@ counts into "stabilizer exactly U" counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .exactnum import NotRationalInteger, SQRT2, SqrtTwoRat, as_integer
-from .paramsets import DEFAULT_BUDGET, enumerate_classes, fixed_classes_doubling
+from .paramsets import BudgetExceeded, DEFAULT_BUDGET, enumerate_classes, fixed_classes_doubling
+from .record import Record
 from .tabledsl import FixRow, Model, ParamSetSpec, build_env, eval_expr, eval_expr_int
 
 
@@ -143,25 +143,17 @@ def fix_counts_for_row(
 # --- the gcd lemmas ----------------------------------------------------------
 
 
-@dataclass
-class LemmaRecord:
-    lemma: str
-    params: tuple
-    expected: int
-    actual: int
-
-    @property
-    def ok(self) -> bool:
-        return self.expected == self.actual
-
-
 def _phi8(n: int, eps: int) -> int:
     # q^2 + eps*sqrt2*q + 1 at q = 2^n sqrt2
     v = SqrtTwoRat(0, 1 << n)
     return as_integer(v * v + SqrtTwoRat(eps) * SQRT2 * v + 1)
 
 
-def verify_gcd_lemmas(n_max: int, pair_bound: int = 20) -> List[LemmaRecord]:
+def _lemma(lemma: str, params: tuple, expected: int, actual: int) -> Record:
+    return Record("lemma_" + lemma, str(params), None, expected, actual)
+
+
+def verify_gcd_lemmas(n_max: int, pair_bound: int = 20) -> List[Record]:
     """Every instance of the three gcd identities up to n_max.
 
     Lemma 1: gcd(2^a - 1, 2^b - 1) = 2^gcd(a,b) - 1 over a small grid.
@@ -173,22 +165,22 @@ def verify_gcd_lemmas(n_max: int, pair_bound: int = 20) -> List[LemmaRecord]:
         for b in range(1, pair_bound + 1):
             got = math.gcd(2 ** a - 1, 2 ** b - 1)
             exp = 2 ** math.gcd(a, b) - 1
-            records.append(LemmaRecord("gcd_2m1", (a, b), exp, got))
+            records.append(_lemma("gcd_2m1", (a, b), exp, got))
     for n in range(1, n_max + 1):
         f = 2 * n + 1
         q2 = 2 ** f
         for t in divisors(f):
             records.append(
-                LemmaRecord("gcd_i", (n, t), 2 ** t - 1, math.gcd(2 ** t - 1, q2 - 1))
+                _lemma("gcd_i", (n, t), 2 ** t - 1, math.gcd(2 ** t - 1, q2 - 1))
             )
             records.append(
-                LemmaRecord("gcd_ii", (n, t), 1, math.gcd(2 ** t - 1, q2 + 1))
+                _lemma("gcd_ii", (n, t), 1, math.gcd(2 ** t - 1, q2 + 1))
             )
             records.append(
-                LemmaRecord("gcd_iii", (n, t), 1, math.gcd(2 ** t + 1, q2 - 1))
+                _lemma("gcd_iii", (n, t), 1, math.gcd(2 ** t + 1, q2 - 1))
             )
             records.append(
-                LemmaRecord("gcd_iv", (n, t), 2 ** t + 1, math.gcd(2 ** t + 1, q2 + 1))
+                _lemma("gcd_iv", (n, t), 2 ** t + 1, math.gcd(2 ** t + 1, q2 + 1))
             )
             # the sqrt2-cyclotomic lemma; f - t is a multiple of 2t
             for eps in (1, -1):
@@ -204,13 +196,13 @@ def verify_gcd_lemmas(n_max: int, pair_bound: int = 20) -> List[LemmaRecord]:
                     exp_minus = 1
                     exp_plus = 2 ** t + eps * (-1) ** (m + 1) * half + 1
                 records.append(
-                    LemmaRecord(
+                    _lemma(
                         "gcd_tw_minus", (n, t, eps), exp_minus,
                         math.gcd(2 ** ft - 1, phi),
                     )
                 )
                 records.append(
-                    LemmaRecord(
+                    _lemma(
                         "gcd_tw_plus", (n, t, eps), exp_plus,
                         math.gcd(2 ** ft + 1, phi),
                     )
@@ -221,26 +213,17 @@ def verify_gcd_lemmas(n_max: int, pair_bound: int = 20) -> List[LemmaRecord]:
 # --- per-row oracle equivalence ------------------------------------------------
 
 
-@dataclass
-class RowRecord:
-    row: str
-    n: int
-    t: int
-    formula: int
-    brute: Optional[int]
-
-    @property
-    def ok(self) -> bool:
-        return self.brute is None or self.brute == self.formula
-
-
 def verify_fixrows(
     model: Model,
     n: int,
     budget: int = DEFAULT_BUDGET,
     rows: Optional[Iterable[str]] = None,
-) -> List[RowRecord]:
-    """Brute force = closed form for every enumerable row, every t | 2n+1."""
+) -> List[Record]:
+    """Brute force = closed form for every enumerable row, every t | 2n+1.
+
+    A row that cannot be brute-forced passes on its closed form alone, and a
+    cell whose enumeration exceeds the budget is a skip with the reason.
+    """
     f = 2 * n + 1
     out = []
     for rid in rows if rows is not None else sorted(model.fixrows):
@@ -248,16 +231,16 @@ def verify_fixrows(
         enumerable = row_is_enumerable(row, model)
         for t in divisors(f):
             formula = fixed_count_formula(row, t)
-            brute = (
-                fixed_count_bruteforce(row, model, n, t, budget)
-                if enumerable
-                else None
-            )
-            out.append(RowRecord(rid, n, t, formula, brute))
+            try:
+                got = fixed_count_bruteforce(row, model, n, t, budget) if enumerable else formula
+                reason = None
+            except BudgetExceeded as e:
+                got, reason = None, str(e)
+            out.append(Record("fixrow", rid, n, formula, got, reason, t=t))
     return out
 
 
-def verify_mobius_layer(model: Model, n: int) -> List[LemmaRecord]:
+def verify_mobius_layer(model: Model, n: int) -> List[Record]:
     """Exact-stabilizer counts are nonnegative and re-sum to the fixed counts."""
     f = 2 * n + 1
     records = []
@@ -269,5 +252,5 @@ def verify_mobius_layer(model: Model, n: int) -> List[LemmaRecord]:
             # classes fixed by the order-(f/t) subgroup: stabilizer order
             # must be a multiple of f/t
             resum = sum(c for u, c in exact.items() if u % (f // t) == 0)
-            records.append(LemmaRecord("mobius_roundtrip", (rid, n, t), fix[t], resum))
+            records.append(Record("mobius", rid, n, fix[t], resum, t=t))
     return records

@@ -11,12 +11,12 @@ with eps4 = i and zeta a principal root of unity.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .exactnum import NotRationalInteger, QPoly, as_integer, val2
 from .paramsets import family_formula_count
+from .record import Record
 from .tabledsl import (
     ChValue,
     Model,
@@ -26,21 +26,6 @@ from .tabledsl import (
     eval_qpoly,
 )
 from .dadeverify import two_part_exponent
-
-
-@dataclass
-class Record:
-    check: str
-    name: str
-    n: Optional[int]
-    expected: object
-    actual: object
-    note: Optional[str] = None
-    reason: Optional[str] = None  # set when the check was skipped, and why
-
-    @property
-    def ok(self) -> bool:
-        return self.reason is None and self.expected == self.actual
 
 
 # --- class equation -----------------------------------------------------------
@@ -222,8 +207,8 @@ def eval_value_numeric(
 # --- relations -----------------------------------------------------------------
 
 
-def f_relations_check(model: Model, numeric_n: Tuple[int, ...] = (1, 2)) -> List[Record]:
-    """Linear relations and the difference identities, symbolically then numerically."""
+def f_relations_check(model: Model) -> List[Record]:
+    """Linear relations and the difference identities, symbolically (n-free)."""
     records = []
     for rid in sorted(model.relations):
         rel = model.relations[rid]
@@ -243,30 +228,33 @@ def f_relations_check(model: Model, numeric_n: Tuple[int, ...] = (1, 2)) -> List
                 )
                 rhs = canonical_value(_chvalue(model, rel.equals, cls))
                 records.append(Record("difference", f"{rid}/{cls}", None, rhs, lhs))
-    # numeric spot check of the same relations at small n
-    for n in numeric_n:
-        env = build_env(n)
-        for rid in sorted(model.relations):
-            rel = model.relations[rid]
-            ik = {"i": 1, "k": 1}
-            if rel.sum:
-                z = sum(
-                    c * eval_value_numeric(model, _chvalue(model, rel.func, cls), n, **ik)
-                    for c, cls in rel.sum
+    return records
+
+
+def f_relations_numeric(model: Model, n: int) -> List[Record]:
+    """Numeric spot check of the same relations at one n."""
+    records = []
+    for rid in sorted(model.relations):
+        rel = model.relations[rid]
+        ik = {"i": 1, "k": 1}
+        if rel.sum:
+            z = sum(
+                c * eval_value_numeric(model, _chvalue(model, rel.func, cls), n, **ik)
+                for c, cls in rel.sum
+            )
+            records.append(
+                Record("relation_numeric", rid, n, True, abs(z) < 1e-9)
+            )
+        elif rel.equals:
+            for cls in rel.classes:
+                z = (
+                    eval_value_numeric(model, _chvalue(model, rel.left, cls), n, **ik)
+                    - eval_value_numeric(model, _chvalue(model, rel.right, cls), n, **ik)
+                    - eval_value_numeric(model, _chvalue(model, rel.equals, cls), n, **ik)
                 )
                 records.append(
-                    Record("relation_numeric", rid, n, True, abs(z) < 1e-9)
+                    Record("difference_numeric", f"{rid}/{cls}", n, True, abs(z) < 1e-9)
                 )
-            elif rel.equals:
-                for cls in rel.classes:
-                    z = (
-                        eval_value_numeric(model, _chvalue(model, rel.left, cls), n, **ik)
-                        - eval_value_numeric(model, _chvalue(model, rel.right, cls), n, **ik)
-                        - eval_value_numeric(model, _chvalue(model, rel.equals, cls), n, **ik)
-                    )
-                    records.append(
-                        Record("difference_numeric", f"{rid}/{cls}", n, True, abs(z) < 1e-9)
-                    )
     return records
 
 
@@ -368,22 +356,27 @@ def f_norm_check(
                 f"the floating-point norm is checked only for n <= {NORM_MAX_N}")))
             continue
         got = f_norm(model, n, which, k)
-        records.append(
-            Record("f_norm", name, n, True, abs(got - 2.0) < tol, note=f"norm={got!r}")
-        )
+        records.append(Record("f_norm", name, n, True, abs(got - 2.0) < tol))
     return records
 
 
 # --- degrees -------------------------------------------------------------------
 
 
+def degree_polynomials(model: Model) -> List[Record]:
+    """Each table degree equals its product of cyclotomic factors (n-free)."""
+    return [
+        Record("degree_poly", rid, None, eval_qpoly(dr.phi), eval_qpoly(dr.table))
+        for rid, dr in sorted(model.degrels.items())
+    ]
+
+
 def degree_identity_check(model: Model, n_list: Tuple[int, ...] = (1, 2, 3, 4)) -> List[Record]:
+    """The 2-defect of each degree, and its parity where the table says odd."""
     records = []
     for rid in sorted(model.degrels):
         dr = model.degrels[rid]
         table = eval_qpoly(dr.table)
-        phi = eval_qpoly(dr.phi)
-        records.append(Record("degree_poly", rid, None, phi, table))
         for n in n_list:
             env = build_env(n)
             deg = as_integer(table.eval(n))

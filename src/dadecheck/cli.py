@@ -28,31 +28,8 @@ from typing import Dict, List, Optional
 from . import load_model
 from . import autfix, chartables, dadeverify, paramsets, rootdatum
 from .paramsets import DEFAULT_BUDGET
+from .record import Record
 from .tabledsl import TableSyntaxError, DanglingReference
-
-ALL_CHECKS = ("lemmas", "params", "fixrows", "dade", "weyl", "classes", "relations")
-# Kinds with a task of the checks that do not depend on n, run once per run.
-N_FREE = ("lemmas", "params", "weyl")
-SCHEMA = 1
-
-
-def _rec(check, name, n, expected, actual, millis, reason=None, **extra):
-    rec = {
-        "schema": SCHEMA,
-        "check": check,
-        "name": str(name),
-        "n": n,
-        "expected": repr(expected),
-        "actual": repr(actual),
-        "status": "skip" if reason is not None else "pass" if expected == actual else "fail",
-    }
-    if reason is not None:
-        rec["reason"] = reason
-    rec["millis"] = round(millis, 3)
-    rec.update(extra)
-    return rec
-
-
 
 # ---- check runners (module level so a worker pool can dispatch them) ---------
 
@@ -72,93 +49,65 @@ def _init_worker(data_dir):
     _DATA_DIR = data_dir
 
 
+# kind -> [(n_free, checker)].  The n-free checkers of a kind run once per run,
+# in its task with n None; the others run in its task at every n.  A checker is
+# called as checker(model, n, cfg) and reaches its function through the module
+# attribute at call time, so a patched or wrapped function is the one that runs.
+REGISTRY = {
+    "lemmas": [(True, lambda m, n, c: autfix.verify_gcd_lemmas(c["max_n"]))],
+    "params": [
+        (True, lambda m, n, c: paramsets.trusted_input_flags(m)),
+        (False, lambda m, n, c: paramsets.cardinality_check(m, n, c["budget"])),
+        (False, lambda m, n, c: paramsets.semisimple_sum_checks(m, n)),
+    ],
+    "fixrows": [
+        (False, lambda m, n, c: autfix.verify_fixrows(m, n, c["budget"])),
+        (False, lambda m, n, c: autfix.verify_mobius_layer(m, n)),
+    ],
+    "dade": [
+        (False, lambda m, n, c: dadeverify.verify_dade(m, n, c["mode"], c["budget"])),
+        (False, lambda m, n, c: dadeverify.verify_dade_exact_level(m, n)),
+        (False, lambda m, n, c: dadeverify.ledger_consistency(m, n)),
+    ],
+    "weyl": [
+        (True, lambda m, n, c: rootdatum.weyl_table_checks(m, ())),
+        (True, lambda m, n, c: rootdatum.subsystem_checks(m)),
+        (False, lambda m, n, c: rootdatum.torus_order_checks(m, n)),
+        (False, lambda m, n, c: rootdatum.torus_param_checks(m, n)),
+        (False, lambda m, n, c: rootdatum.dual_torus_check(m, n)),
+        (False, lambda m, n, c: rootdatum.pairing_checks(m, n)),
+    ],
+    "classes": [(False, lambda m, n, c: chartables.class_equation(m, n))],
+    "relations": [
+        (True, lambda m, n, c: chartables.f_relations_check(m)),
+        (True, lambda m, n, c: chartables.degree_polynomials(m)),
+        (False, lambda m, n, c: chartables.f_relations_numeric(m, n)),
+        (False, lambda m, n, c: chartables.exponent_integrality(m, (n,))),
+        (False, lambda m, n, c: chartables.f_norm_check(m, n, "f8")),
+        (False, lambda m, n, c: chartables.f_norm_check(m, n, "f10")),
+        (False, lambda m, n, c: chartables.degree_identity_check(m, (n,))),
+    ],
+}
+ALL_CHECKS = tuple(REGISTRY)
+
+
 def run_task(task) -> List[dict]:
+    """JSON records of one task: a kind's n-free checks (n None) or its checks at n.
+
+    Each record's millis is the time since the previous record of the task
+    (or its start).
+    """
     kind, n, cfg = task
     model = _model()
-    budget = cfg["budget"]
-    mode = cfg["mode"]
-    last = time.perf_counter()
     out: List[dict] = []
-
-    def ms():
-        """Milliseconds since the previous record of this task (or its start)."""
-        nonlocal last
-        now = time.perf_counter()
-        elapsed, last = now - last, now
-        return 1000.0 * elapsed
-
-    if kind == "lemmas":
-        recs = autfix.verify_gcd_lemmas(cfg["max_n"])
-        for r in recs:
-            out.append(_rec("lemma_" + r.lemma, r.params, None, r.expected, r.actual, ms()))
-    elif kind == "params" and n is None:
-        for r in paramsets.trusted_input_flags(model):
-            out.append(_rec(r.check, r.name, r.n, r.expected, r.actual, ms()))
-    elif kind == "params":
-        for r in paramsets.cardinality_check(model, n, budget):
-            out.append(_rec(r.check, r.name, n, r.expected, r.actual, ms(), r.reason))
-        for r in paramsets.semisimple_sum_checks(model, n):
-            out.append(_rec(r.check, r.name, n, r.expected, r.actual, ms()))
-    elif kind == "fixrows":
-        for r in autfix.verify_fixrows(model, n, budget):
-            expected = r.formula
-            actual = r.formula if r.brute is None else r.brute
-            out.append(
-                _rec("fixrow", r.row, n, expected, actual, ms(), t=r.t)
-            )
-        for r in autfix.verify_mobius_layer(model, n):
-            out.append(_rec("mobius", r.lemma[0], n, r.expected, r.actual, ms(),
-                            t=r.lemma[2]))
-    elif kind == "dade":
-        modes = ("formula", "bruteforce") if mode == "both" else (mode,)
-        cells: Dict[tuple, dict] = {}
-        for md in modes:
-            for r in dadeverify.verify_dade(model, n, md, budget):
-                out.append(
-                    _rec(f"dade_{md}" if len(modes) > 1 else "dade",
-                         r.ledger, n, (r.rhs, True, True), (r.lhs, r.tokens_match, r.alt_sum_zero),
-                         ms(), d=r.d, u=r.u)
-                )
-                cells.setdefault((r.ledger, r.u), {})[md] = (r.lhs, r.rhs)
-        if len(modes) > 1:
-            for (ledger, u), got in sorted(cells.items()):
-                out.append(
-                    _rec("dade_mode_agreement", ledger, n,
-                         got["formula"], got["bruteforce"], ms(), u=u)
-                )
-        for r in dadeverify.verify_dade_exact_level(model, n):
-            out.append(_rec("dade_exact", r.ledger, n, r.rhs, r.lhs, ms(), d=r.d, u=r.u))
-        for r in dadeverify.ledger_consistency(model, n):
-            out.append(_rec(r.check, r.name, n, r.expected, r.actual, ms()))
-    elif kind == "weyl" and n is None:
-        for r in rootdatum.weyl_table_checks(model, ()):
-            out.append(_rec(r.check, r.name, r.n, r.expected, r.actual, ms()))
-        for r in rootdatum.subsystem_checks(model):
-            out.append(_rec(r.check, r.name, r.n, r.expected, r.actual, ms()))
-    elif kind == "weyl":
-        for r in rootdatum.torus_order_checks(model, n):
-            out.append(_rec(r.check, r.name, n, r.expected, r.actual, ms()))
-        for r in rootdatum.torus_param_checks(model, n):
-            out.append(_rec(r.check, r.name, n, r.expected, r.actual, ms(), r.reason))
-        for r in rootdatum.dual_torus_check(model, n):
-            out.append(_rec(r.check, r.name, n, r.expected, r.actual, ms(), r.reason))
-        for r in rootdatum.pairing_checks(model, n):
-            out.append(_rec(r.check, r.name, n, r.expected, r.actual, ms()))
-    elif kind == "classes":
-        for r in chartables.class_equation(model, n):
-            out.append(_rec(r.check, r.name, n, r.expected, r.actual, ms()))
-    elif kind == "relations":
-        for r in chartables.f_relations_check(model, numeric_n=(n,)):
-            out.append(_rec(r.check, r.name, r.n, r.expected, r.actual, ms()))
-        for r in chartables.exponent_integrality(model, (n,)):
-            out.append(_rec(r.check, r.name, n, r.expected, r.actual, ms()))
-        for which in ("f8", "f10"):
-            for r in chartables.f_norm_check(model, n, which):
-                out.append(_rec(r.check, r.name, n, r.expected, r.actual, ms(), r.reason))
-        for r in chartables.degree_identity_check(model, (n,)):
-            out.append(_rec(r.check, r.name, r.n, r.expected, r.actual, ms()))
-    else:
-        raise ValueError(f"unknown check {kind}")
+    last = time.perf_counter()
+    for n_free, checker in REGISTRY[kind]:
+        if n_free != (n is None):
+            continue
+        for r in checker(model, n, cfg):
+            now = time.perf_counter()
+            out.append(r.as_json(1000.0 * (now - last)))
+            last = now
     return out
 
 
@@ -251,17 +200,13 @@ def _resolve_options(args) -> Dict[str, object]:
 def _emit(records: List[dict], cfg) -> int:
     records.sort(key=lambda r: (r["check"], str(r.get("n")), r["name"],
                                 str(r.get("t", "")), str(r.get("u", ""))))
-    # instance-independent checks re-run per n; keep one copy of each
+    # every check instance is run by exactly one task
     seen = set()
-    unique = []
     for r in records:
-        key = (r["check"], r["name"], r.get("n"), r.get("t"), r.get("u"),
-               r["expected"], r["actual"])
+        key = (r["check"], r["name"], r["n"], r.get("t"), r.get("d"), r.get("u"))
         if key in seen:
-            continue
+            raise ValueError(f"two records of one check instance {key}")
         seen.add(key)
-        unique.append(r)
-    records = unique
     text = json.dumps(records, indent=1)
     if cfg.get("report"):
         with open(cfg["report"], "w", encoding="utf-8") as fh:
@@ -317,7 +262,7 @@ def _cmd_params(args, cfg) -> int:
             enum, count, reason = None, None, str(e)
         millis = 1000.0 * (time.perf_counter() - t0)
         expected = paramsets.formula_count(spec, n) if spec.card else count
-        records.append(_rec("cardinality", spec.id, n, expected, count, millis, reason))
+        records.append(Record("cardinality", spec.id, n, expected, count, reason).as_json(millis))
         if args.list and enum is not None:
             for rep in enum.representatives():
                 print(" ".join(str(x) for x in rep))
@@ -329,9 +274,10 @@ def _cmd_verify(args, cfg) -> int:
     opts = {"max_n": cfg["max_n"], "budget": cfg["budget"], "mode": cfg["mode"]}
     tasks = []
     for kind in kinds:
-        if kind in N_FREE:
+        n_free = {free for free, _ in REGISTRY[kind]}
+        if True in n_free:
             tasks.append((kind, None, opts))
-        if kind != "lemmas":
+        if False in n_free:
             tasks.extend((kind, n, opts) for n in cfg["n_list"])
     records: List[dict] = []
     if cfg["workers"] > 1 and len(tasks) > 1:

@@ -13,8 +13,7 @@ counts on both sides and cancel symbolically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from .autfix import (
     divisors,
@@ -24,7 +23,8 @@ from .autfix import (
     row_is_enumerable,
 )
 from .exactnum import val2
-from .paramsets import DEFAULT_BUDGET
+from .paramsets import BudgetExceeded, DEFAULT_BUDGET
+from .record import Record
 from .tabledsl import DefectLedger, Model, build_env, eval_expr_int
 
 GROUPS = ("G", "B", "Pa", "Pb")
@@ -128,68 +128,81 @@ def k_fixed(
     return total, tokens
 
 
-@dataclass
-class DadeRecord:
-    ledger: str
-    n: int
-    d: int
-    u: int
-    lhs: int
-    rhs: int
-    tokens_match: bool
-    alt_sum_zero: bool
+def _identity_records(
+    model: Model, n: int, mode: str, budget: int, check: str
+) -> List[Record]:
+    """The identity in one mode at every ledger cell and every shared defect value.
 
-    @property
-    def ok(self) -> bool:
-        return self.lhs == self.rhs and self.tokens_match and self.alt_sum_zero
-
-
-def verify_dade(
-    model: Model, n: int, mode: str = "formula", budget: int = DEFAULT_BUDGET
-) -> List[DadeRecord]:
-    """The counting identity for every ledger defect and every u | 2n+1.
-
-    Also folds the literal alternating sum over the six chains (the two
-    B-chains of opposite sign cancel) and, per u, the aggregate over ledgers
-    that collide on the same numeric defect value.
+    A cell reads expected (rhs, True, True) against actual (lhs, tokens match,
+    literal alternating sum over the chain table is 0).  A cell whose
+    enumeration exceeds the budget is a skip, and so is a shared defect value
+    with a skipped ledger.
     """
     f = 2 * n + 1
     records = []
     env = build_env(n)
-    by_value: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+    by_value: Dict[Tuple[int, int], List[Record]] = {}
     for lid in sorted(model.ledgers):
         led = model.ledgers[lid]
         d = eval_expr_int(led.value, env)
         for u in divisors(f):
-            parts = {}
-            tok = {}
-            for g in GROUPS:
-                parts[g], tok[g] = k_fixed(model, g, led, u, n, mode, budget)
-            lhs = parts["G"] + parts["B"]
-            rhs = parts["Pa"] + parts["Pb"]
-            tokens_match = (tok["G"] | tok["B"]) == (tok["Pa"] | tok["Pb"])
-            # literal alternating sum over the chain table; the symbolic pair
-            # tokens cancel exactly when the two sides carry the same pairs
-            alt = 0
-            for _, length, grp in CHAINS:
-                alt += (-1) ** length * parts[grp]
-            alt_zero = alt == (lhs - rhs)
-            records.append(
-                DadeRecord(lid, n, d, u, lhs, rhs, tokens_match, alt == 0 and alt_zero)
-            )
-            by_value.setdefault((d, u), []).append((lhs, rhs))
+            try:
+                parts, tok = {}, {}
+                for g in GROUPS:
+                    parts[g], tok[g] = k_fixed(model, g, led, u, n, mode, budget)
+            except BudgetExceeded as e:
+                rec = Record(check, lid, n, None, None, str(e), d=d, u=u)
+            else:
+                lhs = parts["G"] + parts["B"]
+                rhs = parts["Pa"] + parts["Pb"]
+                # the symbolic pair tokens cancel exactly when both sides carry
+                # the same pairs
+                tokens_match = (tok["G"] | tok["B"]) == (tok["Pa"] | tok["Pb"])
+                alt = sum((-1) ** length * parts[grp] for _, length, grp in CHAINS)
+                rec = Record(check, lid, n, (rhs, True, True), (lhs, tokens_match, alt == 0),
+                             d=d, u=u)
+            records.append(rec)
+            by_value.setdefault((d, u), []).append(rec)
     # ledgers colliding on one numeric defect (e.g. 20n+12 = 21n+11 at n=1)
-    for (d, u), sides in sorted(by_value.items()):
-        if len(sides) > 1:
-            lhs = sum(a for a, _ in sides)
-            rhs = sum(b for _, b in sides)
-            records.append(
-                DadeRecord(f"combined_d{d}", n, d, u, lhs, rhs, True, lhs == rhs)
-            )
+    for (d, u), cells in sorted(by_value.items()):
+        if len(cells) < 2:
+            continue
+        name = f"combined_d{d}"
+        reasons = [r.reason for r in cells if r.reason is not None]
+        if reasons:
+            records.append(Record(check, name, n, None, None, reasons[0], d=d, u=u))
+            continue
+        lhs = sum(r.actual[0] for r in cells)
+        rhs = sum(r.expected[0] for r in cells)
+        records.append(Record(check, name, n, (rhs, True, True), (lhs, True, lhs == rhs),
+                              d=d, u=u))
     return records
 
 
-def verify_dade_exact_level(model: Model, n: int) -> List[DadeRecord]:
+def verify_dade(
+    model: Model, n: int, mode: str = "formula", budget: int = DEFAULT_BUDGET
+) -> List[Record]:
+    """The counting identity for every ledger defect and every u | 2n+1.
+
+    Also folds the literal alternating sum over the six chains (the two
+    B-chains of opposite sign cancel) and, per u, the aggregate over ledgers
+    that collide on the same numeric defect value.  Mode "both" writes the
+    records of each mode (dade_formula, dade_bruteforce) and, per cell, a
+    dade_mode_agreement record comparing their (lhs, rhs).
+    """
+    if mode != "both":
+        return _identity_records(model, n, mode, budget, "dade")
+    formula, brute = (_identity_records(model, n, md, budget, f"dade_{md}")
+                      for md in ("formula", "bruteforce"))
+    agreement = []
+    for fr, br in zip(formula, brute):  # both modes list the cells in one order
+        sides = [None if r.reason else (r.actual[0], r.expected[0]) for r in (fr, br)]
+        agreement.append(Record("dade_mode_agreement", fr.name, n, *sides,
+                                fr.reason or br.reason, u=fr.u))
+    return formula + brute + agreement
+
+
+def verify_dade_exact_level(model: Model, n: int) -> List[Record]:
     """Mobius-inverted (exact-stabilizer) version of the identity, per u."""
     f = 2 * n + 1
     records = []
@@ -211,7 +224,7 @@ def verify_dade_exact_level(model: Model, n: int) -> List[DadeRecord]:
             rhs = sum(
                 mobius(v // u) * fix_rhs[f // v] for v in divisors(f) if v % u == 0
             )
-            records.append(DadeRecord(lid, n, d, u, lhs, rhs, True, lhs == rhs))
+            records.append(Record("dade_exact", lid, n, rhs, lhs, d=d, u=u))
     return records
 
 
@@ -220,21 +233,7 @@ def verify_dade_exact_level(model: Model, n: int) -> List[DadeRecord]:
 EXPECTED_COVERAGE = {"B": 58, "Pa": 40, "Pb": 56}
 
 
-@dataclass
-class ConsistencyRecord:
-    check: str
-    name: str
-    n: int
-    expected: object
-    actual: object
-    note: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.expected == self.actual
-
-
-def ledger_consistency(model: Model, n: int) -> List[ConsistencyRecord]:
+def ledger_consistency(model: Model, n: int) -> List[Record]:
     records = []
     env = build_env(n)
 
@@ -244,15 +243,11 @@ def ledger_consistency(model: Model, n: int) -> List[ConsistencyRecord]:
         d = eval_expr_int(led.value, env)
         for e in led.entries:
             if e.degree is None:
-                records.append(
-                    ConsistencyRecord(
-                        "entry_defect", f"{lid}/{e.set_id}", n, d, d,
-                        note="no degree shipped (semisimple union); defect by convention",
-                    )
-                )
+                # no degree shipped (semisimple union): defect by convention
+                records.append(Record("entry_defect", f"{lid}/{e.set_id}", n, d, d))
                 continue
             records.append(
-                ConsistencyRecord(
+                Record(
                     "entry_defect", f"{lid}/{e.set_id}", n, d, defect_of(e.degree, n)
                 )
             )
@@ -265,17 +260,17 @@ def ledger_consistency(model: Model, n: int) -> List[ConsistencyRecord]:
     for grp, expected in EXPECTED_COVERAGE.items():
         ids = seen[grp]
         records.append(
-            ConsistencyRecord("coverage_count", grp, n, expected, len(ids))
+            Record("coverage_count", grp, n, expected, len(ids))
         )
         records.append(
-            ConsistencyRecord("coverage_unique", grp, n, len(set(ids)), len(ids))
+            Record("coverage_unique", grp, n, len(set(ids)), len(ids))
         )
         all_ids = {
             s for s, spec in model.paramsets.items()
             if spec.group == grp and spec.alias_of is None
         }
         records.append(
-            ConsistencyRecord("coverage_complete", grp, n, sorted(all_ids), sorted(ids))
+            Record("coverage_complete", grp, n, sorted(all_ids), sorted(ids))
         )
     # G: everything except the Steinberg set and the semisimple members,
     # which enter through the GI_ss union
@@ -287,7 +282,7 @@ def ledger_consistency(model: Model, n: int) -> List[ConsistencyRecord]:
     g_expected -= set(ss.members)
     g_expected.discard("GI_21")
     records.append(
-        ConsistencyRecord(
+        Record(
             "coverage_complete", "G", n, sorted(g_expected), sorted(set(seen["G"]))
         )
     )
@@ -297,7 +292,7 @@ def ledger_consistency(model: Model, n: int) -> List[ConsistencyRecord]:
         pair = model.pairs[pid]
         left = sum(set_cardinality(model, s, n) for s in pair.left)
         right = sum(set_cardinality(model, s, n) for s in pair.right)
-        records.append(ConsistencyRecord("pair_cardinality", pid, n, left, right))
+        records.append(Record("pair_cardinality", pid, n, left, right))
         # each pair lives inside exactly one ledger, left on {G,B}, right on {Pa,Pb}
         homes = set()
         for lid, led in model.ledgers.items():
@@ -306,19 +301,19 @@ def ledger_consistency(model: Model, n: int) -> List[ConsistencyRecord]:
                     homes.add(lid)
                     side_groups = LHS_GROUPS if e.side == "left" else RHS_GROUPS
                     records.append(
-                        ConsistencyRecord(
+                        Record(
                             "pair_side", f"{pid}/{e.set_id}", n, True,
                             e.group in side_groups,
                         )
                     )
-        records.append(ConsistencyRecord("pair_one_ledger", pid, n, 1, len(homes)))
+        records.append(Record("pair_one_ledger", pid, n, 1, len(homes)))
         for lid in homes:
             entry_sets = {
                 e.set_id for e in model.ledgers[lid].entries
                 if e.tag == "paired" and e.ref == pid
             }
             records.append(
-                ConsistencyRecord(
+                Record(
                     "pair_complete", pid, n,
                     sorted(pair.left + pair.right), sorted(entry_sets),
                 )
@@ -337,9 +332,9 @@ def ledger_consistency(model: Model, n: int) -> List[ConsistencyRecord]:
                 lhs += c
             else:
                 rhs += c
-        records.append(ConsistencyRecord("raw_balance", lid, n, lhs, rhs))
+        records.append(Record("raw_balance", lid, n, lhs, rhs))
 
     records.append(
-        ConsistencyRecord("sylow_two_part", "G", n, True, sylow_consistency(model, n))
+        Record("sylow_two_part", "G", n, True, sylow_consistency(model, n))
     )
     return records

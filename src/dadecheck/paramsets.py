@@ -18,6 +18,7 @@ import numpy as np
 
 from . import rootdatum
 from .exactnum import NotRationalInteger, SqrtTwoRat
+from .record import Record
 from .tabledsl import (
     ClassFam,
     Model,
@@ -718,20 +719,6 @@ def family_formula_count(fam: ClassFam, n: int) -> int:
 # --- reports -----------------------------------------------------------------
 
 
-@dataclass
-class CheckRecord:
-    check: str
-    name: str
-    n: Optional[int]  # None for a check that does not depend on n
-    expected: object
-    actual: object
-    reason: Optional[str] = None  # set when the check was skipped, and why
-
-    @property
-    def ok(self) -> bool:
-        return self.reason is None and self.expected == self.actual
-
-
 def cardinality_check(
     model: Model,
     n: int,
@@ -739,7 +726,7 @@ def cardinality_check(
     sets: Optional[Sequence[str]] = None,
     include_families: bool = True,
     max_arity: int = 2,
-) -> List[CheckRecord]:
+) -> List[Record]:
     """Brute-force class counts against the table formulas, plus the q^4 sums."""
     records = []
     for sid in sets if sets is not None else sorted(model.paramsets):
@@ -753,7 +740,7 @@ def cardinality_check(
         except BudgetExceeded as e:
             got, reason = None, str(e)
         records.append(
-            CheckRecord("cardinality", sid, n, formula_count(spec, n), got, reason)
+            Record("cardinality", sid, n, formula_count(spec, n), got, reason)
         )
     if include_families:
         for fid in sorted(model.classfams):
@@ -765,12 +752,12 @@ def cardinality_check(
             except BudgetExceeded as e:
                 got, reason = None, str(e)
             records.append(
-                CheckRecord("family_count", fid, n, family_formula_count(fam, n), got, reason)
+                Record("family_count", fid, n, family_formula_count(fam, n), got, reason)
             )
     return records
 
 
-def trusted_input_flags(model: Model) -> List[CheckRecord]:
+def trusted_input_flags(model: Model) -> List[Record]:
     """Surface the table cells taken on trust rather than recomputed.
 
     The two blank character counts are identified with the regular dual-series
@@ -783,12 +770,12 @@ def trusted_input_flags(model: Model) -> List[CheckRecord]:
         if spec.note and (
             spec.note.startswith("count_taken_from") or "external" in spec.note
         ):
-            out.append(CheckRecord("trusted_input", f"{sid}:{spec.note}", None,
-                                   "flagged", "flagged"))
+            out.append(Record("trusted_input", f"{sid}:{spec.note}", None,
+                              "flagged", "flagged"))
     return out
 
 
-def semisimple_sum_checks(model: Model, n: int) -> List[CheckRecord]:
+def semisimple_sum_checks(model: Model, n: int) -> List[Record]:
     """Class counts on each side, and the semisimple member counts, sum to q^4."""
     env = build_env(n)
     q4 = eval_expr_int(("pow", ("sym", "q"), ("int", 4)), env)
@@ -798,11 +785,11 @@ def semisimple_sum_checks(model: Model, n: int) -> List[CheckRecord]:
         for fam in model.classfams.values():
             if fam.side == side:
                 total += family_formula_count(fam, n)
-        out.append(CheckRecord(tag, side, n, q4, total))
+        out.append(Record(tag, side, n, q4, total))
     ss = model.paramsets.get("GI_ss")
     if ss is not None and ss.members:
         total = sum(
             formula_count(model.paramsets[m], n) for m in ss.members
         )
-        out.append(CheckRecord("ss_member_sum", "GI_ss", n, q4, total))
+        out.append(Record("ss_member_sum", "GI_ss", n, q4, total))
     return out

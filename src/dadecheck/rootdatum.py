@@ -16,6 +16,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .record import Record
+
 Matrix = Tuple[Tuple[int, ...], ...]
 
 
@@ -622,31 +624,25 @@ def _direction(v):
 # --- table-driven verification ------------------------------------------------
 
 
-def _record(check, name, n, expected, actual, note=None, reason=None):
-    from .paramsets import CheckRecord
-
-    return CheckRecord(check, name, n, expected, actual, reason)
-
-
 def weyl_table_checks(model, n_list=(1, 2, 3, 4, 5)):
     """|W|, the F-class census and centralizer orders; torus orders for each n."""
     gens = model.weylgens or None
     classes = f_conjugacy_classes(gens)
     weyl = _weyl_arrays(gens)
     records = [
-        _record("weyl_order", "W", None, 1152, len(weyl.elems)),
-        _record("f_class_count", "W", None, len(model.weylclasses), len(classes)),
-        _record("f_class_partition", "W", None, len(weyl.elems),
-                sum(s for _, s, _ in classes)),
+        Record("weyl_order", "W", None, 1152, len(weyl.elems)),
+        Record("f_class_count", "W", None, len(model.weylclasses), len(classes)),
+        Record("f_class_partition", "W", None, len(weyl.elems),
+               sum(s for _, s, _ in classes)),
     ]
     seen = set()
     for wid in sorted(model.weylclasses):
         wc = model.weylclasses[wid]
         w = np.array([word_matrix(wc.word, model.weylgens)], dtype=np.int64)
         label = int(weyl.labels[_lookup(weyl.keys, weyl.order, w)[0]])
-        records.append(_record("f_class_distinct", wid, None, False, label in seen))
+        records.append(Record("f_class_distinct", wid, None, False, label in seen))
         seen.add(label)
-        records.append(_record("centralizer_order", wid, None, wc.cent, classes[label][2]))
+        records.append(Record("centralizer_order", wid, None, wc.cent, classes[label][2]))
     for n in n_list:
         records.extend(torus_order_checks(model, n))
     return records
@@ -662,8 +658,8 @@ def torus_order_checks(model, n: int):
         wc = model.weylclasses[wid]
         w = word_matrix(wc.word, model.weylgens)
         expected = eval_expr_int(wc.order, env)
-        records.append(_record("torus_order_det", wid, n, expected, torus_order(w, n)))
-        records.append(_record("torus_order_snf", wid, n, expected, torus_fixed_count(w, n)))
+        records.append(Record("torus_order_det", wid, n, expected, torus_order(w, n)))
+        records.append(Record("torus_order_snf", wid, n, expected, torus_fixed_count(w, n)))
     return records
 
 
@@ -700,19 +696,19 @@ def _torus_checks(model, n: int, enumerate_limit: int, side: str):
         ranges = [eval_expr_int(r, env0) for r in ranges]
         prod = math.prod(ranges)
         if side == "torus":
-            records.append(_record("torus_param_count", wid, n, order, prod))
+            records.append(Record("torus_param_count", wid, n, order, prod))
         if prod > enumerate_limit:
             reason = f"{prod} points exceed the enumeration limit {enumerate_limit}"
-            records.append(_record(prefix + "_fixed", wid, n, True, None, reason=reason))
-            records.append(_record(prefix + "_distinct", wid, n, order, None, reason=reason))
+            records.append(Record(prefix + "_fixed", wid, n, True, None, reason=reason))
+            records.append(Record(prefix + "_distinct", wid, n, order, None, reason=reason))
             continue
         composite = mat_mul(word_matrix(wc.word, model.weylgens), mf)
         denom, vecs = _points(coords, varnames, _grid(ranges), env0, side)
         fixed = bool(np.array_equal(_act(vecs, composite, denom, side), vecs))
-        records.append(_record(prefix + "_fixed", wid, n, True, fixed))
+        records.append(Record(prefix + "_fixed", wid, n, True, fixed))
         # a flat unique of opaque values sorts much faster than np.unique(axis=0)
         distinct = len(np.unique(_void_rows(vecs)))
-        records.append(_record(prefix + "_distinct", wid, n, order, distinct))
+        records.append(Record(prefix + "_distinct", wid, n, order, distinct))
     return records
 
 
@@ -748,7 +744,7 @@ def pairing_checks(model, n: int):
                 fr = delta.as_fraction()
                 if fr.denominator != 1:
                     ok = False
-        records.append(_record("pairing_integral", wid, n, True, ok))
+        records.append(Record("pairing_integral", wid, n, True, ok))
     return records
 
 
@@ -762,13 +758,12 @@ def subsystem_checks(model):
         pi = fam.pi
         got = subsystem_type(pi)
         records.append(
-            _record("subsystem_type", fid, None, fam.pitype, got,
-                    note=f"table label {fam.pilabel}")
+            Record("subsystem_type", fid, None, fam.pitype, got)
         )
         w = word_matrix(fam.word, model.weylgens)
         composite = mat_mul(mat_inv_int(w), M0)
         records.append(
-            _record("subsystem_stable", fid, None, True,
-                    subsystem_stable_under(pi, composite))
+            Record("subsystem_stable", fid, None, True,
+                   subsystem_stable_under(pi, composite))
         )
     return records

@@ -47,7 +47,7 @@ def test_formula_only_row(model):
 def test_rows_match_formulas(model):
     for n in (1, 2):
         for rec in verify_fixrows(model, n):
-            assert rec.ok, (rec.row, rec.n, rec.t, rec.formula, rec.brute)
+            assert rec.ok, (rec.name, rec.n, rec.t, rec.expected, rec.actual)
 
 
 def test_trivial_group_gives_cardinality(model):
@@ -74,7 +74,7 @@ def test_gcd_lemmas_all(model):
     recs = verify_gcd_lemmas(8)
     assert len(recs) > 400
     for r in recs:
-        assert r.ok, (r.lemma, r.params, r.expected, r.actual)
+        assert r.ok, (r.check, r.name, r.expected, r.actual)
 
 
 def test_mobius_function():

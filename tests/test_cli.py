@@ -295,3 +295,60 @@ def test_trusted_input_flags_run_once_per_run(tmp_path, monkeypatch):
     assert len(calls) == 1
     flags = [r for r in json.loads(report.read_text()) if r["check"] == "trusted_input"]
     assert len(flags) == 3 and all(r["n"] is None for r in flags)
+
+
+def test_budget_overflow_in_fixrows_and_dade_is_skip(tmp_path, capsys):
+    # at n = 4 the set BI_1 has 261121 tuples, over a budget of 2^16
+    reason = "BI_1: 261121 tuples exceeds budget 65536"
+    report = tmp_path / "r.json"
+    assert main(["verify", "fixrows", "--n", "4", "--budget", "65536",
+                 "--report", str(report)]) == 0
+    skips = [r for r in json.loads(report.read_text()) if r["status"] == "skip"]
+    assert {(r["check"], r["name"], r["t"]) for r in skips if r["reason"] == reason} == {
+        ("fixrow", "R_B_1", t) for t in (1, 3, 9)}
+    assert main(["verify", "dade", "--n", "4", "--mode", "both", "--budget", "65536",
+                 "--report", str(report)]) == 0
+    records = json.loads(report.read_text())
+    skips = {(r["check"], r["name"], r["u"]) for r in records if r["status"] == "skip"}
+    assert skips == {(check, "d_24n_12", u) for check in ("dade_bruteforce", "dade_mode_agreement")
+                     for u in (1, 3, 9)}
+    assert all(r["reason"] == reason for r in records if r["status"] == "skip")
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_mobius_records_named_by_row(tmp_path, model):
+    report = tmp_path / "r.json"
+    assert main(["verify", "fixrows", "--n", "1", "--report", str(report)]) == 0
+    mobius = [r for r in json.loads(report.read_text()) if r["check"] == "mobius"]
+    assert len(mobius) == 162
+    assert sorted((r["name"], r["t"]) for r in mobius) == sorted(
+        (rid, t) for rid in model.fixrows for t in (1, 3))
+    assert all(r["status"] == "pass" for r in mobius)
+
+
+def test_no_duplicate_records_reach_emit(tmp_path, monkeypatch):
+    from dadecheck import cli
+    from dadecheck.record import Record
+
+    returned = []
+    real = cli.run_task
+
+    def counted(task):
+        out = real(task)
+        returned.append(len(out))
+        return out
+
+    monkeypatch.setattr(cli, "run_task", counted)
+    report = tmp_path / "r.json"
+    for what in ("relations", "fixrows"):
+        returned.clear()
+        assert main(["verify", what, "--n", "1", "--n", "2", "--report", str(report)]) == 0
+        records = json.loads(report.read_text())
+        assert sum(returned) == len(records)
+        if what == "relations":
+            n_free = [r for r in records
+                      if r["check"] in ("relation", "difference", "degree_poly")]
+            assert len(n_free) == 29 and all(r["n"] is None for r in n_free)
+    rec = Record("c", "x", 1, 1, 1, t=3).as_json(0.0)
+    with pytest.raises(ValueError, match="two records"):
+        cli._emit([rec, dict(rec, millis=2.0)], {})

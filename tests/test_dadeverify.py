@@ -78,27 +78,39 @@ def test_verify_dade_all_n(model):
         recs = verify_dade(model, n)
         assert recs
         for r in recs:
-            assert r.ok, (r.ledger, r.n, r.u, r.lhs, r.rhs)
+            assert r.ok, (r.name, r.n, r.u, r.expected, r.actual)
 
 
 def test_verify_dade_bruteforce_n1_n2(model):
     for n in (1, 2):
         for r in verify_dade(model, n, mode="bruteforce"):
-            assert r.ok, (r.ledger, r.u, r.lhs, r.rhs)
+            assert r.ok, (r.name, r.u, r.expected, r.actual)
 
 
 def test_dade_24n12_u1_values(model):
     recs = {
-        (r.ledger, r.u): r for r in verify_dade(model, 1)
+        (r.name, r.u): r for r in verify_dade(model, 1)
     }
     r = recs[("d_24n_12", 1)]
-    assert (r.lhs, r.rhs) == (128, 128)
+    assert (r.actual[0], r.expected[0]) == (128, 128)
+
+
+def test_alternating_sum_is_checked(model, monkeypatch):
+    # C6 at length 2 puts +B where -B was, so the sum over the chains is 2B
+    from dadecheck import dadeverify
+
+    chains = tuple((cid, 2 if cid == "C6" else length, grp) for cid, length, grp in CHAINS)
+    monkeypatch.setattr(dadeverify, "CHAINS", chains)
+    failed = [r for r in verify_dade(model, 1) if not r.ok]
+    assert failed and all(r.actual[2] is False for r in failed)
+    # the two sides still balance; only the chain sum fails
+    assert all(r.actual[0] == r.expected[0] for r in failed)
 
 
 def test_exact_level(model):
     for n in (1, 2, 3, 4):
         for r in verify_dade_exact_level(model, n):
-            assert r.ok, (r.ledger, r.u, r.lhs, r.rhs)
+            assert r.ok, (r.name, r.u, r.expected, r.actual)
 
 
 def test_ledger_consistency(model):
