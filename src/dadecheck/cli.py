@@ -238,7 +238,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "params":
             return _cmd_params(args, cfg)
         return _cmd_verify(args, cfg)
-    except (TableSyntaxError, DanglingReference, OSError) as e:
+    except (TableSyntaxError, DanglingReference, paramsets.MapClosureError,
+            paramsets.NonIntegralModulus, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except rootdatum.WeylDataError as e:

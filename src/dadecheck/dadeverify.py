@@ -62,19 +62,13 @@ def defect_of(degree_expr, n: int) -> int:
 def sylow_consistency(model: Model, n: int) -> bool:
     """|G|_2 = q^24 = |U| * |T|_2: the hard-coded 2-part is reproduced."""
     order = eval_expr_int(model.order_expr, build_env(n))
-    borel_two = val2(eval_expr_int(_parse_cached("q^24*(q^2-1)^2"), build_env(n)))
+    borel_two = val2(eval_expr_int(_BOREL_ORDER, build_env(n)))
     return val2(order) == two_part_exponent(n) == borel_two
 
 
-_EXPR_CACHE: Dict[str, tuple] = {}
-
-
-def _parse_cached(text: str):
-    if text not in _EXPR_CACHE:
-        from .tabledsl import _Parser, tokenize
-
-        _EXPR_CACHE[text] = _Parser(tokenize(text)).parse_expr()
-    return _EXPR_CACHE[text]
+# q^24*(q^2-1)^2, the order of a Borel subgroup
+_BOREL_ORDER = ("mul", ("pow", ("sym", "q"), ("int", 24)),
+                ("pow", ("sub", ("pow", ("sym", "q"), ("int", 2)), ("int", 1)), ("int", 2)))
 
 
 def set_cardinality(model: Model, set_id: str, n: int) -> int:

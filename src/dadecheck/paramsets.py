@@ -51,34 +51,21 @@ class _NotAffine(Exception):
     """A product or power of indices met while compiling an affine form."""
 
 
-def _moduli(spec: ParamSetSpec, n: int) -> Tuple[int, ...]:
-    env = build_env(n)
-    out = []
-    for m in spec.moduli:
-        try:
-            v = eval_expr_int(m, env)
-        except NotRationalInteger as e:
-            raise NonIntegralModulus(f"{spec.id}: modulus {e}") from e
-        if v <= 0:
-            raise NonIntegralModulus(f"{spec.id}: modulus {v} <= 0")
-        out.append(v)
-    return tuple(out)
-
-
 _INDEX_VARS = ("k", "l")
 
 
 # --- affine compilation ------------------------------------------------------
 
 
-def _affine(exprs, env, varnames) -> Tuple[int, List[List[Fraction]]]:
+def _affine(owner: str, exprs, env, varnames) -> Tuple[int, List[List[Fraction]]]:
     """Compile expressions affine in the named indices to exact coefficients.
 
     Returns (D, rows): row j is [a_1, ..., a_v, c] with expression j equal to
     a_1*var_1 + ... + a_v*var_v + c, and D is the least common denominator of
     every entry.  One walk of the expression tree builds each row, so a
     product or power of indices is rejected whatever values it takes;
-    subtrees free of indices are evaluated once, in Q(sqrt2).
+    subtrees free of indices are evaluated once, in Q(sqrt2).  Errors name
+    owner, the set, family or class the expressions belong to.
     """
     index = {v: i for i, v in enumerate(varnames)}
     zero = [SqrtTwoRat(0)] * len(varnames)
@@ -126,9 +113,8 @@ def _affine(exprs, env, varnames) -> Tuple[int, List[List[Fraction]]]:
         try:
             row, c = walk(expr)
         except _NotAffine:
-            raise MapClosureError(
-                f"expression {expr_to_str(expr)} is not affine in {', '.join(varnames)}"
-            ) from None
+            raise MapClosureError(f"{owner}: expression {expr_to_str(expr)} is not affine "
+                                  f"in {', '.join(varnames)}") from None
         rows.append([a.as_fraction() for a in (row or zero) + [c]])
     return math.lcm(*(f.denominator for row in rows for f in row)), rows
 
@@ -141,12 +127,7 @@ def _fits_int64(bound: int, what: str) -> None:
         raise OverflowError(f"{what}: intermediate values up to {bound} overflow int64")
 
 
-def _grid(ranges) -> List[np.ndarray]:
-    """Every index tuple of Z_r1 x ... x Z_rk, one int64 array per index."""
-    return [a.ravel() for a in np.indices(ranges, dtype=np.int64)]
-
-
-def _chart(exprs, varnames, env, side: str) -> Tuple[int, np.ndarray]:
+def _chart(owner: str, exprs, varnames, env, side: str) -> Tuple[int, np.ndarray]:
     """Coordinates affine in the indices as (D, (nv + 1) x 4 int64 rows mod D).
 
     Row k < nv is the D-scaled coefficient vector of index k and row nv the
@@ -154,7 +135,7 @@ def _chart(exprs, varnames, env, side: str) -> Tuple[int, np.ndarray]:
     Torus-side values are on the eps basis; the change to the simple-root
     basis of X is linear mod D, so it is applied to the rows.
     """
-    denom, rows = _affine(exprs, env, varnames)
+    denom, rows = _affine(owner, exprs, env, varnames)
     chart = np.array([[int(row[k] * denom) % denom for row in rows]
                       for k in range(len(varnames) + 1)], dtype=np.int64)
     if side == "torus":
@@ -162,12 +143,12 @@ def _chart(exprs, varnames, env, side: str) -> Tuple[int, np.ndarray]:
     return denom, chart
 
 
-def _points(exprs, varnames, arrays, env, side: str) -> Tuple[int, np.ndarray]:
+def _points(owner: str, exprs, varnames, arrays, env, side: str) -> Tuple[int, np.ndarray]:
     """Points of a parameterized torus as (D, N x 4 int64 array of D * value mod D).
 
     arrays hold the index tuples (none for a single point).
     """
-    denom, chart = _chart(exprs, varnames, env, side)
+    denom, chart = _chart(owner, exprs, varnames, env, side)
     top = max((int(arr.max()) for arr in arrays if arr.size), default=0)
     _fits_int64(denom * max(denom, top + 1), "torus points")
     npts = len(arrays[0]) if arrays else 1
@@ -198,16 +179,110 @@ def _act(vecs: np.ndarray, mat, denom: int, side: str) -> np.ndarray:
     return (vecs @ m if side == "dual" else vecs @ m.T) % denom
 
 
+# --- index grids and affine maps on them --------------------------------------
+
+
+def _index_grid(owner: str, range_exprs, varnames, exclude, n: int, budget: int):
+    """The index grid Z_r1 x ... x Z_rk of a set, family or torus at n.
+
+    Returns (ranges, keep, arrays): the ranges, the admissible mask over the
+    grid (None if nothing is excluded), and the admissible index tuples as
+    int64 arrays, one per index.  Every range must be a positive integer, and
+    the grid no larger than the budget.
+    """
+    env = build_env(n)
+    ranges = []
+    for expr in range_exprs:
+        try:
+            r = eval_expr_int(expr, env)
+        except NotRationalInteger as e:
+            raise NonIntegralModulus(f"{owner}: modulus {e}") from e
+        if r <= 0:
+            raise NonIntegralModulus(f"{owner}: modulus {r} <= 0")
+        ranges.append(r)
+    ranges = tuple(ranges)
+    if math.prod(ranges) > budget:
+        raise BudgetExceeded(f"{owner}: {math.prod(ranges)} tuples exceeds budget {budget}")
+    arrays = [a.ravel() for a in np.indices(ranges, dtype=np.int64)]
+    keep = None
+    if exclude is not None:
+        keep = ~_pred_mask(owner, exclude, env, varnames, arrays, ranges)
+        arrays = [a[keep] for a in arrays]
+    return ranges, keep, arrays
+
+
+def _apply(lin, shift, arrays, ranges) -> List[np.ndarray]:
+    """Images of the index tuples under a -> lin a + shift, mod each range.
+
+    Row k of lin and shift[k] are reduced mod ranges[k] first, which leaves
+    image k unchanged; every partial sum is then below (nv + 1) * r * (top + 1),
+    with top the largest index, and that bound must fit in int64.
+    """
+    top = max((int(a.max()) for a in arrays if a.size), default=0)
+    _fits_int64((len(arrays) + 1) * max(ranges) * (top + 1), "index map")
+    return [(sum((int(c) % r) * a for c, a in zip(lin[k], arrays)) + int(shift[k]) % r) % r
+            for k, r in enumerate(ranges)]
+
+
+def _stable(keep, maps, arrays, ranges) -> bool:
+    """Whether each (lin, shift) of maps sends the admissible tuples into themselves.
+
+    Checking generators suffices: a set that each generator maps into itself
+    is mapped into itself by every composite, invertible or not.
+    """
+    return keep is None or all(
+        keep[np.ravel_multi_index(_apply(lin, shift, arrays, ranges), ranges)].all()
+        for lin, shift in maps)
+
+
+def _pred_mask(owner: str, pred, env, varnames, arrays, moduli):
+    """Vectorized predicate over index arrays.
+
+    An atom compares two affine forms modulo the common modulus of the indices
+    it uses; "m div e" tests e mod m.
+    """
+    if pred[0] != "atom":
+        a = _pred_mask(owner, pred[1], env, varnames, arrays, moduli)
+        b = _pred_mask(owner, pred[2], env, varnames, arrays, moduli)
+        return (a & b) if pred[0] == "and" else (a | b)
+    _, op, e1, e2 = pred
+    if op == "div":
+        m = eval_expr_int(e1, env)
+        denom, (row,) = _affine(owner, [e2], env, varnames)
+    else:
+        denom, (r1, r2) = _affine(owner, [e1, e2], env, varnames)
+        row = [a - b for a, b in zip(r1, r2)]
+        mods = {moduli[i] for i, a in enumerate(row[:-1]) if a} or {moduli[0]}
+        if len(mods) != 1:
+            raise MapClosureError(
+                f"{owner}: atom {pred_to_str(pred)} mixes indices with different moduli"
+            )
+        (m,) = mods
+    if denom != 1:
+        raise MapClosureError(f"{owner}: non-integral coefficient in {pred_to_str(pred)}")
+    (val,) = _apply([row[:-1]], row[-1:], arrays, (m,))
+    hit = val == 0
+    return ~hit if op == "!=" else hit
+
+
+# --- parameter sets ----------------------------------------------------------
+
+
 @dataclass(frozen=True)
 class AffineGroup:
-    """Closed group of affine maps on Z_m1 (x Z_m2)."""
+    """Closed group of affine maps on Z_m1 (x Z_m2).
+
+    gens holds the indices in maps of the table's maps, which generate it.
+    """
 
     moduli: Tuple[int, ...]
     maps: Tuple[Tuple[Tuple[int, ...], ...], ...]  # each map: rows (a..., c) per coord
+    gens: Tuple[int, ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.maps)
+
+def _split(g):
+    """(lin, shift) of a map given as rows (a..., c)."""
+    return [row[:-1] for row in g], [row[-1] for row in g]
 
 
 def _compose(f, g, moduli):
@@ -236,18 +311,19 @@ def _well_defined(rows, moduli) -> bool:
     return True
 
 
-def equivalence_group(spec: ParamSetSpec, n: int, limit: int = 512) -> AffineGroup:
-    moduli = _moduli(spec, n)
+def equivalence_group(spec: ParamSetSpec, n: int, moduli: Tuple[int, ...],
+                      limit: int = 512) -> AffineGroup:
+    """The group generated by the set's equivalence maps on its grid of moduli."""
     nv = len(moduli)
     env = build_env(n)
     ident = tuple(
         tuple(int(i == j) for j in range(nv)) + (0,) for i in range(nv)
     )
-    gens = [ident]
+    gens = []
     for vars_, targets in spec.equiv:
         if tuple(vars_) != _INDEX_VARS[:nv]:
             raise MapClosureError(f"{spec.id}: map variables must be {_INDEX_VARS[:nv]}")
-        denom, rows = _affine(targets, env, _INDEX_VARS[:nv])
+        denom, rows = _affine(spec.id, targets, env, _INDEX_VARS[:nv])
         if denom != 1:
             raise MapClosureError(f"{spec.id}: map {vars_}->... has non-integral coefficients")
         g = tuple(
@@ -267,108 +343,24 @@ def equivalence_group(spec: ParamSetSpec, n: int, limit: int = 512) -> AffineGro
                     raise MapClosureError(f"{spec.id}: equivalence group exceeds {limit}")
                 group.add(h)
                 frontier.append(h)
-    return AffineGroup(moduli, tuple(sorted(group)))
-
-
-# --- admissibility -----------------------------------------------------------
-
-
-def _pred_mask(pred, env, varnames, arrays, moduli):
-    """Vectorized predicate over index arrays.
-
-    An atom compares two affine forms modulo the common modulus of the indices
-    it uses; "m div e" tests e mod m.
-    """
-    if pred[0] != "atom":
-        a = _pred_mask(pred[1], env, varnames, arrays, moduli)
-        b = _pred_mask(pred[2], env, varnames, arrays, moduli)
-        return (a & b) if pred[0] == "and" else (a | b)
-    _, op, e1, e2 = pred
-    if op == "div":
-        m = eval_expr_int(e1, env)
-        denom, (row,) = _affine([e2], env, varnames)
-    else:
-        denom, (r1, r2) = _affine([e1, e2], env, varnames)
-        row = [a - b for a, b in zip(r1, r2)]
-        mods = {moduli[i] for i, a in enumerate(row[:-1]) if a} or {moduli[0]}
-        if len(mods) != 1:
-            raise MapClosureError(
-                f"atom {pred_to_str(pred)} mixes indices with different moduli"
-            )
-        (m,) = mods
-    if denom != 1:
-        raise MapClosureError(f"non-integral coefficient in {pred_to_str(pred)}")
-    val = sum(int(a) * arr for a, arr in zip(row, arrays)) + int(row[-1])
-    hit = val % m == 0
-    return ~hit if op == "!=" else hit
-
-
-def admissible_arrays(spec: ParamSetSpec, n: int, budget: int = DEFAULT_BUDGET):
-    """Index arrays of the admissible tuples (numpy int64, one array per index)."""
-    moduli = _moduli(spec, n)
-    total = math.prod(moduli)
-    if total > budget:
-        raise BudgetExceeded(f"{spec.id}: {total} tuples exceeds budget {budget}")
-    arrays = _grid(moduli)
-    if spec.exclude is not None:
-        keep = ~_pred_mask(spec.exclude, build_env(n), _INDEX_VARS[:len(moduli)], arrays,
-                           moduli)
-        arrays = [a[keep] for a in arrays]
-    return moduli, arrays
+    maps = tuple(sorted(group))
+    return AffineGroup(moduli, maps, tuple(maps.index(g) for g in gens))
 
 
 def _canonical_keys(arrays, group: AffineGroup):
-    """Lexicographically least orbit member of each tuple, as one encoded key."""
-    moduli = group.moduli
-    nv = len(moduli)
-    if nv == 1:
-        best = None
-        (k,) = arrays
-        for g in group.maps:
-            img = (g[0][0] * k + g[0][1]) % moduli[0]
-            best = img if best is None else np.minimum(best, img)
-        return best
-    k, l = arrays
-    m2 = moduli[1]
+    """Lexicographically least orbit member of each tuple, as its grid index."""
     best = None
     for g in group.maps:
-        ik = (g[0][0] * k + g[0][1] * l + g[0][2]) % moduli[0]
-        il = (g[1][0] * k + g[1][1] * l + g[1][2]) % moduli[1]
-        key = ik * m2 + il
+        key = np.ravel_multi_index(_apply(*_split(g), arrays, group.moduli), group.moduli)
         best = key if best is None else np.minimum(best, key)
     return best
-
-
-def _closure_check(arrays, group: AffineGroup, admissible_keys) -> None:
-    """Every equivalence image of an admissible tuple must be admissible."""
-    moduli = group.moduli
-    nv = len(moduli)
-    adm = admissible_keys
-    for g in group.maps:
-        if nv == 1:
-            (k,) = arrays
-            key = (g[0][0] * k + g[0][1]) % moduli[0]
-        else:
-            k, l = arrays
-            ik = (g[0][0] * k + g[0][1] * l + g[0][2]) % moduli[0]
-            il = (g[1][0] * k + g[1][1] * l + g[1][2]) % moduli[1]
-            key = ik * moduli[1] + il
-        if not np.all(np.isin(key, adm)):
-            raise MapClosureError("equivalence map leaves the admissible set")
-
-
-def _decode(keys, moduli) -> List[Tuple[int, ...]]:
-    if len(moduli) == 1:
-        return [(int(x),) for x in keys]
-    m2 = moduli[1]
-    return [(int(x) // m2, int(x) % m2) for x in keys]
 
 
 @dataclass
 class Enumeration:
     spec_id: str
     moduli: Tuple[int, ...]
-    canonical: np.ndarray  # sorted unique encoded canonical keys
+    canonical: np.ndarray  # sorted grid indices of the canonical representatives
     group: AffineGroup
     n_admissible: int
 
@@ -377,30 +369,24 @@ class Enumeration:
         return len(self.canonical)
 
     def representatives(self) -> List[Tuple[int, ...]]:
-        return _decode(self.canonical, self.moduli)
+        return list(zip(*(a.tolist() for a in np.unravel_index(self.canonical, self.moduli))))
 
 
-def enumerate_classes(
-    spec: ParamSetSpec, n: int, budget: int = DEFAULT_BUDGET, check_closure: bool = True
-) -> Enumeration:
+def enumerate_classes(spec: ParamSetSpec, n: int, budget: int = DEFAULT_BUDGET) -> Enumeration:
     """Canonical representatives of the equivalence classes of an indexed set."""
     if spec.action == "formula_only" or not spec.moduli:
         raise ValueError(f"{spec.id} has no explicit index structure")
-    moduli, arrays = admissible_arrays(spec, n, budget)
-    group = equivalence_group(spec, n)
+    moduli, keep, arrays = _index_grid(spec.id, spec.moduli, _INDEX_VARS[:spec.arity],
+                                       spec.exclude, n, budget)
+    group = equivalence_group(spec, n, moduli)
+    if not _stable(keep, [_split(group.maps[g]) for g in group.gens], arrays, moduli):
+        raise MapClosureError(f"{spec.id}: equivalence map leaves the admissible set")
     # sort and keep the first of each run: numpy's hashed np.unique is far
     # slower than a sort on int64 keys of this size
     keys = np.sort(_canonical_keys(arrays, group))
     first = np.ones(len(keys), dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
-    canonical = keys[first]
-    if check_closure:
-        if len(moduli) == 1:
-            raw = arrays[0]
-        else:
-            raw = arrays[0] * moduli[1] + arrays[1]
-        _closure_check(arrays, group, np.sort(np.asarray(raw)))
-    return Enumeration(spec.id, moduli, canonical, group, len(arrays[0]))
+    return Enumeration(spec.id, moduli, keys[first], group, len(arrays[0]))
 
 
 def class_count(spec: ParamSetSpec, n: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -418,27 +404,12 @@ def formula_count(spec: ParamSetSpec, n: int) -> int:
 
 def fixed_classes_doubling(enum: Enumeration, t: int) -> int:
     """Number of classes fixed by x -> 2^t x (computed on canonical keys)."""
-    mult = pow(2, t, math.lcm(*enum.moduli))
     moduli = enum.moduli
-    if len(moduli) == 1:
-        k = enum.canonical
-        imgs = [( (g[0][0] * ((mult * k) % moduli[0]) + g[0][1]) % moduli[0])
-                for g in enum.group.maps]
-        img = imgs[0]
-        for other in imgs[1:]:
-            img = np.minimum(img, other)
-    else:
-        m2 = moduli[1]
-        k = enum.canonical // m2
-        l = enum.canonical % m2
-        dk = (mult * k) % moduli[0]
-        dl = (mult * l) % moduli[1]
-        img = None
-        for g in enum.group.maps:
-            ik = (g[0][0] * dk + g[0][1] * dl + g[0][2]) % moduli[0]
-            il = (g[1][0] * dk + g[1][1] * dl + g[1][2]) % moduli[1]
-            key = ik * m2 + il
-            img = key if img is None else np.minimum(img, key)
+    nv = len(moduli)
+    mult = pow(2, t, math.lcm(*moduli))
+    doubled = _apply([[mult * (i == j) for j in range(nv)] for i in range(nv)], [0] * nv,
+                     np.unravel_index(enum.canonical, moduli), moduli)
+    img = _canonical_keys(doubled, enum.group)
     if not np.all(np.isin(img, enum.canonical)):
         raise MapClosureError(f"{enum.spec_id}: doubling leaves the class set")
     return int(np.count_nonzero(img == enum.canonical))
@@ -446,29 +417,11 @@ def fixed_classes_doubling(enum: Enumeration, t: int) -> int:
 
 # --- semisimple class families (group side and dual side) --------------------
 
-def _fam_ranges(fam: ClassFam, n: int) -> Tuple[int, ...]:
-    env = build_env(n)
-    return tuple(eval_expr_int(r, env) for r in fam.ranges)
-
-
-def _fam_index_arrays(fam: ClassFam, n: int, budget: int):
-    """Index ranges, the admissible mask over the grid (None if nothing is
-    excluded), and the admissible index tuples as numpy arrays."""
-    ranges = _fam_ranges(fam, n)
-    if math.prod(ranges) > budget:
-        raise BudgetExceeded(f"{fam.id}: {math.prod(ranges)} tuples exceeds budget")
-    arrays = _grid(ranges)
-    keep = None
-    if fam.exclude is not None:
-        keep = ~_pred_mask(fam.exclude, build_env(n), fam.vars, arrays, ranges)
-        arrays = [a[keep] for a in arrays]
-    return ranges, keep, arrays
-
 
 def family_elements(fam: ClassFam, n: int, budget: int = DEFAULT_BUDGET):
     """Admissible family members as (denominator, N x 4 integer array mod it)."""
-    _, _, arrays = _fam_index_arrays(fam, n, budget)
-    return _points(fam.coords, fam.vars, arrays, build_env(n), fam.side)
+    _, _, arrays = _index_grid(fam.id, fam.ranges, fam.vars, fam.exclude, n, budget)
+    return _points(fam.id, fam.coords, fam.vars, arrays, build_env(n), fam.side)
 
 
 @dataclass(frozen=True)
@@ -551,11 +504,11 @@ def family_class_count(fam: ClassFam, model: Model, n: int, budget: int = DEFAUL
     action (_burnside_count), else by the orbit kernel on the member points,
     whose orbits may pass through coordinates outside the chart.
     """
-    ranges, keep, arrays = _fam_index_arrays(fam, n, budget)
+    ranges, keep, arrays = _index_grid(fam.id, fam.ranges, fam.vars, fam.exclude, n, budget)
     cent = _centralizer(model, fam.word)
     count = _burnside_count(fam, n, cent, ranges, keep, arrays)
     if count is None:
-        denom, vecs = _points(fam.coords, fam.vars, arrays, build_env(n), fam.side)
+        denom, vecs = _points(fam.id, fam.coords, fam.vars, arrays, build_env(n), fam.side)
         count = _orbit_count(vecs, cent.mats, denom, fam.side)
     return count
 
@@ -614,12 +567,6 @@ def _induced_maps(chart, lam, mats, ranges, denom: int, side: str):
     return coef[:, :nv].transpose(0, 2, 1), coef[:, nv]
 
 
-def _apply(lin, shift, arrays, ranges) -> List[np.ndarray]:
-    """Images of the index tuples under a -> lin a + shift, mod each range."""
-    return [(sum(int(c) * a for c, a in zip(lin[k], arrays)) + int(shift[k])) % r
-            for k, r in enumerate(ranges)]
-
-
 def _burnside_count(fam: ClassFam, n: int, cent: Centralizer, ranges, keep, arrays
                     ) -> Optional[int]:
     """Orbits of the centralizer on the admissible members, on the index grid.
@@ -633,7 +580,7 @@ def _burnside_count(fam: ClassFam, n: int, cent: Centralizer, ranges, keep, arra
     if not ranges:
         return None
     nv = len(ranges)
-    denom, chart = _chart(fam.coords, fam.vars, build_env(n), fam.side)
+    denom, chart = _chart(fam.id, fam.coords, fam.vars, build_env(n), fam.side)
     lam = _left_inverse(chart[:nv], ranges, denom)
     if lam is None:
         return None
@@ -641,12 +588,8 @@ def _burnside_count(fam: ClassFam, n: int, cent: Centralizer, ranges, keep, arra
     if maps is None:
         return None
     lin, shift = maps
-    _fits_int64((nv + 1) * max(ranges) ** 2, "index map")
-    if keep is not None:
-        for g in cent.gens:
-            if not keep[np.ravel_multi_index(_apply(lin[g], shift[g], arrays, ranges),
-                                             ranges)].all():
-                return None
+    if not _stable(keep, [(lin[g], shift[g]) for g in cent.gens], arrays, ranges):
+        return None
     total = 0
     for rep, size in cent.classes:
         img = _apply(lin[rep], shift[rep], arrays, ranges)
@@ -723,13 +666,12 @@ def cardinality_check(
     model: Model,
     n: int,
     budget: int = DEFAULT_BUDGET,
-    sets: Optional[Sequence[str]] = None,
     include_families: bool = True,
     max_arity: int = 2,
 ) -> List[Record]:
     """Brute-force class counts against the table formulas, plus the q^4 sums."""
     records = []
-    for sid in sets if sets is not None else sorted(model.paramsets):
+    for sid in sorted(model.paramsets):
         spec = model.paramsets[sid]
         if spec.action == "formula_only" or not spec.moduli or spec.card is None:
             continue

@@ -677,9 +677,9 @@ def _torus_checks(model, n: int, enumerate_limit: int, side: str):
     """Enumerate each class's torus (or dual torus) as int64 points mod D.
 
     A point v is fixed when its image under (w . 2^n m0) is v again; the
-    distinct count is the number of distinct points.
+    distinct count is the number of orbits of the one-element group.
     """
-    from .paramsets import _act, _grid, _points
+    from .paramsets import _act, _index_grid, _orbit_count, _points
     from .tabledsl import build_env, eval_expr_int
 
     prefix = "torus_param" if side == "torus" else "dual_torus"
@@ -693,8 +693,7 @@ def _torus_checks(model, n: int, enumerate_limit: int, side: str):
         else:
             varnames, ranges, coords = wc.svars, wc.sranges, wc.scoords
         order = eval_expr_int(wc.order, env0)
-        ranges = [eval_expr_int(r, env0) for r in ranges]
-        prod = math.prod(ranges)
+        prod = math.prod(eval_expr_int(r, env0) for r in ranges)
         if side == "torus":
             records.append(Record("torus_param_count", wid, n, order, prod))
         if prod > enumerate_limit:
@@ -703,11 +702,11 @@ def _torus_checks(model, n: int, enumerate_limit: int, side: str):
             records.append(Record(prefix + "_distinct", wid, n, order, None, reason=reason))
             continue
         composite = mat_mul(word_matrix(wc.word, model.weylgens), mf)
-        denom, vecs = _points(coords, varnames, _grid(ranges), env0, side)
+        _, _, arrays = _index_grid(wid, ranges, varnames, None, n, enumerate_limit)
+        denom, vecs = _points(wid, coords, varnames, arrays, env0, side)
         fixed = bool(np.array_equal(_act(vecs, composite, denom, side), vecs))
         records.append(Record(prefix + "_fixed", wid, n, True, fixed))
-        # a flat unique of opaque values sorts much faster than np.unique(axis=0)
-        distinct = len(np.unique(_void_rows(vecs)))
+        distinct = _orbit_count(vecs, np.eye(4, dtype=np.int64)[None], denom, side)
         records.append(Record(prefix + "_distinct", wid, n, order, distinct))
     return records
 

@@ -352,3 +352,12 @@ def test_no_duplicate_records_reach_emit(tmp_path, monkeypatch):
     rec = Record("c", "x", 1, 1, 1, t=3).as_json(0.0)
     with pytest.raises(ValueError, match="two records"):
         cli._emit([rec, dict(rec, millis=2.0)], {})
+
+
+def test_bad_equivalence_map_exits_two(tmp_path, capsys):
+    # at n = 1, k -> 8k+1 sends k = 1 to 9 = p4, which is excluded
+    data = _data_copy(tmp_path, "paramsets.def", "equiv: [k -> q^2*k]\n  card: (q^4-q^2)/2",
+                      "equiv: [k -> q^2*k+1]\n  card: (q^4-q^2)/2")
+    assert main(["verify", "params", "--n", "1", "--data-dir", data]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: PaI_4: ") and "Traceback" not in err

@@ -126,6 +126,37 @@ def test_non_integral_modulus():
         enumerate_classes(m.paramsets["X"], 1)
 
 
+def _one_set(body):
+    from dadecheck.tabledsl import parse_model
+
+    return parse_model("paramset X {\n  group: G\n  action: doubling\n" + body + "}\n").paramsets["X"]
+
+
+@pytest.mark.parametrize("body", [
+    # 6 -> 0 leaves Z_7 minus {0}
+    "  moduli: [7]\n  exclude: k = 0\n  equiv: [k -> k+1]\n  card: 1\n",
+    # not invertible: 4 -> 0 leaves Z_8 minus {0}
+    "  moduli: [8]\n  exclude: k = 0\n  equiv: [k -> 2*k]\n  card: 1\n",
+    # only the second generator leaves Z_7 x Z_7 minus the line l = 0
+    "  moduli: [7, 7]\n  exclude: l = 0\n  equiv: [(k, l) -> (k, 2*l), (k, l) -> (l, k)]\n"
+    "  card: 1\n",
+])
+def test_map_leaving_admissible_set_names_the_set(body):
+    from dadecheck.paramsets import MapClosureError
+
+    with pytest.raises(MapClosureError, match="^X: equivalence map leaves the admissible set"):
+        enumerate_classes(_one_set(body), 1)
+
+
+def test_doubling_leaving_class_set_names_the_set():
+    from dadecheck.paramsets import MapClosureError, fixed_classes_doubling
+
+    enum = enumerate_classes(_one_set("  moduli: [7]\n  exclude: k = 3\n  card: 6\n"), 1)
+    assert enum.count == 6
+    with pytest.raises(MapClosureError, match="^X: doubling leaves the class set"):
+        fixed_classes_doubling(enum, 1)  # 5 -> 3
+
+
 def test_trusted_inputs_flagged(model):
     from dadecheck.paramsets import trusted_input_flags
 
@@ -149,8 +180,8 @@ def test_affine_compiler_rejects_non_affine(text, varnames):
     from dadecheck.paramsets import MapClosureError, _affine
     from dadecheck.tabledsl import build_env
 
-    with pytest.raises(MapClosureError):
-        _affine([_expr(text)], build_env(1), varnames)
+    with pytest.raises(MapClosureError, match="^X: "):
+        _affine("X", [_expr(text)], build_env(1), varnames)
 
 
 def test_affine_compiler_coefficients():
@@ -160,7 +191,7 @@ def test_affine_compiler_coefficients():
     from dadecheck.tabledsl import build_env
 
     exprs = [_expr("(2*th-1)*a/(q^2-1) + b/7"), _expr("-(a-3*b)^1 + th^2")]
-    denom, rows = _affine(exprs, build_env(1), ("a", "b"))
+    denom, rows = _affine("X", exprs, build_env(1), ("a", "b"))
     assert rows == [[Fraction(3, 7), Fraction(1, 7), 0], [-1, 3, 4]]
     assert denom == 7
 
@@ -227,11 +258,12 @@ FALLBACK = {"g1", "g2", "g3", "g5", "h1", "h2", "h3", "h5", "h6"}
 def _both_paths(fam, model, n, cent=None):
     """(Burnside count or None, orbit kernel count) of one family."""
     from dadecheck.paramsets import (DEFAULT_BUDGET, _burnside_count, _centralizer,
-                                     _fam_index_arrays, _orbit_count)
+                                     _index_grid, _orbit_count)
 
     if cent is None:
         cent = _centralizer(model, fam.word)
-    ranges, keep, arrays = _fam_index_arrays(fam, n, DEFAULT_BUDGET)
+    ranges, keep, arrays = _index_grid(fam.id, fam.ranges, fam.vars, fam.exclude, n,
+                                       DEFAULT_BUDGET)
     denom, vecs = family_elements(fam, n)
     return (_burnside_count(fam, n, cent, ranges, keep, arrays),
             _orbit_count(vecs, cent.mats, denom, fam.side))
@@ -371,6 +403,18 @@ def test_orbit_kernel_exactness_bound():
         _orbit_count(vecs, ident, 94906266, "dual")  # D*D above 2^53
     with pytest.raises(OverflowError):
         _orbit_count(vecs, ident * (1 << 40), 1 << 11, "torus")  # 4*D*max|M| = 2^53
+
+
+def test_index_map_bound():
+    from dadecheck.paramsets import _apply
+
+    # coefficients are reduced mod the range first: 7 * 3 + 9 becomes 1 * 3 + 3
+    (img,) = _apply([[7]], [9], [np.array([0, 3], dtype=np.int64)], (6,))
+    assert img.tolist() == [3, 0]
+    top = np.array([1 << 30], dtype=np.int64)
+    assert _apply([[1]], [0], [top], (1 << 31,))[0].tolist() == [1 << 30]
+    with pytest.raises(OverflowError, match="index map"):
+        _apply([[1]], [0], [top], (1 << 32,))  # 2 * 2^32 * (2^30 + 1) > 2^63
 
 
 def test_budget_skip_is_a_record(model):
