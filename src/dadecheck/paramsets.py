@@ -57,16 +57,27 @@ _INDEX_VARS = ("k", "l")
 # --- affine compilation ------------------------------------------------------
 
 
-def _affine(owner: str, exprs, env, varnames) -> Tuple[int, List[List[Fraction]]]:
-    """Compile expressions affine in the named indices to exact coefficients.
+# (expressions, n, index names) -> (D, rows) of _affine.  That is the whole
+# key: the rows depend on nothing else (build_env(n) is a function of n), and
+# they are tuples, so no caller can change a cached entry.  Errors are raised
+# afresh on every call, naming the caller's owner.
+_AFFINE_CACHE: Dict[tuple, Tuple[int, Tuple[Tuple[Fraction, ...], ...]]] = {}
 
-    Returns (D, rows): row j is [a_1, ..., a_v, c] with expression j equal to
+
+def _affine(owner: str, exprs, n: int, varnames) -> Tuple[int, Tuple[Tuple[Fraction, ...], ...]]:
+    """Compile expressions affine in the named indices to exact coefficients at n.
+
+    Returns (D, rows): row j is (a_1, ..., a_v, c) with expression j equal to
     a_1*var_1 + ... + a_v*var_v + c, and D is the least common denominator of
     every entry.  One walk of the expression tree builds each row, so a
     product or power of indices is rejected whatever values it takes;
     subtrees free of indices are evaluated once, in Q(sqrt2).  Errors name
     owner, the set, family or class the expressions belong to.
     """
+    key = (tuple(exprs), n, tuple(varnames))
+    if key in _AFFINE_CACHE:
+        return _AFFINE_CACHE[key]
+    env = build_env(n)
     index = {v: i for i, v in enumerate(varnames)}
     zero = [SqrtTwoRat(0)] * len(varnames)
 
@@ -115,8 +126,10 @@ def _affine(owner: str, exprs, env, varnames) -> Tuple[int, List[List[Fraction]]
         except _NotAffine:
             raise MapClosureError(f"{owner}: expression {expr_to_str(expr)} is not affine "
                                   f"in {', '.join(varnames)}") from None
-        rows.append([a.as_fraction() for a in (row or zero) + [c]])
-    return math.lcm(*(f.denominator for row in rows for f in row)), rows
+        rows.append(tuple(a.as_fraction() for a in (row or zero) + [c]))
+    result = math.lcm(*(f.denominator for row in rows for f in row)), tuple(rows)
+    _AFFINE_CACHE[key] = result
+    return result
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -127,7 +140,7 @@ def _fits_int64(bound: int, what: str) -> None:
         raise OverflowError(f"{what}: intermediate values up to {bound} overflow int64")
 
 
-def _chart(owner: str, exprs, varnames, env, side: str) -> Tuple[int, np.ndarray]:
+def _chart(owner: str, exprs, varnames, n: int, side: str) -> Tuple[int, np.ndarray]:
     """Coordinates affine in the indices as (D, (nv + 1) x 4 int64 rows mod D).
 
     Row k < nv is the D-scaled coefficient vector of index k and row nv the
@@ -135,7 +148,7 @@ def _chart(owner: str, exprs, varnames, env, side: str) -> Tuple[int, np.ndarray
     Torus-side values are on the eps basis; the change to the simple-root
     basis of X is linear mod D, so it is applied to the rows.
     """
-    denom, rows = _affine(owner, exprs, env, varnames)
+    denom, rows = _affine(owner, exprs, n, varnames)
     chart = np.array([[int(row[k] * denom) % denom for row in rows]
                       for k in range(len(varnames) + 1)], dtype=np.int64)
     if side == "torus":
@@ -143,12 +156,12 @@ def _chart(owner: str, exprs, varnames, env, side: str) -> Tuple[int, np.ndarray
     return denom, chart
 
 
-def _points(owner: str, exprs, varnames, arrays, env, side: str) -> Tuple[int, np.ndarray]:
+def _points(owner: str, exprs, varnames, arrays, n: int, side: str) -> Tuple[int, np.ndarray]:
     """Points of a parameterized torus as (D, N x 4 int64 array of D * value mod D).
 
     arrays hold the index tuples (none for a single point).
     """
-    denom, chart = _chart(owner, exprs, varnames, env, side)
+    denom, chart = _chart(owner, exprs, varnames, n, side)
     top = max((int(arr.max()) for arr in arrays if arr.size), default=0)
     _fits_int64(denom * max(denom, top + 1), "torus points")
     npts = len(arrays[0]) if arrays else 1
@@ -206,7 +219,7 @@ def _index_grid(owner: str, range_exprs, varnames, exclude, n: int, budget: int)
     arrays = [a.ravel() for a in np.indices(ranges, dtype=np.int64)]
     keep = None
     if exclude is not None:
-        keep = ~_pred_mask(owner, exclude, env, varnames, arrays, ranges)
+        keep = ~_pred_mask(owner, exclude, n, varnames, arrays, ranges)
         arrays = [a[keep] for a in arrays]
     return ranges, keep, arrays
 
@@ -225,32 +238,34 @@ def _apply(lin, shift, arrays, ranges) -> List[np.ndarray]:
 
 
 def _stable(keep, maps, arrays, ranges) -> bool:
-    """Whether each (lin, shift) of maps sends the admissible tuples into themselves.
+    """Whether each (lin, shift) of maps sends a set of index tuples into itself.
 
-    Checking generators suffices: a set that each generator maps into itself
-    is mapped into itself by every composite, invertible or not.
+    The set is given as its mask over the grid, keep (None for the whole
+    grid), and as its tuples, arrays.  Checking generators suffices: a set
+    that each generator maps into itself is mapped into itself by every
+    composite, invertible or not.
     """
     return keep is None or all(
         keep[np.ravel_multi_index(_apply(lin, shift, arrays, ranges), ranges)].all()
         for lin, shift in maps)
 
 
-def _pred_mask(owner: str, pred, env, varnames, arrays, moduli):
+def _pred_mask(owner: str, pred, n: int, varnames, arrays, moduli):
     """Vectorized predicate over index arrays.
 
     An atom compares two affine forms modulo the common modulus of the indices
     it uses; "m div e" tests e mod m.
     """
     if pred[0] != "atom":
-        a = _pred_mask(owner, pred[1], env, varnames, arrays, moduli)
-        b = _pred_mask(owner, pred[2], env, varnames, arrays, moduli)
+        a = _pred_mask(owner, pred[1], n, varnames, arrays, moduli)
+        b = _pred_mask(owner, pred[2], n, varnames, arrays, moduli)
         return (a & b) if pred[0] == "and" else (a | b)
     _, op, e1, e2 = pred
     if op == "div":
-        m = eval_expr_int(e1, env)
-        denom, (row,) = _affine(owner, [e2], env, varnames)
+        m = eval_expr_int(e1, build_env(n))
+        denom, (row,) = _affine(owner, [e2], n, varnames)
     else:
-        denom, (r1, r2) = _affine(owner, [e1, e2], env, varnames)
+        denom, (r1, r2) = _affine(owner, [e1, e2], n, varnames)
         row = [a - b for a, b in zip(r1, r2)]
         mods = {moduli[i] for i, a in enumerate(row[:-1]) if a} or {moduli[0]}
         if len(mods) != 1:
@@ -315,7 +330,6 @@ def equivalence_group(spec: ParamSetSpec, n: int, moduli: Tuple[int, ...],
                       limit: int = 512) -> AffineGroup:
     """The group generated by the set's equivalence maps on its grid of moduli."""
     nv = len(moduli)
-    env = build_env(n)
     ident = tuple(
         tuple(int(i == j) for j in range(nv)) + (0,) for i in range(nv)
     )
@@ -323,7 +337,7 @@ def equivalence_group(spec: ParamSetSpec, n: int, moduli: Tuple[int, ...],
     for vars_, targets in spec.equiv:
         if tuple(vars_) != _INDEX_VARS[:nv]:
             raise MapClosureError(f"{spec.id}: map variables must be {_INDEX_VARS[:nv]}")
-        denom, rows = _affine(spec.id, targets, env, _INDEX_VARS[:nv])
+        denom, rows = _affine(spec.id, targets, n, _INDEX_VARS[:nv])
         if denom != 1:
             raise MapClosureError(f"{spec.id}: map {vars_}->... has non-integral coefficients")
         g = tuple(
@@ -421,7 +435,7 @@ def fixed_classes_doubling(enum: Enumeration, t: int) -> int:
 def family_elements(fam: ClassFam, n: int, budget: int = DEFAULT_BUDGET):
     """Admissible family members as (denominator, N x 4 integer array mod it)."""
     _, _, arrays = _index_grid(fam.id, fam.ranges, fam.vars, fam.exclude, n, budget)
-    return _points(fam.id, fam.coords, fam.vars, arrays, build_env(n), fam.side)
+    return _points(fam.id, fam.coords, fam.vars, arrays, n, fam.side)
 
 
 @dataclass(frozen=True)
@@ -506,9 +520,9 @@ def family_class_count(fam: ClassFam, model: Model, n: int, budget: int = DEFAUL
     """
     ranges, keep, arrays = _index_grid(fam.id, fam.ranges, fam.vars, fam.exclude, n, budget)
     cent = _centralizer(model, fam.word)
-    count = _burnside_count(fam, n, cent, ranges, keep, arrays)
+    count = _burnside_count(fam, n, cent, ranges, keep)
     if count is None:
-        denom, vecs = _points(fam.id, fam.coords, fam.vars, arrays, build_env(n), fam.side)
+        denom, vecs = _points(fam.id, fam.coords, fam.vars, arrays, n, fam.side)
         count = _orbit_count(vecs, cent.mats, denom, fam.side)
     return count
 
@@ -567,20 +581,69 @@ def _induced_maps(chart, lam, mats, ranges, denom: int, side: str):
     return coef[:, :nv].transpose(0, 2, 1), coef[:, nv]
 
 
-def _burnside_count(fam: ClassFam, n: int, cent: Centralizer, ranges, keep, arrays
-                    ) -> Optional[int]:
+def _fixed_count(lin, shift, ranges, keep) -> int:
+    """Admissible index tuples a with lin a + shift = a, row k mod ranges[k].
+
+    Solved exactly, on the representatives 0 <= a_j < r_j that _apply acts
+    on: row k reads m_k . a = b_k mod r_k, with m = lin - I and b = -shift.
+    One index s is solved for and the others run over their values; for each
+    of those, row s is the congruence m_ss a_s = c mod r_s, which with
+    g = gcd(m_ss, r_s) has no solution unless g | c, and otherwise the g
+    solutions a_0 + j r_s/g.  s is the index with the fewest candidates,
+    (prod r / r_s) * g, never more than the grid.  The other rows are checked
+    on the candidates, and keep (None if nothing is excluded) is read only at
+    the solutions.  A map that is the identity mod r fixes every admissible
+    tuple.
+    """
+    nv = len(ranges)
+    m = [[(int(lin[k][j]) - (j == k)) % r for j in range(nv)] for k, r in enumerate(ranges)]
+    b = [-int(shift[k]) % r for k, r in enumerate(ranges)]
+    size = math.prod(ranges)
+    if not any(map(any, m)) and not any(b):
+        return size if keep is None else int(np.count_nonzero(keep))
+    _fits_int64((nv + 1) * max(ranges) ** 2, "fixed points")
+    s = min(range(nv), key=lambda k: size // ranges[k] * math.gcd(m[k][k], ranges[k]))
+    r = ranges[s]
+    g = math.gcd(m[s][s], r)
+    step = r // g
+    others = [j for j in range(nv) if j != s]
+    free = [a.ravel() for a in np.indices([ranges[j] for j in others], dtype=np.int64)]
+    rhs = (b[s] - sum((m[s][j] * a for j, a in zip(others, free)),
+                      np.zeros(size // r, dtype=np.int64))) % r
+    ok = rhs % g == 0
+    a = [None] * nv
+    for j, values in zip(others, free):
+        a[j] = np.repeat(values[ok], g)
+    a[s] = ((rhs[ok] // g * pow(m[s][s] // g, -1, step) % step)[:, None]
+            + step * np.arange(g, dtype=np.int64)).ravel()
+    fixed = np.ones(len(a[s]), dtype=bool)
+    for k in others:
+        fixed &= (sum(m[k][j] * a[j] for j in range(nv)) - b[k]) % ranges[k] == 0
+    if keep is None:
+        return int(np.count_nonzero(fixed))
+    return int(np.count_nonzero(keep[np.ravel_multi_index([x[fixed] for x in a], ranges)]))
+
+
+def _burnside_count(fam: ClassFam, n: int, cent: Centralizer, ranges, keep) -> Optional[int]:
     """Orbits of the centralizer on the admissible members, on the index grid.
 
     Burnside's lemma: orbits = (1/|C|) sum over classes of |class| * |Fix(a_g)|,
-    with a_g the map g induces on the index grid.  None when that does not
-    apply: the family has no index, the chart has no exact left inverse, some
-    element leaves the chart, or the admissible set is not stable under a
-    generator of the centralizer (so under the group).
+    with a_g the map g induces on the index grid, and each |Fix(a_g)| solved
+    by _fixed_count.  None when that does not apply: the family has no index,
+    the chart has no exact left inverse, some element leaves the chart, or
+    the admissible set is not stable under a generator of the centralizer
+    (so under the group).
+
+    Stability is checked on the excluded tuples, far fewer than the
+    admissible ones.  That is enough: phi a_g = g phi with phi injective on
+    the grid (it has the left inverse) and g invertible, so a_g is injective
+    and permutes the finite grid, and a permutation maps the admissible set
+    into itself exactly when it maps the excluded set into itself.
     """
     if not ranges:
         return None
     nv = len(ranges)
-    denom, chart = _chart(fam.id, fam.coords, fam.vars, build_env(n), fam.side)
+    denom, chart = _chart(fam.id, fam.coords, fam.vars, n, fam.side)
     lam = _left_inverse(chart[:nv], ranges, denom)
     if lam is None:
         return None
@@ -588,13 +651,13 @@ def _burnside_count(fam: ClassFam, n: int, cent: Centralizer, ranges, keep, arra
     if maps is None:
         return None
     lin, shift = maps
-    if not _stable(keep, [(lin[g], shift[g]) for g in cent.gens], arrays, ranges):
-        return None
-    total = 0
-    for rep, size in cent.classes:
-        img = _apply(lin[rep], shift[rep], arrays, ranges)
-        fixed = np.logical_and.reduce([i == a for i, a in zip(img, arrays)])
-        total += size * int(np.count_nonzero(fixed))
+    if keep is not None:
+        excluded = ~keep
+        tuples = np.unravel_index(np.flatnonzero(excluded), ranges)
+        if not _stable(excluded, [(lin[g], shift[g]) for g in cent.gens], tuples, ranges):
+            return None
+    total = sum(size * _fixed_count(lin[rep], shift[rep], ranges, keep)
+                for rep, size in cent.classes)
     orbits, rest = divmod(total, len(cent.mats))
     if rest:
         raise ArithmeticError(

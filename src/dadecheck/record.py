@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -15,6 +16,8 @@ class Record:
     n is None for a check that does not depend on n, and reason is set when
     the check was skipped, saying why.  t (a divisor of 2n+1), d (a defect)
     and u (a stabilizer order) locate the instance further where it has them.
+    stamp is the time.perf_counter reading when the record was made; it
+    times the record and is neither compared nor written out.
     """
 
     check: str
@@ -26,6 +29,8 @@ class Record:
     t: Optional[int] = field(default=None, kw_only=True)
     d: Optional[int] = field(default=None, kw_only=True)
     u: Optional[int] = field(default=None, kw_only=True)
+    stamp: float = field(default_factory=time.perf_counter, kw_only=True, compare=False,
+                         repr=False)
 
     @property
     def ok(self) -> bool:

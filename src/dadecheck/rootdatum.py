@@ -703,7 +703,7 @@ def _torus_checks(model, n: int, enumerate_limit: int, side: str):
             continue
         composite = mat_mul(word_matrix(wc.word, model.weylgens), mf)
         _, _, arrays = _index_grid(wid, ranges, varnames, None, n, enumerate_limit)
-        denom, vecs = _points(wid, coords, varnames, arrays, env0, side)
+        denom, vecs = _points(wid, coords, varnames, arrays, n, side)
         fixed = bool(np.array_equal(_act(vecs, composite, denom, side), vecs))
         records.append(Record(prefix + "_fixed", wid, n, True, fixed))
         distinct = _orbit_count(vecs, np.eye(4, dtype=np.int64)[None], denom, side)

@@ -176,6 +176,26 @@ def test_millis_is_per_record_not_running_total():
     assert len(records) > 100
 
 
+def test_millis_is_each_records_own_time(monkeypatch):
+    import time
+
+    from dadecheck import cli
+    from dadecheck.record import Record
+
+    def slow_checker(model, n, cfg):  # finishes its list before run_task sees it
+        out = []
+        for i in range(4):
+            time.sleep(0.05)
+            out.append(Record("slow", str(i), n, 1, 1))
+        return out
+
+    cli._model()  # load outside the timed region
+    monkeypatch.setitem(cli.REGISTRY, "slow", [(False, slow_checker)])
+    task = cli.run_task(("slow", 1, {"max_n": 1, "budget": 1 << 22, "mode": "formula"}))
+    assert [r["name"] for r in task] == ["0", "1", "2", "3"]
+    assert all(45.0 <= r["millis"] < 150.0 for r in task), [r["millis"] for r in task]
+
+
 def test_weyl_census_runs_once_per_run(tmp_path, monkeypatch):
     from dadecheck import rootdatum
 

@@ -1,7 +1,11 @@
 """Parameter set enumeration against the cardinality formulas."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dadecheck.paramsets import (
     BudgetExceeded,
@@ -178,21 +182,36 @@ def _expr(text):
 ])
 def test_affine_compiler_rejects_non_affine(text, varnames):
     from dadecheck.paramsets import MapClosureError, _affine
-    from dadecheck.tabledsl import build_env
 
     with pytest.raises(MapClosureError, match="^X: "):
-        _affine("X", [_expr(text)], build_env(1), varnames)
+        _affine("X", [_expr(text)], 1, varnames)
+
+
+def test_affine_cache_keyed_on_expressions(model, tmp_path):
+    from dadecheck.paramsets import MapClosureError, _affine
+
+    # a second model whose h8 has the torus coordinates 3 and 4 swapped
+    other = _family_data_copy(tmp_path, "h8", [("coords: [0, 0, i/p8b, -q^2*i/p8b]",
+                                                "coords: [0, 0, -q^2*i/p8b, i/p8b]")])
+    ours, theirs = model.classfams["h8"], other.classfams["h8"]
+    for _ in range(2):  # the second round reads the cache
+        _, first = _affine("h8", ours.coords, 1, ours.vars)
+        _, second = _affine("h8", theirs.coords, 1, theirs.vars)
+        assert (first[2], first[3]) == (second[3], second[2]) and first[2] != second[2]
+    assert family_elements(ours, 1)[1].tolist() != family_elements(theirs, 1)[1].tolist()
+    for owner in ("X", "Y"):  # errors are not cached: each names its own owner
+        with pytest.raises(MapClosureError, match=f"^{owner}: "):
+            _affine(owner, [_expr("k^2")], 1, ("k",))
 
 
 def test_affine_compiler_coefficients():
     from fractions import Fraction
 
     from dadecheck.paramsets import _affine
-    from dadecheck.tabledsl import build_env
 
     exprs = [_expr("(2*th-1)*a/(q^2-1) + b/7"), _expr("-(a-3*b)^1 + th^2")]
-    denom, rows = _affine("X", exprs, build_env(1), ("a", "b"))
-    assert rows == [[Fraction(3, 7), Fraction(1, 7), 0], [-1, 3, 4]]
+    denom, rows = _affine("X", exprs, 1, ("a", "b"))
+    assert rows == ((Fraction(3, 7), Fraction(1, 7), 0), (-1, 3, 4))
     assert denom == 7
 
 
@@ -262,10 +281,9 @@ def _both_paths(fam, model, n, cent=None):
 
     if cent is None:
         cent = _centralizer(model, fam.word)
-    ranges, keep, arrays = _index_grid(fam.id, fam.ranges, fam.vars, fam.exclude, n,
-                                       DEFAULT_BUDGET)
+    ranges, keep, _ = _index_grid(fam.id, fam.ranges, fam.vars, fam.exclude, n, DEFAULT_BUDGET)
     denom, vecs = family_elements(fam, n)
-    return (_burnside_count(fam, n, cent, ranges, keep, arrays),
+    return (_burnside_count(fam, n, cent, ranges, keep),
             _orbit_count(vecs, cent.mats, denom, fam.side))
 
 
@@ -318,6 +336,9 @@ def _family_data_copy(tmp_path, fid, edits):
     # every member twice: the chart has no left inverse (and with nothing
     # excluded, no stability check stands in for that)
     ("h8", [("ranges: [p8b]", "ranges: [2*p8b]"), ("  exclude: i = 0\n", "")]),
+    # one more tuple excluded, i = 1: the centralizer carries it onto the
+    # admissible i = -1, so the instability shows on the excluded side
+    ("h8", [("exclude: i = 0", "exclude: i = 0 or i = 1")]),
 ])
 def test_chart_failures_fall_back(model, tmp_path, fid, edits):
     broken = _family_data_copy(tmp_path, fid, edits)
@@ -328,6 +349,24 @@ def test_chart_failures_fall_back(model, tmp_path, fid, edits):
         assert burnside is None
         assert kernel == _orbit_count_reference(fam, broken, n)
         assert family_class_count(fam, broken, n) == kernel
+
+
+def test_orbit_kernel_runs_only_for_uncharted_families(model, monkeypatch):
+    from dadecheck import paramsets
+
+    calls = []
+    real = paramsets._orbit_count
+
+    def counted(*args):
+        calls.append(fid)
+        return real(*args)
+
+    monkeypatch.setattr(paramsets, "_orbit_count", counted)
+    for n in (1, 2, 3, 4):  # the families of verify params --n 1..4
+        for fid in sorted(model.classfams):
+            fam = model.classfams[fid]
+            assert family_class_count(fam, model, n) == family_formula_count(fam, n), fid
+    assert len(calls) == 36 and set(calls) == FALLBACK
 
 
 def test_transposed_centralizer_same_count_on_both_paths(model, monkeypatch):
@@ -421,3 +460,79 @@ def test_budget_skip_is_a_record(model):
     recs = cardinality_check(model, 1, budget=0, include_families=False)
     assert recs and all(r.reason and "exceeds budget" in r.reason for r in recs)
     assert not any(r.ok for r in recs)
+
+
+def _fixed_by_scan(lin, shift, ranges, keep):
+    """Fixed points of a -> lin a + shift by scanning the whole grid with _apply."""
+    from dadecheck.paramsets import _apply
+
+    grid = [a.ravel() for a in np.indices(ranges, dtype=np.int64)]
+    img = _apply(lin, shift, grid, ranges)
+    fixed = np.logical_and.reduce([i == a for i, a in zip(img, grid)])
+    return int(np.count_nonzero(fixed if keep is None else fixed & keep))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fixed_points_solved_match_grid_scan(model, n):
+    """Every element of every charted family's centralizer, not only class representatives."""
+    from dadecheck.paramsets import (DEFAULT_BUDGET, _centralizer, _chart, _fixed_count,
+                                     _index_grid, _induced_maps, _left_inverse)
+
+    uncharted, elements = set(), 0
+    for fid in sorted(model.classfams):
+        fam = model.classfams[fid]
+        ranges, keep, _ = _index_grid(fam.id, fam.ranges, fam.vars, fam.exclude, n,
+                                      DEFAULT_BUDGET)
+        maps = None
+        if ranges:
+            denom, chart = _chart(fam.id, fam.coords, fam.vars, n, fam.side)
+            lam = _left_inverse(chart[:len(ranges)], ranges, denom)
+            if lam is not None:
+                maps = _induced_maps(chart, lam, _centralizer(model, fam.word).mats, ranges,
+                                     denom, fam.side)
+        if maps is None:
+            uncharted.add(fid)
+            continue
+        for lin, shift in zip(*maps):
+            for mask in (keep, None):
+                assert (_fixed_count(lin, shift, ranges, mask)
+                        == _fixed_by_scan(lin, shift, ranges, mask)), fid
+            elements += 1
+    assert uncharted == FALLBACK and elements > 100
+
+
+@pytest.mark.parametrize("lin, shift, ranges", [
+    ([[5]], [-2], (12,)),  # 4 a = 2 mod 12: gcd 4 does not divide 2, no solution
+    ([[5]], [-8], (12,)),  # 4 a = 8 mod 12: four solutions, 3 apart
+    ([[1]], [0], (12,)),  # the identity
+    ([[13]], [12], (12,)),  # ... and a map that is the identity mod 12
+    ([[1, 0], [0, 1]], [0, 0], (6, 10)),
+    ([[1, 1], [0, 1]], [0, 0], (6, 10)),  # a shear: its candidates fill the grid
+    ([[1, 1], [0, 1]], [3, 4], (6, 10)),
+    ([[0, 6], [4, 1]], [1, 5], (7, 8)),
+    ([[14, 3], [5, 110]], [7, 20], (481, 545)),  # mixed moduli, non-unit diagonals 13, 109
+    ([[14, 37], [109, 110]], [0, 0], (481, 545)),
+    ([[2, 5], [3, 1]], [-4, 0], (481, 545)),
+])
+def test_fixed_points_hand_made(lin, shift, ranges):
+    from dadecheck.paramsets import _fixed_count
+
+    keep = np.random.default_rng(8).random(ranges).ravel() < 0.7
+    for mask in (None, keep):
+        assert (_fixed_count(lin, shift, ranges, mask)
+                == _fixed_by_scan(lin, shift, ranges, mask))
+
+
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=2),
+       st.lists(st.integers(-100, 100), min_size=6, max_size=6), st.integers(0, 1 << 30))
+@settings(max_examples=200, deadline=None)
+def test_fixed_points_random_maps(ranges, entries, seed):
+    from dadecheck.paramsets import _fixed_count
+
+    nv = len(ranges)
+    lin = [entries[2 * k:2 * k + nv] for k in range(nv)]
+    shift = entries[4:4 + nv]
+    keep = np.random.default_rng(seed).random(math.prod(ranges)) < 0.5
+    for mask in (None, keep):
+        assert (_fixed_count(lin, shift, tuple(ranges), mask)
+                == _fixed_by_scan(lin, shift, tuple(ranges), mask))
