@@ -1,8 +1,8 @@
 """Exact arithmetic in Q(sqrt2) and polynomials in q, where q = 2^n * sqrt2.
 
 All table data evaluates through this module; nothing here ever rounds.
-Orders of the groups involved reach ~2^180, so everything is built on
-Python big ints / Fraction.
+Orders of the groups involved reach ~2^180.  Values are kept on Python big
+ints, with a Fraction only for a coordinate whose denominator is above 1.
 """
 
 from __future__ import annotations
@@ -11,6 +11,14 @@ from fractions import Fraction
 from typing import Dict, Union
 
 Rat = Union[int, Fraction]
+
+
+def _rat(x: Rat) -> Rat:
+    """x in normal form: an int if x is integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    x = x if type(x) is Fraction else Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class NotRationalInteger(ValueError):
@@ -30,8 +38,8 @@ class SqrtTwoRat:
     __slots__ = ("a", "b")
 
     def __init__(self, a: Rat = 0, b: Rat = 0):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+        object.__setattr__(self, "a", _rat(a))
+        object.__setattr__(self, "b", _rat(b))
 
     def __setattr__(self, *args):
         raise AttributeError("SqrtTwoRat is immutable")
@@ -70,11 +78,11 @@ class SqrtTwoRat:
     __rmul__ = __mul__
 
     def inverse(self) -> "SqrtTwoRat":
-        # 1/(a + b s) = (a - b s)/(a^2 - 2 b^2); the norm vanishes only at 0.
+        # 1/(a + b s) = (a - b s)/(a^2 - 2 b^2), in Fraction: int / int is a float.
         norm = self.a * self.a - 2 * self.b * self.b
         if norm == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt2)")
-        return SqrtTwoRat(self.a / norm, -self.b / norm)
+        return SqrtTwoRat(Fraction(self.a) / norm, Fraction(-self.b) / norm)
 
     def __truediv__(self, other):
         return self * SqrtTwoRat.coerce(other).inverse()
@@ -109,10 +117,7 @@ class SqrtTwoRat:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def as_fraction(self) -> Fraction:
+    def as_fraction(self) -> Rat:
         if self.b != 0:
             raise NotRationalInteger(f"{self} has a sqrt2 part")
         return self.a
@@ -274,11 +279,6 @@ class QPoly:
     def __repr__(self):
         items = " + ".join(f"({c})*q^{p}" for p, c in sorted(self.coeffs.items()))
         return f"QPoly[{items or '0'}]"
-
-
-def eval_poly(p: QPoly, n: int) -> SqrtTwoRat:
-    """Evaluate p at q = 2^n sqrt2 (exact; no rounding anywhere)."""
-    return p.eval(n)
 
 
 Q = QPoly.q(1)

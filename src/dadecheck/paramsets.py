@@ -11,13 +11,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import rootdatum
-from .exactnum import NotRationalInteger, SqrtTwoRat
+from .exactnum import NotRationalInteger, Rat, SqrtTwoRat
 from .record import Record
 from .tabledsl import (
     ClassFam,
@@ -61,10 +60,10 @@ _INDEX_VARS = ("k", "l")
 # key: the rows depend on nothing else (build_env(n) is a function of n), and
 # they are tuples, so no caller can change a cached entry.  Errors are raised
 # afresh on every call, naming the caller's owner.
-_AFFINE_CACHE: Dict[tuple, Tuple[int, Tuple[Tuple[Fraction, ...], ...]]] = {}
+_AFFINE_CACHE: Dict[tuple, Tuple[int, Tuple[Tuple[Rat, ...], ...]]] = {}
 
 
-def _affine(owner: str, exprs, n: int, varnames) -> Tuple[int, Tuple[Tuple[Fraction, ...], ...]]:
+def _affine(owner: str, exprs, n: int, varnames) -> Tuple[int, Tuple[Tuple[Rat, ...], ...]]:
     """Compile expressions affine in the named indices to exact coefficients at n.
 
     Returns (D, rows): row j is (a_1, ..., a_v, c) with expression j equal to

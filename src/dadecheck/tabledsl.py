@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .exactnum import PHI_POLYS, QPoly, SQRT2, SqrtTwoRat, as_integer
+from .exactnum import NotRationalInteger, PHI_POLYS, QPoly, SQRT2, SqrtTwoRat, as_integer
 
 
 class TableSyntaxError(ValueError):
@@ -868,14 +868,31 @@ def parse_model_files(texts: Dict[str, str]) -> Model:
     return b.model
 
 
+def _check_expr(owner: str, node: Expr, env) -> None:
+    """Evaluate node in env; a table error naming owner if that fails."""
+    try:
+        eval_expr(node, env)
+    except UnknownSymbol as e:
+        raise TableSyntaxError(f"{owner}: unknown symbol {e.args[0]}") from None
+    except UnboundSymbol as e:
+        raise TableSyntaxError(f"{owner}: unbound symbol {e.args[0]}") from None
+    except (ZeroDivisionError, NotRationalInteger) as e:
+        raise TableSyntaxError(f"{owner}: {e}") from None
+
+
 def validate_model(model: Model) -> None:
-    """Resolve every cross reference and type-check cardinality expressions."""
+    """Resolve every cross reference and type-check expressions at n = 1."""
     env1 = build_env(1, t=1)
     for row in model.fixrows.values():
         for sid in row.sets:
             if sid not in model.paramsets:
                 raise DanglingReference(f"fixrow {row.id}: unknown set {sid}")
-        eval_expr(row.formula, env1)
+        _check_expr(f"fixrow {row.id}", row.formula, env1)
+        # fixed_count_formula evaluates every row at n = 1, so only t may vary
+        others = sorted(expr_symbols(row.formula) - {"t"})
+        if others:
+            raise TableSyntaxError(f"fixrow {row.id}: fix uses {', '.join(others)}; "
+                                   "only t is allowed")
     for spec in model.paramsets.values():
         if spec.alias_of and spec.alias_of not in model.paramsets:
             raise DanglingReference(f"{spec.id}: unknown alias target {spec.alias_of}")
@@ -883,9 +900,9 @@ def validate_model(model: Model) -> None:
             if m not in model.paramsets:
                 raise DanglingReference(f"{spec.id}: unknown member {m}")
         if spec.card is not None:
-            eval_expr(spec.card, env1)
+            _check_expr(spec.id, spec.card, env1)
     for led in model.ledgers.values():
-        eval_expr(led.value, env1)
+        _check_expr(f"ledger {led.id}", led.value, env1)
         for e in led.entries:
             if e.set_id not in model.paramsets:
                 raise DanglingReference(f"ledger {led.id}: unknown set {e.set_id}")
@@ -905,12 +922,12 @@ def validate_model(model: Model) -> None:
         for g in wc.word:
             if g not in model.weylgens:
                 raise DanglingReference(f"weylclass {wc.id}: unknown generator {g}")
-        eval_expr(wc.order, env1)
+        _check_expr(f"weylclass {wc.id}", wc.order, env1)
     for fam in model.classfams.values():
         for g in fam.word:
             if g not in model.weylgens:
                 raise DanglingReference(f"classfam {fam.id}: unknown generator {g}")
-        eval_expr(fam.count, env1)
+        _check_expr(f"classfam {fam.id}", fam.count, env1)
     for row in model.classrows.values():
         if row.family not in model.classfams:
             raise DanglingReference(f"classrow {row.id}: unknown family {row.family}")

@@ -1,5 +1,6 @@
 """The command-line surface: subcommands, exit codes, report format."""
 
+import hashlib
 import json
 
 import pytest
@@ -98,6 +99,23 @@ def test_report_deterministic(tmp_path):
     for rec in a + b:
         rec["millis"] = 0
     assert a == b
+
+
+# sha256 of the report with every millis set to 0, as the CLI writes it.  Any
+# change to an expected or actual value, a status or a record name shows here.
+@pytest.mark.parametrize("argv, count, digest", [
+    (["verify", "all", "--n", "1"], 1424,
+     "9a8550457d0301cf6ee65a8a47ad969459da9bfb91c95b26081e1c61148043d8"),
+    (["verify", "dade", "--mode", "both", "--n", "2"], 385,
+     "127328022c826b8d4ded4f86f9df5eedd349b7b960ac2918e1817647d0bb4e62"),
+], ids=["all-n1", "dade-both-n2"])
+def test_report_matches_golden_digest(tmp_path, argv, count, digest):
+    report = tmp_path / "r.json"
+    assert main(argv + ["--report", str(report)]) == 0
+    zeroed = [dict(r, millis=0) for r in json.loads(report.read_text())]
+    assert len(zeroed) == count
+    text = json.dumps(zeroed, indent=1) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_config_file_overridden_by_flags(tmp_path):
@@ -381,3 +399,18 @@ def test_bad_equivalence_map_exits_two(tmp_path, capsys):
     assert main(["verify", "params", "--n", "1", "--data-dir", data]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: PaI_4: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fix, message", [
+    ("2*zz", "unknown symbol zz"),
+    ("2/(t-t)", "division by zero in Q(sqrt2)"),
+    ("2^t*q", "fix uses q; only t is allowed"),
+    ("2*k", "unbound symbol k"),
+    ("2^(t/2)", "1/2 is not an integer"),
+])
+def test_bad_fixrow_expression_exits_two(tmp_path, capsys, fix, message):
+    data = _data_copy(tmp_path, "fixrows.def", "sets: [GI_2, GI_3]\n  fix: 2\n",
+                      f"sets: [GI_2, GI_3]\n  fix: {fix}\n")
+    assert main(["verify", "dade", "--n", "1", "--data-dir", data]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: fixrow R_G_2_3: {message}") and "Traceback" not in err
