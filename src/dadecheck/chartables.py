@@ -18,6 +18,7 @@ from .exactnum import NotRationalInteger, QPoly, as_integer, val2
 from .paramsets import family_formula_count
 from .record import Record
 from .tabledsl import (
+    EXPONENT_SYMBOLS,
     ChValue,
     Model,
     build_env,
@@ -58,9 +59,6 @@ def class_equation(model: Model, n: int) -> List[Record]:
 
 # --- tiny polynomial ring for exponent canonicalization ------------------------
 
-_EXP_SYMS = ("th", "i", "k")
-
-
 class _MPoly:
     """Polynomial in th, i, k over Q; only used to canonicalize exponents."""
 
@@ -75,7 +73,7 @@ class _MPoly:
 
     @staticmethod
     def var(name):
-        m = tuple(int(s == name) for s in _EXP_SYMS)
+        m = tuple(int(s == name) for s in EXPONENT_SYMBOLS)
         return _MPoly({m: Fraction(1)})
 
     def __add__(self, o):
@@ -115,7 +113,7 @@ class _MPoly:
 
 
 def _exp_poly(expr) -> tuple:
-    env = {s: _MPoly.var(s) for s in _EXP_SYMS}
+    env = {s: _MPoly.var(s) for s in EXPONENT_SYMBOLS}
     env["q"] = None  # q must not appear inside a root exponent
     poly = _eval_mpoly(expr, env)
     return poly.key()

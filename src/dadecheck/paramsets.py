@@ -50,9 +50,6 @@ class _NotAffine(Exception):
     """A product or power of indices met while compiling an affine form."""
 
 
-_INDEX_VARS = ("k", "l")
-
-
 # --- affine compilation ------------------------------------------------------
 
 
@@ -197,10 +194,11 @@ def _act(vecs: np.ndarray, mat, denom: int, side: str) -> np.ndarray:
 def _index_grid(owner: str, range_exprs, varnames, exclude, n: int, budget: int):
     """The index grid Z_r1 x ... x Z_rk of a set, family or torus at n.
 
-    Returns (ranges, keep, arrays): the ranges, the admissible mask over the
-    grid (None if nothing is excluded), and the admissible index tuples as
-    int64 arrays, one per index.  Every range must be a positive integer, and
-    the grid no larger than the budget.
+    Returns (ranges, excluded): the ranges and the sorted flat grid indices
+    of the excluded tuples, solved for by _excluded (none if exclude is
+    None).  Every range must be a positive integer, and the grid no larger
+    than the budget.  Callers that read the admissible set build it with
+    _mask or _admissible.
     """
     env = build_env(n)
     ranges = []
@@ -215,12 +213,25 @@ def _index_grid(owner: str, range_exprs, varnames, exclude, n: int, budget: int)
     ranges = tuple(ranges)
     if math.prod(ranges) > budget:
         raise BudgetExceeded(f"{owner}: {math.prod(ranges)} tuples exceeds budget {budget}")
+    if exclude is None:
+        return ranges, np.zeros(0, dtype=np.int64)
+    return ranges, _excluded(owner, exclude, n, varnames, ranges)
+
+
+def _mask(ranges, excluded) -> Optional[np.ndarray]:
+    """The admissible mask over the grid, or None if nothing is excluded."""
+    if not len(excluded):
+        return None
+    keep = np.ones(math.prod(ranges), dtype=bool)
+    keep[excluded] = False
+    return keep
+
+
+def _admissible(ranges, excluded):
+    """(mask as _mask gives it, admissible index tuples as int64 arrays, one per index)."""
+    keep = _mask(ranges, excluded)
     arrays = [a.ravel() for a in np.indices(ranges, dtype=np.int64)]
-    keep = None
-    if exclude is not None:
-        keep = ~_pred_mask(owner, exclude, n, varnames, arrays, ranges)
-        arrays = [a[keep] for a in arrays]
-    return ranges, keep, arrays
+    return keep, (arrays if keep is None else [a[keep] for a in arrays])
 
 
 def _apply(lin, shift, arrays, ranges) -> List[np.ndarray]:
@@ -249,24 +260,85 @@ def _stable(keep, maps, arrays, ranges) -> bool:
         for lin, shift in maps)
 
 
-def _pred_mask(owner: str, pred, n: int, varnames, arrays, moduli):
-    """Vectorized predicate over index arrays.
+def _solve(rows, mods, ranges) -> List[np.ndarray]:
+    """The grid tuples a with c_k . a = b_k mod mods[k] for every row k.
+
+    rows[k] is (c_k1, ..., c_kv, b_k) in integers, and a runs over the
+    representatives 0 <= a_j < ranges[j].  One index s is solved for from one
+    row k while the other indices run over their values: for each of those,
+    c_ks a_s = c mod m (m = mods[k]) has, with g = gcd(c_ks, m), no solution
+    unless g | c, and otherwise the solutions a_0 + j m/g, of which those
+    below r_s are kept (m need not divide r_s).  (k, s) is the pair with the
+    fewest candidates, (prod r / r_s) * ceil(r_s g / m), never more than the
+    grid.  The other rows are checked on the candidates.  Returns the
+    solutions as int64 arrays, one per index, each tuple once.
+    """
+    nv = len(ranges)
+    rows = [[int(x) % m for x in row] for row, m in zip(rows, mods)]
+    size = math.prod(ranges)
+    # entries below m, indices and candidates below r + 2m, g * step = m
+    _fits_int64((nv + 1) * max(mods) * (max(ranges) + 2 * max(mods)), "congruence solver")
+
+    def per_tuple(k, s):
+        return -(-ranges[s] * math.gcd(rows[k][s], mods[k]) // mods[k])
+
+    k, s = min(itertools.product(range(len(rows)), range(nv)),
+               key=lambda ks: size // ranges[ks[1]] * per_tuple(*ks))
+    row, m, r = rows[k], mods[k], ranges[s]
+    g = math.gcd(row[s], m)
+    step = m // g
+    others = [j for j in range(nv) if j != s]
+    free = [a.ravel() for a in np.indices([ranges[j] for j in others], dtype=np.int64)]
+    rhs = (row[nv] - sum((row[j] * a for j, a in zip(others, free)),
+                         np.zeros(size // r, dtype=np.int64))) % m
+    ok = rhs % g == 0
+    count = -(-r * g // m)
+    a = [None] * nv
+    for j, values in zip(others, free):
+        a[j] = np.repeat(values[ok], count)
+    a[s] = ((rhs[ok] // g * pow(row[s] // g, -1, step) % step)[:, None]
+            + step * np.arange(count, dtype=np.int64)).ravel()
+    hit = a[s] < r
+    for kk, other in enumerate(rows):
+        if kk != k:
+            hit &= (sum(c * x for c, x in zip(other, a)) - other[nv]) % mods[kk] == 0
+    return [x[hit] for x in a]
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The first of each run of equal keys in a sorted array.
+
+    With a sort, this is far faster than numpy's hashed np.unique on int64
+    keys of these sizes.
+    """
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
+def _excluded(owner: str, pred, n: int, varnames, ranges) -> np.ndarray:
+    """Sorted flat grid indices of the tuples an exclusion predicate holds on.
 
     An atom compares two affine forms modulo the common modulus of the indices
-    it uses; "m div e" tests e mod m.
+    it uses, and "m div e" tests e mod m: either way it is one congruence row,
+    solved by _solve.  and / or are the intersection / union, != the
+    complement in the grid.
     """
     if pred[0] != "atom":
-        a = _pred_mask(owner, pred[1], n, varnames, arrays, moduli)
-        b = _pred_mask(owner, pred[2], n, varnames, arrays, moduli)
-        return (a & b) if pred[0] == "and" else (a | b)
+        a = _excluded(owner, pred[1], n, varnames, ranges)
+        b = _excluded(owner, pred[2], n, varnames, ranges)
+        if pred[0] == "and":
+            return np.intersect1d(a, b, assume_unique=True)
+        # a stable sort merges the two sorted runs in linear time
+        return _distinct(np.sort(np.concatenate((a, b)), kind="stable"))
     _, op, e1, e2 = pred
     if op == "div":
-        m = eval_expr_int(e1, build_env(n))
+        m = abs(eval_expr_int(e1, build_env(n)))  # m and -m divide the same e
         denom, (row,) = _affine(owner, [e2], n, varnames)
     else:
         denom, (r1, r2) = _affine(owner, [e1, e2], n, varnames)
         row = [a - b for a, b in zip(r1, r2)]
-        mods = {moduli[i] for i, a in enumerate(row[:-1]) if a} or {moduli[0]}
+        mods = {ranges[i] for i, a in enumerate(row[:-1]) if a} or {ranges[0]}
         if len(mods) != 1:
             raise MapClosureError(
                 f"{owner}: atom {pred_to_str(pred)} mixes indices with different moduli"
@@ -274,9 +346,10 @@ def _pred_mask(owner: str, pred, n: int, varnames, arrays, moduli):
         (m,) = mods
     if denom != 1:
         raise MapClosureError(f"{owner}: non-integral coefficient in {pred_to_str(pred)}")
-    (val,) = _apply([row[:-1]], row[-1:], arrays, (m,))
-    hit = val == 0
-    return ~hit if op == "!=" else hit
+    hit = np.sort(np.ravel_multi_index(_solve([[*row[:-1], -row[-1]]], [m], ranges), ranges))
+    if op == "!=":
+        return np.setdiff1d(np.arange(math.prod(ranges)), hit, assume_unique=True)
+    return hit
 
 
 # --- parameter sets ----------------------------------------------------------
@@ -334,9 +407,9 @@ def equivalence_group(spec: ParamSetSpec, n: int, moduli: Tuple[int, ...],
     )
     gens = []
     for vars_, targets in spec.equiv:
-        if tuple(vars_) != _INDEX_VARS[:nv]:
-            raise MapClosureError(f"{spec.id}: map variables must be {_INDEX_VARS[:nv]}")
-        denom, rows = _affine(spec.id, targets, n, _INDEX_VARS[:nv])
+        if tuple(vars_) != spec.indices:
+            raise MapClosureError(f"{spec.id}: map variables must be {spec.indices}")
+        denom, rows = _affine(spec.id, targets, n, spec.indices)
         if denom != 1:
             raise MapClosureError(f"{spec.id}: map {vars_}->... has non-integral coefficients")
         g = tuple(
@@ -389,17 +462,13 @@ def enumerate_classes(spec: ParamSetSpec, n: int, budget: int = DEFAULT_BUDGET) 
     """Canonical representatives of the equivalence classes of an indexed set."""
     if spec.action == "formula_only" or not spec.moduli:
         raise ValueError(f"{spec.id} has no explicit index structure")
-    moduli, keep, arrays = _index_grid(spec.id, spec.moduli, _INDEX_VARS[:spec.arity],
-                                       spec.exclude, n, budget)
+    moduli, excluded = _index_grid(spec.id, spec.moduli, spec.indices, spec.exclude, n, budget)
+    keep, arrays = _admissible(moduli, excluded)
     group = equivalence_group(spec, n, moduli)
     if not _stable(keep, [_split(group.maps[g]) for g in group.gens], arrays, moduli):
         raise MapClosureError(f"{spec.id}: equivalence map leaves the admissible set")
-    # sort and keep the first of each run: numpy's hashed np.unique is far
-    # slower than a sort on int64 keys of this size
-    keys = np.sort(_canonical_keys(arrays, group))
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return Enumeration(spec.id, moduli, keys[first], group, len(arrays[0]))
+    return Enumeration(spec.id, moduli, _distinct(np.sort(_canonical_keys(arrays, group))), group,
+                       len(arrays[0]))
 
 
 def class_count(spec: ParamSetSpec, n: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -433,7 +502,7 @@ def fixed_classes_doubling(enum: Enumeration, t: int) -> int:
 
 def family_elements(fam: ClassFam, n: int, budget: int = DEFAULT_BUDGET):
     """Admissible family members as (denominator, N x 4 integer array mod it)."""
-    _, _, arrays = _index_grid(fam.id, fam.ranges, fam.vars, fam.exclude, n, budget)
+    _, arrays = _admissible(*_index_grid(fam.id, fam.ranges, fam.vars, fam.exclude, n, budget))
     return _points(fam.id, fam.coords, fam.vars, arrays, n, fam.side)
 
 
@@ -517,10 +586,11 @@ def family_class_count(fam: ClassFam, model: Model, n: int, budget: int = DEFAUL
     action (_burnside_count), else by the orbit kernel on the member points,
     whose orbits may pass through coordinates outside the chart.
     """
-    ranges, keep, arrays = _index_grid(fam.id, fam.ranges, fam.vars, fam.exclude, n, budget)
+    ranges, excluded = _index_grid(fam.id, fam.ranges, fam.vars, fam.exclude, n, budget)
     cent = _centralizer(model, fam.word)
-    count = _burnside_count(fam, n, cent, ranges, keep)
+    count = _burnside_count(fam, n, cent, ranges, excluded)
     if count is None:
+        _, arrays = _admissible(ranges, excluded)
         denom, vecs = _points(fam.id, fam.coords, fam.vars, arrays, n, fam.side)
         count = _orbit_count(vecs, cent.mats, denom, fam.side)
     return count
@@ -583,47 +653,23 @@ def _induced_maps(chart, lam, mats, ranges, denom: int, side: str):
 def _fixed_count(lin, shift, ranges, keep) -> int:
     """Admissible index tuples a with lin a + shift = a, row k mod ranges[k].
 
-    Solved exactly, on the representatives 0 <= a_j < r_j that _apply acts
-    on: row k reads m_k . a = b_k mod r_k, with m = lin - I and b = -shift.
-    One index s is solved for and the others run over their values; for each
-    of those, row s is the congruence m_ss a_s = c mod r_s, which with
-    g = gcd(m_ss, r_s) has no solution unless g | c, and otherwise the g
-    solutions a_0 + j r_s/g.  s is the index with the fewest candidates,
-    (prod r / r_s) * g, never more than the grid.  The other rows are checked
-    on the candidates, and keep (None if nothing is excluded) is read only at
-    the solutions.  A map that is the identity mod r fixes every admissible
-    tuple.
+    Solved exactly by _solve, on the representatives 0 <= a_j < r_j that
+    _apply acts on: row k reads m_k . a = b_k mod r_k, with m = lin - I and
+    b = -shift.  keep (None if nothing is excluded) is read only at the
+    solutions.  A map that is the identity mod r fixes every admissible tuple.
     """
     nv = len(ranges)
-    m = [[(int(lin[k][j]) - (j == k)) % r for j in range(nv)] for k, r in enumerate(ranges)]
-    b = [-int(shift[k]) % r for k, r in enumerate(ranges)]
-    size = math.prod(ranges)
-    if not any(map(any, m)) and not any(b):
-        return size if keep is None else int(np.count_nonzero(keep))
-    _fits_int64((nv + 1) * max(ranges) ** 2, "fixed points")
-    s = min(range(nv), key=lambda k: size // ranges[k] * math.gcd(m[k][k], ranges[k]))
-    r = ranges[s]
-    g = math.gcd(m[s][s], r)
-    step = r // g
-    others = [j for j in range(nv) if j != s]
-    free = [a.ravel() for a in np.indices([ranges[j] for j in others], dtype=np.int64)]
-    rhs = (b[s] - sum((m[s][j] * a for j, a in zip(others, free)),
-                      np.zeros(size // r, dtype=np.int64))) % r
-    ok = rhs % g == 0
-    a = [None] * nv
-    for j, values in zip(others, free):
-        a[j] = np.repeat(values[ok], g)
-    a[s] = ((rhs[ok] // g * pow(m[s][s] // g, -1, step) % step)[:, None]
-            + step * np.arange(g, dtype=np.int64)).ravel()
-    fixed = np.ones(len(a[s]), dtype=bool)
-    for k in others:
-        fixed &= (sum(m[k][j] * a[j] for j in range(nv)) - b[k]) % ranges[k] == 0
+    rows = [[int(lin[k][j]) - (j == k) for j in range(nv)] + [-int(shift[k])]
+            for k in range(nv)]
+    if all(x % r == 0 for row, r in zip(rows, ranges) for x in row):
+        return math.prod(ranges) if keep is None else int(np.count_nonzero(keep))
+    fixed = _solve(rows, ranges, ranges)
     if keep is None:
-        return int(np.count_nonzero(fixed))
-    return int(np.count_nonzero(keep[np.ravel_multi_index([x[fixed] for x in a], ranges)]))
+        return len(fixed[0])
+    return int(np.count_nonzero(keep[np.ravel_multi_index(fixed, ranges)]))
 
 
-def _burnside_count(fam: ClassFam, n: int, cent: Centralizer, ranges, keep) -> Optional[int]:
+def _burnside_count(fam: ClassFam, n: int, cent: Centralizer, ranges, excluded) -> Optional[int]:
     """Orbits of the centralizer on the admissible members, on the index grid.
 
     Burnside's lemma: orbits = (1/|C|) sum over classes of |class| * |Fix(a_g)|,
@@ -650,10 +696,10 @@ def _burnside_count(fam: ClassFam, n: int, cent: Centralizer, ranges, keep) -> O
     if maps is None:
         return None
     lin, shift = maps
+    keep = _mask(ranges, excluded)
     if keep is not None:
-        excluded = ~keep
-        tuples = np.unravel_index(np.flatnonzero(excluded), ranges)
-        if not _stable(excluded, [(lin[g], shift[g]) for g in cent.gens], tuples, ranges):
+        tuples = np.unravel_index(excluded, ranges)
+        if not _stable(~keep, [(lin[g], shift[g]) for g in cent.gens], tuples, ranges):
             return None
     total = sum(size * _fixed_count(lin[rep], shift[rep], ranges, keep)
                 for rep, size in cent.classes)

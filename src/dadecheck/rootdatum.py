@@ -679,7 +679,7 @@ def _torus_checks(model, n: int, enumerate_limit: int, side: str):
     A point v is fixed when its image under (w . 2^n m0) is v again; the
     distinct count is the number of orbits of the one-element group.
     """
-    from .paramsets import _act, _index_grid, _orbit_count, _points
+    from .paramsets import _act, _admissible, _index_grid, _orbit_count, _points
     from .tabledsl import build_env, eval_expr_int
 
     prefix = "torus_param" if side == "torus" else "dual_torus"
@@ -702,7 +702,7 @@ def _torus_checks(model, n: int, enumerate_limit: int, side: str):
             records.append(Record(prefix + "_distinct", wid, n, order, None, reason=reason))
             continue
         composite = mat_mul(word_matrix(wc.word, model.weylgens), mf)
-        _, _, arrays = _index_grid(wid, ranges, varnames, None, n, enumerate_limit)
+        _, arrays = _admissible(*_index_grid(wid, ranges, varnames, None, n, enumerate_limit))
         denom, vecs = _points(wid, coords, varnames, arrays, n, side)
         fixed = bool(np.array_equal(_act(vecs, composite, denom, side), vecs))
         records.append(Record(prefix + "_fixed", wid, n, True, fixed))

@@ -514,6 +514,11 @@ class ParamSetSpec:
     def arity(self) -> int:
         return len(self.moduli)
 
+    @property
+    def indices(self) -> Tuple[str, ...]:
+        """The names of the indices of a tuple: k, then l."""
+        return ("k", "l")[:self.arity]
+
 
 @dataclass(frozen=True)
 class FixRow:
@@ -880,9 +885,38 @@ def _check_expr(owner: str, node: Expr, env) -> None:
         raise TableSyntaxError(f"{owner}: {e}") from None
 
 
+def _check_symbols(owner: str, names, *nodes) -> None:
+    """A table error naming owner if a node uses a symbol outside names."""
+    unknown = sorted(set().union(*map(expr_symbols, nodes)).difference(names))
+    if unknown:
+        raise TableSyntaxError(f"{owner}: unknown symbol {', '.join(unknown)}")
+
+
+def _check_exclusion(owner: str, pred: Predicate, names, indices) -> None:
+    """The atoms of an exclusion use known symbols and the owner's own indices.
+
+    The modulus m of "m div e" is evaluated without the indices.
+    """
+    if pred[0] != "atom":
+        for sub in pred[1:]:
+            _check_exclusion(owner, sub, names, indices)
+        return
+    _, op, e1, e2 = pred
+    _check_symbols(owner, names if op == "div" else names | set(indices), e1)
+    _check_symbols(owner, names | set(indices), e2)
+
+
+# The symbols a root exponent of a character value may use: th, the class
+# index i and the character index k (in this order, chartables' exponent
+# monomials are keyed on them).
+EXPONENT_SYMBOLS = ("th", "i", "k")
+
+
 def validate_model(model: Model) -> None:
     """Resolve every cross reference and type-check expressions at n = 1."""
     env1 = build_env(1, t=1)
+    names = set(_base_env(1))  # n, q, s2, th and the phi values
+    poly_names = names - {"n"}  # those of qpoly_env: polynomials in q
     for row in model.fixrows.values():
         for sid in row.sets:
             if sid not in model.paramsets:
@@ -901,6 +935,8 @@ def validate_model(model: Model) -> None:
                 raise DanglingReference(f"{spec.id}: unknown member {m}")
         if spec.card is not None:
             _check_expr(spec.id, spec.card, env1)
+        if spec.exclude is not None:
+            _check_exclusion(spec.id, spec.exclude, names, spec.indices)
     for led in model.ledgers.values():
         _check_expr(f"ledger {led.id}", led.value, env1)
         for e in led.entries:
@@ -928,12 +964,22 @@ def validate_model(model: Model) -> None:
             if g not in model.weylgens:
                 raise DanglingReference(f"classfam {fam.id}: unknown generator {g}")
         _check_expr(f"classfam {fam.id}", fam.count, env1)
+        if fam.exclude is not None:
+            _check_exclusion(f"classfam {fam.id}", fam.exclude, names, fam.vars)
     for row in model.classrows.values():
         if row.family not in model.classfams:
             raise DanglingReference(f"classrow {row.id}: unknown family {row.family}")
     for cv in model.chvalues.values():
         if cv.cls not in model.classrows:
             raise DanglingReference(f"chvalue {cv.id}: unknown class {cv.cls}")
+        if cv.order is not None:
+            _check_symbols(f"chvalue {cv.id}", names, cv.order)
+        _check_symbols(f"chvalue {cv.id}", poly_names, *(t.coeff for t in cv.terms))
+        _check_symbols(f"chvalue {cv.id}", EXPONENT_SYMBOLS,
+                       *(e for t in cv.terms for e in t.exps))
+    for dr in model.degrels.values():
+        _check_symbols(f"degrel {dr.id}", poly_names, dr.table, dr.phi)
+        _check_symbols(f"degrel {dr.id}", names, dr.defect)
     for rel in model.relations.values():
         for _, cls in rel.sum:
             if cls not in model.classrows:

@@ -414,3 +414,40 @@ def test_bad_fixrow_expression_exits_two(tmp_path, capsys, fix, message):
     assert main(["verify", "dade", "--n", "1", "--data-dir", data]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: fixrow R_G_2_3: {message}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fname, old, new, message", [
+    ("paramsets.def", "exclude: k = 0", "exclude: k = zz", "GI_22: unknown symbol zz"),
+    # the modulus of a div atom is evaluated without the indices
+    ("paramsets.def", "exclude: ((q^2+1)/3) div k", "exclude: k div k",
+     "GI_32: unknown symbol k"),
+    # h2 has the one index i
+    ("classes.def", "exclude: i = 0\n", "exclude: i = 0 or j = 1\n",
+     "classfam h2: unknown symbol j"),
+], ids=["set-unknown", "set-div-modulus-index", "family-other-index"])
+def test_bad_exclusion_atom_exits_two(tmp_path, capsys, fname, old, new, message):
+    data = _data_copy(tmp_path, fname, old, new)
+    assert main(["verify", "params", "--n", "1", "--data-dir", data]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("term: [-s2*q^2*(2*q+s2), 1, 0]", "term: [-s2*q^2*(2*q+zz), 1, 0]",
+     "chvalue f8_c_1_11: unknown symbol zz"),
+    # a value coefficient is a polynomial in q, free of n and of the indices
+    ("term: [-s2*q^2*(2*q+s2), 1, 0]", "term: [-s2*q^2*(2*q+n), 1, 0]",
+     "chvalue f8_c_1_11: unknown symbol n"),
+    # a root exponent may use th and the indices i, k only
+    ("term: [s2*q, 1, th*i*k,", "term: [s2*q, 1, th*i*j,", "chvalue f8_c_8_2: unknown symbol j"),
+    ("order: p8b\n  term: [s2*q,", "order: p8b*zz\n  term: [s2*q,",
+     "chvalue f8_c_8_2: unknown symbol zz"),
+    ("phi: p1*p2*p4^2*p12*p24*p8a", "phi: n*p1*p2*p4^2*p12*p24*p8a",
+     "degrel deg_chi42: unknown symbol n"),
+    ("defect: 24*n+12", "defect: 24*n+zz", "degrel deg_chi42: unknown symbol zz"),
+], ids=["coeff-unknown", "coeff-n", "exponent-index", "order", "degree-phi", "degree-defect"])
+def test_bad_relations_symbol_exits_two(tmp_path, capsys, old, new, message):
+    data = _data_copy(tmp_path, "relations.def", old, new)
+    assert main(["verify", "relations", "--n", "1", "--data-dir", data]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err

@@ -281,9 +281,9 @@ def _both_paths(fam, model, n, cent=None):
 
     if cent is None:
         cent = _centralizer(model, fam.word)
-    ranges, keep, _ = _index_grid(fam.id, fam.ranges, fam.vars, fam.exclude, n, DEFAULT_BUDGET)
+    ranges, excluded = _index_grid(fam.id, fam.ranges, fam.vars, fam.exclude, n, DEFAULT_BUDGET)
     denom, vecs = family_elements(fam, n)
-    return (_burnside_count(fam, n, cent, ranges, keep),
+    return (_burnside_count(fam, n, cent, ranges, excluded),
             _orbit_count(vecs, cent.mats, denom, fam.side))
 
 
@@ -476,13 +476,14 @@ def _fixed_by_scan(lin, shift, ranges, keep):
 def test_fixed_points_solved_match_grid_scan(model, n):
     """Every element of every charted family's centralizer, not only class representatives."""
     from dadecheck.paramsets import (DEFAULT_BUDGET, _centralizer, _chart, _fixed_count,
-                                     _index_grid, _induced_maps, _left_inverse)
+                                     _index_grid, _induced_maps, _left_inverse, _mask)
 
     uncharted, elements = set(), 0
     for fid in sorted(model.classfams):
         fam = model.classfams[fid]
-        ranges, keep, _ = _index_grid(fam.id, fam.ranges, fam.vars, fam.exclude, n,
-                                      DEFAULT_BUDGET)
+        ranges, excluded = _index_grid(fam.id, fam.ranges, fam.vars, fam.exclude, n,
+                                       DEFAULT_BUDGET)
+        keep = _mask(ranges, excluded)
         maps = None
         if ranges:
             denom, chart = _chart(fam.id, fam.coords, fam.vars, n, fam.side)
@@ -536,3 +537,103 @@ def test_fixed_points_random_maps(ranges, entries, seed):
     for mask in (None, keep):
         assert (_fixed_count(lin, shift, tuple(ranges), mask)
                 == _fixed_by_scan(lin, shift, tuple(ranges), mask))
+
+
+def _scan_excluded(owner, pred, n, varnames, ranges):
+    """Sorted flat indices of the excluded tuples, by the reference scan."""
+    from pred_oracle import pred_mask
+
+    grid = [a.ravel() for a in np.indices(ranges, dtype=np.int64)]
+    return np.flatnonzero(pred_mask(owner, pred, n, varnames, grid, ranges))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_exclusions_solved_match_scan(model, n):
+    from dadecheck.paramsets import DEFAULT_BUDGET, _index_grid
+
+    owners = ([(s.id, s.moduli, s.indices, s.exclude) for s in model.paramsets.values()
+               if s.exclude is not None]
+              + [(f.id, f.ranges, f.vars, f.exclude) for f in model.classfams.values()
+                 if f.exclude is not None])
+    assert len(owners) == 64
+    for owner, range_exprs, varnames, exclude in owners:
+        ranges, excluded = _index_grid(owner, range_exprs, varnames, exclude, n, DEFAULT_BUDGET)
+        assert np.array_equal(excluded, _scan_excluded(owner, exclude, n, varnames, ranges)), owner
+
+
+def _affine_expr(coeffs, const):
+    """const + sum of c * index as an expression, indices named k and l."""
+    node = ("int", const)
+    for c, v in zip(coeffs, ("k", "l")):
+        node = ("add", node, ("mul", ("int", c), ("sym", v)))
+    return node
+
+
+_coeff = st.sampled_from([0, 0, 1, -1, 2, 3, 4, 6, -9, 12]) | st.integers(-60, 60)
+
+
+@st.composite
+def _grids_and_predicates(draw):
+    """A grid of one or two indices (equal ranges half the time) and a predicate on it.
+
+    Atoms are =, != and div (whose modulus, of either sign, need not divide a
+    range) on affine forms with zero, unit and non-unit coefficients, constant
+    atoms among them, nested in and / or.
+    """
+    nv = draw(st.integers(1, 2))
+    r = draw(st.integers(1, 30))
+    ranges = draw(st.just((r,) * nv)
+                  | st.lists(st.integers(1, 30), min_size=nv, max_size=nv).map(tuple))
+
+    @st.composite
+    def atoms(draw):
+        coeffs = draw(st.just([0] * nv) | st.lists(_coeff, min_size=nv, max_size=nv))
+        form = _affine_expr(coeffs, draw(st.integers(-40, 40)))
+        op = draw(st.sampled_from(["=", "=", "!=", "div", "div"]))
+        if op == "div":
+            m = draw(st.integers(1, 45) | st.integers(-45, -1))
+            return ("atom", op, ("int", m), form)
+        return ("atom", op, form, ("int", draw(st.integers(-40, 40))))
+
+    pred = draw(st.recursive(atoms(), lambda sub: st.tuples(st.sampled_from(["and", "or"]),
+                                                            sub, sub), max_leaves=6))
+    return ranges, ("k", "l")[:nv], pred
+
+
+@given(_grids_and_predicates())
+@settings(max_examples=300, deadline=None)
+def test_exclusions_solved_match_scan_random(case):
+    from dadecheck.paramsets import MapClosureError, _excluded
+
+    ranges, varnames, pred = case
+
+    def outcome(f):
+        try:
+            return f().tolist()
+        except MapClosureError as e:  # mixed moduli, raised alike by both
+            return str(e)
+
+    assert (outcome(lambda: _excluded("X", pred, 1, varnames, ranges))
+            == outcome(lambda: _scan_excluded("X", pred, 1, varnames, ranges)))
+
+
+def test_burnside_path_builds_no_admissible_arrays(model, monkeypatch):
+    """Only parameter sets and the fallback families build the admissible tuples."""
+    from dadecheck import paramsets
+
+    calls = []
+    build = paramsets._admissible
+    monkeypatch.setattr(paramsets, "_admissible", lambda *a: calls.append(a) or build(*a))
+    sets = [s for s in model.paramsets.values() if s.moduli and s.action != "formula_only"]
+    for n in (1, 2, 3, 4):
+        for spec in sets:
+            before = len(calls)
+            class_count(spec, n)
+            assert len(calls) == before + 1, spec.id
+        builders = set()
+        for fid, fam in model.classfams.items():
+            before = len(calls)
+            family_class_count(fam, model, n)
+            if len(calls) > before:
+                builders.add(fid)
+        assert builders == FALLBACK, n
