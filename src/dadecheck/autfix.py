@@ -3,20 +3,21 @@
 The generator alpha of the outer automorphism group has odd order 2n+1 and
 acts on every indexed parameter set as multiplication by 2.  For each row of
 the fixed-point table this module counts the classes fixed by <alpha^t> two
-ways: brute force over the enumerated classes, and the row's closed form in
-t.  A Mobius inversion over the divisor lattice of 2n+1 turns "fixed by H"
-counts into "stabilizer exactly U" counts.
+ways: from the member sets' index structure, by the twisted Burnside count
+of paramsets.fixed_class_count (the "bruteforce" mode), and by the row's
+closed form in t.  A Mobius inversion over the divisor lattice of 2n+1 turns
+"fixed by H" counts into "stabilizer exactly U" counts.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from .exactnum import NotRationalInteger, SQRT2, SqrtTwoRat, as_integer
-from .paramsets import BudgetExceeded, DEFAULT_BUDGET, enumerate_classes, fixed_classes_doubling
+from .paramsets import BudgetExceeded, DEFAULT_BUDGET, fixed_class_count
 from .record import Record
-from .tabledsl import FixRow, Model, ParamSetSpec, build_env, eval_expr, eval_expr_int
+from .tabledsl import FixRow, Model, build_env, eval_expr_int
 
 
 class FormulaOnlyRow(ValueError):
@@ -60,23 +61,10 @@ def fixed_count_formula(row: FixRow, t: int) -> int:
         raise NonIntegralFormula(f"{row.id}: {e}") from e
 
 
-# Keyed on the spec itself, not its id: two models in one process may hold
-# different sets under one id.
-_ENUM_CACHE: Dict[Tuple[ParamSetSpec, int, int], object] = {}
-
-
-def _enum(model: Model, set_id: str, n: int, budget: int):
-    spec = model.paramset(set_id)
-    key = (spec, n, budget)
-    if key not in _ENUM_CACHE:
-        _ENUM_CACHE[key] = enumerate_classes(spec, n, budget)
-    return _ENUM_CACHE[key]
-
-
 def fixed_count_bruteforce(
     row: FixRow, model: Model, n: int, t: int, budget: int = DEFAULT_BUDGET
 ) -> int:
-    """Classes of the row's member sets fixed by x -> 2^t x."""
+    """Classes of the row's member sets fixed by x -> 2^t x, from their index structure."""
     if (2 * n + 1) % t:
         raise ValueError(f"t={t} does not divide 2n+1={2 * n + 1}")
     total = 0
@@ -85,7 +73,7 @@ def fixed_count_bruteforce(
         if spec.action == "identity":
             total += eval_expr_int(spec.card, build_env(n))
         elif spec.action == "doubling":
-            total += fixed_classes_doubling(_enum(model, sid, n, budget), t)
+            total += fixed_class_count(spec, n, t, budget)
         else:
             raise FormulaOnlyRow(f"{row.id}: member {sid} has action {spec.action}")
     return total

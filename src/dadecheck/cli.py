@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("what", choices=ALL_CHECKS + ("all",))
     common(pv)
 
-    pp = sub.add_parser("params", help="enumerate one parameter set")
+    pp = sub.add_parser("params", help="count the classes of one parameter set")
     pp.add_argument("--set", required=True, dest="set_id")
     pp.add_argument("--list", action="store_true", help="print class representatives")
     common(pp)
@@ -258,15 +258,14 @@ def _cmd_params(args, cfg) -> int:
     for n in cfg["n_list"]:
         t0 = time.perf_counter()
         try:
-            enum = paramsets.enumerate_classes(spec, n, cfg["budget"])
-            count, reason = enum.count, None
+            count, reason = paramsets.class_count(spec, n, cfg["budget"]), None
         except paramsets.BudgetExceeded as e:
-            enum, count, reason = None, None, str(e)
+            count, reason = None, str(e)
         millis = 1000.0 * (time.perf_counter() - t0)
         expected = paramsets.formula_count(spec, n) if spec.card else count
         records.append(Record("cardinality", spec.id, n, expected, count, reason).as_json(millis))
-        if args.list and enum is not None:
-            for rep in enum.representatives():
+        if args.list and count is not None:
+            for rep in paramsets.enumerate_classes(spec, n, cfg["budget"]).representatives():
                 print(" ".join(str(x) for x in rep))
     return _emit(records, cfg)
 

@@ -1,9 +1,14 @@
-"""Enumeration of character parameter sets and semisimple class families.
+"""Class counts of character parameter sets and semisimple class families.
 
 A parameter set is Z_m or Z_m1 x Z_m2 minus excluded tuples, modulo the
-group generated by its affine equivalence maps.  Enumeration canonicalizes
-each admissible tuple to the lexicographic minimum of its orbit; counts are
-checked against the closed-form cardinality column of the tables.
+group generated by its affine equivalence maps.  Its classes, and those
+fixed by the doubling x -> 2^t x, are counted exactly on the index grid by
+Burnside's lemma: each term is a count of solutions of congruences, solved
+for by _solve, so no tuple is listed.  A family is counted the same way
+under the F-centralizer of its torus where its chart carries the action.
+Counts are checked against the closed-form cardinality column of the
+tables.  enumerate_classes still lists the classes, for ``dadecheck params
+--list``.
 """
 
 from __future__ import annotations
@@ -153,7 +158,7 @@ def _chart(owner: str, exprs, varnames, n: int, side: str) -> Tuple[int, np.ndar
 
 
 def _points(owner: str, exprs, varnames, arrays, n: int, side: str) -> Tuple[int, np.ndarray]:
-    """Points of a parameterized torus as (D, N x 4 int64 array of D * value mod D).
+    """Points of a parameterized family as (D, N x 4 int64 array of D * value mod D).
 
     arrays hold the index tuples (none for a single point).
     """
@@ -191,15 +196,8 @@ def _act(vecs: np.ndarray, mat, denom: int, side: str) -> np.ndarray:
 # --- index grids and affine maps on them --------------------------------------
 
 
-def _index_grid(owner: str, range_exprs, varnames, exclude, n: int, budget: int):
-    """The index grid Z_r1 x ... x Z_rk of a set, family or torus at n.
-
-    Returns (ranges, excluded): the ranges and the sorted flat grid indices
-    of the excluded tuples, solved for by _excluded (none if exclude is
-    None).  Every range must be a positive integer, and the grid no larger
-    than the budget.  Callers that read the admissible set build it with
-    _mask or _admissible.
-    """
+def _ranges(owner: str, range_exprs, n: int) -> Tuple[int, ...]:
+    """The index ranges of a set, family or torus at n, each a positive integer."""
     env = build_env(n)
     ranges = []
     for expr in range_exprs:
@@ -210,7 +208,18 @@ def _index_grid(owner: str, range_exprs, varnames, exclude, n: int, budget: int)
         if r <= 0:
             raise NonIntegralModulus(f"{owner}: modulus {r} <= 0")
         ranges.append(r)
-    ranges = tuple(ranges)
+    return tuple(ranges)
+
+
+def _index_grid(owner: str, range_exprs, varnames, exclude, n: int, budget: int):
+    """The index grid Z_r1 x ... x Z_rk of a set or family at n.
+
+    Returns (ranges, excluded): the ranges from _ranges and the sorted flat
+    grid indices of the excluded tuples, solved for by _excluded (none if
+    exclude is None).  The grid must be no larger than the budget.  Callers
+    that read the admissible set build it with _mask or _admissible.
+    """
+    ranges = _ranges(owner, range_exprs, n)
     if math.prod(ranges) > budget:
         raise BudgetExceeded(f"{owner}: {math.prod(ranges)} tuples exceeds budget {budget}")
     if exclude is None:
@@ -258,6 +267,16 @@ def _stable(keep, maps, arrays, ranges) -> bool:
     return keep is None or all(
         keep[np.ravel_multi_index(_apply(lin, shift, arrays, ranges), ranges)].all()
         for lin, shift in maps)
+
+
+def _keeps_excluded(keep, excluded, maps, ranges) -> bool:
+    """Whether each (lin, shift) of maps sends the excluded tuples into themselves.
+
+    keep is the admissible mask (None if nothing is excluded).  For a map
+    that permutes the grid, this is the same as sending the admissible
+    tuples into themselves, and the excluded ones are far fewer.
+    """
+    return keep is None or _stable(~keep, maps, np.unravel_index(excluded, ranges), ranges)
 
 
 def _solve(rows, mods, ranges) -> List[np.ndarray]:
@@ -334,6 +353,8 @@ def _excluded(owner: str, pred, n: int, varnames, ranges) -> np.ndarray:
     _, op, e1, e2 = pred
     if op == "div":
         m = abs(eval_expr_int(e1, build_env(n)))  # m and -m divide the same e
+        if m == 0:
+            raise MapClosureError(f"{owner}: modulus 0 in {pred_to_str(pred)} at n = {n}")
         denom, (row,) = _affine(owner, [e2], n, varnames)
     else:
         denom, (r1, r2) = _affine(owner, [e1, e2], n, varnames)
@@ -359,7 +380,10 @@ def _excluded(owner: str, pred, n: int, varnames, ranges) -> np.ndarray:
 class AffineGroup:
     """Closed group of affine maps on Z_m1 (x Z_m2).
 
-    gens holds the indices in maps of the table's maps, which generate it.
+    Row i of each map is reduced mod m_i, and every map is well defined, so
+    two maps are equal tuples exactly when they act alike on the grid
+    (compare the images of 0 and of each unit tuple).  gens holds the
+    indices in maps of the table's maps, which generate it.
     """
 
     moduli: Tuple[int, ...]
@@ -370,6 +394,13 @@ class AffineGroup:
 def _split(g):
     """(lin, shift) of a map given as rows (a..., c)."""
     return [row[:-1] for row in g], [row[-1] for row in g]
+
+
+def _scaling(factors, moduli):
+    """The map a -> (f_1 a_1, ..., f_v a_v), row i reduced mod m_i."""
+    nv = len(moduli)
+    return tuple(tuple(f * (i == j) % m for j in range(nv)) + (0,)
+                 for i, (f, m) in enumerate(zip(factors, moduli)))
 
 
 def _compose(f, g, moduli):
@@ -401,10 +432,7 @@ def _well_defined(rows, moduli) -> bool:
 def equivalence_group(spec: ParamSetSpec, n: int, moduli: Tuple[int, ...],
                       limit: int = 512) -> AffineGroup:
     """The group generated by the set's equivalence maps on its grid of moduli."""
-    nv = len(moduli)
-    ident = tuple(
-        tuple(int(i == j) for j in range(nv)) + (0,) for i in range(nv)
-    )
+    ident = _scaling([1] * len(moduli), moduli)
     gens = []
     for vars_, targets in spec.equiv:
         if tuple(vars_) != spec.indices:
@@ -433,6 +461,23 @@ def equivalence_group(spec: ParamSetSpec, n: int, moduli: Tuple[int, ...],
     return AffineGroup(moduli, maps, tuple(maps.index(g) for g in gens))
 
 
+def _permutes(group: AffineGroup) -> bool:
+    """Whether each generator has an inverse among the maps.
+
+    Then every element has one, so the group permutes the grid.
+    """
+    one = _scaling([1] * len(group.moduli), group.moduli)
+    return all(any(_compose(h, group.maps[g], group.moduli) == one for h in group.maps)
+               for g in group.gens)
+
+
+def _set_grid(spec: ParamSetSpec, n: int, budget: int):
+    """(moduli, excluded) of an indexed set, as _index_grid gives them."""
+    if spec.action == "formula_only" or not spec.moduli:
+        raise ValueError(f"{spec.id} has no explicit index structure")
+    return _index_grid(spec.id, spec.moduli, spec.indices, spec.exclude, n, budget)
+
+
 def _canonical_keys(arrays, group: AffineGroup):
     """Lexicographically least orbit member of each tuple, as its grid index."""
     best = None
@@ -459,42 +504,66 @@ class Enumeration:
 
 
 def enumerate_classes(spec: ParamSetSpec, n: int, budget: int = DEFAULT_BUDGET) -> Enumeration:
-    """Canonical representatives of the equivalence classes of an indexed set."""
-    if spec.action == "formula_only" or not spec.moduli:
-        raise ValueError(f"{spec.id} has no explicit index structure")
-    moduli, excluded = _index_grid(spec.id, spec.moduli, spec.indices, spec.exclude, n, budget)
+    """Canonical representatives of the equivalence classes of an indexed set, listed."""
+    moduli, excluded = _set_grid(spec, n, budget)
     keep, arrays = _admissible(moduli, excluded)
     group = equivalence_group(spec, n, moduli)
     if not _stable(keep, [_split(group.maps[g]) for g in group.gens], arrays, moduli):
         raise MapClosureError(f"{spec.id}: equivalence map leaves the admissible set")
+    if not _permutes(group):
+        raise MapClosureError(f"{spec.id}: an equivalence map is not invertible mod {moduli}")
     return Enumeration(spec.id, moduli, _distinct(np.sort(_canonical_keys(arrays, group))), group,
                        len(arrays[0]))
 
 
+def fixed_class_count(spec: ParamSetSpec, n: int, t: int = 0,
+                      budget: int = DEFAULT_BUDGET) -> int:
+    """Classes of an indexed set fixed by the doubling s: a -> 2^t a (t = 0: every class).
+
+    With G the equivalence group, s fixes (1/|G|) sum over g in G of
+    |Fix(s o g)| classes, counting admissible fixed points only, each solved
+    for by _fixed_count (Burnside's lemma twisted by s; at t = 0, Burnside's
+    lemma).  That holds when G and s permute the admissible tuples and s
+    permutes the classes, so each of these is checked first, and a failure
+    is a MapClosureError naming the set:
+    - every generator of G has an inverse in G, so G permutes the grid;
+    - every generator keeps the excluded tuples; for a permutation that is
+      keeping the admissible ones, which are far more;
+    - 2^t is a unit mod every modulus, so s is a bijection;
+    - s normalizes G, s g s^-1 in G for each generator g, so s sends classes
+      to classes;
+    - s keeps the excluded tuples.
+    """
+    moduli, excluded = _set_grid(spec, n, budget)
+    group = equivalence_group(spec, n, moduli)
+    if not _permutes(group):
+        raise MapClosureError(f"{spec.id}: an equivalence map is not invertible mod {moduli}")
+    keep = _mask(moduli, excluded)
+    if not _keeps_excluded(keep, excluded, [_split(group.maps[g]) for g in group.gens], moduli):
+        raise MapClosureError(f"{spec.id}: equivalence map leaves the admissible set")
+    if any(math.gcd(2 ** t, m) != 1 for m in moduli):
+        raise MapClosureError(f"{spec.id}: doubling by 2^{t} is not invertible mod {moduli}")
+    double = _scaling([pow(2, t, m) for m in moduli], moduli)
+    halve = _scaling([pow(2, -t, m) for m in moduli], moduli)
+    members = set(group.maps)
+    if any(_compose(_compose(double, group.maps[g], moduli), halve, moduli) not in members
+           for g in group.gens):
+        raise MapClosureError(f"{spec.id}: doubling does not normalize the equivalence group")
+    if not _keeps_excluded(keep, excluded, [_split(double)], moduli):
+        raise MapClosureError(f"{spec.id}: doubling leaves the class set")
+    total = sum(_fixed_count(*_split(_compose(double, g, moduli)), moduli, keep)
+                for g in group.maps)
+    return _orbits(spec.id, total, len(group.maps))
+
+
 def class_count(spec: ParamSetSpec, n: int, budget: int = DEFAULT_BUDGET) -> int:
-    return enumerate_classes(spec, n, budget).count
+    return fixed_class_count(spec, n, 0, budget)
 
 
 def formula_count(spec: ParamSetSpec, n: int) -> int:
     if spec.card is None:
         raise ValueError(f"{spec.id} carries no cardinality formula")
     return eval_expr_int(spec.card, build_env(n))
-
-
-# --- doubling action ---------------------------------------------------------
-
-
-def fixed_classes_doubling(enum: Enumeration, t: int) -> int:
-    """Number of classes fixed by x -> 2^t x (computed on canonical keys)."""
-    moduli = enum.moduli
-    nv = len(moduli)
-    mult = pow(2, t, math.lcm(*moduli))
-    doubled = _apply([[mult * (i == j) for j in range(nv)] for i in range(nv)], [0] * nv,
-                     np.unravel_index(enum.canonical, moduli), moduli)
-    img = _canonical_keys(doubled, enum.group)
-    if not np.all(np.isin(img, enum.canonical)):
-        raise MapClosureError(f"{enum.spec_id}: doubling leaves the class set")
-    return int(np.count_nonzero(img == enum.canonical))
 
 
 # --- semisimple class families (group side and dual side) --------------------
@@ -697,16 +766,19 @@ def _burnside_count(fam: ClassFam, n: int, cent: Centralizer, ranges, excluded) 
         return None
     lin, shift = maps
     keep = _mask(ranges, excluded)
-    if keep is not None:
-        tuples = np.unravel_index(excluded, ranges)
-        if not _stable(~keep, [(lin[g], shift[g]) for g in cent.gens], tuples, ranges):
-            return None
+    if not _keeps_excluded(keep, excluded, [(lin[g], shift[g]) for g in cent.gens], ranges):
+        return None
     total = sum(size * _fixed_count(lin[rep], shift[rep], ranges, keep)
                 for rep, size in cent.classes)
-    orbits, rest = divmod(total, len(cent.mats))
+    return _orbits(fam.id, total, len(cent.mats))
+
+
+def _orbits(owner: str, total: int, order: int) -> int:
+    """A Burnside sum divided by the group order, which must divide it."""
+    orbits, rest = divmod(total, order)
     if rest:
-        raise ArithmeticError(
-            f"{fam.id}: Burnside sum {total} is not divisible by |C| = {len(cent.mats)}")
+        raise ArithmeticError(f"{owner}: Burnside sum {total} is not divisible by "
+                              f"the group order {order}")
     return orbits
 
 

@@ -663,23 +663,28 @@ def torus_order_checks(model, n: int):
     return records
 
 
-def torus_param_checks(model, n: int, enumerate_limit: int = 1 << 20):
-    """Table of torus parameterizations: range products and explicit fixed points."""
-    return _torus_checks(model, n, enumerate_limit, "torus")
+def torus_param_checks(model, n: int):
+    """Table of torus parameterizations: range products, fixed points, distinct points."""
+    return _torus_checks(model, n, "torus")
 
 
-def dual_torus_check(model, n: int, enumerate_limit: int = 1 << 20):
+def dual_torus_check(model, n: int):
     """Every listed dual-torus element is (wF*)-fixed; counts match the order."""
-    return _torus_checks(model, n, enumerate_limit, "dual")
+    return _torus_checks(model, n, "dual")
 
 
-def _torus_checks(model, n: int, enumerate_limit: int, side: str):
-    """Enumerate each class's torus (or dual torus) as int64 points mod D.
+def _torus_checks(model, n: int, side: str):
+    """Each class's torus (or dual torus) from its chart, no point listed.
 
-    A point v is fixed when its image under (w . 2^n m0) is v again; the
-    distinct count is the number of orbits of the one-element group.
+    The chart a -> sum_k a_k R_k + C mod D of paramsets._chart is affine on
+    the index grid, so every point is fixed by (w . 2^n m0) exactly when C
+    and each R_k with r_k > 1 are.  Where the chart is well defined on the
+    grid, r_k R_k = 0 mod D, its linear part is a homomorphism, so there are
+    prod r / |ker| distinct points, with ker = {a : sum_k a_k R_k = 0 mod D}
+    solved for by paramsets._solve; where it is not, the distinct-point
+    record fails.
     """
-    from .paramsets import _act, _admissible, _index_grid, _orbit_count, _points
+    from .paramsets import _act, _chart, _ranges, _solve
     from .tabledsl import build_env, eval_expr_int
 
     prefix = "torus_param" if side == "torus" else "dual_torus"
@@ -689,24 +694,28 @@ def _torus_checks(model, n: int, enumerate_limit: int, side: str):
     for wid in sorted(model.weylclasses):
         wc = model.weylclasses[wid]
         if side == "torus":
-            varnames, ranges, coords = wc.tvars, wc.tranges, wc.tcoords
+            varnames, range_exprs, coords = wc.tvars, wc.tranges, wc.tcoords
         else:
-            varnames, ranges, coords = wc.svars, wc.sranges, wc.scoords
+            varnames, range_exprs, coords = wc.svars, wc.sranges, wc.scoords
         order = eval_expr_int(wc.order, env0)
-        prod = math.prod(eval_expr_int(r, env0) for r in ranges)
+        ranges = _ranges(wid, range_exprs, n)
+        prod = math.prod(ranges)
         if side == "torus":
             records.append(Record("torus_param_count", wid, n, order, prod))
-        if prod > enumerate_limit:
-            reason = f"{prod} points exceed the enumeration limit {enumerate_limit}"
-            records.append(Record(prefix + "_fixed", wid, n, True, None, reason=reason))
-            records.append(Record(prefix + "_distinct", wid, n, order, None, reason=reason))
-            continue
         composite = mat_mul(word_matrix(wc.word, model.weylgens), mf)
-        _, arrays = _admissible(*_index_grid(wid, ranges, varnames, None, n, enumerate_limit))
-        denom, vecs = _points(wid, coords, varnames, arrays, n, side)
-        fixed = bool(np.array_equal(_act(vecs, composite, denom, side), vecs))
+        denom, chart = _chart(wid, coords, varnames, n, side)
+        nv = len(ranges)
+        rows = chart[[k for k, r in enumerate(ranges) if r > 1] + [nv]]
+        fixed = bool(np.array_equal(_act(rows, composite, denom, side), rows))
         records.append(Record(prefix + "_fixed", wid, n, True, fixed))
-        distinct = _orbit_count(vecs, np.eye(4, dtype=np.int64)[None], denom, side)
+        lin = chart[:nv].tolist()
+        if any(r * x % denom for r, row in zip(ranges, lin) for x in row):
+            distinct = f"chart not well defined mod {denom}"
+        elif not nv:  # a single point
+            distinct = 1
+        else:
+            kernel = _solve([[row[c] for row in lin] + [0] for c in range(4)], [denom] * 4, ranges)
+            distinct = prod // len(kernel[0])
         records.append(Record(prefix + "_distinct", wid, n, order, distinct))
     return records
 

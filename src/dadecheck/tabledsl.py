@@ -937,6 +937,9 @@ def validate_model(model: Model) -> None:
             _check_expr(spec.id, spec.card, env1)
         if spec.exclude is not None:
             _check_exclusion(spec.id, spec.exclude, names, spec.indices)
+        _check_symbols(spec.id, names, *spec.moduli)
+        for vars_, targets in spec.equiv:
+            _check_symbols(spec.id, names | set(vars_), *targets)
     for led in model.ledgers.values():
         _check_expr(f"ledger {led.id}", led.value, env1)
         for e in led.entries:
@@ -959,6 +962,12 @@ def validate_model(model: Model) -> None:
             if g not in model.weylgens:
                 raise DanglingReference(f"weylclass {wc.id}: unknown generator {g}")
         _check_expr(f"weylclass {wc.id}", wc.order, env1)
+        _check_symbols(f"weylclass {wc.id}", names, *wc.tranges, *wc.sranges)
+        _check_symbols(f"weylclass {wc.id}", names | set(wc.tvars), *wc.tcoords)
+        _check_symbols(f"weylclass {wc.id}", names | set(wc.svars), *wc.scoords)
+        if wc.pairing is not None:
+            _check_symbols(f"weylclass {wc.id}", names | set(wc.tvars) | set(wc.svars),
+                           wc.pairing)
     for fam in model.classfams.values():
         for g in fam.word:
             if g not in model.weylgens:
@@ -966,6 +975,8 @@ def validate_model(model: Model) -> None:
         _check_expr(f"classfam {fam.id}", fam.count, env1)
         if fam.exclude is not None:
             _check_exclusion(f"classfam {fam.id}", fam.exclude, names, fam.vars)
+        _check_symbols(f"classfam {fam.id}", names, *fam.ranges)
+        _check_symbols(f"classfam {fam.id}", names | set(fam.vars), *fam.coords)
     for row in model.classrows.values():
         if row.family not in model.classfams:
             raise DanglingReference(f"classrow {row.id}: unknown family {row.family}")

@@ -67,17 +67,35 @@ def test_report_counts_and_times_each_kind(tmp_path, capsys):
 
 
 def test_skips_carry_reason_and_exit_zero(tmp_path, capsys):
-    # at n = 5 every torus has more than 2^20 points: enumeration is skipped
+    # at n = 5 two sets and ten families have grids over the default budget
     report = tmp_path / "r.json"
-    assert main(["verify", "weyl", "--n", "5", "--report", str(report)]) == 0
+    assert main(["verify", "params", "--n", "5", "--report", str(report)]) == 0
     records = json.loads(report.read_text())
     skips = [r for r in records if r["status"] == "skip"]
-    assert len(skips) == 44
-    assert {r["check"] for r in skips} == {"torus_param_fixed", "torus_param_distinct",
-                                          "dual_torus_fixed", "dual_torus_distinct"}
-    assert all("exceed the enumeration limit" in r["reason"] for r in skips)
+    assert len(skips) == 12
+    assert sorted(r["check"] for r in skips) == ["cardinality"] * 2 + ["family_count"] * 10
+    assert all(r["reason"].startswith(f"{r['name']}: ") and "exceeds budget 4194304" in r["reason"]
+               for r in skips)
     assert all("reason" not in r for r in records if r["status"] != "skip")
-    assert "105 passed, 0 failed, 44 skipped of 149 checks" in capsys.readouterr().out
+    assert "113 passed, 0 failed, 12 skipped of 125 checks" in capsys.readouterr().out
+
+
+def test_verify_all_n5_coverage(tmp_path, capsys):
+    # every check but the floating-point norms and the grids over the budget runs at n = 5
+    from collections import Counter
+
+    report = tmp_path / "r.json"
+    assert main(["verify", "all", "--n", "5", "--report", str(report)]) == 0
+    records = json.loads(report.read_text())
+    other = Counter((r["check"], r["status"]) for r in records if r["status"] != "pass")
+    assert other == {("f_norm", "skip"): 4096, ("cardinality", "skip"): 2,
+                     ("family_count", "skip"): 10, ("fixrow", "skip"): 2}
+    assert all("exceeds budget" in r["reason"] for r in records
+               if r["status"] == "skip" and r["check"] != "f_norm")
+    weyl = {"torus_param_count", "torus_param_fixed", "torus_param_distinct",
+            "dual_torus_fixed", "dual_torus_distinct"}
+    assert sum(r["check"] in weyl for r in records) == 55
+    assert all(r["status"] == "pass" for r in records if r["check"] in weyl)
 
 
 def test_params_n4_drops_no_family(tmp_path):
@@ -449,5 +467,27 @@ def test_bad_exclusion_atom_exits_two(tmp_path, capsys, fname, old, new, message
 def test_bad_relations_symbol_exits_two(tmp_path, capsys, old, new, message):
     data = _data_copy(tmp_path, "relations.def", old, new)
     assert main(["verify", "relations", "--n", "1", "--data-dir", data]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fname, old, new, message", [
+    ("classes.def", "coords: [(2*th+1)*(k+l)/(q^2-1)", "coords: [(2*th+1)*(zz+l)/(q^2-1)",
+     "classfam g4: unknown symbol zz"),
+    # a range is evaluated without the indices
+    ("classes.def", "ranges: [q^2-1, q^2-1]\n  exclude: k = 0 or l = 0 or k = l",
+     "ranges: [q^2-1, q^2-k]\n  exclude: k = 0 or l = 0 or k = l", "classfam g4: unknown symbol k"),
+    ("paramsets.def", "moduli: [q^2+1]", "moduli: [q^2+zz]", "GI_32: unknown symbol zz"),
+    ("paramsets.def", "equiv: [k -> q^2*k]", "equiv: [k -> q^2*l]", "PaI_4: unknown symbol l"),
+    ("weyl.def", "tcoords: [a/(q^2-1)", "tcoords: [zz/(q^2-1)", "weylclass T1: unknown symbol zz"),
+    # a torus index in a dual coordinate
+    ("weyl.def", "scoords: [(2*th+1)*(k+l)/(q^2-1)", "scoords: [(2*th+1)*(a+l)/(q^2-1)",
+     "weylclass T1: unknown symbol a"),
+    ("weyl.def", "tranges: [q^2-1, q^2-1]", "tranges: [q^2-1, a]", "weylclass T1: unknown symbol a"),
+], ids=["family-coords", "family-range", "set-modulus", "map-target", "torus-coords",
+        "dual-coords", "torus-range"])
+def test_bad_index_field_symbol_exits_two(tmp_path, capsys, fname, old, new, message):
+    data = _data_copy(tmp_path, fname, old, new)
+    assert main(["verify", "all", "--n", "1", "--data-dir", data]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and "Traceback" not in err

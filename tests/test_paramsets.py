@@ -153,12 +153,39 @@ def test_map_leaving_admissible_set_names_the_set(body):
 
 
 def test_doubling_leaving_class_set_names_the_set():
-    from dadecheck.paramsets import MapClosureError, fixed_classes_doubling
+    from dadecheck.paramsets import MapClosureError, fixed_class_count
+    from enum_oracle import fixed_classes_doubling
 
-    enum = enumerate_classes(_one_set("  moduli: [7]\n  exclude: k = 3\n  card: 6\n"), 1)
-    assert enum.count == 6
+    spec = _one_set("  moduli: [7]\n  exclude: k = 3\n  card: 6\n")
+    assert class_count(spec, 1) == enumerate_classes(spec, 1).count == 6
     with pytest.raises(MapClosureError, match="^X: doubling leaves the class set"):
-        fixed_classes_doubling(enum, 1)  # 5 -> 3
+        fixed_class_count(spec, 1, 1)  # 5 -> 3
+    with pytest.raises(MapClosureError, match="^X: doubling leaves the class set"):
+        fixed_classes_doubling(enumerate_classes(spec, 1), 1)
+
+
+@pytest.mark.parametrize("body, message", [
+    # 2 k -> 4 k is not in the group {k, 2 k + 1}: the doubling permutes no classes
+    ("  moduli: [3]\n  equiv: [k -> 2*k+1]\n  card: 1\n", "doubling does not normalize"),
+    # 2 is no unit mod 6
+    ("  moduli: [6]\n  equiv: [k -> -k]\n  card: 1\n", "doubling by 2^1 is not invertible"),
+    # k -> 3 k has no inverse mod 9, though it keeps the admissible set
+    ("  moduli: [9]\n  equiv: [k -> 3*k]\n  card: 1\n", "an equivalence map is not invertible"),
+], ids=["not-normalized", "even-modulus", "map-not-invertible"])
+def test_doubling_preconditions_name_the_set(body, message):
+    import re
+
+    from dadecheck.paramsets import MapClosureError, fixed_class_count
+
+    with pytest.raises(MapClosureError, match="^X: " + re.escape(message)):
+        fixed_class_count(_one_set(body), 1, 1)
+
+
+def test_div_modulus_zero_names_the_set():
+    from dadecheck.paramsets import MapClosureError
+
+    with pytest.raises(MapClosureError, match="^X: modulus 0 in"):
+        class_count(_one_set("  moduli: [7]\n  exclude: (q-q) div k\n  card: 6\n"), 1)
 
 
 def test_trusted_inputs_flagged(model):
@@ -618,7 +645,7 @@ def test_exclusions_solved_match_scan_random(case):
 
 
 def test_burnside_path_builds_no_admissible_arrays(model, monkeypatch):
-    """Only parameter sets and the fallback families build the admissible tuples."""
+    """Only the fallback families build the admissible tuples; no set does."""
     from dadecheck import paramsets
 
     calls = []
@@ -626,10 +653,10 @@ def test_burnside_path_builds_no_admissible_arrays(model, monkeypatch):
     monkeypatch.setattr(paramsets, "_admissible", lambda *a: calls.append(a) or build(*a))
     sets = [s for s in model.paramsets.values() if s.moduli and s.action != "formula_only"]
     for n in (1, 2, 3, 4):
+        before = len(calls)
         for spec in sets:
-            before = len(calls)
             class_count(spec, n)
-            assert len(calls) == before + 1, spec.id
+        assert len(calls) == before, n
         builders = set()
         for fid, fam in model.classfams.items():
             before = len(calls)
@@ -637,3 +664,81 @@ def test_burnside_path_builds_no_admissible_arrays(model, monkeypatch):
             if len(calls) > before:
                 builders.add(fid)
         assert builders == FALLBACK, n
+
+
+def _enumerable_sets(model):
+    return [s for s in model.paramsets.values() if s.moduli and s.action != "formula_only"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_set_counts_match_listing(model, n):
+    sets = _enumerable_sets(model)
+    assert len(sets) == 83
+    for spec in sets:
+        assert class_count(spec, n) == enumerate_classes(spec, n).count, spec.id
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_doubling_counts_match_listing(model, n):
+    from dadecheck.autfix import divisors
+    from dadecheck.paramsets import fixed_class_count
+    from enum_oracle import fixed_classes_doubling
+
+    cells = 0
+    for spec in _enumerable_sets(model):
+        if spec.action != "doubling":
+            continue
+        enum = enumerate_classes(spec, n)
+        for t in divisors(2 * n + 1):
+            assert fixed_class_count(spec, n, t) == fixed_classes_doubling(enum, t), (spec.id, t)
+            cells += 1
+    assert cells > 100
+
+
+@st.composite
+def _random_sets(draw):
+    """A set of one or two indices with moduli up to 15, its maps, an exclusion and a t.
+
+    Map coefficients across two different moduli are multiples of m_i /
+    gcd(m_i, m_j), so every map is well defined; maps need not be
+    invertible, and need not keep the admissible set.
+    """
+    from dadecheck.tabledsl import ParamSetSpec
+
+    nv = draw(st.integers(1, 2))
+    moduli = draw(st.lists(st.integers(1, 15), min_size=nv, max_size=nv)
+                  | st.integers(1, 15).map(lambda m: [m] * nv))
+    names = ("k", "l")[:nv]
+
+    def target(i):
+        coeffs = [draw(st.integers(-15, 15)) * (1 if i == j else mi // math.gcd(mi, mj))
+                  for j, (mi, mj) in enumerate(zip([moduli[i]] * nv, moduli))]
+        return _affine_expr(coeffs, draw(st.integers(-15, 15)))
+
+    equiv = tuple((names, tuple(target(i) for i in range(nv)))
+                  for _ in range(draw(st.integers(0, 2))))
+    atom = st.builds(lambda k, c, op: ("atom", op, _affine_expr([k] + [0] * (nv - 1), 0),
+                                       ("int", c)),
+                     st.integers(-3, 3), st.integers(-3, 3), st.sampled_from(["=", "!="]))
+    exclude = draw(st.none() | atom | st.tuples(st.just("or"), atom, atom))
+    spec = ParamSetSpec("X", "G", "doubling", tuple(("int", m) for m in moduli), exclude, equiv)
+    return spec, draw(st.integers(0, 4))
+
+
+@given(_random_sets())
+@settings(max_examples=300, deadline=None)
+def test_burnside_matches_listing_random(case):
+    from dadecheck.paramsets import MapClosureError, fixed_class_count
+    from enum_oracle import fixed_classes_doubling
+
+    spec, t = case
+
+    def outcome(f):
+        try:
+            return f()
+        except MapClosureError:
+            return "raises"
+
+    assert outcome(lambda: class_count(spec, 1)) == outcome(lambda: enumerate_classes(spec, 1).count)
+    assert (outcome(lambda: fixed_class_count(spec, 1, t))
+            == outcome(lambda: fixed_classes_doubling(enumerate_classes(spec, 1), t)))

@@ -122,18 +122,27 @@ def test_pairings(model):
 
 
 def test_param_count_invariant_n3(model):
-    # formula-level check only: the declared index ranges multiply out to the
-    # determinant at n = 3; above the limit each enumeration record is a skip
-    recs = rd.torus_param_checks(model, 3, enumerate_limit=0)
-    counts = [r for r in recs if r.check == "torus_param_count"]
-    skips = [r for r in recs if r.check != "torus_param_count"]
-    assert len(counts) == 11
-    for r in counts:
-        assert r.ok, (r.name, r.expected, r.actual)
-    assert sorted(r.check for r in skips) == ["torus_param_distinct"] * 11 + ["torus_param_fixed"] * 11
-    for r in skips:
-        assert r.actual is None and not r.ok
-        assert r.reason.endswith("points exceed the enumeration limit 0"), r.reason
+    # the declared index ranges multiply out to the determinant at n = 3, and
+    # every torus is fixed with the table's number of distinct points
+    recs = rd.torus_param_checks(model, 3)
+    assert sorted(r.check for r in recs) == sorted(
+        ["torus_param_count", "torus_param_distinct", "torus_param_fixed"] * 11)
+    for r in recs:
+        assert r.ok, (r.check, r.name, r.expected, r.actual)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tori_match_listing(model, n):
+    from enum_oracle import torus_by_listing
+
+    for side, prefix, check in (("torus", "torus_param", rd.torus_param_checks),
+                                ("dual", "dual_torus", rd.dual_torus_check)):
+        listed = torus_by_listing(model, n, side)
+        got = {(r.name, r.check): r.actual for r in check(model, n)}
+        assert len(listed) == 11
+        for wid, (fixed, distinct) in listed.items():
+            assert got[(wid, prefix + "_fixed")] is fixed, (side, wid)
+            assert got[(wid, prefix + "_distinct")] == distinct, (side, wid)
 
 
 def test_subsystem_type_examples():
@@ -222,6 +231,48 @@ def test_transposed_action_is_not_fixed(model, monkeypatch):
         fixed = [r for r in recs if r.check == check]
         assert len(fixed) == len(model.weylclasses)
         assert not any(r.actual for r in fixed), check
+
+
+def _edit_class(model, wid, **fields):
+    import dataclasses
+
+    wc = dataclasses.replace(model.weylclasses[wid], **fields)
+    return dataclasses.replace(model, weylclasses=dict(model.weylclasses, **{wid: wc}))
+
+
+@pytest.mark.parametrize("side, field", [("torus", "tranges"), ("dual", "sranges")])
+def test_chart_not_well_defined_fails_distinct(model, side, field):
+    # one point short of the period: (r - 1) R != 0 mod D
+    short = (("sub", getattr(model.weylclasses["T3"], field)[0], ("int", 1)),)
+    edited = _edit_class(model, "T3", **{field: short})
+    check, prefix = ((rd.torus_param_checks, "torus_param") if side == "torus"
+                     else (rd.dual_torus_check, "dual_torus"))
+    recs = {r.check: r for r in check(edited, 1) if r.name == "T3"}
+    distinct = recs[prefix + "_distinct"]
+    assert distinct.reason is None and not distinct.ok
+    assert distinct.actual.startswith("chart not well defined mod ")
+    assert recs[prefix + "_fixed"].ok
+
+
+def test_edited_charts_match_listing(model):
+    from enum_oracle import torus_by_listing
+
+    wc = model.weylclasses["T3"]
+    (order,) = wc.tranges
+    edits = [
+        # every point twice: a kernel of order 2, half of prod r distinct points
+        {"tranges": (("mul", ("int", 2), order),)},
+        # a constant shift that w . 2^n m0 does not fix
+        {"tcoords": (("add", wc.tcoords[0], ("div", ("int", 1), order)),) + wc.tcoords[1:]},
+    ]
+    results = []
+    for fields in edits:
+        edited = _edit_class(model, "T3", **fields)
+        got = {r.check: r.actual for r in rd.torus_param_checks(edited, 1) if r.name == "T3"}
+        listed = torus_by_listing(edited, 1, "torus")["T3"]
+        assert (got["torus_param_fixed"], got["torus_param_distinct"]) == listed
+        results.append(listed)
+    assert results == [(True, 35), (False, 35)]  # 35 = (q^2-1) p8b at n = 1
 
 
 @pytest.mark.parametrize("field", ["tcoords", "scoords"])
