@@ -12,10 +12,10 @@ closed form in t.  A Mobius inversion over the divisor lattice of 2n+1 turns
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List
 
 from .exactnum import NotRationalInteger, SQRT2, SqrtTwoRat, as_integer
-from .paramsets import BudgetExceeded, DEFAULT_BUDGET, fixed_class_count
+from .paramsets import BudgetExceeded, fixed_class_count
 from .record import Record
 from .tabledsl import FixRow, Model, build_env, eval_expr_int
 
@@ -61,9 +61,7 @@ def fixed_count_formula(row: FixRow, t: int) -> int:
         raise NonIntegralFormula(f"{row.id}: {e}") from e
 
 
-def fixed_count_bruteforce(
-    row: FixRow, model: Model, n: int, t: int, budget: int = DEFAULT_BUDGET
-) -> int:
+def fixed_count_bruteforce(row: FixRow, model: Model, n: int, t: int) -> int:
     """Classes of the row's member sets fixed by x -> 2^t x, from their index structure."""
     if (2 * n + 1) % t:
         raise ValueError(f"t={t} does not divide 2n+1={2 * n + 1}")
@@ -73,7 +71,11 @@ def fixed_count_bruteforce(
         if spec.action == "identity":
             total += eval_expr_int(spec.card, build_env(n))
         elif spec.action == "doubling":
-            total += fixed_class_count(spec, n, t, budget)
+            try:
+                total += fixed_class_count(spec, n, t)
+            except BudgetExceeded as e:
+                e.args = (f"{sid}: {e}",)  # the same error, now naming the set
+                raise
         else:
             raise FormulaOnlyRow(f"{row.id}: member {sid} has action {spec.action}")
     return total
@@ -110,13 +112,7 @@ def exact_stabilizer_counts(fix: Dict[int, int], f: int) -> Dict[int, int]:
     return exact
 
 
-def fix_counts_for_row(
-    row: FixRow,
-    model: Model,
-    n: int,
-    mode: str = "formula",
-    budget: int = DEFAULT_BUDGET,
-) -> Dict[int, int]:
+def fix_counts_for_row(row: FixRow, model: Model, n: int, mode: str = "formula") -> Dict[int, int]:
     """fix[t] for every divisor t of 2n+1, in the requested mode."""
     f = 2 * n + 1
     out = {}
@@ -124,7 +120,7 @@ def fix_counts_for_row(
         if mode == "formula":
             out[t] = fixed_count_formula(row, t)
         else:
-            out[t] = fixed_count_bruteforce(row, model, n, t, budget)
+            out[t] = fixed_count_bruteforce(row, model, n, t)
     return out
 
 
@@ -201,26 +197,22 @@ def verify_gcd_lemmas(n_max: int, pair_bound: int = 20) -> List[Record]:
 # --- per-row oracle equivalence ------------------------------------------------
 
 
-def verify_fixrows(
-    model: Model,
-    n: int,
-    budget: int = DEFAULT_BUDGET,
-    rows: Optional[Iterable[str]] = None,
-) -> List[Record]:
+def verify_fixrows(model: Model, n: int) -> List[Record]:
     """Brute force = closed form for every enumerable row, every t | 2n+1.
 
     A row that cannot be brute-forced passes on its closed form alone, and a
-    cell whose enumeration exceeds the budget is a skip with the reason.
+    cell whose count is beyond the implementation's reach is a skip with the
+    reason, which names the set.
     """
     f = 2 * n + 1
     out = []
-    for rid in rows if rows is not None else sorted(model.fixrows):
+    for rid in sorted(model.fixrows):
         row = model.fixrows[rid]
         enumerable = row_is_enumerable(row, model)
         for t in divisors(f):
             formula = fixed_count_formula(row, t)
             try:
-                got = fixed_count_bruteforce(row, model, n, t, budget) if enumerable else formula
+                got = fixed_count_bruteforce(row, model, n, t) if enumerable else formula
                 reason = None
             except BudgetExceeded as e:
                 got, reason = None, str(e)

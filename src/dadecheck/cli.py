@@ -5,8 +5,9 @@
     dadecheck report FILE
 
 Options shared by the verify subcommands: --n (repeatable), --max-n, --mode
-{formula,bruteforce,both}, --budget, --workers, --data-dir, --report PATH,
---config FILE (key = value lines, overridden by flags).  The data directory
+{formula,bruteforce,both}, --workers, --data-dir, --report PATH, --config
+FILE ("key = value" lines, keys mode, data_dir, report, workers, max_n and n,
+overridden by flags).  The data directory
 defaults to the packaged tables, or $DADE_DATA_DIR.
 
 Every check instance becomes one JSON record
@@ -27,7 +28,6 @@ from typing import Dict, List, Optional
 
 from . import load_model
 from . import autfix, chartables, dadeverify, paramsets, rootdatum
-from .paramsets import DEFAULT_BUDGET
 from .record import Record
 from .tabledsl import TableSyntaxError, DanglingReference
 
@@ -57,15 +57,15 @@ REGISTRY = {
     "lemmas": [(True, lambda m, n, c: autfix.verify_gcd_lemmas(c["max_n"]))],
     "params": [
         (True, lambda m, n, c: paramsets.trusted_input_flags(m)),
-        (False, lambda m, n, c: paramsets.cardinality_check(m, n, c["budget"])),
+        (False, lambda m, n, c: paramsets.cardinality_check(m, n)),
         (False, lambda m, n, c: paramsets.semisimple_sum_checks(m, n)),
     ],
     "fixrows": [
-        (False, lambda m, n, c: autfix.verify_fixrows(m, n, c["budget"])),
+        (False, lambda m, n, c: autfix.verify_fixrows(m, n)),
         (False, lambda m, n, c: autfix.verify_mobius_layer(m, n)),
     ],
     "dade": [
-        (False, lambda m, n, c: dadeverify.verify_dade(m, n, c["mode"], c["budget"])),
+        (False, lambda m, n, c: dadeverify.verify_dade(m, n, c["mode"])),
         (False, lambda m, n, c: dadeverify.verify_dade_exact_level(m, n)),
         (False, lambda m, n, c: dadeverify.ledger_consistency(m, n)),
     ],
@@ -138,10 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="instance size n (repeatable); q^2 = 2^(2n+1)")
         sp.add_argument("--max-n", type=int, default=None,
                         help="run every n from 1 to this bound")
-        sp.add_argument("--mode", choices=("formula", "bruteforce", "both"),
-                        default=None)
-        sp.add_argument("--budget", type=int, default=None,
-                        help="enumeration budget (tuples per set)")
+        sp.add_argument("--mode", choices=_MODES, default=None)
         sp.add_argument("--workers", type=int, default=None)
         sp.add_argument("--data-dir", default=None)
         sp.add_argument("--report", default=None, help="write the JSON report here")
@@ -161,22 +158,23 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_DEFAULTS = {"mode": "formula", "budget": DEFAULT_BUDGET, "workers": 1}
+_DEFAULTS = {"mode": "formula", "workers": 1}
+_MODES = ("formula", "bruteforce", "both")
+# config file key -> (option, parser of its value)
+_CONFIG_KEYS = {"mode": ("mode", str), "data_dir": ("data_dir", str), "report": ("report", str),
+                "workers": ("workers", int), "max_n": ("max_n", int),
+                "n": ("n_list", lambda v: [int(x) for x in v.split(",")])}
 
 
 def _resolve_options(args) -> Dict[str, object]:
     cfg = dict(_DEFAULTS)
     if args.config:
-        file_cfg = _read_config(args.config)
-        for key in ("mode", "data_dir", "report"):
-            if key in file_cfg:
-                cfg[key] = file_cfg[key]
-        for key in ("budget", "workers", "max_n"):
-            if key in file_cfg:
-                cfg[key] = int(file_cfg[key])
-        if "n" in file_cfg:
-            cfg["n_list"] = [int(x) for x in file_cfg["n"].split(",")]
-    for key in ("mode", "budget", "workers", "report"):
+        for key, val in _read_config(args.config).items():
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"{args.config}: unknown config key {key!r}")
+            option, parse = _CONFIG_KEYS[key]
+            cfg[option] = parse(val)
+    for key in ("mode", "workers", "report"):
         v = getattr(args, key, None)
         if v is not None:
             cfg[key] = v
@@ -193,8 +191,8 @@ def _resolve_options(args) -> Dict[str, object]:
     cfg.setdefault("report", None)
     if not cfg["n_list"]:
         raise ValueError("n list must be nonempty")
-    if cfg["budget"] < (1 << 16):
-        raise ValueError("budget must be at least 2^16")
+    if cfg["mode"] not in _MODES:
+        raise ValueError(f"mode must be one of {', '.join(_MODES)}, not {cfg['mode']!r}")
     return cfg
 
 
@@ -254,25 +252,34 @@ def _cmd_params(args, cfg) -> int:
         print(f"error: unknown set {args.set_id}", file=sys.stderr)
         return 2
     spec = model.paramsets[args.set_id]
+    if not paramsets.has_index_structure(spec):
+        print(f"error: {spec.id} has no index structure", file=sys.stderr)
+        return 2
     records = []
     for n in cfg["n_list"]:
         t0 = time.perf_counter()
         try:
-            count, reason = paramsets.class_count(spec, n, cfg["budget"]), None
+            count, reason = paramsets.class_count(spec, n), None
         except paramsets.BudgetExceeded as e:
-            count, reason = None, str(e)
+            count, reason = None, f"{spec.id}: {e}"
         millis = 1000.0 * (time.perf_counter() - t0)
         expected = paramsets.formula_count(spec, n) if spec.card else count
         records.append(Record("cardinality", spec.id, n, expected, count, reason).as_json(millis))
         if args.list and count is not None:
-            for rep in paramsets.enumerate_classes(spec, n, cfg["budget"]).representatives():
+            try:
+                reps = paramsets.enumerate_classes(spec, n).representatives()
+            except paramsets.BudgetExceeded as e:
+                print(f"error: cannot list the classes of {spec.id} at n = {n}: {e}",
+                      file=sys.stderr)
+                return 2
+            for rep in reps:
                 print(" ".join(str(x) for x in rep))
     return _emit(records, cfg)
 
 
 def _cmd_verify(args, cfg) -> int:
     kinds = ALL_CHECKS if args.what == "all" else (args.what,)
-    opts = {"max_n": cfg["max_n"], "budget": cfg["budget"], "mode": cfg["mode"]}
+    opts = {"max_n": cfg["max_n"], "mode": cfg["mode"]}
     tasks = []
     for kind in kinds:
         n_free = {free for free, _ in REGISTRY[kind]}

@@ -23,7 +23,7 @@ from .autfix import (
     row_is_enumerable,
 )
 from .exactnum import val2
-from .paramsets import BudgetExceeded, DEFAULT_BUDGET
+from .paramsets import BudgetExceeded
 from .record import Record
 from .tabledsl import DefectLedger, Model, build_env, eval_expr_int
 
@@ -83,7 +83,6 @@ def k_fixed(
     u: int,
     n: int,
     mode: str = "formula",
-    budget: int = DEFAULT_BUDGET,
     numeric_only: bool = False,
 ) -> Tuple[int, Set[str]]:
     """Fixed-character count of one chain normalizer at one ledger defect.
@@ -107,7 +106,7 @@ def k_fixed(
             rows_seen.add(e.ref)
             row = model.fixrows[e.ref]
             if mode == "bruteforce" and row_is_enumerable(row, model):
-                total += fixed_count_bruteforce(row, model, n, t, budget)
+                total += fixed_count_bruteforce(row, model, n, t)
             else:
                 total += fixed_count_formula(row, t)
         else:
@@ -122,15 +121,13 @@ def k_fixed(
     return total, tokens
 
 
-def _identity_records(
-    model: Model, n: int, mode: str, budget: int, check: str
-) -> List[Record]:
+def _identity_records(model: Model, n: int, mode: str, check: str) -> List[Record]:
     """The identity in one mode at every ledger cell and every shared defect value.
 
     A cell reads expected (rhs, True, True) against actual (lhs, tokens match,
-    literal alternating sum over the chain table is 0).  A cell whose
-    enumeration exceeds the budget is a skip, and so is a shared defect value
-    with a skipped ledger.
+    literal alternating sum over the chain table is 0).  A cell whose count
+    is beyond the implementation's reach is a skip, and so is a shared defect
+    value with a skipped ledger.
     """
     f = 2 * n + 1
     records = []
@@ -143,7 +140,7 @@ def _identity_records(
             try:
                 parts, tok = {}, {}
                 for g in GROUPS:
-                    parts[g], tok[g] = k_fixed(model, g, led, u, n, mode, budget)
+                    parts[g], tok[g] = k_fixed(model, g, led, u, n, mode)
             except BudgetExceeded as e:
                 rec = Record(check, lid, n, None, None, str(e), d=d, u=u)
             else:
@@ -173,9 +170,7 @@ def _identity_records(
     return records
 
 
-def verify_dade(
-    model: Model, n: int, mode: str = "formula", budget: int = DEFAULT_BUDGET
-) -> List[Record]:
+def verify_dade(model: Model, n: int, mode: str = "formula") -> List[Record]:
     """The counting identity for every ledger defect and every u | 2n+1.
 
     Also folds the literal alternating sum over the six chains (the two
@@ -185,8 +180,8 @@ def verify_dade(
     dade_mode_agreement record comparing their (lhs, rhs).
     """
     if mode != "both":
-        return _identity_records(model, n, mode, budget, "dade")
-    formula, brute = (_identity_records(model, n, md, budget, f"dade_{md}")
+        return _identity_records(model, n, mode, "dade")
+    formula, brute = (_identity_records(model, n, md, f"dade_{md}")
                       for md in ("formula", "bruteforce"))
     agreement = []
     for fr, br in zip(formula, brute):  # both modes list the cells in one order

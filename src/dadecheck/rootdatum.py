@@ -680,11 +680,11 @@ def _torus_checks(model, n: int, side: str):
     the index grid, so every point is fixed by (w . 2^n m0) exactly when C
     and each R_k with r_k > 1 are.  Where the chart is well defined on the
     grid, r_k R_k = 0 mod D, its linear part is a homomorphism, so there are
-    prod r / |ker| distinct points, with ker = {a : sum_k a_k R_k = 0 mod D}
-    solved for by paramsets._solve; where it is not, the distinct-point
-    record fails.
+    as many distinct points as the subgroup of (Z_D)^4 that the R_k generate
+    has elements: D^4 over the product of the Smith normal form of the R_k
+    stacked on D I_4.  Where it is not, the distinct-point record fails.
     """
-    from .paramsets import _act, _chart, _ranges, _solve
+    from .paramsets import _chart, _ranges
     from .tabledsl import build_env, eval_expr_int
 
     prefix = "torus_param" if side == "torus" else "dual_torus"
@@ -705,17 +705,17 @@ def _torus_checks(model, n: int, side: str):
         composite = mat_mul(word_matrix(wc.word, model.weylgens), mf)
         denom, chart = _chart(wid, coords, varnames, n, side)
         nv = len(ranges)
-        rows = chart[[k for k, r in enumerate(ranges) if r > 1] + [nv]]
-        fixed = bool(np.array_equal(_act(rows, composite, denom, side), rows))
+        # dual points are row vectors (v M), torus points columns (M v)
+        act = composite if side == "dual" else tuple(zip(*composite))
+        fixed = all([x % denom for x in mat_vec(v, act)] == v
+                    for k, v in enumerate(chart) if k == nv or ranges[k] > 1)
         records.append(Record(prefix + "_fixed", wid, n, True, fixed))
-        lin = chart[:nv].tolist()
+        lin = chart[:nv]
         if any(r * x % denom for r, row in zip(ranges, lin) for x in row):
             distinct = f"chart not well defined mod {denom}"
-        elif not nv:  # a single point
-            distinct = 1
         else:
-            kernel = _solve([[row[c] for row in lin] + [0] for c in range(4)], [denom] * 4, ranges)
-            distinct = prod // len(kernel[0])
+            lattice = lin + [[denom * (i == j) for j in range(4)] for i in range(4)]
+            distinct = denom ** 4 // math.prod(smith_normal_form(lattice))
         records.append(Record(prefix + "_distinct", wid, n, order, distinct))
     return records
 

@@ -64,13 +64,13 @@ def test_criterion_03_cardinalities(model):
         recs = cardinality_check(model, n)
         checked += len(recs)
         ok &= all(r.ok for r in recs)
-    recs = cardinality_check(model, 3, max_arity=1)
+    recs = cardinality_check(model, 3)
     checked += len(recs)
     ok &= all(r.ok for r in recs)
     ok &= family_class_count(model.classfams["h4"], model, 1) == 0
     ok &= family_class_count(model.classfams["g4"], model, 1) == 0
     _report(3, "enumerated cardinalities equal the table formulas "
-               "(n=1,2 all sets; n=3 single-index; degenerate h4/g4 = 0)",
+               "(n=1,2,3 all sets and families; degenerate h4/g4 = 0)",
             ok, f"{checked} set/family counts")
 
 

@@ -39,8 +39,30 @@ def test_unknown_set_is_config_error(capsys):
     assert main(["params", "--n", "1", "--set", "NOPE"]) == 2
 
 
-def test_budget_floor_is_config_error(capsys):
-    assert main(["verify", "lemmas", "--budget", "1024"]) == 2
+def test_set_without_index_structure_is_config_error(capsys):
+    assert main(["params", "--n", "1", "--set", "GI_ss"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: GI_ss has no index structure\n"
+
+
+def test_budget_option_is_rejected(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["verify", "lemmas", "--budget", "4194304"])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("mod = both", "unknown config key 'mod'"),
+    ("budget = 65536", "unknown config key 'budget'"),
+    ("mode = brute", "mode must be one of formula, bruteforce, both, not 'brute'"),
+])
+def test_bad_config_line_is_config_error(tmp_path, capsys, line, message):
+    cfg = tmp_path / "dade.cfg"
+    cfg.write_text(f"n = 1\n{line}\n")
+    assert main(["verify", "lemmas", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
 def test_report_roundtrip(tmp_path, capsys):
@@ -67,31 +89,29 @@ def test_report_counts_and_times_each_kind(tmp_path, capsys):
 
 
 def test_skips_carry_reason_and_exit_zero(tmp_path, capsys):
-    # at n = 5 two sets and ten families have grids over the default budget
+    # at n = 8 three sets and fourteen families need values past int64
     report = tmp_path / "r.json"
-    assert main(["verify", "params", "--n", "5", "--report", str(report)]) == 0
+    assert main(["verify", "params", "--n", "8", "--report", str(report)]) == 0
     records = json.loads(report.read_text())
     skips = [r for r in records if r["status"] == "skip"]
-    assert len(skips) == 12
-    assert sorted(r["check"] for r in skips) == ["cardinality"] * 2 + ["family_count"] * 10
-    assert all(r["reason"].startswith(f"{r['name']}: ") and "exceeds budget 4194304" in r["reason"]
+    assert sorted((r["check"], r["name"]) for r in skips) == (
+        [("cardinality", s) for s in ("PaI_4", "PbI_6", "PbI_7")]
+        + [("family_count", f"{side}{i}") for side in "gh" for i in (11, 12, 16, 17, 18, 7, 9)])
+    assert all(r["reason"].startswith(f"{r['name']}: ") and r["reason"].endswith(" overflow int64")
                for r in skips)
     assert all("reason" not in r for r in records if r["status"] != "skip")
-    assert "113 passed, 0 failed, 12 skipped of 125 checks" in capsys.readouterr().out
+    assert "108 passed, 0 failed, 17 skipped of 125 checks" in capsys.readouterr().out
 
 
 def test_verify_all_n5_coverage(tmp_path, capsys):
-    # every check but the floating-point norms and the grids over the budget runs at n = 5
+    # every check but the floating-point norms runs at n = 5
     from collections import Counter
 
     report = tmp_path / "r.json"
     assert main(["verify", "all", "--n", "5", "--report", str(report)]) == 0
     records = json.loads(report.read_text())
     other = Counter((r["check"], r["status"]) for r in records if r["status"] != "pass")
-    assert other == {("f_norm", "skip"): 4096, ("cardinality", "skip"): 2,
-                     ("family_count", "skip"): 10, ("fixrow", "skip"): 2}
-    assert all("exceeds budget" in r["reason"] for r in records
-               if r["status"] == "skip" and r["check"] != "f_norm")
+    assert other == {("f_norm", "skip"): 4096}
     weyl = {"torus_param_count", "torus_param_fixed", "torus_param_distinct",
             "dual_torus_fixed", "dual_torus_distinct"}
     assert sum(r["check"] in weyl for r in records) == 55
@@ -205,7 +225,7 @@ def test_millis_is_per_record_not_running_total():
     records = []
     for n in (None, 1):  # the weyl checks that do not depend on n, then those at n = 1
         t0 = time.perf_counter()
-        task = cli.run_task(("weyl", n, {"max_n": 1, "budget": 1 << 22, "mode": "formula"}))
+        task = cli.run_task(("weyl", n, {"max_n": 1, "mode": "formula"}))
         wall_ms = 1000.0 * (time.perf_counter() - t0)
         assert sum(r["millis"] for r in task) <= wall_ms + 1.0
         records += task
@@ -227,7 +247,7 @@ def test_millis_is_each_records_own_time(monkeypatch):
 
     cli._model()  # load outside the timed region
     monkeypatch.setitem(cli.REGISTRY, "slow", [(False, slow_checker)])
-    task = cli.run_task(("slow", 1, {"max_n": 1, "budget": 1 << 22, "mode": "formula"}))
+    task = cli.run_task(("slow", 1, {"max_n": 1, "mode": "formula"}))
     assert [r["name"] for r in task] == ["0", "1", "2", "3"]
     assert all(45.0 <= r["millis"] < 150.0 for r in task), [r["millis"] for r in task]
 
@@ -288,12 +308,21 @@ def test_bad_weyl_generators_exit_two(tmp_path, capsys, r4, message, command):
 
 def test_params_budget_overflow_is_skip(tmp_path, capsys):
     report = tmp_path / "r.json"
-    assert main(["params", "--n", "4", "--set", "BI_1", "--budget", "65536",
-                 "--report", str(report)]) == 0
+    assert main(["params", "--n", "8", "--set", "PaI_4", "--report", str(report)]) == 0
     (rec,) = json.loads(report.read_text())
     assert rec["status"] == "skip" and rec["actual"] == "None"
-    assert rec["reason"] == "BI_1: 261121 tuples exceeds budget 65536"
+    assert rec["reason"] == ("PaI_4: index map: intermediate values up to "
+                             "590291306690359066626 overflow int64")
     assert "0 passed, 0 failed, 1 skipped of 1 checks" in capsys.readouterr().out
+
+
+def test_params_listing_past_the_listed_tuples_is_error(capsys):
+    # the count needs no listing; the representatives of 67092481 tuples are not listed
+    assert main(["params", "--n", "6", "--set", "BI_1", "--list"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: cannot list the classes of BI_1 at n = 6: "
+                            "grid: 67092481 tuples, more than 4194304\n")
 
 
 def test_norms_above_float_limit_are_skips(tmp_path, model):
@@ -354,22 +383,40 @@ def test_trusted_input_flags_run_once_per_run(tmp_path, monkeypatch):
 
 
 def test_budget_overflow_in_fixrows_and_dade_is_skip(tmp_path, capsys):
-    # at n = 4 the set BI_1 has 261121 tuples, over a budget of 2^16
-    reason = "BI_1: 261121 tuples exceeds budget 65536"
+    # at n = 8 the set PaI_4, a member of R_Pa_3_4, needs values past int64
+    reason = "PaI_4: index map: intermediate values up to 590291306690359066626 overflow int64"
     report = tmp_path / "r.json"
-    assert main(["verify", "fixrows", "--n", "4", "--budget", "65536",
-                 "--report", str(report)]) == 0
+    assert main(["verify", "fixrows", "--n", "8", "--report", str(report)]) == 0
     skips = [r for r in json.loads(report.read_text()) if r["status"] == "skip"]
-    assert {(r["check"], r["name"], r["t"]) for r in skips if r["reason"] == reason} == {
-        ("fixrow", "R_B_1", t) for t in (1, 3, 9)}
-    assert main(["verify", "dade", "--n", "4", "--mode", "both", "--budget", "65536",
-                 "--report", str(report)]) == 0
+    assert {(r["check"], r["name"], r["t"]) for r in skips} == {
+        ("fixrow", "R_Pa_3_4", t) for t in (1, 17)}
+    assert all(r["reason"] == reason for r in skips)
+    assert main(["verify", "dade", "--n", "8", "--mode", "both", "--report", str(report)]) == 0
     records = json.loads(report.read_text())
     skips = {(r["check"], r["name"], r["u"]) for r in records if r["status"] == "skip"}
     assert skips == {(check, "d_24n_12", u) for check in ("dade_bruteforce", "dade_mode_agreement")
-                     for u in (1, 3, 9)}
+                     for u in (1, 17)}
     assert all(r["reason"] == reason for r in records if r["status"] == "skip")
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["verify", "params"], ["verify", "fixrows"],
+                                     ["verify", "dade", "--mode", "both"]])
+def test_n6_runs_with_no_skips(tmp_path, command):
+    report = tmp_path / "r.json"
+    assert main(command + ["--n", "6", "--report", str(report)]) == 0
+    records = json.loads(report.read_text())
+    assert records and all(r["status"] == "pass" for r in records)
+
+
+@pytest.mark.parametrize("n", [8, 40])
+def test_weyl_large_n_passes(tmp_path, n):
+    # at n = 8 the charts have D = 2^34 + 1, where an int64 change of basis wraps
+    # around; at n = 40 D is past int64 itself
+    report = tmp_path / "r.json"
+    assert main(["verify", "weyl", "--n", str(n), "--report", str(report)]) == 0
+    records = json.loads(report.read_text())
+    assert len(records) == 149 and all(r["status"] == "pass" for r in records)
 
 
 def test_mobius_records_named_by_row(tmp_path, model):

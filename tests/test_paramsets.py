@@ -94,8 +94,8 @@ def test_cardinalities_n1_n2(model):
             assert r.ok, (r.name, r.expected, r.actual)
 
 
-def test_single_index_n3(model):
-    recs = cardinality_check(model, 3, max_arity=1)
+def test_cardinalities_n3(model):
+    recs = cardinality_check(model, 3)
     assert sum(1 for r in recs if r.check == "cardinality") > 50
     for r in recs:
         assert r.ok, (r.name, r.expected, r.actual)
@@ -110,8 +110,10 @@ def test_semisimple_sums(model):
 
 
 def test_budget_exceeded(model):
-    with pytest.raises(BudgetExceeded):
-        enumerate_classes(model.paramsets["BI_1"], 4, budget=1 << 16)
+    # at n = 6 BI_1 has (2^13 - 1)^2 tuples, more than are ever listed
+    with pytest.raises(BudgetExceeded, match="^grid: 67092481 tuples, more than 4194304$"):
+        enumerate_classes(model.paramsets["BI_1"], 6)
+    assert class_count(model.paramsets["BI_1"], 6) == formula_count(model.paramsets["BI_1"], 6)
 
 
 def test_budget_allows_n4_pairs(model):
@@ -303,12 +305,11 @@ FALLBACK = {"g1", "g2", "g3", "g5", "h1", "h2", "h3", "h5", "h6"}
 
 def _both_paths(fam, model, n, cent=None):
     """(Burnside count or None, orbit kernel count) of one family."""
-    from dadecheck.paramsets import (DEFAULT_BUDGET, _burnside_count, _centralizer,
-                                     _index_grid, _orbit_count)
+    from dadecheck.paramsets import _burnside_count, _centralizer, _index_grid, _orbit_count
 
     if cent is None:
         cent = _centralizer(model, fam.word)
-    ranges, excluded = _index_grid(fam.id, fam.ranges, fam.vars, fam.exclude, n, DEFAULT_BUDGET)
+    ranges, excluded = _index_grid(fam.id, fam.ranges, fam.vars, fam.exclude, n)
     denom, vecs = family_elements(fam, n)
     return (_burnside_count(fam, n, cent, ranges, excluded),
             _orbit_count(vecs, cent.mats, denom, fam.side))
@@ -483,10 +484,22 @@ def test_index_map_bound():
         _apply([[1]], [0], [top], (1 << 32,))  # 2 * 2^32 * (2^30 + 1) > 2^63
 
 
-def test_budget_skip_is_a_record(model):
-    recs = cardinality_check(model, 1, budget=0, include_families=False)
-    assert recs and all(r.reason and "exceeds budget" in r.reason for r in recs)
-    assert not any(r.ok for r in recs)
+def test_budget_skip_is_a_record(model, monkeypatch):
+    # with no tuple listed, what needs the solver or a listing is a skip that names its owner
+    from dadecheck import paramsets
+
+    monkeypatch.setattr(paramsets, "_LISTED_TUPLES", 0)
+    recs = cardinality_check(model, 1)
+    skips = [r for r in recs if r.reason is not None]
+    assert FALLBACK <= {r.name for r in skips} and len(skips) < len(recs)
+    assert all(r.reason.startswith(f"{r.name}: ") and r.reason.endswith(" tuples, more than 0")
+               and not r.ok for r in skips)
+    assert all(r.ok for r in recs if r.reason is None)
+
+
+def _excluded_by(keep, ranges):
+    """The sorted flat indices that a mask over the grid (None: keep all) leaves out."""
+    return np.zeros(0, dtype=np.int64) if keep is None else np.flatnonzero(~keep)
 
 
 def _fixed_by_scan(lin, shift, ranges, keep):
@@ -502,15 +515,15 @@ def _fixed_by_scan(lin, shift, ranges, keep):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_fixed_points_solved_match_grid_scan(model, n):
     """Every element of every charted family's centralizer, not only class representatives."""
-    from dadecheck.paramsets import (DEFAULT_BUDGET, _centralizer, _chart, _fixed_count,
-                                     _index_grid, _induced_maps, _left_inverse, _mask)
+    from dadecheck.paramsets import (_centralizer, _chart, _fixed_count, _index_grid,
+                                     _induced_maps, _left_inverse)
 
     uncharted, elements = set(), 0
     for fid in sorted(model.classfams):
         fam = model.classfams[fid]
-        ranges, excluded = _index_grid(fam.id, fam.ranges, fam.vars, fam.exclude, n,
-                                       DEFAULT_BUDGET)
-        keep = _mask(ranges, excluded)
+        ranges, excluded = _index_grid(fam.id, fam.ranges, fam.vars, fam.exclude, n)
+        keep = np.ones(math.prod(ranges), dtype=bool)
+        keep[excluded] = False
         maps = None
         if ranges:
             denom, chart = _chart(fam.id, fam.coords, fam.vars, n, fam.side)
@@ -523,7 +536,7 @@ def test_fixed_points_solved_match_grid_scan(model, n):
             continue
         for lin, shift in zip(*maps):
             for mask in (keep, None):
-                assert (_fixed_count(lin, shift, ranges, mask)
+                assert (_fixed_count(lin, shift, ranges, _excluded_by(mask, ranges))
                         == _fixed_by_scan(lin, shift, ranges, mask)), fid
             elements += 1
     assert uncharted == FALLBACK and elements > 100
@@ -547,7 +560,7 @@ def test_fixed_points_hand_made(lin, shift, ranges):
 
     keep = np.random.default_rng(8).random(ranges).ravel() < 0.7
     for mask in (None, keep):
-        assert (_fixed_count(lin, shift, ranges, mask)
+        assert (_fixed_count(lin, shift, ranges, _excluded_by(mask, ranges))
                 == _fixed_by_scan(lin, shift, ranges, mask))
 
 
@@ -562,7 +575,7 @@ def test_fixed_points_random_maps(ranges, entries, seed):
     shift = entries[4:4 + nv]
     keep = np.random.default_rng(seed).random(math.prod(ranges)) < 0.5
     for mask in (None, keep):
-        assert (_fixed_count(lin, shift, tuple(ranges), mask)
+        assert (_fixed_count(lin, shift, tuple(ranges), _excluded_by(mask, ranges))
                 == _fixed_by_scan(lin, shift, tuple(ranges), mask))
 
 
@@ -576,7 +589,7 @@ def _scan_excluded(owner, pred, n, varnames, ranges):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_exclusions_solved_match_scan(model, n):
-    from dadecheck.paramsets import DEFAULT_BUDGET, _index_grid
+    from dadecheck.paramsets import _index_grid
 
     owners = ([(s.id, s.moduli, s.indices, s.exclude) for s in model.paramsets.values()
                if s.exclude is not None]
@@ -584,7 +597,7 @@ def test_exclusions_solved_match_scan(model, n):
                  if f.exclude is not None])
     assert len(owners) == 64
     for owner, range_exprs, varnames, exclude in owners:
-        ranges, excluded = _index_grid(owner, range_exprs, varnames, exclude, n, DEFAULT_BUDGET)
+        ranges, excluded = _index_grid(owner, range_exprs, varnames, exclude, n)
         assert np.array_equal(excluded, _scan_excluded(owner, exclude, n, varnames, ranges)), owner
 
 

@@ -221,11 +221,9 @@ def test_torus_enumeration_n3_covers_every_class(model):
 
 
 def test_transposed_action_is_not_fixed(model, monkeypatch):
-    from dadecheck import paramsets
-
-    act = paramsets._act
-    flipped = {"torus": "dual", "dual": "torus"}
-    monkeypatch.setattr(paramsets, "_act", lambda v, m, d, side: act(v, m, d, flipped[side]))
+    # v M in place of M v on the torus side, and M v in place of v M on the dual side
+    mat_vec = rd.mat_vec
+    monkeypatch.setattr(rd, "mat_vec", lambda v, m: mat_vec(v, tuple(zip(*m))))
     for check, recs in (("torus_param_fixed", rd.torus_param_checks(model, 1)),
                         ("dual_torus_fixed", rd.dual_torus_check(model, 1))):
         fixed = [r for r in recs if r.check == check]
@@ -288,3 +286,22 @@ def test_perturbed_coordinate_row_fails(model, field):
     )
     recs = rd.torus_param_checks(edited, 1) + rd.dual_torus_check(edited, 1)
     assert any(not r.ok for r in recs)
+
+
+@pytest.mark.parametrize("n", [1, 8, 9])
+def test_chart_change_of_basis_is_exact(model, n):
+    # the value on the simple-root basis is x_i = <v, r_i>, with r_i the simple roots on eps
+    from dadecheck.paramsets import _affine, _chart
+
+    twice = [[int(2 * c) for c in r] for r in rd._R_IN_EPS]  # 2 r_i is integral, D is odd
+    for wid, wc in sorted(model.weylclasses.items()):
+        denom, chart = _chart(wid, wc.tcoords, wc.tvars, n, "torus")
+        _, rows = _affine(wid, wc.tcoords, n, wc.tvars)
+        for k, x in enumerate(chart):
+            eps = [int(row[k] * denom) for row in rows]
+            assert all((2 * x[i] - sum(eps[j] * twice[i][j] for j in range(4))) % denom == 0
+                       for i in range(4)), (wid, k)
+    if n == 8:
+        denom, chart = _chart("T5", model.weylclasses["T5"].tcoords,
+                              model.weylclasses["T5"].tvars, 8, "torus")
+        assert denom == 2 ** 34 + 1 and chart[1][3] == 17146315008
