@@ -21,15 +21,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional
 
-from . import load_model
-from . import autfix, chartables, dadeverify, paramsets, rootdatum
-from .record import Record
-from .tabledsl import TableSyntaxError, DanglingReference
+# dadecheck never hands BLAS anything large, and OpenBLAS's helper thread
+# costs every process CPU time from the import of numpy on.  A caller's own
+# value wins.  Set here, before the imports below load numpy, and not in the
+# package: importing dadecheck leaves the environment alone.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from . import load_model  # noqa: E402
+from . import autfix, chartables, dadeverify, paramsets, rootdatum  # noqa: E402
+from .record import Record  # noqa: E402
+from .tabledsl import TableSyntaxError, DanglingReference  # noqa: E402
 
 # ---- check runners (module level so a worker pool can dispatch them) ---------
 
@@ -186,11 +192,14 @@ def _resolve_options(args) -> Dict[str, object]:
     if getattr(args, "n", None):
         cfg["n_list"] = list(args.n)
     cfg.setdefault("n_list", [1])
+    for key, values in (("max_n", [cfg.get("max_n", 1)]), ("n", cfg["n_list"]),
+                        ("workers", [cfg["workers"]])):
+        for v in values:
+            if v < 1:
+                raise ValueError(f"{key} must be >= 1, not {v}")
     cfg.setdefault("max_n", max(cfg["n_list"]))
     cfg.setdefault("data_dir", None)
     cfg.setdefault("report", None)
-    if not cfg["n_list"]:
-        raise ValueError("n list must be nonempty")
     if cfg["mode"] not in _MODES:
         raise ValueError(f"mode must be one of {', '.join(_MODES)}, not {cfg['mode']!r}")
     return cfg
@@ -289,6 +298,9 @@ def _cmd_verify(args, cfg) -> int:
             tasks.extend((kind, n, opts) for n in cfg["n_list"])
     records: List[dict] = []
     if cfg["workers"] > 1 and len(tasks) > 1:
+        # imported here: a serial run does not pay for the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=cfg["workers"], initializer=_init_worker,
             initargs=(cfg["data_dir"],),

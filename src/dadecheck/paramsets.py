@@ -277,18 +277,58 @@ def _solve(rows, mods, ranges) -> List[np.ndarray]:
     """The grid tuples a with c_k . a = b_k mod mods[k] for every row k.
 
     rows[k] is (c_k1, ..., c_kv, b_k) in integers, and a runs over the
-    representatives 0 <= a_j < ranges[j].  One index s is solved for from one
-    row k while the other indices run over their values: for each of those,
-    c_ks a_s = c mod m (m = mods[k]) has, with g = gcd(c_ks, m), no solution
-    unless g | c, and otherwise the solutions a_0 + j m/g, of which those
-    below r_s are kept (m need not divide r_s).  (k, s) is the pair with the
-    fewest candidates, (prod r / r_s) * ceil(r_s g / m), never more than the
-    grid and listed only up to _LISTED_TUPLES.  The other rows are checked
-    on the candidates.  Returns the solutions as int64 arrays, one per
-    index, each tuple once.
+    representatives 0 <= a_j < ranges[j].  The indices fall into blocks that
+    share no row (an index in no row is a block of its own, with every value
+    a solution); each block is solved alone by _solve_block, and the
+    solutions are their product, listed only up to _LISTED_TUPLES.  Returns
+    the solutions as int64 arrays, one per index, each tuple once.
     """
     nv = len(ranges)
     rows = [[int(x) % m for x in row] for row, m in zip(rows, mods)]
+    # each index's block, by merging the blocks of the indices of each row
+    block = list(range(nv))
+    for row in rows:
+        used = [j for j in range(nv) if row[j]]
+        for j in used[1:]:
+            old, new = block[j], block[used[0]]
+            block = [new if b == old else b for b in block]
+    if len(set(block)) == 1:
+        return _solve_block(rows, mods, ranges)
+    if any(row[nv] and not any(row[:nv]) for row in rows):
+        return [np.zeros(0, dtype=np.int64) for _ in ranges]  # a row 0 = b with b != 0
+    sols = []
+    for label in sorted(set(block)):
+        idx = [j for j in range(nv) if block[j] == label]
+        sub = [([row[j] for j in idx] + [row[nv]], m)
+               for row, m in zip(rows, mods) if any(row[j] for j in idx)]
+        sols.append((idx, _solve_block([r for r, _ in sub], [m for _, m in sub],
+                                       [ranges[j] for j in idx]) if sub else None))
+    counts = [ranges[idx[0]] if sol is None else len(sol[0]) for idx, sol in sols]
+    _listable(math.prod(counts), "congruence solver")
+    out: List[Optional[np.ndarray]] = [None] * nv
+    picks = np.unravel_index(np.arange(math.prod(counts), dtype=np.int64), counts)
+    for (idx, sol), pick in zip(sols, picks):
+        if sol is None:  # an index in no row takes every value
+            out[idx[0]] = pick
+        else:
+            for j, x in zip(idx, sol):
+                out[j] = x[pick]
+    return out
+
+
+def _solve_block(rows, mods, ranges) -> List[np.ndarray]:
+    """_solve for rows, reduced mod mods, that do not split the indices into blocks.
+
+    One index s is solved for from one row k while the other indices run
+    over their values: for each of those, c_ks a_s = c mod m (m = mods[k])
+    has, with g = gcd(c_ks, m), no solution unless g | c, and otherwise the
+    solutions a_0 + j m/g, of which those below r_s are kept (m need not
+    divide r_s).  (k, s) is the pair with the fewest candidates,
+    (prod r / r_s) * ceil(r_s g / m), never more than the grid and listed
+    only up to _LISTED_TUPLES.  The other rows are checked on the
+    candidates.
+    """
+    nv = len(ranges)
     size = math.prod(ranges)
     # entries below m, indices and candidates below r + 2m, g * step = m
     _fits_int64((nv + 1) * max(mods) * (max(ranges) + 2 * max(mods)), "congruence solver")
@@ -304,7 +344,8 @@ def _solve(rows, mods, ranges) -> List[np.ndarray]:
     count = -(-r * g // m)
     _listable(size // r * count, "congruence solver")
     others = [j for j in range(nv) if j != s]
-    free = [a.ravel() for a in np.indices([ranges[j] for j in others], dtype=np.int64)]
+    free = (np.unravel_index(np.arange(size // r, dtype=np.int64), [ranges[j] for j in others])
+            if others else ())
     rhs = (row[nv] - sum((row[j] * a for j, a in zip(others, free)),
                          np.zeros(size // r, dtype=np.int64))) % m
     ok = rhs % g == 0
@@ -619,7 +660,7 @@ def _group_structure(mats: np.ndarray) -> Centralizer:
     classes = []
     for x in range(size):
         if labels[x] < 0:
-            members = np.unique(conj[:, x])
+            members = np.flatnonzero(np.bincount(conj[:, x], minlength=size))
             labels[members] = len(classes)
             classes.append((x, len(members)))
     # greedy generators: each one is the first element outside the subgroup so far
@@ -633,7 +674,7 @@ def _group_structure(mats: np.ndarray) -> Centralizer:
         frontier = np.flatnonzero(inside)
         while frontier.size:
             img = table[np.ix_(frontier, gens)].ravel()
-            frontier = np.unique(img[~inside[img]])
+            frontier = np.flatnonzero(np.bincount(img[~inside[img]], minlength=size))
             inside[frontier] = True
     return Centralizer(mats, tuple(classes), tuple(gens))
 

@@ -163,7 +163,13 @@ def _closure(gmats: Sequence[Matrix], limit: int) -> np.ndarray:
         if np.abs(frontier).max() > _ENTRY_BOUND:
             raise ClosureOverflow(f"Weyl closure met an entry above {_ENTRY_BOUND}")
         pool = np.concatenate([elems, (frontier[:, None] @ gens).reshape(-1, 4, 4)])
-        _, first = np.unique(_void_rows(pool), return_index=True)
+        # the first of each run of equal matrices, by a stable sort (no np.unique,
+        # which imports numpy.ma)
+        keys = _void_rows(pool)
+        order = np.argsort(keys, kind="stable")
+        first = np.ones(len(pool), dtype=bool)
+        first[1:] = keys[order[1:]] != keys[order[:-1]]
+        first = order[first]
         frontier = pool[first[first >= len(elems)]]
         elems = np.concatenate([elems, frontier])
         if len(elems) > limit:
@@ -222,7 +228,7 @@ def _build_weyl(gmats: Sequence[Matrix], limit: int) -> WeylGroup:
     while (free := np.flatnonzero(labels < 0)).size:
         orbit = _lookup(keys, order, inverses @ elems[free[0]] @ twisted)
         labels[orbit] = len(classes)
-        classes.append((int(free[0]), len(np.unique(orbit))))
+        classes.append((int(free[0]), int(np.count_nonzero(np.bincount(orbit)))))
     return WeylGroup(elems, twisted, inverses, labels, tuple(classes), keys, order)
 
 
@@ -364,28 +370,27 @@ _R_IN_EPS = (
     (Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2)),
 )
 
+# 2 (r_i, r_j) for the simple roots: integral, so inner products stay on ints
+_GRAM = tuple(tuple(int(2 * sum(x * y for x, y in zip(a, b))) for b in _R_IN_EPS)
+              for a in _R_IN_EPS)
 
-def _eps_roots() -> List[Tuple[Fraction, ...]]:
+
+def _eps_roots_doubled() -> List[Tuple[int, ...]]:
+    """Twice each root of F4 on the eps basis: 2(+-e_i), 2(+-e_i +- e_j), (+-1, +-1, +-1, +-1)."""
     roots = []
     for i in range(4):
-        for s in (1, -1):
-            v = [Fraction(0)] * 4
-            v[i] = Fraction(s)
+        for s in (2, -2):
+            v = [0] * 4
+            v[i] = s
             roots.append(tuple(v))
     for i in range(4):
         for j in range(i + 1, 4):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    v = [Fraction(0)] * 4
-                    v[i], v[j] = Fraction(si), Fraction(sj)
+            for si in (2, -2):
+                for sj in (2, -2):
+                    v = [0] * 4
+                    v[i], v[j] = si, sj
                     roots.append(tuple(v))
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            for s3 in (1, -1):
-                for s4 in (1, -1):
-                    roots.append(
-                        (Fraction(s1, 2), Fraction(s2, 2), Fraction(s3, 2), Fraction(s4, 2))
-                    )
+    roots.extend(itertools.product((1, -1), repeat=4))
     return roots
 
 
@@ -427,12 +432,17 @@ def roots_in_x() -> frozenset:
     """The 48 roots of F4 as integer row vectors on the simple-root basis of X."""
     global _ROOTS_X
     if _ROOTS_X is None:
+        # e_j on the simple-root basis, one exact solve each
+        eps = [_solve_in_basis(e, _R_IN_EPS) for e in _IDENT]
+        if any(x.denominator != 1 for row in eps for x in row):
+            raise ValueError("root has non-integral simple-root coordinates")
+        eps = tuple(tuple(int(x) for x in row) for row in eps)
         out = set()
-        for v in _eps_roots():
-            c = _solve_in_basis(v, _R_IN_EPS)
-            if any(x.denominator != 1 for x in c):
+        for v in _eps_roots_doubled():
+            c = mat_vec(v, eps)
+            if any(x % 2 for x in c):
                 raise ValueError("root has non-integral simple-root coordinates")
-            out.add(tuple(int(x) for x in c))
+            out.add(tuple(x // 2 for x in c))
         if len(out) != 48:
             raise ValueError(f"expected 48 roots, got {len(out)}")
         _ROOTS_X = frozenset(out)
@@ -450,15 +460,9 @@ def positive_roots() -> List[Tuple[int, ...]]:
     return pos
 
 
-def root_length_sq(r: Tuple[int, ...]) -> Fraction:
-    eps = [sum(Fraction(r[i]) * _R_IN_EPS[i][j] for i in range(4)) for j in range(4)]
-    return sum(x * x for x in eps)
-
-
-def _inner(a, b) -> Fraction:
-    ea = [sum(Fraction(a[i]) * _R_IN_EPS[i][j] for i in range(4)) for j in range(4)]
-    eb = [sum(Fraction(b[i]) * _R_IN_EPS[i][j] for i in range(4)) for j in range(4)]
-    return sum(x * y for x, y in zip(ea, eb))
+def _inner2(a, b) -> int:
+    """2 (a, b) for vectors on the simple-root basis."""
+    return sum(a[i] * g * b[j] for i, row in enumerate(_GRAM) for j, g in enumerate(row))
 
 
 def closed_subsystem(pi: Sequence[Tuple[int, ...]]) -> frozenset:
@@ -509,15 +513,14 @@ def subsystem_type(pi: Sequence[Tuple[int, ...]]) -> str:
         )
         if not decomposable:
             simples.append(r)
-    # Cartan integers n_ij = 2 (ri, rj) / (rj, rj)
+    # simples i and j are joined where the Cartan integer n_ij = 2 (ri, rj) / (rj, rj) is not 0
     k = len(simples)
     adj = {i: [] for i in range(k)}
     for i in range(k):
         for j in range(k):
             if i == j:
                 continue
-            nij = 2 * _inner(simples[i], simples[j]) / _inner(simples[j], simples[j])
-            if nij != 0:
+            if _inner2(simples[i], simples[j]) != 0:
                 adj[i].append(j)
     comps = []
     unvisited = set(range(k))
@@ -543,15 +546,14 @@ def _component_type(simples) -> str:
     k = len(simples)
     if k == 1:
         return "A1"
-    # bond strengths n_ij * n_ji
+    # bond strengths n_ij * n_ji = 4 (ri, rj)^2 / ((ri, ri) (rj, rj)), rounded down
     bonds = []
     for i in range(k):
         for j in range(i + 1, k):
-            nij = 2 * _inner(simples[i], simples[j]) / _inner(simples[j], simples[j])
-            nji = 2 * _inner(simples[j], simples[i]) / _inner(simples[i], simples[i])
-            s = nij * nji
-            if s:
-                bonds.append(int(s))
+            gij = _inner2(simples[i], simples[j])
+            if gij:
+                bonds.append(4 * gij * gij // (_inner2(simples[i], simples[i])
+                                               * _inner2(simples[j], simples[j])))
     if k == 2:
         if bonds == [1]:
             return "A2"
@@ -580,7 +582,7 @@ def _is_path(simples) -> bool:
     for i in range(k):
         d = 0
         for j in range(k):
-            if i != j and _inner(simples[i], simples[j]) != 0:
+            if i != j and _inner2(simples[i], simples[j]) != 0:
                 d += 1
         deg.append(d)
     return max(deg) <= 2

@@ -13,6 +13,7 @@ or affine maps like (k,l) -> (th*(k+l), th*(k-l)).
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -50,40 +51,44 @@ class DanglingReference(ValueError):
 # ---------------------------------------------------------------------------
 # tokens
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+|\#[^\n]*)
-  | (?P<arrow>->)
-  | (?P<ne>!=)
-  | (?P<int>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op>[-+*/^(){}\[\]:,=])
-    """,
-    re.VERBOSE,
-)
+# One match per token, comment or stray character; whitespace is what no
+# alternative matches, which findall skips.
+_TOKEN_RE = re.compile(r"->|!=|\d+|[A-Za-z_][A-Za-z0-9_]*|#[^\n]*|\S")
+
+# token kind by the whole token, else by its first character
+_KIND_OF = {"->": "arrow", "!=": "ne"}
+_KIND_OF_FIRST = {
+    **{c: "op" for c in "-+*/^(){}[]:,="},
+    **{c: "int" for c in "0123456789"},
+    **{c: "ident" for c in "_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"},
+}
 
 
-def tokenize(text: str) -> List[Tuple[str, str, int, int]]:
+def tokenize(text: str) -> List[Tuple[str, str]]:
+    """Tokens as (kind, value), ending with ("eof", "").
+
+    Positions are not kept: _position finds the line and column of a token
+    when an error needs them.
+    """
     toks = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise TableSyntaxError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        val = m.group()
-        if kind != "ws":
-            toks.append((kind, val, line, col))
-        nl = val.count("\n")
-        if nl:
-            line += nl
-            col = len(val) - val.rfind("\n")
-        else:
-            col += len(val)
-        pos = m.end()
-    toks.append(("eof", "", line, col))
+    for v in _TOKEN_RE.findall(text):
+        kind = _KIND_OF.get(v) or _KIND_OF_FIRST.get(v[0])
+        if kind is None:
+            if v[0] == "#":
+                continue
+            if not v.isdecimal():  # \d+ also matches the other Unicode digits
+                raise TableSyntaxError(f"unexpected character {v!r}", *_position(text, len(toks)))
+            kind = "int"
+        toks.append((kind, v))
+    toks.append(("eof", ""))
     return toks
+
+
+def _position(text: str, i: int) -> Tuple[int, int]:
+    """(line, col) of token i of text, or of the end of the text if it has no token i."""
+    starts = (m.start() for m in _TOKEN_RE.finditer(text) if m.group()[0] != "#")
+    pos = next(itertools.islice(starts, i, None), len(text))
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 # Expression AST nodes are plain tuples:
@@ -97,8 +102,9 @@ AffineMap = Tuple[Tuple[str, ...], Tuple[Expr, ...]]
 
 
 class _Parser:
-    def __init__(self, toks):
-        self.toks = toks
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = tokenize(text)
         self.i = 0
 
     def peek(self):
@@ -110,13 +116,21 @@ class _Parser:
         return t
 
     def expect(self, val):
-        kind, v, line, col = self.next()
+        v = self.peek()[1]
         if v != val:
-            raise TableSyntaxError(f"expected {val!r}, got {v!r}", line, col)
+            raise self.error(f"expected {val!r}, got {v!r}")
+        self.i += 1
 
-    def error(self, msg):
-        _, v, line, col = self.peek()
-        raise TableSyntaxError(f"{msg} (at {v!r})", line, col)
+    def error(self, msg) -> TableSyntaxError:
+        """A syntax error at the next token, placed by line and column."""
+        return TableSyntaxError(msg, *_position(self.text, self.i))
+
+    def ident(self, what) -> str:
+        kind, v = self.peek()
+        if kind != "ident":
+            raise self.error(f"expected {what}, got {v!r}")
+        self.i += 1
+        return v
 
     # --- expressions -----------------------------------------------------
 
@@ -148,7 +162,7 @@ class _Parser:
         return node
 
     def parse_atom(self) -> Expr:
-        kind, v, line, col = self.peek()
+        kind, v = self.peek()
         if kind == "int":
             self.next()
             return ("int", int(v))
@@ -160,7 +174,7 @@ class _Parser:
             node = self.parse_expr()
             self.expect(")")
             return node
-        raise TableSyntaxError(f"expected expression, got {v!r}", line, col)
+        raise self.error(f"expected expression, got {v!r}")
 
     # --- predicates ------------------------------------------------------
 
@@ -183,12 +197,12 @@ class _Parser:
         return self.parse_atom_pred_from(self.parse_expr())
 
     def parse_atom_pred_from(self, lhs: Expr) -> Predicate:
-        kind, v, line, col = self.peek()
+        v = self.peek()[1]
         if v in ("=", "!=", "div"):
             self.next()
             rhs = self.parse_expr()
             return ("atom", v, lhs, rhs)
-        raise TableSyntaxError(f"expected =, != or div, got {v!r}", line, col)
+        raise self.error(f"expected =, != or div, got {v!r}")
 
     # --- field values ----------------------------------------------------
 
@@ -237,7 +251,7 @@ class _Parser:
         node = self.parse_expr()
         if self.peek()[1] == "->":
             if node[0] != "sym":
-                self.error("map source must be an index symbol")
+                raise self.error(f"map source must be an index symbol (at {self.peek()[1]!r})")
             self.next()
             targets = self.parse_map_targets(1)
             return ((node[1],), tuple(targets))
@@ -250,12 +264,12 @@ class _Parser:
         self.next()
         syms = []
         while True:
-            kind, v, line, col = self.next()
+            kind, v = self.next()
             if kind != "ident":
                 self.i = save
                 return None
             syms.append(v)
-            kind, v, line, col = self.next()
+            v = self.next()[1]
             if v == ")":
                 return syms
             if v != ",":
@@ -283,19 +297,12 @@ class _Parser:
     def parse_blocks(self):
         blocks = []
         while self.peek()[0] != "eof":
-            kind, v, line, col = self.next()
-            if kind != "ident":
-                raise TableSyntaxError(f"expected block kind, got {v!r}", line, col)
-            bkind = v
-            kind, name, line, col = self.next()
-            if kind != "ident":
-                raise TableSyntaxError(f"expected block name, got {name!r}", line, col)
+            bkind = self.ident("block kind")
+            name = self.ident("block name")
             self.expect("{")
             fields: List[Tuple[str, object]] = []
             while self.peek()[1] != "}":
-                kind, fname, line, col = self.next()
-                if kind != "ident":
-                    raise TableSyntaxError(f"expected field name, got {fname!r}", line, col)
+                fname = self.ident("field name")
                 self.expect(":")
                 fields.append((fname, self.parse_value()))
             self.next()  # }
@@ -304,7 +311,7 @@ class _Parser:
 
 
 def parse_blocks(text: str):
-    return _Parser(tokenize(text)).parse_blocks()
+    return _Parser(text).parse_blocks()
 
 
 # ---------------------------------------------------------------------------

@@ -55,9 +55,9 @@ def test_difference_equals_f8_at_c_1_11(model):
 
 
 def _expr(text):
-    from dadecheck.tabledsl import _Parser, tokenize
+    from dadecheck.tabledsl import _Parser
 
-    return _Parser(tokenize(text)).parse_expr()
+    return _Parser(text).parse_expr()
 
 
 def test_f10_vanishes_on_first_series_classes(model):

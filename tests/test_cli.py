@@ -65,6 +65,31 @@ def test_bad_config_line_is_config_error(tmp_path, capsys, line, message):
     assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["verify", "weyl", "--n", "0"], "n must be >= 1, not 0"),
+    (["verify", "params", "--n", "0"], "n must be >= 1, not 0"),
+    (["verify", "dade", "--n", "2", "--n", "-1"], "n must be >= 1, not -1"),
+    (["verify", "all", "--max-n", "0"], "max_n must be >= 1, not 0"),
+    (["verify", "classes", "--n", "1", "--workers", "0"], "workers must be >= 1, not 0"),
+    (["params", "--set", "GI_27", "--n", "0"], "n must be >= 1, not 0"),
+])
+def test_bad_n_or_workers_is_config_error(capsys, args, message):
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("n = 1,0", "n must be >= 1, not 0"),
+    ("max_n = 0", "max_n must be >= 1, not 0"),
+    ("workers = -2", "workers must be >= 1, not -2"),
+])
+def test_bad_n_or_workers_in_config_is_config_error(tmp_path, capsys, line, message):
+    cfg = tmp_path / "dade.cfg"
+    cfg.write_text(f"{line}\n")
+    assert main(["verify", "lemmas", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_report_roundtrip(tmp_path, capsys):
     report = tmp_path / "r.json"
     main(["verify", "lemmas", "--max-n", "3", "--report", str(report)])

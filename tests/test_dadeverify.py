@@ -17,9 +17,9 @@ from dadecheck.tabledsl import build_env, eval_expr, eval_expr_int
 
 
 def _expr(text):
-    from dadecheck.tabledsl import _Parser, tokenize
+    from dadecheck.tabledsl import _Parser
 
-    return _Parser(tokenize(text)).parse_expr()
+    return _Parser(text).parse_expr()
 
 
 def test_chain_table_reduces_to_two_sides():

@@ -23,6 +23,26 @@ def test_generators_permute_roots():
         assert {rd.mat_vec(r, g) for r in roots} == roots
 
 
+def test_roots_and_inner_products_match_eps_coordinates():
+    # reference: every root solved for on its own, and inner products taken on
+    # the eps basis in Fractions
+    from fractions import Fraction
+
+    def eps(v):
+        return [sum(Fraction(v[i]) * rd._R_IN_EPS[i][j] for i in range(4)) for j in range(4)]
+
+    solved = set()
+    for v in rd._eps_roots_doubled():
+        c = rd._solve_in_basis([Fraction(x, 2) for x in v], rd._R_IN_EPS)
+        assert all(x.denominator == 1 for x in c)
+        solved.add(tuple(int(x) for x in c))
+    roots = sorted(rd.roots_in_x())
+    assert set(roots) == solved
+    for a in roots:
+        for b in roots:
+            assert rd._inner2(a, b) == 2 * sum(x * y for x, y in zip(eps(a), eps(b)))
+
+
 def test_m0_squares_to_two():
     assert rd.mat_mul(rd.M0, rd.M0) == rd.mat_scale(rd.mat_identity(), 2)
 

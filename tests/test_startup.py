@@ -1,0 +1,72 @@
+"""What a fresh dadecheck process loads and starts, each case in its own interpreter."""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import dadecheck
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(dadecheck.__file__)))
+
+
+def _run(code, **env):
+    """Standard output of python -c code, with src importable and no caller BLAS setting."""
+    full = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    full.update(env, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", code], env=full, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_import_package_loads_no_numpy():
+    assert _run("import sys, dadecheck; dadecheck.load_model(); "
+                "print('numpy' in sys.modules)") == ["False"]
+
+
+def test_import_cli_loads_no_pool():
+    assert _run("import sys, dadecheck.cli; "
+                "print('concurrent.futures.process' in sys.modules, "
+                "'multiprocessing' in sys.modules)") == ["False", "False"]
+
+
+@pytest.mark.parametrize("kind", ["weyl", "params"])
+def test_verify_imports_no_numpy_ma(kind):
+    code = ("import sys; from dadecheck.cli import main; "
+            f"rc = main(['verify', '{kind}', '--n', '1']); "
+            "print(rc, 'numpy.ma' in sys.modules)")
+    assert _run(code)[-2:] == ["0", "False"]
+
+
+_THREADS = ("import os, dadecheck.cli, numpy; print(os.environ['OPENBLAS_NUM_THREADS']); "
+            "status = '/proc/self/status'; "
+            "print(open(status).read().split('Threads:')[1].split()[0] "
+            "if os.path.exists(status) else 'unknown')")
+
+
+def test_cli_runs_one_blas_thread():
+    setting, threads = _run(_THREADS)
+    assert setting == "1"
+    if sys.platform.startswith("linux"):
+        assert threads == "1"
+
+
+def test_callers_blas_setting_wins():
+    assert _run(_THREADS, OPENBLAS_NUM_THREADS="2")[0] == "2"
+
+
+def test_pool_run_matches_golden_digest(tmp_path):
+    # the digest of verify all --n 1 pinned in test_cli.py
+    report = tmp_path / "r.json"
+    code = ("import sys; from dadecheck.cli import main; "
+            f"sys.exit(main(['verify', 'all', '--n', '1', '--workers', '2', "
+            f"'--report', {str(report)!r}]))")
+    _run(code)
+    zeroed = [dict(r, millis=0) for r in json.loads(report.read_text())]
+    text = json.dumps(zeroed, indent=1) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "9a8550457d0301cf6ee65a8a47ad969459da9bfb91c95b26081e1c61148043d8")

@@ -47,9 +47,9 @@ def test_unbound_t():
 
 
 def _expr(text):
-    from dadecheck.tabledsl import _Parser, tokenize
+    from dadecheck.tabledsl import _Parser
 
-    return _Parser(tokenize(text)).parse_expr()
+    return _Parser(text).parse_expr()
 
 
 def test_expr_examples():
@@ -153,3 +153,77 @@ def test_build_env_returns_fresh_copies():
     assert again["q"] == SqrtTwoRat(0, 4)
     assert eval_expr_int(_expr("p8"), again) == 1025
     assert "t" not in again and "k" not in again
+
+
+# --- the one-regex tokenizer against the positional one in token_oracle.py ---
+
+
+def _oracle_pairs(text):
+    from token_oracle import tokenize as oracle
+
+    return [(kind, v) for kind, v, _, _ in oracle(text)]
+
+
+def test_tokenizer_matches_oracle_on_shipped_tables():
+    from importlib import resources
+
+    import dadecheck
+    from dadecheck.tabledsl import tokenize
+
+    for fname in dadecheck.DATA_FILES:
+        text = (resources.files(dadecheck) / "data" / fname).read_text(encoding="utf-8")
+        toks = tokenize(text)
+        assert len(toks) > 1000 and toks == _oracle_pairs(text), fname
+
+
+# letters, digits (one non-ASCII), every operator, the pieces of -> and !=,
+# comments, several kinds of whitespace and characters the language lacks
+_TEXT_ALPHABET = "ab_Zk09٣ \t\n\r\x0c#-!=>+*/^(){}[]:,~é."
+
+
+@given(st.text(alphabet=_TEXT_ALPHABET, max_size=60))
+@settings(max_examples=400, deadline=None)
+def test_tokenizer_matches_oracle_random(text):
+    from token_oracle import tokenize as oracle
+
+    from dadecheck.tabledsl import _position, tokenize
+
+    try:
+        want = oracle(text)
+    except TableSyntaxError as e:
+        with pytest.raises(TableSyntaxError) as got:
+            tokenize(text)
+        assert (str(got.value), got.value.line, got.value.col) == (str(e), e.line, e.col)
+        return
+    assert tokenize(text) == [(kind, v) for kind, v, _, _ in want]
+    for i, (_, _, line, col) in enumerate(want):  # the last is the end of the text
+        assert _position(text, i) == (line, col)
+
+
+# Messages as the positional tokenizer and parser gave them.
+@pytest.mark.parametrize("text, message", [
+    ("paramset X {\n  group ~ G\n}", "line 2, col 9: unexpected character '~'"),
+    ("paramset X { card: ٣ + é }", "line 1, col 24: unexpected character 'é'"),
+    ("paramset X { exclude: k ! 0 }", "line 1, col 25: unexpected character '!'"),
+    ("paramset X {\n  group: G\n  moduli: [q^2 -, 1]\n}",
+     "line 3, col 17: expected expression, got ','"),
+    ("# c\nparamset X { # x\n group: (q+ }", "line 3, col 13: expected expression, got '}'"),
+    ("paramset X {\n equiv: [k+1 -> k] }",
+     "line 2, col 14: map source must be an index symbol (at '->')"),
+    ("paramset X {\n\texclude: k=0 and l }", "line 2, col 21: expected =, != or div, got '}'"),
+    ("paramset X { moduli: [q^2-1] equiv: [(k,l) -> (k, l] }",
+     "line 1, col 40: expected ')', got ','"),
+    ("paramset X { group: G }\n\n  3 Y { }", "line 3, col 3: expected block kind, got '3'"),
+    ("paramset 3 { }", "line 1, col 10: expected block name, got '3'"),
+    ("paramset X {\n  group: G\n  2: 1\n}", "line 3, col 3: expected field name, got '2'"),
+    ("paramset X {\n  group: G\n", "line 3, col 1: expected field name, got ''"),
+    ("\r\n\x0cparamset\x0b X { a: b -> }", "line 2, col 21: expected field name, got '->'"),
+])
+def test_syntax_error_messages(text, message):
+    with pytest.raises(TableSyntaxError) as exc:
+        parse_blocks(text)
+    assert str(exc.value) == message
+    if "unexpected character" not in message:  # a parser error: it is at a token
+        from token_oracle import tokenize as oracle
+
+        assert (exc.value.line, exc.value.col) in {(line, col) for *_, line, col in oracle(text)}
