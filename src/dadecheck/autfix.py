@@ -28,10 +28,6 @@ class NonIntegralFormula(ValueError):
     pass
 
 
-class NegativeExactCount(ValueError):
-    """Mobius inversion produced a negative count: inconsistent fixed counts."""
-
-
 def divisors(f: int) -> List[int]:
     return [d for d in range(1, f + 1) if f % d == 0]
 
@@ -92,7 +88,8 @@ def exact_stabilizer_counts(fix: Dict[int, int], f: int) -> Dict[int, int]:
 
     fix maps each divisor t | f to the number of classes fixed by <alpha^t>
     (a subgroup of order f/t); the result maps u | f to the number of classes
-    whose full stabilizer has order exactly u.
+    whose full stabilizer has order exactly u.  Inconsistent fixed counts
+    give a negative count, which is returned as it is.
     """
     divs = divisors(f)
     for t in divs:
@@ -106,9 +103,6 @@ def exact_stabilizer_counts(fix: Dict[int, int], f: int) -> Dict[int, int]:
             if v % u == 0:
                 total += mobius(v // u) * fix[f // v]
         exact[u] = total
-    for u, c in exact.items():
-        if c < 0:
-            raise NegativeExactCount(f"exact({u}) = {c} < 0")
     return exact
 
 
@@ -221,16 +215,22 @@ def verify_fixrows(model: Model, n: int) -> List[Record]:
 
 
 def verify_mobius_layer(model: Model, n: int) -> List[Record]:
-    """Exact-stabilizer counts are nonnegative and re-sum to the fixed counts."""
+    """Exact-stabilizer counts are nonnegative.
+
+    The record at t sums the exact counts of the stabilizer orders u with
+    f/t | u.  Inversion makes that sum fix[t] whatever the fixed counts, so
+    what the record checks is that none of them is negative: a negative one
+    is named as its actual value.
+    """
     f = 2 * n + 1
     records = []
     for rid in sorted(model.fixrows):
         row = model.fixrows[rid]
         fix = fix_counts_for_row(row, model, n, mode="formula")
-        exact = exact_stabilizer_counts(fix, f)  # raises on negative
+        exact = exact_stabilizer_counts(fix, f)
         for t in divisors(f):
-            # classes fixed by the order-(f/t) subgroup: stabilizer order
-            # must be a multiple of f/t
-            resum = sum(c for u, c in exact.items() if u % (f // t) == 0)
-            records.append(Record("mobius", rid, n, fix[t], resum, t=t))
+            parts = {u: c for u, c in exact.items() if u % (f // t) == 0}
+            negative = [f"exact({u}) = {c} < 0" for u, c in parts.items() if c < 0]
+            actual = ", ".join(negative) if negative else sum(parts.values())
+            records.append(Record("mobius", rid, n, fix[t], actual, t=t))
     return records

@@ -256,26 +256,23 @@ def f_relations_numeric(model: Model, n: int) -> List[Record]:
     return records
 
 
-def exponent_integrality(model: Model, n_list: Tuple[int, ...] = (1, 2)) -> List[Record]:
+def exponent_integrality(model: Model, n: int) -> List[Record]:
     """Every root exponent is an integer for all index values at small n."""
-    records = []
-    for n in n_list:
-        ok = True
-        for cv in model.chvalues.values():
-            if cv.order is None:
-                continue
-            order = eval_expr_int(cv.order, build_env(n))
-            for i in range(1, min(order, 8)):
-                for k in range(1, min(order, 8)):
-                    env = build_env(n, i=i, k=k)
-                    for term in cv.terms:
-                        for e in term.exps:
-                            try:
-                                eval_expr_int(e, env)
-                            except NotRationalInteger:
-                                ok = False
-        records.append(Record("exponent_integrality", "all", n, True, ok))
-    return records
+    ok = True
+    for cv in model.chvalues.values():
+        if cv.order is None:
+            continue
+        order = eval_expr_int(cv.order, build_env(n))
+        for i in range(1, min(order, 8)):
+            for k in range(1, min(order, 8)):
+                env = build_env(n, i=i, k=k)
+                for term in cv.terms:
+                    for e in term.exps:
+                        try:
+                            eval_expr_int(e, env)
+                        except NotRationalInteger:
+                            ok = False
+    return [Record("exponent_integrality", "all", n, True, ok)]
 
 
 # --- norms ---------------------------------------------------------------------
@@ -369,19 +366,15 @@ def degree_polynomials(model: Model) -> List[Record]:
     ]
 
 
-def degree_identity_check(model: Model, n_list: Tuple[int, ...] = (1, 2, 3, 4)) -> List[Record]:
+def degree_identity_check(model: Model, n: int) -> List[Record]:
     """The 2-defect of each degree, and its parity where the table says odd."""
     records = []
+    env = build_env(n)
     for rid in sorted(model.degrels):
         dr = model.degrels[rid]
-        table = eval_qpoly(dr.table)
-        for n in n_list:
-            env = build_env(n)
-            deg = as_integer(table.eval(n))
-            d = two_part_exponent(n) - val2(deg)
-            records.append(
-                Record("degree_defect", rid, n, eval_expr_int(dr.defect, env), d)
-            )
-            if dr.odd:
-                records.append(Record("degree_odd", rid, n, 1, deg % 2))
+        deg = as_integer(eval_qpoly(dr.table).eval(n))
+        d = two_part_exponent(n) - val2(deg)
+        records.append(Record("degree_defect", rid, n, eval_expr_int(dr.defect, env), d))
+        if dr.odd:
+            records.append(Record("degree_odd", rid, n, 1, deg % 2))
     return records

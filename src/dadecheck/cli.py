@@ -76,7 +76,7 @@ REGISTRY = {
         (False, lambda m, n, c: dadeverify.ledger_consistency(m, n)),
     ],
     "weyl": [
-        (True, lambda m, n, c: rootdatum.weyl_table_checks(m, ())),
+        (True, lambda m, n, c: rootdatum.weyl_table_checks(m)),
         (True, lambda m, n, c: rootdatum.subsystem_checks(m)),
         (False, lambda m, n, c: rootdatum.torus_order_checks(m, n)),
         (False, lambda m, n, c: rootdatum.torus_param_checks(m, n)),
@@ -88,10 +88,10 @@ REGISTRY = {
         (True, lambda m, n, c: chartables.f_relations_check(m)),
         (True, lambda m, n, c: chartables.degree_polynomials(m)),
         (False, lambda m, n, c: chartables.f_relations_numeric(m, n)),
-        (False, lambda m, n, c: chartables.exponent_integrality(m, (n,))),
+        (False, lambda m, n, c: chartables.exponent_integrality(m, n)),
         (False, lambda m, n, c: chartables.f_norm_check(m, n, "f8")),
         (False, lambda m, n, c: chartables.f_norm_check(m, n, "f10")),
-        (False, lambda m, n, c: chartables.degree_identity_check(m, (n,))),
+        (False, lambda m, n, c: chartables.degree_identity_check(m, n)),
     ],
 }
 ALL_CHECKS = tuple(REGISTRY)
@@ -251,7 +251,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except rootdatum.WeylDataError as e:
-        print(f"error: Weyl generator data (weylgen in weyl.def): {e}", file=sys.stderr)
+        print(f"error: Weyl generator data or twist (weylgen, frobenius in weyl.def): {e}",
+              file=sys.stderr)
         return 2
 
 

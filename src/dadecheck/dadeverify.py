@@ -17,9 +17,9 @@ from typing import Dict, List, Set, Tuple
 
 from .autfix import (
     divisors,
+    exact_stabilizer_counts,
     fixed_count_bruteforce,
     fixed_count_formula,
-    mobius,
     row_is_enumerable,
 )
 from .exactnum import val2
@@ -206,14 +206,10 @@ def verify_dade_exact_level(model: Model, n: int) -> List[Record]:
             parts = {g: k_fixed(model, g, led, u, n)[0] for g in GROUPS}
             fix_lhs[t] = parts["G"] + parts["B"]
             fix_rhs[t] = parts["Pa"] + parts["Pb"]
+        lhs = exact_stabilizer_counts(fix_lhs, f)
+        rhs = exact_stabilizer_counts(fix_rhs, f)
         for u in divisors(f):
-            lhs = sum(
-                mobius(v // u) * fix_lhs[f // v] for v in divisors(f) if v % u == 0
-            )
-            rhs = sum(
-                mobius(v // u) * fix_rhs[f // v] for v in divisors(f) if v % u == 0
-            )
-            records.append(Record("dade_exact", lid, n, rhs, lhs, d=d, u=u))
+            records.append(Record("dade_exact", lid, n, rhs[u], lhs[u], d=d, u=u))
     return records
 
 

@@ -186,10 +186,17 @@ def _points(owner: str, exprs, varnames, arrays, n: int, side: str) -> Tuple[int
     return denom, vecs
 
 
+# Twice the simple roots on eps_1..eps_4: integral rows.
+_TWICE_ROOTS = tuple(tuple(int(2 * x) for x in r) for r in rootdatum._R_IN_EPS)
+
+
 def _eps_to_x(a: Sequence[int], m: int) -> List[int]:
-    """A value on eps_1..eps_4 -> the value on the simple-root basis (odd order m), exactly."""
-    return [(a[1] - a[2]) % m, (a[2] - a[3]) % m, a[3] % m,
-            (a[0] - a[1] - a[2] - a[3]) * pow(2, -1, m) % m]
+    """A value on eps_1..eps_4 -> the value on the simple-root basis (odd order m), exactly.
+
+    Its coordinate i is the pairing <a, r_i>, which is <a, 2 r_i> / 2 and 2 is a unit mod m.
+    """
+    half = pow(2, -1, m)
+    return [sum(x * y for x, y in zip(a, r)) * half % m for r in _TWICE_ROOTS]
 
 
 # --- index grids and affine maps on them --------------------------------------
@@ -679,16 +686,17 @@ def _group_structure(mats: np.ndarray) -> Centralizer:
     return Centralizer(mats, tuple(classes), tuple(gens))
 
 
-# Keyed on the word and the generator matrices it is spelled in, which also
-# generate the Weyl group the centralizer is taken in.
+# Keyed on the word and the root datum: the generator matrices it is spelled
+# in, which also generate the Weyl group, and the twist m0 that defines F.
 _CENT_CACHE: Dict[tuple, Centralizer] = {}
 
 
 def _centralizer(model: Model, word: Tuple[str, ...]) -> Centralizer:
-    key = (word, tuple(sorted(model.weylgens.items())))
+    key = (word, rootdatum._datum_key(model))
     if key not in _CENT_CACHE:
-        w = rootdatum.word_matrix(word, model.weylgens)
-        _CENT_CACHE[key] = _group_structure(rootdatum.f_centralizer(w, model.weylgens))
+        weyl = rootdatum.weyl_group(model)
+        _CENT_CACHE[key] = _group_structure(
+            rootdatum.f_centralizer(weyl, rootdatum.word_matrix(weyl, word)))
     return _CENT_CACHE[key]
 
 

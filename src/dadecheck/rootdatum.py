@@ -3,7 +3,9 @@
 Matrices act on the character lattice X = Z^4 in the basis of simple roots,
 row convention: a lattice vector x maps to x @ M, and the image of basis
 vector e_i is row i of M.  The twist is carried by m0 = sqrt2 * F0 with
-m0^2 = 2, so the Frobenius on X is the integer matrix 2^n * m0.
+m0^2 = 2, so the Frobenius on X is the integer matrix 2^n * m0.  The
+generators of W and m0 are read from the model (the weylgen and frobenius
+blocks of weyl.def) and reach the code that uses them through a WeylGroup.
 """
 
 from __future__ import annotations
@@ -78,65 +80,15 @@ def mat_det(m: Matrix) -> int:
     return det
 
 
-def mat_inv_int(m: Matrix) -> Matrix:
-    """Inverse of an integer matrix whose inverse is again integral."""
-    n = len(m)
-    det = mat_det(m)
-    if det == 0:
-        raise SingularMatrix("matrix is singular")
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    out = []
-    for row in aug:
-        vals = row[n:]
-        if any(v.denominator != 1 for v in vals):
-            raise SingularMatrix("inverse is not integral")
-        out.append(tuple(int(v) for v in vals))
-    return tuple(out)
-
-
-# --- generators (images of the simple-root basis as rows) ------------------
-
-WEYL_GENERATORS: Dict[str, Matrix] = {
-    "r1": ((-1, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
-    "r2": ((1, 1, 0, 0), (0, -1, 0, 0), (0, 1, 1, 0), (0, 0, 0, 1)),
-    "r3": ((1, 0, 0, 0), (0, 1, 2, 0), (0, 0, -1, 0), (0, 0, 1, 1)),
-    "r4": ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, -1)),
-}
-
-# sqrt2 * F0 on X: e1 -> 2 e4, e2 -> 2 e3, e3 -> e2, e4 -> e1.
-M0: Matrix = ((0, 0, 0, 2), (0, 0, 2, 0), (0, 1, 0, 0), (1, 0, 0, 0))
-
 _IDENT = mat_identity(4)
 
 
-def word_matrix(word: Iterable[str], gens: Optional[Dict[str, Matrix]] = None) -> Matrix:
-    """Product of reflection generators in the written order."""
-    gens = gens or WEYL_GENERATORS
+def word_matrix(weyl: WeylGroup, word: Iterable[str]) -> Matrix:
+    """Product of W's generators in the written order."""
     m = _IDENT
     for g in word:
-        m = mat_mul(m, gens[g])
+        m = mat_mul(m, weyl.gens[g])
     return m
-
-
-def frobenius_twist(v: Matrix) -> Matrix:
-    """F-conjugate of a Weyl element: m0^-1 v m0 (integral since F normalizes W)."""
-    m = mat_mul(mat_mul(M0, v), M0)
-    out = []
-    for row in m:
-        if any(x % 2 for x in row):
-            raise ValueError("twist left the lattice; element not in W?")
-        out.append(tuple(x // 2 for x in row))
-    return tuple(out)
 
 
 def _void_rows(a: np.ndarray) -> np.ndarray:
@@ -179,14 +131,18 @@ def _closure(gmats: Sequence[Matrix], limit: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeylGroup:
-    """W as int64 arrays, built once per generator set by ``_weyl_arrays``.
+    """W and the F-action on it as int64 arrays, built once per root datum by ``weyl_group``.
 
-    elems is sorted as the matrices sort as tuples; twisted and inverses hold
-    m0^-1 w m0 and w^-1 element by element.  labels numbers the F-classes in
-    the order of their least elements, and classes gives each one's least
-    element (an index into elems) and its size.
+    gens and m0 are the generator matrices and the twist (m0 m0 = 2) of the
+    model's weylgen and frobenius blocks.  elems is sorted as the matrices
+    sort as tuples; twisted and inverses hold m0^-1 w m0 and w^-1 element by
+    element.  labels numbers the F-classes in the order of their least
+    elements, and classes gives each one's least element (an index into
+    elems) and its size.
     """
 
+    gens: Dict[str, Matrix]
+    m0: Matrix
     elems: np.ndarray
     twisted: np.ndarray
     inverses: np.ndarray
@@ -205,10 +161,15 @@ def _lookup(keys: np.ndarray, order: np.ndarray, mats: np.ndarray) -> np.ndarray
     return order[pos]
 
 
-def _build_weyl(gmats: Sequence[Matrix], limit: int) -> WeylGroup:
-    elems = _closure(gmats, limit)
-    m0 = np.array(M0, dtype=np.int64)
-    twisted = m0 @ elems @ m0
+def _position(weyl: WeylGroup, w: Matrix) -> int:
+    """The index in weyl.elems of an element of W."""
+    return int(_lookup(weyl.keys, weyl.order, np.array([w], dtype=np.int64))[0])
+
+
+def _build_weyl(gens: Dict[str, Matrix], m0: Matrix) -> WeylGroup:
+    elems = _closure(list(gens.values()), 2000)  # |W(F4)| = 1152
+    m0_arr = np.array(m0, dtype=np.int64)
+    twisted = m0_arr @ elems @ m0_arr
     if np.any(twisted % 2):
         raise WeylDataError("twist left the lattice; generators not in W?")
     twisted //= 2
@@ -229,68 +190,62 @@ def _build_weyl(gmats: Sequence[Matrix], limit: int) -> WeylGroup:
         orbit = _lookup(keys, order, inverses @ elems[free[0]] @ twisted)
         labels[orbit] = len(classes)
         classes.append((int(free[0]), int(np.count_nonzero(np.bincount(orbit)))))
-    return WeylGroup(elems, twisted, inverses, labels, tuple(classes), keys, order)
+    return WeylGroup(gens, m0, elems, twisted, inverses, labels, tuple(classes), keys, order)
 
 
-# Keyed on the generator matrices.
+def _datum_key(model) -> tuple:
+    """What W and F are built from: the generator matrices and the twist m0."""
+    return tuple(sorted(model.weylgens.items())), model.frobenius
+
+
+# Keyed on _datum_key.
 _WEYL_ARRAYS: Dict[tuple, WeylGroup] = {}
 
 
-def _weyl_arrays(gens: Optional[Dict[str, Matrix]] = None, limit: int = 2000) -> WeylGroup:
-    gens = gens or WEYL_GENERATORS
-    key = tuple(sorted(gens.items()))
+def weyl_group(model) -> WeylGroup:
+    """W of the model's weylgen blocks, with F from its frobenius block."""
+    key = _datum_key(model)
     if key not in _WEYL_ARRAYS:
-        _WEYL_ARRAYS[key] = _build_weyl(list(gens.values()), limit)
-    weyl = _WEYL_ARRAYS[key]
-    if len(weyl.elems) > limit:
-        raise ClosureOverflow(f"Weyl closure exceeded {limit} elements")
-    return weyl
+        _WEYL_ARRAYS[key] = _build_weyl(dict(model.weylgens), model.frobenius)
+    return _WEYL_ARRAYS[key]
 
 
 def _as_matrix(a: np.ndarray) -> Matrix:
     return tuple(map(tuple, a.tolist()))
 
 
-def generate_weyl(gens: Optional[Dict[str, Matrix]] = None, limit: int = 2000) -> frozenset:
-    """The group generated by the reflections, as tuple matrices; |W| = 1152."""
-    return frozenset(map(_as_matrix, _weyl_arrays(gens, limit).elems))
-
-
-def f_conjugacy_classes(gens: Optional[Dict[str, Matrix]] = None):
+def f_conjugacy_classes(weyl: WeylGroup):
     """Orbits of w ~ v^-1 w F(v); returns (representative, size, centralizer order).
 
     The representative is the least element of its class, and the classes
     come in the order of their representatives.
     """
-    weyl = _weyl_arrays(gens)
     return [(_as_matrix(weyl.elems[rep]), size, len(weyl.elems) // size)
             for rep, size in weyl.classes]
 
 
-def f_centralizer(w: Matrix, gens: Optional[Dict[str, Matrix]] = None) -> np.ndarray:
+def f_centralizer(weyl: WeylGroup, w: Matrix) -> np.ndarray:
     """All v in W with v^-1 w F(v) = w, as a (k, 4, 4) int64 array.
 
-    W is generated from gens (the default reflections if None); the number of
-    elements is the centralizer order of the F-class of w.
+    The number of elements is the centralizer order of the F-class of w.
     """
-    weyl = _weyl_arrays(gens)
     wm = np.array(w, dtype=np.int64)
     return weyl.elems[np.all(wm @ weyl.twisted == weyl.elems @ wm, axis=(1, 2))]
 
 
-def frobenius_matrix(n: int) -> Matrix:
+def frobenius_matrix(weyl: WeylGroup, n: int) -> Matrix:
     """The Frobenius q*F0 on X as the integer matrix 2^n * m0."""
-    return mat_scale(M0, 1 << n)
+    return mat_scale(weyl.m0, 1 << n)
 
 
-def torus_matrix(w: Matrix, n: int) -> Matrix:
+def torus_matrix(weyl: WeylGroup, w: Matrix, n: int) -> Matrix:
     """2^n * m0 @ w - 1; its cokernel on X is the character group of T^(F w^-1)."""
-    return mat_sub(mat_mul(frobenius_matrix(n), w), _IDENT)
+    return mat_sub(mat_mul(frobenius_matrix(weyl, n), w), _IDENT)
 
 
-def torus_order(w: Matrix, n: int) -> int:
+def torus_order(weyl: WeylGroup, w: Matrix, n: int) -> int:
     """|T^(F w^-1)| as |det(2^n m0 w - 1)|."""
-    return abs(mat_det(torus_matrix(w, n)))
+    return abs(mat_det(torus_matrix(weyl, w, n)))
 
 
 def smith_normal_form(m: Matrix) -> List[int]:
@@ -349,9 +304,9 @@ def smith_normal_form(m: Matrix) -> List[int]:
     return diag
 
 
-def torus_fixed_count(w: Matrix, n: int) -> int:
+def torus_fixed_count(weyl: WeylGroup, w: Matrix, n: int) -> int:
     """Cokernel size of (2^n m0 w - 1): the independent oracle for torus_order."""
-    diag = smith_normal_form(torus_matrix(w, n))
+    diag = smith_normal_form(torus_matrix(weyl, w, n))
     out = 1
     for d in diag:
         if d == 0:
@@ -447,17 +402,6 @@ def roots_in_x() -> frozenset:
             raise ValueError(f"expected 48 roots, got {len(out)}")
         _ROOTS_X = frozenset(out)
     return _ROOTS_X
-
-
-def positive_roots() -> List[Tuple[int, ...]]:
-    """Positive roots ordered by height then lexicographically (r1..r4 first).
-
-    Every root has all-nonnegative or all-nonpositive coordinates on the
-    simple-root basis, so the sign of any nonzero coordinate decides.
-    """
-    pos = [r for r in roots_in_x() if all(x >= 0 for x in r)]
-    pos.sort(key=lambda r: (sum(r), tuple(-x for x in r)))
-    return pos
 
 
 def _inner2(a, b) -> int:
@@ -626,11 +570,10 @@ def _direction(v):
 # --- table-driven verification ------------------------------------------------
 
 
-def weyl_table_checks(model, n_list=(1, 2, 3, 4, 5)):
-    """|W|, the F-class census and centralizer orders; torus orders for each n."""
-    gens = model.weylgens or None
-    classes = f_conjugacy_classes(gens)
-    weyl = _weyl_arrays(gens)
+def weyl_table_checks(model):
+    """|W|, the F-class census and the centralizer orders of the table."""
+    weyl = weyl_group(model)
+    classes = f_conjugacy_classes(weyl)
     records = [
         Record("weyl_order", "W", None, 1152, len(weyl.elems)),
         Record("f_class_count", "W", None, len(model.weylclasses), len(classes)),
@@ -640,13 +583,10 @@ def weyl_table_checks(model, n_list=(1, 2, 3, 4, 5)):
     seen = set()
     for wid in sorted(model.weylclasses):
         wc = model.weylclasses[wid]
-        w = np.array([word_matrix(wc.word, model.weylgens)], dtype=np.int64)
-        label = int(weyl.labels[_lookup(weyl.keys, weyl.order, w)[0]])
+        label = int(weyl.labels[_position(weyl, word_matrix(weyl, wc.word))])
         records.append(Record("f_class_distinct", wid, None, False, label in seen))
         seen.add(label)
         records.append(Record("centralizer_order", wid, None, wc.cent, classes[label][2]))
-    for n in n_list:
-        records.extend(torus_order_checks(model, n))
     return records
 
 
@@ -656,12 +596,14 @@ def torus_order_checks(model, n: int):
 
     records = []
     env = build_env(n)
+    weyl = weyl_group(model)
     for wid in sorted(model.weylclasses):
         wc = model.weylclasses[wid]
-        w = word_matrix(wc.word, model.weylgens)
+        w = word_matrix(weyl, wc.word)
         expected = eval_expr_int(wc.order, env)
-        records.append(Record("torus_order_det", wid, n, expected, torus_order(w, n)))
-        records.append(Record("torus_order_snf", wid, n, expected, torus_fixed_count(w, n)))
+        records.append(Record("torus_order_det", wid, n, expected, torus_order(weyl, w, n)))
+        records.append(Record("torus_order_snf", wid, n, expected,
+                              torus_fixed_count(weyl, w, n)))
     return records
 
 
@@ -692,7 +634,8 @@ def _torus_checks(model, n: int, side: str):
     prefix = "torus_param" if side == "torus" else "dual_torus"
     records = []
     env0 = build_env(n)
-    mf = frobenius_matrix(n)
+    weyl = weyl_group(model)
+    mf = frobenius_matrix(weyl, n)
     for wid in sorted(model.weylclasses):
         wc = model.weylclasses[wid]
         if side == "torus":
@@ -704,7 +647,7 @@ def _torus_checks(model, n: int, side: str):
         prod = math.prod(ranges)
         if side == "torus":
             records.append(Record("torus_param_count", wid, n, order, prod))
-        composite = mat_mul(word_matrix(wc.word, model.weylgens), mf)
+        composite = mat_mul(word_matrix(weyl, wc.word), mf)
         denom, chart = _chart(wid, coords, varnames, n, side)
         nv = len(ranges)
         # dual points are row vectors (v M), torus points columns (M v)
@@ -761,6 +704,7 @@ def pairing_checks(model, n: int):
 def subsystem_checks(model):
     """Class-type subsystem data: Cartan type and (F w^-1)-direction stability."""
     records = []
+    weyl = weyl_group(model)
     for fid in sorted(model.classfams):
         fam = model.classfams[fid]
         if fam.pitype is None or fam.side != "torus":
@@ -770,8 +714,8 @@ def subsystem_checks(model):
         records.append(
             Record("subsystem_type", fid, None, fam.pitype, got)
         )
-        w = word_matrix(fam.word, model.weylgens)
-        composite = mat_mul(mat_inv_int(w), M0)
+        w_inv = _as_matrix(weyl.inverses[_position(weyl, word_matrix(weyl, fam.word))])
+        composite = mat_mul(w_inv, weyl.m0)
         records.append(
             Record("subsystem_stable", fid, None, True,
                    subsystem_stable_under(pi, composite))

@@ -675,8 +675,15 @@ def _int_value(v) -> int:
     raise TableSyntaxError(f"expected integer literal, got {v!r}")
 
 
-def _matrix(v) -> Tuple[Tuple[int, ...], ...]:
-    return tuple(tuple(_int_value(x) for x in row) for row in v)
+def _matrix(owner: str, v) -> Tuple[Tuple[int, ...], ...]:
+    """A 4 x 4 matrix of integer literals, else a table error naming owner."""
+    if not (isinstance(v, list) and len(v) == 4
+            and all(isinstance(row, list) and len(row) == 4 for row in v)):
+        raise TableSyntaxError(f"{owner}: matrix is not 4 x 4")
+    try:
+        return tuple(tuple(_int_value(x) for x in row) for row in v)
+    except TableSyntaxError as e:
+        raise TableSyntaxError(f"{owner}: {e}") from None
 
 
 class _ModelBuilder:
@@ -754,11 +761,11 @@ class _ModelBuilder:
 
     def _on_weylgen(self, name, fields):
         f = dict(fields)
-        self.model.weylgens[name] = _matrix(f["matrix"])
+        self.model.weylgens[name] = _matrix(f"weylgen {name}", f.get("matrix"))
 
     def _on_frobenius(self, name, fields):
         f = dict(fields)
-        self.model.frobenius = _matrix(f["matrix"])
+        self.model.frobenius = _matrix(f"frobenius {name}", f.get("matrix"))
 
     def _on_weylclass(self, name, fields):
         f = dict(fields)
@@ -920,7 +927,11 @@ EXPONENT_SYMBOLS = ("th", "i", "k")
 
 
 def validate_model(model: Model) -> None:
-    """Resolve every cross reference and type-check expressions at n = 1."""
+    """Resolve every cross reference and type-check expressions at n = 1.
+
+    The Weyl data is checked here too: a model with Weyl classes or class
+    families has weylgen and frobenius blocks, and m0 m0 = 2 I.
+    """
     env1 = build_env(1, t=1)
     names = set(_base_env(1))  # n, q, s2, th and the phi values
     poly_names = names - {"n"}  # those of qpoly_env: polynomials in q
@@ -964,6 +975,18 @@ def validate_model(model: Model) -> None:
         for sid in pair.left + pair.right:
             if sid not in model.paramsets:
                 raise DanglingReference(f"pair {pair.id}: unknown set {sid}")
+    if model.weylclasses or model.classfams:
+        # their words are products of W's generators, and their checks read the twist
+        if not model.weylgens:
+            raise TableSyntaxError("no weylgen block: the Weyl classes need W's generators")
+        if model.frobenius is None:
+            raise TableSyntaxError("no frobenius block: the Weyl classes need the twist m0")
+    if model.frobenius is not None:
+        m0 = model.frobenius
+        if any(sum(m0[i][k] * m0[k][j] for k in range(4)) != 2 * (i == j)
+               for i in range(4) for j in range(4)):
+            name = [name for kind, name in model.block_order if kind == "frobenius"][-1]
+            raise TableSyntaxError(f"frobenius {name}: m0 m0 is not 2 I")
     for wc in model.weylclasses.values():
         for g in wc.word:
             if g not in model.weylgens:

@@ -49,6 +49,7 @@ def fixed_classes_doubling(enum, t):
 def torus_by_listing(model, n, side):
     """{class id: (every point fixed by w . 2^n m0, number of distinct points)}."""
     out = {}
+    weyl = rd.weyl_group(model)
     for wid, wc in model.weylclasses.items():
         if side == "torus":
             varnames, range_exprs, coords = wc.tvars, wc.tranges, wc.tcoords
@@ -56,7 +57,7 @@ def torus_by_listing(model, n, side):
             varnames, range_exprs, coords = wc.svars, wc.sranges, wc.scoords
         arrays = [a.ravel() for a in np.indices(_ranges(wid, range_exprs, n), dtype=np.int64)]
         denom, vecs = _points(wid, coords, varnames, arrays, n, side)
-        m = np.array(rd.mat_mul(rd.word_matrix(wc.word, model.weylgens), rd.frobenius_matrix(n)),
+        m = np.array(rd.mat_mul(rd.word_matrix(weyl, wc.word), rd.frobenius_matrix(weyl, n)),
                      dtype=np.int64)
         img = (vecs @ m if side == "dual" else vecs @ m.T) % denom
         out[wid] = (bool(np.array_equal(img, vecs)), len(np.unique(vecs, axis=0)))

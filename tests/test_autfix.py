@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from dadecheck.autfix import (
     FormulaOnlyRow,
-    NegativeExactCount,
     divisors,
     exact_stabilizer_counts,
     fix_counts_for_row,
@@ -105,9 +104,9 @@ def test_exact_counts_bi1_n1(model):
     assert exact == {1: 48, 3: 1}
 
 
-def test_negative_exact_raises():
-    with pytest.raises(NegativeExactCount):
-        exact_stabilizer_counts({1: 5, 3: 0}, 3)  # fix(t=1) < fix(t=3) impossible
+def test_negative_exact_is_returned():
+    # fix(t=1) > fix(t=3) is impossible: the inversion says so with a negative count
+    assert exact_stabilizer_counts({1: 5, 3: 0}, 3) == {1: -5, 3: 5}
 
 
 @given(st.integers(1, 8), st.integers(0, 40))

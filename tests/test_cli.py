@@ -171,7 +171,11 @@ def test_report_deterministic(tmp_path):
      "9a8550457d0301cf6ee65a8a47ad969459da9bfb91c95b26081e1c61148043d8"),
     (["verify", "dade", "--mode", "both", "--n", "2"], 385,
      "127328022c826b8d4ded4f86f9df5eedd349b7b960ac2918e1817647d0bb4e62"),
-], ids=["all-n1", "dade-both-n2"])
+    (["verify", "weyl", "--n", "1", "--n", "2", "--n", "3"], 325,
+     "6e62133a46662eaf8be564b573c4b48e690fbeb32dd8971c34da7102db58dea0"),
+    (["verify", "params", "--n", "1", "--n", "2", "--n", "3"], 369,
+     "9bd03715f4d4373a3473e7216e893395583c62cb55e5f761c768a5bed711b5dd"),
+], ids=["all-n1", "dade-both-n2", "weyl-n123", "params-n123"])
 def test_report_matches_golden_digest(tmp_path, argv, count, digest):
     report = tmp_path / "r.json"
     assert main(argv + ["--report", str(report)]) == 0
@@ -329,6 +333,36 @@ def test_bad_weyl_generators_exit_two(tmp_path, capsys, r4, message, command):
     assert main(command + ["--n", "1", "--data-dir", data]) == 2
     err = capsys.readouterr().err
     assert "Weyl generator data" in err and message in err
+
+
+M0 = "matrix: [[0, 0, 0, 2], [0, 0, 2, 0], [0, 1, 0, 0], [1, 0, 0, 0]]"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    (R4, "matrix: [[1, 0, 0], [0, 1, 0], [0, 0, 1]]", "weylgen r4: matrix is not 4 x 4"),
+    ("frobenius m0 {\n  " + M0 + "\n}\n", "", "no frobenius block"),
+    (M0, "matrix: [[0, 0, 0, 2], [0, 0, 2, 0], [0, 2, 0, 0], [1, 0, 0, 0]]",
+     "frobenius m0: m0 m0 is not 2 I"),
+], ids=["r4-3x3", "no-frobenius", "m0-squared"])
+@pytest.mark.parametrize("command", [["verify", "weyl"], ["verify", "params"]])
+def test_bad_weyl_tables_exit_two(tmp_path, capsys, old, new, message, command):
+    data = _data_copy(tmp_path, "weyl.def", old, new)
+    assert main(command + ["--n", "1", "--data-dir", data]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_negative_exact_count_fails_mobius_records(tmp_path, capsys):
+    # fix(t = 1) = 8 > fix(t = 3) = 2: exact(1) = 2 - 8 < 0
+    data = _data_copy(tmp_path, "fixrows.def", "sets: [GI_2, GI_3]\n  fix: 2\n",
+                      "sets: [GI_2, GI_3]\n  fix: 2^(4-t)\n")
+    report = tmp_path / "r.json"
+    assert main(["verify", "fixrows", "--n", "1", "--data-dir", data,
+                 "--report", str(report)]) == 1
+    failed = {(r["check"], r["name"], r["t"]): r["actual"]
+              for r in json.loads(report.read_text()) if r["status"] == "fail"}
+    assert failed[("mobius", "R_G_2_3", 3)] == "'exact(1) = -6 < 0'"
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_params_budget_overflow_is_skip(tmp_path, capsys):

@@ -244,14 +244,14 @@ def test_affine_compiler_coefficients():
     assert denom == 7
 
 
-def _centralizer_by_definition(word, gens):
+def _centralizer_by_definition(word, model):
     """v in W with v^-1 w F(v) = w, i.e. w F(v) = v w, one element at a time."""
     from dadecheck import rootdatum as rd
-    from weyl_oracle import weyl_closure
+    from weyl_oracle import frobenius_twist, weyl_closure
 
-    w = rd.word_matrix(word, gens)
-    return {v for v in weyl_closure(gens)
-            if rd.mat_mul(w, rd.frobenius_twist(v)) == rd.mat_mul(v, w)}
+    w = rd.word_matrix(rd.weyl_group(model), word)
+    return {v for v in weyl_closure(model.weylgens)
+            if rd.mat_mul(w, frobenius_twist(v, model.frobenius)) == rd.mat_mul(v, w)}
 
 
 def _as_tuples(mats):
@@ -268,9 +268,42 @@ def test_centralizer_cache_keyed_on_generators(model):
     swapped = dataclasses.replace(model, weylgens=gens)
     first = _centralizer(model, ("r1", "r3")).mats
     second = _centralizer(swapped, ("r1", "r3")).mats
-    assert _as_tuples(first) == _centralizer_by_definition(("r1", "r3"), model.weylgens)
-    assert _as_tuples(second) == _centralizer_by_definition(("r1", "r3"), gens)
+    assert _as_tuples(first) == _centralizer_by_definition(("r1", "r3"), model)
+    assert _as_tuples(second) == _centralizer_by_definition(("r1", "r3"), swapped)
     assert _as_tuples(first) != _as_tuples(second)
+
+
+def test_caches_keyed_on_the_twist(model, tmp_path):
+    # the r1-conjugate of m0 also squares to 2 but gives another F: a data copy
+    # with it and the shipped tables in one process, each against the oracle
+    from importlib import resources
+
+    import dadecheck
+    from dadecheck import rootdatum as rd
+    from weyl_oracle import f_classes
+
+    r1, m0 = model.weylgens["r1"], model.frobenius
+    twist = rd.mat_mul(rd.mat_mul(r1, m0), r1)
+    src = resources.files("dadecheck") / "data"
+    for fname in dadecheck.DATA_FILES:
+        text = (src / fname).read_text()
+        if fname == "weyl.def":
+            old, new = (str([list(row) for row in m]) for m in (m0, twist))
+            assert old in text
+            text = text.replace(old, new)
+        (tmp_path / fname).write_text(text)
+    conjugated = dadecheck.load_model(str(tmp_path))
+    assert conjugated.frobenius == twist
+    classes, counts = [], []
+    for m in (model, conjugated):
+        classes.append(rd.f_conjugacy_classes(rd.weyl_group(m)))
+        assert classes[-1] == f_classes(m.weylgens, m.frobenius)
+        fam = m.classfams["g8"]
+        counts.append(family_class_count(fam, m, 1))
+        oracle = _centralizer_by_definition(fam.word, m)
+        assert counts[-1] == _orbit_count_reference(fam, m, 1, oracle)
+    assert classes[0] != classes[1]
+    assert counts == [1, 2]
 
 
 def test_centralizer_orders_match_table(model):
@@ -280,12 +313,16 @@ def test_centralizer_orders_match_table(model):
         assert len(_centralizer(model, wc.word).mats) == wc.cent, wc.word
 
 
-def _orbit_count_reference(fam, model, n):
-    """Orbits on the family members by closing each point, on tuples of ints."""
+def _orbit_count_reference(fam, model, n, mats=None):
+    """Orbits on the family members by closing each point, on tuples of ints.
+
+    mats is the F-centralizer of the family's word, by default the package's.
+    """
     from dadecheck.paramsets import _centralizer
 
     denom, vecs = family_elements(fam, n)
-    mats = [m.tolist() for m in _centralizer(model, fam.word).mats]
+    if mats is None:
+        mats = [m.tolist() for m in _centralizer(model, fam.word).mats]
     if fam.side == "torus":  # columns: v -> M v
         mats = [list(zip(*m)) for m in mats]
     seen, orbits = set(), 0
@@ -429,6 +466,7 @@ def test_burnside_sum_must_divide(model):
 def test_centralizer_classes_and_generators(model):
     from dadecheck import rootdatum as rd
     from dadecheck.paramsets import _centralizer
+    from weyl_oracle import mat_inv_int
 
     for wc in model.weylclasses.values():
         cent = _centralizer(model, wc.word)
@@ -436,7 +474,7 @@ def test_centralizer_classes_and_generators(model):
         classes = set()
         for rep, size in cent.classes:
             x = elems[rep]
-            conj = frozenset(rd.mat_mul(rd.mat_mul(g, x), rd.mat_inv_int(g)) for g in elems)
+            conj = frozenset(rd.mat_mul(rd.mat_mul(g, x), mat_inv_int(g)) for g in elems)
             assert len(conj) == size, wc.id
             classes.add(conj)
         assert len(classes) == len(cent.classes)

@@ -1,25 +1,27 @@
 """Weyl group, twisted Frobenius, torus orders and subsystem classification."""
 
+import dataclasses
+
 import pytest
 
 from dadecheck import rootdatum as rd
-from weyl_oracle import f_classes, weyl_closure
+from weyl_oracle import f_classes, frobenius_twist, mat_inv_int, weyl_closure
 
 
-def test_weyl_order():
-    assert len(rd.generate_weyl()) == 1152
+def test_weyl_order(model):
+    assert len(rd.weyl_group(model).elems) == len(weyl_closure(model.weylgens)) == 1152
 
 
-def test_generators_are_reflections():
-    for name, g in rd.WEYL_GENERATORS.items():
+def test_generators_are_reflections(model):
+    for name, g in model.weylgens.items():
         assert rd.mat_mul(g, g) == rd.mat_identity(), name
         assert rd.mat_det(g) == -1
 
 
-def test_generators_permute_roots():
+def test_generators_permute_roots(model):
     roots = rd.roots_in_x()
     assert len(roots) == 48
-    for g in rd.WEYL_GENERATORS.values():
+    for g in model.weylgens.values():
         assert {rd.mat_vec(r, g) for r in roots} == roots
 
 
@@ -43,18 +45,18 @@ def test_roots_and_inner_products_match_eps_coordinates():
             assert rd._inner2(a, b) == 2 * sum(x * y for x, y in zip(eps(a), eps(b)))
 
 
-def test_m0_squares_to_two():
-    assert rd.mat_mul(rd.M0, rd.M0) == rd.mat_scale(rd.mat_identity(), 2)
+def test_m0_squares_to_two(model):
+    assert rd.mat_mul(model.frobenius, model.frobenius) == rd.mat_scale(rd.mat_identity(), 2)
 
 
-def test_twist_normalizes_weyl():
-    weyl = rd.generate_weyl()
-    for g in rd.WEYL_GENERATORS.values():
-        assert rd.frobenius_twist(g) in weyl
+def test_twist_normalizes_weyl(model):
+    weyl = weyl_closure(model.weylgens)
+    for g in model.weylgens.values():
+        assert frobenius_twist(g, model.frobenius) in weyl
 
 
-def test_eleven_f_classes():
-    classes = rd.f_conjugacy_classes()
+def test_eleven_f_classes(model):
+    classes = rd.f_conjugacy_classes(rd.weyl_group(model))
     assert len(classes) == 11
     assert sum(size for _, size, _ in classes) == 1152
     assert sorted(c for _, _, c in classes) == [4, 6, 8, 8, 12, 12, 16, 16, 48, 96, 96]
@@ -67,40 +69,44 @@ def test_weyl_arrays_match_tuple_oracle(model):
     # r4 replaced by the reflection r3 r4 r3: same W, another cache entry
     gens = model.weylgens
     conj = dict(gens, r4=rd.mat_mul(rd.mat_mul(gens["r3"], gens["r4"]), gens["r3"]))
+    m0 = model.frobenius
     for g in (gens, conj):
-        weyl = rd._weyl_arrays(g)
+        weyl = rd.weyl_group(dataclasses.replace(model, weylgens=g))
         ref = sorted(weyl_closure(g))
         assert [rd._as_matrix(v) for v in weyl.elems] == ref
-        assert [rd._as_matrix(v) for v in weyl.twisted] == [rd.frobenius_twist(v) for v in ref]
+        assert [rd._as_matrix(v) for v in weyl.twisted] == [frobenius_twist(v, m0) for v in ref]
         assert all(rd.mat_mul(v, rd._as_matrix(vi)) == rd.mat_identity()
                    for v, vi in zip(ref, weyl.inverses))
-        assert rd.f_conjugacy_classes(g) == f_classes(g)
-    assert rd._weyl_arrays(conj) is not rd._weyl_arrays(gens)
+        assert rd.f_conjugacy_classes(weyl) == f_classes(g, m0)
+    assert (rd.weyl_group(dataclasses.replace(model, weylgens=conj))
+            is not rd.weyl_group(model))
 
 
-def test_twist_off_the_lattice_is_weyl_data_error():
+def test_twist_off_the_lattice_is_weyl_data_error(model):
     # swapping e2 and e4 is a finite group whose m0-twist has odd entries
     swap = ((1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0))
     with pytest.raises(rd.WeylDataError, match="twist left the lattice"):
-        rd.generate_weyl({"s": swap})
+        rd.weyl_group(dataclasses.replace(model, weylgens={"s": swap}))
 
 
 def test_torus_order_examples(model):
+    weyl = rd.weyl_group(model)
     ident = rd.mat_identity()
-    assert rd.torus_order(ident, 1) == 49
-    w6 = rd.word_matrix(model.weylclasses["T6"].word, model.weylgens)
-    assert rd.torus_order(w6, 1) == 25
-    w10 = rd.word_matrix(model.weylclasses["T10"].word, model.weylgens)
-    assert rd.torus_order(w10, 1) == 37
-    w8 = rd.word_matrix(model.weylclasses["T8"].word, model.weylgens)
-    assert rd.torus_fixed_count(w8, 1) == 81
+    assert rd.torus_order(weyl, ident, 1) == 49
+    w6 = rd.word_matrix(weyl, model.weylclasses["T6"].word)
+    assert rd.torus_order(weyl, w6, 1) == 25
+    w10 = rd.word_matrix(weyl, model.weylclasses["T10"].word)
+    assert rd.torus_order(weyl, w10, 1) == 37
+    w8 = rd.word_matrix(weyl, model.weylclasses["T8"].word)
+    assert rd.torus_fixed_count(weyl, w8, 1) == 81
 
 
 def test_snf_cokernel_matches_det(model):
+    weyl = rd.weyl_group(model)
     for wc in model.weylclasses.values():
-        w = rd.word_matrix(wc.word, model.weylgens)
+        w = rd.word_matrix(weyl, wc.word)
         for n in (1, 2, 3):
-            assert rd.torus_order(w, n) == rd.torus_fixed_count(w, n)
+            assert rd.torus_order(weyl, w, n) == rd.torus_fixed_count(weyl, w, n)
 
 
 def test_smith_normal_form_basic():
@@ -111,7 +117,10 @@ def test_smith_normal_form_basic():
 
 
 def test_weyl_table_checks(model):
-    for r in rd.weyl_table_checks(model, (1, 2, 3, 4, 5)):
+    recs = rd.weyl_table_checks(model)
+    for n in (1, 2, 3, 4, 5):
+        recs += rd.torus_order_checks(model, n)
+    for r in recs:
         assert r.ok, (r.check, r.name, r.n, r.expected, r.actual)
 
 
@@ -208,9 +217,9 @@ def test_not_linearly_independent():
 
 
 def test_closure_overflow():
-    bad = {"a": ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1))}
+    bad = ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1))
     with pytest.raises(rd.ClosureOverflow):
-        rd.generate_weyl(bad, limit=40)
+        rd._closure([bad], 40)
 
 
 def test_shipped_subsystems(model):
@@ -228,7 +237,7 @@ def test_singular_matrix_detected():
     # 2^n m0 w - 1 is odd-determinant for every integer w, so the singular
     # branch is only reachable through degenerate matrices directly
     with pytest.raises(rd.SingularMatrix):
-        rd.mat_inv_int(((0,) * 4,) * 4)
+        mat_inv_int(((0,) * 4,) * 4)
 
 
 def test_torus_enumeration_n3_covers_every_class(model):
@@ -252,8 +261,6 @@ def test_transposed_action_is_not_fixed(model, monkeypatch):
 
 
 def _edit_class(model, wid, **fields):
-    import dataclasses
-
     wc = dataclasses.replace(model.weylclasses[wid], **fields)
     return dataclasses.replace(model, weylclasses=dict(model.weylclasses, **{wid: wc}))
 
@@ -295,8 +302,6 @@ def test_edited_charts_match_listing(model):
 
 @pytest.mark.parametrize("field", ["tcoords", "scoords"])
 def test_perturbed_coordinate_row_fails(model, field):
-    import dataclasses
-
     wc = model.weylclasses["T3"]
     rows = list(getattr(wc, field))
     rows[1] = ("add", rows[1], rows[0])

@@ -2,10 +2,49 @@
 
 W is the breadth-first closure of the generators on tuple matrices, and the
 F-class of w is the closure of w under the generator moves v -> g^-1 v F(g):
-F-conjugation by a product composes from generator conjugations.
+F-conjugation by a product composes from generator conjugations.  F(v) is
+m0^-1 v m0 for the twist m0 (m0 m0 = 2) of the table's frobenius block.
 """
 
+from fractions import Fraction
+
 from dadecheck import rootdatum as rd
+
+
+def mat_inv_int(m):
+    """Inverse of an integer matrix whose inverse is again integral."""
+    n = len(m)
+    if rd.mat_det(m) == 0:
+        raise rd.SingularMatrix("matrix is singular")
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(m)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    out = []
+    for row in aug:
+        vals = row[n:]
+        if any(v.denominator != 1 for v in vals):
+            raise rd.SingularMatrix("inverse is not integral")
+        out.append(tuple(int(v) for v in vals))
+    return tuple(out)
+
+
+def frobenius_twist(v, m0):
+    """F-conjugate of a Weyl element: m0^-1 v m0 = m0 v m0 / 2."""
+    m = rd.mat_mul(rd.mat_mul(m0, v), m0)
+    out = []
+    for row in m:
+        if any(x % 2 for x in row):
+            raise ValueError("twist left the lattice; element not in W?")
+        out.append(tuple(x // 2 for x in row))
+    return tuple(out)
 
 
 def weyl_closure(gens, limit=2000):
@@ -27,9 +66,9 @@ def weyl_closure(gens, limit=2000):
     return frozenset(seen)
 
 
-def f_class(w, gens):
+def f_class(w, gens, m0):
     """F-conjugacy class of w, with the moves taken from gens."""
-    moves = [(rd.mat_inv_int(g), rd.frobenius_twist(g)) for g in gens.values()]
+    moves = [(mat_inv_int(g), frobenius_twist(g, m0)) for g in gens.values()]
     orbit = {w}
     frontier = [w]
     while frontier:
@@ -42,14 +81,14 @@ def f_class(w, gens):
     return frozenset(orbit)
 
 
-def f_classes(gens):
+def f_classes(gens, m0):
     """(least element, size, centralizer order) of each F-class, least first."""
     weyl = weyl_closure(gens)
     remaining = set(weyl)
     classes = []
     while remaining:
         rep = min(remaining)
-        orbit = f_class(rep, gens)
+        orbit = f_class(rep, gens, m0)
         remaining -= orbit
         classes.append((rep, len(orbit), len(weyl) // len(orbit)))
     return classes
