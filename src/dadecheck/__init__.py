@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import os
 from importlib import resources
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from .tabledsl import Model, parse_model_files
 
@@ -22,7 +22,8 @@ DATA_FILES = (
     "relations.def",
 )
 
-_MODEL_CACHE: Dict[str, Model] = {}
+# the six table texts -> their model: the texts are all a model depends on
+_MODEL_CACHE: Dict[Tuple[str, ...], Model] = {}
 
 
 def data_dir() -> Optional[str]:
@@ -32,9 +33,6 @@ def data_dir() -> Optional[str]:
 def load_model(directory: Optional[str] = None) -> Model:
     """Parse the shipped (or overridden) data files into one Model."""
     directory = directory or data_dir()
-    key = directory or "<package>"
-    if key in _MODEL_CACHE:
-        return _MODEL_CACHE[key]
     texts = {}
     if directory:
         for fname in DATA_FILES:
@@ -44,6 +42,7 @@ def load_model(directory: Optional[str] = None) -> Model:
         pkg = resources.files(__name__) / "data"
         for fname in DATA_FILES:
             texts[fname] = (pkg / fname).read_text(encoding="utf-8")
-    model = parse_model_files(texts)
-    _MODEL_CACHE[key] = model
-    return model
+    key = tuple(texts.values())
+    if key not in _MODEL_CACHE:
+        _MODEL_CACHE[key] = parse_model_files(texts)
+    return _MODEL_CACHE[key]

@@ -63,7 +63,7 @@ def fixed_count_bruteforce(row: FixRow, model: Model, n: int, t: int) -> int:
         raise ValueError(f"t={t} does not divide 2n+1={2 * n + 1}")
     total = 0
     for sid in row.sets:
-        spec = model.paramset(sid)
+        spec = model.paramsets[sid]
         if spec.action == "identity":
             total += eval_expr_int(spec.card, build_env(n))
         elif spec.action == "doubling":
@@ -79,7 +79,7 @@ def fixed_count_bruteforce(row: FixRow, model: Model, n: int, t: int) -> int:
 
 def row_is_enumerable(row: FixRow, model: Model) -> bool:
     return all(
-        model.paramset(s).action in ("identity", "doubling") for s in row.sets
+        model.paramsets[s].action in ("identity", "doubling") for s in row.sets
     )
 
 

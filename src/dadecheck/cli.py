@@ -273,7 +273,7 @@ def _cmd_params(args, cfg) -> int:
         except paramsets.BudgetExceeded as e:
             count, reason = None, f"{spec.id}: {e}"
         millis = 1000.0 * (time.perf_counter() - t0)
-        expected = paramsets.formula_count(spec, n) if spec.card else count
+        expected = paramsets.formula_count(spec, n)
         records.append(Record("cardinality", spec.id, n, expected, count, reason).as_json(millis))
         if args.list and count is not None:
             try:

@@ -42,10 +42,6 @@ CHAINS = (
 )
 
 
-class UnresolvedPair(ValueError):
-    """A numeric count was requested while induction pairs are still symbolic."""
-
-
 def two_part_exponent(n: int) -> int:
     """log2 of the 2-part of every chain normalizer: q^24 = 2^(24n+12)."""
     return 24 * n + 12
@@ -72,7 +68,7 @@ _BOREL_ORDER = ("mul", ("pow", ("sym", "q"), ("int", 24)),
 
 
 def set_cardinality(model: Model, set_id: str, n: int) -> int:
-    spec = model.paramset(set_id)
+    spec = model.paramsets[set_id]
     return eval_expr_int(spec.card, build_env(n))
 
 
@@ -83,7 +79,6 @@ def k_fixed(
     u: int,
     n: int,
     mode: str = "formula",
-    numeric_only: bool = False,
 ) -> Tuple[int, Set[str]]:
     """Fixed-character count of one chain normalizer at one ledger defect.
 
@@ -114,10 +109,6 @@ def k_fixed(
                 total += set_cardinality(model, e.set_id, n)
             else:
                 tokens.add(e.ref)
-    if numeric_only and tokens:
-        raise UnresolvedPair(
-            f"{ledger.id}/{group}: pairs {sorted(tokens)} unresolved at u={u}"
-        )
     return total, tokens
 
 

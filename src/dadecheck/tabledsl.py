@@ -17,7 +17,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .exactnum import NotRationalInteger, PHI_POLYS, QPoly, SQRT2, SqrtTwoRat, as_integer
 
@@ -650,40 +650,194 @@ class Model:
     order_expr: Optional[Expr] = None  # |G| as shipped in classes.def
     block_order: List[Tuple[str, str]] = field(default_factory=list)
 
-    def paramset(self, set_id: str) -> ParamSetSpec:
-        try:
-            return self.paramsets[set_id]
-        except KeyError:
-            raise DanglingReference(f"unknown parameter set {set_id!r}")
+
+# ---------------------------------------------------------------------------
+# the table schema: one entry per block kind drives loading, serializing and
+# the reference checks
 
 
-def _sym_name(v) -> str:
+def _where(v, what: str) -> TableSyntaxError:
+    return TableSyntaxError(f"has {value_to_str(v)} where {what} belongs")
+
+
+def _read_sym(v) -> str:
     if isinstance(v, tuple) and v[0] == "sym":
         return v[1]
-    raise TableSyntaxError(f"expected identifier, got {v!r}")
+    raise _where(v, "an identifier")
 
 
-def _sym_list(v) -> Tuple[str, ...]:
-    return tuple(_sym_name(x) for x in v)
+def _read_list(v) -> list:
+    if isinstance(v, list):
+        return v
+    raise _where(v, "a list")
 
 
-def _int_value(v) -> int:
+def _read_expr(v) -> Expr:
+    if isinstance(v, list):
+        raise _where(v, "an expression")
+    return v
+
+
+def _read_int(v) -> int:
     if isinstance(v, tuple) and v[0] == "int":
         return v[1]
-    if isinstance(v, tuple) and v[0] == "neg":
-        return -_int_value(v[1])
-    raise TableSyntaxError(f"expected integer literal, got {v!r}")
+    if isinstance(v, tuple) and v[0] == "neg" and v[1][0] == "int":
+        return -v[1][1]
+    raise _where(v, "an integer literal")
 
 
-def _matrix(owner: str, v) -> Tuple[Tuple[int, ...], ...]:
-    """A 4 x 4 matrix of integer literals, else a table error naming owner."""
-    if not (isinstance(v, list) and len(v) == 4
-            and all(isinstance(row, list) and len(row) == 4 for row in v)):
-        raise TableSyntaxError(f"{owner}: matrix is not 4 x 4")
-    try:
-        return tuple(tuple(_int_value(x) for x in row) for row in v)
-    except TableSyntaxError as e:
-        raise TableSyntaxError(f"{owner}: {e}") from None
+def _read_ints(v) -> Tuple[Tuple[int, ...], ...]:
+    return tuple(tuple(map(_read_int, _read_list(row))) for row in _read_list(v))
+
+
+def _read_matrix(v) -> Tuple[Tuple[int, ...], ...]:
+    m = _read_ints(v)
+    if len(m) != 4 or any(len(row) != 4 for row in m):
+        raise TableSyntaxError("is not 4 x 4")
+    return m
+
+
+def _read_yesno(v) -> bool:
+    if v in (("sym", "yes"), ("sym", "no")):
+        return v[1] == "yes"
+    raise _where(v, "yes or no")
+
+
+def _read_entry(v) -> LedgerEntry:
+    """[group, set, fixed, fixrow, degree] or [group, set, paired, pair, side, degree]."""
+    v = _read_list(v)
+    if len(v) != (6 if v[2:3] == [("sym", "paired")] else 5):
+        raise _where(v, "[group, set, tag, ref, degree] or [group, set, paired, ref, side, degree]")
+    group, set_id, tag, ref, *side = map(_read_sym, v[:-1])
+    if tag not in ("fixed", "paired"):
+        raise _where(v[2], "fixed or paired")
+    degree = None if v[-1] == ("sym", "none") else v[-1]
+    return LedgerEntry(group, set_id, tag, ref, side[0] if side else None, degree)
+
+
+def _write_entry(e: LedgerEntry) -> list:
+    syms = (e.group, e.set_id, e.tag, e.ref) + ((e.side,) if e.tag == "paired" else ())
+    return [("sym", x) for x in syms] + [("sym", "none") if e.degree is None else e.degree]
+
+
+def _read_term(v) -> ValueTerm:
+    v = _read_list(v)
+    if len(v) < 2:
+        raise _where(v, "[coefficient, eps4 power, exponents...]")
+    return ValueTerm(v[0], _read_int(v[1]), tuple(v[2:]))
+
+
+def _read_sum(v) -> Tuple[Tuple[int, str], ...]:
+    v = _read_list(v)
+    if len(v) % 2:
+        raise _where(v, "[coefficient, class, ...]")
+    return tuple((_read_int(v[i]), _read_sym(v[i + 1])) for i in range(0, len(v), 2))
+
+
+def _write_ints(v) -> list:
+    return [[("int", x) for x in row] for row in v]
+
+
+# codec -> (read, write, value of an absent field).  read turns a parsed field
+# value into the model's value, or raises a TableSyntaxError whose message
+# follows the field name; write turns it back into a parsed value.
+_CODECS = {
+    "sym": (_read_sym, lambda v: ("sym", v), None),
+    "syms": (lambda v: tuple(map(_read_sym, _read_list(v))),
+             lambda v: [("sym", x) for x in v], ()),
+    "expr": (_read_expr, lambda v: v, None),
+    "exprs": (lambda v: tuple(_read_list(v)), list, ()),
+    "int": (_read_int, lambda v: ("int", v), None),
+    "ints": (_read_ints, _write_ints, ()),
+    "matrix": (_read_matrix, _write_ints, None),
+    "yesno": (_read_yesno, lambda v: ("sym", "yes" if v else "no"), False),
+    "entry": (_read_entry, _write_entry, None),
+    "term": (_read_term, lambda t: [t.coeff, ("int", t.eps4), *t.exps], None),
+    "sum": (_read_sum, lambda v: [x for c, cls in v for x in (("int", c), ("sym", cls))], ()),
+}
+
+REQUIRED, OPTIONAL, REPEATED = "required", "optional", "repeated"
+
+
+class _Field(NamedTuple):
+    table: str  # the field's name in a .def file
+    codec: str  # a key of _CODECS
+    arity: str = REQUIRED  # or OPTIONAL, or REPEATED: a tuple with one item per occurrence
+    refers: Optional[str] = None  # the block kind whose names the field holds
+    attr: Optional[str] = None  # the record attribute it fills; _kind sets table if None
+
+
+class _Kind(NamedTuple):
+    attr: str  # the Model attribute: a dict by block name, or one value
+    record: Optional[type]  # built as record(name, *values); None: the one field's value
+    fields: Tuple[_Field, ...]  # in the order of the record's fields after id
+    index: Dict[str, Tuple[int, object, bool]]  # table name -> (position, read, repeated)
+    empty: tuple  # the values of absent fields
+    required: frozenset  # positions of the required fields
+
+
+def _kind(attr, record, *fields) -> _Kind:
+    fields = tuple(f._replace(attr=f.attr or f.table) for f in fields)
+    return _Kind(attr, record, fields,
+                 {f.table: (i, _CODECS[f.codec][0], f.arity == REPEATED)
+                  for i, f in enumerate(fields)},
+                 tuple(() if f.arity == REPEATED else _CODECS[f.codec][2] for f in fields),
+                 frozenset(i for i, f in enumerate(fields) if f.arity == REQUIRED))
+
+
+_SCHEMA: Dict[str, _Kind] = {
+    "paramset": _kind(
+        "paramsets", ParamSetSpec,
+        _Field("group", "sym"), _Field("action", "sym"), _Field("moduli", "exprs", OPTIONAL),
+        _Field("exclude", "expr", OPTIONAL), _Field("equiv", "exprs", OPTIONAL),
+        _Field("card", "expr"), _Field("members", "syms", OPTIONAL, "paramset"),
+        _Field("alias_of", "sym", OPTIONAL, "paramset"), _Field("note", "sym", OPTIONAL)),
+    "fixrow": _kind(
+        "fixrows", FixRow,
+        _Field("group", "sym"), _Field("sets", "syms", REQUIRED, "paramset"),
+        _Field("fix", "expr", attr="formula")),
+    "defect": _kind(
+        "ledgers", DefectLedger,
+        _Field("value", "expr"), _Field("entry", "entry", REPEATED, attr="entries")),
+    "pair": _kind(
+        "pairs", Pair,
+        _Field("left", "syms", REQUIRED, "paramset"),
+        _Field("right", "syms", REQUIRED, "paramset")),
+    "weylgen": _kind("weylgens", None, _Field("matrix", "matrix")),
+    "frobenius": _kind("frobenius", None, _Field("matrix", "matrix")),
+    "weylclass": _kind(
+        "weylclasses", WeylClass,
+        _Field("word", "syms", OPTIONAL, "weylgen"), _Field("cent", "int"),
+        _Field("order", "expr"),
+        _Field("tranges", "exprs", OPTIONAL), _Field("tcoords", "exprs", OPTIONAL),
+        _Field("sranges", "exprs", OPTIONAL), _Field("scoords", "exprs", OPTIONAL),
+        _Field("svars", "syms", OPTIONAL), _Field("tvars", "syms", OPTIONAL),
+        _Field("pairing", "expr", OPTIONAL)),
+    "grouporder": _kind("order_expr", None, _Field("order", "expr")),
+    "classfam": _kind(
+        "classfams", ClassFam,
+        _Field("side", "sym"), _Field("word", "syms", OPTIONAL, "weylgen"),
+        _Field("vars", "syms", OPTIONAL), _Field("coords", "exprs"),
+        _Field("ranges", "exprs", OPTIONAL), _Field("count", "expr"),
+        _Field("exclude", "expr", OPTIONAL), _Field("pi", "ints", OPTIONAL),
+        _Field("pitype", "sym", OPTIONAL), _Field("pilabel", "sym", OPTIONAL)),
+    "classrow": _kind(
+        "classrows", ClassRow,
+        _Field("family", "sym", REQUIRED, "classfam"), _Field("cent", "expr")),
+    "chvalue": _kind(
+        "chvalues", ChValue,
+        _Field("func", "sym"), _Field("cls", "sym", REQUIRED, "classrow"),
+        _Field("order", "expr", OPTIONAL), _Field("term", "term", REPEATED, attr="terms")),
+    "relation": _kind(
+        "relations", Relation,
+        _Field("func", "sym", OPTIONAL), _Field("sum", "sum", OPTIONAL),
+        _Field("left", "sym", OPTIONAL), _Field("right", "sym", OPTIONAL),
+        _Field("equals", "sym", OPTIONAL), _Field("classes", "syms", OPTIONAL, "classrow")),
+    "degrel": _kind(
+        "degrels", DegRel,
+        _Field("func", "sym"), _Field("table", "expr"), _Field("phi", "expr"),
+        _Field("defect", "expr"), _Field("odd", "yesno", OPTIONAL)),
+}
 
 
 class _ModelBuilder:
@@ -691,189 +845,49 @@ class _ModelBuilder:
         self.model = Model()
 
     def add_blocks(self, blocks):
+        model = self.model
         for bkind, name, fields in blocks:
-            handler = getattr(self, f"_on_{bkind}", None)
-            if handler is None:
-                raise TableSyntaxError(f"unknown block kind {bkind!r}")
-            f = dict(fields)
-            if len(f) != len(fields) and bkind not in ("defect", "chvalue"):
-                raise TableSyntaxError(f"duplicate field in {bkind} {name}")
-            handler(name, fields)
-            self.model.block_order.append((bkind, name))
-
-    # -- block handlers ----------------------------------------------------
-
-    def _on_paramset(self, name, fields):
-        f = dict(fields)
-        equiv = tuple(f.get("equiv", ()))
-        spec = ParamSetSpec(
-            id=name,
-            group=_sym_name(f["group"]),
-            action=_sym_name(f["action"]),
-            moduli=tuple(f.get("moduli", ())),
-            exclude=f.get("exclude"),
-            equiv=equiv,
-            card=f.get("card"),
-            members=_sym_list(f.get("members", ())),
-            alias_of=_sym_name(f["alias_of"]) if "alias_of" in f else None,
-            note=_sym_name(f["note"]) if "note" in f else None,
-        )
-        self.model.paramsets[name] = spec
-
-    def _on_fixrow(self, name, fields):
-        f = dict(fields)
-        self.model.fixrows[name] = FixRow(
-            id=name,
-            group=_sym_name(f["group"]),
-            sets=_sym_list(f["sets"]),
-            formula=f["fix"],
-        )
-
-    def _on_defect(self, name, fields):
-        value = None
-        entries = []
-        for fname, v in fields:
-            if fname == "value":
-                value = v
-            elif fname == "entry":
-                entries.append(self._entry(v))
+            kind = _SCHEMA.get(bkind)
+            if kind is None:
+                raise TableSyntaxError(f"{bkind} {name}: unknown block kind {bkind!r}")
+            values = list(kind.empty)
+            given = set()
+            for fname, raw in fields:
+                try:
+                    i, read, repeated = kind.index[fname]
+                except KeyError:
+                    raise TableSyntaxError(f"{bkind} {name}: unknown field {fname!r}") from None
+                try:
+                    v = read(raw)
+                except TableSyntaxError as e:
+                    raise TableSyntaxError(f"{bkind} {name}: {fname} {e}") from None
+                if repeated:
+                    values[i] += (v,)
+                elif i in given:
+                    raise TableSyntaxError(f"{bkind} {name}: field {fname!r} given twice")
+                else:
+                    values[i] = v
+                    given.add(i)
+            if not kind.required <= given:
+                missing = [kind.fields[i].table for i in sorted(kind.required - given)]
+                raise TableSyntaxError(f"{bkind} {name}: missing field {', '.join(missing)}")
+            obj = kind.record(name, *values) if kind.record else values[0]
+            slot = getattr(model, kind.attr)
+            if isinstance(slot, dict):
+                if name in slot:
+                    raise TableSyntaxError(f"{bkind} {name}: a second {bkind} block named {name}")
+                slot[name] = obj
+            elif slot is not None:
+                first = next(n for k, n in model.block_order if k == bkind)
+                raise TableSyntaxError(f"{bkind} {name}: a second {bkind} block after {first}")
             else:
-                raise TableSyntaxError(f"unknown defect field {fname!r}")
-        if value is None:
-            raise TableSyntaxError(f"defect {name} lacks a value")
-        self.model.ledgers[name] = DefectLedger(name, value, tuple(entries))
-
-    @staticmethod
-    def _entry(v) -> LedgerEntry:
-        group = _sym_name(v[0])
-        set_id = _sym_name(v[1])
-        tag = _sym_name(v[2])
-        ref = _sym_name(v[3])
-        if tag == "paired":
-            side = _sym_name(v[4])
-            deg = v[5]
-        else:
-            side = None
-            deg = v[4]
-        if isinstance(deg, tuple) and deg[0] == "sym" and deg[1] == "none":
-            deg = None
-        return LedgerEntry(group, set_id, tag, ref, side, deg)
-
-    def _on_weylgen(self, name, fields):
-        f = dict(fields)
-        self.model.weylgens[name] = _matrix(f"weylgen {name}", f.get("matrix"))
-
-    def _on_frobenius(self, name, fields):
-        f = dict(fields)
-        self.model.frobenius = _matrix(f"frobenius {name}", f.get("matrix"))
-
-    def _on_weylclass(self, name, fields):
-        f = dict(fields)
-        self.model.weylclasses[name] = WeylClass(
-            id=name,
-            word=_sym_list(f.get("word", ())),
-            cent=_int_value(f["cent"]),
-            order=f["order"],
-            tranges=tuple(f.get("tranges", ())),
-            tcoords=tuple(f.get("tcoords", ())),
-            sranges=tuple(f.get("sranges", ())),
-            scoords=tuple(f.get("scoords", ())),
-            svars=_sym_list(f.get("svars", ())),
-            tvars=_sym_list(f.get("tvars", ())),
-            pairing=f.get("pairing"),
-        )
-
-    def _on_classfam(self, name, fields):
-        f = dict(fields)
-        self.model.classfams[name] = ClassFam(
-            id=name,
-            side=_sym_name(f["side"]),
-            word=_sym_list(f.get("word", ())),
-            vars=_sym_list(f.get("vars", ())),
-            coords=tuple(f["coords"]),
-            ranges=tuple(f.get("ranges", ())),
-            count=f["count"],
-            exclude=f.get("exclude"),
-            pi=tuple(tuple(_int_value(x) for x in row) for row in f.get("pi", ())),
-            pitype=_sym_name(f["pitype"]) if "pitype" in f else None,
-            pilabel=_sym_name(f["pilabel"]) if "pilabel" in f else None,
-        )
-
-    def _on_classrow(self, name, fields):
-        f = dict(fields)
-        self.model.classrows[name] = ClassRow(
-            id=name, family=_sym_name(f["family"]), cent=f["cent"]
-        )
-
-    def _on_grouporder(self, name, fields):
-        f = dict(fields)
-        self.model.order_expr = f["order"]
-
-    def _on_chvalue(self, name, fields):
-        func = cls = None
-        order = None
-        terms = []
-        for fname, v in fields:
-            if fname == "func":
-                func = _sym_name(v)
-            elif fname == "cls":
-                cls = _sym_name(v)
-            elif fname == "order":
-                order = v
-            elif fname == "term":
-                coeff = v[0]
-                eps4 = _int_value(v[1])
-                exps = tuple(v[2:])
-                terms.append(ValueTerm(coeff, eps4, exps))
-            else:
-                raise TableSyntaxError(f"unknown chvalue field {fname!r}")
-        self.model.chvalues[name] = ChValue(name, func, cls, order, tuple(terms))
-
-    def _on_relation(self, name, fields):
-        f = dict(fields)
-        rel = Relation(
-            id=name,
-            func=_sym_name(f["func"]) if "func" in f else None,
-            sum=tuple(
-                (_int_value(f["sum"][i]), _sym_name(f["sum"][i + 1]))
-                for i in range(0, len(f.get("sum", ())), 2)
-            ),
-            left=_sym_name(f["left"]) if "left" in f else None,
-            right=_sym_name(f["right"]) if "right" in f else None,
-            equals=_sym_name(f["equals"]) if "equals" in f else None,
-            classes=_sym_list(f.get("classes", ())),
-        )
-        self.model.relations[name] = rel
-
-    def _on_degrel(self, name, fields):
-        f = dict(fields)
-        self.model.degrels[name] = DegRel(
-            id=name,
-            func=_sym_name(f["func"]),
-            table=f["table"],
-            phi=f["phi"],
-            defect=f["defect"],
-            odd=_sym_name(f.get("odd", ("sym", "no"))) == "yes",
-        )
-
-    def _on_pair(self, name, fields):
-        f = dict(fields)
-        self.model.pairs[name] = Pair(
-            id=name, left=_sym_list(f["left"]), right=_sym_list(f["right"])
-        )
-
-
-def build_model(blocks) -> Model:
-    b = _ModelBuilder()
-    b.add_blocks(blocks)
-    return b.model
+                setattr(model, kind.attr, obj)
+            model.block_order.append((bkind, name))
 
 
 def parse_model(text: str) -> Model:
     """Parse one source string into a cross-checked Model."""
-    model = build_model(parse_blocks(text))
-    validate_model(model)
-    return model
+    return parse_model_files({"<text>": text})
 
 
 def parse_model_files(texts: Dict[str, str]) -> Model:
@@ -932,49 +946,6 @@ def validate_model(model: Model) -> None:
     The Weyl data is checked here too: a model with Weyl classes or class
     families has weylgen and frobenius blocks, and m0 m0 = 2 I.
     """
-    env1 = build_env(1, t=1)
-    names = set(_base_env(1))  # n, q, s2, th and the phi values
-    poly_names = names - {"n"}  # those of qpoly_env: polynomials in q
-    for row in model.fixrows.values():
-        for sid in row.sets:
-            if sid not in model.paramsets:
-                raise DanglingReference(f"fixrow {row.id}: unknown set {sid}")
-        _check_expr(f"fixrow {row.id}", row.formula, env1)
-        # fixed_count_formula evaluates every row at n = 1, so only t may vary
-        others = sorted(expr_symbols(row.formula) - {"t"})
-        if others:
-            raise TableSyntaxError(f"fixrow {row.id}: fix uses {', '.join(others)}; "
-                                   "only t is allowed")
-    for spec in model.paramsets.values():
-        if spec.alias_of and spec.alias_of not in model.paramsets:
-            raise DanglingReference(f"{spec.id}: unknown alias target {spec.alias_of}")
-        for m in spec.members:
-            if m not in model.paramsets:
-                raise DanglingReference(f"{spec.id}: unknown member {m}")
-        if spec.card is not None:
-            _check_expr(spec.id, spec.card, env1)
-        if spec.exclude is not None:
-            _check_exclusion(spec.id, spec.exclude, names, spec.indices)
-        _check_symbols(spec.id, names, *spec.moduli)
-        for vars_, targets in spec.equiv:
-            _check_symbols(spec.id, names | set(vars_), *targets)
-    for led in model.ledgers.values():
-        _check_expr(f"ledger {led.id}", led.value, env1)
-        for e in led.entries:
-            if e.set_id not in model.paramsets:
-                raise DanglingReference(f"ledger {led.id}: unknown set {e.set_id}")
-            if e.tag == "fixed":
-                if e.ref not in model.fixrows:
-                    raise DanglingReference(f"ledger {led.id}: unknown fixrow {e.ref}")
-            elif e.tag == "paired":
-                if e.ref not in model.pairs:
-                    raise DanglingReference(f"ledger {led.id}: unknown pair {e.ref}")
-            else:
-                raise DanglingReference(f"ledger {led.id}: bad tag {e.tag}")
-    for pair in model.pairs.values():
-        for sid in pair.left + pair.right:
-            if sid not in model.paramsets:
-                raise DanglingReference(f"pair {pair.id}: unknown set {sid}")
     if model.weylclasses or model.classfams:
         # their words are products of W's generators, and their checks read the twist
         if not model.weylgens:
@@ -985,12 +956,44 @@ def validate_model(model: Model) -> None:
         m0 = model.frobenius
         if any(sum(m0[i][k] * m0[k][j] for k in range(4)) != 2 * (i == j)
                for i in range(4) for j in range(4)):
-            name = [name for kind, name in model.block_order if kind == "frobenius"][-1]
+            name = next(name for kind, name in model.block_order if kind == "frobenius")
             raise TableSyntaxError(f"frobenius {name}: m0 m0 is not 2 I")
+    for bkind, kind in _SCHEMA.items():
+        refs = [f for f in kind.fields if f.refers]
+        for obj in getattr(model, kind.attr).values() if refs else ():
+            for f in refs:
+                targets = getattr(model, _SCHEMA[f.refers].attr)
+                v = getattr(obj, f.attr)
+                for ref in (v,) if f.codec == "sym" and v is not None else v or ():
+                    if ref not in targets:
+                        raise DanglingReference(
+                            f"{bkind} {obj.id}: {f.table}: unknown {f.refers} {ref}")
+    env1 = build_env(1, t=1)
+    names = set(_base_env(1))  # n, q, s2, th and the phi values
+    poly_names = names - {"n"}  # those of qpoly_env: polynomials in q
+    for row in model.fixrows.values():
+        _check_expr(f"fixrow {row.id}", row.formula, env1)
+        # fixed_count_formula evaluates every row at n = 1, so only t may vary
+        others = sorted(expr_symbols(row.formula) - {"t"})
+        if others:
+            raise TableSyntaxError(f"fixrow {row.id}: fix uses {', '.join(others)}; "
+                                   "only t is allowed")
+    for spec in model.paramsets.values():
+        _check_expr(spec.id, spec.card, env1)
+        if spec.exclude is not None:
+            _check_exclusion(spec.id, spec.exclude, names, spec.indices)
+        _check_symbols(spec.id, names, *spec.moduli)
+        for vars_, targets in spec.equiv:
+            _check_symbols(spec.id, names | set(vars_), *targets)
+    for led in model.ledgers.values():
+        _check_expr(f"ledger {led.id}", led.value, env1)
+        for e in led.entries:
+            if e.set_id not in model.paramsets:
+                raise DanglingReference(f"ledger {led.id}: unknown set {e.set_id}")
+            rows, what = (model.fixrows, "fixrow") if e.tag == "fixed" else (model.pairs, "pair")
+            if e.ref not in rows:
+                raise DanglingReference(f"ledger {led.id}: unknown {what} {e.ref}")
     for wc in model.weylclasses.values():
-        for g in wc.word:
-            if g not in model.weylgens:
-                raise DanglingReference(f"weylclass {wc.id}: unknown generator {g}")
         _check_expr(f"weylclass {wc.id}", wc.order, env1)
         _check_symbols(f"weylclass {wc.id}", names, *wc.tranges, *wc.sranges)
         _check_symbols(f"weylclass {wc.id}", names | set(wc.tvars), *wc.tcoords)
@@ -999,20 +1002,12 @@ def validate_model(model: Model) -> None:
             _check_symbols(f"weylclass {wc.id}", names | set(wc.tvars) | set(wc.svars),
                            wc.pairing)
     for fam in model.classfams.values():
-        for g in fam.word:
-            if g not in model.weylgens:
-                raise DanglingReference(f"classfam {fam.id}: unknown generator {g}")
         _check_expr(f"classfam {fam.id}", fam.count, env1)
         if fam.exclude is not None:
             _check_exclusion(f"classfam {fam.id}", fam.exclude, names, fam.vars)
         _check_symbols(f"classfam {fam.id}", names, *fam.ranges)
         _check_symbols(f"classfam {fam.id}", names | set(fam.vars), *fam.coords)
-    for row in model.classrows.values():
-        if row.family not in model.classfams:
-            raise DanglingReference(f"classrow {row.id}: unknown family {row.family}")
     for cv in model.chvalues.values():
-        if cv.cls not in model.classrows:
-            raise DanglingReference(f"chvalue {cv.id}: unknown class {cv.cls}")
         if cv.order is not None:
             _check_symbols(f"chvalue {cv.id}", names, cv.order)
         _check_symbols(f"chvalue {cv.id}", poly_names, *(t.coeff for t in cv.terms))
@@ -1025,150 +1020,23 @@ def validate_model(model: Model) -> None:
         for _, cls in rel.sum:
             if cls not in model.classrows:
                 raise DanglingReference(f"relation {rel.id}: unknown class {cls}")
-        for cls in rel.classes:
-            if cls not in model.classrows:
-                raise DanglingReference(f"relation {rel.id}: unknown class {cls}")
-
 
 # ---------------------------------------------------------------------------
 # serialization (the round-trip property is tested against the shipped files)
 
 
 def serialize_model(model: Model) -> str:
+    """The model as table text, its blocks in the order they were read."""
     chunks = []
-    emitted = set()
     for bkind, name in model.block_order:
-        key = (bkind, name)
-        if key in emitted:
-            continue
-        emitted.add(key)
-        chunks.append(_serialize_block(model, bkind, name))
+        kind = _SCHEMA[bkind]
+        slot = getattr(model, kind.attr)
+        obj = slot[name] if isinstance(slot, dict) else slot
+        lines = [f"{bkind} {name} {{"]
+        for f in kind.fields:
+            v = getattr(obj, f.attr) if kind.record else obj
+            items = v if f.arity == REPEATED else (v,) if f.arity == REQUIRED or v else ()
+            write = _CODECS[f.codec][1]
+            lines += [f"  {f.table}: {value_to_str(write(x))}" for x in items]
+        chunks.append("\n".join(lines + ["}"]))
     return "\n".join(chunks) + "\n"
-
-
-def _serialize_block(model: Model, bkind: str, name: str) -> str:
-    lines = [f"{bkind} {name} {{"]
-
-    def emit(fname, value):
-        lines.append(f"  {fname}: {value_to_str(value)}")
-
-    if bkind == "paramset":
-        s = model.paramsets[name]
-        emit("group", ("sym", s.group))
-        emit("action", ("sym", s.action))
-        if s.moduli:
-            emit("moduli", list(s.moduli))
-        if s.exclude is not None:
-            emit("exclude", s.exclude)
-        if s.equiv:
-            emit("equiv", list(s.equiv))
-        if s.card is not None:
-            emit("card", s.card)
-        if s.members:
-            emit("members", [("sym", m) for m in s.members])
-        if s.alias_of:
-            emit("alias_of", ("sym", s.alias_of))
-        if s.note:
-            emit("note", ("sym", s.note))
-    elif bkind == "fixrow":
-        r = model.fixrows[name]
-        emit("group", ("sym", r.group))
-        emit("sets", [("sym", x) for x in r.sets])
-        emit("fix", r.formula)
-    elif bkind == "defect":
-        led = model.ledgers[name]
-        emit("value", led.value)
-        for e in led.entries:
-            item = [("sym", e.group), ("sym", e.set_id), ("sym", e.tag), ("sym", e.ref)]
-            if e.tag == "paired":
-                item.append(("sym", e.side))
-            item.append(e.degree if e.degree is not None else ("sym", "none"))
-            emit("entry", item)
-    elif bkind == "weylgen":
-        emit("matrix", [[("int", x) for x in row] for row in model.weylgens[name]])
-    elif bkind == "frobenius":
-        emit("matrix", [[("int", x) for x in row] for row in model.frobenius])
-    elif bkind == "weylclass":
-        wc = model.weylclasses[name]
-        emit("word", [("sym", g) for g in wc.word])
-        emit("cent", ("int", wc.cent))
-        emit("order", wc.order)
-        if wc.tvars:
-            emit("tvars", [("sym", v) for v in wc.tvars])
-        if wc.tranges:
-            emit("tranges", list(wc.tranges))
-        if wc.tcoords:
-            emit("tcoords", list(wc.tcoords))
-        if wc.svars:
-            emit("svars", [("sym", v) for v in wc.svars])
-        if wc.sranges:
-            emit("sranges", list(wc.sranges))
-        if wc.scoords:
-            emit("scoords", list(wc.scoords))
-        if wc.pairing is not None:
-            emit("pairing", wc.pairing)
-    elif bkind == "classfam":
-        fam = model.classfams[name]
-        emit("side", ("sym", fam.side))
-        if fam.word:
-            emit("word", [("sym", g) for g in fam.word])
-        if fam.vars:
-            emit("vars", [("sym", v) for v in fam.vars])
-        emit("coords", list(fam.coords))
-        if fam.ranges:
-            emit("ranges", list(fam.ranges))
-        if fam.exclude is not None:
-            emit("exclude", fam.exclude)
-        emit("count", fam.count)
-        if fam.pi:
-            emit("pi", [[("int", x) for x in row] for row in fam.pi])
-        if fam.pitype:
-            emit("pitype", ("sym", fam.pitype))
-        if fam.pilabel:
-            emit("pilabel", ("sym", fam.pilabel))
-    elif bkind == "classrow":
-        row = model.classrows[name]
-        emit("family", ("sym", row.family))
-        emit("cent", row.cent)
-    elif bkind == "grouporder":
-        emit("order", model.order_expr)
-    elif bkind == "chvalue":
-        cv = model.chvalues[name]
-        emit("func", ("sym", cv.func))
-        emit("cls", ("sym", cv.cls))
-        if cv.order is not None:
-            emit("order", cv.order)
-        for t in cv.terms:
-            emit("term", [t.coeff, ("int", t.eps4)] + list(t.exps))
-    elif bkind == "relation":
-        rel = model.relations[name]
-        if rel.func:
-            emit("func", ("sym", rel.func))
-        if rel.sum:
-            flat = []
-            for c, cls in rel.sum:
-                flat += [("int", c), ("sym", cls)]
-            emit("sum", flat)
-        if rel.left:
-            emit("left", ("sym", rel.left))
-        if rel.right:
-            emit("right", ("sym", rel.right))
-        if rel.equals:
-            emit("equals", ("sym", rel.equals))
-        if rel.classes:
-            emit("classes", [("sym", c) for c in rel.classes])
-    elif bkind == "degrel":
-        dr = model.degrels[name]
-        emit("func", ("sym", dr.func))
-        emit("table", dr.table)
-        emit("phi", dr.phi)
-        emit("defect", dr.defect)
-        emit("odd", ("sym", "yes" if dr.odd else "no"))
-    elif bkind == "pair":
-        p = model.pairs[name]
-        emit("left", [("sym", x) for x in p.left])
-        emit("right", [("sym", x) for x in p.right])
-    else:
-        raise ValueError(f"cannot serialize block kind {bkind}")
-    lines.append("}")
-    return "\n".join(lines)

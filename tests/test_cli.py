@@ -175,7 +175,9 @@ def test_report_deterministic(tmp_path):
      "6e62133a46662eaf8be564b573c4b48e690fbeb32dd8971c34da7102db58dea0"),
     (["verify", "params", "--n", "1", "--n", "2", "--n", "3"], 369,
      "9bd03715f4d4373a3473e7216e893395583c62cb55e5f761c768a5bed711b5dd"),
-], ids=["all-n1", "dade-both-n2", "weyl-n123", "params-n123"])
+    (["verify", "all", "--max-n", "4"], 5705,
+     "454dcc69abd8035d3093ef76c5dd9d38c0ae7f6af6b53711ce81e6303df11eef"),
+], ids=["all-n1", "dade-both-n2", "weyl-n123", "params-n123", "all-max-n4"])
 def test_report_matches_golden_digest(tmp_path, argv, count, digest):
     report = tmp_path / "r.json"
     assert main(argv + ["--report", str(report)]) == 0
@@ -593,6 +595,31 @@ def test_bad_relations_symbol_exits_two(tmp_path, capsys, old, new, message):
 ], ids=["family-coords", "family-range", "set-modulus", "map-target", "torus-coords",
         "dual-coords", "torus-range"])
 def test_bad_index_field_symbol_exits_two(tmp_path, capsys, fname, old, new, message):
+    data = _data_copy(tmp_path, fname, old, new)
+    assert main(["verify", "all", "--n", "1", "--data-dir", data]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+
+M1 = "matrix: [[0, 0, 0, -2], [0, 0, 2, 2], [1, 1, 0, 0], [-1, 0, 0, 0]]"  # r1 m0 r1
+
+
+@pytest.mark.parametrize("fname, old, new, message", [
+    ("weyl.def", "  cent: 16\n", "", "weyl.def: weylclass T1: missing field cent"),
+    ("weyl.def", "  pairing: ((k+l)*a", "  paring: ((k+l)*a",
+     "weyl.def: weylclass T1: unknown field 'paring'"),
+    ("defects.def", "  value: 11*n+6\n", "  value: 11*n+6\n  value: 11*n+7\n",
+     "defects.def: defect d_11n_6: field 'value' given twice"),
+    ("paramsets.def", "paramset GI_2 {", "paramset GI_1 {\n  group: G\n  action: none\n"
+     "  card: 1\n}\nparamset GI_2 {", "paramsets.def: paramset GI_1: a second paramset block"),
+    ("weyl.def", "weylclass T1 {", "frobenius m1 {\n  " + M1 + "\n}\nweylclass T1 {",
+     "weyl.def: frobenius m1: a second frobenius block after m0"),
+    ("paramsets.def", "  card: (q^2-2)/2\n  note: semisimple_member\n}\nparamset GI_23",
+     "  crad: (q^2-2)/2\n  note: semisimple_member\n}\nparamset GI_23",
+     "paramsets.def: paramset GI_22: unknown field 'crad'"),
+], ids=["missing", "misspelt", "repeated-field", "repeated-block", "second-frobenius",
+        "misspelt-card"])
+def test_bad_table_fields_exit_two(tmp_path, capsys, fname, old, new, message):
     data = _data_copy(tmp_path, fname, old, new)
     assert main(["verify", "all", "--n", "1", "--data-dir", data]) == 2
     err = capsys.readouterr().err

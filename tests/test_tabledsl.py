@@ -1,11 +1,22 @@
 """The table file grammar, evaluation, cross references and round-tripping."""
 
+import dataclasses
+import re
+from importlib import resources
+from pathlib import Path
+
 import pytest
 
+import dadecheck
 from dadecheck.autfix import divisors
 from dadecheck.tabledsl import (
+    _SCHEMA,
+    OPTIONAL,
+    REPEATED,
+    REQUIRED,
     DanglingReference,
     TableSyntaxError,
+    _ModelBuilder,
     UnboundSymbol,
     build_env,
     eval_expr_int,
@@ -92,6 +103,7 @@ def test_roundtrip_serialize_parse(model):
     assert again.degrels == model.degrels
     assert again.pairs == model.pairs
     assert again.order_expr == model.order_expr
+    assert serialize_model(again) == text  # a textual fixed point
 
 
 def test_all_cardinalities_integral_and_nonnegative(model):
@@ -227,3 +239,105 @@ def test_syntax_error_messages(text, message):
         from token_oracle import tokenize as oracle
 
         assert (exc.value.line, exc.value.col) in {(line, col) for *_, line, col in oracle(text)}
+
+
+# --- the schema: one table drives the builder, the serializer and references ---
+
+
+def _shipped_text(fname):
+    return (resources.files(dadecheck) / "data" / fname).read_text(encoding="utf-8")
+
+
+def _first_block(bkind):
+    for fname in dadecheck.DATA_FILES:
+        for block in parse_blocks(_shipped_text(fname)):
+            if block[0] == bkind:
+                return block
+    raise AssertionError(f"no shipped {bkind} block")
+
+
+@pytest.mark.parametrize("bkind", list(_SCHEMA))
+def test_schema_rejects_bad_blocks(bkind):
+    _, name, fields = _first_block(bkind)
+    kind = _SCHEMA[bkind]
+
+    def error(*blocks):
+        with pytest.raises(TableSyntaxError) as exc:
+            _ModelBuilder().add_blocks(blocks)
+        assert str(exc.value).startswith(f"{bkind} {name}: ")
+        return str(exc.value)
+
+    _ModelBuilder().add_blocks([(bkind, name, fields)])
+    for f in kind.fields:
+        if f.arity == REQUIRED:
+            dropped = [x for x in fields if x[0] != f.table]
+            assert error((bkind, name, dropped)).endswith(f"missing field {f.table}")
+    assert error((bkind, name, fields + [("zz", ("int", 1))])).endswith("unknown field 'zz'")
+    for fname, v in fields:
+        if not kind.index[fname][2]:  # not repeated
+            assert error((bkind, name, fields + [(fname, v)])).endswith(
+                f"field {fname!r} given twice")
+    assert f"a second {bkind} block" in error((bkind, name, fields), (bkind, name, fields))
+
+
+def test_schema_follows_the_record_fields():
+    # the builder constructs records positionally, in schema order
+    for kind in _SCHEMA.values():
+        if kind.record is not None:
+            assert [f.attr for f in kind.fields] == [
+                f.name for f in dataclasses.fields(kind.record)][1:], kind.attr
+
+
+@pytest.mark.parametrize("text, message", [
+    ("fixrow R { group: [G] sets: [] fix: 1 }", "fixrow R: group has [G] where an identifier"),
+    ("fixrow R { group: G sets: GI_1 fix: 1 }", "fixrow R: sets has GI_1 where a list"),
+    ("fixrow R { group: G sets: [] fix: [1] }", "fixrow R: fix has [1] where an expression"),
+    ("classrow c { family: h1 cent: 1 } classrow c { family: h1 cent: 2 }",
+     "classrow c: a second classrow block named c"),
+    ("degrel d { func: f table: 1 phi: 1 defect: 1 odd: maybe }",
+     "degrel d: odd has maybe where yes or no"),
+    ("weylclass T { cent: q order: 1 }", "weylclass T: cent has q where an integer literal"),
+    ("defect d { value: 1 entry: [G, GI_1, fixed, 1] }", "defect d: entry has [G, GI_1, fixed, 1]"),
+    ("defect d { value: 1 entry: [G, GI_1, fixd, R, 1] }",
+     "defect d: entry has fixd where fixed or paired"),
+    ("chvalue v { func: f cls: c term: [1] }", "chvalue v: term has [1] where"),
+    ("relation r { sum: [1, c, 2] }", "relation r: sum has [1, c, 2] where"),
+    ("grouporder g { order: 1 } grouporder h { order: 2 }",
+     "grouporder h: a second grouporder block after g"),
+    ("weylgen r1 { matrix: [[1, 0], [0, 1]] }", "weylgen r1: matrix is not 4 x 4"),
+    ("pi p { left: [] }", "pi p: unknown block kind 'pi'"),
+])
+def test_bad_field_values(text, message):
+    with pytest.raises(TableSyntaxError) as exc:
+        parse_model(text)
+    assert str(exc.value).startswith(f"<text>: {message}")
+
+
+def test_references_are_checked_through_the_schema():
+    with pytest.raises(DanglingReference, match="pair P: right: unknown paramset GI_9"):
+        parse_model("paramset GI_1 { group: G action: none card: 1 } "
+                    "pair P { left: [GI_1] right: [GI_9] }")
+    with pytest.raises(DanglingReference, match="paramset X: alias_of: unknown paramset Y"):
+        parse_model("paramset X { group: G action: none card: 1 alias_of: Y }")
+
+
+def test_readme_lists_the_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert re.findall(r"^\| `(\w+)` \|", readme, re.M) == list(_SCHEMA)
+    for bkind, kind in _SCHEMA.items():
+        cells = [", ".join(f"`{f.table}`" for f in kind.fields if f.arity == arity)
+                 for arity in (REQUIRED, OPTIONAL, REPEATED)]
+        assert f"| `{bkind}` | {' | '.join(cells)} |" in readme, bkind
+
+
+def test_load_model_rereads_edited_tables(tmp_path):
+    for fname in dadecheck.DATA_FILES:
+        (tmp_path / fname).write_text(_shipped_text(fname))
+    first = dadecheck.load_model(str(tmp_path))
+    path = tmp_path / "paramsets.def"
+    old = "card: (q^2-2)/2\n  note: semisimple_member\n}\nparamset GI_23"
+    path.write_text(path.read_text().replace(old, old.replace("q^2-2", "q^2-4")))
+    again = dadecheck.load_model(str(tmp_path))
+    assert eval_expr_int(again.paramsets["GI_22"].card, build_env(1)) == 2
+    assert eval_expr_int(first.paramsets["GI_22"].card, build_env(1)) == 3
+    assert dadecheck.load_model(str(tmp_path)) is again
