@@ -4,7 +4,7 @@ The generator alpha of the outer automorphism group has odd order 2n+1 and
 acts on every indexed parameter set as multiplication by 2.  For each row of
 the fixed-point table this module counts the classes fixed by <alpha^t> two
 ways: from the member sets' index structure, by the twisted Burnside count
-of paramsets.fixed_class_count (the "bruteforce" mode), and by the row's
+of counting.fixed_class_count (the "bruteforce" mode), and by the row's
 closed form in t.  A Mobius inversion over the divisor lattice of 2n+1 turns
 "fixed by H" counts into "stabilizer exactly U" counts.
 """
@@ -15,7 +15,7 @@ import math
 from typing import Dict, List
 
 from .exactnum import NotRationalInteger, SQRT2, SqrtTwoRat, as_integer
-from .paramsets import BudgetExceeded, fixed_class_count
+from .counting import fixed_class_count
 from .record import Record
 from .tabledsl import FixRow, Model, build_env, eval_expr_int
 
@@ -67,11 +67,7 @@ def fixed_count_bruteforce(row: FixRow, model: Model, n: int, t: int) -> int:
         if spec.action == "identity":
             total += eval_expr_int(spec.card, build_env(n))
         elif spec.action == "doubling":
-            try:
-                total += fixed_class_count(spec, n, t)
-            except BudgetExceeded as e:
-                e.args = (f"{sid}: {e}",)  # the same error, now naming the set
-                raise
+            total += fixed_class_count(spec, n, t)
         else:
             raise FormulaOnlyRow(f"{row.id}: member {sid} has action {spec.action}")
     return total
@@ -194,9 +190,7 @@ def verify_gcd_lemmas(n_max: int, pair_bound: int = 20) -> List[Record]:
 def verify_fixrows(model: Model, n: int) -> List[Record]:
     """Brute force = closed form for every enumerable row, every t | 2n+1.
 
-    A row that cannot be brute-forced passes on its closed form alone, and a
-    cell whose count is beyond the implementation's reach is a skip with the
-    reason, which names the set.
+    A row that cannot be brute-forced passes on its closed form alone.
     """
     f = 2 * n + 1
     out = []
@@ -205,12 +199,8 @@ def verify_fixrows(model: Model, n: int) -> List[Record]:
         enumerable = row_is_enumerable(row, model)
         for t in divisors(f):
             formula = fixed_count_formula(row, t)
-            try:
-                got = fixed_count_bruteforce(row, model, n, t) if enumerable else formula
-                reason = None
-            except BudgetExceeded as e:
-                got, reason = None, str(e)
-            out.append(Record("fixrow", rid, n, formula, got, reason, t=t))
+            got = fixed_count_bruteforce(row, model, n, t) if enumerable else formula
+            out.append(Record("fixrow", rid, n, formula, got, t=t))
     return out
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .exactnum import NotRationalInteger, QPoly, as_integer, val2
-from .paramsets import family_formula_count
+from .counting import family_formula_count
 from .record import Record
 from .tabledsl import (
     EXPONENT_SYMBOLS,

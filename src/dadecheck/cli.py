@@ -20,6 +20,7 @@ only if no record failed (2 on usage/parse errors).
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
@@ -28,14 +29,13 @@ from typing import Dict, List, Optional
 
 # dadecheck never hands BLAS anything large, and OpenBLAS's helper thread
 # costs every process CPU time from the import of numpy on.  A caller's own
-# value wins.  Set here, before the imports below load numpy, and not in the
-# package: importing dadecheck leaves the environment alone.
+# value wins.  Set here, before a check kind's module loads numpy, and not in
+# the package: importing dadecheck leaves the environment alone.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import load_model  # noqa: E402
-from . import autfix, chartables, dadeverify, paramsets, rootdatum  # noqa: E402
+from . import counting, load_model  # noqa: E402
 from .record import Record  # noqa: E402
-from .tabledsl import TableSyntaxError, DanglingReference  # noqa: E402
+from .tabledsl import DanglingReference, TableSyntaxError, WeylDataError  # noqa: E402
 
 # ---- check runners (module level so a worker pool can dispatch them) ---------
 
@@ -55,46 +55,53 @@ def _init_worker(data_dir):
     _DATA_DIR = data_dir
 
 
-# kind -> [(n_free, checker)].  The n-free checkers of a kind run once per run,
-# in its task with n None; the others run in its task at every n.  A checker is
-# called as checker(model, n, cfg) and reaches its function through the module
+# kind -> (module, [(n_free, checker)]).  The module is imported when the kind
+# first runs, so a run loads only what its kinds need (numpy only for params
+# and weyl).  The n-free checkers of a kind run once per run, in its task with
+# n None; the others run in its task at every n.  A checker is called as
+# checker(module, model, n, cfg) and reaches its function through the module
 # attribute at call time, so a patched or wrapped function is the one that runs.
 REGISTRY = {
-    "lemmas": [(True, lambda m, n, c: autfix.verify_gcd_lemmas(c["max_n"]))],
-    "params": [
-        (True, lambda m, n, c: paramsets.trusted_input_flags(m)),
-        (False, lambda m, n, c: paramsets.cardinality_check(m, n)),
-        (False, lambda m, n, c: paramsets.semisimple_sum_checks(m, n)),
-    ],
-    "fixrows": [
-        (False, lambda m, n, c: autfix.verify_fixrows(m, n)),
-        (False, lambda m, n, c: autfix.verify_mobius_layer(m, n)),
-    ],
-    "dade": [
-        (False, lambda m, n, c: dadeverify.verify_dade(m, n, c["mode"])),
-        (False, lambda m, n, c: dadeverify.verify_dade_exact_level(m, n)),
-        (False, lambda m, n, c: dadeverify.ledger_consistency(m, n)),
-    ],
-    "weyl": [
-        (True, lambda m, n, c: rootdatum.weyl_table_checks(m)),
-        (True, lambda m, n, c: rootdatum.subsystem_checks(m)),
-        (False, lambda m, n, c: rootdatum.torus_order_checks(m, n)),
-        (False, lambda m, n, c: rootdatum.torus_param_checks(m, n)),
-        (False, lambda m, n, c: rootdatum.dual_torus_check(m, n)),
-        (False, lambda m, n, c: rootdatum.pairing_checks(m, n)),
-    ],
-    "classes": [(False, lambda m, n, c: chartables.class_equation(m, n))],
-    "relations": [
-        (True, lambda m, n, c: chartables.f_relations_check(m)),
-        (True, lambda m, n, c: chartables.degree_polynomials(m)),
-        (False, lambda m, n, c: chartables.f_relations_numeric(m, n)),
-        (False, lambda m, n, c: chartables.exponent_integrality(m, n)),
-        (False, lambda m, n, c: chartables.f_norm_check(m, n, "f8")),
-        (False, lambda m, n, c: chartables.f_norm_check(m, n, "f10")),
-        (False, lambda m, n, c: chartables.degree_identity_check(m, n)),
-    ],
+    "lemmas": ("autfix", [(True, lambda mod, m, n, c: mod.verify_gcd_lemmas(c["max_n"]))]),
+    "params": ("paramsets", [
+        (True, lambda mod, m, n, c: mod.trusted_input_flags(m)),
+        (False, lambda mod, m, n, c: mod.cardinality_check(m, n)),
+        (False, lambda mod, m, n, c: mod.semisimple_sum_checks(m, n)),
+    ]),
+    "fixrows": ("autfix", [
+        (False, lambda mod, m, n, c: mod.verify_fixrows(m, n)),
+        (False, lambda mod, m, n, c: mod.verify_mobius_layer(m, n)),
+    ]),
+    "dade": ("dadeverify", [
+        (False, lambda mod, m, n, c: mod.verify_dade(m, n, c["mode"])),
+        (False, lambda mod, m, n, c: mod.verify_dade_exact_level(m, n)),
+        (False, lambda mod, m, n, c: mod.ledger_consistency(m, n)),
+    ]),
+    "weyl": ("rootdatum", [
+        (True, lambda mod, m, n, c: mod.weyl_table_checks(m)),
+        (True, lambda mod, m, n, c: mod.subsystem_checks(m)),
+        (False, lambda mod, m, n, c: mod.torus_order_checks(m, n)),
+        (False, lambda mod, m, n, c: mod.torus_param_checks(m, n)),
+        (False, lambda mod, m, n, c: mod.dual_torus_check(m, n)),
+        (False, lambda mod, m, n, c: mod.pairing_checks(m, n)),
+    ]),
+    "classes": ("chartables", [(False, lambda mod, m, n, c: mod.class_equation(m, n))]),
+    "relations": ("chartables", [
+        (True, lambda mod, m, n, c: mod.f_relations_check(m)),
+        (True, lambda mod, m, n, c: mod.degree_polynomials(m)),
+        (False, lambda mod, m, n, c: mod.f_relations_numeric(m, n)),
+        (False, lambda mod, m, n, c: mod.exponent_integrality(m, n)),
+        (False, lambda mod, m, n, c: mod.f_norm_check(m, n, "f8")),
+        (False, lambda mod, m, n, c: mod.f_norm_check(m, n, "f10")),
+        (False, lambda mod, m, n, c: mod.degree_identity_check(m, n)),
+    ]),
 }
 ALL_CHECKS = tuple(REGISTRY)
+
+
+def _module(kind):
+    """The module of a check kind's checkers, imported on first use."""
+    return importlib.import_module("." + REGISTRY[kind][0], __package__)
 
 
 def run_task(task) -> List[dict]:
@@ -107,12 +114,13 @@ def run_task(task) -> List[dict]:
     """
     kind, n, cfg = task
     model = _model()
+    mod = _module(kind)
     out: List[dict] = []
     last = time.perf_counter()
-    for n_free, checker in REGISTRY[kind]:
+    for n_free, checker in REGISTRY[kind][1]:
         if n_free != (n is None):
             continue
-        for r in checker(model, n, cfg):
+        for r in checker(mod, model, n, cfg):
             out.append(r.as_json(1000.0 * max(0.0, r.stamp - last)))
             last = max(last, r.stamp)
     return out
@@ -246,11 +254,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "params":
             return _cmd_params(args, cfg)
         return _cmd_verify(args, cfg)
-    except (TableSyntaxError, DanglingReference, paramsets.MapClosureError,
-            paramsets.NonIntegralModulus, OSError) as e:
+    except (TableSyntaxError, DanglingReference, counting.MapClosureError,
+            counting.NonIntegralModulus, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except rootdatum.WeylDataError as e:
+    except WeylDataError as e:
         print(f"error: Weyl generator data or twist (weylgen, frobenius in weyl.def): {e}",
               file=sys.stderr)
         return 2
@@ -262,20 +270,19 @@ def _cmd_params(args, cfg) -> int:
         print(f"error: unknown set {args.set_id}", file=sys.stderr)
         return 2
     spec = model.paramsets[args.set_id]
-    if not paramsets.has_index_structure(spec):
+    if not counting.has_index_structure(spec):
         print(f"error: {spec.id} has no index structure", file=sys.stderr)
         return 2
     records = []
     for n in cfg["n_list"]:
         t0 = time.perf_counter()
-        try:
-            count, reason = paramsets.class_count(spec, n), None
-        except paramsets.BudgetExceeded as e:
-            count, reason = None, f"{spec.id}: {e}"
+        count = counting.class_count(spec, n)
         millis = 1000.0 * (time.perf_counter() - t0)
-        expected = paramsets.formula_count(spec, n)
-        records.append(Record("cardinality", spec.id, n, expected, count, reason).as_json(millis))
-        if args.list and count is not None:
+        expected = counting.formula_count(spec, n)
+        records.append(Record("cardinality", spec.id, n, expected, count).as_json(millis))
+        if args.list:
+            from . import paramsets  # the listing needs numpy; the count does not
+
             try:
                 reps = paramsets.enumerate_classes(spec, n).representatives()
             except paramsets.BudgetExceeded as e:
@@ -292,7 +299,8 @@ def _cmd_verify(args, cfg) -> int:
     opts = {"max_n": cfg["max_n"], "mode": cfg["mode"]}
     tasks = []
     for kind in kinds:
-        n_free = {free for free, _ in REGISTRY[kind]}
+        _module(kind)  # imported once here, before a pool forks: its workers inherit it
+        n_free = {free for free, _ in REGISTRY[kind][1]}
         if True in n_free:
             tasks.append((kind, None, opts))
         if False in n_free:
@@ -302,6 +310,7 @@ def _cmd_verify(args, cfg) -> int:
         # imported here: a serial run does not pay for the pool machinery
         from concurrent.futures import ProcessPoolExecutor
 
+        _model()  # parsed once, here: forked workers inherit it (_init_worker serves spawn)
         with ProcessPoolExecutor(
             max_workers=cfg["workers"], initializer=_init_worker,
             initargs=(cfg["data_dir"],),

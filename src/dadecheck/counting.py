@@ -1,0 +1,542 @@
+"""Exact counts on index grids, on Python ints: the parameter sets' classes.
+
+The kernel, count, counts the tuples of a grid Z_r1 x ... x Z_rv that solve
+a system of congruences, from the Smith normal form of the system; no tuple
+is listed and no value is bounded.  A parameter set is Z_m or Z_m1 x Z_m2
+minus excluded tuples, modulo the group generated by its affine
+equivalence maps.  Its classes, and those fixed by the doubling
+x -> 2^t x, are counted by Burnside's lemma, each term by the kernel.
+Nothing here needs numpy: the check kinds that count sets or read their
+closed forms run without it.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
+
+from .exactnum import NotRationalInteger, Rat, SqrtTwoRat
+from .tabledsl import (
+    ClassFam,
+    ParamSetSpec,
+    build_env,
+    eval_expr,
+    eval_expr_int,
+    eval_int,
+    expr_symbols,
+    expr_to_str,
+    pred_to_str,
+)
+
+
+class NonIntegralModulus(ValueError):
+    pass
+
+
+class MapClosureError(ValueError):
+    pass
+
+
+class NotHomomorphism(ValueError):
+    """A congruence row that is not well defined on the grid: its solutions are not counted."""
+
+
+class _NotAffine(Exception):
+    """A product or power of indices met while compiling an affine form."""
+
+
+# --- the counting kernel ---------------------------------------------------------
+
+
+def smith_normal_form(m) -> List[int]:
+    """Diagonal of the Smith normal form of an integer matrix."""
+    a = [list(row) for row in m]
+    rows, cols = len(a), len(a[0])
+    diag = []
+    r = 0
+    while r < min(rows, cols):
+        # find a nonzero pivot
+        piv = None
+        for i in range(r, rows):
+            for j in range(r, cols):
+                if a[i][j] != 0:
+                    if piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]]):
+                        piv = (i, j)
+        if piv is None:
+            break
+        i, j = piv
+        a[r], a[i] = a[i], a[r]
+        for row in a:
+            row[r], row[j] = row[j], row[r]
+        while True:
+            # clear column r
+            done = True
+            for i in range(rows):
+                if i != r and a[i][r] != 0:
+                    qq = a[i][r] // a[r][r]
+                    for j in range(cols):
+                        a[i][j] -= qq * a[r][j]
+                    if a[i][r] != 0:
+                        a[r], a[i] = a[i], a[r]
+                        done = False
+            if not done:
+                continue
+            for j in range(cols):
+                if j != r and a[r][j] != 0:
+                    qq = a[r][j] // a[r][r]
+                    for i in range(rows):
+                        a[i][j] -= qq * a[i][r]
+                    if a[r][j] != 0:
+                        for row in a:
+                            row[r], row[j] = row[j], row[r]
+                        done = False
+            if done:
+                break
+        diag.append(abs(a[r][r]))
+        r += 1
+    # normalize divisibility chain
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            x, y = diag[i], diag[j]
+            if x and y:
+                g = math.gcd(x, y)
+                diag[i], diag[j] = g, x * y // g
+    return diag
+
+
+def count(rows, mods, ranges) -> int:
+    """#{a in Z_r1 x ... x Z_rv : c_k . a = b_k mod m_k for every k}.
+
+    rows[k] is (c_k1, ..., c_kv, b_k) in integers and mods[k] = m_k >= 1;
+    each row is reduced mod its m_k.  Each must be well defined on the grid,
+    m_k | c_kj r_j for every j, else NotHomomorphism is raised: then
+    phi(a) = (c_k . a mod m_k)_k is a homomorphism of finite abelian groups
+    and the tuples sought are a coset of its kernel, or none.  With
+    A = [C | diag(m)], whose columns span phi's image lifted to Z^K, and d
+    the product of the Smith invariants, |im phi| = prod m / d(A), and b is
+    in the image exactly when d([A | b]) = d(A).  So the count is
+    prod r * d(A) / prod m, or 0.
+    """
+    nv = len(ranges)
+    system = []
+    for row, m in zip(rows, mods):
+        row = [int(x) % m for x in row]
+        if any(c * r % m for c, r in zip(row, ranges)):
+            raise NotHomomorphism(f"{row[:nv]} . a = {row[nv]} mod {m} is not well defined "
+                                  f"on the grid of ranges {tuple(ranges)}")
+        if any(row):  # 0 = 0 holds everywhere
+            system.append((row, m))
+    if any(not any(row[:nv]) for row, _ in system):  # 0 = b with b != 0 nowhere
+        return 0
+    if not system:
+        return math.prod(ranges)
+    lattice = [row[:nv] + [m * (i == k) for i in range(len(system))]
+               for k, (row, m) in enumerate(system)]
+    d = math.prod(smith_normal_form(lattice))
+    if math.prod(smith_normal_form([a + [row[nv]] for a, (row, _) in zip(lattice, system)])) != d:
+        return 0
+    return math.prod(ranges) * d // math.prod(m for _, m in system)
+
+
+def _fixed_rows(lin, shift) -> List[List[int]]:
+    """The rows (lin - I) a = -shift of the fixed points of a -> lin a + shift."""
+    nv = len(shift)
+    return [[int(lin[k][j]) - (j == k) for j in range(nv)] + [-int(shift[k])]
+            for k in range(nv)]
+
+
+def fixed_point_count(lin, shift, ranges) -> int:
+    """Grid tuples a with lin a + shift = a, row k mod ranges[k], counted by count."""
+    return count(_fixed_rows(lin, shift), ranges, ranges)
+
+
+# --- affine compilation ------------------------------------------------------
+
+
+# (expressions, n, index names) -> (D, rows) of _affine.  That is the whole
+# key: the rows depend on nothing else (build_env(n) is a function of n), and
+# they are tuples, so no caller can change a cached entry.  Errors are raised
+# afresh on every call, naming the caller's owner.
+_AFFINE_CACHE: Dict[tuple, Tuple[int, Tuple[Tuple[Rat, ...], ...]]] = {}
+
+
+def _affine(owner: str, exprs, n: int, varnames) -> Tuple[int, Tuple[Tuple[Rat, ...], ...]]:
+    """Compile expressions affine in the named indices to exact coefficients at n.
+
+    Returns (D, rows): row j is (a_1, ..., a_v, c) with expression j equal to
+    a_1*var_1 + ... + a_v*var_v + c, and D is the least common denominator of
+    every entry.  One walk of the expression tree builds each row, so a
+    product or power of indices is rejected whatever values it takes;
+    subtrees free of indices are evaluated once, in Q(sqrt2).  Errors name
+    owner, the set, family or class the expressions belong to.
+    """
+    key = (tuple(exprs), n, tuple(varnames))
+    if key in _AFFINE_CACHE:
+        return _AFFINE_CACHE[key]
+    env = build_env(n)
+    index = {v: i for i, v in enumerate(varnames)}
+    zero = [SqrtTwoRat(0)] * len(varnames)
+
+    def walk(node):
+        """(index coefficients, or None for an index-free node; constant part)."""
+        op = node[0]
+        if op == "sym" and node[1] in index:
+            return ([SqrtTwoRat(int(i == index[node[1]])) for i in range(len(zero))],
+                    SqrtTwoRat(0))
+        if op in ("int", "sym"):
+            return None, eval_expr(node, env)
+        if op == "neg":
+            row, c = walk(node[1])
+            return (None if row is None else [-a for a in row]), -c
+        if op == "pow":
+            if expr_symbols(node[2]) & index.keys():
+                raise _NotAffine
+            row, c = walk(node[1])
+            e = eval_int(node[2], env)
+            if row is None:
+                return None, c ** e
+            if e != 1:
+                raise _NotAffine
+            return row, c
+        (ra, ca), (rb, cb) = walk(node[1]), walk(node[2])
+        if op in ("add", "sub"):
+            sign = 1 if op == "add" else -1
+            if ra is None and rb is None:
+                return None, ca + sign * cb
+            return ([a + sign * b for a, b in zip(ra or zero, rb or zero)],
+                    ca + sign * cb)
+        if op == "mul":
+            if ra is not None and rb is not None:
+                raise _NotAffine
+            if ra is None:
+                ra, ca, cb = rb, cb, ca
+            return (None if ra is None else [a * cb for a in ra]), ca * cb
+        if rb is not None:  # div
+            raise _NotAffine
+        return (None if ra is None else [a / cb for a in ra]), ca / cb
+
+    rows = []
+    for expr in exprs:
+        try:
+            row, c = walk(expr)
+        except _NotAffine:
+            raise MapClosureError(f"{owner}: expression {expr_to_str(expr)} is not affine "
+                                  f"in {', '.join(varnames)}") from None
+        rows.append(tuple(a.as_fraction() for a in (row or zero) + [c]))
+    result = math.lcm(*(f.denominator for row in rows for f in row)), tuple(rows)
+    _AFFINE_CACHE[key] = result
+    return result
+
+
+def _ranges(owner: str, range_exprs, n: int) -> Tuple[int, ...]:
+    """The index ranges of a set, family or torus at n, each a positive integer."""
+    env = build_env(n)
+    ranges = []
+    for expr in range_exprs:
+        try:
+            r = eval_expr_int(expr, env)
+        except NotRationalInteger as e:
+            raise NonIntegralModulus(f"{owner}: modulus {e}") from e
+        if r <= 0:
+            raise NonIntegralModulus(f"{owner}: modulus {r} <= 0")
+        ranges.append(r)
+    return tuple(ranges)
+
+
+# --- exclusions --------------------------------------------------------------
+
+
+def _atom_row(owner: str, atom, n: int, varnames, ranges) -> Tuple[List[int], int]:
+    """An exclusion atom as one congruence row (c_1, ..., c_v, b) and its modulus m.
+
+    The atom holds on a exactly when c . a = b mod m.  An atom compares two
+    affine forms modulo the common modulus of the indices it uses, and
+    "m div e" tests e mod m.  A "!=" atom gives the row of its "=".
+    """
+    _, op, e1, e2 = atom
+    if op == "div":
+        m = abs(eval_expr_int(e1, build_env(n)))  # m and -m divide the same e
+        if m == 0:
+            raise MapClosureError(f"{owner}: modulus 0 in {pred_to_str(atom)} at n = {n}")
+        denom, (row,) = _affine(owner, [e2], n, varnames)
+    else:
+        denom, (r1, r2) = _affine(owner, [e1, e2], n, varnames)
+        row = [a - b for a, b in zip(r1, r2)]
+        mods = {ranges[i] for i, a in enumerate(row[:-1]) if a} or {ranges[0]}
+        if len(mods) != 1:
+            raise MapClosureError(
+                f"{owner}: atom {pred_to_str(atom)} mixes indices with different moduli"
+            )
+        (m,) = mods
+    if denom != 1:
+        raise MapClosureError(f"{owner}: non-integral coefficient in {pred_to_str(atom)}")
+    return [int(a) for a in row[:-1]] + [-int(row[-1])], m
+
+
+def _exclusion(owner: str, pred, n: int, varnames, ranges):
+    """An exclusion predicate with each atom compiled to ("atom", negated, row, m).
+
+    The row is _atom_row's, and it must be well defined on the grid, so that
+    count can count it; an atom whose row is not is a MapClosureError.
+    """
+    if pred[0] != "atom":
+        return (pred[0], _exclusion(owner, pred[1], n, varnames, ranges),
+                _exclusion(owner, pred[2], n, varnames, ranges))
+    row, m = _atom_row(owner, pred, n, varnames, ranges)
+    if any(c * r % m for c, r in zip(row, ranges)):
+        raise MapClosureError(f"{owner}: atom {pred_to_str(pred)} is not well defined "
+                              f"mod {ranges}")
+    return ("atom", pred[1] == "!=", tuple(row), m)
+
+
+def _count_in(rows, mods, ranges, preds) -> int:
+    """Grid tuples that solve the rows and satisfy every compiled predicate of preds.
+
+    "and" adds its sides to preds, "or" is counted by inclusion-exclusion,
+    an atom adds its row, and a negated atom is the complement of its row.
+    """
+    if not preds:
+        return count(rows, mods, ranges)
+    pred, rest = preds[0], preds[1:]
+    if pred[0] == "and":
+        return _count_in(rows, mods, ranges, (pred[1], pred[2]) + rest)
+    if pred[0] == "or":
+        return (_count_in(rows, mods, ranges, (pred[1],) + rest)
+                + _count_in(rows, mods, ranges, (pred[2],) + rest)
+                - _count_in(rows, mods, ranges, (pred[1], pred[2]) + rest))
+    _, negated, row, m = pred
+    hit = _count_in(rows + [row], mods + [m], ranges, rest)
+    return _count_in(rows, mods, ranges, rest) - hit if negated else hit
+
+
+def _pullback(pred, lin, shift):
+    """The compiled predicate P(lin a + shift) as a compiled predicate in a.
+
+    c . (lin a + shift) = b reads (c lin) . a = b - c . shift.  With lin well
+    defined on the grid, the new row is as well defined as the old one.
+    """
+    if pred[0] != "atom":
+        return (pred[0], _pullback(pred[1], lin, shift), _pullback(pred[2], lin, shift))
+    _, negated, row, m = pred
+    nv = len(shift)
+    coeffs = tuple(sum(row[i] * lin[i][j] for i in range(nv)) for j in range(nv))
+    return ("atom", negated, coeffs + (row[nv] - sum(c * s for c, s in zip(row, shift)),), m)
+
+
+def _keeps(exclude, g, moduli) -> bool:
+    """Whether a permutation g = (rows (a..., c)) of the grid maps the excluded set onto itself.
+
+    For a permutation that is |E ∩ g^-1 E| = |E|: g^-1 E has |E| tuples.
+    """
+    if exclude is None:
+        return True
+    lin, shift = _split(g)
+    size = _count_in([], [], moduli, (exclude,))
+    return _count_in([], [], moduli, (exclude, _pullback(exclude, lin, shift))) == size
+
+
+# --- parameter sets ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class AffineGroup:
+    """Closed group of affine maps on Z_m1 (x Z_m2).
+
+    Row i of each map is reduced mod m_i, and every map is well defined, so
+    two maps are equal tuples exactly when they act alike on the grid
+    (compare the images of 0 and of each unit tuple).  gens holds the
+    indices in maps of the table's maps, which generate it.
+    """
+
+    moduli: Tuple[int, ...]
+    maps: Tuple[Tuple[Tuple[int, ...], ...], ...]  # each map: rows (a..., c) per coord
+    gens: Tuple[int, ...]
+
+
+def _split(g):
+    """(lin, shift) of a map given as rows (a..., c)."""
+    return [row[:-1] for row in g], [row[-1] for row in g]
+
+
+def _scaling(factors, moduli):
+    """The map a -> (f_1 a_1, ..., f_v a_v), row i reduced mod m_i."""
+    nv = len(moduli)
+    return tuple(tuple(f * (i == j) % m for j in range(nv)) + (0,)
+                 for i, (f, m) in enumerate(zip(factors, moduli)))
+
+
+def _compose(f, g, moduli):
+    """(f o g): apply g first, then f."""
+    nv = len(moduli)
+    rows = []
+    for i in range(nv):
+        arow = f[i][:nv]
+        c = f[i][nv]
+        new = [0] * (nv + 1)
+        for j in range(nv):
+            for kk in range(nv):
+                new[kk] += arow[j] * g[j][kk]
+            new[nv] += arow[j] * g[j][nv]
+        new[nv] += c
+        rows.append(tuple(x % moduli[i] for x in new))
+    return tuple(rows)
+
+
+def _well_defined(rows, moduli) -> bool:
+    nv = len(moduli)
+    for i in range(nv):
+        for j in range(nv):
+            if (rows[i][j] * moduli[j]) % moduli[i]:
+                return False
+    return True
+
+
+def equivalence_group(spec: ParamSetSpec, n: int, moduli: Tuple[int, ...],
+                      limit: int = 512) -> AffineGroup:
+    """The group generated by the set's equivalence maps on its grid of moduli."""
+    ident = _scaling([1] * len(moduli), moduli)
+    gens = []
+    for vars_, targets in spec.equiv:
+        if tuple(vars_) != spec.indices:
+            raise MapClosureError(f"{spec.id}: map variables must be {spec.indices}")
+        denom, rows = _affine(spec.id, targets, n, spec.indices)
+        if denom != 1:
+            raise MapClosureError(f"{spec.id}: map {vars_}->... has non-integral coefficients")
+        g = tuple(
+            tuple(int(x) % moduli[i] for x in row) for i, row in enumerate(rows)
+        )
+        if not _well_defined(g, moduli):
+            raise MapClosureError(f"{spec.id}: map {vars_}->... not well-defined mod {moduli}")
+        gens.append(g)
+    group = {ident}
+    frontier = [ident]
+    while frontier:
+        f = frontier.pop()
+        for g in gens:
+            h = _compose(f, g, moduli)
+            if h not in group:
+                if len(group) >= limit:
+                    raise MapClosureError(f"{spec.id}: equivalence group exceeds {limit}")
+                group.add(h)
+                frontier.append(h)
+    maps = tuple(sorted(group))
+    return AffineGroup(moduli, maps, tuple(maps.index(g) for g in gens))
+
+
+def _permutes(group: AffineGroup) -> bool:
+    """Whether each generator has an inverse among the maps.
+
+    Then every element has one, so the group permutes the grid.
+    """
+    one = _scaling([1] * len(group.moduli), group.moduli)
+    return all(any(_compose(h, group.maps[g], group.moduli) == one for h in group.maps)
+               for g in group.gens)
+
+
+def has_index_structure(spec: ParamSetSpec) -> bool:
+    """Whether a set is given on an index grid, so its classes can be counted."""
+    return spec.action != "formula_only" and bool(spec.moduli)
+
+
+@dataclass(frozen=True)
+class _SetGrid:
+    """An indexed set at n: its moduli, compiled exclusion (or None) and equivalence group."""
+
+    moduli: Tuple[int, ...]
+    exclude: Optional[tuple]
+    group: AffineGroup
+
+
+# (set, n) -> its _SetGrid, made once the group is known to permute the
+# admissible tuples.  The spec itself is the key, so two sets that differ in
+# any field never share an entry; errors are raised afresh on every call.
+_SET_CACHE: Dict[Tuple[ParamSetSpec, int], _SetGrid] = {}
+
+
+def _set_grid(spec: ParamSetSpec, n: int) -> _SetGrid:
+    """The set's grid at n, once its equivalence group is checked to act on the classes.
+
+    Every generator has an inverse in the group, so the group permutes the
+    grid, and every generator keeps the excluded tuples; for a permutation
+    that is keeping the admissible ones.  A failure is a MapClosureError
+    naming the set.  Neither check depends on a doubling, so each runs once
+    per set and n.
+    """
+    key = (spec, n)
+    if key in _SET_CACHE:
+        return _SET_CACHE[key]
+    if not has_index_structure(spec):
+        raise ValueError(f"{spec.id} has no index structure")
+    moduli = _ranges(spec.id, spec.moduli, n)
+    exclude = (None if spec.exclude is None
+               else _exclusion(spec.id, spec.exclude, n, spec.indices, moduli))
+    group = equivalence_group(spec, n, moduli)
+    if not _permutes(group):
+        raise MapClosureError(f"{spec.id}: an equivalence map is not invertible mod {moduli}")
+    if not all(_keeps(exclude, group.maps[g], moduli) for g in group.gens):
+        raise MapClosureError(f"{spec.id}: equivalence map leaves the admissible set")
+    grid = _SET_CACHE[key] = _SetGrid(moduli, exclude, group)
+    return grid
+
+
+def _admissible_fixed(h, grid: _SetGrid) -> int:
+    """Admissible tuples fixed by the map h: |Fix(h)| - |Fix(h) ∩ E|."""
+    rows = _fixed_rows(*_split(h))
+    mods = list(grid.moduli)
+    fixed = count(rows, mods, grid.moduli)
+    if not fixed or grid.exclude is None:
+        return fixed
+    return fixed - _count_in(rows, mods, grid.moduli, (grid.exclude,))
+
+
+def fixed_class_count(spec: ParamSetSpec, n: int, t: int = 0) -> int:
+    """Classes of an indexed set fixed by the doubling s: a -> 2^t a (t = 0: every class).
+
+    With G the equivalence group, s fixes (1/|G|) sum over g in G of
+    |Fix(s o g)| classes, counting admissible fixed points only (Burnside's
+    lemma twisted by s; at t = 0, Burnside's lemma), each term counted by
+    count.  That holds when G and s permute the admissible tuples and s
+    permutes the classes.  _set_grid checks G once per set and n; the
+    doubling is checked here, and a failure is a MapClosureError naming the
+    set:
+    - 2^t is a unit mod every modulus, so s is a bijection;
+    - s normalizes G, s g s^-1 in G for each generator g, so s sends classes
+      to classes;
+    - s keeps the excluded tuples.
+    """
+    grid = _set_grid(spec, n)
+    moduli, group = grid.moduli, grid.group
+    if any(math.gcd(2 ** t, m) != 1 for m in moduli):
+        raise MapClosureError(f"{spec.id}: doubling by 2^{t} is not invertible mod {moduli}")
+    double = _scaling([pow(2, t, m) for m in moduli], moduli)
+    halve = _scaling([pow(2, -t, m) for m in moduli], moduli)
+    members = set(group.maps)
+    if any(_compose(_compose(double, group.maps[g], moduli), halve, moduli) not in members
+           for g in group.gens):
+        raise MapClosureError(f"{spec.id}: doubling does not normalize the equivalence group")
+    if not _keeps(grid.exclude, double, moduli):
+        raise MapClosureError(f"{spec.id}: doubling leaves the class set")
+    total = sum(_admissible_fixed(_compose(double, g, moduli), grid) for g in group.maps)
+    return _orbits(spec.id, total, len(group.maps))
+
+
+def class_count(spec: ParamSetSpec, n: int) -> int:
+    return fixed_class_count(spec, n, 0)
+
+
+def formula_count(spec: ParamSetSpec, n: int) -> int:
+    return eval_expr_int(spec.card, build_env(n))
+
+
+def family_formula_count(fam: ClassFam, n: int) -> int:
+    return eval_expr_int(fam.count, build_env(n))
+
+
+def _orbits(owner: str, total: int, order: int) -> int:
+    """A Burnside sum divided by the group order, which must divide it."""
+    orbits, rest = divmod(total, order)
+    if rest:
+        raise ArithmeticError(f"{owner}: Burnside sum {total} is not divisible by "
+                              f"the group order {order}")
+    return orbits

@@ -23,7 +23,6 @@ from .autfix import (
     row_is_enumerable,
 )
 from .exactnum import val2
-from .paramsets import BudgetExceeded
 from .record import Record
 from .tabledsl import DefectLedger, Model, build_env, eval_expr_int
 
@@ -116,9 +115,7 @@ def _identity_records(model: Model, n: int, mode: str, check: str) -> List[Recor
     """The identity in one mode at every ledger cell and every shared defect value.
 
     A cell reads expected (rhs, True, True) against actual (lhs, tokens match,
-    literal alternating sum over the chain table is 0).  A cell whose count
-    is beyond the implementation's reach is a skip, and so is a shared defect
-    value with a skipped ledger.
+    literal alternating sum over the chain table is 0).
     """
     f = 2 * n + 1
     records = []
@@ -128,36 +125,27 @@ def _identity_records(model: Model, n: int, mode: str, check: str) -> List[Recor
         led = model.ledgers[lid]
         d = eval_expr_int(led.value, env)
         for u in divisors(f):
-            try:
-                parts, tok = {}, {}
-                for g in GROUPS:
-                    parts[g], tok[g] = k_fixed(model, g, led, u, n, mode)
-            except BudgetExceeded as e:
-                rec = Record(check, lid, n, None, None, str(e), d=d, u=u)
-            else:
-                lhs = parts["G"] + parts["B"]
-                rhs = parts["Pa"] + parts["Pb"]
-                # the symbolic pair tokens cancel exactly when both sides carry
-                # the same pairs
-                tokens_match = (tok["G"] | tok["B"]) == (tok["Pa"] | tok["Pb"])
-                alt = sum((-1) ** length * parts[grp] for _, length, grp in CHAINS)
-                rec = Record(check, lid, n, (rhs, True, True), (lhs, tokens_match, alt == 0),
-                             d=d, u=u)
+            parts, tok = {}, {}
+            for g in GROUPS:
+                parts[g], tok[g] = k_fixed(model, g, led, u, n, mode)
+            lhs = parts["G"] + parts["B"]
+            rhs = parts["Pa"] + parts["Pb"]
+            # the symbolic pair tokens cancel exactly when both sides carry
+            # the same pairs
+            tokens_match = (tok["G"] | tok["B"]) == (tok["Pa"] | tok["Pb"])
+            alt = sum((-1) ** length * parts[grp] for _, length, grp in CHAINS)
+            rec = Record(check, lid, n, (rhs, True, True), (lhs, tokens_match, alt == 0),
+                         d=d, u=u)
             records.append(rec)
             by_value.setdefault((d, u), []).append(rec)
     # ledgers colliding on one numeric defect (e.g. 20n+12 = 21n+11 at n=1)
     for (d, u), cells in sorted(by_value.items()):
         if len(cells) < 2:
             continue
-        name = f"combined_d{d}"
-        reasons = [r.reason for r in cells if r.reason is not None]
-        if reasons:
-            records.append(Record(check, name, n, None, None, reasons[0], d=d, u=u))
-            continue
         lhs = sum(r.actual[0] for r in cells)
         rhs = sum(r.expected[0] for r in cells)
-        records.append(Record(check, name, n, (rhs, True, True), (lhs, True, lhs == rhs),
-                              d=d, u=u))
+        records.append(Record(check, f"combined_d{d}", n, (rhs, True, True),
+                              (lhs, True, lhs == rhs), d=d, u=u))
     return records
 
 
@@ -176,9 +164,9 @@ def verify_dade(model: Model, n: int, mode: str = "formula") -> List[Record]:
                       for md in ("formula", "bruteforce"))
     agreement = []
     for fr, br in zip(formula, brute):  # both modes list the cells in one order
-        sides = [None if r.reason else (r.actual[0], r.expected[0]) for r in (fr, br)]
-        agreement.append(Record("dade_mode_agreement", fr.name, n, *sides,
-                                fr.reason or br.reason, u=fr.u))
+        agreement.append(Record("dade_mode_agreement", fr.name, n,
+                                (fr.actual[0], fr.expected[0]),
+                                (br.actual[0], br.expected[0]), u=fr.u))
     return formula + brute + agreement
 
 

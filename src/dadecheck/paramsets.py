@@ -1,14 +1,14 @@
-"""Class counts of character parameter sets and semisimple class families.
+"""Class counts of semisimple class families, and the listing of set classes.
 
-A parameter set is Z_m or Z_m1 x Z_m2 minus excluded tuples, modulo the
-group generated by its affine equivalence maps.  Its classes, and those
-fixed by the doubling x -> 2^t x, are counted exactly on the index grid by
-Burnside's lemma: each term is a count of solutions of congruences, solved
-for by _solve, so no tuple is listed.  A family is counted the same way
-under the F-centralizer of its torus where its chart carries the action.
-Counts are checked against the closed-form cardinality column of the
-tables.  enumerate_classes still lists the classes, for ``dadecheck params
---list``.
+A family is counted on its index grid by Burnside's lemma under the
+F-centralizer of its torus, where its chart carries the action: each
+|Fix(a_g)| comes from the exact kernel of counting.py, and the excluded
+tuples among the fixed points are found by applying a_g to the listed
+excluded tuples.  Where the chart does not carry the action, the orbit
+kernel counts the listed members.  The parameter sets are counted in
+counting.py; enumerate_classes still lists their classes, for ``dadecheck
+params --list`` and as a test oracle.  Counts are checked against the
+closed-form cardinality column of the tables.
 """
 
 from __future__ import annotations
@@ -21,121 +21,36 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import rootdatum
-from .exactnum import NotRationalInteger, Rat, SqrtTwoRat
-from .record import Record
-from .tabledsl import (
-    ClassFam,
-    Model,
-    ParamSetSpec,
-    build_env,
-    eval_expr,
-    eval_expr_int,
-    eval_int,
-    expr_symbols,
-    expr_to_str,
-    pred_to_str,
+from .counting import (
+    AffineGroup,
+    MapClosureError,
+    _affine,
+    _atom_row,
+    _orbits,
+    _permutes,
+    _ranges,
+    _split,
+    _well_defined,
+    class_count,
+    equivalence_group,
+    family_formula_count,
+    fixed_point_count,
+    formula_count,
+    has_index_structure,
 )
+from .record import Record
+from .tabledsl import ClassFam, Model, ParamSetSpec, build_env, eval_expr_int
 
 
 class BudgetExceeded(OverflowError):
     """An int64 or exact-double bound, or _LISTED_TUPLES, that a count would pass.
 
-    Its message does not name the set or family; where it becomes a skip,
+    Its message does not name the family or set; where it becomes a skip,
     the reason is prefixed with that.
     """
 
 
-class NonIntegralModulus(ValueError):
-    pass
-
-
-class MapClosureError(ValueError):
-    pass
-
-
-class _NotAffine(Exception):
-    """A product or power of indices met while compiling an affine form."""
-
-
-# --- affine compilation ------------------------------------------------------
-
-
-# (expressions, n, index names) -> (D, rows) of _affine.  That is the whole
-# key: the rows depend on nothing else (build_env(n) is a function of n), and
-# they are tuples, so no caller can change a cached entry.  Errors are raised
-# afresh on every call, naming the caller's owner.
-_AFFINE_CACHE: Dict[tuple, Tuple[int, Tuple[Tuple[Rat, ...], ...]]] = {}
-
-
-def _affine(owner: str, exprs, n: int, varnames) -> Tuple[int, Tuple[Tuple[Rat, ...], ...]]:
-    """Compile expressions affine in the named indices to exact coefficients at n.
-
-    Returns (D, rows): row j is (a_1, ..., a_v, c) with expression j equal to
-    a_1*var_1 + ... + a_v*var_v + c, and D is the least common denominator of
-    every entry.  One walk of the expression tree builds each row, so a
-    product or power of indices is rejected whatever values it takes;
-    subtrees free of indices are evaluated once, in Q(sqrt2).  Errors name
-    owner, the set, family or class the expressions belong to.
-    """
-    key = (tuple(exprs), n, tuple(varnames))
-    if key in _AFFINE_CACHE:
-        return _AFFINE_CACHE[key]
-    env = build_env(n)
-    index = {v: i for i, v in enumerate(varnames)}
-    zero = [SqrtTwoRat(0)] * len(varnames)
-
-    def walk(node):
-        """(index coefficients, or None for an index-free node; constant part)."""
-        op = node[0]
-        if op == "sym" and node[1] in index:
-            return ([SqrtTwoRat(int(i == index[node[1]])) for i in range(len(zero))],
-                    SqrtTwoRat(0))
-        if op in ("int", "sym"):
-            return None, eval_expr(node, env)
-        if op == "neg":
-            row, c = walk(node[1])
-            return (None if row is None else [-a for a in row]), -c
-        if op == "pow":
-            if expr_symbols(node[2]) & index.keys():
-                raise _NotAffine
-            row, c = walk(node[1])
-            e = eval_int(node[2], env)
-            if row is None:
-                return None, c ** e
-            if e != 1:
-                raise _NotAffine
-            return row, c
-        (ra, ca), (rb, cb) = walk(node[1]), walk(node[2])
-        if op in ("add", "sub"):
-            sign = 1 if op == "add" else -1
-            if ra is None and rb is None:
-                return None, ca + sign * cb
-            return ([a + sign * b for a, b in zip(ra or zero, rb or zero)],
-                    ca + sign * cb)
-        if op == "mul":
-            if ra is not None and rb is not None:
-                raise _NotAffine
-            if ra is None:
-                ra, ca, cb = rb, cb, ca
-            return (None if ra is None else [a * cb for a in ra]), ca * cb
-        if rb is not None:  # div
-            raise _NotAffine
-        return (None if ra is None else [a / cb for a in ra]), ca / cb
-
-    rows = []
-    for expr in exprs:
-        try:
-            row, c = walk(expr)
-        except _NotAffine:
-            raise MapClosureError(f"{owner}: expression {expr_to_str(expr)} is not affine "
-                                  f"in {', '.join(varnames)}") from None
-        rows.append(tuple(a.as_fraction() for a in (row or zero) + [c]))
-    result = math.lcm(*(f.denominator for row in rows for f in row)), tuple(rows)
-    _AFFINE_CACHE[key] = result
-    return result
-
-
-_INT64_MAX = int(np.iinfo(np.int64).max)
+_INT64_MAX = (1 << 63) - 1
 
 
 def _fits_int64(bound: int, what: str) -> None:
@@ -202,21 +117,6 @@ def _eps_to_x(a: Sequence[int], m: int) -> List[int]:
 # --- index grids and affine maps on them --------------------------------------
 
 
-def _ranges(owner: str, range_exprs, n: int) -> Tuple[int, ...]:
-    """The index ranges of a set, family or torus at n, each a positive integer."""
-    env = build_env(n)
-    ranges = []
-    for expr in range_exprs:
-        try:
-            r = eval_expr_int(expr, env)
-        except NotRationalInteger as e:
-            raise NonIntegralModulus(f"{owner}: modulus {e}") from e
-        if r <= 0:
-            raise NonIntegralModulus(f"{owner}: modulus {r} <= 0")
-        ranges.append(r)
-    return tuple(ranges)
-
-
 def _index_grid(owner: str, range_exprs, varnames, exclude, n: int):
     """The index grid Z_r1 x ... x Z_rk of a set or family at n.
 
@@ -280,76 +180,33 @@ def _keeps_excluded(excluded, maps, ranges) -> bool:
                for lin, shift in maps)
 
 
-def _solve(rows, mods, ranges) -> List[np.ndarray]:
-    """The grid tuples a with c_k . a = b_k mod mods[k] for every row k.
+def _solve(row, m: int, ranges) -> List[np.ndarray]:
+    """The grid tuples a with c . a = b mod m, row = (c_1, ..., c_v, b) in integers.
 
-    rows[k] is (c_k1, ..., c_kv, b_k) in integers, and a runs over the
-    representatives 0 <= a_j < ranges[j].  The indices fall into blocks that
-    share no row (an index in no row is a block of its own, with every value
-    a solution); each block is solved alone by _solve_block, and the
-    solutions are their product, listed only up to _LISTED_TUPLES.  Returns
-    the solutions as int64 arrays, one per index, each tuple once.
+    a runs over the representatives 0 <= a_j < ranges[j].  One index s is
+    solved for while the other indices run over their values: for each of
+    those, c_s a_s = c mod m has, with g = gcd(c_s, m), no solution unless
+    g | c, and otherwise the solutions a_0 + j m/g, of which those below r_s
+    are kept (m need not divide r_s).  s is the index with the fewest
+    candidates, (prod r / r_s) * ceil(r_s g / m), never more than the grid
+    and listed only up to _LISTED_TUPLES.  Returns the solutions as int64
+    arrays, one per index, each tuple once.
     """
     nv = len(ranges)
-    rows = [[int(x) % m for x in row] for row, m in zip(rows, mods)]
-    # each index's block, by merging the blocks of the indices of each row
-    block = list(range(nv))
-    for row in rows:
-        used = [j for j in range(nv) if row[j]]
-        for j in used[1:]:
-            old, new = block[j], block[used[0]]
-            block = [new if b == old else b for b in block]
-    if len(set(block)) == 1:
-        return _solve_block(rows, mods, ranges)
-    if any(row[nv] and not any(row[:nv]) for row in rows):
-        return [np.zeros(0, dtype=np.int64) for _ in ranges]  # a row 0 = b with b != 0
-    sols = []
-    for label in sorted(set(block)):
-        idx = [j for j in range(nv) if block[j] == label]
-        sub = [([row[j] for j in idx] + [row[nv]], m)
-               for row, m in zip(rows, mods) if any(row[j] for j in idx)]
-        sols.append((idx, _solve_block([r for r, _ in sub], [m for _, m in sub],
-                                       [ranges[j] for j in idx]) if sub else None))
-    counts = [ranges[idx[0]] if sol is None else len(sol[0]) for idx, sol in sols]
-    _listable(math.prod(counts), "congruence solver")
-    out: List[Optional[np.ndarray]] = [None] * nv
-    picks = np.unravel_index(np.arange(math.prod(counts), dtype=np.int64), counts)
-    for (idx, sol), pick in zip(sols, picks):
-        if sol is None:  # an index in no row takes every value
-            out[idx[0]] = pick
-        else:
-            for j, x in zip(idx, sol):
-                out[j] = x[pick]
-    return out
-
-
-def _solve_block(rows, mods, ranges) -> List[np.ndarray]:
-    """_solve for rows, reduced mod mods, that do not split the indices into blocks.
-
-    One index s is solved for from one row k while the other indices run
-    over their values: for each of those, c_ks a_s = c mod m (m = mods[k])
-    has, with g = gcd(c_ks, m), no solution unless g | c, and otherwise the
-    solutions a_0 + j m/g, of which those below r_s are kept (m need not
-    divide r_s).  (k, s) is the pair with the fewest candidates,
-    (prod r / r_s) * ceil(r_s g / m), never more than the grid and listed
-    only up to _LISTED_TUPLES.  The other rows are checked on the
-    candidates.
-    """
-    nv = len(ranges)
+    row = [int(x) % m for x in row]
     size = math.prod(ranges)
     # entries below m, indices and candidates below r + 2m, g * step = m
-    _fits_int64((nv + 1) * max(mods) * (max(ranges) + 2 * max(mods)), "congruence solver")
+    _fits_int64((nv + 1) * m * (max(ranges) + 2 * m), "congruence solver")
 
-    def per_tuple(k, s):
-        return -(-ranges[s] * math.gcd(rows[k][s], mods[k]) // mods[k])
+    def candidates(s):
+        return size // ranges[s] * -(-ranges[s] * math.gcd(row[s], m) // m)
 
-    k, s = min(itertools.product(range(len(rows)), range(nv)),
-               key=lambda ks: size // ranges[ks[1]] * per_tuple(*ks))
-    row, m, r = rows[k], mods[k], ranges[s]
+    s = min(range(nv), key=candidates)
+    r = ranges[s]
     g = math.gcd(row[s], m)
     step = m // g
     count = -(-r * g // m)
-    _listable(size // r * count, "congruence solver")
+    _listable(candidates(s), "congruence solver")
     others = [j for j in range(nv) if j != s]
     free = (np.unravel_index(np.arange(size // r, dtype=np.int64), [ranges[j] for j in others])
             if others else ())
@@ -362,9 +219,6 @@ def _solve_block(rows, mods, ranges) -> List[np.ndarray]:
     a[s] = ((rhs[ok] // g * pow(row[s] // g, -1, step) % step)[:, None]
             + step * np.arange(count, dtype=np.int64)).ravel()
     hit = a[s] < r
-    for kk, other in enumerate(rows):
-        if kk != k:
-            hit &= (sum(c * x for c, x in zip(other, a)) - other[nv]) % mods[kk] == 0
     return [x[hit] for x in a]
 
 
@@ -382,10 +236,9 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
 def _excluded(owner: str, pred, n: int, varnames, ranges) -> np.ndarray:
     """Sorted flat grid indices of the tuples an exclusion predicate holds on.
 
-    An atom compares two affine forms modulo the common modulus of the indices
-    it uses, and "m div e" tests e mod m: either way it is one congruence row,
-    solved by _solve.  and / or are the intersection / union, != the
-    complement in the grid.
+    Each atom is one congruence row, read by counting._atom_row and solved
+    by _solve.  and / or are the intersection / union, != the complement in
+    the grid.
     """
     if pred[0] != "atom":
         a = _excluded(owner, pred[1], n, varnames, ranges)
@@ -396,138 +249,15 @@ def _excluded(owner: str, pred, n: int, varnames, ranges) -> np.ndarray:
         union = _distinct(np.sort(np.concatenate((a, b)), kind="stable"))
         _listable(len(union), "excluded")
         return union
-    _, op, e1, e2 = pred
-    if op == "div":
-        m = abs(eval_expr_int(e1, build_env(n)))  # m and -m divide the same e
-        if m == 0:
-            raise MapClosureError(f"{owner}: modulus 0 in {pred_to_str(pred)} at n = {n}")
-        denom, (row,) = _affine(owner, [e2], n, varnames)
-    else:
-        denom, (r1, r2) = _affine(owner, [e1, e2], n, varnames)
-        row = [a - b for a, b in zip(r1, r2)]
-        mods = {ranges[i] for i, a in enumerate(row[:-1]) if a} or {ranges[0]}
-        if len(mods) != 1:
-            raise MapClosureError(
-                f"{owner}: atom {pred_to_str(pred)} mixes indices with different moduli"
-            )
-        (m,) = mods
-    if denom != 1:
-        raise MapClosureError(f"{owner}: non-integral coefficient in {pred_to_str(pred)}")
-    hit = np.sort(np.ravel_multi_index(_solve([[*row[:-1], -row[-1]]], [m], ranges), ranges))
-    if op == "!=":
+    row, m = _atom_row(owner, pred, n, varnames, ranges)
+    hit = np.sort(np.ravel_multi_index(_solve(row, m, ranges), ranges))
+    if pred[1] == "!=":
         _listable(math.prod(ranges), "grid")
         return np.setdiff1d(np.arange(math.prod(ranges)), hit, assume_unique=True)
     return hit
 
 
-# --- parameter sets ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AffineGroup:
-    """Closed group of affine maps on Z_m1 (x Z_m2).
-
-    Row i of each map is reduced mod m_i, and every map is well defined, so
-    two maps are equal tuples exactly when they act alike on the grid
-    (compare the images of 0 and of each unit tuple).  gens holds the
-    indices in maps of the table's maps, which generate it.
-    """
-
-    moduli: Tuple[int, ...]
-    maps: Tuple[Tuple[Tuple[int, ...], ...], ...]  # each map: rows (a..., c) per coord
-    gens: Tuple[int, ...]
-
-
-def _split(g):
-    """(lin, shift) of a map given as rows (a..., c)."""
-    return [row[:-1] for row in g], [row[-1] for row in g]
-
-
-def _scaling(factors, moduli):
-    """The map a -> (f_1 a_1, ..., f_v a_v), row i reduced mod m_i."""
-    nv = len(moduli)
-    return tuple(tuple(f * (i == j) % m for j in range(nv)) + (0,)
-                 for i, (f, m) in enumerate(zip(factors, moduli)))
-
-
-def _compose(f, g, moduli):
-    """(f o g): apply g first, then f."""
-    nv = len(moduli)
-    rows = []
-    for i in range(nv):
-        arow = f[i][:nv]
-        c = f[i][nv]
-        new = [0] * (nv + 1)
-        for j in range(nv):
-            for kk in range(nv):
-                new[kk] += arow[j] * g[j][kk]
-            new[nv] += arow[j] * g[j][nv]
-        new[nv] += c
-        rows.append(tuple(x % moduli[i] for x in new))
-    return tuple(rows)
-
-
-def _well_defined(rows, moduli) -> bool:
-    nv = len(moduli)
-    for i in range(nv):
-        for j in range(nv):
-            if (rows[i][j] * moduli[j]) % moduli[i]:
-                return False
-    return True
-
-
-def equivalence_group(spec: ParamSetSpec, n: int, moduli: Tuple[int, ...],
-                      limit: int = 512) -> AffineGroup:
-    """The group generated by the set's equivalence maps on its grid of moduli."""
-    ident = _scaling([1] * len(moduli), moduli)
-    gens = []
-    for vars_, targets in spec.equiv:
-        if tuple(vars_) != spec.indices:
-            raise MapClosureError(f"{spec.id}: map variables must be {spec.indices}")
-        denom, rows = _affine(spec.id, targets, n, spec.indices)
-        if denom != 1:
-            raise MapClosureError(f"{spec.id}: map {vars_}->... has non-integral coefficients")
-        g = tuple(
-            tuple(int(x) % moduli[i] for x in row) for i, row in enumerate(rows)
-        )
-        if not _well_defined(g, moduli):
-            raise MapClosureError(f"{spec.id}: map {vars_}->... not well-defined mod {moduli}")
-        gens.append(g)
-    group = {ident}
-    frontier = [ident]
-    while frontier:
-        f = frontier.pop()
-        for g in gens:
-            h = _compose(f, g, moduli)
-            if h not in group:
-                if len(group) >= limit:
-                    raise MapClosureError(f"{spec.id}: equivalence group exceeds {limit}")
-                group.add(h)
-                frontier.append(h)
-    maps = tuple(sorted(group))
-    return AffineGroup(moduli, maps, tuple(maps.index(g) for g in gens))
-
-
-def _permutes(group: AffineGroup) -> bool:
-    """Whether each generator has an inverse among the maps.
-
-    Then every element has one, so the group permutes the grid.
-    """
-    one = _scaling([1] * len(group.moduli), group.moduli)
-    return all(any(_compose(h, group.maps[g], group.moduli) == one for h in group.maps)
-               for g in group.gens)
-
-
-def has_index_structure(spec: ParamSetSpec) -> bool:
-    """Whether a set is given on an index grid, so its classes can be counted."""
-    return spec.action != "formula_only" and bool(spec.moduli)
-
-
-def _set_grid(spec: ParamSetSpec, n: int):
-    """(moduli, excluded) of an indexed set, as _index_grid gives them."""
-    if not has_index_structure(spec):
-        raise ValueError(f"{spec.id} has no index structure")
-    return _index_grid(spec.id, spec.moduli, spec.indices, spec.exclude, n)
+# --- listing the classes of a parameter set ---------------------------------------
 
 
 def _canonical_keys(arrays, group: AffineGroup):
@@ -557,7 +287,9 @@ class Enumeration:
 
 def enumerate_classes(spec: ParamSetSpec, n: int) -> Enumeration:
     """Canonical representatives of the equivalence classes of an indexed set, listed."""
-    moduli, excluded = _set_grid(spec, n)
+    if not has_index_structure(spec):
+        raise ValueError(f"{spec.id} has no index structure")
+    moduli, excluded = _index_grid(spec.id, spec.moduli, spec.indices, spec.exclude, n)
     keep, arrays = _admissible(moduli, excluded)
     group = equivalence_group(spec, n, moduli)
     if not _stable(keep, [_split(group.maps[g]) for g in group.gens], arrays, moduli):
@@ -566,53 +298,6 @@ def enumerate_classes(spec: ParamSetSpec, n: int) -> Enumeration:
         raise MapClosureError(f"{spec.id}: an equivalence map is not invertible mod {moduli}")
     return Enumeration(spec.id, moduli, _distinct(np.sort(_canonical_keys(arrays, group))), group,
                        len(arrays[0]))
-
-
-def fixed_class_count(spec: ParamSetSpec, n: int, t: int = 0) -> int:
-    """Classes of an indexed set fixed by the doubling s: a -> 2^t a (t = 0: every class).
-
-    With G the equivalence group, s fixes (1/|G|) sum over g in G of
-    |Fix(s o g)| classes, counting admissible fixed points only, each solved
-    for by _fixed_count (Burnside's lemma twisted by s; at t = 0, Burnside's
-    lemma); of the grid, only the excluded tuples are read.  That holds when
-    G and s permute the admissible tuples and s permutes the classes, so
-    each of these is checked first, and a failure is a MapClosureError
-    naming the set:
-    - every generator of G has an inverse in G, so G permutes the grid;
-    - every generator keeps the excluded tuples; for a permutation that is
-      keeping the admissible ones, which are far more;
-    - 2^t is a unit mod every modulus, so s is a bijection;
-    - s normalizes G, s g s^-1 in G for each generator g, so s sends classes
-      to classes;
-    - s keeps the excluded tuples.
-    """
-    moduli, excluded = _set_grid(spec, n)
-    group = equivalence_group(spec, n, moduli)
-    if not _permutes(group):
-        raise MapClosureError(f"{spec.id}: an equivalence map is not invertible mod {moduli}")
-    if not _keeps_excluded(excluded, [_split(group.maps[g]) for g in group.gens], moduli):
-        raise MapClosureError(f"{spec.id}: equivalence map leaves the admissible set")
-    if any(math.gcd(2 ** t, m) != 1 for m in moduli):
-        raise MapClosureError(f"{spec.id}: doubling by 2^{t} is not invertible mod {moduli}")
-    double = _scaling([pow(2, t, m) for m in moduli], moduli)
-    halve = _scaling([pow(2, -t, m) for m in moduli], moduli)
-    members = set(group.maps)
-    if any(_compose(_compose(double, group.maps[g], moduli), halve, moduli) not in members
-           for g in group.gens):
-        raise MapClosureError(f"{spec.id}: doubling does not normalize the equivalence group")
-    if not _keeps_excluded(excluded, [_split(double)], moduli):
-        raise MapClosureError(f"{spec.id}: doubling leaves the class set")
-    total = sum(_fixed_count(*_split(_compose(double, g, moduli)), moduli, excluded)
-                for g in group.maps)
-    return _orbits(spec.id, total, len(group.maps))
-
-
-def class_count(spec: ParamSetSpec, n: int) -> int:
-    return fixed_class_count(spec, n, 0)
-
-
-def formula_count(spec: ParamSetSpec, n: int) -> int:
-    return eval_expr_int(spec.card, build_env(n))
 
 
 # --- semisimple class families (group side and dual side) --------------------
@@ -773,37 +458,34 @@ def _induced_maps(chart, lam, mats, ranges, denom: int, side: str):
 def _fixed_count(lin, shift, ranges, excluded) -> int:
     """Admissible index tuples a with lin a + shift = a, row k mod ranges[k].
 
-    Solved exactly by _solve, on the representatives 0 <= a_j < r_j that
-    _apply acts on: row k reads m_k . a = b_k mod r_k, with m = lin - I and
-    b = -shift.  The fixed tuples found in excluded, the sorted flat grid
-    indices of the excluded tuples, are then taken off.  A map that is the
-    identity mod r fixes every admissible tuple.
+    The fixed tuples of the grid are counted by counting.fixed_point_count,
+    which raises unless lin is well defined on the grid.  Those among the
+    excluded tuples, given as int64 arrays one per index, are found by
+    applying the map to them one coordinate at a time, each to the tuples
+    the coordinates before it kept, and taken off.  Where every tuple of
+    the grid is fixed, every excluded one is.
     """
-    nv = len(ranges)
-    rows = [[int(lin[k][j]) - (j == k) for j in range(nv)] + [-int(shift[k])]
-            for k in range(nv)]
-    if all(x % r == 0 for row, r in zip(rows, ranges) for x in row):
-        return math.prod(ranges) - len(excluded)
-    fixed = _solve(rows, ranges, ranges)
-    if not len(excluded):
-        return len(fixed[0])
-    keys = np.ravel_multi_index(fixed, ranges)
-    # sorted first, the keys' binary searches in excluded stay in cache: at a
-    # million keys that saves far more time than the sort takes
-    keys.sort()
-    found = excluded[np.minimum(excluded.searchsorted(keys), len(excluded) - 1)] == keys
-    return len(keys) - int(np.count_nonzero(found))
+    fixed = fixed_point_count(lin, shift, ranges)
+    if fixed in (0, math.prod(ranges)):
+        return fixed - len(excluded[0]) if fixed else 0
+    arrays = excluded
+    for k, r in enumerate(ranges):
+        (img,) = _apply([lin[k]], [shift[k]], arrays, (r,))
+        kept = img == arrays[k]
+        arrays = [a[kept] for a in arrays]
+    return fixed - len(arrays[0])
 
 
 def _burnside_count(fam: ClassFam, n: int, cent: Centralizer, ranges, excluded) -> Optional[int]:
     """Orbits of the centralizer on the admissible members, on the index grid.
 
     Burnside's lemma: orbits = (1/|C|) sum over classes of |class| * |Fix(a_g)|,
-    with a_g the map g induces on the index grid, and each |Fix(a_g)| solved
+    with a_g the map g induces on the index grid, and each |Fix(a_g)| counted
     by _fixed_count.  None when that does not apply: the family has no index,
-    the chart has no exact left inverse, some element leaves the chart, or
-    the admissible set is not stable under a generator of the centralizer
-    (so under the group).
+    the chart has no exact left inverse, some element leaves the chart, the
+    admissible set is not stable under a generator of the centralizer (so
+    under the group), or the linear part of some class representative's a_g
+    is not well defined on the grid, which the exact count needs.
 
     Stability is checked on the excluded tuples, far fewer than the
     admissible ones and all that is read of the grid.  That is enough:
@@ -825,18 +507,13 @@ def _burnside_count(fam: ClassFam, n: int, cent: Centralizer, ranges, excluded) 
     lin, shift = maps
     if not _keeps_excluded(excluded, [(lin[g], shift[g]) for g in cent.gens], ranges):
         return None
-    total = sum(size * _fixed_count(lin[rep], shift[rep], ranges, excluded)
-                for rep, size in cent.classes)
+    reps = [(lin[rep].tolist(), shift[rep].tolist(), size) for rep, size in cent.classes]
+    if not all(_well_defined(rep_lin, ranges) for rep_lin, _, _ in reps):
+        return None
+    tuples = np.unravel_index(excluded, ranges)
+    total = sum(size * _fixed_count(rep_lin, rep_shift, ranges, tuples)
+                for rep_lin, rep_shift, size in reps)
     return _orbits(fam.id, total, len(cent.mats))
-
-
-def _orbits(owner: str, total: int, order: int) -> int:
-    """A Burnside sum divided by the group order, which must divide it."""
-    orbits, rest = divmod(total, order)
-    if rest:
-        raise ArithmeticError(f"{owner}: Burnside sum {total} is not divisible by "
-                              f"the group order {order}")
-    return orbits
 
 
 # Points per block of the orbit kernel.  Under the largest F-centralizer (96
@@ -892,28 +569,21 @@ def _orbit_count(vecs: np.ndarray, mats: np.ndarray, denom: int, side: str) -> i
     return 1 + int(np.count_nonzero((hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])))
 
 
-def family_formula_count(fam: ClassFam, n: int) -> int:
-    return eval_expr_int(fam.count, build_env(n))
-
-
 # --- reports -----------------------------------------------------------------
 
 
 def cardinality_check(model: Model, n: int) -> List[Record]:
     """Class counts of every indexed set and every family against the table formulas.
 
-    A count beyond the implementation's reach is a skip with the reason.
+    A family count beyond the implementation's reach is a skip with the reason.
     """
     records = []
     for sid in sorted(model.paramsets):
         spec = model.paramsets[sid]
         if not has_index_structure(spec):
             continue
-        try:
-            got, reason = class_count(spec, n), None
-        except BudgetExceeded as e:
-            got, reason = None, f"{sid}: {e}"
-        records.append(Record("cardinality", sid, n, formula_count(spec, n), got, reason))
+        got = class_count(spec, n)
+        records.append(Record("cardinality", sid, n, formula_count(spec, n), got))
     for fid in sorted(model.classfams):
         fam = model.classfams[fid]
         try:

@@ -18,13 +18,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .counting import smith_normal_form
 from .record import Record
+from .tabledsl import WeylDataError
 
 Matrix = Tuple[Tuple[int, ...], ...]
-
-
-class WeylDataError(ValueError):
-    """The Weyl generators give no finite lattice group that the twist normalizes."""
 
 
 class ClosureOverflow(WeylDataError):
@@ -246,62 +244,6 @@ def torus_matrix(weyl: WeylGroup, w: Matrix, n: int) -> Matrix:
 def torus_order(weyl: WeylGroup, w: Matrix, n: int) -> int:
     """|T^(F w^-1)| as |det(2^n m0 w - 1)|."""
     return abs(mat_det(torus_matrix(weyl, w, n)))
-
-
-def smith_normal_form(m: Matrix) -> List[int]:
-    """Diagonal of the Smith normal form of an integer matrix."""
-    a = [list(row) for row in m]
-    rows, cols = len(a), len(a[0])
-    diag = []
-    r = 0
-    while r < min(rows, cols):
-        # find a nonzero pivot
-        piv = None
-        for i in range(r, rows):
-            for j in range(r, cols):
-                if a[i][j] != 0:
-                    if piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]]):
-                        piv = (i, j)
-        if piv is None:
-            break
-        i, j = piv
-        a[r], a[i] = a[i], a[r]
-        for row in a:
-            row[r], row[j] = row[j], row[r]
-        while True:
-            # clear column r
-            done = True
-            for i in range(rows):
-                if i != r and a[i][r] != 0:
-                    qq = a[i][r] // a[r][r]
-                    for j in range(cols):
-                        a[i][j] -= qq * a[r][j]
-                    if a[i][r] != 0:
-                        a[r], a[i] = a[i], a[r]
-                        done = False
-            if not done:
-                continue
-            for j in range(cols):
-                if j != r and a[r][j] != 0:
-                    qq = a[r][j] // a[r][r]
-                    for i in range(rows):
-                        a[i][j] -= qq * a[i][r]
-                    if a[r][j] != 0:
-                        for row in a:
-                            row[r], row[j] = row[j], row[r]
-                        done = False
-            if done:
-                break
-        diag.append(abs(a[r][r]))
-        r += 1
-    # normalize divisibility chain
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            x, y = diag[i], diag[j]
-            if x and y:
-                g = math.gcd(x, y)
-                diag[i], diag[j] = g, x * y // g
-    return diag
 
 
 def torus_fixed_count(weyl: WeylGroup, w: Matrix, n: int) -> int:
@@ -628,7 +570,8 @@ def _torus_checks(model, n: int, side: str):
     has elements: D^4 over the product of the Smith normal form of the R_k
     stacked on D I_4.  Where it is not, the distinct-point record fails.
     """
-    from .paramsets import _chart, _ranges
+    from .counting import _ranges
+    from .paramsets import _chart
     from .tabledsl import build_env, eval_expr_int
 
     prefix = "torus_param" if side == "torus" else "dual_torus"
@@ -678,8 +621,6 @@ def pairing_checks(model, n: int):
     env0 = build_env(n)
     for wid in sorted(model.weylclasses):
         wc = model.weylclasses[wid]
-        if wc.pairing is None:
-            continue
         tranges = [eval_expr_int(r, env0) for r in wc.tranges]
         ok = True
         for r, (tvar, mod) in enumerate(zip(wc.tvars, tranges)):

@@ -31,6 +31,10 @@ class TableSyntaxError(ValueError):
         self.col = col
 
 
+class WeylDataError(ValueError):
+    """The Weyl generators give no finite lattice group that the twist normalizes."""
+
+
 class UnknownSymbol(KeyError):
     pass
 
@@ -495,7 +499,7 @@ def value_to_str(v) -> str:
             else "(" + ", ".join(expr_to_str(e) for e in targets) + ")"
         )
         return f"{lhs} -> {rhs}"
-    if isinstance(v, tuple) and v[0] in ("atom", "and", "or"):
+    if _is_pred(v):
         return pred_to_str(v)
     return expr_to_str(v)
 
@@ -558,13 +562,13 @@ class WeylClass:
     word: Tuple[str, ...]
     cent: int
     order: Expr
-    tranges: Tuple[Expr, ...] = ()
-    tcoords: Tuple[Expr, ...] = ()
-    sranges: Tuple[Expr, ...] = ()
-    scoords: Tuple[Expr, ...] = ()
-    svars: Tuple[str, ...] = ()
-    tvars: Tuple[str, ...] = ()
-    pairing: Optional[Expr] = None
+    tranges: Tuple[Expr, ...]
+    tcoords: Tuple[Expr, ...]
+    sranges: Tuple[Expr, ...]
+    scoords: Tuple[Expr, ...]
+    svars: Tuple[str, ...]
+    tvars: Tuple[str, ...]
+    pairing: Expr
 
 
 @dataclass(frozen=True)
@@ -672,9 +676,19 @@ def _read_list(v) -> list:
     raise _where(v, "a list")
 
 
+def _is_pred(v) -> bool:
+    return isinstance(v, tuple) and v[0] in ("atom", "and", "or")
+
+
 def _read_expr(v) -> Expr:
-    if isinstance(v, list):
+    if isinstance(v, list) or _is_pred(v):
         raise _where(v, "an expression")
+    return v
+
+
+def _read_pred(v) -> Predicate:
+    if not _is_pred(v):
+        raise _where(v, "a predicate")
     return v
 
 
@@ -746,6 +760,7 @@ _CODECS = {
     "syms": (lambda v: tuple(map(_read_sym, _read_list(v))),
              lambda v: [("sym", x) for x in v], ()),
     "expr": (_read_expr, lambda v: v, None),
+    "pred": (_read_pred, lambda v: v, None),
     "exprs": (lambda v: tuple(_read_list(v)), list, ()),
     "int": (_read_int, lambda v: ("int", v), None),
     "ints": (_read_ints, _write_ints, ()),
@@ -789,7 +804,7 @@ _SCHEMA: Dict[str, _Kind] = {
     "paramset": _kind(
         "paramsets", ParamSetSpec,
         _Field("group", "sym"), _Field("action", "sym"), _Field("moduli", "exprs", OPTIONAL),
-        _Field("exclude", "expr", OPTIONAL), _Field("equiv", "exprs", OPTIONAL),
+        _Field("exclude", "pred", OPTIONAL), _Field("equiv", "exprs", OPTIONAL),
         _Field("card", "expr"), _Field("members", "syms", OPTIONAL, "paramset"),
         _Field("alias_of", "sym", OPTIONAL, "paramset"), _Field("note", "sym", OPTIONAL)),
     "fixrow": _kind(
@@ -805,21 +820,20 @@ _SCHEMA: Dict[str, _Kind] = {
         _Field("right", "syms", REQUIRED, "paramset")),
     "weylgen": _kind("weylgens", None, _Field("matrix", "matrix")),
     "frobenius": _kind("frobenius", None, _Field("matrix", "matrix")),
+    # every field is read by the Weyl checks, so none may be left out
     "weylclass": _kind(
         "weylclasses", WeylClass,
-        _Field("word", "syms", OPTIONAL, "weylgen"), _Field("cent", "int"),
-        _Field("order", "expr"),
-        _Field("tranges", "exprs", OPTIONAL), _Field("tcoords", "exprs", OPTIONAL),
-        _Field("sranges", "exprs", OPTIONAL), _Field("scoords", "exprs", OPTIONAL),
-        _Field("svars", "syms", OPTIONAL), _Field("tvars", "syms", OPTIONAL),
-        _Field("pairing", "expr", OPTIONAL)),
+        _Field("word", "syms", REQUIRED, "weylgen"), _Field("cent", "int"),
+        _Field("order", "expr"), _Field("tranges", "exprs"), _Field("tcoords", "exprs"),
+        _Field("sranges", "exprs"), _Field("scoords", "exprs"), _Field("svars", "syms"),
+        _Field("tvars", "syms"), _Field("pairing", "expr")),
     "grouporder": _kind("order_expr", None, _Field("order", "expr")),
     "classfam": _kind(
         "classfams", ClassFam,
         _Field("side", "sym"), _Field("word", "syms", OPTIONAL, "weylgen"),
         _Field("vars", "syms", OPTIONAL), _Field("coords", "exprs"),
         _Field("ranges", "exprs", OPTIONAL), _Field("count", "expr"),
-        _Field("exclude", "expr", OPTIONAL), _Field("pi", "ints", OPTIONAL),
+        _Field("exclude", "pred", OPTIONAL), _Field("pi", "ints", OPTIONAL),
         _Field("pitype", "sym", OPTIONAL), _Field("pilabel", "sym", OPTIONAL)),
     "classrow": _kind(
         "classrows", ClassRow,
@@ -998,9 +1012,7 @@ def validate_model(model: Model) -> None:
         _check_symbols(f"weylclass {wc.id}", names, *wc.tranges, *wc.sranges)
         _check_symbols(f"weylclass {wc.id}", names | set(wc.tvars), *wc.tcoords)
         _check_symbols(f"weylclass {wc.id}", names | set(wc.svars), *wc.scoords)
-        if wc.pairing is not None:
-            _check_symbols(f"weylclass {wc.id}", names | set(wc.tvars) | set(wc.svars),
-                           wc.pairing)
+        _check_symbols(f"weylclass {wc.id}", names | set(wc.tvars) | set(wc.svars), wc.pairing)
     for fam in model.classfams.values():
         _check_expr(f"classfam {fam.id}", fam.count, env1)
         if fam.exclude is not None:

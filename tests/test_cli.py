@@ -114,18 +114,19 @@ def test_report_counts_and_times_each_kind(tmp_path, capsys):
 
 
 def test_skips_carry_reason_and_exit_zero(tmp_path, capsys):
-    # at n = 8 three sets and fourteen families need values past int64
+    # at n = 8 fourteen families need values past int64; every set is counted
     report = tmp_path / "r.json"
     assert main(["verify", "params", "--n", "8", "--report", str(report)]) == 0
     records = json.loads(report.read_text())
     skips = [r for r in records if r["status"] == "skip"]
     assert sorted((r["check"], r["name"]) for r in skips) == (
-        [("cardinality", s) for s in ("PaI_4", "PbI_6", "PbI_7")]
-        + [("family_count", f"{side}{i}") for side in "gh" for i in (11, 12, 16, 17, 18, 7, 9)])
+        [("family_count", f"{side}{i}") for side in "gh" for i in (11, 12, 16, 17, 18, 7, 9)])
     assert all(r["reason"].startswith(f"{r['name']}: ") and r["reason"].endswith(" overflow int64")
                for r in skips)
     assert all("reason" not in r for r in records if r["status"] != "skip")
-    assert "108 passed, 0 failed, 17 skipped of 125 checks" in capsys.readouterr().out
+    passed = {r["name"] for r in records if r["status"] == "pass"}
+    assert {"PaI_4", "PbI_6", "PbI_7"} <= passed  # skipped at int64 until counted on Python ints
+    assert "111 passed, 0 failed, 14 skipped of 125 checks" in capsys.readouterr().out
 
 
 def test_verify_all_n5_coverage(tmp_path, capsys):
@@ -177,7 +178,12 @@ def test_report_deterministic(tmp_path):
      "9bd03715f4d4373a3473e7216e893395583c62cb55e5f761c768a5bed711b5dd"),
     (["verify", "all", "--max-n", "4"], 5705,
      "454dcc69abd8035d3093ef76c5dd9d38c0ae7f6af6b53711ce81e6303df11eef"),
-], ids=["all-n1", "dade-both-n2", "weyl-n123", "params-n123", "all-max-n4"])
+    (["verify", "dade", "--mode", "both", "--n", "1", "--n", "2", "--n", "3", "--n", "4"], 1602,
+     "2a97e3048d0de02641661c090aa39b0d053c9aba1c5971a32cd7383f4f711b59"),
+    (["verify", "fixrows", "--n", "1", "--n", "2", "--n", "3", "--n", "4"], 1458,
+     "96dabd1ac9af9758e199aa7ff1dda9afd7382ece84a5c93ba5296920b6ebbd9c"),
+], ids=["all-n1", "dade-both-n2", "weyl-n123", "params-n123", "all-max-n4", "dade-both-n1234",
+        "fixrows-n1234"])
 def test_report_matches_golden_digest(tmp_path, argv, count, digest):
     report = tmp_path / "r.json"
     assert main(argv + ["--report", str(report)]) == 0
@@ -277,7 +283,8 @@ def test_millis_is_each_records_own_time(monkeypatch):
         return out
 
     cli._model()  # load outside the timed region
-    monkeypatch.setitem(cli.REGISTRY, "slow", [(False, slow_checker)])
+    monkeypatch.setitem(cli.REGISTRY, "slow",
+                        ("record", [(False, lambda mod, m, n, c: slow_checker(m, n, c))]))
     task = cli.run_task(("slow", 1, {"max_n": 1, "mode": "formula"}))
     assert [r["name"] for r in task] == ["0", "1", "2", "3"]
     assert all(45.0 <= r["millis"] < 150.0 for r in task), [r["millis"] for r in task]
@@ -368,13 +375,14 @@ def test_negative_exact_count_fails_mobius_records(tmp_path, capsys):
 
 
 def test_params_budget_overflow_is_skip(tmp_path, capsys):
+    # once a skip at int64 (index map values up to 590291306690359066626),
+    # now counted on Python ints and equal to the formula
     report = tmp_path / "r.json"
     assert main(["params", "--n", "8", "--set", "PaI_4", "--report", str(report)]) == 0
     (rec,) = json.loads(report.read_text())
-    assert rec["status"] == "skip" and rec["actual"] == "None"
-    assert rec["reason"] == ("PaI_4: index map: intermediate values up to "
-                             "590291306690359066626 overflow int64")
-    assert "0 passed, 0 failed, 1 skipped of 1 checks" in capsys.readouterr().out
+    assert rec["status"] == "pass" and "reason" not in rec
+    assert rec["actual"] == rec["expected"] == str((2 ** 34 - 2 ** 17) // 2)
+    assert "1 passed, 0 failed, 0 skipped of 1 checks" in capsys.readouterr().out
 
 
 def test_params_listing_past_the_listed_tuples_is_error(capsys):
@@ -444,20 +452,21 @@ def test_trusted_input_flags_run_once_per_run(tmp_path, monkeypatch):
 
 
 def test_budget_overflow_in_fixrows_and_dade_is_skip(tmp_path, capsys):
-    # at n = 8 the set PaI_4, a member of R_Pa_3_4, needs values past int64
-    reason = "PaI_4: index map: intermediate values up to 590291306690359066626 overflow int64"
+    # at n = 8 the set PaI_4, a member of R_Pa_3_4, needs values past int64:
+    # its cells were skips, and are now counted and pass
     report = tmp_path / "r.json"
     assert main(["verify", "fixrows", "--n", "8", "--report", str(report)]) == 0
-    skips = [r for r in json.loads(report.read_text()) if r["status"] == "skip"]
-    assert {(r["check"], r["name"], r["t"]) for r in skips} == {
-        ("fixrow", "R_Pa_3_4", t) for t in (1, 17)}
-    assert all(r["reason"] == reason for r in skips)
+    records = json.loads(report.read_text())
+    assert len(records) == 324 and all(r["status"] == "pass" for r in records)
+    cells = {r["t"]: r for r in records if r["check"] == "fixrow" and r["name"] == "R_Pa_3_4"}
+    assert sorted(cells) == [1, 17] and all(r["actual"] == r["expected"] for r in cells.values())
     assert main(["verify", "dade", "--n", "8", "--mode", "both", "--report", str(report)]) == 0
     records = json.loads(report.read_text())
-    skips = {(r["check"], r["name"], r["u"]) for r in records if r["status"] == "skip"}
-    assert skips == {(check, "d_24n_12", u) for check in ("dade_bruteforce", "dade_mode_agreement")
-                     for u in (1, 17)}
-    assert all(r["reason"] == reason for r in records if r["status"] == "skip")
+    assert len(records) == 385 and all(r["status"] == "pass" for r in records)
+    cells = [r for r in records if r["name"] == "d_24n_12"
+             and r["check"] in ("dade_bruteforce", "dade_mode_agreement")]
+    assert sorted((r["check"], r["u"]) for r in cells) == [
+        (check, u) for check in ("dade_bruteforce", "dade_mode_agreement") for u in (1, 17)]
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -468,6 +477,16 @@ def test_n6_runs_with_no_skips(tmp_path, command):
     assert main(command + ["--n", "6", "--report", str(report)]) == 0
     records = json.loads(report.read_text())
     assert records and all(r["status"] == "pass" for r in records)
+
+
+@pytest.mark.parametrize("command, count", [(["verify", "fixrows"], 324),
+                                            (["verify", "dade", "--mode", "both"], 385)])
+def test_n20_runs_with_no_skips(tmp_path, command, count):
+    # every set count is exact on Python ints: nothing is skipped at n = 20
+    report = tmp_path / "r.json"
+    assert main(command + ["--n", "20", "--report", str(report)]) == 0
+    records = json.loads(report.read_text())
+    assert len(records) == count and all(r["status"] == "pass" for r in records)
 
 
 @pytest.mark.parametrize("n", [8, 40])
@@ -617,8 +636,17 @@ M1 = "matrix: [[0, 0, 0, -2], [0, 0, 2, 2], [1, 1, 0, 0], [-1, 0, 0, 0]]"  # r1 
     ("paramsets.def", "  card: (q^2-2)/2\n  note: semisimple_member\n}\nparamset GI_23",
      "  crad: (q^2-2)/2\n  note: semisimple_member\n}\nparamset GI_23",
      "paramsets.def: paramset GI_22: unknown field 'crad'"),
+    # an expression where a predicate belongs, and a predicate where an expression does
+    ("paramsets.def", "  exclude: k = 0\n  equiv: [k -> -k]\n  card: (q^2-2)/2\n",
+     "  exclude: 3\n  equiv: [k -> -k]\n  card: (q^2-2)/2\n",
+     "paramsets.def: paramset GI_22: exclude has 3 where a predicate belongs"),
+    ("paramsets.def", "  equiv: [k -> -k]\n  card: (q^2-2)/2\n", "  equiv: [k -> -k]\n  card: k = 0\n",
+     "paramsets.def: paramset GI_22: card has k = 0 where an expression belongs"),
+    # every weylclass field is read by a Weyl check: none may be left out
+    ("weyl.def", "  pairing: ((k+l)*a+(k-l)*b)/(q^2-1)\n", "",
+     "weyl.def: weylclass T1: missing field pairing"),
 ], ids=["missing", "misspelt", "repeated-field", "repeated-block", "second-frobenius",
-        "misspelt-card"])
+        "misspelt-card", "exclude-expression", "card-predicate", "missing-pairing"])
 def test_bad_table_fields_exit_two(tmp_path, capsys, fname, old, new, message):
     data = _data_copy(tmp_path, fname, old, new)
     assert main(["verify", "all", "--n", "1", "--data-dir", data]) == 2

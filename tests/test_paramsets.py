@@ -123,7 +123,7 @@ def test_budget_allows_n4_pairs(model):
 
 def test_non_integral_modulus():
     from dadecheck.tabledsl import parse_model
-    from dadecheck.paramsets import NonIntegralModulus
+    from dadecheck.counting import NonIntegralModulus
 
     m = parse_model(
         "paramset X { group: G action: doubling moduli: [q] card: 1 }"
@@ -155,7 +155,7 @@ def test_map_leaving_admissible_set_names_the_set(body):
 
 
 def test_doubling_leaving_class_set_names_the_set():
-    from dadecheck.paramsets import MapClosureError, fixed_class_count
+    from dadecheck.counting import MapClosureError, fixed_class_count
     from enum_oracle import fixed_classes_doubling
 
     spec = _one_set("  moduli: [7]\n  exclude: k = 3\n  card: 6\n")
@@ -177,7 +177,7 @@ def test_doubling_leaving_class_set_names_the_set():
 def test_doubling_preconditions_name_the_set(body, message):
     import re
 
-    from dadecheck.paramsets import MapClosureError, fixed_class_count
+    from dadecheck.counting import MapClosureError, fixed_class_count
 
     with pytest.raises(MapClosureError, match="^X: " + re.escape(message)):
         fixed_class_count(_one_set(body), 1, 1)
@@ -188,6 +188,51 @@ def test_div_modulus_zero_names_the_set():
 
     with pytest.raises(MapClosureError, match="^X: modulus 0 in"):
         class_count(_one_set("  moduli: [7]\n  exclude: (q-q) div k\n  card: 6\n"), 1)
+
+
+def test_div_atom_not_well_defined_names_the_set():
+    # 5 | k is no congruence on Z_7: k = 5 and k = 12 = 5 are one tuple
+    from dadecheck.paramsets import MapClosureError
+
+    spec = _one_set("  moduli: [7]\n  exclude: 5 div k\n  card: 5\n")
+    with pytest.raises(MapClosureError, match=r"^X: atom 5 div k is not well defined mod \(7,\)"):
+        class_count(spec, 1)
+    assert enumerate_classes(spec, 1).count == 5  # the listing reads 5 | k on 0..6
+
+
+def test_set_checks_run_once_per_set_and_n(model, monkeypatch):
+    # the generators are checked once per (set, n); the doubling at each t
+    from dadecheck import counting
+
+    calls = []
+    real = counting._keeps
+    monkeypatch.setattr(counting, "_keeps", lambda e, g, m: calls.append(g) or real(e, g, m))
+    monkeypatch.setattr(counting, "_SET_CACHE", {})
+    spec = model.paramsets["PaI_4"]
+    for t in (1, 3, 9):
+        assert counting.fixed_class_count(spec, 4, t) >= 0
+    assert len(spec.equiv) == 1 and len(calls) == 1 + 3
+
+
+def test_set_cache_keyed_on_the_spec():
+    # two sets named X at one n: Z_7 minus {0} is kept by k -> 2k, minus {1} is not
+    from dadecheck.paramsets import MapClosureError
+
+    kept = _one_set("  moduli: [7]\n  exclude: k = 0\n  equiv: [k -> 2*k]\n  card: 2\n")
+    moved = _one_set("  moduli: [7]\n  exclude: k = 1\n  equiv: [k -> 2*k]\n  card: 2\n")
+    assert class_count(kept, 1) == 2
+    with pytest.raises(MapClosureError, match="^X: equivalence map leaves the admissible set"):
+        class_count(moved, 1)
+    assert class_count(kept, 1) == 2
+
+
+@pytest.mark.parametrize("n", [8, 9, 12, 20, 30])
+def test_set_counts_past_int64(model, n):
+    # q^2 - 1 = 2^61 - 1 at n = 30: no listing and no int64 bound
+    sets = _enumerable_sets(model)
+    assert len(sets) == 83
+    for spec in sets:
+        assert class_count(spec, n) == formula_count(spec, n), spec.id
 
 
 def test_trusted_inputs_flagged(model):
@@ -536,8 +581,9 @@ def test_budget_skip_is_a_record(model, monkeypatch):
 
 
 def _excluded_by(keep, ranges):
-    """The sorted flat indices that a mask over the grid (None: keep all) leaves out."""
-    return np.zeros(0, dtype=np.int64) if keep is None else np.flatnonzero(~keep)
+    """The tuples, one int64 array per index, that a mask over the grid (None: keep all) leaves out."""
+    return np.unravel_index(np.zeros(0, dtype=np.int64) if keep is None else np.flatnonzero(~keep),
+                            ranges)
 
 
 def _fixed_by_scan(lin, shift, ranges, keep):
@@ -550,9 +596,31 @@ def _fixed_by_scan(lin, shift, ranges, keep):
     return int(np.count_nonzero(fixed if keep is None else fixed & keep))
 
 
+def _fixed_or_rejected(lin, shift, ranges, keep):
+    """_fixed_count, or "rejected" where it refuses a map not well defined on the grid."""
+    from dadecheck.counting import NotHomomorphism
+    from dadecheck.paramsets import _fixed_count
+
+    try:
+        return _fixed_count(lin, shift, ranges, _excluded_by(keep, ranges))
+    except NotHomomorphism:
+        return "rejected"
+
+
+def _fixed_by_scan_or_rejected(lin, shift, ranges, keep):
+    """What _fixed_or_rejected must give: "rejected" unless r_k | lin_kj r_j, else the scan."""
+    if any(lin[k][j] * rj % rk for k, rk in enumerate(ranges) for j, rj in enumerate(ranges)
+           if j != k):
+        return "rejected"
+    return _fixed_by_scan(lin, shift, ranges, keep)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_fixed_points_solved_match_grid_scan(model, n):
-    """Every element of every charted family's centralizer, not only class representatives."""
+    """Every element of every charted family's centralizer, not only class representatives.
+
+    Each induced map is well defined on the grid, so each is counted.
+    """
     from dadecheck.paramsets import (_centralizer, _chart, _fixed_count, _index_grid,
                                      _induced_maps, _left_inverse)
 
@@ -592,29 +660,35 @@ def test_fixed_points_solved_match_grid_scan(model, n):
     ([[14, 3], [5, 110]], [7, 20], (481, 545)),  # mixed moduli, non-unit diagonals 13, 109
     ([[14, 37], [109, 110]], [0, 0], (481, 545)),
     ([[2, 5], [3, 1]], [-4, 0], (481, 545)),
+    # well defined on the grid: r_k | lin_kj r_j
+    ([[1, 3], [4, 1]], [2, 6], (6, 12)),
+    ([[1, 1], [0, 1]], [3, 4], (6, 6)),  # a shear on equal ranges
+    ([[5, 2], [3, 7]], [0, 0], (12, 12)),
+    ([[14, 481], [545, 110]], [7, 20], (481, 545)),  # coprime ranges
 ])
 def test_fixed_points_hand_made(lin, shift, ranges):
-    from dadecheck.paramsets import _fixed_count
-
+    # the shear on (6, 10) and the maps on (7, 8) and (481, 545) with small
+    # off-diagonal entries are not well defined on their grids: refused
     keep = np.random.default_rng(8).random(ranges).ravel() < 0.7
     for mask in (None, keep):
-        assert (_fixed_count(lin, shift, ranges, _excluded_by(mask, ranges))
-                == _fixed_by_scan(lin, shift, ranges, mask))
+        assert (_fixed_or_rejected(lin, shift, ranges, mask)
+                == _fixed_by_scan_or_rejected(lin, shift, ranges, mask))
 
 
 @given(st.lists(st.integers(1, 40), min_size=1, max_size=2),
-       st.lists(st.integers(-100, 100), min_size=6, max_size=6), st.integers(0, 1 << 30))
+       st.lists(st.integers(-100, 100), min_size=6, max_size=6), st.integers(0, 1 << 30),
+       st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_fixed_points_random_maps(ranges, entries, seed):
-    from dadecheck.paramsets import _fixed_count
-
+def test_fixed_points_random_maps(ranges, entries, seed, well_defined):
+    # half the maps are made well defined on the grid, entry kj a multiple of r_k / gcd(r_k, r_j)
     nv = len(ranges)
-    lin = [entries[2 * k:2 * k + nv] for k in range(nv)]
+    lin = [[x * (ranges[k] // math.gcd(ranges[k], ranges[j]) if well_defined else 1)
+            for j, x in enumerate(entries[2 * k:2 * k + nv])] for k in range(nv)]
     shift = entries[4:4 + nv]
     keep = np.random.default_rng(seed).random(math.prod(ranges)) < 0.5
     for mask in (None, keep):
-        assert (_fixed_count(lin, shift, tuple(ranges), _excluded_by(mask, ranges))
-                == _fixed_by_scan(lin, shift, tuple(ranges), mask))
+        assert (_fixed_or_rejected(lin, shift, tuple(ranges), mask)
+                == _fixed_by_scan_or_rejected(lin, shift, tuple(ranges), mask))
 
 
 def _scan_excluded(owner, pred, n, varnames, ranges):
@@ -732,7 +806,7 @@ def test_set_counts_match_listing(model, n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_doubling_counts_match_listing(model, n):
     from dadecheck.autfix import divisors
-    from dadecheck.paramsets import fixed_class_count
+    from dadecheck.counting import fixed_class_count
     from enum_oracle import fixed_classes_doubling
 
     cells = 0
@@ -749,6 +823,8 @@ def test_doubling_counts_match_listing(model, n):
 @st.composite
 def _random_sets(draw):
     """A set of one or two indices with moduli up to 15, its maps, an exclusion and a t.
+
+    The exclusion is an = or != atom, or two of them under "or" or "and".
 
     Map coefficients across two different moduli are multiples of m_i /
     gcd(m_i, m_j), so every map is well defined; maps need not be
@@ -771,7 +847,7 @@ def _random_sets(draw):
     atom = st.builds(lambda k, c, op: ("atom", op, _affine_expr([k] + [0] * (nv - 1), 0),
                                        ("int", c)),
                      st.integers(-3, 3), st.integers(-3, 3), st.sampled_from(["=", "!="]))
-    exclude = draw(st.none() | atom | st.tuples(st.just("or"), atom, atom))
+    exclude = draw(st.none() | atom | st.tuples(st.sampled_from(["or", "and"]), atom, atom))
     spec = ParamSetSpec("X", "G", "doubling", tuple(("int", m) for m in moduli), exclude, equiv)
     return spec, draw(st.integers(0, 4))
 
@@ -779,7 +855,7 @@ def _random_sets(draw):
 @given(_random_sets())
 @settings(max_examples=300, deadline=None)
 def test_burnside_matches_listing_random(case):
-    from dadecheck.paramsets import MapClosureError, fixed_class_count
+    from dadecheck.counting import MapClosureError, fixed_class_count
     from enum_oracle import fixed_classes_doubling
 
     spec, t = case
@@ -795,7 +871,7 @@ def test_burnside_matches_listing_random(case):
             == outcome(lambda: fixed_classes_doubling(enumerate_classes(spec, 1), t)))
 
 
-# --- _solve on systems whose rows split the indices into blocks --------------
+# --- the counting kernel against a scan, on systems whose rows split the indices into blocks
 
 
 def _solve_by_scan(rows, mods, ranges):
@@ -807,14 +883,21 @@ def _solve_by_scan(rows, mods, ranges):
     return sorted(zip(*(a[ok].tolist() for a in grid)))
 
 
-def _solved(rows, mods, ranges):
-    from dadecheck.paramsets import _solve
+def _counted(rows, mods, ranges):
+    """count(rows, mods, ranges), or "rejected" where it refuses the system."""
+    from dadecheck.counting import NotHomomorphism, count
 
-    sol = _solve(rows, mods, ranges)
-    assert len(sol) == len(ranges) and all(x.dtype == np.int64 for x in sol)
-    tuples = sorted(zip(*(x.tolist() for x in sol)))
-    assert len(set(tuples)) == len(tuples)
-    return tuples
+    try:
+        return count(rows, mods, ranges)
+    except NotHomomorphism:
+        return "rejected"
+
+
+def _scanned(rows, mods, ranges):
+    """What _counted must give: "rejected" unless m_k | c_kj r_j for all k, j, else the scan."""
+    if any(c * r % m for row, m in zip(rows, mods) for c, r in zip(row, ranges)):
+        return "rejected"
+    return len(_solve_by_scan(rows, mods, ranges))
 
 
 @pytest.mark.parametrize("rows, mods, ranges", [
@@ -824,10 +907,10 @@ def _solved(rows, mods, ranges):
     ([[1, 0, 0, 0], [0, 1, 1, 2]], [4, 6], (4, 6, 6)),  # blocks {k} and {l, m}
     ([[0, 0, 0], [1, 0, 0]], [5, 3], (3, 4)),  # a row 0 = 0, always true
     ([[0, 0, 2], [1, 0, 0]], [5, 3], (3, 4)),  # a row 0 = 2, never true
-    ([[6, 0, 3], [0, 10, 5]], [9, 15], (12, 20)),  # m need not divide the range
+    ([[6, 0, 3], [0, 10, 5]], [9, 15], (12, 20)),  # 15 does not divide 10 * 20: refused
 ])
 def test_solve_blocks_hand_made(rows, mods, ranges):
-    assert _solved(rows, mods, ranges) == _solve_by_scan(rows, mods, ranges)
+    assert _counted(rows, mods, ranges) == _scanned(rows, mods, ranges)
 
 
 @st.composite
@@ -846,23 +929,50 @@ def _block_systems(draw):
 @given(_block_systems())
 @settings(max_examples=300, deadline=None)
 def test_solve_blocks_match_scan_random(system):
-    rows, mods, ranges = system
-    assert _solved(rows, mods, ranges) == _solve_by_scan(rows, mods, ranges)
+    assert _counted(*system) == _scanned(*system)
+
+
+@st.composite
+def _congruence_systems(draw):
+    """1 to 3 rows over 1 or 2 indices with moduli up to 15.
+
+    Half the rows are well defined on the grid by construction (c_j a
+    multiple of m / gcd(m, r_j)); the others mostly are not.
+    """
+    nv = draw(st.integers(1, 2))
+    ranges = tuple(draw(st.lists(st.integers(1, 15), min_size=nv, max_size=nv)))
+    rows, mods = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.integers(1, 15))
+        steps = [m // math.gcd(m, r) for r in ranges] if draw(st.booleans()) else [1] * nv
+        rows.append([draw(st.integers(-15, 15)) * step for step in steps]
+                    + [draw(st.integers(-20, 20))])
+        mods.append(m)
+    return rows, mods, ranges
+
+
+@given(_congruence_systems())
+@settings(max_examples=500, deadline=None)
+def test_count_matches_scan_random(system):
+    assert _counted(*system) == _scanned(*system)
 
 
 def test_solve_blocks_past_the_listing_limit_raise():
+    from dadecheck.counting import count
     from dadecheck.paramsets import BudgetExceeded, _solve
 
-    # 2 a = 0 mod 8 has 2 solutions and the free index 2^40 values: counted, never listed
+    # 2 a = 0 mod 8 has 2 solutions and the free index 2^40 values: listing them raises
     with pytest.raises(BudgetExceeded, match="congruence solver: 2199023255552 tuples"):
-        _solve([[2, 0, 0]], [8], (8, 2 ** 40))
+        _solve([2, 0, 0], 8, (8, 2 ** 40))
+    assert count([[2, 0, 0]], [8], (8, 2 ** 40)) == 2 * 2 ** 40  # counted, never listed
 
 
 def test_solve_doubling_rows_solved_per_index():
     # sigma = 2^7 on a two-index set at n = 10: (2^7 - 1) a = 0 mod 2^21 - 1 for
-    # each index, 127 solutions apiece; solved together they were 2^21 * 127
-    # candidates, past the listing limit
+    # each index, 127 solutions apiece, 127^2 together; no tuple is listed
+    from dadecheck.counting import count
+
     m = 2 ** 21 - 1
-    sol = _solved([[127, 0, 0], [0, 127, 0]], [m, m], (m, m))
-    step = m // 127
-    assert sol == [(i * step, j * step) for i in range(127) for j in range(127)]
+    assert count([[127, 0, 0], [0, 127, 0]], [m, m], (m, m)) == 127 ** 2
+    assert count([[127, 0, 1], [0, 127, 0]], [m, m], (m, m)) == 0  # 127 does not divide 1
+    assert count([[127, 127, 0]], [m], (m, m)) == 127 * m  # one row: k + l in a subgroup

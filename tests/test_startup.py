@@ -34,6 +34,36 @@ def test_import_cli_loads_no_pool():
                 "'multiprocessing' in sys.modules)") == ["False", "False"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "dade", "--mode", "both", "--n", "1"],
+    ["verify", "fixrows", "--n", "1"],
+    ["verify", "lemmas", "--n", "1"],
+    ["verify", "classes", "--n", "1"],
+    ["verify", "relations", "--n", "1"],
+    ["params", "--set", "PaI_4", "--n", "1"],
+], ids=["dade", "fixrows", "lemmas", "classes", "relations", "params-count"])
+def test_check_kinds_without_arrays_load_no_numpy(argv):
+    # only the families, the Weyl group and the listing of classes need numpy
+    code = ("import sys; from dadecheck.cli import main; "
+            f"rc = main({argv!r}); print(rc, 'numpy' in sys.modules)")
+    assert _run(code)[-2:] == ["0", "False"]
+
+
+def test_pool_workers_inherit_the_model(tmp_path):
+    # the tables are parsed once, in the parent, before the pool forks
+    log = tmp_path / "parses"
+    code = ("import os, sys, dadecheck; from dadecheck.cli import main; "
+            "real = dadecheck.parse_model_files\n"
+            "def parse(texts):\n"
+            f"    open({str(log)!r}, 'a').write(str(os.getpid()) + '\\n')\n"
+            "    return real(texts)\n"
+            "dadecheck.parse_model_files = parse\n"
+            "rc = main(['verify', 'all', '--n', '1', '--workers', '2'])\n"
+            "print(rc, os.getpid())")
+    rc, pid = _run(code)[-2:]
+    assert rc == "0" and log.read_text().split() == [pid]
+
+
 @pytest.mark.parametrize("kind", ["weyl", "params"])
 def test_verify_imports_no_numpy_ma(kind):
     code = ("import sys; from dadecheck.cli import main; "
