@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List
 
-from .exactnum import NotRationalInteger, SQRT2, SqrtTwoRat, as_integer
+from .exactnum import PHI_POLYS, NotRationalInteger, as_integer
 from .counting import fixed_class_count
 from .record import Record
 from .tabledsl import FixRow, Model, build_env, eval_expr_int
@@ -118,9 +118,8 @@ def fix_counts_for_row(row: FixRow, model: Model, n: int, mode: str = "formula")
 
 
 def _phi8(n: int, eps: int) -> int:
-    # q^2 + eps*sqrt2*q + 1 at q = 2^n sqrt2
-    v = SqrtTwoRat(0, 1 << n)
-    return as_integer(v * v + SqrtTwoRat(eps) * SQRT2 * v + 1)
+    """q^2 + eps*sqrt2*q + 1 at n."""
+    return as_integer(PHI_POLYS["p8a" if eps == 1 else "p8b"].eval(n))
 
 
 def _lemma(lemma: str, params: tuple, expected: int, actual: int) -> Record:

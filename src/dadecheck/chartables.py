@@ -21,6 +21,7 @@ from .tabledsl import (
     EXPONENT_SYMBOLS,
     ChValue,
     Model,
+    _eval,
     build_env,
     eval_expr,
     eval_expr_int,
@@ -57,95 +58,18 @@ def class_equation(model: Model, n: int) -> List[Record]:
     ]
 
 
-# --- tiny polynomial ring for exponent canonicalization ------------------------
+# --- root exponents ------------------------------------------------------------
 
-class _MPoly:
-    """Polynomial in th, i, k over Q; only used to canonicalize exponents."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c}
-
-    @staticmethod
-    def const(c):
-        return _MPoly({(0, 0, 0): Fraction(c)})
-
-    @staticmethod
-    def var(name):
-        m = tuple(int(s == name) for s in EXPONENT_SYMBOLS)
-        return _MPoly({m: Fraction(1)})
-
-    def __add__(self, o):
-        out = dict(self.terms)
-        for m, c in o.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return _MPoly(out)
-
-    def __neg__(self):
-        return _MPoly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, o):
-        return self + (-o)
-
-    def __mul__(self, o):
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in o.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return _MPoly(out)
-
-    def __truediv__(self, o):
-        if len(o.terms) == 1 and (0, 0, 0) in o.terms:
-            c = o.terms[(0, 0, 0)]
-            return _MPoly({m: v / c for m, v in self.terms.items()})
-        raise ValueError("exponent division only by constants")
-
-    def __pow__(self, e):
-        out = _MPoly.const(1)
-        for _ in range(e):
-            out = out * self
-        return out
-
-    def key(self):
-        return tuple(sorted(self.terms.items()))
+# th, i and k as variables: a root exponent evaluates to a polynomial in them
+_EXPONENT_ENV = {s: QPoly.var(s) for s in EXPONENT_SYMBOLS}
 
 
 def _exp_poly(expr) -> tuple:
-    env = {s: _MPoly.var(s) for s in EXPONENT_SYMBOLS}
-    env["q"] = None  # q must not appear inside a root exponent
-    poly = _eval_mpoly(expr, env)
-    return poly.key()
-
-
-def _eval_mpoly(node, env) -> _MPoly:
-    op = node[0]
-    if op == "int":
-        return _MPoly.const(node[1])
-    if op == "sym":
-        v = env.get(node[1])
-        if v is None:
-            raise ValueError(f"symbol {node[1]} not allowed in root exponents")
-        return v
-    if op == "neg":
-        return -_eval_mpoly(node[1], env)
-    if op == "pow":
-        exp = node[2]
-        if exp[0] != "int":
-            raise ValueError("exponent powers must be literal")
-        return _eval_mpoly(node[1], env) ** exp[1]
-    a = _eval_mpoly(node[1], env)
-    b = _eval_mpoly(node[2], env)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"bad node {node!r}")
+    """A root exponent as its terms ((powers of th, i, k), rational coefficient), sorted."""
+    poly = QPoly.coerce(_eval(expr, _EXPONENT_ENV))
+    return tuple(sorted(
+        (tuple(dict(m).get(s, 0) for s in EXPONENT_SYMBOLS), Fraction(c.as_fraction()))
+        for m, c in poly.terms.items()))
 
 
 def canonical_value(cv: Optional[ChValue]) -> Dict[tuple, QPoly]:
@@ -257,22 +181,30 @@ def f_relations_numeric(model: Model, n: int) -> List[Record]:
 
 
 def exponent_integrality(model: Model, n: int) -> List[Record]:
-    """Every root exponent is an integer for all index values at small n."""
-    ok = True
-    for cv in model.chvalues.values():
-        if cv.order is None:
-            continue
-        order = eval_expr_int(cv.order, build_env(n))
-        for i in range(1, min(order, 8)):
-            for k in range(1, min(order, 8)):
-                env = build_env(n, i=i, k=k)
-                for term in cv.terms:
-                    for e in term.exps:
-                        try:
-                            eval_expr_int(e, env)
-                        except NotRationalInteger:
-                            ok = False
+    """Every root exponent is an integer at every index value.
+
+    Evaluated at n with i and k left as variables, an exponent is a
+    polynomial in i and k; with integer coefficients (and no negative
+    power) it is an integer at every integer i and k.  Every shipped
+    exponent has degree at most 1 in each of i and k, and for those that is
+    also necessary.
+    """
+    env = build_env(n)
+    env.update(i=QPoly.var("i"), k=QPoly.var("k"))
+    ok = all(_integral(QPoly.coerce(_eval(e, env)))
+             for cv in model.chvalues.values() if cv.order is not None
+             for term in cv.terms for e in term.exps)
     return [Record("exponent_integrality", "all", n, True, ok)]
+
+
+def _integral(poly: QPoly) -> bool:
+    """Whether poly has integer coefficients and no negative power."""
+    try:
+        for c in poly.terms.values():
+            as_integer(c)
+    except NotRationalInteger:
+        return False
+    return all(p > 0 for m in poly.terms for _, p in m)
 
 
 # --- norms ---------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Exact counts on index grids, on Python ints: the parameter sets' classes.
 
 The kernel, count, counts the tuples of a grid Z_r1 x ... x Z_rv that solve
-a system of congruences, from the Smith normal form of the system; no tuple
+a system of congruences, from a triangular basis of its lattice; no tuple
 is listed and no value is bounded.  A parameter set is Z_m or Z_m1 x Z_m2
 minus excluded tuples, modulo the group generated by its affine
 equivalence maps.  Its classes, and those fixed by the doubling
@@ -16,15 +16,13 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .exactnum import NotRationalInteger, Rat, SqrtTwoRat
+from .exactnum import ZERO, NotPolynomial, NotRationalInteger, QPoly, Rat
 from .tabledsl import (
     ClassFam,
     ParamSetSpec,
+    _eval,
     build_env,
-    eval_expr,
     eval_expr_int,
-    eval_int,
-    expr_symbols,
     expr_to_str,
     pred_to_str,
 )
@@ -42,67 +40,58 @@ class NotHomomorphism(ValueError):
     """A congruence row that is not well defined on the grid: its solutions are not counted."""
 
 
-class _NotAffine(Exception):
-    """A product or power of indices met while compiling an affine form."""
-
-
 # --- the counting kernel ---------------------------------------------------------
 
 
-def smith_normal_form(m) -> List[int]:
-    """Diagonal of the Smith normal form of an integer matrix."""
-    a = [list(row) for row in m]
-    rows, cols = len(a), len(a[0])
-    diag = []
-    r = 0
-    while r < min(rows, cols):
-        # find a nonzero pivot
-        piv = None
-        for i in range(r, rows):
-            for j in range(r, cols):
-                if a[i][j] != 0:
-                    if piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]]):
-                        piv = (i, j)
-        if piv is None:
-            break
-        i, j = piv
-        a[r], a[i] = a[i], a[r]
-        for row in a:
-            row[r], row[j] = row[j], row[r]
-        while True:
-            # clear column r
-            done = True
-            for i in range(rows):
-                if i != r and a[i][r] != 0:
-                    qq = a[i][r] // a[r][r]
-                    for j in range(cols):
-                        a[i][j] -= qq * a[r][j]
-                    if a[i][r] != 0:
-                        a[r], a[i] = a[i], a[r]
-                        done = False
-            if not done:
-                continue
-            for j in range(cols):
-                if j != r and a[r][j] != 0:
-                    qq = a[r][j] // a[r][r]
-                    for i in range(rows):
-                        a[i][j] -= qq * a[i][r]
-                    if a[r][j] != 0:
-                        for row in a:
-                            row[r], row[j] = row[j], row[r]
-                        done = False
-            if done:
-                break
-        diag.append(abs(a[r][r]))
-        r += 1
-    # normalize divisibility chain
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            x, y = diag[i], diag[j]
-            if x and y:
-                g = math.gcd(x, y)
-                diag[i], diag[j] = g, x * y // g
-    return diag
+def triangle(gens, dim: int) -> List[List[int]]:
+    """A triangular basis of the lattice that the integer vectors gens span in Z^dim.
+
+    Row i is zero before coordinate i, and its entry i, the pivot, is >= 0;
+    the rows come from gens by extended-gcd row operations, which keep the
+    lattice.  A zero pivot (then a zero row) means that no vector reaches
+    coordinate i past the earlier ones: the lattice has rank below dim.
+    Otherwise the product of the pivots is its index in Z^dim.
+    """
+    rows = []
+    gens = [list(v) for v in gens if any(v)]
+    for i in range(dim):
+        pivot, rest = None, []
+        for v in gens:
+            if not v[i]:
+                rest.append(v)
+            elif pivot is None:
+                pivot = v
+            else:
+                # (pivot, v) -> (x pivot + y v, b pivot - a v), a unimodular step
+                # that leaves g = gcd(pivot_i, v_i) at i in the first and 0 in the second
+                g, x, y = _xgcd(pivot[i], v[i])
+                a, b = pivot[i] // g, v[i] // g
+                pivot, v = ([x * p + y * w for p, w in zip(pivot, v)],
+                            [b * p - a * w for p, w in zip(pivot, v)])
+                if any(v):
+                    rest.append(v)
+        if pivot is None:
+            pivot = [0] * dim
+        elif pivot[i] < 0:
+            pivot = [-p for p in pivot]
+        rows.append(pivot)
+        gens = rest
+    return rows
+
+
+def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) = x a + y b."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        qq, r = divmod(a, b)
+        a, b = b, r
+        x0, y0, x1, y1 = x1, y1, x0 - qq * x1, y0 - qq * y1
+    return (a, x0, y0) if a > 0 else (-a, -x0, -y0)
+
+
+def lattice_index(rows) -> int:
+    """The product of the pivots of triangle's rows: the lattice's index, 0 if its rank is short."""
+    return math.prod(row[i] for i, row in enumerate(rows))
 
 
 def count(rows, mods, ranges) -> int:
@@ -112,11 +101,11 @@ def count(rows, mods, ranges) -> int:
     each row is reduced mod its m_k.  Each must be well defined on the grid,
     m_k | c_kj r_j for every j, else NotHomomorphism is raised: then
     phi(a) = (c_k . a mod m_k)_k is a homomorphism of finite abelian groups
-    and the tuples sought are a coset of its kernel, or none.  With
-    A = [C | diag(m)], whose columns span phi's image lifted to Z^K, and d
-    the product of the Smith invariants, |im phi| = prod m / d(A), and b is
-    in the image exactly when d([A | b]) = d(A).  So the count is
-    prod r * d(A) / prod m, or 0.
+    and the tuples sought are a coset of its kernel, or none.  The columns
+    of A = [C | diag(m)] span phi's image lifted to Z^K.  With d(A) the
+    index of their lattice, read from its triangle, |im phi| = prod m / d(A),
+    and b is in the image exactly when back-substitution on the triangle
+    clears it.  So the count is prod r * d(A) / prod m, or 0.
     """
     nv = len(ranges)
     system = []
@@ -131,12 +120,16 @@ def count(rows, mods, ranges) -> int:
         return 0
     if not system:
         return math.prod(ranges)
-    lattice = [row[:nv] + [m * (i == k) for i in range(len(system))]
-               for k, (row, m) in enumerate(system)]
-    d = math.prod(smith_normal_form(lattice))
-    if math.prod(smith_normal_form([a + [row[nv]] for a, (row, _) in zip(lattice, system)])) != d:
-        return 0
-    return math.prod(ranges) * d // math.prod(m for _, m in system)
+    dim = len(system)
+    tri = triangle([[row[j] for row, _ in system] for j in range(nv)]
+                   + [[m * (i == k) for i in range(dim)] for k, (_, m) in enumerate(system)], dim)
+    b = [row[nv] for row, _ in system]
+    for i, pivot in enumerate(tri):
+        qq, rest = divmod(b[i], pivot[i])
+        if rest:
+            return 0
+        b = [x - qq * p for x, p in zip(b, pivot)]
+    return math.prod(ranges) * lattice_index(tri) // math.prod(m for _, m in system)
 
 
 def _fixed_rows(lin, shift) -> List[List[int]]:
@@ -166,64 +159,28 @@ def _affine(owner: str, exprs, n: int, varnames) -> Tuple[int, Tuple[Tuple[Rat, 
 
     Returns (D, rows): row j is (a_1, ..., a_v, c) with expression j equal to
     a_1*var_1 + ... + a_v*var_v + c, and D is the least common denominator of
-    every entry.  One walk of the expression tree builds each row, so a
-    product or power of indices is rejected whatever values it takes;
-    subtrees free of indices are evaluated once, in Q(sqrt2).  Errors name
+    every entry.  Each expression is evaluated at n with the indices bound
+    to variables, and is affine when every monomial of its value is 1 or
+    one index; so a*b - a*b + a is affine and a*b is not.  Errors name
     owner, the set, family or class the expressions belong to.
     """
     key = (tuple(exprs), n, tuple(varnames))
     if key in _AFFINE_CACHE:
         return _AFFINE_CACHE[key]
     env = build_env(n)
-    index = {v: i for i, v in enumerate(varnames)}
-    zero = [SqrtTwoRat(0)] * len(varnames)
-
-    def walk(node):
-        """(index coefficients, or None for an index-free node; constant part)."""
-        op = node[0]
-        if op == "sym" and node[1] in index:
-            return ([SqrtTwoRat(int(i == index[node[1]])) for i in range(len(zero))],
-                    SqrtTwoRat(0))
-        if op in ("int", "sym"):
-            return None, eval_expr(node, env)
-        if op == "neg":
-            row, c = walk(node[1])
-            return (None if row is None else [-a for a in row]), -c
-        if op == "pow":
-            if expr_symbols(node[2]) & index.keys():
-                raise _NotAffine
-            row, c = walk(node[1])
-            e = eval_int(node[2], env)
-            if row is None:
-                return None, c ** e
-            if e != 1:
-                raise _NotAffine
-            return row, c
-        (ra, ca), (rb, cb) = walk(node[1]), walk(node[2])
-        if op in ("add", "sub"):
-            sign = 1 if op == "add" else -1
-            if ra is None and rb is None:
-                return None, ca + sign * cb
-            return ([a + sign * b for a, b in zip(ra or zero, rb or zero)],
-                    ca + sign * cb)
-        if op == "mul":
-            if ra is not None and rb is not None:
-                raise _NotAffine
-            if ra is None:
-                ra, ca, cb = rb, cb, ca
-            return (None if ra is None else [a * cb for a in ra]), ca * cb
-        if rb is not None:  # div
-            raise _NotAffine
-        return (None if ra is None else [a / cb for a in ra]), ca / cb
-
+    env.update((v, QPoly.var(v)) for v in varnames)
+    monomials = [((v, 1),) for v in varnames] + [()]  # a row's terms, in its order
+    affine = set(monomials)
     rows = []
     for expr in exprs:
         try:
-            row, c = walk(expr)
-        except _NotAffine:
+            terms = QPoly.coerce(_eval(expr, env)).terms
+        except NotPolynomial:
+            terms = None
+        if terms is None or not terms.keys() <= affine:
             raise MapClosureError(f"{owner}: expression {expr_to_str(expr)} is not affine "
-                                  f"in {', '.join(varnames)}") from None
-        rows.append(tuple(a.as_fraction() for a in (row or zero) + [c]))
+                                  f"in {', '.join(varnames)}")
+        rows.append(tuple(terms.get(m, ZERO).as_fraction() for m in monomials))
     result = math.lcm(*(f.denominator for row in rows for f in row)), tuple(rows)
     _AFFINE_CACHE[key] = result
     return result

@@ -1,4 +1,6 @@
-"""Exact arithmetic in Q(sqrt2) and polynomials in q, where q = 2^n * sqrt2.
+"""Exact arithmetic in Q(sqrt2), and polynomials over it in named variables.
+
+The variable q stands for 2^n * sqrt2.
 
 All table data evaluates through this module; nothing here ever rounds.
 Orders of the groups involved reach ~2^180.  Values are kept on Python big
@@ -8,7 +10,7 @@ ints, with a Fraction only for a coordinate whose denominator is above 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Union
+from typing import Dict, Tuple, Union
 
 Rat = Union[int, Fraction]
 
@@ -53,7 +55,9 @@ class SqrtTwoRat:
         raise TypeError(f"cannot coerce {x!r} to SqrtTwoRat")
 
     def __add__(self, other):
-        other = SqrtTwoRat.coerce(other)
+        other = _num(other)
+        if other is NotImplemented:
+            return other
         return SqrtTwoRat(self.a + other.a, self.b + other.b)
 
     __radd__ = __add__
@@ -62,13 +66,21 @@ class SqrtTwoRat:
         return SqrtTwoRat(-self.a, -self.b)
 
     def __sub__(self, other):
-        return self + (-SqrtTwoRat.coerce(other))
+        other = _num(other)
+        if other is NotImplemented:
+            return other
+        return SqrtTwoRat(self.a - other.a, self.b - other.b)
 
     def __rsub__(self, other):
-        return SqrtTwoRat.coerce(other) + (-self)
+        other = _num(other)
+        if other is NotImplemented:
+            return other
+        return SqrtTwoRat(other.a - self.a, other.b - self.b)
 
     def __mul__(self, other):
-        other = SqrtTwoRat.coerce(other)
+        other = _num(other)
+        if other is NotImplemented:
+            return other
         # (a1 + b1 s)(a2 + b2 s) = a1 a2 + 2 b1 b2 + (a1 b2 + a2 b1) s
         return SqrtTwoRat(
             self.a * other.a + 2 * self.b * other.b,
@@ -85,10 +97,16 @@ class SqrtTwoRat:
         return SqrtTwoRat(Fraction(self.a) / norm, Fraction(-self.b) / norm)
 
     def __truediv__(self, other):
-        return self * SqrtTwoRat.coerce(other).inverse()
+        other = _num(other)
+        if other is NotImplemented:
+            return other
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return SqrtTwoRat.coerce(other) * self.inverse()
+        other = _num(other)
+        if other is NotImplemented:
+            return other
+        return other * self.inverse()
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
@@ -105,10 +123,9 @@ class SqrtTwoRat:
         return out
 
     def __eq__(self, other):
-        try:
-            other = SqrtTwoRat.coerce(other)
-        except TypeError:
-            return NotImplemented
+        other = _num(other)
+        if other is NotImplemented:
+            return other
         return self.a == other.a and self.b == other.b
 
     def __hash__(self):
@@ -136,6 +153,18 @@ class SqrtTwoRat:
         if self.a == 0:
             return f"{self.b}*s2"
         return f"{self.a}+{self.b}*s2"
+
+
+def _num(x):
+    """x as a SqrtTwoRat, or NotImplemented for any other type.
+
+    The operators return that, so an operation with a QPoly is done by the QPoly.
+    """
+    if type(x) is SqrtTwoRat:
+        return x
+    if isinstance(x, (int, Fraction)):
+        return SqrtTwoRat(x)
+    return NotImplemented
 
 
 ZERO = SqrtTwoRat(0)
@@ -171,34 +200,57 @@ def q_value(n: int) -> SqrtTwoRat:
     return SqrtTwoRat(0, 1 << n)
 
 
-class QPoly:
-    """Polynomial in q with SqrtTwoRat coefficients.
+class NotPolynomial(ValueError):
+    """A division by a polynomial that is not a monomial, or a power whose exponent is not constant."""
 
-    Terms like q^13/sqrt2 are carried as a sqrt2-rational coefficient
+
+# A monomial: sorted (name, power) pairs with nonzero powers; () is the constant one.
+Monomial = Tuple[Tuple[str, int], ...]
+
+
+def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+    """The product of two monomials, a power that cancels dropped."""
+    if not m1 or not m2:
+        return m1 or m2
+    powers = dict(m1)
+    for v, p in m2:
+        powers[v] = powers.get(v, 0) + p
+    return tuple(sorted((v, p) for v, p in powers.items() if p))
+
+
+class QPoly:
+    """Polynomial over Q(sqrt2) in named variables, q the one that eval substitutes.
+
+    A power is negative only after a division by a monomial.  Terms like
+    q^13/sqrt2 are carried as a sqrt2-rational coefficient
     (q^13/sqrt2 = (s2/2)*q^13), which keeps sums of integer-power and
     half-twisted terms in one ring.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("terms",)
 
-    def __init__(self, coeffs: Dict[int, SqrtTwoRat] = None):
-        clean: Dict[int, SqrtTwoRat] = {}
-        for p, c in (coeffs or {}).items():
+    def __init__(self, terms: Dict[Monomial, SqrtTwoRat] = None):
+        clean: Dict[Monomial, SqrtTwoRat] = {}
+        for m, c in (terms or {}).items():
             c = SqrtTwoRat.coerce(c)
             if not c.is_zero():
-                clean[int(p)] = c
-        object.__setattr__(self, "coeffs", clean)
+                clean[m] = c
+        object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, *args):
         raise AttributeError("QPoly is immutable")
 
     @staticmethod
     def const(c) -> "QPoly":
-        return QPoly({0: SqrtTwoRat.coerce(c)})
+        return QPoly({(): SqrtTwoRat.coerce(c)})
 
     @staticmethod
     def q(power: int = 1) -> "QPoly":
-        return QPoly({power: ONE})
+        return QPoly({(("q", power),) if power else (): ONE})
+
+    @staticmethod
+    def var(name: str) -> "QPoly":
+        return QPoly({((name, 1),): ONE})
 
     @staticmethod
     def coerce(x) -> "QPoly":
@@ -206,17 +258,23 @@ class QPoly:
             return x
         return QPoly.const(SqrtTwoRat.coerce(x))
 
+    def constant(self) -> SqrtTwoRat:
+        """The value of a constant polynomial; NotPolynomial if a variable occurs."""
+        if self.terms.keys() - {()}:
+            raise NotPolynomial(f"{self!r} is not a constant")
+        return self.terms.get((), ZERO)
+
     def __add__(self, other):
         other = QPoly.coerce(other)
-        out = dict(self.coeffs)
-        for p, c in other.coeffs.items():
-            out[p] = out.get(p, ZERO) + c
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out[m] + c if m in out else c
         return QPoly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QPoly({p: -c for p, c in self.coeffs.items()})
+        return QPoly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-QPoly.coerce(other))
@@ -226,27 +284,30 @@ class QPoly:
 
     def __mul__(self, other):
         other = QPoly.coerce(other)
-        out: Dict[int, SqrtTwoRat] = {}
-        for p1, c1 in self.coeffs.items():
-            for p2, c2 in other.coeffs.items():
-                p = p1 + p2
-                out[p] = out.get(p, ZERO) + c1 * c2
+        out: Dict[Monomial, SqrtTwoRat] = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = _mono_mul(m1, m2)
+                out[m] = out[m] + c1 * c2 if m in out else c1 * c2
         return QPoly(out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = QPoly.coerce(other)
-        if len(other.coeffs) == 1:
-            (p, c), = other.coeffs.items()
-            inv = c.inverse()
-            return QPoly({pp - p: cc * inv for pp, cc in self.coeffs.items()})
-        raise ValueError("QPoly division only by monomials")
+        if not other.terms:
+            raise ZeroDivisionError("division by the zero polynomial")
+        if len(other.terms) > 1:
+            raise NotPolynomial(f"division by {other!r}, which is not a monomial")
+        (m, c), = other.terms.items()
+        inv, m_inv = c.inverse(), tuple((v, -p) for v, p in m)
+        return QPoly({_mono_mul(mm, m_inv): cc * inv for mm, cc in self.terms.items()})
+
+    def __rtruediv__(self, other):
+        return QPoly.coerce(other) / self
 
     def __pow__(self, e: int):
         if e < 0:
-            if len(self.coeffs) != 1:
-                raise ValueError("negative power of a non-monomial QPoly")
             return (QPoly.const(1) / self) ** (-e)
         out = QPoly.const(1)
         base = self
@@ -260,24 +321,30 @@ class QPoly:
     def __eq__(self, other):
         if not isinstance(other, QPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        return hash(frozenset(self.terms.items()))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
-    def eval(self, n: int) -> SqrtTwoRat:
-        """Exact substitution q -> 2^n sqrt2."""
+    def eval(self, n: int):
+        """Exact substitution q -> 2^n sqrt2: a SqrtTwoRat, or a QPoly in the other variables."""
         q = q_value(n)
         out = ZERO
-        for p, c in self.coeffs.items():
-            out = out + c * q ** p
+        for m, c in self.terms.items():
+            powers = dict(m)
+            c = c * q ** powers.pop("q", 0)
+            out = out + (QPoly({tuple(powers.items()): c}) if powers else c)
         return out
 
     def __repr__(self):
-        items = " + ".join(f"({c})*q^{p}" for p, c in sorted(self.coeffs.items()))
+        # q^p first in each term, the terms in order of p: a polynomial in q
+        # prints as (c)*q^p + ..., constant term included
+        terms = sorted(((dict(m).get("q", 0), "".join(f"*{v}^{e}" for v, e in m if v != "q")), c)
+                       for m, c in self.terms.items())
+        items = " + ".join(f"({c})*q^{p}{rest}" for (p, rest), c in terms)
         return f"QPoly[{items or '0'}]"
 
 

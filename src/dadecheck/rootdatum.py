@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .counting import smith_normal_form
+from .counting import lattice_index, triangle
 from .record import Record
 from .tabledsl import WeylDataError
 
@@ -247,14 +247,14 @@ def torus_order(weyl: WeylGroup, w: Matrix, n: int) -> int:
 
 
 def torus_fixed_count(weyl: WeylGroup, w: Matrix, n: int) -> int:
-    """Cokernel size of (2^n m0 w - 1): the independent oracle for torus_order."""
-    diag = smith_normal_form(torus_matrix(weyl, w, n))
-    out = 1
-    for d in diag:
-        if d == 0:
-            raise SingularMatrix("torus matrix is singular")
-        out *= d
-    return out
+    """Cokernel size of (2^n m0 w - 1): the independent oracle for torus_order.
+
+    It is the index of the lattice of the matrix's rows, from their triangle.
+    """
+    d = lattice_index(triangle(torus_matrix(weyl, w, n), 4))
+    if d == 0:
+        raise SingularMatrix("torus matrix is singular")
+    return d
 
 
 # --- roots ------------------------------------------------------------------
@@ -533,7 +533,7 @@ def weyl_table_checks(model):
 
 
 def torus_order_checks(model, n: int):
-    """Each class's torus order from the table against det and the SNF cokernel."""
+    """Each class's torus order from the table against det and the cokernel size."""
     from .tabledsl import build_env, eval_expr_int
 
     records = []
@@ -567,8 +567,8 @@ def _torus_checks(model, n: int, side: str):
     and each R_k with r_k > 1 are.  Where the chart is well defined on the
     grid, r_k R_k = 0 mod D, its linear part is a homomorphism, so there are
     as many distinct points as the subgroup of (Z_D)^4 that the R_k generate
-    has elements: D^4 over the product of the Smith normal form of the R_k
-    stacked on D I_4.  Where it is not, the distinct-point record fails.
+    has elements: D^4 over the index of the lattice that the R_k and D I_4
+    span.  Where it is not, the distinct-point record fails.
     """
     from .counting import _ranges
     from .paramsets import _chart
@@ -603,7 +603,7 @@ def _torus_checks(model, n: int, side: str):
             distinct = f"chart not well defined mod {denom}"
         else:
             lattice = lin + [[denom * (i == j) for j in range(4)] for i in range(4)]
-            distinct = denom ** 4 // math.prod(smith_normal_form(lattice))
+            distinct = denom ** 4 // lattice_index(triangle(lattice, 4))
         records.append(Record(prefix + "_distinct", wid, n, order, distinct))
     return records
 

@@ -16,10 +16,9 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .exactnum import NotRationalInteger, PHI_POLYS, QPoly, SQRT2, SqrtTwoRat, as_integer
+from .exactnum import NotRationalInteger, PHI_POLYS, Q, QPoly, SQRT2, SqrtTwoRat, as_integer
 
 
 class TableSyntaxError(ValueError):
@@ -322,8 +321,13 @@ def parse_blocks(text: str):
 # expression evaluation
 
 
+# The symbols every table expression may use but n, t and the indices, as
+# polynomials in q.  Each is defined here once: _base_env evaluates them at n.
+_QPOLY_ENV: Dict[str, QPoly] = {"q": Q, "s2": QPoly.const(SQRT2),
+                                "th": Q / QPoly.const(SQRT2), **PHI_POLYS}
+
 # n -> the environment of build_env(n) without t and indices.  n is the whole
-# key: PHI_POLYS is a module constant and every value is an immutable
+# key: _QPOLY_ENV is a module constant and every value is an immutable
 # SqrtTwoRat.  Filled on first use, so loading a model evaluates nothing.
 _BASE_ENV: Dict[int, Dict[str, object]] = {}
 
@@ -331,14 +335,7 @@ _BASE_ENV: Dict[int, Dict[str, object]] = {}
 def _base_env(n: int) -> Dict[str, object]:
     env = _BASE_ENV.get(n)
     if env is None:
-        env = {
-            "n": SqrtTwoRat(n),
-            "q": SqrtTwoRat(0, 1 << n),
-            "s2": SQRT2,
-            "th": SqrtTwoRat(1 << n),
-        }
-        for name, poly in PHI_POLYS.items():
-            env[name] = poly.eval(n)
+        env = {"n": SqrtTwoRat(n), **{name: p.eval(n) for name, p in _QPOLY_ENV.items()}}
         _BASE_ENV[n] = env
     return env
 
@@ -356,29 +353,24 @@ def build_env(n: int, t: Optional[int] = None, **indices) -> Dict[str, object]:
     return env
 
 
-_QPOLY_ENV = None
-
-
-def qpoly_env() -> Dict[str, object]:
-    """Symbolic environment mapping q to the polynomial generator."""
-    global _QPOLY_ENV
-    if _QPOLY_ENV is None:
-        env = {"q": QPoly.q(1), "s2": QPoly.const(SQRT2)}
-        env["th"] = env["q"] * QPoly.const(SqrtTwoRat(0, Fraction(1, 2)))  # q/sqrt2
-        env.update(PHI_POLYS)
-        _QPOLY_ENV = env
-    return dict(_QPOLY_ENV)
-
-
 def eval_int(node: Expr, env) -> int:
-    """Evaluate a subexpression that must be a plain integer (exponents)."""
-    return as_integer(SqrtTwoRat.coerce(_eval(node, env, scalar=True)))
+    """Evaluate a subexpression that must be a plain integer (exponents).
+
+    A value with a variable in it raises NotPolynomial.
+    """
+    v = _eval(node, env)
+    return as_integer(v.constant() if isinstance(v, QPoly) else v)
 
 
-def _eval(node: Expr, env, scalar=False):
+def _eval(node: Expr, env):
+    """The value of an expression tree in env: a number, or a QPoly where env binds one.
+
+    Integer literals are SqrtTwoRat; an operation with a QPoly is a QPoly.
+    This is the one evaluator of expression trees.
+    """
     op = node[0]
     if op == "int":
-        return SqrtTwoRat(node[1]) if scalar else _lift_int(node[1], env)
+        return SqrtTwoRat(node[1])
     if op == "sym":
         name = node[1]
         if name not in env:
@@ -387,30 +379,22 @@ def _eval(node: Expr, env, scalar=False):
             raise UnknownSymbol(name)
         return env[name]
     if op == "neg":
-        return -_eval(node[1], env, scalar)
+        return -_eval(node[1], env)
     if op == "pow":
-        base = _eval(node[1], env, scalar)
+        base = _eval(node[1], env)
         exp = eval_int(node[2], env)
         return base ** exp
-    a = _eval(node[1], env, scalar)
+    a = _eval(node[1], env)
     b_node = node[2]
     if op == "add":
-        return a + _eval(b_node, env, scalar)
+        return a + _eval(b_node, env)
     if op == "sub":
-        return a - _eval(b_node, env, scalar)
+        return a - _eval(b_node, env)
     if op == "mul":
-        return a * _eval(b_node, env, scalar)
+        return a * _eval(b_node, env)
     if op == "div":
-        return a / _eval(b_node, env, scalar)
+        return a / _eval(b_node, env)
     raise ValueError(f"bad expression node {node!r}")
-
-
-def _lift_int(v: int, env):
-    # Integers must live in whatever domain the environment's q lives in.
-    q = env.get("q")
-    if isinstance(q, QPoly):
-        return QPoly.const(v)
-    return SqrtTwoRat(v)
 
 
 def eval_expr(node: Expr, env) -> SqrtTwoRat:
@@ -423,13 +407,9 @@ def eval_expr_int(node: Expr, env) -> int:
     return as_integer(eval_expr(node, env))
 
 
-def eval_qpoly(node: Expr, extra: Optional[Dict[str, QPoly]] = None) -> QPoly:
+def eval_qpoly(node: Expr) -> QPoly:
     """Evaluate an n-free expression into a symbolic polynomial in q."""
-    env = qpoly_env()
-    if extra:
-        env.update(extra)
-    v = _eval(node, env)
-    return QPoly.coerce(v)
+    return QPoly.coerce(_eval(node, _QPOLY_ENV))
 
 
 def expr_symbols(node) -> set:
@@ -984,7 +964,7 @@ def validate_model(model: Model) -> None:
                             f"{bkind} {obj.id}: {f.table}: unknown {f.refers} {ref}")
     env1 = build_env(1, t=1)
     names = set(_base_env(1))  # n, q, s2, th and the phi values
-    poly_names = names - {"n"}  # those of qpoly_env: polynomials in q
+    poly_names = names - {"n"}  # those of _QPOLY_ENV: polynomials in q
     for row in model.fixrows.values():
         _check_expr(f"fixrow {row.id}", row.formula, env1)
         # fixed_count_formula evaluates every row at n = 1, so only t may vary

@@ -102,9 +102,20 @@ def test_norm_sign_invariance(model):
 
 
 def test_exponent_integrality(model):
-    for n in (1, 2):
+    import dataclasses
+
+    # an exponent that is not an integer at some (i, k) fails the record
+    cv = next(cv for cv in model.chvalues.values() if cv.order is not None and cv.terms[0].exps)
+    term = cv.terms[0]
+    for n in (1, 2, 4, 9):
         (r,) = ct.exponent_integrality(model, n)
         assert r.ok
+        for bad in ("i*k/2", "k/i", "th*i/3"):
+            broken = copy.copy(model)
+            broken.chvalues = dict(model.chvalues)
+            broken.chvalues[cv.id] = dataclasses.replace(cv, terms=(
+                ValueTerm(term.coeff, term.eps4, (_expr(bad),) + term.exps[1:]),) + cv.terms[1:])
+            assert not ct.exponent_integrality(broken, n)[0].ok, (bad, n)
 
 
 def test_degree_identities(model):

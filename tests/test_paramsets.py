@@ -253,6 +253,10 @@ def _expr(text):
     ("k^2", ("k",)),
     ("a*b", ("a", "b")),
     ("(th+a)*(1-b)/p8", ("a", "b")),
+    ("2^a", ("a",)),
+    ("a^b", ("a", "b")),
+    ("a/b", ("a", "b")),
+    ("a/(b+1)", ("a", "b")),
 ])
 def test_affine_compiler_rejects_non_affine(text, varnames):
     from dadecheck.paramsets import MapClosureError, _affine
@@ -287,6 +291,47 @@ def test_affine_compiler_coefficients():
     denom, rows = _affine("X", exprs, 1, ("a", "b"))
     assert rows == ((Fraction(3, 7), Fraction(1, 7), 0), (-1, 3, 4))
     assert denom == 7
+    # affine is judged by the value: products of indices that cancel are accepted
+    denom, rows = _affine("X", [_expr("a*b - a*b + a"), _expr("b^0")], 1, ("a", "b"))
+    assert (denom, rows) == (1, ((1, 0, 0), (0, 0, 1)))
+
+
+@st.composite
+def _affine_trees(draw):
+    """An expression tree affine in the indices a and b by its construction.
+
+    Constants are integers, th, n and p8b with sums, products and powers;
+    an index term may be added, negated, multiplied by a constant, divided
+    by a nonzero integer or raised to the first power.
+    """
+    const = st.recursive(
+        st.integers(-9, 9).map(lambda v: ("int", v))
+        | st.sampled_from(["th", "n", "p8b"]).map(lambda s: ("sym", s)),
+        lambda sub: st.tuples(st.sampled_from(["add", "sub", "mul"]), sub, sub)
+        | st.tuples(st.just("pow"), sub, st.integers(0, 3).map(lambda v: ("int", v))),
+        max_leaves=4)
+    return draw(st.recursive(
+        const | st.sampled_from(["a", "b"]).map(lambda s: ("sym", s)),
+        lambda sub: st.tuples(st.sampled_from(["add", "sub"]), sub, sub)
+        | sub.map(lambda e: ("neg", e))
+        | st.tuples(st.just("mul"), const, sub)
+        | st.tuples(st.just("div"), sub, st.integers(1, 9).map(lambda v: ("int", v)))
+        | st.tuples(st.just("pow"), sub, st.just(("int", 1))),
+        max_leaves=8))
+
+
+@given(_affine_trees(), st.integers(1, 3), st.integers(-20, 20), st.integers(-20, 20))
+@settings(max_examples=150, deadline=None)
+def test_affine_rows_match_evaluation(expr, n, a, b):
+    from fractions import Fraction
+
+    from dadecheck.exactnum import SqrtTwoRat
+    from dadecheck.paramsets import _affine
+    from dadecheck.tabledsl import build_env, eval_expr
+
+    denom, ((ca, cb, c),) = _affine("X", [expr], n, ("a", "b"))
+    assert all((denom * Fraction(x)).denominator == 1 for x in (ca, cb, c))
+    assert SqrtTwoRat(ca * a + cb * b + c) == eval_expr(expr, build_env(n, a=a, b=b))
 
 
 def _centralizer_by_definition(word, model):

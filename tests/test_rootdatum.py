@@ -109,11 +109,13 @@ def test_snf_cokernel_matches_det(model):
             assert rd.torus_order(weyl, w, n) == rd.torus_fixed_count(weyl, w, n)
 
 
-def test_smith_normal_form_basic():
-    assert rd.smith_normal_form(((2, 0), (0, 3))) == [1, 6]
-    assert rd.smith_normal_form(((1, 0), (0, 0))) == [1]
-    d = rd.smith_normal_form(((4, 2), (2, 4)))
-    assert d == [2, 6]
+def test_triangle_index_basic():
+    from dadecheck.counting import lattice_index, triangle
+
+    assert lattice_index(triangle(((2, 0), (0, 3)), 2)) == 6
+    assert triangle(((1, 0), (0, 0)), 2) == [[1, 0], [0, 0]]  # a missing pivot: rank 1
+    assert lattice_index(triangle(((1, 0), (0, 0)), 2)) == 0
+    assert lattice_index(triangle(((4, 2), (2, 4)), 2)) == 12
 
 
 def test_weyl_table_checks(model):

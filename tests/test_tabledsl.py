@@ -19,6 +19,7 @@ from dadecheck.tabledsl import (
     _ModelBuilder,
     UnboundSymbol,
     build_env,
+    eval_expr,
     eval_expr_int,
     parse_blocks,
     parse_model,
@@ -131,10 +132,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 
-def _expr_strategy():
+def _expr_strategy(symbols=("q", "s2", "th", "n", "k", "p8a")):
     atoms = st.one_of(
         st.integers(0, 99).map(lambda v: ("int", v)),
-        st.sampled_from(["q", "s2", "th", "n", "k", "p8a"]).map(lambda s: ("sym", s)),
+        st.sampled_from(symbols).map(lambda s: ("sym", s)),
     )
 
     def extend(children):
@@ -153,6 +154,17 @@ def test_expr_serialize_roundtrip(e):
     from dadecheck.tabledsl import expr_to_str
 
     assert _expr(expr_to_str(e)) == e
+
+
+@given(_expr_strategy(("q", "s2", "th", "p8a")))
+@settings(max_examples=150, deadline=None)
+def test_symbolic_and_numeric_environments_agree(e):
+    # each symbol is defined once: as a polynomial in q, evaluated at n
+    from dadecheck.tabledsl import eval_qpoly
+
+    poly = eval_qpoly(e)
+    for n in (1, 2, 3, 4):
+        assert poly.eval(n) == eval_expr(e, build_env(n))
 
 
 def test_build_env_returns_fresh_copies():
