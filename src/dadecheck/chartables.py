@@ -26,6 +26,7 @@ from .tabledsl import (
     eval_expr,
     eval_expr_int,
     eval_qpoly,
+    exponent_poly,
 )
 from .dadeverify import two_part_exponent
 
@@ -60,13 +61,9 @@ def class_equation(model: Model, n: int) -> List[Record]:
 
 # --- root exponents ------------------------------------------------------------
 
-# th, i and k as variables: a root exponent evaluates to a polynomial in them
-_EXPONENT_ENV = {s: QPoly.var(s) for s in EXPONENT_SYMBOLS}
-
-
 def _exp_poly(expr) -> tuple:
     """A root exponent as its terms ((powers of th, i, k), rational coefficient), sorted."""
-    poly = QPoly.coerce(_eval(expr, _EXPONENT_ENV))
+    poly = exponent_poly(expr)
     return tuple(sorted(
         (tuple(dict(m).get(s, 0) for s in EXPONENT_SYMBOLS), Fraction(c.as_fraction()))
         for m, c in poly.terms.items()))

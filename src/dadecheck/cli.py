@@ -56,8 +56,8 @@ def _init_worker(data_dir):
 
 
 # kind -> (module, [(n_free, checker)]).  The module is imported when the kind
-# first runs, so a run loads only what its kinds need (numpy only for params
-# and weyl).  The n-free checkers of a kind run once per run, in its task with
+# first runs, so a run loads only what its kinds need (numpy only for
+# params).  The n-free checkers of a kind run once per run, in its task with
 # n None; the others run in its task at every n.  A checker is called as
 # checker(module, model, n, cfg) and reaches its function through the module
 # attribute at call time, so a patched or wrapped function is the one that runs.

@@ -1,14 +1,15 @@
 """Class counts of semisimple class families, and the listing of set classes.
 
 A family is counted on its index grid by Burnside's lemma under the
-F-centralizer of its torus, where its chart carries the action: each
-|Fix(a_g)| comes from the exact kernel of counting.py, and the excluded
-tuples among the fixed points are found by applying a_g to the listed
-excluded tuples.  Where the chart does not carry the action, the orbit
-kernel counts the listed members.  The parameter sets are counted in
-counting.py; enumerate_classes still lists their classes, for ``dadecheck
-params --list`` and as a test oracle.  Counts are checked against the
-closed-form cardinality column of the tables.
+F-centralizer of its torus (listed by rootdatum.f_centralizer, held here as
+an int64 array), where its chart (rootdatum._chart, shared with the torus
+checks) carries the action: each |Fix(a_g)| comes from the exact kernel of
+counting.py, and the excluded tuples among the fixed points are found by
+applying a_g to the listed excluded tuples.  Where the chart does not carry
+the action, the orbit kernel counts the listed members.  The parameter sets
+are counted in counting.py; enumerate_classes still lists their classes,
+for ``dadecheck params --list`` and as a test oracle.  Counts are checked
+against the closed-form cardinality column of the tables.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from . import rootdatum
 from .counting import (
     AffineGroup,
     MapClosureError,
-    _affine,
     _atom_row,
     _orbits,
     _permutes,
@@ -39,6 +39,7 @@ from .counting import (
     has_index_structure,
 )
 from .record import Record
+from .rootdatum import _chart
 from .tabledsl import ClassFam, Model, ParamSetSpec, build_env, eval_expr_int
 
 
@@ -69,22 +70,6 @@ def _listable(size: int, what: str) -> None:
         raise BudgetExceeded(f"{what}: {size} tuples, more than {_LISTED_TUPLES}")
 
 
-def _chart(owner: str, exprs, varnames, n: int, side: str) -> Tuple[int, List[List[int]]]:
-    """Coordinates affine in the indices as (D, nv + 1 rows of 4 integers mod D).
-
-    Row k < nv is the D-scaled coefficient vector of index k and row nv the
-    constant, so the point at index tuple a is sum_k a_k R_k + R_nv mod D.
-    Torus-side values are on the eps basis; the change to the simple-root
-    basis of X is linear mod D, so it is applied to the rows.  The rows are
-    Python ints, exact at every D; callers guard their int64 arithmetic.
-    """
-    denom, rows = _affine(owner, exprs, n, varnames)
-    chart = [[int(row[k] * denom) % denom for row in rows] for k in range(len(varnames) + 1)]
-    if side == "torus":
-        chart = [_eps_to_x(v, denom) for v in chart]
-    return denom, chart
-
-
 def _points(owner: str, exprs, varnames, arrays, n: int, side: str) -> Tuple[int, np.ndarray]:
     """Points of a parameterized family as (D, N x 4 int64 array of D * value mod D).
 
@@ -99,19 +84,6 @@ def _points(owner: str, exprs, varnames, arrays, n: int, side: str) -> Tuple[int
     for arr, row in zip(arrays, chart):
         vecs = (vecs + arr[:, None] * row) % denom
     return denom, vecs
-
-
-# Twice the simple roots on eps_1..eps_4: integral rows.
-_TWICE_ROOTS = tuple(tuple(int(2 * x) for x in r) for r in rootdatum._R_IN_EPS)
-
-
-def _eps_to_x(a: Sequence[int], m: int) -> List[int]:
-    """A value on eps_1..eps_4 -> the value on the simple-root basis (odd order m), exactly.
-
-    Its coordinate i is the pairing <a, r_i>, which is <a, 2 r_i> / 2 and 2 is a unit mod m.
-    """
-    half = pow(2, -1, m)
-    return [sum(x * y for x, y in zip(a, r)) * half % m for r in _TWICE_ROOTS]
 
 
 # --- index grids and affine maps on them --------------------------------------
@@ -322,6 +294,12 @@ class Centralizer:
     gens: Tuple[int, ...]
 
 
+def _void_rows(a: np.ndarray) -> np.ndarray:
+    """Each int64 row (or matrix) of a as one opaque value: equal rows, equal bytes."""
+    flat = np.ascontiguousarray(a, dtype=np.int64).reshape(len(a), -1)
+    return flat.view(np.dtype((np.void, 8 * flat.shape[1]))).ravel()
+
+
 def _group_structure(mats: np.ndarray) -> Centralizer:
     """Conjugacy classes and generators of a finite matrix group, exactly.
 
@@ -329,12 +307,12 @@ def _group_structure(mats: np.ndarray) -> Centralizer:
     the element h with g h = 1; no inverse is computed in floating point.
     """
     size = len(mats)
-    keys = rootdatum._void_rows(mats)
+    keys = _void_rows(mats)
     order = np.argsort(keys)
     keys = keys[order]
 
     def index(m):
-        want = rootdatum._void_rows(m)
+        want = _void_rows(m)
         pos = np.minimum(np.searchsorted(keys, want), size - 1)
         if not np.array_equal(keys[pos], want):
             raise ValueError("the matrices are not closed under products")
@@ -378,8 +356,8 @@ def _centralizer(model: Model, word: Tuple[str, ...]) -> Centralizer:
     key = (word, rootdatum._datum_key(model))
     if key not in _CENT_CACHE:
         weyl = rootdatum.weyl_group(model)
-        _CENT_CACHE[key] = _group_structure(
-            rootdatum.f_centralizer(weyl, rootdatum.word_matrix(weyl, word)))
+        cent = rootdatum.f_centralizer(weyl, rootdatum.word_matrix(weyl, word))
+        _CENT_CACHE[key] = _group_structure(np.array(cent, dtype=np.int64))
     return _CENT_CACHE[key]
 
 

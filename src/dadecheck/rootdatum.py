@@ -5,7 +5,10 @@ row convention: a lattice vector x maps to x @ M, and the image of basis
 vector e_i is row i of M.  The twist is carried by m0 = sqrt2 * F0 with
 m0^2 = 2, so the Frobenius on X is the integer matrix 2^n * m0.  The
 generators of W and m0 are read from the model (the weylgen and frobenius
-blocks of weyl.def) and reach the code that uses them through a WeylGroup.
+blocks of weyl.def) and reach the code that uses them through a WeylGroup,
+which holds W as tables of element indices.  The torus charts' change from
+the eps basis to the simple-root basis is made here too (_chart).  All of it
+is on Python ints: this module loads no numpy.
 """
 
 from __future__ import annotations
@@ -16,9 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .counting import lattice_index, triangle
+from .counting import _affine, _ranges, lattice_index, triangle
 from .record import Record
 from .tabledsl import WeylDataError
 
@@ -89,106 +90,130 @@ def word_matrix(weyl: WeylGroup, word: Iterable[str]) -> Matrix:
     return m
 
 
-def _void_rows(a: np.ndarray) -> np.ndarray:
-    """Each int64 row (or matrix) of a as one opaque value: equal rows, equal bytes."""
-    flat = np.ascontiguousarray(a, dtype=np.int64).reshape(len(a), -1)
-    return flat.view(np.dtype((np.void, 8 * flat.shape[1]))).ravel()
+def _closure(gmats: Sequence[Matrix], limit: int):
+    """The monoid the generators generate, breadth first, with its right multiplications.
 
-
-# Bound on the entries met while closing up the generators: it keeps every
-# int64 product of two of them exact.
-_ENTRY_BOUND = 1 << 20
-
-
-def _closure(gmats: Sequence[Matrix], limit: int) -> np.ndarray:
-    """The group the generators generate, sorted as the matrices sort as tuples.
-
-    Breadth first: each layer is the previous layer's new elements times every
-    generator.  The monoid this closes is finite only if it is a group.
+    Returns (elements in the order found, right, tree): right[g][x] is the
+    index of elements[x] gmats[g], and tree holds (x, g, p) with
+    elements[x] = elements[p] gmats[g] for every element but the identity
+    (index 0), each after its p.  Row i of x g is row i of x times g, and
+    the rows of W's elements are the images of the simple roots, so each
+    generator's action on rows is computed once per row.  A finite monoid
+    need not be a group: _build_weyl looks for the generators' inverses.
     """
-    gens = np.array(gmats, dtype=np.int64)
-    elems = np.eye(4, dtype=np.int64)[None]
-    frontier = elems
-    while len(frontier):
-        if np.abs(frontier).max() > _ENTRY_BOUND:
-            raise ClosureOverflow(f"Weyl closure met an entry above {_ENTRY_BOUND}")
-        pool = np.concatenate([elems, (frontier[:, None] @ gens).reshape(-1, 4, 4)])
-        # the first of each run of equal matrices, by a stable sort (no np.unique,
-        # which imports numpy.ma)
-        keys = _void_rows(pool)
-        order = np.argsort(keys, kind="stable")
-        first = np.ones(len(pool), dtype=bool)
-        first[1:] = keys[order[1:]] != keys[order[:-1]]
-        first = order[first]
-        frontier = pool[first[first >= len(elems)]]
-        elems = np.concatenate([elems, frontier])
-        if len(elems) > limit:
-            raise ClosureOverflow(f"Weyl closure exceeded {limit} elements")
-    return elems[np.lexsort(elems.reshape(len(elems), -1).T[::-1])]
+    elems = [_IDENT]
+    index = {_IDENT: 0}
+    right: List[List[int]] = [[] for _ in gmats]
+    tree = []
+    cols = [tuple(zip(*gm)) for gm in gmats]
+    acts: List[Dict[tuple, tuple]] = [{} for _ in gmats]  # row -> row g
+    for x, m in enumerate(elems):  # elems grows while it is walked
+        for g, (gc, act) in enumerate(zip(cols, acts)):
+            rows = []
+            for row in m:
+                img = act.get(row)
+                if img is None:
+                    img = act[row] = tuple(sum(a * b for a, b in zip(row, c)) for c in gc)
+                rows.append(img)
+            prod = tuple(rows)
+            y = index.get(prod)
+            if y is None:
+                y = index[prod] = len(elems)
+                elems.append(prod)
+                tree.append((y, g, x))
+                if len(elems) > limit:
+                    raise ClosureOverflow(f"Weyl closure exceeded {limit} elements")
+            right[g].append(y)
+    return elems, right, tree
 
 
 @dataclass(frozen=True)
 class WeylGroup:
-    """W and the F-action on it as int64 arrays, built once per root datum by ``weyl_group``.
+    """W and the F-action on it as tables of ints, built once per root datum by ``weyl_group``.
 
     gens and m0 are the generator matrices and the twist (m0 m0 = 2) of the
-    model's weylgen and frobenius blocks.  elems is sorted as the matrices
-    sort as tuples; twisted and inverses hold m0^-1 w m0 and w^-1 element by
-    element.  labels numbers the F-classes in the order of their least
-    elements, and classes gives each one's least element (an index into
-    elems) and its size.
+    model's weylgen and frobenius blocks, and index numbers the elements of
+    elems, which are sorted as the matrices sort as tuples.  With g the
+    position of a generator in gens: right[g][x] is x g; tree holds
+    (x, g, p) with x = p g for every element but 1, each after its p, so a
+    walk down it meets every element; move[g][x] is g^-1 x F(g), with
+    F(v) = m0^-1 v m0; inverses[x] is x^-1.  labels numbers the F-classes in
+    the order of their least elements, and classes gives each one's least
+    element and its size.  The tables hold elements as indices into elems.
     """
 
     gens: Dict[str, Matrix]
     m0: Matrix
-    elems: np.ndarray
-    twisted: np.ndarray
-    inverses: np.ndarray
-    labels: np.ndarray
+    elems: Tuple[Matrix, ...]
+    index: Dict[Matrix, int]
+    right: Tuple[Tuple[int, ...], ...]
+    tree: Tuple[Tuple[int, int, int], ...]
+    move: Tuple[Tuple[int, ...], ...]
+    inverses: Tuple[int, ...]
+    labels: Tuple[int, ...]
     classes: Tuple[Tuple[int, int], ...]
-    keys: np.ndarray  # _void_rows(elems) in byte order, for _lookup
-    order: np.ndarray  # positions in elems of keys
-
-
-def _lookup(keys: np.ndarray, order: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Positions in elems of the given (k, 4, 4) matrices, which must lie in W."""
-    want = _void_rows(mats)
-    pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-    if not np.array_equal(keys[pos], want):
-        raise WeylDataError("the F-twist of W is not W: m0 does not normalize W")
-    return order[pos]
-
-
-def _position(weyl: WeylGroup, w: Matrix) -> int:
-    """The index in weyl.elems of an element of W."""
-    return int(_lookup(weyl.keys, weyl.order, np.array([w], dtype=np.int64))[0])
 
 
 def _build_weyl(gens: Dict[str, Matrix], m0: Matrix) -> WeylGroup:
-    elems = _closure(list(gens.values()), 2000)  # |W(F4)| = 1152
-    m0_arr = np.array(m0, dtype=np.int64)
-    twisted = m0_arr @ elems @ m0_arr
-    if np.any(twisted % 2):
-        raise WeylDataError("twist left the lattice; generators not in W?")
-    twisted //= 2
+    gmats = list(gens.values())
+    found, right, tree = _closure(gmats, 2000)  # |W(F4)| = 1152
+    # renumber the elements in sorted order
+    order = sorted(range(len(found)), key=found.__getitem__)
+    pos = [0] * len(found)
+    for i, x in enumerate(order):
+        pos[x] = i
+    elems = tuple(found[x] for x in order)
+    right = tuple(tuple(pos[r[x]] for x in order) for r in right)
+    tree = tuple((pos[x], g, pos[p]) for x, g, p in tree)
+    index = {m: i for i, m in enumerate(elems)}
+    one = index[_IDENT]
+
+    def times_left(h: int) -> List[int]:
+        """h x for every x, down the tree: h (p g) = (h p) g."""
+        out = [h] * len(elems)
+        for x, g, p in tree:
+            out[x] = right[g][out[p]]
+        return out
+
+    # a generator's inverse is the element y with y g = 1; the closure is a
+    # group once every generator has one
     try:
-        inverses = np.rint(np.linalg.inv(elems)).astype(np.int64)
-    except np.linalg.LinAlgError:
-        raise WeylDataError("a Weyl generator is singular") from None
-    if not np.all(elems @ inverses == np.eye(4, dtype=np.int64)):
-        raise WeylDataError("a Weyl generator has no integral inverse")
-    keys = _void_rows(elems)
-    order = np.argsort(keys)
-    keys = keys[order]
-    # the F-class of w is {v^-1 w F(v)}: one batched product per class, its
-    # representative the least element no earlier class holds
-    labels = np.full(len(elems), -1)
+        left_inv = [times_left(r.index(one)) for r in right]  # g^-1 x
+    except ValueError:
+        raise WeylDataError("a Weyl generator is singular: no element of the closure "
+                            "is its inverse") from None
+    inverses = [one] * len(elems)
+    for x, g, p in tree:  # (p g)^-1 = g^-1 p^-1
+        inverses[x] = left_inv[g][inverses[p]]
+    # F(v) = m0 v m0 / 2 is multiplicative, so F(W) = W once every F(g) lies in W
+    move = []
+    for gm, by_g_inv in zip(gmats, left_inv):
+        twisted = mat_mul(mat_mul(m0, gm), m0)
+        if any(x % 2 for row in twisted for x in row):
+            raise WeylDataError("twist left the lattice; generators not in W?")
+        f = index.get(tuple(tuple(x // 2 for x in row) for row in twisted))
+        if f is None:
+            raise WeylDataError("the F-twist of W is not W: m0 does not normalize W")
+        by_f_inv = times_left(inverses[f])
+        # x F(g) = (F(g)^-1 x^-1)^-1
+        move.append(tuple(inverses[by_f_inv[inverses[y]]] for y in by_g_inv))
+    # the F-class of w is the orbit of w under the moves; its representative
+    # is the least element no earlier class holds
+    labels = [-1] * len(elems)
     classes = []
-    while (free := np.flatnonzero(labels < 0)).size:
-        orbit = _lookup(keys, order, inverses @ elems[free[0]] @ twisted)
-        labels[orbit] = len(classes)
-        classes.append((int(free[0]), int(np.count_nonzero(np.bincount(orbit)))))
-    return WeylGroup(gens, m0, elems, twisted, inverses, labels, tuple(classes), keys, order)
+    for x in range(len(elems)):
+        if labels[x] < 0:
+            labels[x] = len(classes)
+            orbit = [x]
+            for u in orbit:  # orbit grows while it is walked
+                for mv in move:
+                    v = mv[u]
+                    if labels[v] < 0:
+                        labels[v] = len(classes)
+                        orbit.append(v)
+            classes.append((x, len(orbit)))
+    return WeylGroup(gens, m0, elems, index, right, tree, tuple(move), tuple(inverses),
+                     tuple(labels), tuple(classes))
 
 
 def _datum_key(model) -> tuple:
@@ -197,19 +222,15 @@ def _datum_key(model) -> tuple:
 
 
 # Keyed on _datum_key.
-_WEYL_ARRAYS: Dict[tuple, WeylGroup] = {}
+_WEYL_GROUPS: Dict[tuple, WeylGroup] = {}
 
 
 def weyl_group(model) -> WeylGroup:
     """W of the model's weylgen blocks, with F from its frobenius block."""
     key = _datum_key(model)
-    if key not in _WEYL_ARRAYS:
-        _WEYL_ARRAYS[key] = _build_weyl(dict(model.weylgens), model.frobenius)
-    return _WEYL_ARRAYS[key]
-
-
-def _as_matrix(a: np.ndarray) -> Matrix:
-    return tuple(map(tuple, a.tolist()))
+    if key not in _WEYL_GROUPS:
+        _WEYL_GROUPS[key] = _build_weyl(dict(model.weylgens), model.frobenius)
+    return _WEYL_GROUPS[key]
 
 
 def f_conjugacy_classes(weyl: WeylGroup):
@@ -218,17 +239,21 @@ def f_conjugacy_classes(weyl: WeylGroup):
     The representative is the least element of its class, and the classes
     come in the order of their representatives.
     """
-    return [(_as_matrix(weyl.elems[rep]), size, len(weyl.elems) // size)
-            for rep, size in weyl.classes]
+    return [(weyl.elems[rep], size, len(weyl.elems) // size) for rep, size in weyl.classes]
 
 
-def f_centralizer(weyl: WeylGroup, w: Matrix) -> np.ndarray:
-    """All v in W with v^-1 w F(v) = w, as a (k, 4, 4) int64 array.
+def f_centralizer(weyl: WeylGroup, w: Matrix) -> Tuple[Matrix, ...]:
+    """All v in W with v^-1 w F(v) = w, sorted as the matrices sort as tuples.
 
-    The number of elements is the centralizer order of the F-class of w.
+    image[v] = v^-1 w F(v) is filled down W's tree, image[p g] =
+    move[g][image[p]], so no matrix is multiplied.  The number of elements
+    is the centralizer order of the F-class of w.
     """
-    wm = np.array(w, dtype=np.int64)
-    return weyl.elems[np.all(wm @ weyl.twisted == weyl.elems @ wm, axis=(1, 2))]
+    target = weyl.index[w]
+    image = [target] * len(weyl.elems)
+    for x, g, p in weyl.tree:
+        image[x] = weyl.move[g][image[p]]
+    return tuple(v for v, u in zip(weyl.elems, image) if u == target)
 
 
 def frobenius_matrix(weyl: WeylGroup, n: int) -> Matrix:
@@ -270,6 +295,19 @@ _R_IN_EPS = (
 # 2 (r_i, r_j) for the simple roots: integral, so inner products stay on ints
 _GRAM = tuple(tuple(int(2 * sum(x * y for x, y in zip(a, b))) for b in _R_IN_EPS)
               for a in _R_IN_EPS)
+
+
+# Twice the simple roots on eps_1..eps_4: integral rows.
+_TWICE_ROOTS = tuple(tuple(int(2 * x) for x in r) for r in _R_IN_EPS)
+
+
+def _eps_to_x(a: Sequence[int], m: int) -> List[int]:
+    """A value on eps_1..eps_4 -> the value on the simple-root basis (odd order m), exactly.
+
+    Its coordinate i is the pairing <a, r_i>, which is <a, 2 r_i> / 2 and 2 is a unit mod m.
+    """
+    half = pow(2, -1, m)
+    return [sum(x * y for x, y in zip(a, r)) * half % m for r in _TWICE_ROOTS]
 
 
 def _eps_roots_doubled() -> List[Tuple[int, ...]]:
@@ -376,12 +414,13 @@ def closed_subsystem(pi: Sequence[Tuple[int, ...]]) -> frozenset:
     else:
         raise NotLinearlyIndependent("pi is linearly dependent")
     d = math.lcm(*(x.denominator for row in inv for x in row))
-    scaled = np.array([[int(x * d) for x in row] for row in inv], dtype=np.int64)
-    roots = sorted(roots_in_x())
-    vecs = np.array(roots, dtype=np.int64)
-    coeffs = (vecs[:, list(cols)] @ scaled) // d
-    keep = np.all(coeffs @ np.array(pi) == vecs, axis=1)
-    return frozenset(r for r, kept in zip(roots, keep) if kept)
+    scaled = [[int(x * d) for x in row] for row in inv]
+    out = set()
+    for r in roots_in_x():
+        coeffs = [sum(r[c] * a for c, a in zip(cols, col)) // d for col in zip(*scaled)]
+        if tuple(sum(c * p[j] for c, p in zip(coeffs, pi)) for j in range(4)) == r:
+            out.add(r)
+    return frozenset(out)
 
 
 def subsystem_type(pi: Sequence[Tuple[int, ...]]) -> str:
@@ -495,11 +534,9 @@ def subsystem_stable_under(pi, composite: Matrix) -> bool:
 
 
 def _direction(v):
-    from math import gcd
-
     g = 0
     for x in v:
-        g = gcd(g, abs(x))
+        g = math.gcd(g, abs(x))
     if g == 0:
         return v
     w = tuple(x // g for x in v)
@@ -525,7 +562,7 @@ def weyl_table_checks(model):
     seen = set()
     for wid in sorted(model.weylclasses):
         wc = model.weylclasses[wid]
-        label = int(weyl.labels[_position(weyl, word_matrix(weyl, wc.word))])
+        label = weyl.labels[weyl.index[word_matrix(weyl, wc.word)]]
         records.append(Record("f_class_distinct", wid, None, False, label in seen))
         seen.add(label)
         records.append(Record("centralizer_order", wid, None, wc.cent, classes[label][2]))
@@ -549,6 +586,22 @@ def torus_order_checks(model, n: int):
     return records
 
 
+def _chart(owner: str, exprs, varnames, n: int, side: str) -> Tuple[int, List[List[int]]]:
+    """Coordinates affine in the indices as (D, nv + 1 rows of 4 integers mod D).
+
+    Row k < nv is the D-scaled coefficient vector of index k and row nv the
+    constant, so the point at index tuple a is sum_k a_k R_k + R_nv mod D.
+    Torus-side values are on the eps basis; the change to the simple-root
+    basis of X is linear mod D, so it is applied to the rows.  The rows are
+    Python ints, exact at every D; callers guard their int64 arithmetic.
+    """
+    denom, rows = _affine(owner, exprs, n, varnames)
+    chart = [[int(row[k] * denom) % denom for row in rows] for k in range(len(varnames) + 1)]
+    if side == "torus":
+        chart = [_eps_to_x(v, denom) for v in chart]
+    return denom, chart
+
+
 def torus_param_checks(model, n: int):
     """Table of torus parameterizations: range products, fixed points, distinct points."""
     return _torus_checks(model, n, "torus")
@@ -562,7 +615,7 @@ def dual_torus_check(model, n: int):
 def _torus_checks(model, n: int, side: str):
     """Each class's torus (or dual torus) from its chart, no point listed.
 
-    The chart a -> sum_k a_k R_k + C mod D of paramsets._chart is affine on
+    The chart a -> sum_k a_k R_k + C mod D of _chart is affine on
     the index grid, so every point is fixed by (w . 2^n m0) exactly when C
     and each R_k with r_k > 1 are.  Where the chart is well defined on the
     grid, r_k R_k = 0 mod D, its linear part is a homomorphism, so there are
@@ -570,8 +623,6 @@ def _torus_checks(model, n: int, side: str):
     has elements: D^4 over the index of the lattice that the R_k and D I_4
     span.  Where it is not, the distinct-point record fails.
     """
-    from .counting import _ranges
-    from .paramsets import _chart
     from .tabledsl import build_env, eval_expr_int
 
     prefix = "torus_param" if side == "torus" else "dual_torus"
@@ -655,7 +706,7 @@ def subsystem_checks(model):
         records.append(
             Record("subsystem_type", fid, None, fam.pitype, got)
         )
-        w_inv = _as_matrix(weyl.inverses[_position(weyl, word_matrix(weyl, fam.word))])
+        w_inv = weyl.elems[weyl.inverses[weyl.index[word_matrix(weyl, fam.word)]]]
         composite = mat_mul(w_inv, weyl.m0)
         records.append(
             Record("subsystem_stable", fid, None, True,

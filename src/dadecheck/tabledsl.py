@@ -18,7 +18,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .exactnum import NotRationalInteger, PHI_POLYS, Q, QPoly, SQRT2, SqrtTwoRat, as_integer
+from .exactnum import (NotPolynomial, NotRationalInteger, PHI_POLYS, Q, QPoly, SQRT2, SqrtTwoRat,
+                       as_integer)
 
 
 class TableSyntaxError(ValueError):
@@ -932,13 +933,22 @@ def _check_exclusion(owner: str, pred: Predicate, names, indices) -> None:
 # index i and the character index k (in this order, chartables' exponent
 # monomials are keyed on them).
 EXPONENT_SYMBOLS = ("th", "i", "k")
+_EXPONENT_ENV = {s: QPoly.var(s) for s in EXPONENT_SYMBOLS}
+
+
+def exponent_poly(node: Expr) -> QPoly:
+    """A root exponent as a polynomial in th, i and k, the three as variables."""
+    return QPoly.coerce(_eval(node, _EXPONENT_ENV))
 
 
 def validate_model(model: Model) -> None:
     """Resolve every cross reference and type-check expressions at n = 1.
 
-    The Weyl data is checked here too: a model with Weyl classes or class
-    families has weylgen and frobenius blocks, and m0 m0 = 2 I.
+    A root exponent must be a polynomial in th, i and k (no division by one
+    of them and no power in one); whether its coefficients are integers at
+    n is left to the exponent_integrality check.  The Weyl data is checked
+    here too: a model with Weyl classes or class families has weylgen and
+    frobenius blocks, and m0 m0 = 2 I.
     """
     if model.weylclasses or model.classfams:
         # their words are products of W's generators, and their checks read the twist
@@ -1003,8 +1013,16 @@ def validate_model(model: Model) -> None:
         if cv.order is not None:
             _check_symbols(f"chvalue {cv.id}", names, cv.order)
         _check_symbols(f"chvalue {cv.id}", poly_names, *(t.coeff for t in cv.terms))
-        _check_symbols(f"chvalue {cv.id}", EXPONENT_SYMBOLS,
-                       *(e for t in cv.terms for e in t.exps))
+        exps = [e for t in cv.terms for e in t.exps]
+        _check_symbols(f"chvalue {cv.id}", EXPONENT_SYMBOLS, *exps)
+        for e in exps:
+            try:
+                poly = exponent_poly(e)
+            except (NotPolynomial, ZeroDivisionError):
+                poly = None
+            if poly is None or any(p < 0 for m in poly.terms for _, p in m):
+                raise TableSyntaxError(f"relations.def: chvalue {cv.id}: root exponent "
+                                       f"{expr_to_str(e)} is not a polynomial in th, i, k")
     for dr in model.degrels.values():
         _check_symbols(f"degrel {dr.id}", poly_names, dr.table, dr.phi)
         _check_symbols(f"degrel {dr.id}", names, dr.defect)

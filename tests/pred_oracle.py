@@ -4,7 +4,8 @@ Every atom is evaluated on every tuple of the index grid with one affine
 image; and / or / != are the mask operations.
 """
 
-from dadecheck.paramsets import MapClosureError, _affine, _apply
+from dadecheck.counting import MapClosureError, _affine
+from dadecheck.paramsets import _apply
 from dadecheck.tabledsl import build_env, eval_expr_int, pred_to_str
 
 

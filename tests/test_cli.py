@@ -335,6 +335,8 @@ R4 = "matrix: [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, -1]]"
     ("matrix: [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 2], [0, 0, 0, -1]]", "exceeded"),
     # r1 again: a finite group that the twist does not normalize
     ("matrix: [[-1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]", "normalize"),
+    # a projection: a finite monoid, not a group
+    ("matrix: [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]]", "singular"),
 ])
 @pytest.mark.parametrize("command", [["verify", "weyl"], ["verify", "params"]])
 def test_bad_weyl_generators_exit_two(tmp_path, capsys, r4, message, command):
@@ -645,8 +647,12 @@ M1 = "matrix: [[0, 0, 0, -2], [0, 0, 2, 2], [1, 1, 0, 0], [-1, 0, 0, 0]]"  # r1 
     # every weylclass field is read by a Weyl check: none may be left out
     ("weyl.def", "  pairing: ((k+l)*a+(k-l)*b)/(q^2-1)\n", "",
      "weyl.def: weylclass T1: missing field pairing"),
+    # a root exponent is a polynomial in th, i and k: no division by an index
+    ("relations.def", "term: [s2*q, 1, th*i*k,", "term: [s2*q, 1, th*k/i,",
+     "relations.def: chvalue f8_c_8_2: root exponent (th*k)/i is not a polynomial in th, i, k"),
 ], ids=["missing", "misspelt", "repeated-field", "repeated-block", "second-frobenius",
-        "misspelt-card", "exclude-expression", "card-predicate", "missing-pairing"])
+        "misspelt-card", "exclude-expression", "card-predicate", "missing-pairing",
+        "exponent-not-polynomial"])
 def test_bad_table_fields_exit_two(tmp_path, capsys, fname, old, new, message):
     data = _data_copy(tmp_path, fname, old, new)
     assert main(["verify", "all", "--n", "1", "--data-dir", data]) == 2

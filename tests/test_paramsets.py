@@ -259,14 +259,14 @@ def _expr(text):
     ("a/(b+1)", ("a", "b")),
 ])
 def test_affine_compiler_rejects_non_affine(text, varnames):
-    from dadecheck.paramsets import MapClosureError, _affine
+    from dadecheck.counting import MapClosureError, _affine
 
     with pytest.raises(MapClosureError, match="^X: "):
         _affine("X", [_expr(text)], 1, varnames)
 
 
 def test_affine_cache_keyed_on_expressions(model, tmp_path):
-    from dadecheck.paramsets import MapClosureError, _affine
+    from dadecheck.counting import MapClosureError, _affine
 
     # a second model whose h8 has the torus coordinates 3 and 4 swapped
     other = _family_data_copy(tmp_path, "h8", [("coords: [0, 0, i/p8b, -q^2*i/p8b]",
@@ -285,7 +285,7 @@ def test_affine_cache_keyed_on_expressions(model, tmp_path):
 def test_affine_compiler_coefficients():
     from fractions import Fraction
 
-    from dadecheck.paramsets import _affine
+    from dadecheck.counting import _affine
 
     exprs = [_expr("(2*th-1)*a/(q^2-1) + b/7"), _expr("-(a-3*b)^1 + th^2")]
     denom, rows = _affine("X", exprs, 1, ("a", "b"))
@@ -326,7 +326,7 @@ def test_affine_rows_match_evaluation(expr, n, a, b):
     from fractions import Fraction
 
     from dadecheck.exactnum import SqrtTwoRat
-    from dadecheck.paramsets import _affine
+    from dadecheck.counting import _affine
     from dadecheck.tabledsl import build_env, eval_expr
 
     denom, ((ca, cb, c),) = _affine("X", [expr], n, ("a", "b"))

@@ -73,13 +73,38 @@ def test_weyl_arrays_match_tuple_oracle(model):
     for g in (gens, conj):
         weyl = rd.weyl_group(dataclasses.replace(model, weylgens=g))
         ref = sorted(weyl_closure(g))
-        assert [rd._as_matrix(v) for v in weyl.elems] == ref
-        assert [rd._as_matrix(v) for v in weyl.twisted] == [frobenius_twist(v, m0) for v in ref]
-        assert all(rd.mat_mul(v, rd._as_matrix(vi)) == rd.mat_identity()
-                   for v, vi in zip(ref, weyl.inverses))
+        assert list(weyl.elems) == ref
+        assert all(weyl.index[v] == i for i, v in enumerate(ref))
+        gmats = list(g.values())
+        for gm, right, move in zip(gmats, weyl.right, weyl.move, strict=True):
+            ginv, gtw = mat_inv_int(gm), frobenius_twist(gm, m0)
+            assert [ref[y] for y in right] == [rd.mat_mul(v, gm) for v in ref]
+            assert [ref[y] for y in move] == [rd.mat_mul(rd.mat_mul(ginv, v), gtw) for v in ref]
+        assert all(rd.mat_mul(v, ref[vi]) == rd.mat_identity()
+                   for v, vi in zip(ref, weyl.inverses, strict=True))
+        # the tree reaches every element but 1, each after its parent
+        reached = {ref.index(rd.mat_identity())}
+        for x, k, p in weyl.tree:
+            assert p in reached and x not in reached
+            assert ref[x] == rd.mat_mul(ref[p], gmats[k])
+            reached.add(x)
+        assert len(reached) == len(ref)
         assert rd.f_conjugacy_classes(weyl) == f_classes(g, m0)
     assert (rd.weyl_group(dataclasses.replace(model, weylgens=conj))
             is not rd.weyl_group(model))
+
+
+def test_f_centralizers_match_definition(model):
+    # v in W with w F(v) = v w, one element of the oracle's closure at a time,
+    # for the least element of every F-class
+    weyl = rd.weyl_group(model)
+    elems = sorted(weyl_closure(model.weylgens))
+    classes = f_classes(model.weylgens, model.frobenius)
+    assert len(classes) == 11
+    for w, _, cent in classes:
+        want = [v for v in elems
+                if rd.mat_mul(w, frobenius_twist(v, model.frobenius)) == rd.mat_mul(v, w)]
+        assert list(rd.f_centralizer(weyl, w)) == want and len(want) == cent
 
 
 def test_twist_off_the_lattice_is_weyl_data_error(model):
@@ -318,7 +343,8 @@ def test_perturbed_coordinate_row_fails(model, field):
 @pytest.mark.parametrize("n", [1, 8, 9])
 def test_chart_change_of_basis_is_exact(model, n):
     # the value on the simple-root basis is x_i = <v, r_i>, with r_i the simple roots on eps
-    from dadecheck.paramsets import _affine, _chart
+    from dadecheck.counting import _affine
+    from dadecheck.rootdatum import _chart
 
     twice = [[int(2 * c) for c in r] for r in rd._R_IN_EPS]  # 2 r_i is integral, D is odd
     for wid, wc in sorted(model.weylclasses.items()):

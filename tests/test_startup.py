@@ -28,6 +28,11 @@ def test_import_package_loads_no_numpy():
                 "print('numpy' in sys.modules)") == ["False"]
 
 
+def test_import_rootdatum_loads_no_numpy():
+    assert _run("import sys, dadecheck.rootdatum; "
+                "print('numpy' in sys.modules)") == ["False"]
+
+
 def test_import_cli_loads_no_pool():
     assert _run("import sys, dadecheck.cli; "
                 "print('concurrent.futures.process' in sys.modules, "
@@ -41,9 +46,10 @@ def test_import_cli_loads_no_pool():
     ["verify", "classes", "--n", "1"],
     ["verify", "relations", "--n", "1"],
     ["params", "--set", "PaI_4", "--n", "1"],
-], ids=["dade", "fixrows", "lemmas", "classes", "relations", "params-count"])
+    ["verify", "weyl", "--n", "1"],
+], ids=["dade", "fixrows", "lemmas", "classes", "relations", "params-count", "weyl"])
 def test_check_kinds_without_arrays_load_no_numpy(argv):
-    # only the families, the Weyl group and the listing of classes need numpy
+    # only the families and the listing of classes need numpy
     code = ("import sys; from dadecheck.cli import main; "
             f"rc = main({argv!r}); print(rc, 'numpy' in sys.modules)")
     assert _run(code)[-2:] == ["0", "False"]

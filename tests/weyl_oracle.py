@@ -1,9 +1,11 @@
-"""Pure-Python reference for the Weyl layer, independent of its array code.
+"""Reference for the Weyl layer, independent of the package's tables.
 
-W is the breadth-first closure of the generators on tuple matrices, and the
-F-class of w is the closure of w under the generator moves v -> g^-1 v F(g):
-F-conjugation by a product composes from generator conjugations.  F(v) is
-m0^-1 v m0 for the twist m0 (m0 m0 = 2) of the table's frobenius block.
+Only rootdatum's matrix arithmetic is shared; its closure, move table and
+centralizer walk are not called.  W is the breadth-first closure of the
+generators on tuple matrices, and the F-class of w is the closure of w under
+the generator moves v -> g^-1 v F(g): F-conjugation by a product composes
+from generator conjugations.  F(v) is m0^-1 v m0 for the twist m0
+(m0 m0 = 2) of the table's frobenius block.
 """
 
 from fractions import Fraction
