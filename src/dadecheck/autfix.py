@@ -15,7 +15,7 @@ import math
 from typing import Dict, List
 
 from .exactnum import PHI_POLYS, NotRationalInteger, as_integer
-from .counting import fixed_class_count
+from .counting import fixed_class_count, formula_count
 from .record import Record
 from .tabledsl import FixRow, Model, build_env, eval_expr_int
 
@@ -65,7 +65,7 @@ def fixed_count_bruteforce(row: FixRow, model: Model, n: int, t: int) -> int:
     for sid in row.sets:
         spec = model.paramsets[sid]
         if spec.action == "identity":
-            total += eval_expr_int(spec.card, build_env(n))
+            total += formula_count(spec, n)
         elif spec.action == "doubling":
             total += fixed_class_count(spec, n, t)
         else:

@@ -3,18 +3,22 @@
 Covers the class equation (sum over classes of |G|/|C| = |G|), the linear
 relations and norm (f, f) = 2 of the two exceptional class functions, the
 difference identities tying them to the four non-uniform irreducibles, and
-the degree identities.  Symbolic checks canonicalize each value as a sum of
-terms  coeff(q) * eps4^e * sum_j zeta^(e_j(i,k));  numeric checks evaluate
-with eps4 = i and zeta a principal root of unity.
+the degree identities.  A value is a sum of terms
+coeff(q) * eps4^e * sum_j zeta^(e_j(i,k)), zeta of the value's order.  The
+n-free checks canonicalize it symbolically; the checks at n stay exact too:
+a value at one (i, k) is a sum of roots of unity with coefficients in
+Q(sqrt2), and a norm is summed over a whole class family in closed form.
 """
 
 from __future__ import annotations
 
-import cmath
+from collections import Counter
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from itertools import product
+from math import gcd, lcm
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from .exactnum import NotRationalInteger, QPoly, as_integer, val2
+from .exactnum import ZERO, NotRationalInteger, QPoly, SqrtTwoRat, as_integer, val2
 from .counting import family_formula_count
 from .record import Record
 from .tabledsl import (
@@ -27,6 +31,7 @@ from .tabledsl import (
     eval_expr_int,
     eval_qpoly,
     exponent_poly,
+    expr_to_str,
 )
 from .dadeverify import two_part_exponent
 
@@ -69,34 +74,21 @@ def _exp_poly(expr) -> tuple:
         for m, c in poly.terms.items()))
 
 
+def _add(out: dict, key, value) -> None:
+    """out[key] += value, a key whose sum is zero dropped."""
+    value = out[key] + value if key in out else value
+    if value.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = value
+
+
 def canonical_value(cv: Optional[ChValue]) -> Dict[tuple, QPoly]:
     """Value as a map (eps4 power, root-exponent multiset) -> q-polynomial."""
     out: Dict[tuple, QPoly] = {}
-    if cv is None:
-        return out
-    for term in cv.terms:
-        coeff = eval_qpoly(term.coeff)
+    for term in cv.terms if cv is not None else ():
         exps = tuple(sorted(_exp_poly(e) for e in term.exps))
-        key = (term.eps4 % 4, exps)
-        cur = out.get(key, QPoly())
-        new = cur + coeff
-        if new.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = new
-    return out
-
-
-def _combine(values: List[Tuple[int, Dict[tuple, QPoly]]]) -> Dict[tuple, QPoly]:
-    out: Dict[tuple, QPoly] = {}
-    for c, val in values:
-        for key, poly in val.items():
-            cur = out.get(key, QPoly())
-            new = cur + QPoly.const(c) * poly
-            if new.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = new
+        _add(out, (term.eps4 % 4, exps), eval_qpoly(term.coeff))
     return out
 
 
@@ -104,76 +96,55 @@ def _chvalue(model: Model, func: str, cls: str) -> Optional[ChValue]:
     return model.chvalues.get(f"{func}_{cls}")
 
 
-def eval_value_numeric(
-    model: Model, cv: Optional[ChValue], n: int, i: int = 0, k: int = 0
-) -> complex:
-    """Complex value with eps4 the principal fourth root of unity."""
-    if cv is None or not cv.terms:
-        return 0j
-    env = build_env(n, i=i, k=k)
-    order = eval_expr_int(cv.order, env) if cv.order is not None else 1
-    total = 0j
-    for term in cv.terms:
-        coeff = eval_expr(term.coeff, env).to_float()
-        rs = 0j
-        for e in term.exps:
-            ev = eval_expr_int(e, env)
-            rs += cmath.exp(2j * cmath.pi * (ev % order) / order)
-        total += coeff * (1j ** (term.eps4 % 4)) * rs
-    return total
-
-
 # --- relations -----------------------------------------------------------------
+
+
+def _relation_instances(model: Model) -> Iterator[Tuple[str, str, list, list]]:
+    """(check, name, left, right) of every relation instance, where left and
+    right list (coefficient, func, cls) whose sums of values should be equal."""
+    for rid in sorted(model.relations):
+        rel = model.relations[rid]
+        if rel.sum:
+            yield "relation", rid, [(c, rel.func, cls) for c, cls in rel.sum], []
+        elif rel.equals:
+            for cls in rel.classes:
+                yield ("difference", f"{rid}/{cls}", [(1, rel.left, cls), (-1, rel.right, cls)],
+                       [(1, rel.equals, cls)])
 
 
 def f_relations_check(model: Model) -> List[Record]:
     """Linear relations and the difference identities, symbolically (n-free)."""
-    records = []
-    for rid in sorted(model.relations):
-        rel = model.relations[rid]
-        if rel.sum:
-            combined = _combine(
-                [(c, canonical_value(_chvalue(model, rel.func, cls)))
-                 for c, cls in rel.sum]
-            )
-            records.append(Record("relation", rid, None, {}, combined))
-        elif rel.equals:
-            for cls in rel.classes:
-                lhs = _combine(
-                    [
-                        (1, canonical_value(_chvalue(model, rel.left, cls))),
-                        (-1, canonical_value(_chvalue(model, rel.right, cls))),
-                    ]
-                )
-                rhs = canonical_value(_chvalue(model, rel.equals, cls))
-                records.append(Record("difference", f"{rid}/{cls}", None, rhs, lhs))
-    return records
+    def side(terms):
+        out: Dict[tuple, QPoly] = {}
+        for c, func, cls in terms:
+            for key, poly in canonical_value(_chvalue(model, func, cls)).items():
+                _add(out, key, QPoly.const(c) * poly)
+        return out
+
+    return [Record(check, name, None, side(right), side(left))
+            for check, name, left, right in _relation_instances(model)]
 
 
 def f_relations_numeric(model: Model, n: int) -> List[Record]:
-    """Numeric spot check of the same relations at one n."""
+    """The same relations at n and i = k = 1, exactly, reading each value's order.
+
+    left - right is kept as a map from each root of unity's angle (a Fraction
+    mod 1; eps4 has angle 1/4) to its coefficient in Q(sqrt2); it passes when
+    all cancel.  A true relation could fail so, a false one cannot pass.
+    """
+    env = build_env(n, i=1, k=1)
     records = []
-    for rid in sorted(model.relations):
-        rel = model.relations[rid]
-        ik = {"i": 1, "k": 1}
-        if rel.sum:
-            z = sum(
-                c * eval_value_numeric(model, _chvalue(model, rel.func, cls), n, **ik)
-                for c, cls in rel.sum
-            )
-            records.append(
-                Record("relation_numeric", rid, n, True, abs(z) < 1e-9)
-            )
-        elif rel.equals:
-            for cls in rel.classes:
-                z = (
-                    eval_value_numeric(model, _chvalue(model, rel.left, cls), n, **ik)
-                    - eval_value_numeric(model, _chvalue(model, rel.right, cls), n, **ik)
-                    - eval_value_numeric(model, _chvalue(model, rel.equals, cls), n, **ik)
-                )
-                records.append(
-                    Record("difference_numeric", f"{rid}/{cls}", n, True, abs(z) < 1e-9)
-                )
+    for check, name, left, right in _relation_instances(model):
+        sums: Dict[Fraction, SqrtTwoRat] = {}
+        for c, func, cls in left + [(-c, func, cls) for c, func, cls in right]:
+            cv = _chvalue(model, func, cls)
+            order = eval_expr_int(cv.order, env) if cv and cv.order is not None else 1
+            for term in cv.terms if cv else ():
+                coeff = c * eval_expr(term.coeff, env)
+                for e in term.exps:
+                    angle = Fraction(term.eps4, 4) + eval_expr(e, env).as_fraction() / order
+                    _add(sums, angle % 1, coeff)
+        records.append(Record(check + "_numeric", name, n, True, not sums))
     return records
 
 
@@ -186,8 +157,7 @@ def exponent_integrality(model: Model, n: int) -> List[Record]:
     exponent has degree at most 1 in each of i and k, and for those that is
     also necessary.
     """
-    env = build_env(n)
-    env.update(i=QPoly.var("i"), k=QPoly.var("k"))
+    env = dict(build_env(n), i=QPoly.var("i"), k=QPoly.var("k"))
     ok = all(_integral(QPoly.coerce(_eval(e, env)))
              for cv in model.chvalues.values() if cv.order is not None
              for term in cv.terms for e in term.exps)
@@ -207,80 +177,118 @@ def _integral(poly: QPoly) -> bool:
 # --- norms ---------------------------------------------------------------------
 
 
-def _orbit_reps(order: int, q2: int) -> List[int]:
-    """Representatives of the orbits {+-i, +-q^2 i} on nonzero residues."""
-    seen = set()
-    reps = []
-    for i in range(1, order):
-        if i in seen:
-            continue
-        orbit = {i, (-i) % order, (q2 * i) % order, (-q2 * i) % order}
-        seen |= orbit
-        reps.append(i)
-    return reps
+class _NotProved(ValueError):
+    """A step of the closed-form norm does not hold for a class row; the message names it."""
 
 
-_NORM_FAMILY = {"f8": ("p8b", "h8"), "f10": ("p8a", "h10")}
+class _NormRow(NamedTuple):
+    """A row's value at n: sum over terms (c, e, slopes) of c * eps4^e * sum_s zeta_m^(s*i*k)."""
+    name: str
+    cent: int
+    m: int
+    terms: List[Tuple[SqrtTwoRat, int, List[int]]]
+    indexed: bool
 
 
-def f_norm(model: Model, n: int, which: str, k: int) -> float:
-    """(f(k), f(k)) as a sum over classes of |value|^2 / |centralizer|."""
-    contributions = f_norm_contributions(model, n, which, k)
-    return sum(contributions.values())
+def _slope(owner: str, expr, env) -> int:
+    """s with the root exponent expr = s*i*k in env; _NotProved for any other form."""
+    poly, ik = QPoly.coerce(_eval(expr, env)), (("i", 1), ("k", 1))
+    s = poly.terms.get(ik, ZERO)
+    if poly.terms.keys() - {ik} or s.b or s.a.denominator != 1:
+        raise _NotProved(f"{owner}: root exponent {expr_to_str(expr)} is not an integer "
+                         f"multiple of i*k")
+    return s.a
 
 
-def f_norm_contributions(model: Model, n: int, which: str, k: int) -> Dict[str, float]:
-    """Per-centralizer-size breakdown of the norm (the class-equation weights)."""
-    env = build_env(n)
-    q2 = eval_expr_int(("pow", ("sym", "q"), ("int", 2)), env)
-    out: Dict[str, float] = {}
+def _norm_rows(model: Model, n: int, which: str) -> List[_NormRow]:
+    """The class rows where which has a value, each proved fit for the closed-form sum.
+
+    An indexed row's classes are the orbits of {+-1, +-q^2} on the nonzero
+    i mod m, and its share is a quarter of the sum over all of them once
+    (else _NotProved names the row) each term's slopes are closed mod m
+    under negation and x q^2, so v is constant on orbits, and every orbit
+    has 4 elements: q^4 = +-1 mod m makes the four a group and m odd, and m
+    prime to q^4 - 1 leaves no nonzero i fixed.  (m - 1)/4 is then the
+    family count.
+    """
+    env = dict(build_env(n), i=QPoly.var("i"), k=QPoly.var("k"))
+    q2 = as_integer(env["q"] ** 2)
+    rows = []
     for rid in sorted(model.classrows):
-        row = model.classrows[rid]
         cv = _chvalue(model, which, rid)
         if cv is None or not cv.terms:
             continue
-        cent = eval_expr_int(row.cent, env)
+        row = model.classrows[rid]
+        m = eval_expr_int(cv.order, env) if cv.order is not None else 1
+        terms = [(eval_expr(t.coeff, env), t.eps4 % 4, [_slope(rid, e, env) % m for e in t.exps])
+                 for t in cv.terms]
         fam = model.classfams[row.family]
         if fam.vars:
-            order = eval_expr_int(cv.order, env)
-            reps = _orbit_reps(order, q2)
-            if len(reps) != family_formula_count(fam, n):
-                raise ValueError(
-                    f"{rid}: {len(reps)} index orbits vs family count"
-                )
-            total = 0.0
-            for i in reps:
-                total += abs(eval_value_numeric(model, cv, n, i=i, k=k)) ** 2 / cent
-        else:
-            total = abs(eval_value_numeric(model, cv, n, k=k)) ** 2 / cent
-        key = f"cent_{cent}"
-        out[key] = out.get(key, 0.0) + total
-    return out
+            for (_, _, slopes), (how, g) in product(terms, (("negation", -1), ("x q^2", q2))):
+                if Counter(g * s % m for s in slopes) != Counter(slopes):
+                    raise _NotProved(f"{rid}: root slopes not closed under {how} mod {m}")
+            if q2 * q2 % m not in (1 % m, m - 1) or gcd(m, q2 * q2 - 1) != 1:
+                raise _NotProved(f"{rid}: the orbits of +-1, +-q^2 mod {m} are not all of size 4")
+            count = family_formula_count(fam, n)
+            if m - 1 != 4 * count:
+                raise _NotProved(f"{rid}: {(m - 1) // 4} index orbits vs family count {count}")
+        rows.append(_NormRow(rid, eval_expr_int(row.cent, env), m, terms, bool(fam.vars)))
+    return rows
+
+
+def _square_sum(terms, d: int) -> SqrtTwoRat:
+    """The sum over residues r mod d of |w(r)|^2, w(r) = sum over terms of
+    coefficient * eps4^e * #{slopes = r mod d}: the sum over pairs of slopes
+    s = s' mod d of c * c' * Re(eps4^(e - e')).  At d = 1 it is |v(0)|^2."""
+    parts: Dict[Tuple[int, int], SqrtTwoRat] = {}  # (real or imaginary, r) -> part of w(r)
+    for c, e, slopes in terms:
+        for s in slopes:
+            _add(parts, (e % 2, s % d), c if e < 2 else -c)
+    return sum((v * v for v in parts.values()), ZERO)
+
+
+def _share(row: _NormRow, k: int) -> SqrtTwoRat:
+    """The row's share of (f(k), f(k)): the sum over its classes of |v|^2 / |C|.
+
+    Over all i mod m, zeta^((s - s')*i*k) sums to m where s = s' mod
+    m / gcd(k, m), else to 0.  A row without an index is its value at i = 0.
+    """
+    at_zero = _square_sum(row.terms, 1)
+    if not row.indexed:
+        return at_zero / row.cent
+    total = row.m * _square_sum(row.terms, row.m // gcd(k, row.m))
+    return (total - at_zero) / (4 * row.cent)
+
+
+_NORM_ORDER = {"f8": "p8b", "f10": "p8a"}
 
 
 def admissible_norm_parameters(model: Model, n: int, which: str) -> List[int]:
-    order_name, _ = _NORM_FAMILY[which]
-    order = eval_expr_int(("sym", order_name), build_env(n))
+    order = eval_expr_int(("sym", _NORM_ORDER[which]), build_env(n))
     return list(range(1, order))
 
 
-# The norm is summed in floating point and checked to a tolerance, which is
-# trusted only this far; above it every parameter gets a skip record.
-NORM_MAX_N = 2
+def f_norm_check(model: Model, n: int, which: str) -> List[Record]:
+    """(f(k), f(k)) = 2 for every admissible k, summed exactly in Q(sqrt2).
 
-
-def f_norm_check(
-    model: Model, n: int, which: str, tol: float = 1e-9
-) -> List[Record]:
+    Shares depend on k only through gcd(k, m), a divisor of g = gcd(k, L)
+    for L the lcm of the m, so each g is summed once.  A failed record names
+    the norm, or the row and the step of the closed form that does not hold.
+    """
+    ks = admissible_norm_parameters(model, n, which)
+    try:
+        rows = _norm_rows(model, n, which)
+    except _NotProved as e:
+        return [Record("f_norm", f"{which}(k={k})", n, True, str(e)) for k in ks]
+    lcm_m = lcm(*(row.m for row in rows if row.indexed))
+    norms: Dict[int, object] = {}
     records = []
-    for k in admissible_norm_parameters(model, n, which):
-        name = f"{which}(k={k})"
-        if n > NORM_MAX_N:
-            records.append(Record("f_norm", name, n, True, None, reason=(
-                f"the floating-point norm is checked only for n <= {NORM_MAX_N}")))
-            continue
-        got = f_norm(model, n, which, k)
-        records.append(Record("f_norm", name, n, True, abs(got - 2.0) < tol))
+    for k in ks:
+        g = gcd(k, lcm_m)
+        if g not in norms:
+            norm = sum((_share(row, k) for row in rows), ZERO)
+            norms[g] = True if norm == 2 else f"(f, f) = {norm}"
+        records.append(Record("f_norm", f"{which}(k={k})", n, True, norms[g]))
     return records
 
 

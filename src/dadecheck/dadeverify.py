@@ -22,6 +22,7 @@ from .autfix import (
     fixed_count_formula,
     row_is_enumerable,
 )
+from .counting import formula_count
 from .exactnum import val2
 from .record import Record
 from .tabledsl import DefectLedger, Model, build_env, eval_expr_int
@@ -66,11 +67,6 @@ _BOREL_ORDER = ("mul", ("pow", ("sym", "q"), ("int", 24)),
                 ("pow", ("sub", ("pow", ("sym", "q"), ("int", 2)), ("int", 1)), ("int", 2)))
 
 
-def set_cardinality(model: Model, set_id: str, n: int) -> int:
-    spec = model.paramsets[set_id]
-    return eval_expr_int(spec.card, build_env(n))
-
-
 def k_fixed(
     model: Model,
     group: str,
@@ -105,7 +101,7 @@ def k_fixed(
                 total += fixed_count_formula(row, t)
         else:
             if t == f:
-                total += set_cardinality(model, e.set_id, n)
+                total += formula_count(model.paramsets[e.set_id], n)
             else:
                 tokens.add(e.ref)
     return total, tokens
@@ -254,8 +250,8 @@ def ledger_consistency(model: Model, n: int) -> List[Record]:
     # (iii) induction pairs match cardinalities side by side
     for pid in sorted(model.pairs):
         pair = model.pairs[pid]
-        left = sum(set_cardinality(model, s, n) for s in pair.left)
-        right = sum(set_cardinality(model, s, n) for s in pair.right)
+        left = sum(formula_count(model.paramsets[s], n) for s in pair.left)
+        right = sum(formula_count(model.paramsets[s], n) for s in pair.right)
         records.append(Record("pair_cardinality", pid, n, left, right))
         # each pair lives inside exactly one ledger, left on {G,B}, right on {Pa,Pb}
         homes = set()
@@ -288,10 +284,7 @@ def ledger_consistency(model: Model, n: int) -> List[Record]:
         led = model.ledgers[lid]
         lhs = rhs = 0
         for e in led.entries:
-            if e.set_id == "GI_ss":
-                c = eval_expr_int(model.paramsets["GI_ss"].card, env)
-            else:
-                c = set_cardinality(model, e.set_id, n)
+            c = formula_count(model.paramsets[e.set_id], n)
             if e.group in LHS_GROUPS:
                 lhs += c
             else:

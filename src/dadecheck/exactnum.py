@@ -139,9 +139,6 @@ class SqrtTwoRat:
             raise NotRationalInteger(f"{self} has a sqrt2 part")
         return self.a
 
-    def to_float(self) -> float:
-        return float(self.a) + float(self.b) * 2.0 ** 0.5
-
     def __repr__(self):
         if self.b == 0:
             return f"SqrtTwoRat({self.a})"

@@ -112,19 +112,22 @@ def test_criterion_07_class_equation(model):
 
 
 def test_criterion_08_f_norms(model):
+    from fractions import Fraction
+
     ok = True
     count = 0
-    for n in (1, 2):
+    for n in (1, 2, 3, 4):
         for which in ("f8", "f10"):
-            recs = chartables.f_norm_check(model, n, which, tol=1e-9)
+            recs = chartables.f_norm_check(model, n, which)
             count += len(recs)
-            ok &= all(r.ok for r in recs)
-    parts = sorted(
-        round(v, 6) for v in chartables.f_norm_contributions(model, 1, "f8", 1).values()
-    )
-    ok &= parts == [0.25, 0.4, 0.56875, 0.78125]
-    _report(8, "(f8,f8) = (f10,f10) = 2 within 1e-9 for all k at n = 1, 2; "
-               "n=1 decomposition 0.56875+0.78125+0.25+0.4 reproduced",
+            ok &= all(r.ok and r.actual is True for r in recs)
+    parts = {}
+    for row in chartables._norm_rows(model, 1, "f8"):
+        parts[row.cent] = parts.get(row.cent, 0) + chartables._share(row, 1)
+    ok &= sorted(v.as_fraction() for v in parts.values()) == [
+        Fraction(1, 4), Fraction(2, 5), Fraction(91, 160), Fraction(25, 32)]
+    _report(8, "(f8,f8) = (f10,f10) = 2 exactly for all k at n = 1..4; "
+               "n=1 decomposition 91/160+25/32+1/4+2/5 reproduced",
             ok, f"{count} norms")
 
 

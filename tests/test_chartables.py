@@ -2,9 +2,11 @@
 
 import copy
 import math
+from fractions import Fraction
 
 import pytest
 
+import norm_oracle
 from dadecheck import chartables as ct
 from dadecheck.exactnum import as_integer
 from dadecheck.tabledsl import ValueTerm, build_env, eval_expr_int
@@ -39,14 +41,10 @@ def test_relations_symbolic_and_numeric(model):
 
 def test_difference_equals_f8_at_c_1_11(model):
     # chi43 - chi44 on the mixed 4q^8 class is -2 sqrt2 q^3 eps4 - 2 q^2 eps4
-    diff = ct._combine(
-        [
-            (1, ct.canonical_value(model.chvalues["chi43_c_1_11"])),
-            (-1, ct.canonical_value(model.chvalues["chi44_c_1_11"])),
-        ]
-    )
+    (rec,) = [r for r in ct.f_relations_check(model) if r.name == "diff_f8/c_1_11"]
     f8 = ct.canonical_value(model.chvalues["f8_c_1_11"])
-    assert diff == f8
+    assert rec.actual == rec.expected == f8
+    assert ct.canonical_value(model.chvalues["chi43_c_1_11"]) != f8
     ((key, poly),) = list(f8.items())
     assert key[0] == 1  # a pure eps4 multiple
     from dadecheck.tabledsl import eval_qpoly
@@ -62,7 +60,8 @@ def _expr(text):
 
 def test_f10_vanishes_on_first_series_classes(model):
     assert "f10_c_8_2" not in model.chvalues
-    assert abs(ct.eval_value_numeric(model, model.chvalues.get("f10_c_8_2"), 1)) == 0.0
+    assert "c_8_2" not in {row.name for row in ct._norm_rows(model, 1, "f10")}
+    assert norm_oracle.value(model.chvalues.get("f10_c_8_2"), 1) == 0j
 
 
 def test_root_sum_example_n1():
@@ -74,18 +73,41 @@ def test_root_sum_example_n1():
     assert abs(z - (-1)) < 1e-12
 
 
+def _shares_by_centralizer(model, n, which, k):
+    out = {}
+    for row in ct._norm_rows(model, n, which):
+        out[row.cent] = out.get(row.cent, 0) + ct._share(row, k)
+    return out
+
+
 def test_norm_decomposition_n1(model):
-    parts = ct.f_norm_contributions(model, 1, "f8", 1)
-    got = sorted(round(v, 6) for v in parts.values())
-    assert got == [0.25, 0.4, 0.56875, 0.78125]
-    assert abs(sum(parts.values()) - 2.0) < 1e-9
+    parts = _shares_by_centralizer(model, 1, "f8", 1)
+    got = sorted(v.as_fraction() for v in parts.values())
+    assert got == [Fraction(1, 4), Fraction(2, 5), Fraction(91, 160), Fraction(25, 32)]
+    assert sum(got) == 2
 
 
 def test_norms_all_k(model):
+    for n in (1, 2, 3, 4):
+        for which in ("f8", "f10"):
+            recs = ct.f_norm_check(model, n, which)
+            assert len(recs) == len(ct.admissible_norm_parameters(model, n, which))
+            for r in recs:
+                assert r.ok and r.actual is True, (which, n, r.name, r.actual)
+
+
+def test_exact_norm_matches_float_oracle(model):
+    # the closed form against the per-class float sum, part by part, for every k
     for n in (1, 2):
         for which in ("f8", "f10"):
-            for r in ct.f_norm_check(model, n, which):
-                assert r.ok, (which, n, r.name)
+            for k in ct.admissible_norm_parameters(model, n, which):
+                exact = _shares_by_centralizer(model, n, which, k)
+                floats = norm_oracle.norm_parts(model, n, which, k)
+                assert exact.keys() == floats.keys()
+                for cent, part in exact.items():
+                    assert abs(norm_oracle.to_float(part) - floats[cent]) < 1e-9, (which, n, k)
+                assert sum(exact.values()) == 2
+                assert abs(norm_oracle.norm(model, n, which, k) - 2.0) < 1e-9
 
 
 def test_norm_sign_invariance(model):
@@ -98,7 +120,81 @@ def test_norm_sign_invariance(model):
                 ValueTerm(("neg", t.coeff), t.eps4, t.exps) for t in cv.terms
             )
             flipped.chvalues[key] = type(cv)(cv.id, cv.func, cv.cls, cv.order, terms)
-    assert abs(ct.f_norm(flipped, 1, "f8", 1) - 2.0) < 1e-9
+    assert flipped.chvalues["f8_c_8_2"] != model.chvalues["f8_c_8_2"]
+    for n in (1, 3):
+        assert all(r.ok for r in ct.f_norm_check(flipped, n, "f8"))
+
+
+def test_norm_of_a_scaled_value_fails_naming_it(model):
+    # doubling f8 on c_1_15 adds 3 |v|^2 / |C| to every norm
+    import dataclasses
+
+    scaled = copy.copy(model)
+    scaled.chvalues = dict(model.chvalues)
+    cv = model.chvalues["f8_c_1_15"]
+    scaled.chvalues[cv.id] = dataclasses.replace(cv, terms=tuple(
+        ValueTerm(("mul", ("int", 2), t.coeff), t.eps4, t.exps) for t in cv.terms))
+    recs = ct.f_norm_check(scaled, 1, "f8")
+    row = next(r for r in ct._norm_rows(model, 1, "f8") if r.name == "c_1_15")
+    wrong = 2 + 3 * ct._share(row, 1)
+    assert recs and all(not r.ok and r.actual == f"(f, f) = {wrong}" for r in recs)
+
+
+@pytest.mark.parametrize("m", [10, 11, 7, 9])
+def test_norm_needs_orbits_of_four(model, m):
+    # with every slope 0 the values are closed under the orbit maps, but at
+    # n = 1 (q^2 = 8) the orbit of 1 is not {+-1, +-8} of size 4: q^4 = 64 is
+    # not +-1 mod 10 or 11, and 7 divides q^2 - 1, 9 divides q^2 + 1
+    import dataclasses
+
+    broken = copy.copy(model)
+    broken.chvalues = dict(model.chvalues)
+    cv = model.chvalues["f8_c_8_2"]
+    broken.chvalues[cv.id] = dataclasses.replace(
+        cv, order=("int", m),
+        terms=tuple(ValueTerm(t.coeff, t.eps4, (("int", 0),) * len(t.exps)) for t in cv.terms))
+    message = f"c_8_2: the orbits of +-1, +-q^2 mod {m} are not all of size 4"
+    assert all(not r.ok and r.actual == message for r in ct.f_norm_check(broken, 1, "f8"))
+
+
+def test_norm_depends_on_k_only_through_gcd(model):
+    # at n = 4, m = p8b = 481 = 13 * 37 and q^2 = 31 mod m.  The orbits of the
+    # slopes 1, 14 and 27 agree mod 13 (not mod 37), so the share of c_8_2
+    # differs where 37 divides k: the first two terms are imaginary, the
+    # third real, and a fourth (the orbit of 2) has eps4^3 = -eps4.  The
+    # oracle sums over the classes
+    import dataclasses
+
+    broken = copy.copy(model)
+    broken.chvalues = dict(model.chvalues)
+    cv = model.chvalues["f8_c_8_2"]
+    coeff = cv.terms[0].coeff
+    broken.chvalues[cv.id] = dataclasses.replace(cv, terms=tuple(
+        ValueTerm(coeff, eps4, tuple(_expr(f"{c}*i*k") for c in (s, -s, 31 * s, -31 * s)))
+        for eps4, s in ((1, 1), (1, 14), (0, 27), (3, 2))))
+    records = {r.name: r.actual for r in ct.f_norm_check(broken, 4, "f8")}
+    rows = ct._norm_rows(broken, 4, "f8")
+    norms = {}
+    for k in (1, 2, 13, 26, 37, 74):
+        exact = sum(ct._share(row, k) for row in rows)
+        assert records[f"f8(k={k})"] == (True if exact == 2 else f"(f, f) = {exact}")
+        assert abs(norm_oracle.to_float(exact) - norm_oracle.norm(broken, 4, "f8", k)) < 1e-9
+        norms.setdefault(exact, []).append(k)
+    assert sorted(norms.values()) == [[1, 2, 13, 26], [37, 74]]
+
+
+def test_numeric_relations_read_eps4(model):
+    # eps4^3 = -eps4: f8 on c_1_12 negated breaks c_1_12 + 2 c_1_10 + c_1_11 = 0
+    import dataclasses
+
+    broken = copy.copy(model)
+    broken.chvalues = dict(model.chvalues)
+    cv = model.chvalues["f8_c_1_12"]
+    broken.chvalues[cv.id] = dataclasses.replace(
+        cv, terms=tuple(ValueTerm(t.coeff, 3, t.exps) for t in cv.terms))
+    for n in (1, 2):
+        failed = [r.name for r in ct.f_relations_numeric(broken, n) if not r.ok]
+        assert failed == ["f8_rel_c1_12"]
 
 
 def test_exponent_integrality(model):

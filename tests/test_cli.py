@@ -130,14 +130,15 @@ def test_skips_carry_reason_and_exit_zero(tmp_path, capsys):
 
 
 def test_verify_all_n5_coverage(tmp_path, capsys):
-    # every check but the floating-point norms runs at n = 5
+    # every check runs and passes at n = 5, the 4096 norms included
     from collections import Counter
 
     report = tmp_path / "r.json"
     assert main(["verify", "all", "--n", "5", "--report", str(report)]) == 0
     records = json.loads(report.read_text())
     other = Counter((r["check"], r["status"]) for r in records if r["status"] != "pass")
-    assert other == {("f_norm", "skip"): 4096}
+    assert other == {}
+    assert sum(r["check"] == "f_norm" for r in records) == 4096
     weyl = {"torus_param_count", "torus_param_fixed", "torus_param_distinct",
             "dual_torus_fixed", "dual_torus_distinct"}
     assert sum(r["check"] in weyl for r in records) == 55
@@ -177,13 +178,15 @@ def test_report_deterministic(tmp_path):
     (["verify", "params", "--n", "1", "--n", "2", "--n", "3"], 369,
      "9bd03715f4d4373a3473e7216e893395583c62cb55e5f761c768a5bed711b5dd"),
     (["verify", "all", "--max-n", "4"], 5705,
-     "454dcc69abd8035d3093ef76c5dd9d38c0ae7f6af6b53711ce81e6303df11eef"),
+     "afed789580c860e0c4203ed7147cd194f81bb267fd8bbd1a523431eb0f665bad"),
     (["verify", "dade", "--mode", "both", "--n", "1", "--n", "2", "--n", "3", "--n", "4"], 1602,
      "2a97e3048d0de02641661c090aa39b0d053c9aba1c5971a32cd7383f4f711b59"),
     (["verify", "fixrows", "--n", "1", "--n", "2", "--n", "3", "--n", "4"], 1458,
      "96dabd1ac9af9758e199aa7ff1dda9afd7382ece84a5c93ba5296920b6ebbd9c"),
+    (["verify", "relations", "--n", "3", "--n", "4"], 1373,
+     "5dff4d6f8311a20f4a29c3eb64b6dbca2fccbb89789f6a5a2b32c47993c7add8"),
 ], ids=["all-n1", "dade-both-n2", "weyl-n123", "params-n123", "all-max-n4", "dade-both-n1234",
-        "fixrows-n1234"])
+        "fixrows-n1234", "relations-n34"])
 def test_report_matches_golden_digest(tmp_path, argv, count, digest):
     report = tmp_path / "r.json"
     assert main(argv + ["--report", str(report)]) == 0
@@ -396,22 +399,56 @@ def test_params_listing_past_the_listed_tuples_is_error(capsys):
                             "grid: 67092481 tuples, more than 4194304\n")
 
 
-def test_norms_above_float_limit_are_skips(tmp_path, model):
+def test_norms_pass_one_record_per_k(tmp_path, model):
+    # the norms are exact at every n: n = 3 passes like n = 2, no skip
     from dadecheck import chartables
 
     report = tmp_path / "r.json"
     assert main(["verify", "relations", "--n", "2", "--n", "3", "--report", str(report)]) == 0
     norms = [r for r in json.loads(report.read_text()) if r["check"] == "f_norm"]
-    for n, status in ((2, "pass"), (3, "skip")):
+    for n, count in ((2, 64), (3, 256)):
         got = [r for r in norms if r["n"] == n]
         ks = [f"{w}(k={k})" for w in ("f8", "f10")
               for k in chartables.admissible_norm_parameters(model, n, w)]
         assert sorted(r["name"] for r in got) == sorted(ks)
-        assert {r["status"] for r in got} == {status}
-    assert len([r for r in norms if r["n"] == 2]) == 64
-    assert all("reason" not in r for r in norms if r["n"] == 2)
-    assert all(r["reason"] == "the floating-point norm is checked only for n <= 2"
-               for r in norms if r["n"] == 3)
+        assert len(got) == count
+        assert all(r["status"] == "pass" and r["actual"] == "True" and "reason" not in r
+                   for r in got)
+
+
+_C_8_2 = "term: [s2*q, 1, th*i*k, -(th*i*k), (th-1)*i*k, -((th-1)*i*k)]"
+# the relation records that a changed f8 value on c_8_2 must fail besides the norms
+_C_8_2_RELATIONS = {("difference", "diff_f8/c_8_2"), ("difference_numeric", "diff_f8/c_8_2"),
+                    ("relation", "f8_anti_c8_3"), ("relation_numeric", "f8_anti_c8_3")}
+
+
+@pytest.mark.parametrize("fname, old, new, n, message, others", [
+    # one index orbit at n = 1, against a family count of 2
+    ("classes.def", "count: (q^2-s2*q)/4\n", "count: (q^2-s2*q)/4+1\n", 1,
+     "c_8_2: 1 index orbits vs family count 2", set()),
+    # the slopes th, -th, th-3, 1-th are not closed under negation mod p8b
+    ("relations.def", _C_8_2, _C_8_2.replace("(th-1)*i*k,", "(th-3)*i*k,"), 3,
+     "c_8_2: root slopes not closed under negation mod 113", _C_8_2_RELATIONS),
+    # 1, -1, 1, -1 are, but q^2 = 3 mod 5 sends 1 to 3
+    ("relations.def", _C_8_2, "term: [s2*q, 1, i*k, -(i*k), i*k, -(i*k)]", 1,
+     "c_8_2: root slopes not closed under x q^2 mod 5", _C_8_2_RELATIONS),
+    ("relations.def", _C_8_2, _C_8_2.replace("1, th*i*k,", "1, th*i*k+1,"), 1,
+     "c_8_2: root exponent ((th*i)*k)+1 is not an integer multiple of i*k", _C_8_2_RELATIONS),
+], ids=["family-count", "slopes-not-negation-closed", "slopes-not-q2-closed",
+        "exponent-constant"])
+def test_broken_norm_data_fails_records(tmp_path, capsys, fname, old, new, n, message, others):
+    data = _data_copy(tmp_path, fname, old, new)
+    report = tmp_path / "r.json"
+    assert main(["verify", "relations", "--n", str(n), "--data-dir", data,
+                 "--report", str(report)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    records = json.loads(report.read_text())
+    f8 = [r for r in records if r["check"] == "f_norm" and r["name"].startswith("f8(")]
+    assert f8 and all(r["status"] == "fail" and r["actual"] == repr(message) for r in f8)
+    failed = {(r["check"], r["name"]) for r in records
+              if r["status"] != "pass" and r["check"] != "f_norm"}
+    assert failed == others
+    assert all(r["status"] == "pass" for r in records if r["name"].startswith("f10("))
 
 
 def test_n_free_records_carry_null_n(tmp_path):

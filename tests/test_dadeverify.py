@@ -5,11 +5,11 @@ from dadecheck.dadeverify import (
     defect_of,
     k_fixed,
     ledger_consistency,
-    set_cardinality,
     sylow_consistency,
     verify_dade,
     verify_dade_exact_level,
 )
+from dadecheck.counting import formula_count
 from dadecheck.tabledsl import build_env, eval_expr, eval_expr_int
 
 
@@ -118,8 +118,8 @@ def test_ledger_consistency(model):
 def test_pair_bi50_pai40(model):
     for n in (1, 2):
         q2 = 2 ** (2 * n + 1)
-        assert set_cardinality(model, "BI_50", n) == q2
-        assert set_cardinality(model, "PaI_40", n) == q2
+        assert formula_count(model.paramsets["BI_50"], n) == q2
+        assert formula_count(model.paramsets["PaI_40"], n) == q2
 
 
 def test_raw_balance_20n11_value(model):
