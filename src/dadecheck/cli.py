@@ -22,20 +22,13 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
-import os
 import sys
 import time
 from typing import Dict, List, Optional
 
-# dadecheck never hands BLAS anything large, and OpenBLAS's helper thread
-# costs every process CPU time from the import of numpy on.  A caller's own
-# value wins.  Set here, before a check kind's module loads numpy, and not in
-# the package: importing dadecheck leaves the environment alone.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-from . import counting, load_model  # noqa: E402
-from .record import Record  # noqa: E402
-from .tabledsl import DanglingReference, TableSyntaxError, WeylDataError  # noqa: E402
+from . import counting, load_model
+from .record import Record
+from .tabledsl import DanglingReference, TableSyntaxError, WeylDataError
 
 # ---- check runners (module level so a worker pool can dispatch them) ---------
 
@@ -56,9 +49,9 @@ def _init_worker(data_dir):
 
 
 # kind -> (module, [(n_free, checker)]).  The module is imported when the kind
-# first runs, so a run loads only what its kinds need (numpy only for
-# params).  The n-free checkers of a kind run once per run, in its task with
-# n None; the others run in its task at every n.  A checker is called as
+# first runs, so a run loads only what its kinds need.  The n-free checkers
+# of a kind run once per run, in its task with n None; the others run in its
+# task at every n.  A checker is called as
 # checker(module, model, n, cfg) and reaches its function through the module
 # attribute at call time, so a patched or wrapped function is the one that runs.
 REGISTRY = {
@@ -281,10 +274,10 @@ def _cmd_params(args, cfg) -> int:
         expected = counting.formula_count(spec, n)
         records.append(Record("cardinality", spec.id, n, expected, count).as_json(millis))
         if args.list:
-            from . import paramsets  # the listing needs numpy; the count does not
+            from . import paramsets
 
             try:
-                reps = paramsets.enumerate_classes(spec, n).representatives()
+                reps = paramsets.class_representatives(spec, n)
             except paramsets.BudgetExceeded as e:
                 print(f"error: cannot list the classes of {spec.id} at n = {n}: {e}",
                       file=sys.stderr)

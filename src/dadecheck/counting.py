@@ -6,8 +6,6 @@ is listed and no value is bounded.  A parameter set is Z_m or Z_m1 x Z_m2
 minus excluded tuples, modulo the group generated by its affine
 equivalence maps.  Its classes, and those fixed by the doubling
 x -> 2^t x, are counted by Burnside's lemma, each term by the kernel.
-Nothing here needs numpy: the check kinds that count sets or read their
-closed forms run without it.
 """
 
 from __future__ import annotations

@@ -1,15 +1,23 @@
 """Class counts of semisimple class families, and the listing of set classes.
 
-A family is counted on its index grid by Burnside's lemma under the
-F-centralizer of its torus (listed by rootdatum.f_centralizer, held here as
-an int64 array), where its chart (rootdatum._chart, shared with the torus
-checks) carries the action: each |Fix(a_g)| comes from the exact kernel of
-counting.py, and the excluded tuples among the fixed points are found by
-applying a_g to the listed excluded tuples.  Where the chart does not carry
-the action, the orbit kernel counts the listed members.  The parameter sets
-are counted in counting.py; enumerate_classes still lists their classes,
-for ``dadecheck params --list`` and as a test oracle.  Counts are checked
-against the closed-form cardinality column of the tables.
+A family's classes are the orbits of the F-centralizer C of its torus
+(rootdatum.f_centralizer) on its admissible members.  They are counted by
+Burnside's lemma on Python ints, with no member listed, on one of two paths:
+
+- the chart path, where the family's chart (rootdatum._chart, shared with
+  the torus checks) carries the action: each g in C acts on the index grid
+  as a map a_g, |Fix(a_g)| comes from counting.fixed_point_count, and the
+  excluded tuples among the fixed ones are counted on the shape of the
+  exclusion, a union of cyclic subgroups and points (_Union), or by
+  inclusion-exclusion (counting._count_in) where it has a few atoms;
+- the orbit path, for a one-index family whose orbits leave its chart: the
+  orbits on the union of the cyclic subgroups h phi(Z_r), h in C, less those
+  on the union of the h phi(E).
+
+Any other family is listed, up to _LISTED_TUPLES index tuples.  The
+parameter sets are counted in counting.py; class_representatives lists their
+classes for ``dadecheck params --list``.  Counts are checked against the
+closed-form cardinality column of the tables.  Nothing here needs numpy.
 """
 
 from __future__ import annotations
@@ -17,333 +25,371 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from operator import mul
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import rootdatum
 from .counting import (
-    AffineGroup,
-    MapClosureError,
-    _atom_row,
+    _count_in,
+    _exclusion,
+    _fixed_rows,
+    _keeps,
     _orbits,
-    _permutes,
     _ranges,
+    _set_grid,
     _split,
     _well_defined,
     class_count,
-    equivalence_group,
+    count,
     family_formula_count,
     fixed_point_count,
     formula_count,
     has_index_structure,
 )
 from .record import Record
-from .rootdatum import _chart
+from .rootdatum import Matrix, _chart, mat_mul
 from .tabledsl import ClassFam, Model, ParamSetSpec, build_env, eval_expr_int
 
 
 class BudgetExceeded(OverflowError):
-    """An int64 or exact-double bound, or _LISTED_TUPLES, that a count would pass.
+    """A listing of more than _LISTED_TUPLES index tuples that a count or a listing would need.
 
     Its message does not name the family or set; where it becomes a skip,
     the reason is prefixed with that.
     """
 
 
-_INT64_MAX = (1 << 63) - 1
+class MixedOrbit(ValueError):
+    """An orbit of the centralizer meets both admissible and excluded members of a family.
+
+    Then the admissible members are no union of classes, and the family's
+    count is no count of classes: its record fails and says so.
+    """
 
 
-def _fits_int64(bound: int, what: str) -> None:
-    if bound > _INT64_MAX:
-        raise BudgetExceeded(f"{what}: intermediate values up to {bound} overflow int64")
-
-
-# The most index tuples listed at once, by _admissible, _excluded or as the
-# candidates of _solve: 32 MB for each int64 array of them.  It bounds the
-# memory of a count at every n; no count at n <= 8 lists more than 2^21.
+# The most index tuples listed by one count or listing: the grid of a set
+# listed by class_representatives, or of a family on neither Burnside path.
 _LISTED_TUPLES = 1 << 22
 
-
-def _listable(size: int, what: str) -> None:
-    if size > _LISTED_TUPLES:
-        raise BudgetExceeded(f"{what}: {size} tuples, more than {_LISTED_TUPLES}")
-
-
-def _points(owner: str, exprs, varnames, arrays, n: int, side: str) -> Tuple[int, np.ndarray]:
-    """Points of a parameterized family as (D, N x 4 int64 array of D * value mod D).
-
-    arrays hold the index tuples (none for a single point).
-    """
-    denom, chart = _chart(owner, exprs, varnames, n, side)
-    top = max((int(arr.max()) for arr in arrays if arr.size), default=0)
-    _fits_int64(denom * max(denom, top + 1), "torus points")
-    chart = np.array(chart, dtype=np.int64)
-    npts = len(arrays[0]) if arrays else 1
-    vecs = np.repeat(chart[-1:], npts, axis=0)
-    for arr, row in zip(arrays, chart):
-        vecs = (vecs + arr[:, None] * row) % denom
-    return denom, vecs
+# The most atoms of an exclusion counted by inclusion-exclusion, which makes
+# up to about 2^atoms calls of counting.count per fixed-point count.
+_FEW_ATOMS = 4
 
 
-# --- index grids and affine maps on them --------------------------------------
+# --- listing -----------------------------------------------------------------
 
 
-def _index_grid(owner: str, range_exprs, varnames, exclude, n: int):
-    """The index grid Z_r1 x ... x Z_rk of a set or family at n.
-
-    Returns (ranges, excluded): the ranges from _ranges and the sorted flat
-    grid indices of the excluded tuples, solved for by _excluded (none if
-    exclude is None).  The counts read nothing else of the grid.  A flat
-    index must fit in int64.
-    """
-    ranges = _ranges(owner, range_exprs, n)
-    _fits_int64(math.prod(ranges), "flat grid index")
-    if exclude is None:
-        return ranges, np.zeros(0, dtype=np.int64)
-    return ranges, _excluded(owner, exclude, n, varnames, ranges)
+def _holds(pred, a) -> bool:
+    """Whether a compiled predicate (counting._exclusion) holds on the index tuple a."""
+    if pred[0] == "atom":
+        _, negated, row, m = pred
+        return ((sum(map(mul, row, a)) - row[-1]) % m == 0) != negated
+    if pred[0] == "and":
+        return _holds(pred[1], a) and _holds(pred[2], a)
+    return _holds(pred[1], a) or _holds(pred[2], a)
 
 
-def _admissible(ranges, excluded):
-    """(admissible mask over the grid, admissible tuples as int64 arrays, one per index)."""
+def _grid(ranges: Sequence[int]) -> Iterator[Tuple[int, ...]]:
+    """Every tuple of Z_r1 x ... x Z_rk in lexicographic order, if at most _LISTED_TUPLES."""
     size = math.prod(ranges)
-    _listable(size, "grid")
-    keep = np.ones(size, dtype=bool)
-    keep[excluded] = False
-    return keep, [a.ravel()[keep] for a in np.indices(ranges, dtype=np.int64)]
+    if size > _LISTED_TUPLES:
+        raise BudgetExceeded(f"grid: {size} tuples, more than {_LISTED_TUPLES}")
+    return itertools.product(*map(range, ranges))
 
 
-def _apply(lin, shift, arrays, ranges) -> List[np.ndarray]:
-    """Images of the index tuples under a -> lin a + shift, mod each range.
+def _image(lin, shift, a, ranges) -> Tuple[int, ...]:
+    """lin a + shift, row k mod ranges[k]."""
+    return tuple((sum(map(mul, row, a)) + t) % r for row, t, r in zip(lin, shift, ranges))
 
-    Row k of lin and shift[k] are reduced mod ranges[k] first, which leaves
-    image k unchanged; every partial sum is then below (nv + 1) * r * (top + 1),
-    with top the largest index, and that bound must fit in int64.
+
+def class_representatives(spec: ParamSetSpec, n: int) -> Iterator[Tuple[int, ...]]:
+    """The least admissible tuple of each class of an indexed set, in increasing order.
+
+    counting._set_grid checks that the equivalence group permutes the
+    admissible tuples, so a tuple is the least of its class when no map
+    sends it lower.  The set and the size of its grid are checked here; the
+    tuples are listed as the result is read, and none is kept.
     """
-    top = max((int(a.max()) for a in arrays if a.size), default=0)
-    _fits_int64((len(arrays) + 1) * max(ranges) * (top + 1), "index map")
-    return [(sum((int(c) % r) * a for c, a in zip(lin[k], arrays)) + int(shift[k]) % r) % r
-            for k, r in enumerate(ranges)]
+    grid = _set_grid(spec, n)
+    maps = [_split(g) for g in grid.group.maps]
+    moduli, exclude = grid.moduli, grid.exclude
+    return (a for a in _grid(moduli)
+            if (exclude is None or not _holds(exclude, a))
+            and all(_image(lin, shift, a, moduli) >= a for lin, shift in maps))
 
 
-def _stable(keep, maps, arrays, ranges) -> bool:
-    """Whether each (lin, shift) of maps sends a set of index tuples into itself.
+# --- unions of cyclic subgroups ------------------------------------------------
 
-    The set is given as its mask over the grid, keep, and as its tuples,
-    arrays.  Checking generators suffices: a set that each generator maps
-    into itself is mapped into itself by every composite, invertible or not.
+
+def _order(v, ranges) -> int:
+    """The order of v in Z_r1 x ... x Z_rk."""
+    return math.lcm(*(r // math.gcd(x, r) for x, r in zip(v, ranges)))
+
+
+def _span(a, b, ranges) -> int:
+    """|<a, b>| in Z_r1 x ... x Z_rk, from the maximal minors.
+
+    <a, b> is L / R, with R the lattice of the r_i e_i and L that of a, b and
+    the r_i e_i.  The index of L is the gcd of its k x k minors: prod r, each
+    a_i or b_i times the r_j with j != i, and each a_i b_j - a_j b_i times the
+    r_l with l not i or j.  So |<a, b>| = prod r / that gcd.
     """
-    return all(keep[np.ravel_multi_index(_apply(lin, shift, arrays, ranges), ranges)].all()
-               for lin, shift in maps)
+    total = math.prod(ranges)
+    g = total
+    for i, r in enumerate(ranges):
+        rest = total // r
+        g = math.gcd(g, a[i] * rest, b[i] * rest)
+        for j in range(i + 1, len(ranges)):
+            g = math.gcd(g, (a[i] * b[j] - a[j] * b[i]) * (rest // ranges[j]))
+    return total // g
 
 
-def _keeps_excluded(excluded, maps, ranges) -> bool:
-    """Whether each (lin, shift) of maps, permutations of the grid, keeps the excluded tuples.
+@dataclass(frozen=True)
+class _Union:
+    """A union of cyclic subgroups <v_i> and single points of a grid Z_r1 x ... x Z_rk.
 
-    excluded holds their sorted flat grid indices, and a permutation keeps
-    them exactly when their images, sorted, are them again.  That is the
-    same as keeping the admissible tuples, which are far more.
+    lines holds one generator of each distinct subgroup and orders their
+    orders; meets holds (i, j, |<v_i> ∩ <v_j>|) for i < j; points holds the
+    points that no line holds, each once.
     """
-    if not len(excluded):
-        return True
-    arrays = np.unravel_index(excluded, ranges)
-    return all(np.array_equal(np.sort(np.ravel_multi_index(_apply(lin, shift, arrays, ranges),
-                                                           ranges)), excluded)
-               for lin, shift in maps)
+
+    ranges: Tuple[int, ...]
+    lines: Tuple[Tuple[int, ...], ...]
+    orders: Tuple[int, ...]
+    meets: Tuple[Tuple[int, int, int], ...]
+    points: Tuple[Tuple[int, ...], ...]
+
+    def __contains__(self, x) -> bool:
+        return x in self.points or any(_span(v, x, self.ranges) == o
+                                       for v, o in zip(self.lines, self.orders))
 
 
-def _solve(row, m: int, ranges) -> List[np.ndarray]:
-    """The grid tuples a with c . a = b mod m, row = (c_1, ..., c_v, b) in integers.
+def _union(ranges, lines, points) -> _Union:
+    """The _Union of the subgroups the vectors of lines generate and of points.
 
-    a runs over the representatives 0 <= a_j < ranges[j].  One index s is
-    solved for while the other indices run over their values: for each of
-    those, c_s a_s = c mod m has, with g = gcd(c_s, m), no solution unless
-    g | c, and otherwise the solutions a_0 + j m/g, of which those below r_s
-    are kept (m need not divide r_s).  s is the index with the fewest
-    candidates, (prod r / r_s) * ceil(r_s g / m), never more than the grid
-    and listed only up to _LISTED_TUPLES.  Returns the solutions as int64
-    arrays, one per index, each tuple once.
+    <v_i> ∩ <v_j> has |<v_i>| |<v_j>| / |<v_i, v_j>| elements, and the two
+    are one subgroup when that is both orders.
+    """
+    ranges = tuple(ranges)
+    gens, orders, meets = [], [], []
+    for v in lines:
+        v = tuple(x % r for x, r in zip(v, ranges))
+        o = _order(v, ranges)
+        spans = [_span(w, v, ranges) for w in gens]
+        if any(s == o == p for s, p in zip(spans, orders)):
+            continue
+        meets.extend((i, len(gens), p * o // s) for i, (s, p) in enumerate(zip(spans, orders)))
+        gens.append(v)
+        orders.append(o)
+    u = _Union(ranges, tuple(gens), tuple(orders), tuple(meets), ())
+    rest = []
+    for p in points:
+        p = tuple(x % r for x, r in zip(p, ranges))
+        if p not in u and p not in rest:
+            rest.append(p)
+    return _Union(ranges, u.lines, u.orders, u.meets, tuple(rest))
+
+
+def _union_fixed(u: _Union, image) -> int:
+    """|Fix ∩ E| for E = u and a linear map of the grid, given as image(v) on reduced tuples.
+
+    Fix ∩ <v_i> is cyclic of order s_i = ord(v_i) / ord(image(v_i) - v_i).  An
+    element of their union generates a cyclic subgroup of some order d; the
+    Fix ∩ <v_i> with d | s_i have one each, and those of i and j are one
+    when d | t_ij = gcd(s_i, s_j, |<v_i> ∩ <v_j>|).  So the union has
+    sum_d phi(d) N(d) elements, with N(d) the number of classes of
+    {i : d | s_i} under d | t_ij.  N(d) depends on d only through c(d), the
+    gcd of the members of the gcd closure S of the s_i and t_ij that d
+    divides; and the phi(d) with c(d) = g sum to psi(g) = g - sum of psi(g')
+    over the g' in S that properly divide g (P. Hall's Möbius recursion for
+    the Eulerian functions of a group, 1936).  No divisor is listed.
+    """
+    ranges = u.ranges
+    fixed = sum(image(p) == p for p in u.points)
+    s = [o // _order([x - y for x, y in zip(image(v), v)], ranges)
+         for v, o in zip(u.lines, u.orders)]
+    if not s or max(s) == 1:  # only 0, if any line
+        return fixed + bool(s)
+    pairs = [(i, j, math.gcd(t, s[i], s[j])) for i, j, t in u.meets]
+    closure = set(s) | {t for _, _, t in pairs}
+    frontier = list(closure)
+    while frontier:
+        x = frontier.pop()
+        for y in list(closure):
+            z = math.gcd(x, y)
+            if z not in closure:
+                closure.add(z)
+                frontier.append(z)
+    psi: Dict[int, int] = {}
+    for g in sorted(closure):  # a proper divisor comes first
+        psi[g] = g - sum(p for h, p in psi.items() if g % h == 0)
+        members = [i for i, x in enumerate(s) if x % g == 0]
+        if members:
+            fixed += psi[g] * _classes(members, [(i, j) for i, j, t in pairs if t % g == 0])
+    return fixed
+
+
+def _classes(members, edges) -> int:
+    """The number of classes of members under the equivalence the edges generate."""
+    parent = {i: i for i in members}
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    classes = len(members)
+    for i, j in edges:
+        a, b = root(i), root(j)
+        if a != b:
+            parent[a] = b
+            classes -= 1
+    return classes
+
+
+def _union_keeps(u: _Union, image) -> bool:
+    """Whether a linear map sends each v_i into some <v_j> and each point into E.
+
+    That is enough for it to send E into itself, not necessary.
+    """
+    return all(image(v) in u for v in u.lines) and all(image(p) in u for p in u.points)
+
+
+def _terms(pred, op: str):
+    """The operands of a tree of op nodes."""
+    if pred[0] == op:
+        return _terms(pred[1], op) + _terms(pred[2], op)
+    return [pred]
+
+
+def _line(atom, ranges) -> Optional[Tuple[int, ...]]:
+    """A generator of the solutions of the atom c . a = 0 mod m, or None where it finds none.
+
+    The candidates are r / |H| on one index, and on more a vector with a 1 at
+    one index and, at an index whose coefficient is a unit mod m, what solves
+    the atom.  A candidate generates the solutions when it solves the atom
+    and its order is their number.
+    """
+    _, _, row, m = atom
+    nv = len(ranges)
+    if row[nv] % m:
+        return None
+    size = count([row], [m], ranges)
+    if nv == 1:
+        candidates = [(ranges[0] // size,)]
+    else:
+        candidates = []
+        for j, l in itertools.permutations(range(nv), 2):
+            if math.gcd(row[j], m) == 1:
+                v = [0] * nv
+                v[l] = 1
+                v[j] = -row[l] * pow(row[j], -1, m) % m
+                candidates.append(tuple(v))
+    for v in candidates:
+        if sum(c * x for c, x in zip(row, v)) % m == 0 and _order(v, ranges) == size:
+            return v
+    return None
+
+
+def _pinned(atoms, ranges) -> Optional[Tuple[int, ...]]:
+    """The one tuple the atoms can hold on, each index pinned by a unit coefficient, or None.
+
+    An index of range 1 is pinned to 0.
     """
     nv = len(ranges)
-    row = [int(x) % m for x in row]
-    size = math.prod(ranges)
-    # entries below m, indices and candidates below r + 2m, g * step = m
-    _fits_int64((nv + 1) * m * (max(ranges) + 2 * m), "congruence solver")
-
-    def candidates(s):
-        return size // ranges[s] * -(-ranges[s] * math.gcd(row[s], m) // m)
-
-    s = min(range(nv), key=candidates)
-    r = ranges[s]
-    g = math.gcd(row[s], m)
-    step = m // g
-    count = -(-r * g // m)
-    _listable(candidates(s), "congruence solver")
-    others = [j for j in range(nv) if j != s]
-    free = (np.unravel_index(np.arange(size // r, dtype=np.int64), [ranges[j] for j in others])
-            if others else ())
-    rhs = (row[nv] - sum((row[j] * a for j, a in zip(others, free)),
-                         np.zeros(size // r, dtype=np.int64))) % m
-    ok = rhs % g == 0
-    a = [None] * nv
-    for j, values in zip(others, free):
-        a[j] = np.repeat(values[ok], count)
-    a[s] = ((rhs[ok] // g * pow(row[s] // g, -1, step) % step)[:, None]
-            + step * np.arange(count, dtype=np.int64)).ravel()
-    hit = a[s] < r
-    return [x[hit] for x in a]
+    point: List[Optional[int]] = [0 if r == 1 else None for r in ranges]
+    for _, _, row, m in atoms:
+        used = [j for j in range(nv) if row[j] % m]
+        if len(used) == 1 and m == ranges[used[0]] and math.gcd(row[used[0]], m) == 1:
+            point[used[0]] = row[nv] * pow(row[used[0]], -1, m) % m
+    return None if None in point else tuple(point)
 
 
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The first of each run of equal keys in a sorted array.
+def _union_of(exclude, ranges) -> Optional[_Union]:
+    """A compiled exclusion as a _Union, or None where it is not an "or" of lines and points.
 
-    With a sort, this is far faster than numpy's hashed np.unique on int64
-    keys of these sizes.
+    A line is an atom whose solutions _line finds a generator of; a point an
+    atom, or an "and" of atoms, that _pinned pins to one tuple (a term that
+    does not hold there holds nowhere).
     """
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return keys[first]
+    lines, points = [], []
+    for term in _terms(exclude, "or"):
+        atoms = _terms(term, "and")
+        if any(a[0] != "atom" or a[1] for a in atoms):
+            return None
+        line = _line(atoms[0], ranges) if len(atoms) == 1 else None
+        if line is not None:
+            lines.append(line)
+            continue
+        point = _pinned(atoms, ranges)
+        if point is None:
+            return None
+        if all(_holds(a, point) for a in atoms):
+            points.append(point)
+    return _union(ranges, lines, points)
 
 
-def _excluded(owner: str, pred, n: int, varnames, ranges) -> np.ndarray:
-    """Sorted flat grid indices of the tuples an exclusion predicate holds on.
-
-    Each atom is one congruence row, read by counting._atom_row and solved
-    by _solve.  and / or are the intersection / union, != the complement in
-    the grid.
-    """
-    if pred[0] != "atom":
-        a = _excluded(owner, pred[1], n, varnames, ranges)
-        b = _excluded(owner, pred[2], n, varnames, ranges)
-        if pred[0] == "and":
-            return np.intersect1d(a, b, assume_unique=True)
-        # a stable sort merges the two sorted runs in linear time
-        union = _distinct(np.sort(np.concatenate((a, b)), kind="stable"))
-        _listable(len(union), "excluded")
-        return union
-    row, m = _atom_row(owner, pred, n, varnames, ranges)
-    hit = np.sort(np.ravel_multi_index(_solve(row, m, ranges), ranges))
-    if pred[1] == "!=":
-        _listable(math.prod(ranges), "grid")
-        return np.setdiff1d(np.arange(math.prod(ranges)), hit, assume_unique=True)
-    return hit
-
-
-# --- listing the classes of a parameter set ---------------------------------------
-
-
-def _canonical_keys(arrays, group: AffineGroup):
-    """Lexicographically least orbit member of each tuple, as its grid index."""
-    best = None
-    for g in group.maps:
-        key = np.ravel_multi_index(_apply(*_split(g), arrays, group.moduli), group.moduli)
-        best = key if best is None else np.minimum(best, key)
-    return best
-
-
-@dataclass
-class Enumeration:
-    spec_id: str
-    moduli: Tuple[int, ...]
-    canonical: np.ndarray  # sorted grid indices of the canonical representatives
-    group: AffineGroup
-    n_admissible: int
-
-    @property
-    def count(self) -> int:
-        return len(self.canonical)
-
-    def representatives(self) -> List[Tuple[int, ...]]:
-        return list(zip(*(a.tolist() for a in np.unravel_index(self.canonical, self.moduli))))
-
-
-def enumerate_classes(spec: ParamSetSpec, n: int) -> Enumeration:
-    """Canonical representatives of the equivalence classes of an indexed set, listed."""
-    if not has_index_structure(spec):
-        raise ValueError(f"{spec.id} has no index structure")
-    moduli, excluded = _index_grid(spec.id, spec.moduli, spec.indices, spec.exclude, n)
-    keep, arrays = _admissible(moduli, excluded)
-    group = equivalence_group(spec, n, moduli)
-    if not _stable(keep, [_split(group.maps[g]) for g in group.gens], arrays, moduli):
-        raise MapClosureError(f"{spec.id}: equivalence map leaves the admissible set")
-    if not _permutes(group):
-        raise MapClosureError(f"{spec.id}: an equivalence map is not invertible mod {moduli}")
-    return Enumeration(spec.id, moduli, _distinct(np.sort(_canonical_keys(arrays, group))), group,
-                       len(arrays[0]))
-
-
-# --- semisimple class families (group side and dual side) --------------------
-
-
-def family_elements(fam: ClassFam, n: int):
-    """Admissible family members as (denominator, N x 4 integer array mod it)."""
-    _, arrays = _admissible(*_index_grid(fam.id, fam.ranges, fam.vars, fam.exclude, n))
-    return _points(fam.id, fam.coords, fam.vars, arrays, n, fam.side)
+# --- the F-centralizers --------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Centralizer:
     """A finite matrix group with its conjugacy classes and a generating set.
 
-    mats is (|C|, 4, 4) int64; classes holds (representative, class size)
-    and gens the generators, both as indices into mats.
+    mats holds the elements as 4 x 4 integer matrices; classes holds
+    (representative, class size) and gens the generators, both as indices
+    into mats.
     """
 
-    mats: np.ndarray
+    mats: Tuple[Matrix, ...]
     classes: Tuple[Tuple[int, int], ...]
     gens: Tuple[int, ...]
 
 
-def _void_rows(a: np.ndarray) -> np.ndarray:
-    """Each int64 row (or matrix) of a as one opaque value: equal rows, equal bytes."""
-    flat = np.ascontiguousarray(a, dtype=np.int64).reshape(len(a), -1)
-    return flat.view(np.dtype((np.void, 8 * flat.shape[1]))).ravel()
+def _group_structure(weyl: rootdatum.WeylGroup, mats: Sequence[Matrix]) -> Centralizer:
+    """Conjugacy classes and generators of a subgroup of W, from generator orbits.
 
-
-def _group_structure(mats: np.ndarray) -> Centralizer:
-    """Conjugacy classes and generators of a finite matrix group, exactly.
-
-    Every product is looked up among the elements, so the inverse of g is
-    the element h with g h = 1; no inverse is computed in floating point.
+    The generators are greedy: each is the first element outside the
+    subgroup so far.  The class of x is its orbit under x -> g x g^-1 for
+    the generators g, with g^-1 read from weyl.inverses.  Every product is
+    looked up among the elements; none outside raises ValueError.
     """
-    size = len(mats)
-    keys = _void_rows(mats)
-    order = np.argsort(keys)
-    keys = keys[order]
+    mats = tuple(mats)
+    pos = {m: i for i, m in enumerate(mats)}
 
-    def index(m):
-        want = _void_rows(m)
-        pos = np.minimum(np.searchsorted(keys, want), size - 1)
-        if not np.array_equal(keys[pos], want):
-            raise ValueError("the matrices are not closed under products")
-        return order[pos]
+    def times(x, y):
+        try:
+            return pos[mat_mul(mats[x], mats[y])]
+        except KeyError:
+            raise ValueError("the matrices are not closed under products") from None
 
-    table = index((mats[:, None] @ mats[None]).reshape(-1, 4, 4)).reshape(size, size)  # g h
-    one = int(index(np.eye(4, dtype=np.int64)[None])[0])
-    inverse = np.argmax(table == one, axis=1)
-    if not np.all(table[np.arange(size), inverse] == one):
-        raise ValueError("an element has no inverse among the matrices")
-    conj = table[table, inverse[:, None]]  # conj[g, x] is g x g^-1
-    labels = np.full(size, -1)
-    classes = []
-    for x in range(size):
-        if labels[x] < 0:
-            members = np.flatnonzero(np.bincount(conj[:, x], minlength=size))
-            labels[members] = len(classes)
-            classes.append((x, len(members)))
-    # greedy generators: each one is the first element outside the subgroup so far
+    one = pos[rootdatum.mat_identity()]
     gens: List[int] = []
-    inside = np.zeros(size, dtype=bool)
-    inside[one] = True
-    for x in range(size):
-        if inside[x]:
+    inside = {one}
+    for x in range(len(mats)):
+        if x in inside:
             continue
         gens.append(x)
-        frontier = np.flatnonzero(inside)
-        while frontier.size:
-            img = table[np.ix_(frontier, gens)].ravel()
-            frontier = np.flatnonzero(np.bincount(img[~inside[img]], minlength=size))
-            inside[frontier] = True
+        frontier = list(inside)
+        while frontier:
+            frontier = [z for z in {times(y, g) for y in frontier for g in gens}
+                        if z not in inside]
+            inside.update(frontier)
+    inverse = {g: pos[weyl.elems[weyl.inverses[weyl.index[mats[g]]]]] for g in gens}
+    label = [False] * len(mats)
+    classes = []
+    for x in range(len(mats)):
+        if label[x]:
+            continue
+        label[x] = True
+        orbit = [x]
+        for y in orbit:  # orbit grows while it is walked
+            for g in gens:
+                z = times(times(g, y), inverse[g])
+                if not label[z]:
+                    label[z] = True
+                    orbit.append(z)
+        classes.append((x, len(orbit)))
     return Centralizer(mats, tuple(classes), tuple(gens))
 
 
@@ -357,28 +403,47 @@ def _centralizer(model: Model, word: Tuple[str, ...]) -> Centralizer:
     if key not in _CENT_CACHE:
         weyl = rootdatum.weyl_group(model)
         cent = rootdatum.f_centralizer(weyl, rootdatum.word_matrix(weyl, word))
-        _CENT_CACHE[key] = _group_structure(np.array(cent, dtype=np.int64))
+        _CENT_CACHE[key] = _group_structure(weyl, cent)
     return _CENT_CACHE[key]
 
 
-def family_class_count(fam: ClassFam, model: Model, n: int) -> int:
-    """Orbits of the F-centralizer of the family's torus on its admissible members.
+def _moved(v, cols, denom: int) -> Tuple[int, ...]:
+    """The image of a member's D-scaled row v mod D under the element whose _columns are cols."""
+    return tuple(sum(map(mul, v, c)) % denom for c in cols)
 
-    Counted on the index grid by Burnside's lemma where the chart carries the
-    action (_burnside_count), else by the orbit kernel on the member points,
-    whose orbits may pass through coordinates outside the chart.
+
+def _columns(mat: Matrix, side: str) -> Matrix:
+    """The columns of the matrix that acts on members' rows.
+
+    Dual-side points are rows (v M), torus-side points columns (M v), which
+    as a row is v M^T: the columns of M^T are the rows of M.
     """
-    ranges, excluded = _index_grid(fam.id, fam.ranges, fam.vars, fam.exclude, n)
+    return tuple(zip(*mat)) if side == "dual" else mat
+
+
+# --- semisimple class families (group side and dual side) --------------------
+
+
+def family_class_count(fam: ClassFam, model: Model, n: int) -> int:
+    """Orbits of the F-centralizer of the family's torus that meet its admissible members.
+
+    Counted by the chart path where the chart carries the action, else by
+    the orbit path, else by listing; see the module docstring.  A family
+    with an orbit through both admissible and excluded members raises
+    MixedOrbit.
+    """
+    ranges = _ranges(fam.id, fam.ranges, n)
+    exclude = None if fam.exclude is None else _exclusion(fam.id, fam.exclude, n, fam.vars,
+                                                          ranges)
     cent = _centralizer(model, fam.word)
-    count = _burnside_count(fam, n, cent, ranges, excluded)
-    if count is None:
-        _, arrays = _admissible(ranges, excluded)
-        denom, vecs = _points(fam.id, fam.coords, fam.vars, arrays, n, fam.side)
-        count = _orbit_count(vecs, cent.mats, denom, fam.side)
-    return count
+    for path in (_chart_count, _orbit_family_count):
+        got = path(fam, n, cent, ranges, exclude)
+        if got is not None:
+            return got
+    return _listed_count(fam, n, cent, ranges, exclude)
 
 
-def _left_inverse(rows, ranges: Sequence[int], denom: int) -> Optional[np.ndarray]:
+def _left_inverse(rows, ranges: Sequence[int], denom: int) -> Optional[List[List[int]]]:
     """Functionals l_k on (Z_D)^4 with l_k(R_m) = [k == m] mod r_k, as rows, or None.
 
     l_k is read off one coordinate whose entry in R_k is a unit mod r_k, or
@@ -386,7 +451,7 @@ def _left_inverse(rows, ranges: Sequence[int], denom: int) -> Optional[np.ndarra
     is then checked on every row.  It is well defined mod D only if r_k | D.
     """
     nv = len(ranges)
-    lam = np.zeros((nv, 4), dtype=np.int64)
+    lam = []
     pairs = list(itertools.combinations(range(4), 2)) if nv == 2 else []
     for k, r in enumerate(ranges):
         if denom % r or any(r * x % denom for x in rows[k]):
@@ -405,146 +470,173 @@ def _left_inverse(rows, ranges: Sequence[int], denom: int) -> Optional[np.ndarra
                 cand[j] = x * pow(det, -1, r) % r
             if all(sum(x * y for x, y in zip(rows[m], cand)) % r == int(m == k)
                    for m in range(nv)):
-                lam[k] = cand
+                lam.append(cand)
                 break
         else:
             return None
     return lam
 
 
-def _induced_maps(chart, lam, mats, ranges, denom: int, side: str):
-    """Each group element g as an affine map a -> L_g a + t_g on the index grid.
+def _induced_map(chart, lam, cols: Matrix, ranges, denom: int):
+    """A group element, given by its _columns, as an affine map a -> L a + t of the index grid.
 
-    Returns (L, t) stacked over the group, or None unless phi(L_g a + t_g) =
-    g phi(a) for every g, which is checked exactly on the chart's rows: each
-    image of a row must be the combination of the index rows that its
-    coefficients name.  Dual-side points are row vectors (v M), torus-side
-    points columns (M v).
+    Returns (L, t), or None unless phi(L a + t) = g phi(a), which is checked
+    exactly on the chart's rows: each image of a row must be the
+    combination of the index rows that its coefficients name.
     """
     nv = len(ranges)
-    act = mats if side == "dual" else mats.transpose(0, 2, 1)
-    _fits_int64(max(4, nv) * denom * max(denom, int(np.abs(act).max())), "chart action")
-    chart = np.array(chart, dtype=np.int64)
-    img = (chart @ act) % denom  # (|C|, nv + 1, 4): R_m g and R_nv g
-    img[:, nv] = (img[:, nv] - chart[nv]) % denom  # the translation part
-    coef = (img @ lam.T) % np.array(ranges, dtype=np.int64)  # coef[g, m, k] = l_k(row m)
-    if not np.array_equal((coef @ chart[:nv]) % denom, img):
-        return None
-    return coef[:, :nv].transpose(0, 2, 1), coef[:, nv]
+    img = [list(_moved(row, cols, denom)) for row in chart]  # R_m g and R_nv g
+    img[nv] = [(x - c) % denom for x, c in zip(img[nv], chart[nv])]  # the translation part
+    coef = [[sum(x * y for x, y in zip(row, l)) % r for l, r in zip(lam, ranges)] for row in img]
+    for c, row in zip(coef, img):
+        if [sum(a * rk[j] for a, rk in zip(c, chart)) % denom for j in range(4)] != row:
+            return None
+    return [[coef[m][k] for m in range(nv)] for k in range(nv)], coef[nv]
 
 
-def _fixed_count(lin, shift, ranges, excluded) -> int:
-    """Admissible index tuples a with lin a + shift = a, row k mod ranges[k].
+def _chart_count(fam: ClassFam, n: int, cent: Centralizer, ranges, exclude) -> Optional[int]:
+    """Orbits of the centralizer on the admissible members, on the index grid, or None.
 
-    The fixed tuples of the grid are counted by counting.fixed_point_count,
-    which raises unless lin is well defined on the grid.  Those among the
-    excluded tuples, given as int64 arrays one per index, are found by
-    applying the map to them one coordinate at a time, each to the tuples
-    the coordinates before it kept, and taken off.  Where every tuple of
-    the grid is fixed, every excluded one is.
+    Burnside's lemma: orbits = (1/|C|) sum over classes of |class| times
+    the admissible tuples a_g fixes, with a_g the map g induces on the grid.
+    a_g is read for the class representatives and the generators only.  None
+    where that does not apply: the chart has no exact left inverse, an
+    element leaves the chart, the linear part of some a_g is not well
+    defined on the grid (the exact count needs it), or the excluded set is
+    not shown stable under the generators, so under the group.
+
+    The tuples a_g fixes are a coset of a subgroup, counted by
+    fixed_point_count, and the excluded ones among them by _excluded_fixed.
+    Stability is enough on the excluded set: phi a_g = g phi with phi
+    injective on the grid (it has the left inverse) and g invertible, so
+    a_g permutes the finite grid, and a permutation maps the admissible set
+    into itself exactly when it maps the excluded set into itself.
     """
-    fixed = fixed_point_count(lin, shift, ranges)
-    if fixed in (0, math.prod(ranges)):
-        return fixed - len(excluded[0]) if fixed else 0
-    arrays = excluded
-    for k, r in enumerate(ranges):
-        (img,) = _apply([lin[k]], [shift[k]], arrays, (r,))
-        kept = img == arrays[k]
-        arrays = [a[kept] for a in arrays]
-    return fixed - len(arrays[0])
-
-
-def _burnside_count(fam: ClassFam, n: int, cent: Centralizer, ranges, excluded) -> Optional[int]:
-    """Orbits of the centralizer on the admissible members, on the index grid.
-
-    Burnside's lemma: orbits = (1/|C|) sum over classes of |class| * |Fix(a_g)|,
-    with a_g the map g induces on the index grid, and each |Fix(a_g)| counted
-    by _fixed_count.  None when that does not apply: the family has no index,
-    the chart has no exact left inverse, some element leaves the chart, the
-    admissible set is not stable under a generator of the centralizer (so
-    under the group), or the linear part of some class representative's a_g
-    is not well defined on the grid, which the exact count needs.
-
-    Stability is checked on the excluded tuples, far fewer than the
-    admissible ones and all that is read of the grid.  That is enough:
-    phi a_g = g phi with phi injective on the grid (it has the left inverse)
-    and g invertible, so a_g is injective and permutes the finite grid, and
-    a permutation maps the admissible set into itself exactly when it maps
-    the excluded set into itself.
-    """
-    if not ranges:
-        return None
     nv = len(ranges)
     denom, chart = _chart(fam.id, fam.coords, fam.vars, n, fam.side)
     lam = _left_inverse(chart[:nv], ranges, denom)
     if lam is None:
         return None
-    maps = _induced_maps(chart, lam, cent.mats, ranges, denom, fam.side)
-    if maps is None:
+    maps = {}
+    for g in {*cent.gens, *(rep for rep, _ in cent.classes)}:
+        a_g = _induced_map(chart, lam, _columns(cent.mats[g], fam.side), ranges, denom)
+        if a_g is None or not _well_defined(a_g[0], ranges):
+            return None
+        maps[g] = a_g
+    excluded = _excluded_fixed(exclude, ranges, list(maps.values()),
+                               [maps[g] for g in cent.gens])
+    if excluded is None:
         return None
-    lin, shift = maps
-    if not _keeps_excluded(excluded, [(lin[g], shift[g]) for g in cent.gens], ranges):
-        return None
-    reps = [(lin[rep].tolist(), shift[rep].tolist(), size) for rep, size in cent.classes]
-    if not all(_well_defined(rep_lin, ranges) for rep_lin, _, _ in reps):
-        return None
-    tuples = np.unravel_index(excluded, ranges)
-    total = sum(size * _fixed_count(rep_lin, rep_shift, ranges, tuples)
-                for rep_lin, rep_shift, size in reps)
+    total = 0
+    for rep, size in cent.classes:
+        lin, shift = maps[rep]
+        fixed = fixed_point_count(lin, shift, ranges)
+        total += size * (fixed - excluded(lin, shift) if fixed else 0)
     return _orbits(fam.id, total, len(cent.mats))
 
 
-# Points per block of the orbit kernel.  Under the largest F-centralizer (96
-# elements) a point has 4 * 96 float64 images, so a block's images and their
-# quotients take 3 MB and stay cache-resident.  On a 2-vCPU Xeon, blocks of
-# 4096 made the n = 4 family counts about 1.5x slower; 256 to 1024 ran alike.
-_ORBIT_BLOCK = 512
+def _excluded_fixed(exclude, ranges, maps, gens):
+    """A function of (L, t) that counts the excluded tuples a -> L a + t fixes, or None.
 
-_EXACT_DOUBLE = 1 << 53
-
-
-def _orbit_count(vecs: np.ndarray, mats: np.ndarray, denom: int, side: str) -> int:
-    """Number of orbits of a matrix group on D-scaled points mod D.
-
-    mats is the whole group, so the orbit of v is {v . M}; its canonical form
-    is its lexicographically least image.  One float64 product with every
-    element stacked side by side gives all images of a block of points; the
-    least image is taken on two exact keys, hi = x0*D + x1 and lo = x2*D + x3.
-    Sides act as in _induced_maps.
-
-    Exactness: images x are integers with |x| < 4*D*max|M| < 2^53, so the
-    product is exact.  The rounded x/D can reach the next integer only if
-    x + D > 2^53, and x + D <= max(4*D*max|M|, D*D) < 2^53, so
-    x - D*floor(x/D) is exact.  Both keys are below D*D.
+    None unless the excluded set is shown stable under the maps gens.  The
+    count is _union_fixed where the exclusion is a union of lines and
+    points and every map of maps is linear, else counting._count_in where
+    the exclusion has at most _FEW_ATOMS atoms; the stability check goes
+    with it, _union_keeps or counting._keeps.
     """
-    if len(vecs) == 0:
-        return 0
-    mats = np.asarray(mats, dtype=np.int64)
-    if side == "torus":
-        mats = mats.transpose(0, 2, 1)
-    if 4 * denom * int(np.abs(mats).max()) >= _EXACT_DOUBLE or denom * denom >= _EXACT_DOUBLE:
-        raise BudgetExceeded(f"orbit kernel: denominator {denom} too large for exact doubles")
-    size = len(mats)
-    # column j*size + i is coordinate j of the image under element i
-    stack = mats.transpose(1, 2, 0).reshape(4, 4 * size).astype(np.float64)
-    d = float(denom)
-    hi = np.empty(len(vecs))
-    lo = np.empty(len(vecs))
-    for start in range(0, len(vecs), _ORBIT_BLOCK):
-        img = vecs[start:start + _ORBIT_BLOCK].astype(np.float64) @ stack
-        quot = np.divide(img, d)
-        np.floor(quot, out=quot)
-        quot *= d
-        img -= quot
-        x = img.reshape(-1, 4, size)
-        h = x[:, 0] * d + x[:, 1]
-        low = x[:, 2] * d + x[:, 3]
-        least = h.min(axis=1)
-        hi[start:start + len(h)] = least
-        lo[start:start + len(h)] = np.where(h == least[:, None], low, np.inf).min(axis=1)
-    order = np.lexsort((lo, hi))
-    hi, lo = hi[order], lo[order]
-    return 1 + int(np.count_nonzero((hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])))
+    if exclude is None:
+        return lambda lin, shift: 0
+
+    def image(lin, shift):
+        return lambda v: _image(lin, shift, v, ranges)
+
+    union = _union_of(exclude, ranges)
+    if union is not None and not any(any(shift) for _, shift in maps):
+        if all(_union_keeps(union, image(*g)) for g in gens):
+            return lambda lin, shift: _union_fixed(union, image(lin, shift))
+    elif _atoms(exclude) <= _FEW_ATOMS:
+        if all(_keeps(exclude, [row + [t] for row, t in zip(*g)], ranges) for g in gens):
+            return lambda lin, shift: _count_in(_fixed_rows(lin, shift), list(ranges), ranges,
+                                                (exclude,))
+    return None
+
+
+def _atoms(pred) -> int:
+    return 1 if pred[0] == "atom" else _atoms(pred[1]) + _atoms(pred[2])
+
+
+def _orbit_family_count(fam: ClassFam, n: int, cent: Centralizer, ranges,
+                        exclude) -> Optional[int]:
+    """Orbits meeting the admissible members of a one-index linear family, or None.
+
+    The members phi(Z_r) form the cyclic subgroup <v> of (Z_D)^4, with v
+    the chart's index row; phi must be injective (v of order r) and the
+    excluded tuples E a subgroup of Z_r, of order e (none: e = 0).  The
+    orbits of C on C <v> = union of the <h v>, h in C, are counted by
+    Burnside's lemma with _union_fixed, and so are those on C phi(E), the
+    union of the <h w> with w a generator of phi(E).  An element of C keeps
+    orders, so C phi(E) holds the points of C <v> whose order divides e and
+    C phi(Z_r - E) the others: the orbits that meet the admissible members
+    are the orbits on C <v> less those on C phi(E).
+    """
+    if len(ranges) != 1:
+        return None
+    denom, (v, const) = _chart(fam.id, fam.coords, fam.vars, n, fam.side)
+    space = (denom,) * 4
+    if any(const) or _order(v, space) != ranges[0]:
+        return None
+    if exclude is None:
+        subgroup = None
+    else:
+        union = _union_of(exclude, ranges)
+        if union is None or union.points or len(union.lines) != 1:
+            return None
+        ((x,),) = union.lines
+        subgroup = tuple(x * c % denom for c in v)
+    cols = [_columns(m, fam.side) for m in cent.mats]
+
+    def orbits_on_lines(w) -> int:
+        union = _union(space, [_moved(w, c, denom) for c in cols], [])
+        total = sum(size * _union_fixed(union, lambda p: _moved(p, cols[rep], denom))
+                    for rep, size in cent.classes)
+        return _orbits(fam.id, total, len(cols))
+
+    return orbits_on_lines(v) - (0 if subgroup is None else orbits_on_lines(subgroup))
+
+
+def _listed_count(fam: ClassFam, n: int, cent: Centralizer, ranges, exclude) -> int:
+    """Orbits meeting the admissible members, with every member listed, on Python ints.
+
+    The grid is listed once, up to _LISTED_TUPLES tuples, and the orbits
+    are walked by _orbits_met.
+    """
+    denom, chart = _chart(fam.id, fam.coords, fam.vars, n, fam.side)
+    members, excluded = [], set()
+    for a in _grid(ranges):
+        p = tuple(sum(x * row[j] for x, row in zip(a + (1,), chart)) % denom for j in range(4))
+        if exclude is not None and _holds(exclude, a):
+            excluded.add(p)
+        else:
+            members.append(p)
+    return _orbits_met(members, excluded, [_columns(m, fam.side) for m in cent.mats], denom)
+
+
+def _orbits_met(members, excluded, cols, denom: int) -> int:
+    """Orbits of a group, its elements given by their _columns, that meet the members mod D.
+
+    Each member not yet seen starts an orbit, and all its images are seen.
+    An orbit met that holds an excluded member raises MixedOrbit.
+    """
+    seen, orbits = set(), 0
+    for p in members:
+        if p not in seen:
+            images = {_moved(p, c, denom) for c in cols}
+            if not excluded.isdisjoint(images):
+                raise MixedOrbit("the centralizer carries an admissible member onto an "
+                                 "excluded one")
+            seen |= images
+            orbits += 1
+    return orbits
 
 
 # --- reports -----------------------------------------------------------------
@@ -553,7 +645,8 @@ def _orbit_count(vecs: np.ndarray, mats: np.ndarray, denom: int, side: str) -> i
 def cardinality_check(model: Model, n: int) -> List[Record]:
     """Class counts of every indexed set and every family against the table formulas.
 
-    A family count beyond the implementation's reach is a skip with the reason.
+    A family count beyond the listing limit is a skip with the reason; a
+    family whose admissible members are no union of classes fails.
     """
     records = []
     for sid in sorted(model.paramsets):
@@ -568,6 +661,8 @@ def cardinality_check(model: Model, n: int) -> List[Record]:
             got, reason = family_class_count(fam, model, n), None
         except BudgetExceeded as e:
             got, reason = None, f"{fid}: {e}"
+        except MixedOrbit as e:
+            got, reason = f"{fid}: {e}", None
         records.append(Record("family_count", fid, n, family_formula_count(fam, n), got, reason))
     return records
 

@@ -17,6 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .counting import _affine, _ranges, lattice_index, triangle
@@ -39,17 +40,13 @@ class NotLinearlyIndependent(ValueError):
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
     bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(ra[k] * cb[k] for k in range(n)) for cb in bt) for ra in a
-    )
+    return tuple(tuple(sum(map(mul, ra, cb)) for cb in bt) for ra in a)
 
 
 def mat_vec(v: Sequence, m: Matrix):
     # row vector times matrix
-    n = len(v)
-    return tuple(sum(v[i] * m[i][j] for i in range(n)) for j in range(n))
+    return tuple(sum(map(mul, v, col)) for col in zip(*m))
 
 
 def mat_identity(n: int = 4) -> Matrix:
@@ -593,7 +590,7 @@ def _chart(owner: str, exprs, varnames, n: int, side: str) -> Tuple[int, List[Li
     constant, so the point at index tuple a is sum_k a_k R_k + R_nv mod D.
     Torus-side values are on the eps basis; the change to the simple-root
     basis of X is linear mod D, so it is applied to the rows.  The rows are
-    Python ints, exact at every D; callers guard their int64 arithmetic.
+    Python ints, exact at every D.
     """
     denom, rows = _affine(owner, exprs, n, varnames)
     chart = [[int(row[k] * denom) % denom for row in rows] for k in range(len(varnames) + 1)]

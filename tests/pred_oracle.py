@@ -1,12 +1,25 @@
-"""Reference scan for exclusion predicates, independent of the congruence solver.
+"""Reference scan for exclusion predicates, independent of the counting kernel.
 
 Every atom is evaluated on every tuple of the index grid with one affine
 image; and / or / != are the mask operations.
 """
 
 from dadecheck.counting import MapClosureError, _affine
-from dadecheck.paramsets import _apply
 from dadecheck.tabledsl import build_env, eval_expr_int, pred_to_str
+
+_INT64_MAX = (1 << 63) - 1
+
+
+def apply_map(lin, shift, arrays, ranges):
+    """Images of index tuples, int64 arrays one per index, under a -> lin a + shift, mod each range.
+
+    Row k of lin and shift[k] are reduced mod ranges[k] first; every partial
+    sum is then below (nv + 1) * r * (top + 1), asserted to fit in int64.
+    """
+    top = max((int(a.max()) for a in arrays if a.size), default=0)
+    assert (len(arrays) + 1) * max(ranges) * (top + 1) <= _INT64_MAX
+    return [(sum((int(c) % r) * a for c, a in zip(lin[k], arrays)) + int(shift[k]) % r) % r
+            for k, r in enumerate(ranges)]
 
 
 def pred_mask(owner, pred, n, varnames, arrays, moduli):
@@ -34,6 +47,6 @@ def pred_mask(owner, pred, n, varnames, arrays, moduli):
         (m,) = mods
     if denom != 1:
         raise MapClosureError(f"{owner}: non-integral coefficient in {pred_to_str(pred)}")
-    (val,) = _apply([row[:-1]], row[-1:], arrays, (m,))
+    (val,) = apply_map([row[:-1]], row[-1:], arrays, (m,))
     hit = val == 0
     return ~hit if op == "!=" else hit

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -113,20 +114,35 @@ def test_report_counts_and_times_each_kind(tmp_path, capsys):
     assert lines[1].split() == ["b", "0", "passed", "0", "failed", "1", "skipped", "4.000", "ms"]
 
 
-def test_skips_carry_reason_and_exit_zero(tmp_path, capsys):
-    # at n = 8 fourteen families need values past int64; every set is counted
+def test_skips_carry_reason_and_exit_zero(tmp_path, capsys, monkeypatch):
+    # with no tuple listed, the two families counted by listing their single
+    # point are skips; every other record passes
+    from dadecheck import paramsets
+
+    monkeypatch.setattr(paramsets, "_LISTED_TUPLES", 0)
     report = tmp_path / "r.json"
     assert main(["verify", "params", "--n", "8", "--report", str(report)]) == 0
     records = json.loads(report.read_text())
     skips = [r for r in records if r["status"] == "skip"]
-    assert sorted((r["check"], r["name"]) for r in skips) == (
-        [("family_count", f"{side}{i}") for side in "gh" for i in (11, 12, 16, 17, 18, 7, 9)])
-    assert all(r["reason"].startswith(f"{r['name']}: ") and r["reason"].endswith(" overflow int64")
-               for r in skips)
+    assert sorted((r["check"], r["name"]) for r in skips) == [("family_count", "g5"),
+                                                              ("family_count", "h5")]
+    assert all(r["reason"] == f"{r['name']}: grid: 1 tuples, more than 0" for r in skips)
     assert all("reason" not in r for r in records if r["status"] != "skip")
-    passed = {r["name"] for r in records if r["status"] == "pass"}
-    assert {"PaI_4", "PbI_6", "PbI_7"} <= passed  # skipped at int64 until counted on Python ints
-    assert "111 passed, 0 failed, 14 skipped of 125 checks" in capsys.readouterr().out
+    assert "123 passed, 0 failed, 2 skipped of 125 checks" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n", [5, 8, 20, 60])
+def test_params_passes_every_record_at_large_n(tmp_path, capsys, n):
+    # every set and family is counted on Python ints: at n = 8 fourteen family
+    # counts and from n = 20 on thirty-two were skips while they needed int64
+    report = tmp_path / "r.json"
+    main(["verify", "params", "--n", "1", "--report", str(report)])  # tables and W loaded
+    t0 = time.perf_counter()
+    assert main(["verify", "params", "--n", str(n), "--report", str(report)]) == 0
+    assert time.perf_counter() - t0 < 1.0
+    records = json.loads(report.read_text())
+    assert len(records) == 125 and all(r["status"] == "pass" for r in records)
+    assert "125 passed, 0 failed, 0 skipped of 125 checks" in capsys.readouterr().out
 
 
 def test_verify_all_n5_coverage(tmp_path, capsys):

@@ -11,18 +11,18 @@ from dadecheck.paramsets import (
     BudgetExceeded,
     cardinality_check,
     class_count,
-    enumerate_classes,
+    class_representatives,
     family_class_count,
-    family_elements,
     family_formula_count,
     formula_count,
     semisimple_sum_checks,
 )
+from enum_oracle import enumerate_classes, family_elements, orbit_count
 
 
 def test_gi27_representatives(model):
-    enum = enumerate_classes(model.paramsets["GI_27"], 1)
-    assert enum.representatives() == [(1,), (2,), (3,)]
+    assert list(class_representatives(model.paramsets["GI_27"], 1)) == [(1,), (2,), (3,)]
+    assert enumerate_classes(model.paramsets["GI_27"], 1).representatives() == [(1,), (2,), (3,)]
 
 
 def test_pai4_n1(model):
@@ -112,13 +112,12 @@ def test_semisimple_sums(model):
 def test_budget_exceeded(model):
     # at n = 6 BI_1 has (2^13 - 1)^2 tuples, more than are ever listed
     with pytest.raises(BudgetExceeded, match="^grid: 67092481 tuples, more than 4194304$"):
-        enumerate_classes(model.paramsets["BI_1"], 6)
+        class_representatives(model.paramsets["BI_1"], 6)
     assert class_count(model.paramsets["BI_1"], 6) == formula_count(model.paramsets["BI_1"], 6)
 
 
 def test_budget_allows_n4_pairs(model):
-    enum = enumerate_classes(model.paramsets["BI_1"], 4)
-    assert enum.count == (2 ** 9 - 1) ** 2
+    assert sum(1 for _ in class_representatives(model.paramsets["BI_1"], 4)) == (2 ** 9 - 1) ** 2
 
 
 def test_non_integral_modulus():
@@ -129,7 +128,7 @@ def test_non_integral_modulus():
         "paramset X { group: G action: doubling moduli: [q] card: 1 }"
     )
     with pytest.raises(NonIntegralModulus):
-        enumerate_classes(m.paramsets["X"], 1)
+        class_representatives(m.paramsets["X"], 1)
 
 
 def _one_set(body):
@@ -148,10 +147,14 @@ def _one_set(body):
     "  card: 1\n",
 ])
 def test_map_leaving_admissible_set_names_the_set(body):
-    from dadecheck.paramsets import MapClosureError
+    from dadecheck.counting import MapClosureError
 
     with pytest.raises(MapClosureError, match="^X: equivalence map leaves the admissible set"):
         enumerate_classes(_one_set(body), 1)
+    # the package checks invertibility first: the map k -> 2 k on Z_8 fails that
+    with pytest.raises(MapClosureError, match="^X: (equivalence map leaves the admissible set"
+                                              "|an equivalence map is not invertible)"):
+        class_representatives(_one_set(body), 1)
 
 
 def test_doubling_leaving_class_set_names_the_set():
@@ -184,7 +187,7 @@ def test_doubling_preconditions_name_the_set(body, message):
 
 
 def test_div_modulus_zero_names_the_set():
-    from dadecheck.paramsets import MapClosureError
+    from dadecheck.counting import MapClosureError
 
     with pytest.raises(MapClosureError, match="^X: modulus 0 in"):
         class_count(_one_set("  moduli: [7]\n  exclude: (q-q) div k\n  card: 6\n"), 1)
@@ -192,7 +195,7 @@ def test_div_modulus_zero_names_the_set():
 
 def test_div_atom_not_well_defined_names_the_set():
     # 5 | k is no congruence on Z_7: k = 5 and k = 12 = 5 are one tuple
-    from dadecheck.paramsets import MapClosureError
+    from dadecheck.counting import MapClosureError
 
     spec = _one_set("  moduli: [7]\n  exclude: 5 div k\n  card: 5\n")
     with pytest.raises(MapClosureError, match=r"^X: atom 5 div k is not well defined mod \(7,\)"):
@@ -216,7 +219,7 @@ def test_set_checks_run_once_per_set_and_n(model, monkeypatch):
 
 def test_set_cache_keyed_on_the_spec():
     # two sets named X at one n: Z_7 minus {0} is kept by k -> 2k, minus {1} is not
-    from dadecheck.paramsets import MapClosureError
+    from dadecheck.counting import MapClosureError
 
     kept = _one_set("  moduli: [7]\n  exclude: k = 0\n  equiv: [k -> 2*k]\n  card: 2\n")
     moved = _one_set("  moduli: [7]\n  exclude: k = 1\n  equiv: [k -> 2*k]\n  card: 2\n")
@@ -344,10 +347,6 @@ def _centralizer_by_definition(word, model):
             if rd.mat_mul(w, frobenius_twist(v, model.frobenius)) == rd.mat_mul(v, w)}
 
 
-def _as_tuples(mats):
-    return {tuple(map(tuple, m.tolist())) for m in mats}
-
-
 def test_centralizer_cache_keyed_on_generators(model):
     import dataclasses
 
@@ -358,9 +357,9 @@ def test_centralizer_cache_keyed_on_generators(model):
     swapped = dataclasses.replace(model, weylgens=gens)
     first = _centralizer(model, ("r1", "r3")).mats
     second = _centralizer(swapped, ("r1", "r3")).mats
-    assert _as_tuples(first) == _centralizer_by_definition(("r1", "r3"), model)
-    assert _as_tuples(second) == _centralizer_by_definition(("r1", "r3"), swapped)
-    assert _as_tuples(first) != _as_tuples(second)
+    assert set(first) == _centralizer_by_definition(("r1", "r3"), model)
+    assert set(second) == _centralizer_by_definition(("r1", "r3"), swapped)
+    assert set(first) != set(second)
 
 
 def test_caches_keyed_on_the_twist(model, tmp_path):
@@ -412,7 +411,7 @@ def _orbit_count_reference(fam, model, n, mats=None):
 
     denom, vecs = family_elements(fam, n)
     if mats is None:
-        mats = [m.tolist() for m in _centralizer(model, fam.word).mats]
+        mats = _centralizer(model, fam.word).mats
     if fam.side == "torus":  # columns: v -> M v
         mats = [list(zip(*m)) for m in mats]
     seen, orbits = set(), 0
@@ -425,32 +424,59 @@ def _orbit_count_reference(fam, model, n, mats=None):
     return orbits
 
 
-# Families the Burnside path hands to the orbit kernel: g1, g5, h1 and h5
-# have no index, and the orbits of g2, g3, h2, h3 and h6 leave their charts.
-FALLBACK = {"g1", "g2", "g3", "g5", "h1", "h2", "h3", "h5", "h6"}
+# The paths family_class_count takes on the shipped tables at every n: the
+# orbits of g2, g3, h2, h3 and h6 leave their charts, and the single points
+# g5 and h5 are moved by their centralizers; every other family is charted.
+ORBIT_PATH = {"g2", "g3", "h2", "h3", "h6"}
+LISTED = {"g5", "h5"}
+
+
+def _grid_and_exclusion(fam, n):
+    """The family's ranges at n and its compiled exclusion (or None)."""
+    from dadecheck.counting import _exclusion, _ranges
+
+    ranges = _ranges(fam.id, fam.ranges, n)
+    return ranges, (None if fam.exclude is None
+                    else _exclusion(fam.id, fam.exclude, n, fam.vars, ranges))
+
+
+def _path(fam, model, n, cent=None):
+    """(name of the path that counts the family, its count), as family_class_count tries them."""
+    from dadecheck import paramsets as ps
+
+    if cent is None:
+        cent = ps._centralizer(model, fam.word)
+    ranges, exclude = _grid_and_exclusion(fam, n)
+    for path in (ps._chart_count, ps._orbit_family_count, ps._listed_count):
+        got = path(fam, n, cent, ranges, exclude)
+        if got is not None:
+            return path.__name__.strip("_"), got
+
+
+def _expected_path(fid):
+    return ("orbit_family_count" if fid in ORBIT_PATH
+            else "listed_count" if fid in LISTED else "chart_count")
 
 
 def _both_paths(fam, model, n, cent=None):
-    """(Burnside count or None, orbit kernel count) of one family."""
-    from dadecheck.paramsets import _burnside_count, _centralizer, _index_grid, _orbit_count
+    """((path, count) of the package, orbit count of the listing oracle) of one family."""
+    from dadecheck.paramsets import _centralizer
 
     if cent is None:
         cent = _centralizer(model, fam.word)
-    ranges, excluded = _index_grid(fam.id, fam.ranges, fam.vars, fam.exclude, n)
     denom, vecs = family_elements(fam, n)
-    return (_burnside_count(fam, n, cent, ranges, excluded),
-            _orbit_count(vecs, cent.mats, denom, fam.side))
+    return _path(fam, model, n, cent), orbit_count(vecs, cent.mats, denom, fam.side)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_orbit_kernel_matches_reference(model, n):
-    # the kernel also counts g2/g3/h5/h6, whose orbits leave the member set
+    # the oracle also counts g2/g3/h5/h6, whose orbits leave the member set
     for fid in sorted(model.classfams):
         fam = model.classfams[fid]
-        burnside, kernel = _both_paths(fam, model, n)
+        (path, got), listed = _both_paths(fam, model, n)
         ref = _orbit_count_reference(fam, model, n)
-        assert kernel == ref, fid
-        assert burnside == (None if fid in FALLBACK else ref), fid
+        assert listed == ref == got, fid
+        assert path == _expected_path(fid), fid
         assert family_class_count(fam, model, n) == ref, fid
 
 
@@ -460,8 +486,9 @@ def test_burnside_n4_largest_centralizers_match_formula(model, fid):
 
     fam = model.classfams[fid]
     assert len(_centralizer(model, fam.word).mats) == 96
-    burnside, _ = _both_paths(fam, model, 4)
-    assert burnside == family_formula_count(fam, 4)
+    (path, got), listed = _both_paths(fam, model, 4)
+    assert path == "chart_count"
+    assert got == listed == family_formula_count(fam, 4)
 
 
 def _family_data_copy(tmp_path, fid, edits):
@@ -496,61 +523,93 @@ def _family_data_copy(tmp_path, fid, edits):
     ("h8", [("exclude: i = 0", "exclude: i = 0 or i = 1")]),
 ])
 def test_chart_failures_fall_back(model, tmp_path, fid, edits):
+    # the chart path refuses each broken family, and the listing either counts
+    # it, as the oracle does, or finds an orbit through an admissible and an
+    # excluded member; either way its family_count record fails
+    from dadecheck import paramsets as ps
+
     broken = _family_data_copy(tmp_path, fid, edits)
     fam = broken.classfams[fid]
     for n in (1, 2):
-        assert _both_paths(model.classfams[fid], model, n)[0] is not None
-        burnside, kernel = _both_paths(fam, broken, n)
-        assert burnside is None
-        assert kernel == _orbit_count_reference(fam, broken, n)
-        assert family_class_count(fam, broken, n) == kernel
+        assert _path(model.classfams[fid], model, n)[0] == "chart_count"
+        cent = ps._centralizer(broken, fam.word)
+        assert ps._chart_count(fam, n, cent, *_grid_and_exclusion(fam, n)) is None
+        assert ps._orbit_family_count(fam, n, cent, *_grid_and_exclusion(fam, n)) is None
+        try:
+            got = family_class_count(fam, broken, n)
+        except ps.MixedOrbit:
+            got = "mixed"
+        assert got == _oracle_outcome(fam, broken, n, cent.mats)
+        (rec,) = [r for r in cardinality_check(broken, n) if r.name == fid]
+        assert not rec.ok and rec.reason is None
+        assert rec.actual == (got if got != "mixed" else
+                              f"{fid}: the centralizer carries an admissible member onto an "
+                              f"excluded one")
 
 
-def test_orbit_kernel_runs_only_for_uncharted_families(model, monkeypatch):
-    from dadecheck import paramsets
+def _oracle_outcome(fam, model, n, mats):
+    """The listing oracle's orbits meeting the admissible members, or "mixed".
 
-    calls = []
-    real = paramsets._orbit_count
+    "mixed" where an orbit meets admissible and excluded members: then the
+    orbits meeting either set outnumber those meeting all members.
+    """
+    from enum_oracle import family_members
 
-    def counted(*args):
-        calls.append(fid)
-        return real(*args)
+    denom, vecs, keep = family_members(fam, n)
+    admissible = orbit_count(vecs[keep], mats, denom, fam.side)
+    excluded = orbit_count(vecs[~keep], mats, denom, fam.side)
+    if admissible + excluded > orbit_count(vecs, mats, denom, fam.side):
+        return "mixed"
+    return admissible
 
-    monkeypatch.setattr(paramsets, "_orbit_count", counted)
-    for n in (1, 2, 3, 4):  # the families of verify params --n 1..4
+
+def test_orbit_kernel_runs_only_for_uncharted_families(model):
+    # the paths of the families of verify params --n 1..4
+    for n in (1, 2, 3, 4):
         for fid in sorted(model.classfams):
             fam = model.classfams[fid]
-            assert family_class_count(fam, model, n) == family_formula_count(fam, n), fid
-    assert len(calls) == 36 and set(calls) == FALLBACK
+            path, got = _path(fam, model, n)
+            assert path == _expected_path(fid), (fid, n)
+            assert got == family_class_count(fam, model, n) == family_formula_count(fam, n), fid
 
 
 def test_transposed_centralizer_same_count_on_both_paths(model, monkeypatch):
+    # the transposes form a group with the same classes and generators, which
+    # acts otherwise: each count, or the orbit found mixed, agrees with the oracle
     from dadecheck import paramsets
 
     real = paramsets._centralizer
-    monkeypatch.setattr(paramsets, "_centralizer", lambda m, word: paramsets._group_structure(
-        np.ascontiguousarray(real(m, word).mats.transpose(0, 2, 1))))
+
+    def transposed(m, word):
+        cent = real(m, word)
+        return paramsets.Centralizer(tuple(tuple(zip(*x)) for x in cent.mats), cent.classes,
+                                     cent.gens)
+
+    monkeypatch.setattr(paramsets, "_centralizer", transposed)
     wrong = 0
     for n in (1, 2):
         for fid in sorted(model.classfams):
             fam = model.classfams[fid]
-            burnside, kernel = _both_paths(fam, model, n)
-            assert burnside in (None, kernel), fid
-            assert family_class_count(fam, model, n) == kernel, fid
-            wrong += kernel != family_formula_count(fam, n)
+            try:
+                got = family_class_count(fam, model, n)
+            except paramsets.MixedOrbit:
+                got = "mixed"
+            assert got == _oracle_outcome(fam, model, n, transposed(model, fam.word).mats), fid
+            wrong += got != family_formula_count(fam, n)
     assert wrong  # the transposed action is not the centralizer's
 
 
 def test_burnside_sum_must_divide(model):
+    from dadecheck import rootdatum as rd
     from dadecheck.paramsets import Centralizer, _centralizer
 
     fam = model.classfams["g8"]
     cent = _centralizer(model, fam.word)
-    one = next(i for i, m in enumerate(cent.mats) if (m == np.eye(4)).all())
+    one = cent.mats.index(rd.mat_identity())
     _, vecs = family_elements(fam, 2)
     assert len(vecs) % len(cent.mats)  # the identity class alone sums to N
     with pytest.raises(ArithmeticError, match="not divisible"):
-        _both_paths(fam, model, 2, Centralizer(cent.mats, ((one, 1),), cent.gens))
+        _path(fam, model, 2, Centralizer(cent.mats, ((one, 1),), cent.gens))
 
 
 def test_centralizer_classes_and_generators(model):
@@ -560,7 +619,7 @@ def test_centralizer_classes_and_generators(model):
 
     for wc in model.weylclasses.values():
         cent = _centralizer(model, wc.word)
-        elems = [tuple(map(tuple, m.tolist())) for m in cent.mats]
+        elems = list(cent.mats)
         classes = set()
         for rep, size in cent.classes:
             x = elems[rep]
@@ -589,108 +648,109 @@ def test_formerly_dropped_n4_families_match_formula(model):
 
 
 def test_orbit_kernel_exactness_bound():
-    from dadecheck.paramsets import _orbit_count
+    # the listing walks orbits on Python ints: points that doubles would
+    # merge (they differ far below the last bit of 2^89) stay apart
+    from dadecheck.paramsets import MixedOrbit, _moved, _orbits_met
 
-    ident = np.eye(4, dtype=np.int64)[None]
-    vecs = np.zeros((1, 4), dtype=np.int64)
-    assert _orbit_count(vecs, ident, 94906265, "dual") == 1  # D*D just below 2^53
-    with pytest.raises(OverflowError):
-        _orbit_count(vecs, ident, 94906266, "dual")  # D*D above 2^53
-    with pytest.raises(OverflowError):
-        _orbit_count(vecs, ident * (1 << 40), 1 << 11, "torus")  # 4*D*max|M| = 2^53
+    denom = 2 ** 89 - 1
+    group = [tuple(tuple(s * (i == j) for j in range(4)) for i in range(4)) for s in (1, -1)]
+    pts = [(0, 0, 0, x) for x in (0, 1, 2, denom - 1, denom - 2, 2 ** 60, denom - 2 ** 60,
+                                  2 ** 88, 2 ** 88 + 1)]
+    assert _orbits_met(pts, set(), group, denom) == 6
+    assert _orbits_met(pts[1:3], {(0, 0, 0, 3)}, group, denom) == 2
+    with pytest.raises(MixedOrbit):
+        _orbits_met(pts[:3], {(0, 0, 0, denom - 2)}, group, denom)
+    assert _moved((0, 0, 0, 2 ** 88 + 1), group[1], denom) == (0, 0, 0, 2 ** 88 - 2)
 
 
 def test_index_map_bound():
-    from dadecheck.paramsets import _apply
+    from dadecheck.paramsets import _image
 
-    # coefficients are reduced mod the range first: 7 * 3 + 9 becomes 1 * 3 + 3
-    (img,) = _apply([[7]], [9], [np.array([0, 3], dtype=np.int64)], (6,))
-    assert img.tolist() == [3, 0]
-    top = np.array([1 << 30], dtype=np.int64)
-    assert _apply([[1]], [0], [top], (1 << 31,))[0].tolist() == [1 << 30]
-    with pytest.raises(OverflowError, match="index map"):
-        _apply([[1]], [0], [top], (1 << 32,))  # 2 * 2^32 * (2^30 + 1) > 2^63
+    # coefficients are reduced mod the range: 7 * 3 + 9 = 30 = 0 mod 6
+    assert [_image([[7]], [9], (a,), (6,)) for a in (0, 3)] == [(3,), (0,)]
+    top = 1 << 30
+    assert _image([[1]], [0], (top,), (1 << 31,)) == (top,)
+    assert _image([[1]], [0], (top,), (1 << 32,)) == (top,)  # once past the int64 guard
+    big = (1 << 100) + 3
+    assert _image([[big, 1]], [1], (big - 1, 5), (big * big,)) == (big * (big - 1) + 6,)
 
 
 def test_budget_skip_is_a_record(model, monkeypatch):
-    # with no tuple listed, what needs the solver or a listing is a skip that names its owner
+    # with no tuple listed, only the listed families are skips, each naming itself
     from dadecheck import paramsets
 
     monkeypatch.setattr(paramsets, "_LISTED_TUPLES", 0)
     recs = cardinality_check(model, 1)
     skips = [r for r in recs if r.reason is not None]
-    assert FALLBACK <= {r.name for r in skips} and len(skips) < len(recs)
-    assert all(r.reason.startswith(f"{r.name}: ") and r.reason.endswith(" tuples, more than 0")
-               and not r.ok for r in skips)
+    assert {r.name for r in skips} == LISTED
+    assert all(r.reason == f"{r.name}: grid: 1 tuples, more than 0" and not r.ok for r in skips)
     assert all(r.ok for r in recs if r.reason is None)
 
 
-def _excluded_by(keep, ranges):
-    """The tuples, one int64 array per index, that a mask over the grid (None: keep all) leaves out."""
-    return np.unravel_index(np.zeros(0, dtype=np.int64) if keep is None else np.flatnonzero(~keep),
-                            ranges)
-
-
-def _fixed_by_scan(lin, shift, ranges, keep):
-    """Fixed points of a -> lin a + shift by scanning the whole grid with _apply."""
-    from dadecheck.paramsets import _apply
+def _fixed_by_scan(lin, shift, ranges):
+    """Fixed points of a -> lin a + shift by scanning the whole grid."""
+    from pred_oracle import apply_map
 
     grid = [a.ravel() for a in np.indices(ranges, dtype=np.int64)]
-    img = _apply(lin, shift, grid, ranges)
-    fixed = np.logical_and.reduce([i == a for i, a in zip(img, grid)])
-    return int(np.count_nonzero(fixed if keep is None else fixed & keep))
+    img = apply_map(lin, shift, grid, ranges)
+    return int(np.count_nonzero(np.logical_and.reduce([i == a for i, a in zip(img, grid)])))
 
 
-def _fixed_or_rejected(lin, shift, ranges, keep):
-    """_fixed_count, or "rejected" where it refuses a map not well defined on the grid."""
-    from dadecheck.counting import NotHomomorphism
-    from dadecheck.paramsets import _fixed_count
+def _fixed_or_rejected(lin, shift, ranges):
+    """fixed_point_count, or "rejected" where it refuses a map not well defined on the grid."""
+    from dadecheck.counting import NotHomomorphism, fixed_point_count
 
     try:
-        return _fixed_count(lin, shift, ranges, _excluded_by(keep, ranges))
+        return fixed_point_count(lin, shift, ranges)
     except NotHomomorphism:
         return "rejected"
 
 
-def _fixed_by_scan_or_rejected(lin, shift, ranges, keep):
+def _fixed_by_scan_or_rejected(lin, shift, ranges):
     """What _fixed_or_rejected must give: "rejected" unless r_k | lin_kj r_j, else the scan."""
     if any(lin[k][j] * rj % rk for k, rk in enumerate(ranges) for j, rj in enumerate(ranges)
            if j != k):
         return "rejected"
-    return _fixed_by_scan(lin, shift, ranges, keep)
+    return _fixed_by_scan(lin, shift, ranges)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_fixed_points_solved_match_grid_scan(model, n):
-    """Every element of every charted family's centralizer, not only class representatives.
+    """Every element of every indexed charted family's centralizer, not only class representatives.
 
-    Each induced map is well defined on the grid, so each is counted.
+    Each induced map is linear and well defined on the grid, and the
+    admissible tuples it fixes, fixed_point_count less _union_fixed, are
+    those a scan of the grid finds.
     """
-    from dadecheck.paramsets import (_centralizer, _chart, _fixed_count, _index_grid,
-                                     _induced_maps, _left_inverse)
+    from dadecheck import paramsets as ps
+    from enum_oracle import admissible
+    from pred_oracle import apply_map
 
     uncharted, elements = set(), 0
     for fid in sorted(model.classfams):
         fam = model.classfams[fid]
-        ranges, excluded = _index_grid(fam.id, fam.ranges, fam.vars, fam.exclude, n)
-        keep = np.ones(math.prod(ranges), dtype=bool)
-        keep[excluded] = False
-        maps = None
-        if ranges:
-            denom, chart = _chart(fam.id, fam.coords, fam.vars, n, fam.side)
-            lam = _left_inverse(chart[:len(ranges)], ranges, denom)
-            if lam is not None:
-                maps = _induced_maps(chart, lam, _centralizer(model, fam.word).mats, ranges,
-                                     denom, fam.side)
-        if maps is None:
+        if not fam.vars:
+            continue
+        ranges, keep, _ = admissible(fam.id, fam.ranges, fam.vars, fam.exclude, n)
+        denom, chart = ps._chart(fam.id, fam.coords, fam.vars, n, fam.side)
+        lam = ps._left_inverse(chart[:len(ranges)], ranges, denom)
+        maps = [None] if lam is None else [
+            ps._induced_map(chart, lam, ps._columns(m, fam.side), ranges, denom)
+            for m in ps._centralizer(model, fam.word).mats]
+        if None in maps:
             uncharted.add(fid)
             continue
-        for lin, shift in zip(*maps):
-            for mask in (keep, None):
-                assert (_fixed_count(lin, shift, ranges, _excluded_by(mask, ranges))
-                        == _fixed_by_scan(lin, shift, ranges, mask)), fid
+        union = ps._union_of(_grid_and_exclusion(fam, n)[1], ranges)
+        grid = [a.ravel() for a in np.indices(ranges, dtype=np.int64)]
+        for lin, shift in maps:
+            assert not any(shift) and ps._well_defined(lin, ranges), fid
+            img = apply_map(lin, shift, grid, ranges)
+            fixed = np.logical_and.reduce([i == a for i, a in zip(img, grid)])
+            got = (ps.fixed_point_count(lin, shift, ranges)
+                   - ps._union_fixed(union, lambda v: ps._image(lin, shift, v, ranges)))
+            assert got == np.count_nonzero(fixed & keep), fid
             elements += 1
-    assert uncharted == FALLBACK and elements > 100
+    assert uncharted == ORBIT_PATH and elements > 100
 
 
 @pytest.mark.parametrize("lin, shift, ranges", [
@@ -714,48 +774,58 @@ def test_fixed_points_solved_match_grid_scan(model, n):
 def test_fixed_points_hand_made(lin, shift, ranges):
     # the shear on (6, 10) and the maps on (7, 8) and (481, 545) with small
     # off-diagonal entries are not well defined on their grids: refused
-    keep = np.random.default_rng(8).random(ranges).ravel() < 0.7
-    for mask in (None, keep):
-        assert (_fixed_or_rejected(lin, shift, ranges, mask)
-                == _fixed_by_scan_or_rejected(lin, shift, ranges, mask))
+    assert _fixed_or_rejected(lin, shift, ranges) == _fixed_by_scan_or_rejected(lin, shift, ranges)
 
 
 @given(st.lists(st.integers(1, 40), min_size=1, max_size=2),
-       st.lists(st.integers(-100, 100), min_size=6, max_size=6), st.integers(0, 1 << 30),
-       st.booleans())
+       st.lists(st.integers(-100, 100), min_size=6, max_size=6), st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_fixed_points_random_maps(ranges, entries, seed, well_defined):
+def test_fixed_points_random_maps(ranges, entries, well_defined):
     # half the maps are made well defined on the grid, entry kj a multiple of r_k / gcd(r_k, r_j)
     nv = len(ranges)
     lin = [[x * (ranges[k] // math.gcd(ranges[k], ranges[j]) if well_defined else 1)
             for j, x in enumerate(entries[2 * k:2 * k + nv])] for k in range(nv)]
     shift = entries[4:4 + nv]
-    keep = np.random.default_rng(seed).random(math.prod(ranges)) < 0.5
-    for mask in (None, keep):
-        assert (_fixed_or_rejected(lin, shift, tuple(ranges), mask)
-                == _fixed_by_scan_or_rejected(lin, shift, tuple(ranges), mask))
+    assert (_fixed_or_rejected(lin, shift, tuple(ranges))
+            == _fixed_by_scan_or_rejected(lin, shift, tuple(ranges)))
 
 
 def _scan_excluded(owner, pred, n, varnames, ranges):
-    """Sorted flat indices of the excluded tuples, by the reference scan."""
+    """The excluded tuples, by the reference scan."""
     from pred_oracle import pred_mask
 
     grid = [a.ravel() for a in np.indices(ranges, dtype=np.int64)]
-    return np.flatnonzero(pred_mask(owner, pred, n, varnames, grid, ranges))
+    hit = pred_mask(owner, pred, n, varnames, grid, ranges)
+    return set(zip(*(a[hit].tolist() for a in grid)))
+
+
+def _union_elements(union):
+    """Every tuple of a _Union, listed."""
+    ranges = union.ranges
+    return set(union.points) | {tuple(k * x % r for x, r in zip(v, ranges))
+                                for v, o in zip(union.lines, union.orders) for k in range(o)}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_exclusions_solved_match_scan(model, n):
-    from dadecheck.paramsets import _index_grid
+    # a set's excluded tuples are counted by the kernel; a family's are its
+    # union of lines and points, listed
+    from dadecheck import paramsets as ps
+    from dadecheck.counting import _count_in, _exclusion, _ranges
 
-    owners = ([(s.id, s.moduli, s.indices, s.exclude) for s in model.paramsets.values()
+    owners = ([(s.id, s.moduli, s.indices, s.exclude, False) for s in model.paramsets.values()
                if s.exclude is not None]
-              + [(f.id, f.ranges, f.vars, f.exclude) for f in model.classfams.values()
+              + [(f.id, f.ranges, f.vars, f.exclude, True) for f in model.classfams.values()
                  if f.exclude is not None])
     assert len(owners) == 64
-    for owner, range_exprs, varnames, exclude in owners:
-        ranges, excluded = _index_grid(owner, range_exprs, varnames, exclude, n)
-        assert np.array_equal(excluded, _scan_excluded(owner, exclude, n, varnames, ranges)), owner
+    for owner, range_exprs, varnames, exclude, family in owners:
+        ranges = _ranges(owner, range_exprs, n)
+        compiled = _exclusion(owner, exclude, n, varnames, ranges)
+        scanned = _scan_excluded(owner, exclude, n, varnames, ranges)
+        if family:
+            assert _union_elements(ps._union_of(compiled, ranges)) == scanned, owner
+        else:
+            assert _count_in([], [], ranges, (compiled,)) == len(scanned), owner
 
 
 def _affine_expr(coeffs, const):
@@ -800,27 +870,124 @@ def _grids_and_predicates(draw):
 @given(_grids_and_predicates())
 @settings(max_examples=300, deadline=None)
 def test_exclusions_solved_match_scan_random(case):
-    from dadecheck.paramsets import MapClosureError, _excluded
+    # the kernel's count of the compiled predicate, and its union of lines and
+    # points where it has that shape, against the scan; an atom whose value
+    # is not well defined on the grid, m | c_j r_j for every index j, is refused
+    from dadecheck import paramsets as ps
+    from dadecheck.counting import MapClosureError, _atom_row, _count_in, _exclusion
 
     ranges, varnames, pred = case
+    try:
+        scanned = _scan_excluded("X", pred, 1, varnames, ranges)
+    except MapClosureError:  # mixed moduli: the package refuses the predicate too
+        with pytest.raises(MapClosureError, match="^X: "):
+            _exclusion("X", pred, 1, varnames, ranges)
+        return
+    rows = [_atom_row("X", atom, 1, varnames, ranges) for atom in _atoms_of(pred)]
+    if any(c * r % m for row, m in rows for c, r in zip(row, ranges)):
+        with pytest.raises(MapClosureError, match="is not well defined"):
+            _exclusion("X", pred, 1, varnames, ranges)
+        return
+    compiled = _exclusion("X", pred, 1, varnames, ranges)
+    assert _count_in([], [], ranges, (compiled,)) == len(scanned)
+    union = ps._union_of(compiled, ranges)
+    if union is not None:
+        assert _union_elements(union) == scanned
 
-    def outcome(f):
-        try:
-            return f().tolist()
-        except MapClosureError as e:  # mixed moduli, raised alike by both
-            return str(e)
 
-    assert (outcome(lambda: _excluded("X", pred, 1, varnames, ranges))
-            == outcome(lambda: _scan_excluded("X", pred, 1, varnames, ranges)))
+def _atoms_of(pred):
+    return [pred] if pred[0] == "atom" else _atoms_of(pred[1]) + _atoms_of(pred[2])
+
+
+@st.composite
+def _unions_and_maps(draw):
+    """A grid Z_r or Z_r x Z_r, an "or" of lines and points on it, and an integer matrix.
+
+    The lines are k = c l, l = c k and k = 0, and on Z_r k = 0 and d div k
+    with d | r; a point pins each index, mostly inside the grid's
+    representatives.  On a grid of equal ranges every integer matrix is
+    well defined.
+    """
+    nv = draw(st.integers(1, 2))
+    r = draw(st.integers(1, 40))
+    k, l = ("sym", "k"), ("sym", "l")
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        pinned = [("atom", "=", v, ("int", draw(st.integers(-r, 2 * r)))) for v in (k, l)[:nv]]
+        if nv == 1:
+            d = draw(st.sampled_from([d for d in range(1, r + 1) if r % d == 0]))
+            lines = [("atom", "=", k, ("int", 0)), ("atom", "div", ("int", d), k)]
+        else:
+            c = ("int", draw(st.integers(-r, r)))
+            lines = [("atom", "=", k, ("mul", c, l)), ("atom", "=", l, ("mul", c, k)),
+                     ("atom", "=", k, ("int", 0))]
+        point = pinned[0] if nv == 1 else ("and", pinned[0], pinned[1])
+        terms.append(draw(st.sampled_from(lines + [point])))
+    pred = terms[0]
+    for term in terms[1:]:
+        pred = ("or", pred, term)
+    lin = [[draw(st.integers(-50, 50)) for _ in range(nv)] for _ in range(nv)]
+    return (r,) * nv, ("k", "l")[:nv], pred, lin
+
+
+@given(_unions_and_maps())
+@settings(max_examples=300, deadline=None)
+def test_union_fixed_matches_listing_random(case):
+    from dadecheck import paramsets as ps
+    from dadecheck.counting import _exclusion
+    from pred_oracle import apply_map, pred_mask
+
+    ranges, varnames, pred, lin = case
+    shift = [0] * len(ranges)
+    union = ps._union_of(_exclusion("X", pred, 1, varnames, ranges), ranges)
+    assert union is not None
+    grid = [a.ravel() for a in np.indices(ranges, dtype=np.int64)]
+    excluded = pred_mask("X", pred, 1, varnames, grid, ranges)
+    assert _union_elements(union) == set(zip(*(a[excluded].tolist() for a in grid)))
+    img = apply_map(lin, shift, grid, ranges)
+    fixed = np.logical_and.reduce([i == a for i, a in zip(img, grid)])
+    assert (ps._union_fixed(union, lambda v: ps._image(lin, shift, v, ranges))
+            == np.count_nonzero(fixed & excluded))
+
+
+def test_other_exclusions_counted_by_inclusion_exclusion(model, tmp_path, monkeypatch):
+    # i != 0 is no union of lines and points: the chart path counts it with _count_in
+    from dadecheck import paramsets as ps
+
+    broken = _family_data_copy(tmp_path, "h8", [("exclude: i = 0", "exclude: i != 0")])
+    fam = broken.classfams["h8"]
+    calls = []
+    real = ps._count_in
+    monkeypatch.setattr(ps, "_count_in", lambda *a: calls.append(a) or real(*a))
+    for n in (1, 2):
+        cent = ps._centralizer(broken, fam.word)
+        assert ps._union_of(*reversed(_grid_and_exclusion(fam, n))) is None
+        assert _path(fam, broken, n) == ("chart_count", 1)
+        assert family_class_count(fam, broken, n) == _oracle_outcome(fam, broken, n, cent.mats)
+    assert calls
+
+
+def test_union_count_only_for_linear_maps():
+    # the union count assumes that a_g fixes 0; a -> a + t with t != 0 does not,
+    # and its excluded fixed tuples are counted by inclusion-exclusion
+    from dadecheck import paramsets as ps
+    from dadecheck.counting import _exclusion
+
+    ranges = (7, 7)
+    exclude = _exclusion("X", ("atom", "=", ("sym", "k"), ("int", 0)), 1, ("k", "l"), ranges)
+    shift = ([[1, 0], [0, 1]], [0, 1])  # keeps k = 0, fixes nothing
+    assert ps._excluded_fixed(exclude, ranges, [shift], [shift])(*shift) == 0
+    double = ([[1, 0], [0, 2]], [0, 0])  # keeps k = 0, fixes (0, 0) on it
+    assert ps._excluded_fixed(exclude, ranges, [double], [double])(*double) == 1
 
 
 def test_burnside_path_builds_no_admissible_arrays(model, monkeypatch):
-    """Only the fallback families build the admissible tuples; no set does."""
+    """Only the listed families list their grid; no set does."""
     from dadecheck import paramsets
 
     calls = []
-    build = paramsets._admissible
-    monkeypatch.setattr(paramsets, "_admissible", lambda *a: calls.append(a) or build(*a))
+    grid = paramsets._grid
+    monkeypatch.setattr(paramsets, "_grid", lambda ranges: calls.append(ranges) or grid(ranges))
     sets = [s for s in model.paramsets.values() if s.moduli and s.action != "formula_only"]
     for n in (1, 2, 3, 4):
         before = len(calls)
@@ -833,7 +1000,7 @@ def test_burnside_path_builds_no_admissible_arrays(model, monkeypatch):
             family_class_count(fam, model, n)
             if len(calls) > before:
                 builders.add(fid)
-        assert builders == FALLBACK, n
+        assert builders == LISTED, n
 
 
 def _enumerable_sets(model):
@@ -1004,11 +1171,11 @@ def test_count_matches_scan_random(system):
 
 def test_solve_blocks_past_the_listing_limit_raise():
     from dadecheck.counting import count
-    from dadecheck.paramsets import BudgetExceeded, _solve
+    from dadecheck.paramsets import BudgetExceeded, _grid
 
-    # 2 a = 0 mod 8 has 2 solutions and the free index 2^40 values: listing them raises
-    with pytest.raises(BudgetExceeded, match="congruence solver: 2199023255552 tuples"):
-        _solve([2, 0, 0], 8, (8, 2 ** 40))
+    # 2 a = 0 mod 8 has 2 solutions and the free index 2^40 values: listing the grid raises
+    with pytest.raises(BudgetExceeded, match="^grid: 8796093022208 tuples, more than 4194304$"):
+        _grid((8, 2 ** 40))
     assert count([[2, 0, 0]], [8], (8, 2 ** 40)) == 2 * 2 ** 40  # counted, never listed
 
 

@@ -13,12 +13,10 @@ import dadecheck
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(dadecheck.__file__)))
 
 
-def _run(code, **env):
-    """Standard output of python -c code, with src importable and no caller BLAS setting."""
-    full = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    full.update(env, PYTHONPATH=SRC)
-    done = subprocess.run([sys.executable, "-c", code], env=full, capture_output=True,
-                          text=True, timeout=120)
+def _run(code):
+    """Standard output of python -c code, with src importable."""
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout.split()
 
@@ -47,9 +45,13 @@ def test_import_cli_loads_no_pool():
     ["verify", "relations", "--n", "1"],
     ["params", "--set", "PaI_4", "--n", "1"],
     ["verify", "weyl", "--n", "1"],
-], ids=["dade", "fixrows", "lemmas", "classes", "relations", "params-count", "weyl"])
+    ["verify", "params", "--n", "1"],
+    ["verify", "all", "--n", "1", "--workers", "2"],
+    ["params", "--set", "PaI_4", "--n", "1", "--list"],
+], ids=["dade", "fixrows", "lemmas", "classes", "relations", "params-count", "weyl", "params",
+        "all-pool", "params-list"])
 def test_check_kinds_without_arrays_load_no_numpy(argv):
-    # only the families and the listing of classes need numpy
+    # no check kind, and no listing, needs numpy
     code = ("import sys; from dadecheck.cli import main; "
             f"rc = main({argv!r}); print(rc, 'numpy' in sys.modules)")
     assert _run(code)[-2:] == ["0", "False"]
@@ -78,21 +80,18 @@ def test_verify_imports_no_numpy_ma(kind):
     assert _run(code)[-2:] == ["0", "False"]
 
 
-_THREADS = ("import os, dadecheck.cli, numpy; print(os.environ['OPENBLAS_NUM_THREADS']); "
-            "status = '/proc/self/status'; "
-            "print(open(status).read().split('Threads:')[1].split()[0] "
-            "if os.path.exists(status) else 'unknown')")
+def test_no_module_imports_numpy():
+    # read from the source, so an import that no test reaches shows too
+    import ast
+    import pathlib
 
-
-def test_cli_runs_one_blas_thread():
-    setting, threads = _run(_THREADS)
-    assert setting == "1"
-    if sys.platform.startswith("linux"):
-        assert threads == "1"
-
-
-def test_callers_blas_setting_wins():
-    assert _run(_THREADS, OPENBLAS_NUM_THREADS="2")[0] == "2"
+    found = []
+    for path in sorted(pathlib.Path(dadecheck.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += [(path.name, name) for name in names if name.split(".")[0] == "numpy"]
+    assert found == []
 
 
 def test_pool_run_matches_golden_digest(tmp_path):
