@@ -17,7 +17,7 @@ from typing import Dict, List
 from .exactnum import PHI_POLYS, NotRationalInteger, as_integer
 from .counting import fixed_class_count, formula_count
 from .record import Record
-from .tabledsl import FixRow, Model, build_env, eval_expr_int
+from .tabledsl import FixRow, Model, int_value
 
 
 class FormulaOnlyRow(ValueError):
@@ -50,9 +50,8 @@ def mobius(m: int) -> int:
 
 
 def fixed_count_formula(row: FixRow, t: int) -> int:
-    env = build_env(1, t=t)
     try:
-        return eval_expr_int(row.formula, env)
+        return int_value(row.formula, 1, t)
     except NotRationalInteger as e:
         raise NonIntegralFormula(f"{row.id}: {e}") from e
 

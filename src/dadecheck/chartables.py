@@ -28,10 +28,10 @@ from .tabledsl import (
     _eval,
     build_env,
     eval_expr,
-    eval_expr_int,
     eval_qpoly,
     exponent_poly,
     expr_to_str,
+    int_value,
 )
 from .dadeverify import two_part_exponent
 
@@ -45,13 +45,12 @@ def class_equation(model: Model, n: int) -> List[Record]:
     A row whose centralizer does not divide |G| (a transcription error) is
     left out of the sum and named in the failed divisibility record.
     """
-    env = build_env(n)
-    order = eval_expr_int(model.order_expr, env)
+    order = int_value(model.order_expr, n)
     total = 0
     not_dividing = []
     for rid in sorted(model.classrows):
         row = model.classrows[rid]
-        cent = eval_expr_int(row.cent, env)
+        cent = int_value(row.cent, n)
         if order % cent:
             not_dividing.append(rid)
             continue
@@ -138,7 +137,7 @@ def f_relations_numeric(model: Model, n: int) -> List[Record]:
         sums: Dict[Fraction, SqrtTwoRat] = {}
         for c, func, cls in left + [(-c, func, cls) for c, func, cls in right]:
             cv = _chvalue(model, func, cls)
-            order = eval_expr_int(cv.order, env) if cv and cv.order is not None else 1
+            order = int_value(cv.order, n) if cv and cv.order is not None else 1
             for term in cv.terms if cv else ():
                 coeff = c * eval_expr(term.coeff, env)
                 for e in term.exps:
@@ -219,7 +218,7 @@ def _norm_rows(model: Model, n: int, which: str) -> List[_NormRow]:
         if cv is None or not cv.terms:
             continue
         row = model.classrows[rid]
-        m = eval_expr_int(cv.order, env) if cv.order is not None else 1
+        m = int_value(cv.order, n) if cv.order is not None else 1
         terms = [(eval_expr(t.coeff, env), t.eps4 % 4, [_slope(rid, e, env) % m for e in t.exps])
                  for t in cv.terms]
         fam = model.classfams[row.family]
@@ -232,7 +231,7 @@ def _norm_rows(model: Model, n: int, which: str) -> List[_NormRow]:
             count = family_formula_count(fam, n)
             if m - 1 != 4 * count:
                 raise _NotProved(f"{rid}: {(m - 1) // 4} index orbits vs family count {count}")
-        rows.append(_NormRow(rid, eval_expr_int(row.cent, env), m, terms, bool(fam.vars)))
+        rows.append(_NormRow(rid, int_value(row.cent, n), m, terms, bool(fam.vars)))
     return rows
 
 
@@ -264,7 +263,7 @@ _NORM_ORDER = {"f8": "p8b", "f10": "p8a"}
 
 
 def admissible_norm_parameters(model: Model, n: int, which: str) -> List[int]:
-    order = eval_expr_int(("sym", _NORM_ORDER[which]), build_env(n))
+    order = int_value(("sym", _NORM_ORDER[which]), n)
     return list(range(1, order))
 
 
@@ -306,12 +305,11 @@ def degree_polynomials(model: Model) -> List[Record]:
 def degree_identity_check(model: Model, n: int) -> List[Record]:
     """The 2-defect of each degree, and its parity where the table says odd."""
     records = []
-    env = build_env(n)
     for rid in sorted(model.degrels):
         dr = model.degrels[rid]
         deg = as_integer(eval_qpoly(dr.table).eval(n))
         d = two_part_exponent(n) - val2(deg)
-        records.append(Record("degree_defect", rid, n, eval_expr_int(dr.defect, env), d))
+        records.append(Record("degree_defect", rid, n, int_value(dr.defect, n), d))
         if dr.odd:
             records.append(Record("degree_odd", rid, n, 1, deg % 2))
     return records

@@ -206,6 +206,23 @@ def _resolve_options(args) -> Dict[str, object]:
     return cfg
 
 
+# One record's fields, a line each, at the depth json.dumps(..., indent=1) puts them.
+_RECORD_ENCODER = json.JSONEncoder(separators=(",\n  ", ": "))
+
+
+def _report_text(records: List[dict]) -> str:
+    """The report file: json.dumps(records, indent=1) and a newline, by the C encoder.
+
+    The indenting encoder is pure Python.  Every value of a record is a
+    scalar (Record.as_json), so each record is one flat object, which the
+    C encoder writes with the separators of that layout.
+    """
+    if not records:
+        return "[]\n"
+    return "[\n" + ",\n".join(" {\n  " + _RECORD_ENCODER.encode(r)[1:-1] + "\n }"
+                              for r in records) + "\n]\n"
+
+
 def _emit(records: List[dict], cfg) -> int:
     records.sort(key=lambda r: (r["check"], str(r.get("n")), r["name"],
                                 str(r.get("t", "")), str(r.get("u", ""))))
@@ -216,10 +233,9 @@ def _emit(records: List[dict], cfg) -> int:
         if key in seen:
             raise ValueError(f"two records of one check instance {key}")
         seen.add(key)
-    text = json.dumps(records, indent=1)
     if cfg.get("report"):
         with open(cfg["report"], "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(_report_text(records))
     failures = [r for r in records if r["status"] == "fail"]
     skips = sum(1 for r in records if r["status"] == "skip")
     passes = len(records) - len(failures) - skips

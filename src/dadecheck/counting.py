@@ -11,8 +11,7 @@ x -> 2^t x, are counted by Burnside's lemma, each term by the kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .exactnum import ZERO, NotPolynomial, NotRationalInteger, QPoly, Rat
 from .tabledsl import (
@@ -20,8 +19,8 @@ from .tabledsl import (
     ParamSetSpec,
     _eval,
     build_env,
-    eval_expr_int,
     expr_to_str,
+    int_value,
     pred_to_str,
 )
 
@@ -186,11 +185,10 @@ def _affine(owner: str, exprs, n: int, varnames) -> Tuple[int, Tuple[Tuple[Rat, 
 
 def _ranges(owner: str, range_exprs, n: int) -> Tuple[int, ...]:
     """The index ranges of a set, family or torus at n, each a positive integer."""
-    env = build_env(n)
     ranges = []
     for expr in range_exprs:
         try:
-            r = eval_expr_int(expr, env)
+            r = int_value(expr, n)
         except NotRationalInteger as e:
             raise NonIntegralModulus(f"{owner}: modulus {e}") from e
         if r <= 0:
@@ -211,7 +209,7 @@ def _atom_row(owner: str, atom, n: int, varnames, ranges) -> Tuple[List[int], in
     """
     _, op, e1, e2 = atom
     if op == "div":
-        m = abs(eval_expr_int(e1, build_env(n)))  # m and -m divide the same e
+        m = abs(int_value(e1, n))  # m and -m divide the same e
         if m == 0:
             raise MapClosureError(f"{owner}: modulus 0 in {pred_to_str(atom)} at n = {n}")
         denom, (row,) = _affine(owner, [e2], n, varnames)
@@ -294,8 +292,7 @@ def _keeps(exclude, g, moduli) -> bool:
 # --- parameter sets ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AffineGroup:
+class AffineGroup(NamedTuple):
     """Closed group of affine maps on Z_m1 (x Z_m2).
 
     Row i of each map is reduced mod m_i, and every map is well defined, so
@@ -394,8 +391,7 @@ def has_index_structure(spec: ParamSetSpec) -> bool:
     return spec.action != "formula_only" and bool(spec.moduli)
 
 
-@dataclass(frozen=True)
-class _SetGrid:
+class _SetGrid(NamedTuple):
     """An indexed set at n: its moduli, compiled exclusion (or None) and equivalence group."""
 
     moduli: Tuple[int, ...]
@@ -481,11 +477,11 @@ def class_count(spec: ParamSetSpec, n: int) -> int:
 
 
 def formula_count(spec: ParamSetSpec, n: int) -> int:
-    return eval_expr_int(spec.card, build_env(n))
+    return int_value(spec.card, n)
 
 
 def family_formula_count(fam: ClassFam, n: int) -> int:
-    return eval_expr_int(fam.count, build_env(n))
+    return int_value(fam.count, n)
 
 
 def _orbits(owner: str, total: int, order: int) -> int:

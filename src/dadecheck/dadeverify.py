@@ -25,7 +25,7 @@ from .autfix import (
 from .counting import formula_count
 from .exactnum import val2
 from .record import Record
-from .tabledsl import DefectLedger, Model, build_env, eval_expr_int
+from .tabledsl import DefectLedger, Model, int_value
 
 GROUPS = ("G", "B", "Pa", "Pb")
 LHS_GROUPS = ("G", "B")
@@ -49,7 +49,7 @@ def two_part_exponent(n: int) -> int:
 
 def defect_of(degree_expr, n: int) -> int:
     """(24n+12) - val2(degree): the 2-defect of a character of that degree."""
-    deg = eval_expr_int(degree_expr, build_env(n))
+    deg = int_value(degree_expr, n)
     if deg <= 0:
         raise ValueError(f"degree evaluated to {deg}")
     return two_part_exponent(n) - val2(deg)
@@ -57,8 +57,8 @@ def defect_of(degree_expr, n: int) -> int:
 
 def sylow_consistency(model: Model, n: int) -> bool:
     """|G|_2 = q^24 = |U| * |T|_2: the hard-coded 2-part is reproduced."""
-    order = eval_expr_int(model.order_expr, build_env(n))
-    borel_two = val2(eval_expr_int(_BOREL_ORDER, build_env(n)))
+    order = int_value(model.order_expr, n)
+    borel_two = val2(int_value(_BOREL_ORDER, n))
     return val2(order) == two_part_exponent(n) == borel_two
 
 
@@ -115,11 +115,10 @@ def _identity_records(model: Model, n: int, mode: str, check: str) -> List[Recor
     """
     f = 2 * n + 1
     records = []
-    env = build_env(n)
     by_value: Dict[Tuple[int, int], List[Record]] = {}
     for lid in sorted(model.ledgers):
         led = model.ledgers[lid]
-        d = eval_expr_int(led.value, env)
+        d = int_value(led.value, n)
         for u in divisors(f):
             parts, tok = {}, {}
             for g in GROUPS:
@@ -170,10 +169,9 @@ def verify_dade_exact_level(model: Model, n: int) -> List[Record]:
     """Mobius-inverted (exact-stabilizer) version of the identity, per u."""
     f = 2 * n + 1
     records = []
-    env = build_env(n)
     for lid in sorted(model.ledgers):
         led = model.ledgers[lid]
-        d = eval_expr_int(led.value, env)
+        d = int_value(led.value, n)
         fix_lhs = {}
         fix_rhs = {}
         for t in divisors(f):
@@ -195,12 +193,11 @@ EXPECTED_COVERAGE = {"B": 58, "Pa": 40, "Pb": 56}
 
 def ledger_consistency(model: Model, n: int) -> List[Record]:
     records = []
-    env = build_env(n)
 
     # (i) every entry's computed defect matches its ledger heading
     for lid in sorted(model.ledgers):
         led = model.ledgers[lid]
-        d = eval_expr_int(led.value, env)
+        d = int_value(led.value, n)
         for e in led.entries:
             if e.degree is None:
                 # no degree shipped (semisimple union): defect by convention

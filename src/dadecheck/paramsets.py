@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from operator import mul
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import rootdatum
 from .counting import (
@@ -36,6 +35,7 @@ from .counting import (
     _keeps,
     _orbits,
     _ranges,
+    _scaling,
     _set_grid,
     _split,
     _well_defined,
@@ -48,7 +48,7 @@ from .counting import (
 )
 from .record import Record
 from .rootdatum import Matrix, _chart, mat_mul
-from .tabledsl import ClassFam, Model, ParamSetSpec, build_env, eval_expr_int
+from .tabledsl import ClassFam, Model, ParamSetSpec, int_value
 
 
 class BudgetExceeded(OverflowError):
@@ -106,16 +106,33 @@ def class_representatives(spec: ParamSetSpec, n: int) -> Iterator[Tuple[int, ...
     """The least admissible tuple of each class of an indexed set, in increasing order.
 
     counting._set_grid checks that the equivalence group permutes the
-    admissible tuples, so a tuple is the least of its class when no map
-    sends it lower.  The set and the size of its grid are checked here; the
-    tuples are listed as the result is read, and none is kept.
+    admissible tuples, so the classes are its orbits on them.  The grid is
+    walked in order, and an admissible tuple that no earlier class holds
+    is the least of a new class, whose tuples, its images under the group,
+    are then marked.  The set and the size of its grid are checked here;
+    the tuples are listed as the result is read, and what is kept is one
+    byte per grid tuple, the marks.
     """
     grid = _set_grid(spec, n)
-    maps = [_split(g) for g in grid.group.maps]
-    moduli, exclude = grid.moduli, grid.exclude
-    return (a for a in _grid(moduli)
-            if (exclude is None or not _holds(exclude, a))
-            and all(_image(lin, shift, a, moduli) >= a for lin, shift in maps))
+    one = _scaling([1] * len(grid.moduli), grid.moduli)
+    maps = [_split(g) for g in grid.group.maps if g != one]  # a's own mark is never read
+    return _least_of_orbits(grid.moduli, grid.exclude, maps, _grid(grid.moduli))
+
+
+def _least_of_orbits(moduli, exclude, maps, tuples) -> Iterator[Tuple[int, ...]]:
+    """The least admissible tuple of each class, tuples being the grid in order.
+
+    maps are the group's maps but the identity, as (lin, shift).  _grid checks the size of
+    the grid when it is called, before the marks are made.
+    """
+    marked = bytearray(math.prod(moduli))
+    strides = [math.prod(moduli[k + 1:]) for k in range(len(moduli))]
+    for i, a in enumerate(tuples):  # i is a's place in the grid
+        if marked[i] or (exclude is not None and _holds(exclude, a)):
+            continue
+        yield a
+        for lin, shift in maps:
+            marked[sum(map(mul, _image(lin, shift, a, moduli), strides))] = 1
 
 
 # --- unions of cyclic subgroups ------------------------------------------------
@@ -144,8 +161,7 @@ def _span(a, b, ranges) -> int:
     return total // g
 
 
-@dataclass(frozen=True)
-class _Union:
+class _Union(NamedTuple):
     """A union of cyclic subgroups <v_i> and single points of a grid Z_r1 x ... x Z_rk.
 
     lines holds one generator of each distinct subgroup and orders their
@@ -332,8 +348,7 @@ def _union_of(exclude, ranges) -> Optional[_Union]:
 # --- the F-centralizers --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Centralizer:
+class Centralizer(NamedTuple):
     """A finite matrix group with its conjugacy classes and a generating set.
 
     mats holds the elements as 4 x 4 integer matrices; classes holds
@@ -687,8 +702,7 @@ def trusted_input_flags(model: Model) -> List[Record]:
 
 def semisimple_sum_checks(model: Model, n: int) -> List[Record]:
     """Class counts on each side, and the semisimple member counts, sum to q^4."""
-    env = build_env(n)
-    q4 = eval_expr_int(("pow", ("sym", "q"), ("int", 4)), env)
+    q4 = int_value(("pow", ("sym", "q"), ("int", 4)), n)
     out = []
     for side, tag in (("torus", "classes_side_sum"), ("dual", "dual_side_sum")):
         total = 0

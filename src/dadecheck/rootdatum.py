@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .counting import _affine, _ranges, lattice_index, triangle
 from .record import Record
@@ -124,8 +123,7 @@ def _closure(gmats: Sequence[Matrix], limit: int):
     return elems, right, tree
 
 
-@dataclass(frozen=True)
-class WeylGroup:
+class WeylGroup(NamedTuple):
     """W and the F-action on it as tables of ints, built once per root datum by ``weyl_group``.
 
     gens and m0 are the generator matrices and the twist (m0 m0 = 2) of the
@@ -568,15 +566,14 @@ def weyl_table_checks(model):
 
 def torus_order_checks(model, n: int):
     """Each class's torus order from the table against det and the cokernel size."""
-    from .tabledsl import build_env, eval_expr_int
+    from .tabledsl import int_value
 
     records = []
-    env = build_env(n)
     weyl = weyl_group(model)
     for wid in sorted(model.weylclasses):
         wc = model.weylclasses[wid]
         w = word_matrix(weyl, wc.word)
-        expected = eval_expr_int(wc.order, env)
+        expected = int_value(wc.order, n)
         records.append(Record("torus_order_det", wid, n, expected, torus_order(weyl, w, n)))
         records.append(Record("torus_order_snf", wid, n, expected,
                               torus_fixed_count(weyl, w, n)))
@@ -620,11 +617,10 @@ def _torus_checks(model, n: int, side: str):
     has elements: D^4 over the index of the lattice that the R_k and D I_4
     span.  Where it is not, the distinct-point record fails.
     """
-    from .tabledsl import build_env, eval_expr_int
+    from .tabledsl import int_value
 
     prefix = "torus_param" if side == "torus" else "dual_torus"
     records = []
-    env0 = build_env(n)
     weyl = weyl_group(model)
     mf = frobenius_matrix(weyl, n)
     for wid in sorted(model.weylclasses):
@@ -633,7 +629,7 @@ def _torus_checks(model, n: int, side: str):
             varnames, range_exprs, coords = wc.tvars, wc.tranges, wc.tcoords
         else:
             varnames, range_exprs, coords = wc.svars, wc.sranges, wc.scoords
-        order = eval_expr_int(wc.order, env0)
+        order = int_value(wc.order, n)
         ranges = _ranges(wid, range_exprs, n)
         prod = math.prod(ranges)
         if side == "torus":
@@ -663,13 +659,13 @@ def pairing_checks(model, n: int):
     range must change the value by an integer for every dual basis index;
     bilinearity reduces this to the dual basis vectors.
     """
-    from .tabledsl import build_env, eval_expr, eval_expr_int
+    from .tabledsl import build_env, eval_expr, int_value
 
     records = []
     env0 = build_env(n)
     for wid in sorted(model.weylclasses):
         wc = model.weylclasses[wid]
-        tranges = [eval_expr_int(r, env0) for r in wc.tranges]
+        tranges = [int_value(r, n) for r in wc.tranges]
         ok = True
         for r, (tvar, mod) in enumerate(zip(wc.tvars, tranges)):
             for sbasis in range(len(wc.svars)):

@@ -408,6 +408,25 @@ def eval_expr_int(node: Expr, env) -> int:
     return as_integer(eval_expr(node, env))
 
 
+# (expression, n, t) -> the value int_value returns.  That is the whole key:
+# build_env(n, t=t) is a function of n and t, and the value an int.  Only
+# values are kept, so an expression that fails raises afresh on every call.
+_INT_VALUES: Dict[tuple, int] = {}
+
+
+def int_value(node: Expr, n: int, t: Optional[int] = None) -> int:
+    """The integer value of an index-free expression at n (and t), evaluated once.
+
+    Raises what eval_expr_int(node, build_env(n, t=t)) raises, e.g.
+    NotRationalInteger where the value is no integer.
+    """
+    key = (node, n, t)
+    v = _INT_VALUES.get(key)
+    if v is None:
+        v = _INT_VALUES[key] = eval_expr_int(node, build_env(n, t=t))
+    return v
+
+
 def eval_qpoly(node: Expr) -> QPoly:
     """Evaluate an n-free expression into a symbolic polynomial in q."""
     return QPoly.coerce(_eval(node, _QPOLY_ENV))
@@ -486,11 +505,10 @@ def value_to_str(v) -> str:
 
 
 # ---------------------------------------------------------------------------
-# model dataclasses
+# model records: immutable tuples with named fields; Model holds them by name
 
 
-@dataclass(frozen=True)
-class ParamSetSpec:
+class ParamSetSpec(NamedTuple):
     id: str
     group: str
     action: str  # doubling | identity | formula_only | none
@@ -512,16 +530,14 @@ class ParamSetSpec:
         return ("k", "l")[:self.arity]
 
 
-@dataclass(frozen=True)
-class FixRow:
+class FixRow(NamedTuple):
     id: str
     group: str
     sets: Tuple[str, ...]
     formula: Expr
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(NamedTuple):
     group: str
     set_id: str
     tag: str  # "fixed" | "paired"
@@ -530,15 +546,13 @@ class LedgerEntry:
     degree: Optional[Expr]
 
 
-@dataclass(frozen=True)
-class DefectLedger:
+class DefectLedger(NamedTuple):
     id: str
     value: Expr
     entries: Tuple[LedgerEntry, ...]
 
 
-@dataclass(frozen=True)
-class WeylClass:
+class WeylClass(NamedTuple):
     id: str
     word: Tuple[str, ...]
     cent: int
@@ -552,8 +566,7 @@ class WeylClass:
     pairing: Expr
 
 
-@dataclass(frozen=True)
-class ClassFam:
+class ClassFam(NamedTuple):
     id: str
     side: str  # "torus" (values on eps basis) | "dual" (X tensor Q/Z coords)
     word: Tuple[str, ...]
@@ -567,22 +580,19 @@ class ClassFam:
     pilabel: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class ClassRow:
+class ClassRow(NamedTuple):
     id: str
     family: str
     cent: Expr
 
 
-@dataclass(frozen=True)
-class ValueTerm:
+class ValueTerm(NamedTuple):
     coeff: Expr
     eps4: int
     exps: Tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
-class ChValue:
+class ChValue(NamedTuple):
     id: str
     func: str
     cls: str
@@ -590,8 +600,7 @@ class ChValue:
     terms: Tuple[ValueTerm, ...]
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     id: str
     func: Optional[str] = None
     sum: Tuple[Tuple[int, str], ...] = ()  # (coefficient, class id) terms
@@ -601,8 +610,7 @@ class Relation:
     classes: Tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class DegRel:
+class DegRel(NamedTuple):
     id: str
     func: str
     table: Expr
@@ -611,8 +619,7 @@ class DegRel:
     odd: bool
 
 
-@dataclass(frozen=True)
-class Pair:
+class Pair(NamedTuple):
     id: str
     left: Tuple[str, ...] = ()
     right: Tuple[str, ...] = ()

@@ -133,7 +133,7 @@ def test_enum_cache_keyed_on_spec(model):
     row = model.fixrows["R_G_27_33"]
     spec = model.paramsets["GI_27"]
     edited = dataclasses.replace(
-        model, paramsets=dict(model.paramsets, GI_27=dataclasses.replace(spec, equiv=()))
+        model, paramsets=dict(model.paramsets, GI_27=spec._replace(equiv=()))
     )
     assert fixed_count_bruteforce(row, model, 1, 3) == 6
     assert fixed_count_bruteforce(row, edited, 1, 3) == 9

@@ -127,12 +127,10 @@ def test_norm_sign_invariance(model):
 
 def test_norm_of_a_scaled_value_fails_naming_it(model):
     # doubling f8 on c_1_15 adds 3 |v|^2 / |C| to every norm
-    import dataclasses
-
     scaled = copy.copy(model)
     scaled.chvalues = dict(model.chvalues)
     cv = model.chvalues["f8_c_1_15"]
-    scaled.chvalues[cv.id] = dataclasses.replace(cv, terms=tuple(
+    scaled.chvalues[cv.id] = cv._replace(terms=tuple(
         ValueTerm(("mul", ("int", 2), t.coeff), t.eps4, t.exps) for t in cv.terms))
     recs = ct.f_norm_check(scaled, 1, "f8")
     row = next(r for r in ct._norm_rows(model, 1, "f8") if r.name == "c_1_15")
@@ -145,13 +143,11 @@ def test_norm_needs_orbits_of_four(model, m):
     # with every slope 0 the values are closed under the orbit maps, but at
     # n = 1 (q^2 = 8) the orbit of 1 is not {+-1, +-8} of size 4: q^4 = 64 is
     # not +-1 mod 10 or 11, and 7 divides q^2 - 1, 9 divides q^2 + 1
-    import dataclasses
-
     broken = copy.copy(model)
     broken.chvalues = dict(model.chvalues)
     cv = model.chvalues["f8_c_8_2"]
-    broken.chvalues[cv.id] = dataclasses.replace(
-        cv, order=("int", m),
+    broken.chvalues[cv.id] = cv._replace(
+        order=("int", m),
         terms=tuple(ValueTerm(t.coeff, t.eps4, (("int", 0),) * len(t.exps)) for t in cv.terms))
     message = f"c_8_2: the orbits of +-1, +-q^2 mod {m} are not all of size 4"
     assert all(not r.ok and r.actual == message for r in ct.f_norm_check(broken, 1, "f8"))
@@ -163,13 +159,11 @@ def test_norm_depends_on_k_only_through_gcd(model):
     # differs where 37 divides k: the first two terms are imaginary, the
     # third real, and a fourth (the orbit of 2) has eps4^3 = -eps4.  The
     # oracle sums over the classes
-    import dataclasses
-
     broken = copy.copy(model)
     broken.chvalues = dict(model.chvalues)
     cv = model.chvalues["f8_c_8_2"]
     coeff = cv.terms[0].coeff
-    broken.chvalues[cv.id] = dataclasses.replace(cv, terms=tuple(
+    broken.chvalues[cv.id] = cv._replace(terms=tuple(
         ValueTerm(coeff, eps4, tuple(_expr(f"{c}*i*k") for c in (s, -s, 31 * s, -31 * s)))
         for eps4, s in ((1, 1), (1, 14), (0, 27), (3, 2))))
     records = {r.name: r.actual for r in ct.f_norm_check(broken, 4, "f8")}
@@ -185,21 +179,17 @@ def test_norm_depends_on_k_only_through_gcd(model):
 
 def test_numeric_relations_read_eps4(model):
     # eps4^3 = -eps4: f8 on c_1_12 negated breaks c_1_12 + 2 c_1_10 + c_1_11 = 0
-    import dataclasses
-
     broken = copy.copy(model)
     broken.chvalues = dict(model.chvalues)
     cv = model.chvalues["f8_c_1_12"]
-    broken.chvalues[cv.id] = dataclasses.replace(
-        cv, terms=tuple(ValueTerm(t.coeff, 3, t.exps) for t in cv.terms))
+    broken.chvalues[cv.id] = cv._replace(
+        terms=tuple(ValueTerm(t.coeff, 3, t.exps) for t in cv.terms))
     for n in (1, 2):
         failed = [r.name for r in ct.f_relations_numeric(broken, n) if not r.ok]
         assert failed == ["f8_rel_c1_12"]
 
 
 def test_exponent_integrality(model):
-    import dataclasses
-
     # an exponent that is not an integer at some (i, k) fails the record
     cv = next(cv for cv in model.chvalues.values() if cv.order is not None and cv.terms[0].exps)
     term = cv.terms[0]
@@ -209,7 +199,7 @@ def test_exponent_integrality(model):
         for bad in ("i*k/2", "k/i", "th*i/3"):
             broken = copy.copy(model)
             broken.chvalues = dict(model.chvalues)
-            broken.chvalues[cv.id] = dataclasses.replace(cv, terms=(
+            broken.chvalues[cv.id] = cv._replace(terms=(
                 ValueTerm(term.coeff, term.eps4, (_expr(bad),) + term.exps[1:]),) + cv.terms[1:])
             assert not ct.exponent_integrality(broken, n)[0].ok, (bad, n)
 

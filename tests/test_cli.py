@@ -592,6 +592,24 @@ def test_no_duplicate_records_reach_emit(tmp_path, monkeypatch):
         cli._emit([rec, dict(rec, millis=2.0)], {})
 
 
+def test_report_file_is_json_dumps_indent_one(tmp_path):
+    from dadecheck import cli
+    from dadecheck.record import Record
+
+    records = [r.as_json(m) for r, m in [
+        (Record("cardinality", "BI_1", 5, None, None, "BI_1: grid \u00e9 too large"), 0.5),
+        (Record("fixrow", "R_1", 4, 12, 12, t=3), 1.25),
+        (Record("dade", "L1", 2, (3, True, True), (3, True, True), d=17, u=5), 0.0),
+        (Record("dade_exact", "L2", 1, 0, -1, d=3, u=1), 12.0),
+        (Record("weyl_order", "W", None, 1152, 1152), 3e-05),
+    ]]
+    report = tmp_path / "r.json"
+    for recs in (records, []):
+        assert cli._emit(recs, {"report": str(report)}) == (1 if recs else 0)
+        assert report.read_text() == json.dumps(recs, indent=1) + "\n"
+    assert {"reason", "t", "d", "u"} <= {key for r in records for key in r}
+
+
 def test_bad_equivalence_map_exits_two(tmp_path, capsys):
     # at n = 1, k -> 8k+1 sends k = 1 to 9 = p4, which is excluded
     data = _data_copy(tmp_path, "paramsets.def", "equiv: [k -> q^2*k]\n  card: (q^4-q^2)/2",

@@ -288,7 +288,7 @@ def test_transposed_action_is_not_fixed(model, monkeypatch):
 
 
 def _edit_class(model, wid, **fields):
-    wc = dataclasses.replace(model.weylclasses[wid], **fields)
+    wc = model.weylclasses[wid]._replace(**fields)
     return dataclasses.replace(model, weylclasses=dict(model.weylclasses, **{wid: wc}))
 
 
@@ -334,7 +334,7 @@ def test_perturbed_coordinate_row_fails(model, field):
     rows[1] = ("add", rows[1], rows[0])
     edited = dataclasses.replace(
         model,
-        weylclasses=dict(model.weylclasses, T3=dataclasses.replace(wc, **{field: tuple(rows)})),
+        weylclasses=dict(model.weylclasses, T3=wc._replace(**{field: tuple(rows)})),
     )
     recs = rd.torus_param_checks(edited, 1) + rd.dual_torus_check(edited, 1)
     assert any(not r.ok for r in recs)

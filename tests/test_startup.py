@@ -105,3 +105,26 @@ def test_pool_run_matches_golden_digest(tmp_path):
     text = json.dumps(zeroed, indent=1) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "9a8550457d0301cf6ee65a8a47ad969459da9bfb91c95b26081e1c61148043d8")
+
+
+def test_model_records_are_immutable_tuples(model):
+    # the records are NamedTuples, which a module body defines at little cost
+    from dadecheck import tabledsl
+
+    def one(records):
+        return next(iter(records.values()))
+
+    led, cv = one(model.ledgers), one(model.chvalues)
+    instances = [one(model.paramsets), one(model.fixrows), led.entries[0], led,
+                 one(model.weylclasses), one(model.classfams), one(model.classrows),
+                 cv.terms[0], cv, one(model.relations), one(model.degrels), one(model.pairs)]
+    names = ["ParamSetSpec", "FixRow", "LedgerEntry", "DefectLedger", "WeylClass", "ClassFam",
+             "ClassRow", "ValueTerm", "ChValue", "Relation", "DegRel", "Pair"]
+    for name, rec in zip(names, instances):
+        cls = getattr(tabledsl, name)
+        assert issubclass(cls, tuple) and type(rec) is cls, name
+        assert hash(rec) == hash(cls(*rec)), name
+        with pytest.raises(AttributeError):
+            setattr(rec, cls._fields[0], None)
+    kinds = {kind.record for kind in tabledsl._SCHEMA.values() if kind.record is not None}
+    assert kinds <= {getattr(tabledsl, name) for name in names}

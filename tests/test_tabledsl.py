@@ -1,6 +1,5 @@
 """The table file grammar, evaluation, cross references and round-tripping."""
 
-import dataclasses
 import re
 from importlib import resources
 from pathlib import Path
@@ -296,8 +295,7 @@ def test_schema_follows_the_record_fields():
     # the builder constructs records positionally, in schema order
     for kind in _SCHEMA.values():
         if kind.record is not None:
-            assert [f.attr for f in kind.fields] == [
-                f.name for f in dataclasses.fields(kind.record)][1:], kind.attr
+            assert [f.attr for f in kind.fields] == list(kind.record._fields)[1:], kind.attr
 
 
 @pytest.mark.parametrize("text, message", [
@@ -353,3 +351,74 @@ def test_load_model_rereads_edited_tables(tmp_path):
     assert eval_expr_int(again.paramsets["GI_22"].card, build_env(1)) == 2
     assert eval_expr_int(first.paramsets["GI_22"].card, build_env(1)) == 3
     assert dadecheck.load_model(str(tmp_path)) is again
+
+
+# --- int_value: each index-free value evaluated once per (expression, n, t) ---
+
+
+_EXPR_OPS = frozenset({"int", "sym", "neg", "add", "sub", "mul", "div", "pow"})
+
+
+def _table_exprs(value):
+    """The expressions a model record holds, predicates' operands included."""
+    if isinstance(value, tuple) and value and value[0] in _EXPR_OPS:
+        yield value
+    elif isinstance(value, tuple) and value and value[0] == "atom":
+        yield from value[2:]
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _table_exprs(item)
+
+
+def _result(f):
+    """f()'s value, or its exception's type and message."""
+    try:
+        return f()
+    except Exception as e:  # compared, not hidden: each side must fail alike
+        return type(e), str(e)
+
+
+def test_int_value_equals_a_fresh_evaluation(model, monkeypatch):
+    from dadecheck import tabledsl
+
+    monkeypatch.setattr(tabledsl, "_INT_VALUES", {})
+    free = set(tabledsl._base_env(1)) | {"t"}
+    exprs = {e for kind in _SCHEMA.values() if kind.record is not None
+             for rec in getattr(model, kind.attr).values() for e in _table_exprs(rec)
+             if tabledsl.expr_symbols(e) <= free}
+    assert len(exprs) >= 200  # 220 in the shipped tables
+    for n in range(1, 7):
+        for t in [None] + divisors(2 * n + 1):
+            env = build_env(n, t=t)
+            for e in exprs:
+                fresh = _result(lambda: eval_expr_int(e, env))
+                assert _result(lambda: tabledsl.int_value(e, n, t)) == fresh, (e, n, t)
+                assert _result(lambda: tabledsl.int_value(e, n, t)) == fresh, (e, n, t)
+
+
+def test_int_value_raises_again_and_keeps_no_error(monkeypatch):
+    from dadecheck import tabledsl
+    from dadecheck.exactnum import NotRationalInteger
+
+    monkeypatch.setattr(tabledsl, "_INT_VALUES", {})
+    half, unknown = _expr("th/4"), _expr("zz + 1")
+    for _ in range(2):
+        with pytest.raises(NotRationalInteger):
+            tabledsl.int_value(half, 1)
+        with pytest.raises(KeyError, match="zz"):
+            tabledsl.int_value(unknown, 1)
+    assert tabledsl._INT_VALUES == {}
+    assert tabledsl.int_value(half, 2) == 1  # th = 4 at n = 2
+
+
+def test_int_value_keys_on_n_and_t(monkeypatch):
+    from dadecheck import tabledsl
+
+    monkeypatch.setattr(tabledsl, "_INT_VALUES", {})
+    th, t = _expr("th"), _expr("t*n")
+    assert [tabledsl.int_value(th, n) for n in (1, 2, 3)] == [2, 4, 8]
+    assert [tabledsl.int_value(t, 4, s) for s in (1, 3, 9)] == [4, 12, 36]
+    with pytest.raises(UnboundSymbol):
+        tabledsl.int_value(t, 4)
+    assert sorted(tabledsl._INT_VALUES, key=str) == sorted(
+        [(th, 1, None), (th, 2, None), (th, 3, None), (t, 4, 1), (t, 4, 3), (t, 4, 9)], key=str)
