@@ -6,10 +6,9 @@ automorphism fixed points, defect bookkeeping, root-datum and class data.
 from __future__ import annotations
 
 import os
-from importlib import resources
 from typing import Dict, Optional, Tuple
 
-from .tabledsl import Model, parse_model_files
+from .tabledsl import Model, TableSyntaxError, parse_model_files
 
 __version__ = "1.0.0"
 
@@ -32,16 +31,17 @@ def data_dir() -> Optional[str]:
 
 def load_model(directory: Optional[str] = None) -> Model:
     """Parse the shipped (or overridden) data files into one Model."""
-    directory = directory or data_dir()
+    directory = directory or data_dir() or os.path.join(os.path.dirname(__file__), "data")
     texts = {}
-    if directory:
-        for fname in DATA_FILES:
-            with open(os.path.join(directory, fname), encoding="utf-8") as fh:
+    for fname in DATA_FILES:
+        path = os.path.join(directory, fname)
+        try:
+            with open(path, encoding="utf-8") as fh:
                 texts[fname] = fh.read()
-    else:
-        pkg = resources.files(__name__) / "data"
-        for fname in DATA_FILES:
-            texts[fname] = (pkg / fname).read_text(encoding="utf-8")
+        except UnicodeDecodeError as e:  # e.object: the file's bytes, read in one piece
+            line = e.object.count(b"\n", 0, e.start) + 1
+            raise TableSyntaxError(f"{path}: line {line}: byte {e.object[e.start]:#04x} "
+                                   f"is not UTF-8 ({e.reason})") from None
     key = tuple(texts.values())
     if key not in _MODEL_CACHE:
         _MODEL_CACHE[key] = parse_model_files(texts)

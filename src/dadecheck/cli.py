@@ -332,9 +332,27 @@ def _cmd_verify(args, cfg) -> int:
     return _emit(records, cfg)
 
 
+def _check_report(path, records) -> None:
+    """A ValueError naming the first record the summary cannot read, if there is one."""
+    if not isinstance(records, list):
+        raise ValueError(f"{path}: a report is a JSON list of records, "
+                         f"not a {type(records).__name__}")
+    for i, r in enumerate(records):
+        if not isinstance(r, dict):
+            raise ValueError(f"{path}: record {i} is a {type(r).__name__}, not an object")
+        where = f"{path}: record {i} ({r.get('check')} {r.get('name')})"
+        for key in ("check", "status", "millis"):
+            if key not in r:
+                raise ValueError(f"{where} has no {key}")
+        if not isinstance(r["check"], str) or r["status"] not in ("pass", "fail", "skip") \
+                or not isinstance(r["millis"], (int, float)):
+            raise ValueError(f"{where} has a bad check, status or millis")
+
+
 def _cmd_report(path) -> int:
     with open(path, encoding="utf-8") as fh:
         records = json.load(fh)
+    _check_report(path, records)
     by_check: Dict[str, List[dict]] = {}
     for r in records:
         by_check.setdefault(r["check"], []).append(r)

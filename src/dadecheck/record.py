@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Optional
 
 SCHEMA = 1
 
 
-@dataclass
 class Record:
     """One check instance: it passes when expected == actual.
 
@@ -20,17 +18,36 @@ class Record:
     times the record and is neither compared nor written out.
     """
 
-    check: str
-    name: str
-    n: Optional[int]
-    expected: object
-    actual: object
-    reason: Optional[str] = None
-    t: Optional[int] = field(default=None, kw_only=True)
-    d: Optional[int] = field(default=None, kw_only=True)
-    u: Optional[int] = field(default=None, kw_only=True)
-    stamp: float = field(default_factory=time.perf_counter, kw_only=True, compare=False,
-                         repr=False)
+    __slots__ = ("check", "name", "n", "expected", "actual", "reason", "t", "d", "u", "stamp")
+    __hash__ = None  # records compare by value and may hold lists
+
+    def __init__(self, check: str, name: str, n: Optional[int], expected: object,
+                 actual: object, reason: Optional[str] = None, *, t: Optional[int] = None,
+                 d: Optional[int] = None, u: Optional[int] = None,
+                 stamp: Optional[float] = None):
+        self.check = check
+        self.name = name
+        self.n = n
+        self.expected = expected
+        self.actual = actual
+        self.reason = reason
+        self.t = t
+        self.d = d
+        self.u = u
+        self.stamp = time.perf_counter() if stamp is None else stamp
+
+    def _key(self) -> tuple:
+        return (self.check, self.name, self.n, self.expected, self.actual, self.reason,
+                self.t, self.d, self.u)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._key()))
+        return f"Record({fields})"
 
     @property
     def ok(self) -> bool:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .exactnum import (NotPolynomial, NotRationalInteger, PHI_POLYS, Q, QPoly, SQRT2, SqrtTwoRat,
@@ -55,42 +54,39 @@ class DanglingReference(ValueError):
 # ---------------------------------------------------------------------------
 # tokens
 
-# One match per token, comment or stray character; whitespace is what no
-# alternative matches, which findall skips.
-_TOKEN_RE = re.compile(r"->|!=|\d+|[A-Za-z_][A-Za-z0-9_]*|#[^\n]*|\S")
-
-# token kind by the whole token, else by its first character
-_KIND_OF = {"->": "arrow", "!=": "ne"}
-_KIND_OF_FIRST = {
-    **{c: "op" for c in "-+*/^(){}[]:,="},
-    **{c: "int" for c in "0123456789"},
-    **{c: "ident" for c in "_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"},
-}
+# One match per token, comment or stray character, after the whitespace before
+# it; group 1 is the token.
+_TOKEN_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+|->|!=|#[^\n]*|\S)")
+_COMMENT_RE = re.compile(r"#[^\n]*")
+# A character outside every token, once comments are gone: one the language
+# lacks, a > that does not end ->, or a ! that does not start !=.  The pattern
+# opens with a character class, which the regex engine scans for quickly.
+_STRAY_RE = re.compile(r"[^\s\dA-Za-z_+*/^(){}\[\]:,=-](?<!->)(?!(?<=!)=)")
 
 
-def tokenize(text: str) -> List[Tuple[str, str]]:
-    """Tokens as (kind, value), ending with ("eof", "").
+def tokenize(text: str) -> List[str]:
+    """The tokens of text as strings, ending with "" at the end of the text.
 
+    The parser reads a token's kind from the token: an identifier where
+    str.isidentifier holds, an integer where str.isdecimal does (\\d matches
+    every Unicode decimal digit, and int() reads them all), else an operator.
     Positions are not kept: _position finds the line and column of a token
     when an error needs them.
     """
-    toks = []
-    for v in _TOKEN_RE.findall(text):
-        kind = _KIND_OF.get(v) or _KIND_OF_FIRST.get(v[0])
-        if kind is None:
-            if v[0] == "#":
-                continue
-            if not v.isdecimal():  # \d+ also matches the other Unicode digits
-                raise TableSyntaxError(f"unexpected character {v!r}", *_position(text, len(toks)))
-            kind = "int"
-        toks.append((kind, v))
-    toks.append(("eof", ""))
+    code = _COMMENT_RE.sub("", text)
+    stray = _STRAY_RE.search(code)
+    if stray:
+        # no token runs across a stray character, so the ones before it end before it
+        i = len(_TOKEN_RE.findall(code, 0, stray.start()))
+        raise TableSyntaxError(f"unexpected character {stray.group()!r}", *_position(text, i))
+    toks = _TOKEN_RE.findall(code)
+    toks.append("")
     return toks
 
 
 def _position(text: str, i: int) -> Tuple[int, int]:
     """(line, col) of token i of text, or of the end of the text if it has no token i."""
-    starts = (m.start() for m in _TOKEN_RE.finditer(text) if m.group()[0] != "#")
+    starts = (m.start(1) for m in _TOKEN_RE.finditer(text) if m.group(1)[0] != "#")
     pos = next(itertools.islice(starts, i, None), len(text))
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
@@ -104,23 +100,23 @@ Expr = tuple
 Predicate = tuple
 AffineMap = Tuple[Tuple[str, ...], Tuple[Expr, ...]]
 
+_SUM_OPS = {"+": "add", "-": "sub"}
+_PRODUCT_OPS = {"*": "mul", "/": "div"}
+_KEYWORDS = ("and", "or", "div")
+_PREDICATE_OPS = ("=", "!=", "div")
+
 
 class _Parser:
+    """Recursive descent over the token strings; self.i indexes the next token."""
+
     def __init__(self, text: str):
         self.text = text
         self.toks = tokenize(text)
         self.i = 0
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def next(self):
-        t = self.toks[self.i]
-        self.i += 1
-        return t
+        self.leaves: Dict[str, Expr] = {}  # one ("int", v) or ("sym", v) per token, shared
 
     def expect(self, val):
-        v = self.peek()[1]
+        v = self.toks[self.i]
         if v != val:
             raise self.error(f"expected {val!r}, got {v!r}")
         self.i += 1
@@ -130,8 +126,8 @@ class _Parser:
         return TableSyntaxError(msg, *_position(self.text, self.i))
 
     def ident(self, what) -> str:
-        kind, v = self.peek()
-        if kind != "ident":
+        v = self.toks[self.i]
+        if not v.isidentifier():
             raise self.error(f"expected {what}, got {v!r}")
         self.i += 1
         return v
@@ -139,177 +135,166 @@ class _Parser:
     # --- expressions -----------------------------------------------------
 
     def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            rhs = self.parse_term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
-
-    def parse_term(self) -> Expr:
+        """A sum of products of factors, each operator associating to the left."""
+        toks = self.toks
+        total = op = None  # the sum before the current product, and the operator after it
         node = self.parse_factor()
-        while self.peek()[1] in ("*", "/"):
-            op = self.next()[1]
-            rhs = self.parse_factor()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
+        while True:
+            v = toks[self.i]
+            if v in _PRODUCT_OPS:
+                self.i += 1
+                node = (_PRODUCT_OPS[v], node, self.parse_factor())
+            elif v in _SUM_OPS:
+                self.i += 1
+                total = node if total is None else (op, total, node)
+                op = _SUM_OPS[v]
+                node = self.parse_factor()
+            else:
+                return node if total is None else (op, total, node)
 
     def parse_factor(self) -> Expr:
-        if self.peek()[1] == "-":
-            self.next()
+        """A negated factor, or an atom and a power: an integer, a symbol or (expression)."""
+        v = self.toks[self.i]
+        node = self.leaves.get(v)
+        if node is not None:
+            self.i += 1
+        elif v.isdecimal():
+            self.i += 1
+            node = self.leaves[v] = ("int", int(v))
+        elif v.isidentifier() and v not in _KEYWORDS:
+            self.i += 1
+            node = self.leaves[v] = ("sym", v)
+        elif v == "-":
+            self.i += 1
             return ("neg", self.parse_factor())
-        node = self.parse_atom()
-        if self.peek()[1] == "^":
-            self.next()
-            exp = self.parse_factor()
-            node = ("pow", node, exp)
-        return node
-
-    def parse_atom(self) -> Expr:
-        kind, v = self.peek()
-        if kind == "int":
-            self.next()
-            return ("int", int(v))
-        if kind == "ident" and v not in ("and", "or", "div"):
-            self.next()
-            return ("sym", v)
-        if v == "(":
-            self.next()
+        elif v == "(":
+            self.i += 1
             node = self.parse_expr()
             self.expect(")")
-            return node
-        raise self.error(f"expected expression, got {v!r}")
+        else:
+            raise self.error(f"expected expression, got {v!r}")
+        if self.toks[self.i] == "^":
+            self.i += 1
+            node = ("pow", node, self.parse_factor())
+        return node
 
     # --- predicates ------------------------------------------------------
 
     def parse_predicate_from(self, first: Expr) -> Predicate:
         node = self.parse_and_chain(self.parse_atom_pred_from(first))
-        while self.peek()[1] == "or":
-            self.next()
-            rhs = self.parse_and_chain(self.parse_atom_pred())
+        while self.toks[self.i] == "or":
+            self.i += 1
+            rhs = self.parse_and_chain(self.parse_atom_pred_from(self.parse_expr()))
             node = ("or", node, rhs)
         return node
 
     def parse_and_chain(self, first: Predicate) -> Predicate:
         node = first
-        while self.peek()[1] == "and":
-            self.next()
-            node = ("and", node, self.parse_atom_pred())
+        while self.toks[self.i] == "and":
+            self.i += 1
+            node = ("and", node, self.parse_atom_pred_from(self.parse_expr()))
         return node
 
-    def parse_atom_pred(self) -> Predicate:
-        return self.parse_atom_pred_from(self.parse_expr())
-
     def parse_atom_pred_from(self, lhs: Expr) -> Predicate:
-        v = self.peek()[1]
-        if v in ("=", "!=", "div"):
-            self.next()
-            rhs = self.parse_expr()
-            return ("atom", v, lhs, rhs)
+        v = self.toks[self.i]
+        if v in _PREDICATE_OPS:
+            self.i += 1
+            return ("atom", v, lhs, self.parse_expr())
         raise self.error(f"expected =, != or div, got {v!r}")
 
     # --- field values ----------------------------------------------------
 
     def parse_value(self):
-        if self.peek()[1] == "[":
+        if self.toks[self.i] == "[":
             return self.parse_list()
-        start = self.i
         node = self.parse_expr()
-        nxt = self.peek()[1]
-        if nxt in ("=", "!=", "div", "and", "or"):
-            self.i = start
-            first = self.parse_expr()
-            return self.parse_predicate_from(first)
+        if self.toks[self.i] in ("=", "!=", "div", "and", "or"):
+            return self.parse_predicate_from(node)
         return node
 
     def parse_list(self):
         self.expect("[")
         items = []
-        if self.peek()[1] == "]":
-            self.next()
+        if self.toks[self.i] == "]":
+            self.i += 1
             return items
         while True:
             items.append(self.parse_list_item())
-            if self.peek()[1] == ",":
-                self.next()
+            if self.toks[self.i] == ",":
+                self.i += 1
                 continue
             self.expect("]")
             return items
 
     def parse_list_item(self):
         # A list item is a nested list, an affine map, or an expression.
-        if self.peek()[1] == "[":
+        v = self.toks[self.i]
+        if v == "[":
             return self.parse_list()
         start = self.i
-        if self.peek()[1] == "(":
+        if v == "(":
             # could be a parenthesised tuple heading a map
             try:
                 vars_ = self.try_parse_tuple_of_syms()
-                if vars_ is not None and self.peek()[1] == "->":
-                    self.next()
+                if vars_ is not None and self.toks[self.i] == "->":
+                    self.i += 1
                     targets = self.parse_map_targets(len(vars_))
                     return (tuple(vars_), tuple(targets))
             except TableSyntaxError:
                 pass
             self.i = start
         node = self.parse_expr()
-        if self.peek()[1] == "->":
+        if self.toks[self.i] == "->":
             if node[0] != "sym":
-                raise self.error(f"map source must be an index symbol (at {self.peek()[1]!r})")
-            self.next()
+                raise self.error(f"map source must be an index symbol (at {self.toks[self.i]!r})")
+            self.i += 1
             targets = self.parse_map_targets(1)
             return ((node[1],), tuple(targets))
         return node
 
     def try_parse_tuple_of_syms(self) -> Optional[List[str]]:
-        if self.peek()[1] != "(":
-            return None
-        save = self.i
-        self.next()
+        toks, i = self.toks, self.i + 1  # past the (
         syms = []
-        while True:
-            kind, v = self.next()
-            if kind != "ident":
-                self.i = save
-                return None
-            syms.append(v)
-            v = self.next()[1]
-            if v == ")":
+        while toks[i].isidentifier():
+            syms.append(toks[i])
+            if toks[i + 1] == ")":
+                self.i = i + 2
                 return syms
-            if v != ",":
-                self.i = save
+            if toks[i + 1] != ",":
                 return None
+            i += 2
+        return None
 
     def parse_map_targets(self, arity: int) -> List[Expr]:
-        if self.peek()[1] == "(":
+        if self.toks[self.i] == "(":
             save = self.i
-            self.next()
+            self.i += 1
             targets = [self.parse_expr()]
-            while self.peek()[1] == ",":
-                self.next()
+            while self.toks[self.i] == ",":
+                self.i += 1
                 targets.append(self.parse_expr())
-            if self.peek()[1] == ")" and len(targets) > 1:
-                self.next()
+            if self.toks[self.i] == ")" and len(targets) > 1:
+                self.i += 1
                 return targets
             # single parenthesised expression
             self.i = save
-            return [self.parse_expr()]
         return [self.parse_expr()]
 
     # --- blocks ------------------------------------------------------------
 
     def parse_blocks(self):
+        toks = self.toks
         blocks = []
-        while self.peek()[0] != "eof":
+        while toks[self.i]:
             bkind = self.ident("block kind")
             name = self.ident("block name")
             self.expect("{")
             fields: List[Tuple[str, object]] = []
-            while self.peek()[1] != "}":
+            while toks[self.i] != "}":
                 fname = self.ident("field name")
                 self.expect(":")
                 fields.append((fname, self.parse_value()))
-            self.next()  # }
+            self.i += 1  # }
             blocks.append((bkind, name, fields))
         return blocks
 
@@ -433,15 +418,20 @@ def eval_qpoly(node: Expr) -> QPoly:
 
 
 def expr_symbols(node) -> set:
-    if node[0] == "sym":
-        return {node[1]}
-    if node[0] == "int":
-        return set()
+    """The symbols an expression tree uses, gathered into one set."""
     out = set()
-    for sub in node[1:]:
-        if isinstance(sub, tuple):
-            out |= expr_symbols(sub)
+    _add_symbols(node, out)
     return out
+
+
+def _add_symbols(node, out: set) -> None:
+    op = node[0]
+    if op == "sym":
+        out.add(node[1])
+    elif op != "int":
+        for sub in node[1:]:
+            if isinstance(sub, tuple):
+                _add_symbols(sub, out)
 
 
 # ---------------------------------------------------------------------------
@@ -625,22 +615,23 @@ class Pair(NamedTuple):
     right: Tuple[str, ...] = ()
 
 
-@dataclass
-class Model:
-    paramsets: Dict[str, ParamSetSpec] = field(default_factory=dict)
-    fixrows: Dict[str, FixRow] = field(default_factory=dict)
-    ledgers: Dict[str, DefectLedger] = field(default_factory=dict)
-    weylgens: Dict[str, Tuple[Tuple[int, ...], ...]] = field(default_factory=dict)
-    frobenius: Optional[Tuple[Tuple[int, ...], ...]] = None
-    weylclasses: Dict[str, WeylClass] = field(default_factory=dict)
-    classfams: Dict[str, ClassFam] = field(default_factory=dict)
-    classrows: Dict[str, ClassRow] = field(default_factory=dict)
-    chvalues: Dict[str, ChValue] = field(default_factory=dict)
-    relations: Dict[str, Relation] = field(default_factory=dict)
-    degrels: Dict[str, DegRel] = field(default_factory=dict)
-    pairs: Dict[str, Pair] = field(default_factory=dict)
-    order_expr: Optional[Expr] = None  # |G| as shipped in classes.def
-    block_order: List[Tuple[str, str]] = field(default_factory=list)
+class Model(NamedTuple):
+    """Every record of the tables by block name; _ModelBuilder makes it once all are read."""
+
+    paramsets: Dict[str, ParamSetSpec]
+    fixrows: Dict[str, FixRow]
+    ledgers: Dict[str, DefectLedger]
+    weylgens: Dict[str, Tuple[Tuple[int, ...], ...]]
+    frobenius: Optional[Tuple[Tuple[int, ...], ...]]
+    weylclasses: Dict[str, WeylClass]
+    classfams: Dict[str, ClassFam]
+    classrows: Dict[str, ClassRow]
+    chvalues: Dict[str, ChValue]
+    relations: Dict[str, Relation]
+    degrels: Dict[str, DegRel]
+    pairs: Dict[str, Pair]
+    order_expr: Optional[Expr]  # |G| as shipped in classes.def
+    block_order: Tuple[Tuple[str, str], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +717,7 @@ def _read_term(v) -> ValueTerm:
     v = _read_list(v)
     if len(v) < 2:
         raise _where(v, "[coefficient, eps4 power, exponents...]")
-    return ValueTerm(v[0], _read_int(v[1]), tuple(v[2:]))
+    return ValueTerm(_read_expr(v[0]), _read_int(v[1]), tuple(map(_read_expr, v[2:])))
 
 
 def _read_sum(v) -> Tuple[Tuple[int, str], ...]:
@@ -749,7 +740,7 @@ _CODECS = {
              lambda v: [("sym", x) for x in v], ()),
     "expr": (_read_expr, lambda v: v, None),
     "pred": (_read_pred, lambda v: v, None),
-    "exprs": (lambda v: tuple(_read_list(v)), list, ()),
+    "exprs": (lambda v: tuple(map(_read_expr, _read_list(v))), list, ()),
     "int": (_read_int, lambda v: ("int", v), None),
     "ints": (_read_ints, _write_ints, ()),
     "matrix": (_read_matrix, _write_ints, None),
@@ -842,12 +833,21 @@ _SCHEMA: Dict[str, _Kind] = {
 }
 
 
+# the Model fields one block sets whole; every other block kind fills a dict by name
+_SINGLE = frozenset({"frobenius", "order_expr"})
+
+
 class _ModelBuilder:
     def __init__(self):
-        self.model = Model()
+        self.slots = {kind.attr: None if kind.attr in _SINGLE else {}
+                      for kind in _SCHEMA.values()}
+        self.block_order: List[Tuple[str, str]] = []
+
+    def model(self) -> Model:
+        return Model(block_order=tuple(self.block_order), **self.slots)
 
     def add_blocks(self, blocks):
-        model = self.model
+        slots = self.slots
         for bkind, name, fields in blocks:
             kind = _SCHEMA.get(bkind)
             if kind is None:
@@ -874,17 +874,17 @@ class _ModelBuilder:
                 missing = [kind.fields[i].table for i in sorted(kind.required - given)]
                 raise TableSyntaxError(f"{bkind} {name}: missing field {', '.join(missing)}")
             obj = kind.record(name, *values) if kind.record else values[0]
-            slot = getattr(model, kind.attr)
-            if isinstance(slot, dict):
+            slot = slots[kind.attr]
+            if kind.attr not in _SINGLE:
                 if name in slot:
                     raise TableSyntaxError(f"{bkind} {name}: a second {bkind} block named {name}")
                 slot[name] = obj
             elif slot is not None:
-                first = next(n for k, n in model.block_order if k == bkind)
+                first = next(n for k, n in self.block_order if k == bkind)
                 raise TableSyntaxError(f"{bkind} {name}: a second {bkind} block after {first}")
             else:
-                setattr(model, kind.attr, obj)
-            model.block_order.append((bkind, name))
+                slots[kind.attr] = obj
+            self.block_order.append((bkind, name))
 
 
 def parse_model(text: str) -> Model:
@@ -899,41 +899,9 @@ def parse_model_files(texts: Dict[str, str]) -> Model:
             b.add_blocks(parse_blocks(texts[fname]))
         except TableSyntaxError as e:
             raise TableSyntaxError(f"{fname}: {e}") from e
-    validate_model(b.model)
-    return b.model
-
-
-def _check_expr(owner: str, node: Expr, env) -> None:
-    """Evaluate node in env; a table error naming owner if that fails."""
-    try:
-        eval_expr(node, env)
-    except UnknownSymbol as e:
-        raise TableSyntaxError(f"{owner}: unknown symbol {e.args[0]}") from None
-    except UnboundSymbol as e:
-        raise TableSyntaxError(f"{owner}: unbound symbol {e.args[0]}") from None
-    except (ZeroDivisionError, NotRationalInteger) as e:
-        raise TableSyntaxError(f"{owner}: {e}") from None
-
-
-def _check_symbols(owner: str, names, *nodes) -> None:
-    """A table error naming owner if a node uses a symbol outside names."""
-    unknown = sorted(set().union(*map(expr_symbols, nodes)).difference(names))
-    if unknown:
-        raise TableSyntaxError(f"{owner}: unknown symbol {', '.join(unknown)}")
-
-
-def _check_exclusion(owner: str, pred: Predicate, names, indices) -> None:
-    """The atoms of an exclusion use known symbols and the owner's own indices.
-
-    The modulus m of "m div e" is evaluated without the indices.
-    """
-    if pred[0] != "atom":
-        for sub in pred[1:]:
-            _check_exclusion(owner, sub, names, indices)
-        return
-    _, op, e1, e2 = pred
-    _check_symbols(owner, names if op == "div" else names | set(indices), e1)
-    _check_symbols(owner, names | set(indices), e2)
+    model = b.model()
+    validate_model(model)
+    return model
 
 
 # The symbols a root exponent of a character value may use: th, the class
@@ -946,6 +914,76 @@ _EXPONENT_ENV = {s: QPoly.var(s) for s in EXPONENT_SYMBOLS}
 def exponent_poly(node: Expr) -> QPoly:
     """A root exponent as a polynomial in th, i and k, the three as variables."""
     return QPoly.coerce(_eval(node, _EXPONENT_ENV))
+
+
+class _ExprChecks:
+    """The expression checks of validate_model, each made once per distinct expression.
+
+    What they find depends on the expression alone: its symbols, whether it
+    evaluates at n = 1 with t = 1, and whether it is a polynomial root
+    exponent.  A table repeats many expressions (1110 symbol checks of the
+    shipped tables cover 268 distinct ones, 350 evaluations 59), so each
+    result is kept here, for one validate_model call.
+    """
+
+    def __init__(self):
+        self.env1 = build_env(1, t=1)
+        self.symbols_of: Dict[Expr, frozenset] = {}
+        self.evaluated = set()
+        self.polynomial = set()
+
+    def evaluate(self, owner: str, node: Expr) -> None:
+        """Evaluate node at n = 1; a table error naming owner if that fails."""
+        if node in self.evaluated:
+            return
+        try:
+            eval_expr(node, self.env1)
+        except UnknownSymbol as e:
+            raise TableSyntaxError(f"{owner}: unknown symbol {e.args[0]}") from None
+        except UnboundSymbol as e:
+            raise TableSyntaxError(f"{owner}: unbound symbol {e.args[0]}") from None
+        except (ZeroDivisionError, NotRationalInteger) as e:
+            raise TableSyntaxError(f"{owner}: {e}") from None
+        self.evaluated.add(node)
+
+    def uses(self, node: Expr) -> frozenset:
+        """The symbols of node, collected once per distinct expression."""
+        syms = self.symbols_of.get(node)
+        if syms is None:
+            syms = self.symbols_of[node] = frozenset(expr_symbols(node))
+        return syms
+
+    def symbols(self, owner: str, names, *nodes) -> None:
+        """A table error naming owner if a node uses a symbol outside names."""
+        unknown = sorted(set().union(*map(self.uses, nodes)).difference(names))
+        if unknown:
+            raise TableSyntaxError(f"{owner}: unknown symbol {', '.join(unknown)}")
+
+    def exclusion(self, owner: str, pred: Predicate, names, indices) -> None:
+        """The atoms of an exclusion use known symbols and the owner's own indices.
+
+        The modulus m of "m div e" is evaluated without the indices.
+        """
+        if pred[0] != "atom":
+            for sub in pred[1:]:
+                self.exclusion(owner, sub, names, indices)
+            return
+        _, op, e1, e2 = pred
+        self.symbols(owner, names if op == "div" else names | set(indices), e1)
+        self.symbols(owner, names | set(indices), e2)
+
+    def exponent(self, owner: str, e: Expr) -> None:
+        """A table error naming owner unless e is a polynomial in th, i and k."""
+        if e in self.polynomial:
+            return
+        try:
+            poly = exponent_poly(e)
+        except (NotPolynomial, ZeroDivisionError):
+            poly = None
+        if poly is None or any(p < 0 for m in poly.terms for _, p in m):
+            raise TableSyntaxError(f"relations.def: {owner}: root exponent "
+                                   f"{expr_to_str(e)} is not a polynomial in th, i, k")
+        self.polynomial.add(e)
 
 
 def validate_model(model: Model) -> None:
@@ -979,25 +1017,25 @@ def validate_model(model: Model) -> None:
                     if ref not in targets:
                         raise DanglingReference(
                             f"{bkind} {obj.id}: {f.table}: unknown {f.refers} {ref}")
-    env1 = build_env(1, t=1)
+    check = _ExprChecks()
     names = set(_base_env(1))  # n, q, s2, th and the phi values
     poly_names = names - {"n"}  # those of _QPOLY_ENV: polynomials in q
     for row in model.fixrows.values():
-        _check_expr(f"fixrow {row.id}", row.formula, env1)
+        check.evaluate(f"fixrow {row.id}", row.formula)
         # fixed_count_formula evaluates every row at n = 1, so only t may vary
-        others = sorted(expr_symbols(row.formula) - {"t"})
+        others = sorted(check.uses(row.formula) - {"t"})
         if others:
             raise TableSyntaxError(f"fixrow {row.id}: fix uses {', '.join(others)}; "
                                    "only t is allowed")
     for spec in model.paramsets.values():
-        _check_expr(spec.id, spec.card, env1)
+        check.evaluate(spec.id, spec.card)
         if spec.exclude is not None:
-            _check_exclusion(spec.id, spec.exclude, names, spec.indices)
-        _check_symbols(spec.id, names, *spec.moduli)
+            check.exclusion(spec.id, spec.exclude, names, spec.indices)
+        check.symbols(spec.id, names, *spec.moduli)
         for vars_, targets in spec.equiv:
-            _check_symbols(spec.id, names | set(vars_), *targets)
+            check.symbols(spec.id, names | set(vars_), *targets)
     for led in model.ledgers.values():
-        _check_expr(f"ledger {led.id}", led.value, env1)
+        check.evaluate(f"ledger {led.id}", led.value)
         for e in led.entries:
             if e.set_id not in model.paramsets:
                 raise DanglingReference(f"ledger {led.id}: unknown set {e.set_id}")
@@ -1005,34 +1043,28 @@ def validate_model(model: Model) -> None:
             if e.ref not in rows:
                 raise DanglingReference(f"ledger {led.id}: unknown {what} {e.ref}")
     for wc in model.weylclasses.values():
-        _check_expr(f"weylclass {wc.id}", wc.order, env1)
-        _check_symbols(f"weylclass {wc.id}", names, *wc.tranges, *wc.sranges)
-        _check_symbols(f"weylclass {wc.id}", names | set(wc.tvars), *wc.tcoords)
-        _check_symbols(f"weylclass {wc.id}", names | set(wc.svars), *wc.scoords)
-        _check_symbols(f"weylclass {wc.id}", names | set(wc.tvars) | set(wc.svars), wc.pairing)
+        check.evaluate(f"weylclass {wc.id}", wc.order)
+        check.symbols(f"weylclass {wc.id}", names, *wc.tranges, *wc.sranges)
+        check.symbols(f"weylclass {wc.id}", names | set(wc.tvars), *wc.tcoords)
+        check.symbols(f"weylclass {wc.id}", names | set(wc.svars), *wc.scoords)
+        check.symbols(f"weylclass {wc.id}", names | set(wc.tvars) | set(wc.svars), wc.pairing)
     for fam in model.classfams.values():
-        _check_expr(f"classfam {fam.id}", fam.count, env1)
+        check.evaluate(f"classfam {fam.id}", fam.count)
         if fam.exclude is not None:
-            _check_exclusion(f"classfam {fam.id}", fam.exclude, names, fam.vars)
-        _check_symbols(f"classfam {fam.id}", names, *fam.ranges)
-        _check_symbols(f"classfam {fam.id}", names | set(fam.vars), *fam.coords)
+            check.exclusion(f"classfam {fam.id}", fam.exclude, names, fam.vars)
+        check.symbols(f"classfam {fam.id}", names, *fam.ranges)
+        check.symbols(f"classfam {fam.id}", names | set(fam.vars), *fam.coords)
     for cv in model.chvalues.values():
         if cv.order is not None:
-            _check_symbols(f"chvalue {cv.id}", names, cv.order)
-        _check_symbols(f"chvalue {cv.id}", poly_names, *(t.coeff for t in cv.terms))
+            check.symbols(f"chvalue {cv.id}", names, cv.order)
+        check.symbols(f"chvalue {cv.id}", poly_names, *(t.coeff for t in cv.terms))
         exps = [e for t in cv.terms for e in t.exps]
-        _check_symbols(f"chvalue {cv.id}", EXPONENT_SYMBOLS, *exps)
+        check.symbols(f"chvalue {cv.id}", EXPONENT_SYMBOLS, *exps)
         for e in exps:
-            try:
-                poly = exponent_poly(e)
-            except (NotPolynomial, ZeroDivisionError):
-                poly = None
-            if poly is None or any(p < 0 for m in poly.terms for _, p in m):
-                raise TableSyntaxError(f"relations.def: chvalue {cv.id}: root exponent "
-                                       f"{expr_to_str(e)} is not a polynomial in th, i, k")
+            check.exponent(f"chvalue {cv.id}", e)
     for dr in model.degrels.values():
-        _check_symbols(f"degrel {dr.id}", poly_names, dr.table, dr.phi)
-        _check_symbols(f"degrel {dr.id}", names, dr.defect)
+        check.symbols(f"degrel {dr.id}", poly_names, dr.table, dr.phi)
+        check.symbols(f"degrel {dr.id}", names, dr.defect)
     for rel in model.relations.values():
         for _, cls in rel.sum:
             if cls not in model.classrows:

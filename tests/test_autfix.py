@@ -128,12 +128,8 @@ def test_mobius_roundtrip_property(n, seed):
 
 def test_enum_cache_keyed_on_spec(model):
     # two models in one process that differ in one parameter set
-    import dataclasses
-
     row = model.fixrows["R_G_27_33"]
     spec = model.paramsets["GI_27"]
-    edited = dataclasses.replace(
-        model, paramsets=dict(model.paramsets, GI_27=spec._replace(equiv=()))
-    )
+    edited = model._replace(paramsets=dict(model.paramsets, GI_27=spec._replace(equiv=())))
     assert fixed_count_bruteforce(row, model, 1, 3) == 6
     assert fixed_count_bruteforce(row, edited, 1, 3) == 9

@@ -1,6 +1,5 @@
 """Class equation, value relations, norms and degree identities."""
 
-import copy
 import math
 from fractions import Fraction
 
@@ -112,8 +111,7 @@ def test_exact_norm_matches_float_oracle(model):
 
 def test_norm_sign_invariance(model):
     # flipping the sign of every f8 value leaves the norm at 2
-    flipped = copy.copy(model)
-    flipped.chvalues = dict(model.chvalues)
+    flipped = model._replace(chvalues=dict(model.chvalues))
     for key, cv in model.chvalues.items():
         if cv.func == "f8":
             terms = tuple(
@@ -127,8 +125,7 @@ def test_norm_sign_invariance(model):
 
 def test_norm_of_a_scaled_value_fails_naming_it(model):
     # doubling f8 on c_1_15 adds 3 |v|^2 / |C| to every norm
-    scaled = copy.copy(model)
-    scaled.chvalues = dict(model.chvalues)
+    scaled = model._replace(chvalues=dict(model.chvalues))
     cv = model.chvalues["f8_c_1_15"]
     scaled.chvalues[cv.id] = cv._replace(terms=tuple(
         ValueTerm(("mul", ("int", 2), t.coeff), t.eps4, t.exps) for t in cv.terms))
@@ -143,8 +140,7 @@ def test_norm_needs_orbits_of_four(model, m):
     # with every slope 0 the values are closed under the orbit maps, but at
     # n = 1 (q^2 = 8) the orbit of 1 is not {+-1, +-8} of size 4: q^4 = 64 is
     # not +-1 mod 10 or 11, and 7 divides q^2 - 1, 9 divides q^2 + 1
-    broken = copy.copy(model)
-    broken.chvalues = dict(model.chvalues)
+    broken = model._replace(chvalues=dict(model.chvalues))
     cv = model.chvalues["f8_c_8_2"]
     broken.chvalues[cv.id] = cv._replace(
         order=("int", m),
@@ -159,8 +155,7 @@ def test_norm_depends_on_k_only_through_gcd(model):
     # differs where 37 divides k: the first two terms are imaginary, the
     # third real, and a fourth (the orbit of 2) has eps4^3 = -eps4.  The
     # oracle sums over the classes
-    broken = copy.copy(model)
-    broken.chvalues = dict(model.chvalues)
+    broken = model._replace(chvalues=dict(model.chvalues))
     cv = model.chvalues["f8_c_8_2"]
     coeff = cv.terms[0].coeff
     broken.chvalues[cv.id] = cv._replace(terms=tuple(
@@ -179,8 +174,7 @@ def test_norm_depends_on_k_only_through_gcd(model):
 
 def test_numeric_relations_read_eps4(model):
     # eps4^3 = -eps4: f8 on c_1_12 negated breaks c_1_12 + 2 c_1_10 + c_1_11 = 0
-    broken = copy.copy(model)
-    broken.chvalues = dict(model.chvalues)
+    broken = model._replace(chvalues=dict(model.chvalues))
     cv = model.chvalues["f8_c_1_12"]
     broken.chvalues[cv.id] = cv._replace(
         terms=tuple(ValueTerm(t.coeff, 3, t.exps) for t in cv.terms))
@@ -197,8 +191,7 @@ def test_exponent_integrality(model):
         (r,) = ct.exponent_integrality(model, n)
         assert r.ok
         for bad in ("i*k/2", "k/i", "th*i/3"):
-            broken = copy.copy(model)
-            broken.chvalues = dict(model.chvalues)
+            broken = model._replace(chvalues=dict(model.chvalues))
             broken.chvalues[cv.id] = cv._replace(terms=(
                 ValueTerm(term.coeff, term.eps4, (_expr(bad),) + term.exps[1:]),) + cv.terms[1:])
             assert not ct.exponent_integrality(broken, n)[0].ok, (bad, n)

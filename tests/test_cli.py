@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import time
 
 import pytest
@@ -112,6 +113,35 @@ def test_report_counts_and_times_each_kind(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == ["a", "1", "passed", "1", "failed", "1", "skipped", "3.750", "ms"]
     assert lines[1].split() == ["b", "0", "passed", "0", "failed", "1", "skipped", "4.000", "ms"]
+
+
+@pytest.mark.parametrize("content, message", [
+    ([{"check": "a", "status": "pass", "millis": 1.0}, {"check": "b", "name": "x", "millis": 2.0}],
+     "record 1 (b x) has no status"),
+    ({"check": "a", "status": "pass", "millis": 1.0},
+     "a report is a JSON list of records, not a dict"),
+    ([{"check": "a", "status": "done", "millis": 1.0}],
+     "record 0 (a None) has a bad check, status or millis"),
+    ([["a", "pass"]], "record 0 is a list, not an object"),
+], ids=["no-status", "object", "bad-status", "list-record"])
+def test_malformed_report_exits_two(tmp_path, capsys, content, message):
+    report = tmp_path / "r.json"
+    report.write_text(json.dumps(content))
+    assert main(["report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {report}: {message}\n"
+
+
+def test_non_utf8_table_exits_two(tmp_path, capsys):
+    data = _data_copy(tmp_path, "weyl.def", "", "")
+    path = os.path.join(data, "weyl.def")
+    with open(path, "ab") as fh:
+        fh.write(b"\xff")
+    assert main(["verify", "weyl", "--n", "1", "--data-dir", data]) == 2
+    err = capsys.readouterr().err
+    lines = open(path, "rb").read().count(b"\n") + 1
+    assert err.startswith(f"error: {path}: line {lines}: byte 0xff is not UTF-8")
+    assert "Traceback" not in err
 
 
 def test_skips_carry_reason_and_exit_zero(tmp_path, capsys, monkeypatch):
@@ -590,6 +620,22 @@ def test_no_duplicate_records_reach_emit(tmp_path, monkeypatch):
     rec = Record("c", "x", 1, 1, 1, t=3).as_json(0.0)
     with pytest.raises(ValueError, match="two records"):
         cli._emit([rec, dict(rec, millis=2.0)], {})
+
+
+def test_record_compares_without_its_stamp():
+    from dadecheck.record import Record
+
+    a = Record("c", "x", 1, 2, 2, t=3)
+    b = Record("c", "x", 1, 2, 2, t=3, stamp=a.stamp + 1.0)
+    assert a == b and a.ok and a.stamp != b.stamp
+    assert a != Record("c", "x", 1, 2, 2, t=5) and a != Record("c", "x", 1, 2, 2, "why", t=3)
+    assert "stamp" not in repr(a) and "t=3" in repr(a)
+    with pytest.raises(TypeError):
+        Record("c", "x", 1, 2, 2, None, 3)  # t, d and u are keyword-only
+    with pytest.raises(TypeError):
+        hash(a)
+    with pytest.raises(AttributeError):
+        a.other = 1
 
 
 def test_report_file_is_json_dumps_indent_one(tmp_path):

@@ -348,13 +348,11 @@ def _centralizer_by_definition(word, model):
 
 
 def test_centralizer_cache_keyed_on_generators(model):
-    import dataclasses
-
     from dadecheck.paramsets import _centralizer
 
     gens = dict(model.weylgens)
     gens["r1"], gens["r2"] = gens["r2"], gens["r1"]
-    swapped = dataclasses.replace(model, weylgens=gens)
+    swapped = model._replace(weylgens=gens)
     first = _centralizer(model, ("r1", "r3")).mats
     second = _centralizer(swapped, ("r1", "r3")).mats
     assert set(first) == _centralizer_by_definition(("r1", "r3"), model)

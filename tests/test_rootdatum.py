@@ -1,7 +1,5 @@
 """Weyl group, twisted Frobenius, torus orders and subsystem classification."""
 
-import dataclasses
-
 import pytest
 
 from dadecheck import rootdatum as rd
@@ -71,7 +69,7 @@ def test_weyl_arrays_match_tuple_oracle(model):
     conj = dict(gens, r4=rd.mat_mul(rd.mat_mul(gens["r3"], gens["r4"]), gens["r3"]))
     m0 = model.frobenius
     for g in (gens, conj):
-        weyl = rd.weyl_group(dataclasses.replace(model, weylgens=g))
+        weyl = rd.weyl_group(model._replace(weylgens=g))
         ref = sorted(weyl_closure(g))
         assert list(weyl.elems) == ref
         assert all(weyl.index[v] == i for i, v in enumerate(ref))
@@ -90,7 +88,7 @@ def test_weyl_arrays_match_tuple_oracle(model):
             reached.add(x)
         assert len(reached) == len(ref)
         assert rd.f_conjugacy_classes(weyl) == f_classes(g, m0)
-    assert (rd.weyl_group(dataclasses.replace(model, weylgens=conj))
+    assert (rd.weyl_group(model._replace(weylgens=conj))
             is not rd.weyl_group(model))
 
 
@@ -111,7 +109,7 @@ def test_twist_off_the_lattice_is_weyl_data_error(model):
     # swapping e2 and e4 is a finite group whose m0-twist has odd entries
     swap = ((1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0))
     with pytest.raises(rd.WeylDataError, match="twist left the lattice"):
-        rd.weyl_group(dataclasses.replace(model, weylgens={"s": swap}))
+        rd.weyl_group(model._replace(weylgens={"s": swap}))
 
 
 def test_torus_order_examples(model):
@@ -289,7 +287,7 @@ def test_transposed_action_is_not_fixed(model, monkeypatch):
 
 def _edit_class(model, wid, **fields):
     wc = model.weylclasses[wid]._replace(**fields)
-    return dataclasses.replace(model, weylclasses=dict(model.weylclasses, **{wid: wc}))
+    return model._replace(weylclasses=dict(model.weylclasses, **{wid: wc}))
 
 
 @pytest.mark.parametrize("side, field", [("torus", "tranges"), ("dual", "sranges")])
@@ -332,10 +330,8 @@ def test_perturbed_coordinate_row_fails(model, field):
     wc = model.weylclasses["T3"]
     rows = list(getattr(wc, field))
     rows[1] = ("add", rows[1], rows[0])
-    edited = dataclasses.replace(
-        model,
-        weylclasses=dict(model.weylclasses, T3=wc._replace(**{field: tuple(rows)})),
-    )
+    edited = model._replace(
+        weylclasses=dict(model.weylclasses, T3=wc._replace(**{field: tuple(rows)})))
     recs = rd.torus_param_checks(edited, 1) + rd.dual_torus_check(edited, 1)
     assert any(not r.ok for r in recs)
 

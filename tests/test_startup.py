@@ -13,6 +13,23 @@ import dadecheck
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(dadecheck.__file__)))
 
 
+# one run of each check kind, the class count and listing of one set, and a pooled run
+RUNS = [
+    ["verify", "dade", "--mode", "both", "--n", "1"],
+    ["verify", "fixrows", "--n", "1"],
+    ["verify", "lemmas", "--n", "1"],
+    ["verify", "classes", "--n", "1"],
+    ["verify", "relations", "--n", "1"],
+    ["params", "--set", "PaI_4", "--n", "1"],
+    ["verify", "weyl", "--n", "1"],
+    ["verify", "params", "--n", "1"],
+    ["verify", "all", "--n", "1", "--workers", "2"],
+    ["params", "--set", "PaI_4", "--n", "1", "--list"],
+]
+RUN_IDS = ["dade", "fixrows", "lemmas", "classes", "relations", "params-count", "weyl", "params",
+           "all-pool", "params-list"]
+
+
 def _run(code):
     """Standard output of python -c code, with src importable."""
     done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
@@ -26,6 +43,21 @@ def test_import_package_loads_no_numpy():
                 "print('numpy' in sys.modules)") == ["False"]
 
 
+def test_model_load_imports_no_dataclasses():
+    # dataclasses would bring inspect, ast, dis, tokenize, linecache and copy
+    assert _run("import sys, dadecheck; dadecheck.load_model(); "
+                "print('dataclasses' in sys.modules, 'inspect' in sys.modules)") == [
+        "False", "False"]
+
+
+@pytest.mark.parametrize("argv", RUNS, ids=RUN_IDS)
+def test_runs_import_no_dataclasses(argv):
+    code = ("import sys; from dadecheck.cli import main; "
+            f"rc = main({argv!r}); "
+            "print(rc, 'dataclasses' in sys.modules, 'inspect' in sys.modules)")
+    assert _run(code)[-3:] == ["0", "False", "False"]
+
+
 def test_import_rootdatum_loads_no_numpy():
     assert _run("import sys, dadecheck.rootdatum; "
                 "print('numpy' in sys.modules)") == ["False"]
@@ -37,19 +69,7 @@ def test_import_cli_loads_no_pool():
                 "'multiprocessing' in sys.modules)") == ["False", "False"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "dade", "--mode", "both", "--n", "1"],
-    ["verify", "fixrows", "--n", "1"],
-    ["verify", "lemmas", "--n", "1"],
-    ["verify", "classes", "--n", "1"],
-    ["verify", "relations", "--n", "1"],
-    ["params", "--set", "PaI_4", "--n", "1"],
-    ["verify", "weyl", "--n", "1"],
-    ["verify", "params", "--n", "1"],
-    ["verify", "all", "--n", "1", "--workers", "2"],
-    ["params", "--set", "PaI_4", "--n", "1", "--list"],
-], ids=["dade", "fixrows", "lemmas", "classes", "relations", "params-count", "weyl", "params",
-        "all-pool", "params-list"])
+@pytest.mark.parametrize("argv", RUNS, ids=RUN_IDS)
 def test_check_kinds_without_arrays_load_no_numpy(argv):
     # no check kind, and no listing, needs numpy
     code = ("import sys; from dadecheck.cli import main; "

@@ -187,16 +187,20 @@ def _oracle_pairs(text):
     return [(kind, v) for kind, v, _, _ in oracle(text)]
 
 
-def test_tokenizer_matches_oracle_on_shipped_tables():
-    from importlib import resources
+def _kinded(toks):
+    """The token strings with the oracle's names for the kinds the parser reads from them."""
+    return [("ident" if v.isidentifier() else "int" if v.isdecimal()
+             else {"->": "arrow", "!=": "ne", "": "eof"}.get(v, "op"), v) for v in toks]
 
-    import dadecheck
+
+def test_tokenizer_matches_oracle_on_shipped_tables():
     from dadecheck.tabledsl import tokenize
 
     for fname in dadecheck.DATA_FILES:
-        text = (resources.files(dadecheck) / "data" / fname).read_text(encoding="utf-8")
+        text = _shipped_text(fname)
         toks = tokenize(text)
-        assert len(toks) > 1000 and toks == _oracle_pairs(text), fname
+        assert all(type(v) is str for v in toks), fname
+        assert len(toks) > 1000 and _kinded(toks) == _oracle_pairs(text), fname
 
 
 # letters, digits (one non-ASCII), every operator, the pieces of -> and !=,
@@ -218,9 +222,29 @@ def test_tokenizer_matches_oracle_random(text):
             tokenize(text)
         assert (str(got.value), got.value.line, got.value.col) == (str(e), e.line, e.col)
         return
-    assert tokenize(text) == [(kind, v) for kind, v, _, _ in want]
+    assert _kinded(tokenize(text)) == [(kind, v) for kind, v, _, _ in want]
     for i, (_, _, line, col) in enumerate(want):  # the last is the end of the text
         assert _position(text, i) == (line, col)
+
+
+# sha256 of repr(parse_blocks(text)) for each shipped table, taken with the
+# parser over (kind, value) token pairs that the string-token parser replaced
+_PARSE_DIGESTS = {
+    "paramsets.def": "fdcf37db9d1fbdd7542c01934c03925cf90c6564c45a11e53f6e610446f7a0b4",
+    "fixrows.def": "f9c27e756560aa197eb35b2c093aaaf39037b8f01bf4eeb22e13d6c3e4a5343a",
+    "defects.def": "85abaaed0ef263036ff0d0cb533b37069456587861973a16097cd8aeaf99e6c8",
+    "weyl.def": "ee543e2d0850283c7e5bc476b91047234d3f909a67853f62cc72e8dbc159c425",
+    "classes.def": "a986eef0eaf8a55d84ee76f268d5773a3a5222685706d79321798a4e2ac57ca7",
+    "relations.def": "fd463f1be33635ff73c7e4b54929e7535f709fcef17b0c997a72ba039bec0b4b",
+}
+
+
+@pytest.mark.parametrize("fname", list(_PARSE_DIGESTS))
+def test_parse_trees_match_golden_digest(fname):
+    import hashlib
+
+    digest = hashlib.sha256(repr(parse_blocks(_shipped_text(fname))).encode()).hexdigest()
+    assert digest == _PARSE_DIGESTS[fname]
 
 
 # Messages as the positional tokenizer and parser gave them.
@@ -311,6 +335,12 @@ def test_schema_follows_the_record_fields():
     ("defect d { value: 1 entry: [G, GI_1, fixd, R, 1] }",
      "defect d: entry has fixd where fixed or paired"),
     ("chvalue v { func: f cls: c term: [1] }", "chvalue v: term has [1] where"),
+    ("paramset X { group: G action: none moduli: [[7]] card: 1 }",
+     "paramset X: moduli has [7] where an expression belongs"),
+    ("chvalue v { func: f cls: c term: [1, 0, [k]] }",
+     "chvalue v: term has [k] where an expression belongs"),
+    ("chvalue v { func: f cls: c term: [[1], 0] }",
+     "chvalue v: term has [1] where an expression belongs"),
     ("relation r { sum: [1, c, 2] }", "relation r: sum has [1, c, 2] where"),
     ("grouporder g { order: 1 } grouporder h { order: 2 }",
      "grouporder h: a second grouporder block after g"),
