@@ -22,6 +22,7 @@ from .tabledsl import (
     expr_to_str,
     int_value,
     pred_to_str,
+    value_to_str,
 )
 
 
@@ -349,17 +350,17 @@ def equivalence_group(spec: ParamSetSpec, n: int, moduli: Tuple[int, ...],
     """The group generated by the set's equivalence maps on its grid of moduli."""
     ident = _scaling([1] * len(moduli), moduli)
     gens = []
-    for vars_, targets in spec.equiv:
-        if tuple(vars_) != spec.indices:
-            raise MapClosureError(f"{spec.id}: map variables must be {spec.indices}")
-        denom, rows = _affine(spec.id, targets, n, spec.indices)
+    for item in spec.equiv:  # validate_model: each maps the indices, one target each
+        denom, rows = _affine(spec.id, item[1], n, spec.indices)
         if denom != 1:
-            raise MapClosureError(f"{spec.id}: map {vars_}->... has non-integral coefficients")
+            raise MapClosureError(f"{spec.id}: map {value_to_str(item)} has non-integral "
+                                  "coefficients")
         g = tuple(
             tuple(int(x) % moduli[i] for x in row) for i, row in enumerate(rows)
         )
         if not _well_defined(g, moduli):
-            raise MapClosureError(f"{spec.id}: map {vars_}->... not well-defined mod {moduli}")
+            raise MapClosureError(f"{spec.id}: map {value_to_str(item)} is not well defined "
+                                  f"mod {moduli}")
         gens.append(g)
     group = {ident}
     frontier = [ident]
@@ -399,10 +400,17 @@ class _SetGrid(NamedTuple):
     group: AffineGroup
 
 
-# (set, n) -> its _SetGrid, made once the group is known to permute the
-# admissible tuples.  The spec itself is the key, so two sets that differ in
-# any field never share an entry; errors are raised afresh on every call.
-_SET_CACHE: Dict[Tuple[ParamSetSpec, int], _SetGrid] = {}
+# (moduli, exclusion, equivalence maps, n) -> the set's _SetGrid, made once
+# the group is known to permute the admissible tuples.  That is everything a
+# grid is built from: the number of moduli names the indices, and the set's id
+# appears only in errors, which are raised afresh on every call, naming the
+# caller.  So sets that differ only in name share one grid: the 83 indexed
+# sets of the shipped tables have 18 distinct grids at each n.
+_SET_CACHE: Dict[tuple, _SetGrid] = {}
+
+# (grid, t) -> the classes of the grid fixed by the doubling by 2^t, kept once
+# the doubling's checks pass; a failing count is never kept.
+_FIXED_CACHE: Dict[Tuple[_SetGrid, int], int] = {}
 
 
 def _set_grid(spec: ParamSetSpec, n: int) -> _SetGrid:
@@ -412,13 +420,13 @@ def _set_grid(spec: ParamSetSpec, n: int) -> _SetGrid:
     grid, and every generator keeps the excluded tuples; for a permutation
     that is keeping the admissible ones.  A failure is a MapClosureError
     naming the set.  Neither check depends on a doubling, so each runs once
-    per set and n.
+    per distinct grid and n.
     """
-    key = (spec, n)
-    if key in _SET_CACHE:
-        return _SET_CACHE[key]
     if not has_index_structure(spec):
         raise ValueError(f"{spec.id} has no index structure")
+    key = (spec.moduli, spec.exclude, spec.equiv, n)
+    if key in _SET_CACHE:
+        return _SET_CACHE[key]
     moduli = _ranges(spec.id, spec.moduli, n)
     exclude = (None if spec.exclude is None
                else _exclusion(spec.id, spec.exclude, n, spec.indices, moduli))
@@ -448,15 +456,18 @@ def fixed_class_count(spec: ParamSetSpec, n: int, t: int = 0) -> int:
     |Fix(s o g)| classes, counting admissible fixed points only (Burnside's
     lemma twisted by s; at t = 0, Burnside's lemma), each term counted by
     count.  That holds when G and s permute the admissible tuples and s
-    permutes the classes.  _set_grid checks G once per set and n; the
-    doubling is checked here, and a failure is a MapClosureError naming the
-    set:
+    permutes the classes.  _set_grid checks G once per distinct grid and n;
+    the doubling is checked here, once per grid and t, and a failure is a
+    MapClosureError naming the set:
     - 2^t is a unit mod every modulus, so s is a bijection;
     - s normalizes G, s g s^-1 in G for each generator g, so s sends classes
       to classes;
     - s keeps the excluded tuples.
     """
     grid = _set_grid(spec, n)
+    key = (grid, t)
+    if key in _FIXED_CACHE:
+        return _FIXED_CACHE[key]
     moduli, group = grid.moduli, grid.group
     if any(math.gcd(2 ** t, m) != 1 for m in moduli):
         raise MapClosureError(f"{spec.id}: doubling by 2^{t} is not invertible mod {moduli}")
@@ -469,7 +480,8 @@ def fixed_class_count(spec: ParamSetSpec, n: int, t: int = 0) -> int:
     if not _keeps(grid.exclude, double, moduli):
         raise MapClosureError(f"{spec.id}: doubling leaves the class set")
     total = sum(_admissible_fixed(_compose(double, g, moduli), grid) for g in group.maps)
-    return _orbits(spec.id, total, len(group.maps))
+    fixed = _FIXED_CACHE[key] = _orbits(spec.id, total, len(group.maps))
+    return fixed
 
 
 def class_count(spec: ParamSetSpec, n: int) -> int:

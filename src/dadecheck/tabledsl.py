@@ -478,9 +478,7 @@ def _pred_operand(node, parent_op) -> str:
 def value_to_str(v) -> str:
     if isinstance(v, list):
         return "[" + ", ".join(value_to_str(x) for x in v) + "]"
-    if isinstance(v, tuple) and v and isinstance(v[0], tuple) and all(
-        isinstance(s, str) for s in v[0]
-    ):
+    if _is_map(v):
         vars_, targets = v
         lhs = vars_[0] if len(vars_) == 1 else "(" + ",".join(vars_) + ")"
         rhs = (
@@ -659,9 +657,21 @@ def _is_pred(v) -> bool:
     return isinstance(v, tuple) and v[0] in ("atom", "and", "or")
 
 
+def _is_map(v) -> bool:
+    """Whether v is an affine map as the parser makes it: (index names, targets)."""
+    return (isinstance(v, tuple) and len(v) == 2 and isinstance(v[0], tuple)
+            and all(isinstance(s, str) for s in v[0]))
+
+
 def _read_expr(v) -> Expr:
-    if isinstance(v, list) or _is_pred(v):
+    if isinstance(v, list) or _is_pred(v) or _is_map(v):
         raise _where(v, "an expression")
+    return v
+
+
+def _read_map(v) -> AffineMap:
+    if not _is_map(v):
+        raise _where(v, "an affine map")
     return v
 
 
@@ -741,6 +751,7 @@ _CODECS = {
     "expr": (_read_expr, lambda v: v, None),
     "pred": (_read_pred, lambda v: v, None),
     "exprs": (lambda v: tuple(map(_read_expr, _read_list(v))), list, ()),
+    "maps": (lambda v: tuple(map(_read_map, _read_list(v))), list, ()),
     "int": (_read_int, lambda v: ("int", v), None),
     "ints": (_read_ints, _write_ints, ()),
     "matrix": (_read_matrix, _write_ints, None),
@@ -783,7 +794,7 @@ _SCHEMA: Dict[str, _Kind] = {
     "paramset": _kind(
         "paramsets", ParamSetSpec,
         _Field("group", "sym"), _Field("action", "sym"), _Field("moduli", "exprs", OPTIONAL),
-        _Field("exclude", "pred", OPTIONAL), _Field("equiv", "exprs", OPTIONAL),
+        _Field("exclude", "pred", OPTIONAL), _Field("equiv", "maps", OPTIONAL),
         _Field("card", "expr"), _Field("members", "syms", OPTIONAL, "paramset"),
         _Field("alias_of", "sym", OPTIONAL, "paramset"), _Field("note", "sym", OPTIONAL)),
     "fixrow": _kind(
@@ -1032,7 +1043,11 @@ def validate_model(model: Model) -> None:
         if spec.exclude is not None:
             check.exclusion(spec.id, spec.exclude, names, spec.indices)
         check.symbols(spec.id, names, *spec.moduli)
-        for vars_, targets in spec.equiv:
+        for item in spec.equiv:
+            vars_, targets = item
+            if vars_ != spec.indices or len(targets) != len(vars_):
+                raise TableSyntaxError(f"{spec.id}: equiv map {value_to_str(item)} must map "
+                                       f"({','.join(spec.indices)}) to one target per index")
             check.symbols(spec.id, names | set(vars_), *targets)
     for led in model.ledgers.values():
         check.evaluate(f"ledger {led.id}", led.value)

@@ -761,6 +761,21 @@ M1 = "matrix: [[0, 0, 0, -2], [0, 0, 2, 2], [1, 1, 0, 0], [-1, 0, 0, 0]]"  # r1 
      "paramsets.def: paramset GI_22: exclude has 3 where a predicate belongs"),
     ("paramsets.def", "  equiv: [k -> -k]\n  card: (q^2-2)/2\n", "  equiv: [k -> -k]\n  card: k = 0\n",
      "paramsets.def: paramset GI_22: card has k = 0 where an expression belongs"),
+    # an equiv item is read as a map when the table loads
+    ("paramsets.def", "  equiv: [k -> -k]\n  card: (q^2-2)/2\n", "  equiv: [k+1]\n  card: (q^2-2)/2\n",
+     "paramsets.def: paramset GI_22: equiv has k+1 where an affine map belongs"),
+    ("paramsets.def", "  equiv: [k -> -k]\n  card: (q^2-2)/2\n", "  equiv: [k]\n  card: (q^2-2)/2\n",
+     "paramsets.def: paramset GI_22: equiv has k where an affine map belongs"),
+    # a map sends the set's indices, in order, to one target each
+    ("paramsets.def", "equiv: [(k,l) -> (k,-l)]\n  card: (q^4-3*q^2+2)/2",
+     "equiv: [(k,l) -> (l)]\n  card: (q^4-3*q^2+2)/2",
+     "PbI_5: equiv map (k,l) -> l must map (k,l) to one target per index"),
+    ("paramsets.def", "equiv: [(k,l) -> (k,-l)]\n  card: (q^4-3*q^2+2)/2",
+     "equiv: [(k,l) -> (k,-l,k)]\n  card: (q^4-3*q^2+2)/2",
+     "PbI_5: equiv map (k,l) -> (k, -l, k) must map (k,l) to one target per index"),
+    ("paramsets.def", "equiv: [(k,l) -> (k,-l)]\n  card: (q^4-3*q^2+2)/2",
+     "equiv: [(l,k) -> (k,-l)]\n  card: (q^4-3*q^2+2)/2",
+     "PbI_5: equiv map (l,k) -> (k, -l) must map (k,l) to one target per index"),
     # every weylclass field is read by a Weyl check: none may be left out
     ("weyl.def", "  pairing: ((k+l)*a+(k-l)*b)/(q^2-1)\n", "",
      "weyl.def: weylclass T1: missing field pairing"),
@@ -768,7 +783,9 @@ M1 = "matrix: [[0, 0, 0, -2], [0, 0, 2, 2], [1, 1, 0, 0], [-1, 0, 0, 0]]"  # r1 
     ("relations.def", "term: [s2*q, 1, th*i*k,", "term: [s2*q, 1, th*k/i,",
      "relations.def: chvalue f8_c_8_2: root exponent (th*k)/i is not a polynomial in th, i, k"),
 ], ids=["missing", "misspelt", "repeated-field", "repeated-block", "second-frobenius",
-        "misspelt-card", "exclude-expression", "card-predicate", "missing-pairing",
+        "misspelt-card", "exclude-expression", "card-predicate", "equiv-expression",
+        "equiv-symbol", "map-too-few-targets", "map-too-many-targets", "map-other-order",
+        "missing-pairing",
         "exponent-not-polynomial"])
 def test_bad_table_fields_exit_two(tmp_path, capsys, fname, old, new, message):
     data = _data_copy(tmp_path, fname, old, new)

@@ -186,6 +186,21 @@ def test_doubling_preconditions_name_the_set(body, message):
         fixed_class_count(_one_set(body), 1, 1)
 
 
+@pytest.mark.parametrize("body, message", [
+    ("  moduli: [7]\n  equiv: [k -> k/2]\n", "map k -> k/2 has non-integral coefficients"),
+    # l = k is no function on Z_7 x Z_3: k = 0 and k = 7 are one tuple
+    ("  moduli: [7, 3]\n  equiv: [(k,l) -> (k, k)]\n",
+     "map (k,l) -> (k, k) is not well defined mod (7, 3)"),
+], ids=["non-integral", "not-well-defined"])
+def test_bad_map_names_the_set_and_the_map(body, message):
+    import re
+
+    from dadecheck.counting import MapClosureError
+
+    with pytest.raises(MapClosureError, match="^X: " + re.escape(message)):
+        class_count(_one_set(body + "  card: 1\n"), 1)
+
+
 def test_div_modulus_zero_names_the_set():
     from dadecheck.counting import MapClosureError
 
@@ -211,6 +226,7 @@ def test_set_checks_run_once_per_set_and_n(model, monkeypatch):
     real = counting._keeps
     monkeypatch.setattr(counting, "_keeps", lambda e, g, m: calls.append(g) or real(e, g, m))
     monkeypatch.setattr(counting, "_SET_CACHE", {})
+    monkeypatch.setattr(counting, "_FIXED_CACHE", {})
     spec = model.paramsets["PaI_4"]
     for t in (1, 3, 9):
         assert counting.fixed_class_count(spec, 4, t) >= 0
@@ -227,6 +243,102 @@ def test_set_cache_keyed_on_the_spec():
     with pytest.raises(MapClosureError, match="^X: equivalence map leaves the admissible set"):
         class_count(moved, 1)
     assert class_count(kept, 1) == 2
+
+
+def _sets(**bodies):
+    """Sets parsed together, each named by its keyword, with the body given."""
+    from dadecheck.tabledsl import parse_model
+
+    text = "".join(f"paramset {name} {{\n  group: G\n  action: doubling\n{body}  card: 1\n}}\n"
+                   for name, body in bodies.items())
+    return parse_model(text).paramsets
+
+
+_BASE = "  moduli: [7]\n  exclude: k = 0\n  equiv: [k -> -k]\n"
+
+
+def _counting_calls(monkeypatch):
+    """Fresh count caches, and a list that gets one item per _admissible_fixed call."""
+    from dadecheck import counting
+
+    calls = []
+    real = counting._admissible_fixed
+    monkeypatch.setattr(counting, "_admissible_fixed", lambda h, g: calls.append(h) or real(h, g))
+    monkeypatch.setattr(counting, "_SET_CACHE", {})
+    monkeypatch.setattr(counting, "_FIXED_CACHE", {})
+    return calls
+
+
+def test_sets_with_equal_grids_share_their_counts(monkeypatch):
+    # X and Y differ only in name: one grid, and one Burnside sum (|G| = 2 terms) per t
+    from dadecheck import counting
+
+    calls = _counting_calls(monkeypatch)
+    sets = _sets(X=_BASE, Y=_BASE)
+    assert counting._set_grid(sets["X"], 1) is counting._set_grid(sets["Y"], 1)
+    # the classes {1, 6}, {2, 5}, {3, 4}: k -> 2k moves each, k -> 8k = k fixes each
+    for t, fixed in ((0, 3), (1, 0), (3, 3)):
+        before = len(calls)
+        assert counting.fixed_class_count(sets["X"], 1, t) == fixed
+        assert counting.fixed_class_count(sets["Y"], 1, t) == fixed
+        assert len(calls) == before + 2
+    assert len(counting._SET_CACHE) == 1
+
+
+@pytest.mark.parametrize("body", [
+    _BASE.replace("[7]", "[9]"),
+    _BASE.replace("  exclude: k = 0\n", ""),
+    _BASE.replace("k -> -k", "k -> 2*k"),
+], ids=["moduli", "exclude", "equiv"])
+def test_sets_differing_in_one_grid_field_do_not_share(monkeypatch, body):
+    from dadecheck import counting
+
+    calls = _counting_calls(monkeypatch)
+    sets = _sets(X=_BASE, Y=body)
+    assert class_count(sets["X"], 1) == 3
+    before = len(calls)
+    assert class_count(sets["Y"], 1) == enumerate_classes(sets["Y"], 1).count
+    assert len(calls) > before
+    assert counting._set_grid(sets["X"], 1) != counting._set_grid(sets["Y"], 1)
+    assert len(counting._SET_CACHE) == 2
+
+
+def test_failing_counts_are_not_kept(monkeypatch):
+    # 2 is no unit mod 6, and k -> 2k leaves Z_7 minus {1}: each call raises naming its set
+    from dadecheck import counting
+    from dadecheck.counting import MapClosureError
+
+    _counting_calls(monkeypatch)
+    even = "  moduli: [6]\n  equiv: [k -> -k]\n"
+    moved = "  moduli: [7]\n  exclude: k = 1\n  equiv: [k -> 2*k]\n"
+    sets = _sets(X=even, Y=even, U=moved, V=moved)
+    assert class_count(sets["X"], 1) == class_count(sets["Y"], 1) == 4
+    for name in ("X", "Y", "X"):
+        with pytest.raises(MapClosureError, match=f"^{name}: doubling by 2\\^1 is not invertible"):
+            counting.fixed_class_count(sets[name], 1, 1)
+    for name in ("U", "V", "U"):
+        with pytest.raises(MapClosureError,
+                           match=f"^{name}: equivalence map leaves the admissible set"):
+            class_count(sets[name], 1)
+    assert len(counting._FIXED_CACHE) == 1 and len(counting._SET_CACHE) == 1
+
+
+def test_shipped_sets_build_18_grids_per_n(model, monkeypatch):
+    # the 83 indexed sets repeat a few grids: one of them is shared by 34 sets
+    from dadecheck import counting
+
+    built = []
+    real = counting.equivalence_group
+    monkeypatch.setattr(counting, "equivalence_group",
+                        lambda spec, n, moduli: built.append(n) or real(spec, n, moduli))
+    monkeypatch.setattr(counting, "_SET_CACHE", {})
+    monkeypatch.setattr(counting, "_FIXED_CACHE", {})
+    sets = _enumerable_sets(model)
+    assert len(sets) == 83
+    for n in (1, 2, 3, 4):
+        for spec in sets:
+            class_count(spec, n)
+        assert built.count(n) == 18, n
 
 
 @pytest.mark.parametrize("n", [8, 9, 12, 20, 30])

@@ -337,6 +337,10 @@ def test_schema_follows_the_record_fields():
     ("chvalue v { func: f cls: c term: [1] }", "chvalue v: term has [1] where"),
     ("paramset X { group: G action: none moduli: [[7]] card: 1 }",
      "paramset X: moduli has [7] where an expression belongs"),
+    ("paramset X { group: G action: none moduli: [k -> k] card: 1 }",
+     "paramset X: moduli has k -> k where an expression belongs"),
+    ("paramset X { group: G action: none moduli: [7] equiv: [k+1] card: 1 }",
+     "paramset X: equiv has k+1 where an affine map belongs"),
     ("chvalue v { func: f cls: c term: [1, 0, [k]] }",
      "chvalue v: term has [k] where an expression belongs"),
     ("chvalue v { func: f cls: c term: [[1], 0] }",

@@ -5,9 +5,9 @@
 Each process runs in its checkout, with its ``src`` on PYTHONPATH and
 DADE_DATA_DIR unset; which side runs first alternates from pair to pair.
 The metric is the process's wall time, or with ``--printed`` the last number
-it prints.  Peak RSS is each process's own ``ru_maxrss`` from ``os.wait4``:
-this parent keeps only numbers, so the high-water mark a child inherits from
-it at fork stays below the child's own.  NEW wins a pair when its metric is
+it prints.  CPU seconds (user + sys) and peak RSS are each process's own, from
+the ``os.wait4`` rusage: this parent keeps only numbers, so the high-water
+mark a child inherits from it at fork stays below the child's own.  NEW wins a pair when its metric is
 lower; a gain is shown when it wins at least nine tenths of the pairs and the
 medians differ by more than the distance between OLD's quartiles.
 """
@@ -21,7 +21,7 @@ import time
 
 
 def run_once(tree, cmd, printed):
-    """(metric, peak RSS in MB) of one fresh process of cmd in the checkout tree."""
+    """(metric, CPU seconds, peak RSS in MB) of one fresh process of cmd in the checkout tree."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     env.pop("DADE_DATA_DIR", None)
     start = time.perf_counter()
@@ -34,7 +34,8 @@ def run_once(tree, cmd, printed):
     proc.returncode = os.waitstatus_to_exitcode(status)  # reaped above: Popen must not wait
     if proc.returncode not in (0, 1):
         sys.exit(f"{tree}: {' '.join(cmd)} exited {proc.returncode}")
-    return (float(out.split()[-1]) if printed else wall), usage.ru_maxrss / 1024.0
+    return ((float(out.split()[-1]) if printed else wall), usage.ru_utime + usage.ru_stime,
+            usage.ru_maxrss / 1024.0)
 
 
 def summary(values):
@@ -52,17 +53,20 @@ def main(argv=None):
     args = p.parse_args(argv)
     cmd = args.cmd[1:] if args.cmd[:1] == ["--"] else args.cmd
     trees = (args.old, args.new)
-    runs = ([], [])  # (metric, peak RSS) of each process, old and new
+    runs = ([], [])  # (metric, CPU seconds, peak RSS) of each process, old and new
     for i in range(args.pairs):
         for side in (0, 1) if i % 2 == 0 else (1, 0):
             runs[side].append(run_once(trees[side], cmd, args.printed))
-        (o, orss), (n, nrss) = runs[0][-1], runs[1][-1]
-        print(f"pair {i + 1:2d}: old {o:.4f} new {n:.4f}   peak RSS old {orss:.1f} new {nrss:.1f} MB")
-    stats = [summary([m for m, _ in side]) for side in runs]
+        (o, ocpu, orss), (n, ncpu, nrss) = runs[0][-1], runs[1][-1]
+        print(f"pair {i + 1:2d}: old {o:.4f} new {n:.4f}   CPU old {ocpu:.3f} new {ncpu:.3f} s"
+              f"   peak RSS old {orss:.1f} new {nrss:.1f} MB")
+    stats = [summary([m for m, _, _ in side]) for side in runs]
     for label, side, (med, q1, q3) in zip(("old", "new"), runs, stats):
-        rss = statistics.median(r for _, r in side)
-        print(f"{label}: median {med:.4f} (quartiles {q1:.4f}-{q3:.4f}), peak RSS median {rss:.1f} MB")
-    won = sum(n < o for (o, _), (n, _) in zip(*runs))
+        cpu = statistics.median(c for _, c, _ in side)
+        rss = statistics.median(r for _, _, r in side)
+        print(f"{label}: median {med:.4f} (quartiles {q1:.4f}-{q3:.4f}), CPU median {cpu:.3f} s, "
+              f"peak RSS median {rss:.1f} MB")
+    won = sum(n < o for (o, _, _), (n, _, _) in zip(*runs))
     (old_med, q1, q3), new_med = stats[0], stats[1][0]
     gap = old_med - new_med
     shown = won >= 0.9 * args.pairs and gap > q3 - q1
