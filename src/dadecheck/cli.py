@@ -10,6 +10,12 @@ FILE ("key = value" lines, keys mode, data_dir, report, workers, max_n and n,
 overridden by flags).  The data directory
 defaults to the packaged tables, or $DADE_DATA_DIR.
 
+--workers K spreads a verify run's tasks (one per check kind and n, and one
+per kind for its n-free checks) over min(K, tasks) processes forked from the
+driver after it has parsed the tables; where os.fork does not exist, the run
+is serial.  A worker that ends without sending its results ends the run with
+exit status 2.
+
 Every check instance becomes one JSON record
     {"schema": 1, "check": ..., "name": ..., "n": ..., "expected": ...,
      "actual": ..., "status": "pass"|"fail"|"skip", "millis": ...}
@@ -20,8 +26,11 @@ only if no record failed (2 on usage/parse errors).
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import json
+import marshal
+import os
 import sys
 import time
 from typing import Dict, List, Optional
@@ -30,7 +39,7 @@ from . import counting, load_model
 from .record import Record
 from .tabledsl import DanglingReference, TableSyntaxError, WeylDataError
 
-# ---- check runners (module level so a worker pool can dispatch them) ---------
+# ---- check runners -----------------------------------------------------------
 
 _MODEL = None
 _DATA_DIR = None
@@ -41,11 +50,6 @@ def _model():
     if _MODEL is None:
         _MODEL = load_model(_DATA_DIR)
     return _MODEL
-
-
-def _init_worker(data_dir):
-    global _DATA_DIR
-    _DATA_DIR = data_dir
 
 
 # kind -> (module, [(n_free, checker)]).  The module is imported when the kind
@@ -247,6 +251,9 @@ def _emit(records: List[dict], cfg) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # a record writes its values with repr, and |G| has over 4300 digits from n = 275
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         if args.command == "report":
@@ -308,28 +315,134 @@ def _cmd_verify(args, cfg) -> int:
     opts = {"max_n": cfg["max_n"], "mode": cfg["mode"]}
     tasks = []
     for kind in kinds:
-        _module(kind)  # imported once here, before a pool forks: its workers inherit it
+        _module(kind)  # imported once here, before any worker is forked: the workers inherit it
         n_free = {free for free, _ in REGISTRY[kind][1]}
         if True in n_free:
             tasks.append((kind, None, opts))
         if False in n_free:
             tasks.extend((kind, n, opts) for n in cfg["n_list"])
+    workers = min(cfg["workers"], len(tasks))
     records: List[dict] = []
-    if cfg["workers"] > 1 and len(tasks) > 1:
-        # imported here: a serial run does not pay for the pool machinery
-        from concurrent.futures import ProcessPoolExecutor
-
-        _model()  # parsed once, here: forked workers inherit it (_init_worker serves spawn)
-        with ProcessPoolExecutor(
-            max_workers=cfg["workers"], initializer=_init_worker,
-            initargs=(cfg["data_dir"],),
-        ) as pool:
-            for batch in pool.map(run_task, tasks):
-                records.extend(batch)
+    if workers > 1 and hasattr(os, "fork"):
+        _model()  # parsed once, here: the forked workers inherit it
+        for batch in _run_forked(tasks, workers):
+            records.extend(batch)
     else:
         for task in tasks:
             records.extend(run_task(task))
     return _emit(records, cfg)
+
+
+# ---- the forked workers ----------------------------------------------------------
+
+# A task index crosses the task pipe as 4 bytes, written at most 512 bytes at a
+# time: POSIX makes a pipe write of up to PIPE_BUF (at least 512) bytes atomic,
+# so the pipe holds whole indices only and each 4-byte read takes one.
+_INDEX_BYTES = 4
+_WRITE_BYTES = 512
+
+
+class WorkerTraceback(Exception):
+    """The traceback, as text, of an exception raised in a worker: its cause in the driver."""
+
+
+def _run_forked(tasks, workers) -> List[List[dict]]:
+    """The records of each task, in task order, run by `workers` forked processes.
+
+    The workers take task indices from one shared pipe, the next as they finish
+    the last, until it runs dry; each sends its results back by marshal on a
+    pipe of its own and ends with os._exit.  Every worker is reaped before this
+    returns or raises.  The first task in task order that raised raises here,
+    as in a serial run; a worker that ended without sending its results raises
+    ChildProcessError.
+    """
+    task_r, task_w = os.pipe()
+    readers: Dict[int, int] = {}  # pid of each worker -> the read end of its result pipe
+    # Frozen, the objects the workers inherit are never scanned by a collection
+    # in a worker, which would write to each and so copy every page it shares.
+    gc.freeze()
+    try:
+        try:
+            for _ in range(workers):
+                r, w = os.pipe()
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        for fd in (task_w, r, *readers.values()):
+                            os.close(fd)
+                        _work(tasks, task_r, w)
+                except OSError:
+                    os.close(r)
+                    raise
+                finally:
+                    os.close(w)
+                readers[pid] = r
+        finally:
+            gc.unfreeze()
+            # the parent holds no read end, so a write after every worker ended fails
+            os.close(task_r)
+        order = b"".join(i.to_bytes(_INDEX_BYTES, "little") for i in range(len(tasks)))
+        try:
+            for at in range(0, len(order), _WRITE_BYTES):
+                os.write(task_w, order[at:at + _WRITE_BYTES])
+        except BrokenPipeError:
+            pass  # every worker has ended; what each sent shows below
+    finally:
+        os.close(task_w)
+        sent = []
+        for pid, r in readers.items():
+            with open(r, "rb") as fh:
+                data = fh.read()
+            sent.append((pid, data, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
+    done = {}
+    for pid, data, code in sent:
+        if code:
+            how = f"was killed by signal {-code}" if code < 0 else f"exited {code}"
+            raise ChildProcessError(f"worker process {pid} {how} before sending its results")
+        done.update(marshal.loads(data))
+    out = []
+    for i in range(len(tasks)):
+        if isinstance(done[i], tuple):
+            import pickle  # only a failed run reads an exception
+
+            error, trace = done[i]
+            raise pickle.loads(error) from WorkerTraceback(trace)
+        out.append(done[i])
+    return out
+
+
+def _work(tasks, task_r, result_w) -> None:
+    """A forked worker: run the tasks whose indices it reads, send the results, exit.
+
+    It sends {index: records} by marshal, or for the task that raised,
+    {index: (pickled exception, traceback text)}; after that task it only
+    drains the indices, so the driver's writes finish.  It exits 0 only
+    once its results are sent, and never returns.
+    """
+    status = 1
+    try:
+        done = {}
+        failed = False
+        while True:
+            got = os.read(task_r, _INDEX_BYTES)
+            if not got:
+                break
+            if failed:
+                continue
+            i = int.from_bytes(got, "little")
+            try:
+                done[i] = run_task(tasks[i])  # the module global: a wrapped run_task runs
+            except Exception as e:
+                import pickle
+                import traceback
+
+                done[i] = (pickle.dumps(e), "".join(traceback.format_exception(e)))
+                failed = True
+        with open(result_w, "wb") as fh:
+            marshal.dump(done, fh)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _check_report(path, records) -> None:

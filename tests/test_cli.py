@@ -3,10 +3,13 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import dadecheck
 from dadecheck.cli import main
 
 
@@ -264,6 +267,101 @@ def test_workers_match_serial(tmp_path):
     for rec in a + b:
         rec["millis"] = 0
     assert a == b
+
+
+def _zeroed_report(tmp_path, argv):
+    """The records of a passing run of argv, with millis 0."""
+    report = tmp_path / "r.json"
+    assert main(argv + ["--report", str(report)]) == 0
+    return [dict(r, millis=0) for r in json.loads(report.read_text())]
+
+
+def test_workers_match_serial_past_256_tasks(tmp_path):
+    # 260 tasks: indices above one byte, and more results than one pipe buffer holds
+    argv = ["verify", "classes", "--max-n", "260"]
+    serial = _zeroed_report(tmp_path, argv)
+    assert len(serial) == 520
+    assert _zeroed_report(tmp_path, argv + ["--workers", "2"]) == serial
+
+
+def test_pool_forks_at_most_one_worker_per_task(monkeypatch):
+    forks = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert main(["verify", "classes", "--n", "1", "--n", "2", "--workers", "8"]) == 0
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # every worker was reaped
+
+
+def test_workers_without_fork_run_serially(tmp_path, monkeypatch):
+    argv = ["verify", "classes", "--n", "1", "--n", "2"]
+    serial = _zeroed_report(tmp_path, argv)
+    monkeypatch.delattr(os, "fork")
+    assert _zeroed_report(tmp_path, argv + ["--workers", "2"]) == serial
+
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(dadecheck.__file__)))
+
+
+def _run_with_class_equation_failing_at_n2(failure, workers):
+    """(exit status, stderr) of verify classes --n 1..3 in a fresh process whose
+    class_equation fails at n = 2; the process also prints whether a child is left."""
+    code = (
+        "import os, sys\n"
+        "from dadecheck import chartables, counting\n"
+        "from dadecheck.cli import main\n"
+        "real = chartables.class_equation\n"
+        "def failing(model, n):\n"
+        "    if n == 2:\n"
+        f"        {failure}\n"
+        "    return real(model, n)\n"
+        "chartables.class_equation = failing\n"
+        f"rc = main(['verify', 'classes', '--n', '1', '--n', '2', '--n', '3', "
+        f"'--workers', '{workers}'])\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "    print('a child is left')\n"
+        "except ChildProcessError:\n"
+        "    print('no child is left')\n"
+        "sys.exit(rc)\n")
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=_SRC),
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.splitlines()[-1] == "no child is left"
+    return done.returncode, done.stderr
+
+
+def test_error_in_a_worker_exits_two_like_a_serial_run():
+    failure = "raise counting.NonIntegralModulus('X: modulus q/3 is not an integer')"
+    serial = _run_with_class_equation_failing_at_n2(failure, 1)
+    pooled = _run_with_class_equation_failing_at_n2(failure, 2)
+    assert serial == pooled == (2, "error: X: modulus q/3 is not an integer\n")
+
+
+def test_worker_that_dies_exits_two():
+    rc, err = _run_with_class_equation_failing_at_n2("os._exit(3)", 2)
+    assert rc == 2
+    (line,) = err.splitlines()
+    assert line.startswith("error: worker process ") and line.endswith(
+        " exited 3 before sending its results")
+
+
+def test_group_order_past_4300_digits_is_written_exactly(tmp_path):
+    # |G| = q^24 (q^2-1)(q^6+1)(q^8-1)(q^12+1) with q^2 = 2^(2n+1): 4391 digits at n = 280
+    report = tmp_path / "r.json"
+    assert main(["verify", "classes", "--n", "280", "--report", str(report)]) == 0
+    q2 = 2 ** 561
+    order = q2 ** 12 * (q2 - 1) * (q2 ** 3 + 1) * (q2 ** 4 - 1) * (q2 ** 6 + 1)
+    (rec,) = [r for r in json.loads(report.read_text()) if r["check"] == "class_equation"]
+    assert len(rec["expected"]) == 4391
+    assert rec["expected"] == rec["actual"] == str(order)
 
 
 def test_data_dir_flag(tmp_path, monkeypatch):

@@ -69,6 +69,15 @@ def test_import_cli_loads_no_pool():
                 "'multiprocessing' in sys.modules)") == ["False", "False"]
 
 
+def test_pool_run_imports_no_pool_machinery():
+    # the workers are forked directly, and only a task that raised needs pickle
+    code = ("import sys; from dadecheck.cli import main; "
+            "rc = main(['verify', 'all', '--n', '1', '--workers', '2']); "
+            "print(rc, *(m in sys.modules for m in "
+            "('concurrent.futures', 'multiprocessing', 'pickle')))")
+    assert _run(code)[-4:] == ["0", "False", "False", "False"]
+
+
 @pytest.mark.parametrize("argv", RUNS, ids=RUN_IDS)
 def test_check_kinds_without_arrays_load_no_numpy(argv):
     # no check kind, and no listing, needs numpy

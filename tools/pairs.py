@@ -9,7 +9,8 @@ it prints.  CPU seconds (user + sys) and peak RSS are each process's own, from
 the ``os.wait4`` rusage: this parent keeps only numbers, so the high-water
 mark a child inherits from it at fork stays below the child's own.  NEW wins a pair when its metric is
 lower; a gain is shown when it wins at least nine tenths of the pairs and the
-medians differ by more than the distance between OLD's quartiles.
+medians differ by more than the distance between OLD's quartiles.  The pairs
+NEW won on CPU and on peak RSS are counted too, to show those did not worsen.
 """
 
 import argparse
@@ -66,12 +67,13 @@ def main(argv=None):
         rss = statistics.median(r for _, _, r in side)
         print(f"{label}: median {med:.4f} (quartiles {q1:.4f}-{q3:.4f}), CPU median {cpu:.3f} s, "
               f"peak RSS median {rss:.1f} MB")
-    won = sum(n < o for (o, _, _), (n, _, _) in zip(*runs))
+    won = [sum(n[k] < o[k] for o, n in zip(*runs)) for k in range(3)]
     (old_med, q1, q3), new_med = stats[0], stats[1][0]
     gap = old_med - new_med
-    shown = won >= 0.9 * args.pairs and gap > q3 - q1
-    print(f"new won {won}/{args.pairs} pairs; median gap {gap:.4f} against old quartile spread "
+    shown = won[0] >= 0.9 * args.pairs and gap > q3 - q1
+    print(f"new won {won[0]}/{args.pairs} pairs; median gap {gap:.4f} against old quartile spread "
           f"{q3 - q1:.4f}: {'gain shown' if shown else 'no gain shown'}")
+    print(f"new lower in {won[1]}/{args.pairs} pairs on CPU, {won[2]}/{args.pairs} on peak RSS")
 
 
 if __name__ == "__main__":
