@@ -12,9 +12,9 @@ defaults to the packaged tables, or $DADE_DATA_DIR.
 
 --workers K spreads a verify run's tasks (one per check kind and n, and one
 per kind for its n-free checks) over min(K, tasks) processes forked from the
-driver after it has parsed the tables; where os.fork does not exist, the run
-is serial.  A worker that ends without sending its results ends the run with
-exit status 2.
+driver after it has parsed the tables (and built W, where the kinds read it);
+where os.fork does not exist, the run is serial.  A worker that ends without
+sending its results ends the run with exit status 2.
 
 Every check instance becomes one JSON record
     {"schema": 1, "check": ..., "name": ..., "n": ..., "expected": ...,
@@ -324,7 +324,14 @@ def _cmd_verify(args, cfg) -> int:
     workers = min(cfg["workers"], len(tasks))
     records: List[dict] = []
     if workers > 1 and hasattr(os, "fork"):
-        _model()  # parsed once, here: the forked workers inherit it
+        model = _model()  # parsed once, here: the forked workers inherit it
+        if {"weyl", "params"} & set(kinds):
+            # W too, once rather than in each worker that reads it; bad Weyl
+            # data raise in the first task that reads W, as in a serial run
+            try:
+                _module("weyl").weyl_group(model)
+            except WeylDataError:
+                pass
         for batch in _run_forked(tasks, workers):
             records.extend(batch)
     else:

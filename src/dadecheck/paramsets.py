@@ -1,8 +1,10 @@
 """Class counts of semisimple class families, and the listing of set classes.
 
 A family's classes are the orbits of the F-centralizer C of its torus
-(rootdatum.f_centralizer) on its admissible members.  They are counted by
-Burnside's lemma on Python ints, with no member listed, on one of two paths:
+(rootdatum.f_centralizer) on its admissible members.  C's conjugacy classes
+and generators come from W's index tables (_group_structure), with no matrix
+product.  The orbits are counted by Burnside's lemma on Python ints, with no
+member listed, on one of two paths:
 
 - the chart path, where the family's chart (rootdatum._chart, shared with
   the torus checks) carries the action: each g in C acts on the index grid
@@ -47,7 +49,7 @@ from .counting import (
     has_index_structure,
 )
 from .record import Record
-from .rootdatum import Matrix, _chart, mat_mul
+from .rootdatum import Matrix, _chart
 from .tabledsl import ClassFam, Model, ParamSetSpec, int_value
 
 
@@ -362,47 +364,54 @@ class Centralizer(NamedTuple):
 
 
 def _group_structure(weyl: rootdatum.WeylGroup, mats: Sequence[Matrix]) -> Centralizer:
-    """Conjugacy classes and generators of a subgroup of W, from generator orbits.
+    """Conjugacy classes and generators of a subgroup of W, on W's index tables.
 
     The generators are greedy: each is the first element outside the
-    subgroup so far.  The class of x is its orbit under x -> g x g^-1 for
-    the generators g, with g^-1 read from weyl.inverses.  Every product is
-    looked up among the elements; none outside raises ValueError.
+    subgroup so far.  Products are read from each generator's table of
+    left multiplications (rootdatum._times_left), and the class of x is its
+    orbit under x -> g x g^-1 = left_g[(left_g[x^-1])^-1] for the generators
+    g, with the inverses from weyl.inverses.  Every product is looked up
+    among the elements; none outside raises ValueError.
     """
     mats = tuple(mats)
-    pos = {m: i for i, m in enumerate(mats)}
+    members = [weyl.index[m] for m in mats]  # W index of each element
+    pos = {x: i for i, x in enumerate(members)}
 
-    def times(x, y):
+    def at(x):
         try:
-            return pos[mat_mul(mats[x], mats[y])]
+            return pos[x]
         except KeyError:
             raise ValueError("the matrices are not closed under products") from None
 
-    one = pos[rootdatum.mat_identity()]
     gens: List[int] = []
-    inside = {one}
-    for x in range(len(mats)):
-        if x in inside:
+    lefts: List[List[int]] = []  # g y for every y in W, one table per generator g
+    inside = {weyl.index[rootdatum.mat_identity()]}
+    for x, w in enumerate(members):
+        if w in inside:
             continue
         gens.append(x)
+        lefts.append(rootdatum._times_left(weyl.right, weyl.tree, w))
         frontier = list(inside)
         while frontier:
-            frontier = [z for z in {times(y, g) for y in frontier for g in gens}
+            frontier = [z for z in {left[y] for y in frontier for left in lefts}
                         if z not in inside]
             inside.update(frontier)
-    inverse = {g: pos[weyl.elems[weyl.inverses[weyl.index[mats[g]]]]] for g in gens}
+    if not inside <= pos.keys():
+        raise ValueError("the matrices are not closed under products")
+    inv = weyl.inverses
     label = [False] * len(mats)
     classes = []
     for x in range(len(mats)):
         if label[x]:
             continue
         label[x] = True
-        orbit = [x]
+        orbit = [members[x]]
         for y in orbit:  # orbit grows while it is walked
-            for g in gens:
-                z = times(times(g, y), inverse[g])
-                if not label[z]:
-                    label[z] = True
+            for left in lefts:
+                z = left[inv[left[inv[y]]]]
+                i = at(z)
+                if not label[i]:
+                    label[i] = True
                     orbit.append(z)
         classes.append((x, len(orbit)))
     return Centralizer(mats, tuple(classes), tuple(gens))

@@ -16,12 +16,12 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .counting import _affine, _ranges, lattice_index, triangle
 from .record import Record
-from .tabledsl import WeylDataError
+from .tabledsl import TableSyntaxError, WeylDataError
 
 Matrix = Tuple[Tuple[int, ...], ...]
 
@@ -93,34 +93,42 @@ def _closure(gmats: Sequence[Matrix], limit: int):
     index of elements[x] gmats[g], and tree holds (x, g, p) with
     elements[x] = elements[p] gmats[g] for every element but the identity
     (index 0), each after its p.  Row i of x g is row i of x times g, and
-    the rows of W's elements are the images of the simple roots, so each
-    generator's action on rows is computed once per row.  A finite monoid
-    need not be a group: _build_weyl looks for the generators' inverses.
+    the rows of W's elements are the images of the simple roots, so the rows
+    are interned: an element is keyed on the ids of its four rows, and a
+    row's image under a generator is computed once, when an element with
+    that row is first multiplied by it.  A finite monoid need not be a
+    group: _build_weyl looks for the generators' inverses.
     """
-    elems = [_IDENT]
-    index = {_IDENT: 0}
+    rows = list(_IDENT)  # row id -> row
+    row_ids = {row: i for i, row in enumerate(rows)}
+    keys = [tuple(range(4))]  # element -> the ids of its rows
+    index = {keys[0]: 0}
     right: List[List[int]] = [[] for _ in gmats]
     tree = []
     cols = [tuple(zip(*gm)) for gm in gmats]
-    acts: List[Dict[tuple, tuple]] = [{} for _ in gmats]  # row -> row g
-    for x, m in enumerate(elems):  # elems grows while it is walked
+    acts: List[Dict[int, int]] = [{} for _ in gmats]  # row id -> id of row g
+    for x, key in enumerate(keys):  # keys grows while it is walked
+        pick = itemgetter(*key)
         for g, (gc, act) in enumerate(zip(cols, acts)):
-            rows = []
-            for row in m:
-                img = act.get(row)
-                if img is None:
-                    img = act[row] = tuple(sum(a * b for a, b in zip(row, c)) for c in gc)
-                rows.append(img)
-            prod = tuple(rows)
+            try:
+                prod = pick(act)
+            except KeyError:  # a row this generator has not yet moved
+                for i in key:
+                    if i not in act:
+                        row = tuple(sum(map(mul, rows[i], c)) for c in gc)
+                        j = act[i] = row_ids.setdefault(row, len(rows))
+                        if j == len(rows):
+                            rows.append(row)
+                prod = pick(act)
             y = index.get(prod)
             if y is None:
-                y = index[prod] = len(elems)
-                elems.append(prod)
+                y = index[prod] = len(keys)
+                keys.append(prod)
                 tree.append((y, g, x))
-                if len(elems) > limit:
+                if len(keys) > limit:
                     raise ClosureOverflow(f"Weyl closure exceeded {limit} elements")
             right[g].append(y)
-    return elems, right, tree
+    return [itemgetter(*key)(rows) for key in keys], right, tree
 
 
 class WeylGroup(NamedTuple):
@@ -149,6 +157,17 @@ class WeylGroup(NamedTuple):
     classes: Tuple[Tuple[int, int], ...]
 
 
+def _times_left(right, tree, h: int) -> List[int]:
+    """h x for every element x of W, down W's tree: h (p g) = (h p) g.
+
+    right and tree are WeylGroup's tables; h and the entries are element indices.
+    """
+    out = [h] * (len(tree) + 1)
+    for x, g, p in tree:
+        out[x] = right[g][out[p]]
+    return out
+
+
 def _build_weyl(gens: Dict[str, Matrix], m0: Matrix) -> WeylGroup:
     gmats = list(gens.values())
     found, right, tree = _closure(gmats, 2000)  # |W(F4)| = 1152
@@ -162,18 +181,10 @@ def _build_weyl(gens: Dict[str, Matrix], m0: Matrix) -> WeylGroup:
     tree = tuple((pos[x], g, pos[p]) for x, g, p in tree)
     index = {m: i for i, m in enumerate(elems)}
     one = index[_IDENT]
-
-    def times_left(h: int) -> List[int]:
-        """h x for every x, down the tree: h (p g) = (h p) g."""
-        out = [h] * len(elems)
-        for x, g, p in tree:
-            out[x] = right[g][out[p]]
-        return out
-
     # a generator's inverse is the element y with y g = 1; the closure is a
     # group once every generator has one
     try:
-        left_inv = [times_left(r.index(one)) for r in right]  # g^-1 x
+        left_inv = [_times_left(right, tree, r.index(one)) for r in right]  # g^-1 x
     except ValueError:
         raise WeylDataError("a Weyl generator is singular: no element of the closure "
                             "is its inverse") from None
@@ -189,7 +200,7 @@ def _build_weyl(gens: Dict[str, Matrix], m0: Matrix) -> WeylGroup:
         f = index.get(tuple(tuple(x // 2 for x in row) for row in twisted))
         if f is None:
             raise WeylDataError("the F-twist of W is not W: m0 does not normalize W")
-        by_f_inv = times_left(inverses[f])
+        by_f_inv = _times_left(right, tree, inverses[f])
         # x F(g) = (F(g)^-1 x^-1)^-1
         move.append(tuple(inverses[by_f_inv[inverses[y]]] for y in by_g_inv))
     # the F-class of w is the orbit of w under the moves; its representative
@@ -384,38 +395,53 @@ def _inner2(a, b) -> int:
     return sum(a[i] * g * b[j] for i, row in enumerate(_GRAM) for j, g in enumerate(row))
 
 
+def _rank(tri) -> int:
+    """The rank of the lattice whose counting.triangle is tri: its nonzero pivots."""
+    return sum(1 for i, row in enumerate(tri) if row[i])
+
+
+def _in_lattice(v, tri) -> bool:
+    """Whether v lies in the lattice whose counting.triangle is tri.
+
+    Back-substitution, as in counting.count: v is in it exactly when each
+    pivot divides what is left of v at its coordinate, and a zero pivot
+    (a zero row) finds 0 there.
+    """
+    v = list(v)
+    for i, row in enumerate(tri):
+        if row[i]:
+            qq, rest = divmod(v[i], row[i])
+            if rest:
+                return False
+            if qq:
+                v = [x - qq * p for x, p in zip(v, row)]
+        elif v[i]:
+            return False
+    return True
+
+
+# Keyed on pi as a tuple of rows.
+_CLOSED: Dict[tuple, frozenset] = {}
+
+
 def closed_subsystem(pi: Sequence[Tuple[int, ...]]) -> frozenset:
     """Z pi intersect Phi: the roots that are integer combinations of pi.
 
-    One |pi| x |pi| minor of pi is inverted exactly, once, as A / d with A
-    integral.  A root's only candidate coefficients are its entries on those
-    columns times A / d; rounded down, they rebuild the root on every
-    coordinate exactly when it is an integer combination of pi.
+    Z pi is read from its counting.triangle, once per pi, and a root is in
+    it when _in_lattice clears it; pi is dependent when the triangle has
+    fewer nonzero pivots than pi has rows.
     """
-    if not pi:
-        return frozenset()
-    for r in pi:
-        if r not in roots_in_x():
-            raise ValueError(f"{r} is not a root")
-    k = len(pi)
-    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
-    for cols in itertools.combinations(range(4), k):
-        minor = [[r[c] for c in cols] for r in pi]
-        try:
-            inv = [_solve_in_basis(e, minor) for e in units]
-        except NotLinearlyIndependent:
-            continue
-        break
-    else:
-        raise NotLinearlyIndependent("pi is linearly dependent")
-    d = math.lcm(*(x.denominator for row in inv for x in row))
-    scaled = [[int(x * d) for x in row] for row in inv]
-    out = set()
-    for r in roots_in_x():
-        coeffs = [sum(r[c] * a for c, a in zip(cols, col)) // d for col in zip(*scaled)]
-        if tuple(sum(c * p[j] for c, p in zip(coeffs, pi)) for j in range(4)) == r:
-            out.add(r)
-    return frozenset(out)
+    key = tuple(map(tuple, pi))
+    if key not in _CLOSED:
+        roots = roots_in_x()
+        for r in key:
+            if r not in roots:
+                raise ValueError(f"{r} is not a root")
+        tri = triangle(key, 4)
+        if _rank(tri) < len(key):
+            raise NotLinearlyIndependent("pi is linearly dependent")
+        _CLOSED[key] = frozenset(r for r in roots if _in_lattice(r, tri))
+    return _CLOSED[key]
 
 
 def subsystem_type(pi: Sequence[Tuple[int, ...]]) -> str:
@@ -686,6 +712,21 @@ def pairing_checks(model, n: int):
     return records
 
 
+def _check_pi(model, fid: str, pi) -> None:
+    """Raise TableSyntaxError naming the file, the family and the row where pi is no basis of roots."""
+    where = f"{model.sources['classfam', fid]}: classfam {fid}: pi row"
+    roots = roots_in_x()
+    for r in pi:
+        if r not in roots:
+            raise TableSyntaxError(f"{where} {r} is not a root of F4")
+    try:
+        closed_subsystem(pi)
+    except NotLinearlyIndependent:
+        k = next(k for k in range(len(pi)) if _rank(triangle(pi[:k + 1], 4)) <= k)
+        raise TableSyntaxError(f"{where} {pi[k]} is linearly dependent on the rows "
+                               "before it") from None
+
+
 def subsystem_checks(model):
     """Class-type subsystem data: Cartan type and (F w^-1)-direction stability."""
     records = []
@@ -695,6 +736,7 @@ def subsystem_checks(model):
         if fam.pitype is None or fam.side != "torus":
             continue
         pi = fam.pi
+        _check_pi(model, fid, pi)
         got = subsystem_type(pi)
         records.append(
             Record("subsystem_type", fid, None, fam.pitype, got)

@@ -630,6 +630,7 @@ class Model(NamedTuple):
     pairs: Dict[str, Pair]
     order_expr: Optional[Expr]  # |G| as shipped in classes.def
     block_order: Tuple[Tuple[str, str], ...]
+    sources: Dict[Tuple[str, str], str]  # (block kind, name) -> the file it was read from
 
 
 # ---------------------------------------------------------------------------
@@ -853,11 +854,12 @@ class _ModelBuilder:
         self.slots = {kind.attr: None if kind.attr in _SINGLE else {}
                       for kind in _SCHEMA.values()}
         self.block_order: List[Tuple[str, str]] = []
+        self.sources: Dict[Tuple[str, str], str] = {}
 
     def model(self) -> Model:
-        return Model(block_order=tuple(self.block_order), **self.slots)
+        return Model(block_order=tuple(self.block_order), sources=self.sources, **self.slots)
 
-    def add_blocks(self, blocks):
+    def add_blocks(self, blocks, source: str = "<text>"):
         slots = self.slots
         for bkind, name, fields in blocks:
             kind = _SCHEMA.get(bkind)
@@ -896,6 +898,7 @@ class _ModelBuilder:
             else:
                 slots[kind.attr] = obj
             self.block_order.append((bkind, name))
+            self.sources[bkind, name] = source
 
 
 def parse_model(text: str) -> Model:
@@ -907,7 +910,7 @@ def parse_model_files(texts: Dict[str, str]) -> Model:
     b = _ModelBuilder()
     for fname in sorted(texts):
         try:
-            b.add_blocks(parse_blocks(texts[fname]))
+            b.add_blocks(parse_blocks(texts[fname]), fname)
         except TableSyntaxError as e:
             raise TableSyntaxError(f"{fname}: {e}") from e
     model = b.model()

@@ -493,6 +493,25 @@ def test_bad_weyl_generators_exit_two(tmp_path, capsys, r4, message, command):
     assert "Weyl generator data" in err and message in err
 
 
+def test_pool_builds_w_once_before_forking(monkeypatch):
+    from dadecheck import rootdatum
+
+    monkeypatch.setattr(rootdatum, "_WEYL_GROUPS", {})
+    assert main(["verify", "weyl", "--n", "1", "--workers", "2"]) == 0
+    assert len(rootdatum._WEYL_GROUPS) == 1  # the driver's, which the workers inherited
+
+
+def test_bad_weyl_generators_exit_two_pooled_as_serial(tmp_path, capsys):
+    # the driver's W build fails quietly; the task that reads W raises, as in a serial run
+    infinite = "matrix: [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 2], [0, 0, 0, -1]]"
+    argv = ["verify", "all", "--n", "1", "--data-dir", _data_copy(tmp_path, "weyl.def", R4,
+                                                                  infinite)]
+    assert main(argv) == 2
+    serial = capsys.readouterr().err
+    assert main(argv + ["--workers", "2"]) == 2
+    assert capsys.readouterr().err == serial and "exceeded" in serial
+
+
 M0 = "matrix: [[0, 0, 0, 2], [0, 0, 2, 0], [0, 1, 0, 0], [1, 0, 0, 0]]"
 
 
@@ -880,11 +899,17 @@ M1 = "matrix: [[0, 0, 0, -2], [0, 0, 2, 2], [1, 1, 0, 0], [-1, 0, 0, 0]]"  # r1 
     # a root exponent is a polynomial in th, i and k: no division by an index
     ("relations.def", "term: [s2*q, 1, th*i*k,", "term: [s2*q, 1, th*k/i,",
      "relations.def: chvalue f8_c_8_2: root exponent (th*k)/i is not a polynomial in th, i, k"),
+    # a family's pi is a basis of roots (the first such pi is h2's)
+    ("classes.def", "  pi: [[0,1,0,0], [0,0,1,0]]", "  pi: [[0,1,0,0], [0,0,1,5]]",
+     "classes.def: classfam h2: pi row (0, 0, 1, 5) is not a root of F4"),
+    ("classes.def", "  pi: [[0,1,0,0], [0,0,1,0]]", "  pi: [[0,1,0,0], [0,-1,0,0]]",
+     "classes.def: classfam h2: pi row (0, -1, 0, 0) is linearly dependent on the rows "
+     "before it"),
 ], ids=["missing", "misspelt", "repeated-field", "repeated-block", "second-frobenius",
         "misspelt-card", "exclude-expression", "card-predicate", "equiv-expression",
         "equiv-symbol", "map-too-few-targets", "map-too-many-targets", "map-other-order",
         "missing-pairing",
-        "exponent-not-polynomial"])
+        "exponent-not-polynomial", "pi-not-a-root", "pi-dependent"])
 def test_bad_table_fields_exit_two(tmp_path, capsys, fname, old, new, message):
     data = _data_copy(tmp_path, fname, old, new)
     assert main(["verify", "all", "--n", "1", "--data-dir", data]) == 2

@@ -746,6 +746,48 @@ def test_centralizer_classes_and_generators(model):
         assert group == set(elems), wc.id
 
 
+def test_centralizer_structure_matches_matrix_oracle(model):
+    # the Centralizer built on W's index tables equals the one matrix products
+    # give, field by field and in order, for every family word
+    from dadecheck import rootdatum as rd
+    from dadecheck.paramsets import _centralizer
+    from weyl_oracle import group_structure
+
+    weyl = rd.weyl_group(model)
+    words = sorted({fam.word for fam in model.classfams.values()})
+    assert len(words) == 11
+    for word in words:
+        want = group_structure(rd.f_centralizer(weyl, rd.word_matrix(weyl, word)))
+        got = _centralizer(model, word)
+        assert got.mats == want.mats, word
+        assert got.classes == want.classes, word
+        assert got.gens == want.gens, word
+
+
+def test_centralizers_multiply_no_matrices_once_w_is_built(model, monkeypatch):
+    # W's tables give every product: the only matrix products left are those
+    # that spell each word
+    from dadecheck import paramsets
+    from dadecheck import rootdatum as rd
+
+    rd.weyl_group(model)
+    calls = []
+    mat_mul = rd.mat_mul
+
+    def counted(a, b):
+        calls.append(1)
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(rd, "mat_mul", counted)
+    monkeypatch.setattr(paramsets, "mat_mul", counted, raising=False)
+    monkeypatch.setattr(paramsets, "_CENT_CACHE", {})
+    words = sorted({fam.word for fam in model.classfams.values()})
+    assert len(words) == 11
+    for word in words:
+        paramsets._centralizer(model, word)
+    assert len(calls) <= sum(map(len, words))
+
+
 # Dropped at n = 4 until the orbit key stopped packing four coordinates into
 # one int64 (denominator^4 >= 2^62).
 N4_FAMILIES = [f"{side}{i}" for side in "gh" for i in (7, 9, 11, 12, 16, 17, 18)]

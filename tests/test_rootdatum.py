@@ -236,6 +236,43 @@ def test_closed_subsystem_matches_per_root_solve(model):
         assert rd.closed_subsystem(pi) == want, pi
 
 
+def _solved_closure(pi):
+    """Z pi intersect Phi by one exact elimination per root; NotLinearlyIndependent if pi is."""
+    want = set()
+    for r in rd.roots_in_x():
+        try:
+            coeffs = rd._solve_in_basis(r, pi)
+        except rd.NotLinearlyIndependent:
+            raise
+        except ValueError:  # outside the span
+            continue
+        if all(c.denominator == 1 for c in coeffs):
+            want.add(r)
+    return want
+
+
+def test_closed_subsystem_matches_per_root_solve_on_drawn_roots():
+    # 100 pairs and 100 triples of distinct roots, beyond the table's pi;
+    # -r next to r and three roots in one plane are dependent
+    import random
+
+    rng = random.Random(2010)
+    roots = sorted(rd.roots_in_x())
+    dependent = 0
+    for k in (2, 3):
+        for _ in range(100):
+            pi = rng.sample(roots, k)
+            try:
+                want = _solved_closure(pi)
+            except rd.NotLinearlyIndependent:
+                dependent += 1
+                with pytest.raises(rd.NotLinearlyIndependent):
+                    rd.closed_subsystem(pi)
+            else:
+                assert rd.closed_subsystem(pi) == want, pi
+    assert 0 < dependent < 200
+
+
 def test_not_linearly_independent():
     with pytest.raises(rd.NotLinearlyIndependent):
         rd.subsystem_type([(1, 0, 0, 0), (-1, 0, 0, 0)])

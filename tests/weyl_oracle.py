@@ -1,11 +1,13 @@
 """Reference for the Weyl layer, independent of the package's tables.
 
 Only rootdatum's matrix arithmetic is shared; its closure, move table and
-centralizer walk are not called.  W is the breadth-first closure of the
-generators on tuple matrices, and the F-class of w is the closure of w under
-the generator moves v -> g^-1 v F(g): F-conjugation by a product composes
-from generator conjugations.  F(v) is m0^-1 v m0 for the twist m0
-(m0 m0 = 2) of the table's frobenius block.
+centralizer walk are not called, and group_structure finds a subgroup's
+classes and generators with matrix products, not with W's index tables.  W
+is the breadth-first closure of the generators on tuple matrices, and the
+F-class of w is the closure of w under the generator moves
+v -> g^-1 v F(g): F-conjugation by a product composes from generator
+conjugations.  F(v) is m0^-1 v m0 for the twist m0 (m0 m0 = 2) of the
+table's frobenius block.
 """
 
 from fractions import Fraction
@@ -94,3 +96,48 @@ def f_classes(gens, m0):
         remaining -= orbit
         classes.append((rep, len(orbit), len(weyl) // len(orbit)))
     return classes
+
+
+def group_structure(mats):
+    """paramsets.Centralizer of a subgroup of W by matrix products.
+
+    Greedy generators, each the first element outside the subgroup so far,
+    and the class of x its orbit under x -> g x g^-1 for the generators g;
+    products are looked up among the elements.  W's tables are not read.
+    """
+    from dadecheck.paramsets import Centralizer
+
+    mats = tuple(mats)
+    pos = {m: i for i, m in enumerate(mats)}
+
+    def times(x, y):
+        return pos[rd.mat_mul(mats[x], mats[y])]
+
+    one = pos[rd.mat_identity()]
+    gens = []
+    inside = {one}
+    for x in range(len(mats)):
+        if x in inside:
+            continue
+        gens.append(x)
+        frontier = list(inside)
+        while frontier:
+            frontier = [z for z in {times(y, g) for y in frontier for g in gens}
+                        if z not in inside]
+            inside.update(frontier)
+    inverse = {g: pos[mat_inv_int(mats[g])] for g in gens}
+    label = [False] * len(mats)
+    classes = []
+    for x in range(len(mats)):
+        if label[x]:
+            continue
+        label[x] = True
+        orbit = [x]
+        for y in orbit:
+            for g in gens:
+                z = times(times(g, y), inverse[g])
+                if not label[z]:
+                    label[z] = True
+                    orbit.append(z)
+        classes.append((x, len(orbit)))
+    return Centralizer(mats, tuple(classes), tuple(gens))

@@ -9,8 +9,9 @@ it prints.  CPU seconds (user + sys) and peak RSS are each process's own, from
 the ``os.wait4`` rusage: this parent keeps only numbers, so the high-water
 mark a child inherits from it at fork stays below the child's own.  NEW wins a pair when its metric is
 lower; a gain is shown when it wins at least nine tenths of the pairs and the
-medians differ by more than the distance between OLD's quartiles.  The pairs
-NEW won on CPU and on peak RSS are counted too, to show those did not worsen.
+medians differ by more than the distance between OLD's quartiles.  CPU is
+judged by the same rule; the pairs NEW won on peak RSS are counted, to show it
+did not worsen.
 """
 
 import argparse
@@ -44,6 +45,16 @@ def summary(values):
     return q2, q1, q3
 
 
+def judge(label, old, new):
+    """One line: the pairs NEW won on these values, and whether they show a gain."""
+    won = sum(n < o for o, n in zip(old, new))
+    (old_med, q1, q3), new_med = summary(old), summary(new)[0]
+    gap = old_med - new_med
+    shown = won >= 0.9 * len(old) and gap > q3 - q1
+    return (f"{label}: new won {won}/{len(old)} pairs; median gap {gap:.4f} against old "
+            f"quartile spread {q3 - q1:.4f}: {'gain shown' if shown else 'no gain shown'}")
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--pairs", type=int, default=15)
@@ -61,19 +72,15 @@ def main(argv=None):
         (o, ocpu, orss), (n, ncpu, nrss) = runs[0][-1], runs[1][-1]
         print(f"pair {i + 1:2d}: old {o:.4f} new {n:.4f}   CPU old {ocpu:.3f} new {ncpu:.3f} s"
               f"   peak RSS old {orss:.1f} new {nrss:.1f} MB")
-    stats = [summary([m for m, _, _ in side]) for side in runs]
-    for label, side, (med, q1, q3) in zip(("old", "new"), runs, stats):
-        cpu = statistics.median(c for _, c, _ in side)
+    for label, side in zip(("old", "new"), runs):
+        (med, q1, q3), (cpu, c1, c3) = (summary([r[k] for r in side]) for k in (0, 1))
         rss = statistics.median(r for _, _, r in side)
-        print(f"{label}: median {med:.4f} (quartiles {q1:.4f}-{q3:.4f}), CPU median {cpu:.3f} s, "
-              f"peak RSS median {rss:.1f} MB")
-    won = [sum(n[k] < o[k] for o, n in zip(*runs)) for k in range(3)]
-    (old_med, q1, q3), new_med = stats[0], stats[1][0]
-    gap = old_med - new_med
-    shown = won[0] >= 0.9 * args.pairs and gap > q3 - q1
-    print(f"new won {won[0]}/{args.pairs} pairs; median gap {gap:.4f} against old quartile spread "
-          f"{q3 - q1:.4f}: {'gain shown' if shown else 'no gain shown'}")
-    print(f"new lower in {won[1]}/{args.pairs} pairs on CPU, {won[2]}/{args.pairs} on peak RSS")
+        print(f"{label}: median {med:.4f} (quartiles {q1:.4f}-{q3:.4f}), CPU median {cpu:.3f} s "
+              f"(quartiles {c1:.3f}-{c3:.3f}), peak RSS median {rss:.1f} MB")
+    for k, label in enumerate(("metric", "CPU")):
+        print(judge(label, [r[k] for r in runs[0]], [r[k] for r in runs[1]]))
+    rss_won = sum(n[2] < o[2] for o, n in zip(*runs))
+    print(f"new lower in {rss_won}/{args.pairs} pairs on peak RSS")
 
 
 if __name__ == "__main__":
