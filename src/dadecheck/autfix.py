@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List
 
-from .exactnum import PHI_POLYS, NotRationalInteger, as_integer
+from .exactnum import PHI_POLYS, as_integer
 from .counting import fixed_class_count, formula_count
 from .record import Record
 from .tabledsl import FixRow, Model, int_value
@@ -22,10 +22,6 @@ from .tabledsl import FixRow, Model, int_value
 
 class FormulaOnlyRow(ValueError):
     """Row whose member sets have no index structure cannot be brute-forced."""
-
-
-class NonIntegralFormula(ValueError):
-    pass
 
 
 def divisors(f: int) -> List[int]:
@@ -50,10 +46,8 @@ def mobius(m: int) -> int:
 
 
 def fixed_count_formula(row: FixRow, t: int) -> int:
-    try:
-        return int_value(row.formula, 1, t)
-    except NotRationalInteger as e:
-        raise NonIntegralFormula(f"{row.id}: {e}") from e
+    """The row's closed form at t; validate_model lets it use no n, so it is taken at n = 1."""
+    return int_value(row.formula, 1, t, owner=f"fixrow {row.id}")
 
 
 def fixed_count_bruteforce(row: FixRow, model: Model, n: int, t: int) -> int:
@@ -101,16 +95,9 @@ def exact_stabilizer_counts(fix: Dict[int, int], f: int) -> Dict[int, int]:
     return exact
 
 
-def fix_counts_for_row(row: FixRow, model: Model, n: int, mode: str = "formula") -> Dict[int, int]:
-    """fix[t] for every divisor t of 2n+1, in the requested mode."""
-    f = 2 * n + 1
-    out = {}
-    for t in divisors(f):
-        if mode == "formula":
-            out[t] = fixed_count_formula(row, t)
-        else:
-            out[t] = fixed_count_bruteforce(row, model, n, t)
-    return out
+def fix_counts_for_row(row: FixRow, model: Model, n: int) -> Dict[int, int]:
+    """fix[t] for every divisor t of 2n+1, from the row's closed form."""
+    return {t: fixed_count_formula(row, t) for t in divisors(2 * n + 1)}
 
 
 # --- the gcd lemmas ----------------------------------------------------------
@@ -125,7 +112,11 @@ def _lemma(lemma: str, params: tuple, expected: int, actual: int) -> Record:
     return Record("lemma_" + lemma, str(params), None, expected, actual)
 
 
-def verify_gcd_lemmas(n_max: int, pair_bound: int = 20) -> List[Record]:
+# Lemma 1 is checked for 1 <= a, b <= _PAIR_BOUND.
+_PAIR_BOUND = 20
+
+
+def verify_gcd_lemmas(n_max: int) -> List[Record]:
     """Every instance of the three gcd identities up to n_max.
 
     Lemma 1: gcd(2^a - 1, 2^b - 1) = 2^gcd(a,b) - 1 over a small grid.
@@ -133,8 +124,8 @@ def verify_gcd_lemmas(n_max: int, pair_bound: int = 20) -> List[Record]:
     Lemma 3: gcd(2^(f-t) -+ 1, q^2 + eps sqrt2 q + 1) with the 4t | f-t split.
     """
     records = []
-    for a in range(1, pair_bound + 1):
-        for b in range(1, pair_bound + 1):
+    for a in range(1, _PAIR_BOUND + 1):
+        for b in range(1, _PAIR_BOUND + 1):
             got = math.gcd(2 ** a - 1, 2 ** b - 1)
             exp = 2 ** math.gcd(a, b) - 1
             records.append(_lemma("gcd_2m1", (a, b), exp, got))
@@ -214,7 +205,7 @@ def verify_mobius_layer(model: Model, n: int) -> List[Record]:
     records = []
     for rid in sorted(model.fixrows):
         row = model.fixrows[rid]
-        fix = fix_counts_for_row(row, model, n, mode="formula")
+        fix = fix_counts_for_row(row, model, n)
         exact = exact_stabilizer_counts(fix, f)
         for t in divisors(f):
             parts = {u: c for u, c in exact.items() if u % (f // t) == 0}

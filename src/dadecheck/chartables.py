@@ -50,7 +50,7 @@ def class_equation(model: Model, n: int) -> List[Record]:
     not_dividing = []
     for rid in sorted(model.classrows):
         row = model.classrows[rid]
-        cent = int_value(row.cent, n)
+        cent = int_value(row.cent, n, owner=rid)
         if order % cent:
             not_dividing.append(rid)
             continue
@@ -137,7 +137,7 @@ def f_relations_numeric(model: Model, n: int) -> List[Record]:
         sums: Dict[Fraction, SqrtTwoRat] = {}
         for c, func, cls in left + [(-c, func, cls) for c, func, cls in right]:
             cv = _chvalue(model, func, cls)
-            order = int_value(cv.order, n) if cv and cv.order is not None else 1
+            order = int_value(cv.order, n, owner=cv.id) if cv and cv.order is not None else 1
             for term in cv.terms if cv else ():
                 coeff = c * eval_expr(term.coeff, env)
                 for e in term.exps:
@@ -218,7 +218,7 @@ def _norm_rows(model: Model, n: int, which: str) -> List[_NormRow]:
         if cv is None or not cv.terms:
             continue
         row = model.classrows[rid]
-        m = int_value(cv.order, n) if cv.order is not None else 1
+        m = int_value(cv.order, n, owner=cv.id) if cv.order is not None else 1
         terms = [(eval_expr(t.coeff, env), t.eps4 % 4, [_slope(rid, e, env) % m for e in t.exps])
                  for t in cv.terms]
         fam = model.classfams[row.family]
@@ -231,7 +231,7 @@ def _norm_rows(model: Model, n: int, which: str) -> List[_NormRow]:
             count = family_formula_count(fam, n)
             if m - 1 != 4 * count:
                 raise _NotProved(f"{rid}: {(m - 1) // 4} index orbits vs family count {count}")
-        rows.append(_NormRow(rid, int_value(row.cent, n), m, terms, bool(fam.vars)))
+        rows.append(_NormRow(rid, int_value(row.cent, n, owner=rid), m, terms, bool(fam.vars)))
     return rows
 
 
@@ -309,7 +309,7 @@ def degree_identity_check(model: Model, n: int) -> List[Record]:
         dr = model.degrels[rid]
         deg = as_integer(eval_qpoly(dr.table).eval(n))
         d = two_part_exponent(n) - val2(deg)
-        records.append(Record("degree_defect", rid, n, int_value(dr.defect, n), d))
+        records.append(Record("degree_defect", rid, n, int_value(dr.defect, n, owner=rid), d))
         if dr.odd:
             records.append(Record("degree_odd", rid, n, 1, deg % 2))
     return records

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional
 
 from . import counting, load_model
 from .record import Record
-from .tabledsl import DanglingReference, TableSyntaxError, WeylDataError
+from .tabledsl import DanglingReference, TableSyntaxError, TableValueError, WeylDataError
 
 # ---- check runners -----------------------------------------------------------
 
@@ -270,7 +270,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "params":
             return _cmd_params(args, cfg)
         return _cmd_verify(args, cfg)
-    except (TableSyntaxError, DanglingReference, counting.MapClosureError,
+    except (TableSyntaxError, TableValueError, DanglingReference, counting.MapClosureError,
             counting.NonIntegralModulus, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -21,6 +21,7 @@ from .tabledsl import (
     build_env,
     expr_to_str,
     int_value,
+    no_value,
     pred_to_str,
     value_to_str,
 )
@@ -175,6 +176,8 @@ def _affine(owner: str, exprs, n: int, varnames) -> Tuple[int, Tuple[Tuple[Rat, 
             terms = QPoly.coerce(_eval(expr, env)).terms
         except NotPolynomial:
             terms = None
+        except ZeroDivisionError as e:
+            raise no_value(owner, expr, n, e) from None
         if terms is None or not terms.keys() <= affine:
             raise MapClosureError(f"{owner}: expression {expr_to_str(expr)} is not affine "
                                   f"in {', '.join(varnames)}")
@@ -210,7 +213,7 @@ def _atom_row(owner: str, atom, n: int, varnames, ranges) -> Tuple[List[int], in
     """
     _, op, e1, e2 = atom
     if op == "div":
-        m = abs(int_value(e1, n))  # m and -m divide the same e
+        m = abs(int_value(e1, n, owner=owner))  # m and -m divide the same e
         if m == 0:
             raise MapClosureError(f"{owner}: modulus 0 in {pred_to_str(atom)} at n = {n}")
         denom, (row,) = _affine(owner, [e2], n, varnames)
@@ -345,8 +348,11 @@ def _well_defined(rows, moduli) -> bool:
     return True
 
 
-def equivalence_group(spec: ParamSetSpec, n: int, moduli: Tuple[int, ...],
-                      limit: int = 512) -> AffineGroup:
+# An equivalence group of more maps than this is taken for bad map data.
+_GROUP_LIMIT = 512
+
+
+def equivalence_group(spec: ParamSetSpec, n: int, moduli: Tuple[int, ...]) -> AffineGroup:
     """The group generated by the set's equivalence maps on its grid of moduli."""
     ident = _scaling([1] * len(moduli), moduli)
     gens = []
@@ -369,8 +375,8 @@ def equivalence_group(spec: ParamSetSpec, n: int, moduli: Tuple[int, ...],
         for g in gens:
             h = _compose(f, g, moduli)
             if h not in group:
-                if len(group) >= limit:
-                    raise MapClosureError(f"{spec.id}: equivalence group exceeds {limit}")
+                if len(group) >= _GROUP_LIMIT:
+                    raise MapClosureError(f"{spec.id}: equivalence group exceeds {_GROUP_LIMIT}")
                 group.add(h)
                 frontier.append(h)
     maps = tuple(sorted(group))
@@ -489,11 +495,11 @@ def class_count(spec: ParamSetSpec, n: int) -> int:
 
 
 def formula_count(spec: ParamSetSpec, n: int) -> int:
-    return int_value(spec.card, n)
+    return int_value(spec.card, n, owner=spec.id)
 
 
 def family_formula_count(fam: ClassFam, n: int) -> int:
-    return int_value(fam.count, n)
+    return int_value(fam.count, n, owner=fam.id)
 
 
 def _orbits(owner: str, total: int, order: int) -> int:

@@ -118,7 +118,7 @@ def _identity_records(model: Model, n: int, mode: str, check: str) -> List[Recor
     by_value: Dict[Tuple[int, int], List[Record]] = {}
     for lid in sorted(model.ledgers):
         led = model.ledgers[lid]
-        d = int_value(led.value, n)
+        d = int_value(led.value, n, owner=lid)
         for u in divisors(f):
             parts, tok = {}, {}
             for g in GROUPS:
@@ -171,7 +171,7 @@ def verify_dade_exact_level(model: Model, n: int) -> List[Record]:
     records = []
     for lid in sorted(model.ledgers):
         led = model.ledgers[lid]
-        d = int_value(led.value, n)
+        d = int_value(led.value, n, owner=lid)
         fix_lhs = {}
         fix_rhs = {}
         for t in divisors(f):
@@ -197,7 +197,7 @@ def ledger_consistency(model: Model, n: int) -> List[Record]:
     # (i) every entry's computed defect matches its ledger heading
     for lid in sorted(model.ledgers):
         led = model.ledgers[lid]
-        d = int_value(led.value, n)
+        d = int_value(led.value, n, owner=lid)
         for e in led.entries:
             if e.degree is None:
                 # no degree shipped (semisimple union): defect by convention

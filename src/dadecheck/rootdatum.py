@@ -6,16 +6,17 @@ vector e_i is row i of M.  The twist is carried by m0 = sqrt2 * F0 with
 m0^2 = 2, so the Frobenius on X is the integer matrix 2^n * m0.  The
 generators of W and m0 are read from the model (the weylgen and frobenius
 blocks of weyl.def) and reach the code that uses them through a WeylGroup,
-which holds W as tables of element indices.  The torus charts' change from
-the eps basis to the simple-root basis is made here too (_chart).  All of it
-is on Python ints: this module loads no numpy.
+which holds W as tables of element indices.  One integer constant describes
+Phi: the simple roots on the eps basis, doubled (_TWICE_ROOTS).  The Gram
+matrix, the 48 roots (the orbit of the simple roots under the simple
+reflections) and the torus charts' change from the eps basis to the
+simple-root basis (_chart) are derived from it.  All of it is on Python
+ints: this module loads no numpy and computes with no Fraction.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from fractions import Fraction
 from operator import itemgetter, mul
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -290,21 +291,16 @@ def torus_fixed_count(weyl: WeylGroup, w: Matrix, n: int) -> int:
 
 # --- roots ------------------------------------------------------------------
 
-# rows of the eps -> simple-root change of basis: r_i written in eps coords
-_R_IN_EPS = (
-    (Fraction(0), Fraction(1), Fraction(-1), Fraction(0)),
-    (Fraction(0), Fraction(0), Fraction(1), Fraction(-1)),
-    (Fraction(0), Fraction(0), Fraction(0), Fraction(1)),
-    (Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2)),
-)
+# The simple roots r_1..r_4 doubled, on eps_1..eps_4: the one description of
+# Phi here.  r_1, r_2 are long (e2 - e3, e3 - e4), r_3, r_4 short (e4 and
+# (e1 - e2 - e3 - e4) / 2).
+_TWICE_ROOTS = ((0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1))
 
-# 2 (r_i, r_j) for the simple roots: integral, so inner products stay on ints
-_GRAM = tuple(tuple(int(2 * sum(x * y for x, y in zip(a, b))) for b in _R_IN_EPS)
-              for a in _R_IN_EPS)
-
-
-# Twice the simple roots on eps_1..eps_4: integral rows.
-_TWICE_ROOTS = tuple(tuple(int(2 * x) for x in r) for r in _R_IN_EPS)
+# 2 (r_i, r_j) = (2 r_i . 2 r_j) / 2 for the simple roots: integral, so
+# inner products stay on ints
+if any(sum(map(mul, a, b)) % 2 for a in _TWICE_ROOTS for b in _TWICE_ROOTS):
+    raise ValueError("the Gram matrix of the simple roots is not integral")
+_GRAM = tuple(tuple(sum(map(mul, a, b)) // 2 for b in _TWICE_ROOTS) for a in _TWICE_ROOTS)
 
 
 def _eps_to_x(a: Sequence[int], m: int) -> List[int]:
@@ -316,77 +312,32 @@ def _eps_to_x(a: Sequence[int], m: int) -> List[int]:
     return [sum(x * y for x, y in zip(a, r)) * half % m for r in _TWICE_ROOTS]
 
 
-def _eps_roots_doubled() -> List[Tuple[int, ...]]:
-    """Twice each root of F4 on the eps basis: 2(+-e_i), 2(+-e_i +- e_j), (+-1, +-1, +-1, +-1)."""
-    roots = []
-    for i in range(4):
-        for s in (2, -2):
-            v = [0] * 4
-            v[i] = s
-            roots.append(tuple(v))
-    for i in range(4):
-        for j in range(i + 1, 4):
-            for si in (2, -2):
-                for sj in (2, -2):
-                    v = [0] * 4
-                    v[i], v[j] = si, sj
-                    roots.append(tuple(v))
-    roots.extend(itertools.product((1, -1), repeat=4))
-    return roots
-
-
-def _solve_in_basis(x, basis_rows):
-    """Coordinates c with x = sum c_i * basis_rows[i] (exact)."""
-    n = len(basis_rows)
-    aug = [[Fraction(basis_rows[i][j]) for i in range(n)] + [Fraction(x[j])]
-           for j in range(len(x))]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-    if r < n:
-        raise NotLinearlyIndependent("basis rows are dependent")
-    for i in range(r, len(aug)):
-        if aug[i][n] != 0:
-            raise ValueError("vector outside the span")
-    sol = [Fraction(0)] * n
-    for row_idx, c in enumerate(piv_cols):
-        sol[c] = aug[row_idx][n]
-    return tuple(sol)
-
-
 _ROOTS_X: Optional[frozenset] = None
 
 
 def roots_in_x() -> frozenset:
-    """The 48 roots of F4 as integer row vectors on the simple-root basis of X."""
+    """The 48 roots of F4 as integer row vectors on the simple-root basis of X.
+
+    Phi is the orbit of the simple roots under the simple reflections
+    (Humphreys, Introduction to Lie Algebras, 10.3): s_i(x) = x - c e_i with
+    the Cartan integer c = 2 (x, r_i) / (r_i, r_i), read from _GRAM.
+    """
     global _ROOTS_X
     if _ROOTS_X is None:
-        # e_j on the simple-root basis, one exact solve each
-        eps = [_solve_in_basis(e, _R_IN_EPS) for e in _IDENT]
-        if any(x.denominator != 1 for row in eps for x in row):
-            raise ValueError("root has non-integral simple-root coordinates")
-        eps = tuple(tuple(int(x) for x in row) for row in eps)
-        out = set()
-        for v in _eps_roots_doubled():
-            c = mat_vec(v, eps)
-            if any(x % 2 for x in c):
-                raise ValueError("root has non-integral simple-root coordinates")
-            out.add(tuple(x // 2 for x in c))
-        if len(out) != 48:
-            raise ValueError(f"expected 48 roots, got {len(out)}")
-        _ROOTS_X = frozenset(out)
+        found = list(_IDENT)
+        seen = set(found)
+        for x in found:  # found grows while it is walked
+            for i, row in enumerate(_GRAM):
+                c, rest = divmod(2 * sum(map(mul, x, row)), row[i])
+                if rest:
+                    raise ValueError(f"{x} has no integral Cartan integer at r{i + 1}")
+                y = x[:i] + (x[i] - c,) + x[i + 1:]
+                if y not in seen:
+                    seen.add(y)
+                    found.append(y)
+        if len(seen) != 48:
+            raise ValueError(f"expected 48 roots, got {len(seen)}")
+        _ROOTS_X = frozenset(seen)
     return _ROOTS_X
 
 
@@ -444,94 +395,41 @@ def closed_subsystem(pi: Sequence[Tuple[int, ...]]) -> frozenset:
     return _CLOSED[key]
 
 
+# (rank, number of roots) -> the type of an irreducible root system in F4;
+# B3 and B4 become C3 and C4 when fewer of their roots are long than short
+_TYPES = {(1, 2): "A1", (2, 6): "A2", (2, 8): "B2", (3, 12): "A3", (3, 18): "B3",
+          (4, 24): "D4", (4, 32): "B4", (4, 48): "F4"}
+
+
 def subsystem_type(pi: Sequence[Tuple[int, ...]]) -> str:
-    """Cartan type of the closure Z pi intersect Phi, e.g. 'B2' or 'A1xA1'."""
+    """Cartan type of the closure Z pi intersect Phi, e.g. 'B2' or 'A1xA1'.
+
+    The closure splits into irreducible components, two roots joined where
+    they are not orthogonal.  An irreducible root system is fixed by its rank
+    and its number of roots, and B against C by how many of them are long
+    (Humphreys, 11.4).
+    """
     if not pi:
         return "A0"
-    psi = closed_subsystem(pi)
-    # choose a simple system: positives w.r.t. a generic functional
-    weights = (1, 10, 100, 1000)
-    pos = [r for r in psi if sum(w * x for w, x in zip(weights, r)) > 0]
-    simples = []
-    for r in pos:
-        decomposable = any(
-            tuple(x - y for x, y in zip(r, s)) in pos for s in pos if s != r
-        )
-        if not decomposable:
-            simples.append(r)
-    # simples i and j are joined where the Cartan integer n_ij = 2 (ri, rj) / (rj, rj) is not 0
-    k = len(simples)
-    adj = {i: [] for i in range(k)}
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            if _inner2(simples[i], simples[j]) != 0:
-                adj[i].append(j)
-    comps = []
-    unvisited = set(range(k))
-    while unvisited:
-        start = unvisited.pop()
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            for y in adj[x]:
-                if y in unvisited:
-                    unvisited.remove(y)
-                    comp.add(y)
-                    frontier.append(y)
-        comps.append(sorted(comp))
+    # each root's row of 2 ( , ), so a pairing is a 4-term dot product
+    gram = {r: mat_vec(r, _GRAM) for r in closed_subsystem(pi)}
+    left = set(gram)
     labels = []
-    for comp in comps:
-        labels.append(_component_type([simples[i] for i in comp]))
+    while left:
+        comp = [left.pop()]
+        for a in comp:  # comp grows while it is walked
+            joined = [b for b in left if sum(map(mul, gram[a], b))]
+            left.difference_update(joined)
+            comp += joined
+        rank = _rank(triangle(comp, 4))
+        label = _TYPES.get((rank, len(comp)))
+        if label is None:
+            raise ValueError(f"no irreducible root system of rank {rank} has {len(comp)} roots")
+        norms = [sum(map(mul, gram[r], r)) for r in comp]
+        if 2 * norms.count(max(norms)) < len(comp):
+            label = "C" + label[1:]
+        labels.append(label)
     return "x".join(sorted(labels))
-
-
-def _component_type(simples) -> str:
-    k = len(simples)
-    if k == 1:
-        return "A1"
-    # bond strengths n_ij * n_ji = 4 (ri, rj)^2 / ((ri, ri) (rj, rj)), rounded down
-    bonds = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            gij = _inner2(simples[i], simples[j])
-            if gij:
-                bonds.append(4 * gij * gij // (_inner2(simples[i], simples[i])
-                                               * _inner2(simples[j], simples[j])))
-    if k == 2:
-        if bonds == [1]:
-            return "A2"
-        if bonds == [2]:
-            return "B2"
-        if bonds == [3]:
-            return "G2"
-        raise ValueError(f"unrecognised rank-2 bond {bonds}")
-    if k == 3:
-        if sorted(bonds) == [1, 1]:
-            return "A3"
-        if sorted(bonds) == [1, 2]:
-            return "B3"
-        raise ValueError(f"unrecognised rank-3 bonds {bonds}")
-    if k == 4:
-        if sorted(bonds) == [1, 1, 2]:
-            return "F4"
-        if sorted(bonds) == [1, 1, 1]:
-            return "A4" if _is_path(simples) else "D4"
-    raise ValueError(f"unrecognised component of rank {k}")
-
-
-def _is_path(simples) -> bool:
-    deg = []
-    k = len(simples)
-    for i in range(k):
-        d = 0
-        for j in range(k):
-            if i != j and _inner2(simples[i], simples[j]) != 0:
-                d += 1
-        deg.append(d)
-    return max(deg) <= 2
 
 
 def subsystem_stable_under(pi, composite: Matrix) -> bool:
@@ -599,7 +497,7 @@ def torus_order_checks(model, n: int):
     for wid in sorted(model.weylclasses):
         wc = model.weylclasses[wid]
         w = word_matrix(weyl, wc.word)
-        expected = int_value(wc.order, n)
+        expected = int_value(wc.order, n, owner=wid)
         records.append(Record("torus_order_det", wid, n, expected, torus_order(weyl, w, n)))
         records.append(Record("torus_order_snf", wid, n, expected,
                               torus_fixed_count(weyl, w, n)))
@@ -655,7 +553,7 @@ def _torus_checks(model, n: int, side: str):
             varnames, range_exprs, coords = wc.tvars, wc.tranges, wc.tcoords
         else:
             varnames, range_exprs, coords = wc.svars, wc.sranges, wc.scoords
-        order = int_value(wc.order, n)
+        order = int_value(wc.order, n, owner=wid)
         ranges = _ranges(wid, range_exprs, n)
         prod = math.prod(ranges)
         if side == "torus":
@@ -691,7 +589,7 @@ def pairing_checks(model, n: int):
     env0 = build_env(n)
     for wid in sorted(model.weylclasses):
         wc = model.weylclasses[wid]
-        tranges = [int_value(r, n) for r in wc.tranges]
+        tranges = [int_value(r, n, owner=wid) for r in wc.tranges]
         ok = True
         for r, (tvar, mod) in enumerate(zip(wc.tvars, tranges)):
             for sbasis in range(len(wc.svars)):

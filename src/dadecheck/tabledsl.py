@@ -34,6 +34,15 @@ class WeylDataError(ValueError):
     """The Weyl generators give no finite lattice group that the twist normalizes."""
 
 
+class TableValueError(NotRationalInteger):
+    """A table expression with no value where an integer or an exact value is needed.
+
+    The message names the expression as written and the n (and t) it was
+    evaluated at, after the set, family or row it belongs to where that is
+    known (see no_value).
+    """
+
+
 class UnknownSymbol(KeyError):
     pass
 
@@ -390,7 +399,21 @@ def eval_expr(node: Expr, env) -> SqrtTwoRat:
 
 
 def eval_expr_int(node: Expr, env) -> int:
-    return as_integer(eval_expr(node, env))
+    """The value of node in env, which must be an integer.
+
+    A value that is no integer, or a division by zero, is a TableValueError
+    naming the expression and env's n (and t).
+    """
+    try:
+        return as_integer(eval_expr(node, env))
+    except (NotRationalInteger, ZeroDivisionError) as e:
+        raise no_value(None, node, env.get("n"), e, env.get("t")) from None
+
+
+def no_value(owner: Optional[str], node: Expr, n, error: Exception, t=None) -> TableValueError:
+    """The TableValueError for node, which raised error at n (and t), after owner if given."""
+    where = f"{expr_to_str(node)} at n = {n}" + ("" if t is None else f", t = {t}")
+    return TableValueError(f"{owner}: {where}: {error}" if owner else f"{where}: {error}")
 
 
 # (expression, n, t) -> the value int_value returns.  That is the whole key:
@@ -399,16 +422,22 @@ def eval_expr_int(node: Expr, env) -> int:
 _INT_VALUES: Dict[tuple, int] = {}
 
 
-def int_value(node: Expr, n: int, t: Optional[int] = None) -> int:
+def int_value(node: Expr, n: int, t: Optional[int] = None, owner: Optional[str] = None) -> int:
     """The integer value of an index-free expression at n (and t), evaluated once.
 
-    Raises what eval_expr_int(node, build_env(n, t=t)) raises, e.g.
-    NotRationalInteger where the value is no integer.
+    Raises what eval_expr_int(node, build_env(n, t=t)) raises, a
+    TableValueError after owner, the set, family or row the expression
+    belongs to, where owner is given.
     """
     key = (node, n, t)
     v = _INT_VALUES.get(key)
     if v is None:
-        v = _INT_VALUES[key] = eval_expr_int(node, build_env(n, t=t))
+        try:
+            v = _INT_VALUES[key] = eval_expr_int(node, build_env(n, t=t))
+        except TableValueError as e:
+            if owner is None:
+                raise
+            raise TableValueError(f"{owner}: {e}") from None
     return v
 
 
@@ -629,8 +658,8 @@ class Model(NamedTuple):
     degrels: Dict[str, DegRel]
     pairs: Dict[str, Pair]
     order_expr: Optional[Expr]  # |G| as shipped in classes.def
-    block_order: Tuple[Tuple[str, str], ...]
-    sources: Dict[Tuple[str, str], str]  # (block kind, name) -> the file it was read from
+    # (block kind, name) -> the file it was read from, in the order the blocks were read
+    sources: Dict[Tuple[str, str], str]
 
 
 # ---------------------------------------------------------------------------
@@ -853,11 +882,10 @@ class _ModelBuilder:
     def __init__(self):
         self.slots = {kind.attr: None if kind.attr in _SINGLE else {}
                       for kind in _SCHEMA.values()}
-        self.block_order: List[Tuple[str, str]] = []
         self.sources: Dict[Tuple[str, str], str] = {}
 
     def model(self) -> Model:
-        return Model(block_order=tuple(self.block_order), sources=self.sources, **self.slots)
+        return Model(sources=self.sources, **self.slots)
 
     def add_blocks(self, blocks, source: str = "<text>"):
         slots = self.slots
@@ -893,11 +921,10 @@ class _ModelBuilder:
                     raise TableSyntaxError(f"{bkind} {name}: a second {bkind} block named {name}")
                 slot[name] = obj
             elif slot is not None:
-                first = next(n for k, n in self.block_order if k == bkind)
+                first = next(n for k, n in self.sources if k == bkind)
                 raise TableSyntaxError(f"{bkind} {name}: a second {bkind} block after {first}")
             else:
                 slots[kind.attr] = obj
-            self.block_order.append((bkind, name))
             self.sources[bkind, name] = source
 
 
@@ -1019,7 +1046,7 @@ def validate_model(model: Model) -> None:
         m0 = model.frobenius
         if any(sum(m0[i][k] * m0[k][j] for k in range(4)) != 2 * (i == j)
                for i in range(4) for j in range(4)):
-            name = next(name for kind, name in model.block_order if kind == "frobenius")
+            name = next(name for kind, name in model.sources if kind == "frobenius")
             raise TableSyntaxError(f"frobenius {name}: m0 m0 is not 2 I")
     for bkind, kind in _SCHEMA.items():
         refs = [f for f in kind.fields if f.refers]
@@ -1095,7 +1122,7 @@ def validate_model(model: Model) -> None:
 def serialize_model(model: Model) -> str:
     """The model as table text, its blocks in the order they were read."""
     chunks = []
-    for bkind, name in model.block_order:
+    for bkind, name in model.sources:
         kind = _SCHEMA[bkind]
         slot = getattr(model, kind.attr)
         obj = slot[name] if isinstance(slot, dict) else slot

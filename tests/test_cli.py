@@ -905,11 +905,33 @@ M1 = "matrix: [[0, 0, 0, -2], [0, 0, 2, 2], [1, 1, 0, 0], [-1, 0, 0, 0]]"  # r1 
     ("classes.def", "  pi: [[0,1,0,0], [0,0,1,0]]", "  pi: [[0,1,0,0], [0,-1,0,0]]",
      "classes.def: classfam h2: pi row (0, -1, 0, 0) is linearly dependent on the rows "
      "before it"),
+    # a value that is no integer, or a division by zero, at n = 1 (the first h2 is the
+    # family's, the first equiv [k -> -k] GI_22's)
+    ("classes.def", "exclude: ((q^2+1)/3) div i", "exclude: ((q^2)/3) div i",
+     "h6: (q^2)/3 at n = 1: 8/3 is not an integer"),
+    ("weyl.def", "order: (q^2-1)^2\n", "order: (q^2-1)^2/3\n",
+     "T1: (((q^2)-1)^2)/3 at n = 1: 49/3 is not an integer"),
+    ("paramsets.def", "action: none\n  card: 1\n", "action: none\n  card: 1/3\n",
+     "GI_1: 1/3 at n = 1: 1/3 is not an integer"),
+    ("classes.def", "exclude: i = 0\n  count: (q^2-2)/2", "exclude: i = 0\n  count: (q^2-2)/4",
+     "h2: ((q^2)-2)/4 at n = 1: 3/2 is not an integer"),
+    ("fixrows.def", "sets: [GI_2, GI_3]\n  fix: 2\n", "sets: [GI_2, GI_3]\n  fix: 2/3\n",
+     "fixrow R_G_2_3: 2/3 at n = 1, t = 1: 2/3 is not an integer"),
+    ("classes.def", "coords: [0, 0, i/(q^2-1),", "coords: [0, 0, i/(th-th),",
+     "h2: i/(th-th) at n = 1: division by the zero polynomial"),
+    ("classes.def", "i/(q^2-1)]\n  ranges: [q^2-1]\n  exclude: i = 0",
+     "i/(q^2-1)]\n  ranges: [(q^2-1)/(th-th)]\n  exclude: i = 0",
+     "h2: modulus ((q^2)-1)/(th-th) at n = 1: division by zero in Q(sqrt2)"),
+    ("paramsets.def", "equiv: [k -> -k]", "equiv: [k -> k/(th-th)]",
+     "GI_22: k/(th-th) at n = 1: division by the zero polynomial"),
 ], ids=["missing", "misspelt", "repeated-field", "repeated-block", "second-frobenius",
         "misspelt-card", "exclude-expression", "card-predicate", "equiv-expression",
         "equiv-symbol", "map-too-few-targets", "map-too-many-targets", "map-other-order",
         "missing-pairing",
-        "exponent-not-polynomial", "pi-not-a-root", "pi-dependent"])
+        "exponent-not-polynomial", "pi-not-a-root", "pi-dependent",
+        "div-modulus-not-integer", "order-not-integer", "card-not-integer",
+        "count-not-integer", "fix-not-integer", "coords-by-zero", "range-by-zero",
+        "equiv-by-zero"])
 def test_bad_table_fields_exit_two(tmp_path, capsys, fname, old, new, message):
     data = _data_copy(tmp_path, fname, old, new)
     assert main(["verify", "all", "--n", "1", "--data-dir", data]) == 2

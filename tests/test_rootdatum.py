@@ -3,7 +3,8 @@
 import pytest
 
 from dadecheck import rootdatum as rd
-from weyl_oracle import f_classes, frobenius_twist, mat_inv_int, weyl_closure
+from weyl_oracle import (_R_IN_EPS, _eps_roots_doubled, _solve_in_basis, dynkin_type, f_classes,
+                         frobenius_twist, mat_inv_int, weyl_closure)
 
 
 def test_weyl_order(model):
@@ -29,11 +30,11 @@ def test_roots_and_inner_products_match_eps_coordinates():
     from fractions import Fraction
 
     def eps(v):
-        return [sum(Fraction(v[i]) * rd._R_IN_EPS[i][j] for i in range(4)) for j in range(4)]
+        return [sum(Fraction(v[i]) * _R_IN_EPS[i][j] for i in range(4)) for j in range(4)]
 
     solved = set()
-    for v in rd._eps_roots_doubled():
-        c = rd._solve_in_basis([Fraction(x, 2) for x in v], rd._R_IN_EPS)
+    for v in _eps_roots_doubled():
+        c = _solve_in_basis([Fraction(x, 2) for x in v], _R_IN_EPS)
         assert all(x.denominator == 1 for x in c)
         solved.add(tuple(int(x) for x in c))
     roots = sorted(rd.roots_in_x())
@@ -209,6 +210,30 @@ def test_subsystem_type_examples():
         rd.subsystem_type([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
         == "F4"
     )
+    # {e1-e2, e2-e3, e3-e4, e4} on the eps basis spans B4, 32 of the 48 roots
+    assert rd.subsystem_type([(0, 1, 2, 2), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]) == "B4"
+    # r2, r3, r4: 6 long and 12 short roots
+    assert rd.subsystem_type([(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]) == "C3"
+
+
+def test_subsystem_type_matches_dynkin_oracle():
+    # about 500 independent pi of 1-4 distinct roots, each named from the
+    # Dynkin diagram of a base of its closure
+    import random
+
+    rng = random.Random(1949)
+    roots = sorted(rd.roots_in_x())
+    met = set()
+    for _ in range(600):
+        pi = rng.sample(roots, rng.randint(1, 4))
+        try:
+            psi = rd.closed_subsystem(pi)
+        except rd.NotLinearlyIndependent:
+            continue
+        want = dynkin_type(psi)
+        assert rd.subsystem_type(pi) == want, pi
+        met.update(want.split("x"))
+    assert {"B3", "C3", "B4", "F4"} <= met, met
 
 
 def test_subsystem_closure_is_closed():
@@ -228,7 +253,7 @@ def test_closed_subsystem_matches_per_root_solve(model):
         want = set()
         for r in rd.roots_in_x():
             try:
-                coeffs = rd._solve_in_basis(r, pi)
+                coeffs = _solve_in_basis(r, pi)
             except ValueError:  # outside the span
                 continue
             if all(c.denominator == 1 for c in coeffs):
@@ -241,7 +266,7 @@ def _solved_closure(pi):
     want = set()
     for r in rd.roots_in_x():
         try:
-            coeffs = rd._solve_in_basis(r, pi)
+            coeffs = _solve_in_basis(r, pi)
         except rd.NotLinearlyIndependent:
             raise
         except ValueError:  # outside the span
@@ -379,7 +404,7 @@ def test_chart_change_of_basis_is_exact(model, n):
     from dadecheck.counting import _affine
     from dadecheck.rootdatum import _chart
 
-    twice = [[int(2 * c) for c in r] for r in rd._R_IN_EPS]  # 2 r_i is integral, D is odd
+    twice = [[int(2 * c) for c in r] for r in _R_IN_EPS]  # 2 r_i is integral, D is odd
     for wid, wc in sorted(model.weylclasses.items()):
         denom, chart = _chart(wid, wc.tcoords, wc.tvars, n, "torus")
         _, rows = _affine(wid, wc.tcoords, n, wc.tvars)

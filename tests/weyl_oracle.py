@@ -1,4 +1,4 @@
-"""Reference for the Weyl layer, independent of the package's tables.
+"""Reference for the Weyl layer and the roots, independent of the package's tables.
 
 Only rootdatum's matrix arithmetic is shared; its closure, move table and
 centralizer walk are not called, and group_structure finds a subgroup's
@@ -8,8 +8,13 @@ F-class of w is the closure of w under the generator moves
 v -> g^-1 v F(g): F-conjugation by a product composes from generator
 conjugations.  F(v) is m0^-1 v m0 for the twist m0 (m0 m0 = 2) of the
 table's frobenius block.
+
+The roots have their own description here: the listed roots of F4 on the
+eps basis, each solved for on the simple roots in Fractions, and
+dynkin_type names a subsystem from the Dynkin diagram of a base of it.
 """
 
+import itertools
 from fractions import Fraction
 
 from dadecheck import rootdatum as rd
@@ -141,3 +146,118 @@ def group_structure(mats):
                     orbit.append(z)
         classes.append((x, len(orbit)))
     return Centralizer(mats, tuple(classes), tuple(gens))
+
+
+# rows of the eps -> simple-root change of basis: r_i written in eps coords
+_R_IN_EPS = (
+    (Fraction(0), Fraction(1), Fraction(-1), Fraction(0)),
+    (Fraction(0), Fraction(0), Fraction(1), Fraction(-1)),
+    (Fraction(0), Fraction(0), Fraction(0), Fraction(1)),
+    (Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2)),
+)
+
+
+def _eps_roots_doubled():
+    """Twice each root of F4 on the eps basis: 2(+-e_i), 2(+-e_i +- e_j), (+-1, +-1, +-1, +-1)."""
+    roots = []
+    for i in range(4):
+        for s in (2, -2):
+            v = [0] * 4
+            v[i] = s
+            roots.append(tuple(v))
+    for i in range(4):
+        for j in range(i + 1, 4):
+            for si in (2, -2):
+                for sj in (2, -2):
+                    v = [0] * 4
+                    v[i], v[j] = si, sj
+                    roots.append(tuple(v))
+    roots.extend(itertools.product((1, -1), repeat=4))
+    return roots
+
+
+def _solve_in_basis(x, basis_rows):
+    """Coordinates c with x = sum c_i * basis_rows[i] (exact)."""
+    n = len(basis_rows)
+    aug = [[Fraction(basis_rows[i][j]) for i in range(n)] + [Fraction(x[j])]
+           for j in range(len(x))]
+    piv_cols = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        pv = aug[r][c]
+        aug[r] = [v / pv for v in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
+        piv_cols.append(c)
+        r += 1
+    if r < n:
+        raise rd.NotLinearlyIndependent("basis rows are dependent")
+    for i in range(r, len(aug)):
+        if aug[i][n] != 0:
+            raise ValueError("vector outside the span")
+    sol = [Fraction(0)] * n
+    for row_idx, c in enumerate(piv_cols):
+        sol[c] = aug[row_idx][n]
+    return tuple(sol)
+
+
+def dynkin_type(psi):
+    """Cartan type of the root system psi, e.g. 'B2' or 'A1xA1', from the Dynkin diagram of a base.
+
+    The base is the positive roots, for a generic functional, that are no
+    sum of two positive roots.  Nodes i and j are bonded n_ij n_ji times,
+    with the Cartan integer n_ij = 2 (r_i, r_j) / (r_j, r_j).  A component
+    with no double bond is A or, with a node of degree 3, D.  With a double
+    bond it is a path: F4 where neither end of the double bond is an end of
+    the path, else B where the single node beyond the double bond is short
+    and C where it is long (B2 where both ends are).
+    """
+    weights = (1000, 100, 10, 1)  # no root of F4 pairs to 0: its coordinates lie in -4..4
+    pos = [r for r in psi if sum(w * x for w, x in zip(weights, r)) > 0]
+    pos_set = set(pos)
+    simples = [r for r in pos
+               if not any(tuple(x - y for x, y in zip(r, s)) in pos_set for s in pos)]
+    k = len(simples)
+    norm = [rd._inner2(r, r) for r in simples]
+    cartan = []
+    for a in simples:
+        row = []
+        for b, nb in zip(simples, norm):
+            c, rest = divmod(2 * rd._inner2(a, b), nb)
+            assert not rest, (a, b)
+            row.append(c)
+        cartan.append(row)
+    labels = []
+    unseen = set(range(k))
+    while unseen:
+        comp = [unseen.pop()]
+        for i in comp:
+            for j in sorted(unseen):
+                if cartan[i][j]:
+                    unseen.remove(j)
+                    comp.append(j)
+        bonds = {(i, j): cartan[i][j] * cartan[j][i] for i in comp for j in comp
+                 if i < j and cartan[i][j]}
+        assert len(bonds) == len(comp) - 1 and max(bonds.values(), default=1) <= 2, bonds
+        degree = {i: sum(i in e for e in bonds) for i in comp}
+        double = [e for e, b in bonds.items() if b == 2]
+        m = len(comp)
+        if not double:
+            labels.append(("D" if 3 in degree.values() else "A") + str(m))
+        elif m == 2:
+            labels.append("B2")
+        else:
+            ((i, j),) = double
+            if degree[i] > 1 and degree[j] > 1:
+                assert m == 4
+                labels.append("F4")
+            else:
+                end, other = (i, j) if degree[i] == 1 else (j, i)
+                labels.append(("B" if norm[end] < norm[other] else "C") + str(m))
+    return "x".join(sorted(labels))
