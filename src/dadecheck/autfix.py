@@ -95,7 +95,7 @@ def exact_stabilizer_counts(fix: Dict[int, int], f: int) -> Dict[int, int]:
     return exact
 
 
-def fix_counts_for_row(row: FixRow, model: Model, n: int) -> Dict[int, int]:
+def fix_counts_for_row(row: FixRow, n: int) -> Dict[int, int]:
     """fix[t] for every divisor t of 2n+1, from the row's closed form."""
     return {t: fixed_count_formula(row, t) for t in divisors(2 * n + 1)}
 
@@ -205,7 +205,7 @@ def verify_mobius_layer(model: Model, n: int) -> List[Record]:
     records = []
     for rid in sorted(model.fixrows):
         row = model.fixrows[rid]
-        fix = fix_counts_for_row(row, model, n)
+        fix = fix_counts_for_row(row, n)
         exact = exact_stabilizer_counts(fix, f)
         for t in divisors(f):
             parts = {u: c for u, c in exact.items() if u % (f // t) == 0}

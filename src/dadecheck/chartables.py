@@ -87,7 +87,7 @@ def canonical_value(cv: Optional[ChValue]) -> Dict[tuple, QPoly]:
     out: Dict[tuple, QPoly] = {}
     for term in cv.terms if cv is not None else ():
         exps = tuple(sorted(_exp_poly(e) for e in term.exps))
-        _add(out, (term.eps4 % 4, exps), eval_qpoly(term.coeff))
+        _add(out, (term.eps4 % 4, exps), eval_qpoly(term.coeff, cv.id))
     return out
 
 
@@ -139,9 +139,10 @@ def f_relations_numeric(model: Model, n: int) -> List[Record]:
             cv = _chvalue(model, func, cls)
             order = int_value(cv.order, n, owner=cv.id) if cv and cv.order is not None else 1
             for term in cv.terms if cv else ():
-                coeff = c * eval_expr(term.coeff, env)
+                coeff = c * eval_expr(term.coeff, env, cv.id)
                 for e in term.exps:
-                    angle = Fraction(term.eps4, 4) + eval_expr(e, env).as_fraction() / order
+                    slope = eval_expr(e, env, cv.id).as_fraction()
+                    angle = Fraction(term.eps4, 4) + slope / order
                     _add(sums, angle % 1, coeff)
         records.append(Record(check + "_numeric", name, n, True, not sums))
     return records
@@ -219,7 +220,8 @@ def _norm_rows(model: Model, n: int, which: str) -> List[_NormRow]:
             continue
         row = model.classrows[rid]
         m = int_value(cv.order, n, owner=cv.id) if cv.order is not None else 1
-        terms = [(eval_expr(t.coeff, env), t.eps4 % 4, [_slope(rid, e, env) % m for e in t.exps])
+        terms = [(eval_expr(t.coeff, env, cv.id), t.eps4 % 4,
+                  [_slope(rid, e, env) % m for e in t.exps])
                  for t in cv.terms]
         fam = model.classfams[row.family]
         if fam.vars:
@@ -297,7 +299,7 @@ def f_norm_check(model: Model, n: int, which: str) -> List[Record]:
 def degree_polynomials(model: Model) -> List[Record]:
     """Each table degree equals its product of cyclotomic factors (n-free)."""
     return [
-        Record("degree_poly", rid, None, eval_qpoly(dr.phi), eval_qpoly(dr.table))
+        Record("degree_poly", rid, None, eval_qpoly(dr.phi, rid), eval_qpoly(dr.table, rid))
         for rid, dr in sorted(model.degrels.items())
     ]
 
@@ -307,7 +309,7 @@ def degree_identity_check(model: Model, n: int) -> List[Record]:
     records = []
     for rid in sorted(model.degrels):
         dr = model.degrels[rid]
-        deg = as_integer(eval_qpoly(dr.table).eval(n))
+        deg = as_integer(eval_qpoly(dr.table, rid).eval(n))
         d = two_part_exponent(n) - val2(deg)
         records.append(Record("degree_defect", rid, n, int_value(dr.defect, n, owner=rid), d))
         if dr.odd:

@@ -208,8 +208,9 @@ def _atom_row(owner: str, atom, n: int, varnames, ranges) -> Tuple[List[int], in
     """An exclusion atom as one congruence row (c_1, ..., c_v, b) and its modulus m.
 
     The atom holds on a exactly when c . a = b mod m.  An atom compares two
-    affine forms modulo the common modulus of the indices it uses, and
-    "m div e" tests e mod m.  A "!=" atom gives the row of its "=".
+    affine forms modulo the common modulus of the indices it uses (where
+    there is no index, it is a MapClosureError), and "m div e" tests e mod
+    m.  A "!=" atom gives the row of its "=".
     """
     _, op, e1, e2 = atom
     if op == "div":
@@ -218,6 +219,9 @@ def _atom_row(owner: str, atom, n: int, varnames, ranges) -> Tuple[List[int], in
             raise MapClosureError(f"{owner}: modulus 0 in {pred_to_str(atom)} at n = {n}")
         denom, (row,) = _affine(owner, [e2], n, varnames)
     else:
+        if not ranges:
+            raise MapClosureError(f"{owner}: atom {pred_to_str(atom)} compares modulo an "
+                                  "index range, and there is no index")
         denom, (r1, r2) = _affine(owner, [e1, e2], n, varnames)
         row = [a - b for a, b in zip(r1, r2)]
         mods = {ranges[i] for i, a in enumerate(row[:-1]) if a} or {ranges[0]}

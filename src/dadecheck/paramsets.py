@@ -1,10 +1,11 @@
 """Class counts of semisimple class families, and the listing of set classes.
 
 A family's classes are the orbits of the F-centralizer C of its torus
-(rootdatum.f_centralizer) on its admissible members.  C's conjugacy classes
-and generators come from W's index tables (_group_structure), with no matrix
-product.  The orbits are counted by Burnside's lemma on Python ints, with no
-member listed, on one of two paths:
+(rootdatum.f_centralizer) on its admissible members.  A family with no index
+is one point, so one orbit, or none where its exclusion holds.  For any
+other, C's conjugacy classes and generators come from W's index tables
+(_group_structure), with no matrix product, and the orbits are counted by
+Burnside's lemma on Python ints, with no member listed, on one of two paths:
 
 - the chart path, where the family's chart (rootdatum._chart, shared with
   the torus checks) carries the action: each g in C acts on the index grid
@@ -16,9 +17,10 @@ member listed, on one of two paths:
   orbits on the union of the cyclic subgroups h phi(Z_r), h in C, less those
   on the union of the h phi(E).
 
-Any other family is listed, up to _LISTED_TUPLES index tuples.  The
-parameter sets are counted in counting.py; class_representatives lists their
-classes for ``dadecheck params --list``.  Counts are checked against the
+A family that neither path takes has no count: its record fails and names
+what each path found.  The parameter sets are counted in counting.py;
+class_representatives lists their classes for ``dadecheck params --list``,
+up to _LISTED_TUPLES index tuples.  Counts are checked against the
 closed-form cardinality column of the tables.  Nothing here needs numpy.
 """
 
@@ -27,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from operator import mul
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import rootdatum
 from .counting import (
@@ -54,23 +56,14 @@ from .tabledsl import ClassFam, Model, ParamSetSpec, int_value
 
 
 class BudgetExceeded(OverflowError):
-    """A listing of more than _LISTED_TUPLES index tuples that a count or a listing would need.
+    """A grid of more than _LISTED_TUPLES index tuples that a listing would need.
 
-    Its message does not name the family or set; where it becomes a skip,
-    the reason is prefixed with that.
+    Its message does not name the set; the caller says which.
     """
 
 
-class MixedOrbit(ValueError):
-    """An orbit of the centralizer meets both admissible and excluded members of a family.
-
-    Then the admissible members are no union of classes, and the family's
-    count is no count of classes: its record fails and says so.
-    """
-
-
-# The most index tuples listed by one count or listing: the grid of a set
-# listed by class_representatives, or of a family on neither Burnside path.
+# The most index tuples listed by one listing: the grid of a set listed by
+# class_representatives.
 _LISTED_TUPLES = 1 << 22
 
 # The most atoms of an exclusion counted by inclusion-exclusion, which makes
@@ -448,23 +441,29 @@ def _columns(mat: Matrix, side: str) -> Matrix:
 # --- semisimple class families (group side and dual side) --------------------
 
 
-def family_class_count(fam: ClassFam, model: Model, n: int) -> int:
+def family_class_count(fam: ClassFam, model: Model, n: int) -> Union[int, str]:
     """Orbits of the F-centralizer of the family's torus that meet its admissible members.
 
-    Counted by the chart path where the chart carries the action, else by
-    the orbit path, else by listing; see the module docstring.  A family
-    with an orbit through both admissible and excluded members raises
-    MixedOrbit.
+    A family with no index counts 1, or 0 where its exclusion holds; any
+    other is counted by the chart path where the chart carries the action,
+    else by the orbit path (see the module docstring).  Where neither path
+    applies, the result is no count but the family id and what each path
+    found.
     """
     ranges = _ranges(fam.id, fam.ranges, n)
     exclude = None if fam.exclude is None else _exclusion(fam.id, fam.exclude, n, fam.vars,
                                                           ranges)
+    if not ranges:
+        _chart(fam.id, fam.coords, fam.vars, n, fam.side)  # raises where a coordinate does
+        return 0 if exclude is not None and _holds(exclude, ()) else 1
     cent = _centralizer(model, fam.word)
-    for path in (_chart_count, _orbit_family_count):
-        got = path(fam, n, cent, ranges, exclude)
-        if got is not None:
-            return got
-    return _listed_count(fam, n, cent, ranges, exclude)
+    chart = _chart_count(fam, n, cent, ranges, exclude)
+    if isinstance(chart, int):
+        return chart
+    orbit = _orbit_family_count(fam, n, cent, ranges, exclude)
+    if isinstance(orbit, int):
+        return orbit
+    return f"{fam.id}: no Burnside path: chart path: {chart}; orbit path: {orbit}"
 
 
 def _left_inverse(rows, ranges: Sequence[int], denom: int) -> Optional[List[List[int]]]:
@@ -518,16 +517,18 @@ def _induced_map(chart, lam, cols: Matrix, ranges, denom: int):
     return [[coef[m][k] for m in range(nv)] for k in range(nv)], coef[nv]
 
 
-def _chart_count(fam: ClassFam, n: int, cent: Centralizer, ranges, exclude) -> Optional[int]:
-    """Orbits of the centralizer on the admissible members, on the index grid, or None.
+def _chart_count(fam: ClassFam, n: int, cent: Centralizer, ranges,
+                 exclude) -> Union[int, str]:
+    """Orbits of the centralizer on the admissible members, on the index grid, or why not.
 
     Burnside's lemma: orbits = (1/|C|) sum over classes of |class| times
     the admissible tuples a_g fixes, with a_g the map g induces on the grid.
-    a_g is read for the class representatives and the generators only.  None
-    where that does not apply: the chart has no exact left inverse, an
-    element leaves the chart, the linear part of some a_g is not well
-    defined on the grid (the exact count needs it), or the excluded set is
-    not shown stable under the generators, so under the group.
+    a_g is read for the class representatives and the generators only.  The
+    path does not apply, and says which of these it found, where the chart
+    has no exact left inverse, an element leaves the chart, the linear part
+    of some a_g is not well defined on the grid (the exact count needs it),
+    or the excluded set is not shown stable under the generators, so under
+    the group.
 
     The tuples a_g fixes are a coset of a subgroup, counted by
     fixed_point_count, and the excluded ones among them by _excluded_fixed.
@@ -540,17 +541,19 @@ def _chart_count(fam: ClassFam, n: int, cent: Centralizer, ranges, exclude) -> O
     denom, chart = _chart(fam.id, fam.coords, fam.vars, n, fam.side)
     lam = _left_inverse(chart[:nv], ranges, denom)
     if lam is None:
-        return None
+        return "the chart has no exact left inverse"
     maps = {}
     for g in {*cent.gens, *(rep for rep, _ in cent.classes)}:
         a_g = _induced_map(chart, lam, _columns(cent.mats[g], fam.side), ranges, denom)
-        if a_g is None or not _well_defined(a_g[0], ranges):
-            return None
+        if a_g is None:
+            return "an element of the centralizer leaves the chart"
+        if not _well_defined(a_g[0], ranges):
+            return "the map an element induces is not well defined on the grid"
         maps[g] = a_g
     excluded = _excluded_fixed(exclude, ranges, list(maps.values()),
                                [maps[g] for g in cent.gens])
     if excluded is None:
-        return None
+        return "the exclusion is not shown stable"
     total = 0
     for rep, size in cent.classes:
         lin, shift = maps[rep]
@@ -590,8 +593,8 @@ def _atoms(pred) -> int:
 
 
 def _orbit_family_count(fam: ClassFam, n: int, cent: Centralizer, ranges,
-                        exclude) -> Optional[int]:
-    """Orbits meeting the admissible members of a one-index linear family, or None.
+                        exclude) -> Union[int, str]:
+    """Orbits meeting the admissible members of a one-index linear family, or why not.
 
     The members phi(Z_r) form the cyclic subgroup <v> of (Z_D)^4, with v
     the chart's index row; phi must be injective (v of order r) and the
@@ -604,17 +607,19 @@ def _orbit_family_count(fam: ClassFam, n: int, cent: Centralizer, ranges,
     are the orbits on C <v> less those on C phi(E).
     """
     if len(ranges) != 1:
-        return None
+        return "more than one index"
     denom, (v, const) = _chart(fam.id, fam.coords, fam.vars, n, fam.side)
     space = (denom,) * 4
-    if any(const) or _order(v, space) != ranges[0]:
-        return None
+    if any(const):
+        return "the chart is not linear"
+    if _order(v, space) != ranges[0]:
+        return "the chart is not injective"
     if exclude is None:
         subgroup = None
     else:
         union = _union_of(exclude, ranges)
         if union is None or union.points or len(union.lines) != 1:
-            return None
+            return "the exclusion is not one cyclic subgroup"
         ((x,),) = union.lines
         subgroup = tuple(x * c % denom for c in v)
     cols = [_columns(m, fam.side) for m in cent.mats]
@@ -628,49 +633,13 @@ def _orbit_family_count(fam: ClassFam, n: int, cent: Centralizer, ranges,
     return orbits_on_lines(v) - (0 if subgroup is None else orbits_on_lines(subgroup))
 
 
-def _listed_count(fam: ClassFam, n: int, cent: Centralizer, ranges, exclude) -> int:
-    """Orbits meeting the admissible members, with every member listed, on Python ints.
-
-    The grid is listed once, up to _LISTED_TUPLES tuples, and the orbits
-    are walked by _orbits_met.
-    """
-    denom, chart = _chart(fam.id, fam.coords, fam.vars, n, fam.side)
-    members, excluded = [], set()
-    for a in _grid(ranges):
-        p = tuple(sum(x * row[j] for x, row in zip(a + (1,), chart)) % denom for j in range(4))
-        if exclude is not None and _holds(exclude, a):
-            excluded.add(p)
-        else:
-            members.append(p)
-    return _orbits_met(members, excluded, [_columns(m, fam.side) for m in cent.mats], denom)
-
-
-def _orbits_met(members, excluded, cols, denom: int) -> int:
-    """Orbits of a group, its elements given by their _columns, that meet the members mod D.
-
-    Each member not yet seen starts an orbit, and all its images are seen.
-    An orbit met that holds an excluded member raises MixedOrbit.
-    """
-    seen, orbits = set(), 0
-    for p in members:
-        if p not in seen:
-            images = {_moved(p, c, denom) for c in cols}
-            if not excluded.isdisjoint(images):
-                raise MixedOrbit("the centralizer carries an admissible member onto an "
-                                 "excluded one")
-            seen |= images
-            orbits += 1
-    return orbits
-
-
 # --- reports -----------------------------------------------------------------
 
 
 def cardinality_check(model: Model, n: int) -> List[Record]:
     """Class counts of every indexed set and every family against the table formulas.
 
-    A family count beyond the listing limit is a skip with the reason; a
-    family whose admissible members are no union of classes fails.
+    A family that no Burnside path counts fails, its actual naming why.
     """
     records = []
     for sid in sorted(model.paramsets):
@@ -681,13 +650,8 @@ def cardinality_check(model: Model, n: int) -> List[Record]:
         records.append(Record("cardinality", sid, n, formula_count(spec, n), got))
     for fid in sorted(model.classfams):
         fam = model.classfams[fid]
-        try:
-            got, reason = family_class_count(fam, model, n), None
-        except BudgetExceeded as e:
-            got, reason = None, f"{fid}: {e}"
-        except MixedOrbit as e:
-            got, reason = f"{fid}: {e}", None
-        records.append(Record("family_count", fid, n, family_formula_count(fam, n), got, reason))
+        records.append(Record("family_count", fid, n, family_formula_count(fam, n),
+                              family_class_count(fam, model, n)))
     return records
 
 

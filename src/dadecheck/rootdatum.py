@@ -341,11 +341,6 @@ def roots_in_x() -> frozenset:
     return _ROOTS_X
 
 
-def _inner2(a, b) -> int:
-    """2 (a, b) for vectors on the simple-root basis."""
-    return sum(a[i] * g * b[j] for i, row in enumerate(_GRAM) for j, g in enumerate(row))
-
-
 def _rank(tri) -> int:
     """The rank of the lattice whose counting.triangle is tri: its nonzero pivots."""
     return sum(1 for i, row in enumerate(tri) if row[i])
@@ -602,7 +597,8 @@ def pairing_checks(model, n: int):
                 for bi, name in enumerate(wc.svars):
                     env_lo[name] = int(bi == sbasis)
                     env_hi[name] = int(bi == sbasis)
-                delta = eval_expr(wc.pairing, env_hi) - eval_expr(wc.pairing, env_lo)
+                delta = (eval_expr(wc.pairing, env_hi, wid)
+                         - eval_expr(wc.pairing, env_lo, wid))
                 fr = delta.as_fraction()
                 if fr.denominator != 1:
                     ok = False

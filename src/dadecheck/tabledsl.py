@@ -392,10 +392,16 @@ def _eval(node: Expr, env):
     raise ValueError(f"bad expression node {node!r}")
 
 
-def eval_expr(node: Expr, env) -> SqrtTwoRat:
-    """Exact evaluation against a numeric environment from build_env."""
-    v = _eval(node, env)
-    return SqrtTwoRat.coerce(v)
+def eval_expr(node: Expr, env, owner: Optional[str] = None) -> SqrtTwoRat:
+    """Exact evaluation against a numeric environment from build_env.
+
+    A division by zero is a TableValueError naming the expression and env's
+    n (and t), after owner if given.
+    """
+    try:
+        return SqrtTwoRat.coerce(_eval(node, env))
+    except ZeroDivisionError as e:
+        raise no_value(owner, node, env.get("n"), e, env.get("t")) from None
 
 
 def eval_expr_int(node: Expr, env) -> int:
@@ -404,15 +410,20 @@ def eval_expr_int(node: Expr, env) -> int:
     A value that is no integer, or a division by zero, is a TableValueError
     naming the expression and env's n (and t).
     """
+    v = eval_expr(node, env)
     try:
-        return as_integer(eval_expr(node, env))
-    except (NotRationalInteger, ZeroDivisionError) as e:
+        return as_integer(v)
+    except NotRationalInteger as e:
         raise no_value(None, node, env.get("n"), e, env.get("t")) from None
 
 
 def no_value(owner: Optional[str], node: Expr, n, error: Exception, t=None) -> TableValueError:
-    """The TableValueError for node, which raised error at n (and t), after owner if given."""
-    where = f"{expr_to_str(node)} at n = {n}" + ("" if t is None else f", t = {t}")
+    """The TableValueError for node, which raised error at n (and t), after owner if given.
+
+    n is None for an n-free expression.
+    """
+    where = (expr_to_str(node) + ("" if n is None else f" at n = {n}")
+             + ("" if t is None else f", t = {t}"))
     return TableValueError(f"{owner}: {where}: {error}" if owner else f"{where}: {error}")
 
 
@@ -441,9 +452,16 @@ def int_value(node: Expr, n: int, t: Optional[int] = None, owner: Optional[str] 
     return v
 
 
-def eval_qpoly(node: Expr) -> QPoly:
-    """Evaluate an n-free expression into a symbolic polynomial in q."""
-    return QPoly.coerce(_eval(node, _QPOLY_ENV))
+def eval_qpoly(node: Expr, owner: Optional[str] = None) -> QPoly:
+    """Evaluate an n-free expression into a symbolic polynomial in q.
+
+    A division by zero is a TableValueError naming the expression, after
+    owner if given.
+    """
+    try:
+        return QPoly.coerce(_eval(node, _QPOLY_ENV))
+    except ZeroDivisionError as e:
+        raise no_value(owner, node, None, e) from None
 
 
 def expr_symbols(node) -> set:
@@ -928,11 +946,6 @@ class _ModelBuilder:
             self.sources[bkind, name] = source
 
 
-def parse_model(text: str) -> Model:
-    """Parse one source string into a cross-checked Model."""
-    return parse_model_files({"<text>": text})
-
-
 def parse_model_files(texts: Dict[str, str]) -> Model:
     b = _ModelBuilder()
     for fname in sorted(texts):
@@ -978,7 +991,7 @@ class _ExprChecks:
         if node in self.evaluated:
             return
         try:
-            eval_expr(node, self.env1)
+            _eval(node, self.env1)
         except UnknownSymbol as e:
             raise TableSyntaxError(f"{owner}: unknown symbol {e.args[0]}") from None
         except UnboundSymbol as e:

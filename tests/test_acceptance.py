@@ -159,7 +159,7 @@ def test_criterion_11_mobius_layer(model):
     for n in (1, 2, 3, 4):
         f = 2 * n + 1
         for row in model.fixrows.values():
-            fix = fix_counts_for_row(row, model, n)
+            fix = fix_counts_for_row(row, n)
             exact = exact_stabilizer_counts(fix, f)
             ok &= all(c >= 0 for c in exact.values())
         ok &= all(r.ok for r in verify_mobius_layer(model, n))

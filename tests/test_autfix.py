@@ -98,7 +98,7 @@ def test_exact_counts_constant_row():
 
 
 def test_exact_counts_bi1_n1(model):
-    fix = fix_counts_for_row(model.fixrows["R_B_1"], model, 1)
+    fix = fix_counts_for_row(model.fixrows["R_B_1"], 1)
     assert fix == {1: 1, 3: 49}
     exact = exact_stabilizer_counts(fix, 3)
     assert exact == {1: 48, 3: 1}

@@ -11,6 +11,7 @@ import pytest
 
 import dadecheck
 from dadecheck.cli import main
+from dadecheck.record import Record
 
 
 def test_verify_dade_n1(tmp_path, capsys):
@@ -148,20 +149,39 @@ def test_non_utf8_table_exits_two(tmp_path, capsys):
 
 
 def test_skips_carry_reason_and_exit_zero(tmp_path, capsys, monkeypatch):
-    # with no tuple listed, the two families counted by listing their single
-    # point are skips; every other record passes
+    # no verify checker skips now, so a checker patched to skip two families
+    # stands in: the skips carry their reasons, and a run with no failure exits 0
     from dadecheck import paramsets
 
-    monkeypatch.setattr(paramsets, "_LISTED_TUPLES", 0)
+    real = paramsets.cardinality_check
+
+    def skipping(model, n):
+        return [Record(r.check, r.name, r.n, r.expected, None, f"{r.name}: not counted")
+                if r.name in ("g5", "h5") else r for r in real(model, n)]
+
+    monkeypatch.setattr(paramsets, "cardinality_check", skipping)
     report = tmp_path / "r.json"
     assert main(["verify", "params", "--n", "8", "--report", str(report)]) == 0
     records = json.loads(report.read_text())
     skips = [r for r in records if r["status"] == "skip"]
     assert sorted((r["check"], r["name"]) for r in skips) == [("family_count", "g5"),
                                                               ("family_count", "h5")]
-    assert all(r["reason"] == f"{r['name']}: grid: 1 tuples, more than 0" for r in skips)
+    assert all(r["reason"] == f"{r['name']}: not counted" for r in skips)
     assert all("reason" not in r for r in records if r["status"] != "skip")
     assert "123 passed, 0 failed, 2 skipped of 125 checks" in capsys.readouterr().out
+
+
+def test_params_lists_no_tuple(tmp_path, capsys, monkeypatch):
+    # every family is counted with no member listed: with no tuple allowed,
+    # nothing is skipped (g5 and h5 were, while their single points were listed)
+    from dadecheck import paramsets
+
+    monkeypatch.setattr(paramsets, "_LISTED_TUPLES", 0)
+    report = tmp_path / "r.json"
+    assert main(["verify", "params", "--n", "8", "--report", str(report)]) == 0
+    records = json.loads(report.read_text())
+    assert len(records) == 125 and all(r["status"] == "pass" for r in records)
+    assert "125 passed, 0 failed, 0 skipped of 125 checks" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("n", [5, 8, 20, 60])
@@ -924,6 +944,20 @@ M1 = "matrix: [[0, 0, 0, -2], [0, 0, 2, 2], [1, 1, 0, 0], [-1, 0, 0, 0]]"  # r1 
      "h2: modulus ((q^2)-1)/(th-th) at n = 1: division by zero in Q(sqrt2)"),
     ("paramsets.def", "equiv: [k -> -k]", "equiv: [k -> k/(th-th)]",
      "GI_22: k/(th-th) at n = 1: division by the zero polynomial"),
+    # a division by zero in a pairing, a character value's coefficient, a
+    # degree's cyclotomic factors and the coordinates of a family with no index
+    ("weyl.def", "pairing: ((k+l)*a+(k-l)*b)/(q^2-1)", "pairing: ((k+l)*a+(k-l)*b)/(th-th)",
+     "T1: (((k+l)*a)+((k-l)*b))/(th-th) at n = 1: division by zero in Q(sqrt2)"),
+    ("relations.def", "term: [-s2*q^2*(2*q+s2), 1, 0]",
+     "term: [-s2*q^2*(2*q+s2)/(th-th), 1, 0]",
+     "f8_c_1_11: (((-s2)*(q^2))*((2*q)+s2))/(th-th): division by the zero polynomial"),
+    ("relations.def", "  phi: p1*p2*p4^2*p12*p24*p8a\n", "  phi: p1*p2*p4^2*p12*p24*p8a/(th-th)\n",
+     "deg_chi42: (((((p1*p2)*(p4^2))*p12)*p24)*p8a)/(th-th): division by the zero polynomial"),
+    ("classes.def", "coords: [1/3, 0, 0, th/3]", "coords: [1/3, 0, 0, th/(th-th)]",
+     "g5: th/(th-th) at n = 1: division by zero in Q(sqrt2)"),
+    # a family with no index has no modulus to compare in
+    ("classes.def", "coords: [1/3, 0, 0, th/3]", "coords: [1/3, 0, 0, th/3]\n  exclude: th = 2",
+     "g5: atom th = 2 compares modulo an index range, and there is no index"),
 ], ids=["missing", "misspelt", "repeated-field", "repeated-block", "second-frobenius",
         "misspelt-card", "exclude-expression", "card-predicate", "equiv-expression",
         "equiv-symbol", "map-too-few-targets", "map-too-many-targets", "map-other-order",
@@ -931,7 +965,8 @@ M1 = "matrix: [[0, 0, 0, -2], [0, 0, 2, 2], [1, 1, 0, 0], [-1, 0, 0, 0]]"  # r1 
         "exponent-not-polynomial", "pi-not-a-root", "pi-dependent",
         "div-modulus-not-integer", "order-not-integer", "card-not-integer",
         "count-not-integer", "fix-not-integer", "coords-by-zero", "range-by-zero",
-        "equiv-by-zero"])
+        "equiv-by-zero", "pairing-by-zero", "coefficient-by-zero", "degree-by-zero",
+        "point-coords-by-zero", "point-exclusion-atom"])
 def test_bad_table_fields_exit_two(tmp_path, capsys, fname, old, new, message):
     data = _data_copy(tmp_path, fname, old, new)
     assert main(["verify", "all", "--n", "1", "--data-dir", data]) == 2

@@ -1,5 +1,6 @@
 """Parameter set enumeration against the cardinality formulas."""
 
+import json
 import math
 
 import numpy as np
@@ -121,8 +122,8 @@ def test_budget_allows_n4_pairs(model):
 
 
 def test_non_integral_modulus():
-    from dadecheck.tabledsl import parse_model
     from dadecheck.counting import NonIntegralModulus
+    from table_text import parse_model
 
     m = parse_model(
         "paramset X { group: G action: doubling moduli: [q] card: 1 }"
@@ -132,7 +133,7 @@ def test_non_integral_modulus():
 
 
 def _one_set(body):
-    from dadecheck.tabledsl import parse_model
+    from table_text import parse_model
 
     return parse_model("paramset X {\n  group: G\n  action: doubling\n" + body + "}\n").paramsets["X"]
 
@@ -247,7 +248,7 @@ def test_set_cache_keyed_on_the_spec():
 
 def _sets(**bodies):
     """Sets parsed together, each named by its keyword, with the body given."""
-    from dadecheck.tabledsl import parse_model
+    from table_text import parse_model
 
     text = "".join(f"paramset {name} {{\n  group: G\n  action: doubling\n{body}  card: 1\n}}\n"
                    for name, body in bodies.items())
@@ -534,11 +535,12 @@ def _orbit_count_reference(fam, model, n, mats=None):
     return orbits
 
 
-# The paths family_class_count takes on the shipped tables at every n: the
-# orbits of g2, g3, h2, h3 and h6 leave their charts, and the single points
-# g5 and h5 are moved by their centralizers; every other family is charted.
+# The paths family_class_count takes on the shipped tables at every n: g1,
+# g5, h1 and h5 have no index (each is one point, so one orbit), the orbits
+# of g2, g3, h2, h3 and h6 leave their charts, and every other family is
+# charted.
+NO_INDEX = {"g1", "g5", "h1", "h5"}
 ORBIT_PATH = {"g2", "g3", "h2", "h3", "h6"}
-LISTED = {"g5", "h5"}
 
 
 def _grid_and_exclusion(fam, n):
@@ -551,21 +553,27 @@ def _grid_and_exclusion(fam, n):
 
 
 def _path(fam, model, n, cent=None):
-    """(name of the path that counts the family, its count), as family_class_count tries them."""
+    """(name of the path that counts the family, its count), as family_class_count tries them.
+
+    None where no Burnside path counts it.
+    """
     from dadecheck import paramsets as ps
 
     if cent is None:
         cent = ps._centralizer(model, fam.word)
     ranges, exclude = _grid_and_exclusion(fam, n)
-    for path in (ps._chart_count, ps._orbit_family_count, ps._listed_count):
+    if not ranges:
+        return "no_index", family_class_count(fam, model, n)
+    for path in (ps._chart_count, ps._orbit_family_count):
         got = path(fam, n, cent, ranges, exclude)
-        if got is not None:
+        if isinstance(got, int):
             return path.__name__.strip("_"), got
+    return None
 
 
 def _expected_path(fid):
     return ("orbit_family_count" if fid in ORBIT_PATH
-            else "listed_count" if fid in LISTED else "chart_count")
+            else "no_index" if fid in NO_INDEX else "chart_count")
 
 
 def _both_paths(fam, model, n, cent=None):
@@ -621,6 +629,16 @@ def _family_data_copy(tmp_path, fid, edits):
     return dadecheck.load_model(str(tmp_path))
 
 
+# What each Burnside path finds on the broken families below, by family and edit.
+CHART_FAILURES = {
+    ("h13", "or i = -j"): ("the exclusion is not shown stable", "more than one index"),
+    ("h8", "ranges: [p8b]"): ("the chart has no exact left inverse",
+                              "the chart is not injective"),
+    ("h8", "exclude: i = 0"): ("the exclusion is not shown stable",
+                               "the exclusion is not one cyclic subgroup"),
+}
+
+
 @pytest.mark.parametrize("fid, edits", [
     # the i = -j tuples come back, and the centralizer moves them off it:
     # the admissible set is no longer stable
@@ -632,29 +650,43 @@ def _family_data_copy(tmp_path, fid, edits):
     # admissible i = -1, so the instability shows on the excluded side
     ("h8", [("exclude: i = 0", "exclude: i = 0 or i = 1")]),
 ])
-def test_chart_failures_fall_back(model, tmp_path, fid, edits):
-    # the chart path refuses each broken family, and the listing either counts
-    # it, as the oracle does, or finds an orbit through an admissible and an
-    # excluded member; either way its family_count record fails
+def test_chart_failures_fall_back(model, tmp_path, fid, edits, capsys):
+    # both Burnside paths refuse each broken family, so it has no count: its
+    # family_count record fails, naming the family and what each path found,
+    # and verify exits 1 with no traceback
     from dadecheck import paramsets as ps
+    from dadecheck.cli import main
 
+    chart, orbit = CHART_FAILURES[fid, edits[0][0].strip()]
     broken = _family_data_copy(tmp_path, fid, edits)
     fam = broken.classfams[fid]
     for n in (1, 2):
         assert _path(model.classfams[fid], model, n)[0] == "chart_count"
         cent = ps._centralizer(broken, fam.word)
-        assert ps._chart_count(fam, n, cent, *_grid_and_exclusion(fam, n)) is None
-        assert ps._orbit_family_count(fam, n, cent, *_grid_and_exclusion(fam, n)) is None
-        try:
-            got = family_class_count(fam, broken, n)
-        except ps.MixedOrbit:
-            got = "mixed"
-        assert got == _oracle_outcome(fam, broken, n, cent.mats)
+        assert ps._chart_count(fam, n, cent, *_grid_and_exclusion(fam, n)) == chart
+        assert ps._orbit_family_count(fam, n, cent, *_grid_and_exclusion(fam, n)) == orbit
+        assert _path(fam, broken, n) is None
+        why = f"{fid}: no Burnside path: chart path: {chart}; orbit path: {orbit}"
+        assert family_class_count(fam, broken, n) == why
         (rec,) = [r for r in cardinality_check(broken, n) if r.name == fid]
-        assert not rec.ok and rec.reason is None
-        assert rec.actual == (got if got != "mixed" else
-                              f"{fid}: the centralizer carries an admissible member onto an "
-                              f"excluded one")
+        assert not rec.ok and rec.reason is None and rec.actual == why
+    assert main(["verify", "params", "--n", "1", "--data-dir", str(tmp_path),
+                 "--report", str(tmp_path / "r.json")]) == 1
+    out, err = capsys.readouterr()
+    assert f"FAIL family_count {fid} n=1 expected " in err and f"got {why!r}" in err
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("exclude, count", [("3 div q^2+1", 0), ("3 div q^2", 1)])
+def test_family_with_no_index_is_one_orbit_or_none(model, tmp_path, exclude, count):
+    # g5 is one point, so one orbit, or none where its exclusion holds: 3
+    # divides q^2 + 1 = 2^(2n+1) + 1 at every n, and q^2 at none
+    broken = _family_data_copy(tmp_path, "g5", [("count: 1", f"exclude: {exclude}\n  count: 1")])
+    fam = broken.classfams["g5"]
+    for n in (1, 2, 3):
+        assert _path(fam, broken, n) == ("no_index", count)
+        (rec,) = [r for r in cardinality_check(broken, n) if r.name == "g5"]
+        assert rec.actual == count and rec.ok == (count == 1)
 
 
 def _oracle_outcome(fam, model, n, mats):
@@ -683,10 +715,12 @@ def test_orbit_kernel_runs_only_for_uncharted_families(model):
             assert got == family_class_count(fam, model, n) == family_formula_count(fam, n), fid
 
 
-def test_transposed_centralizer_same_count_on_both_paths(model, monkeypatch):
+def test_transposed_centralizer_same_count_on_both_paths(model, monkeypatch, tmp_path, capsys):
     # the transposes form a group with the same classes and generators, which
-    # acts otherwise: each count, or the orbit found mixed, agrees with the oracle
+    # acts otherwise: each count a Burnside path makes agrees with the oracle,
+    # and a family that neither path counts has a failing record naming why
     from dadecheck import paramsets
+    from dadecheck.cli import main
 
     real = paramsets._centralizer
 
@@ -696,17 +730,28 @@ def test_transposed_centralizer_same_count_on_both_paths(model, monkeypatch):
                                      cent.gens)
 
     monkeypatch.setattr(paramsets, "_centralizer", transposed)
-    wrong = 0
+    wrong, uncounted = 0, set()
     for n in (1, 2):
         for fid in sorted(model.classfams):
             fam = model.classfams[fid]
-            try:
-                got = family_class_count(fam, model, n)
-            except paramsets.MixedOrbit:
-                got = "mixed"
-            assert got == _oracle_outcome(fam, model, n, transposed(model, fam.word).mats), fid
-            wrong += got != family_formula_count(fam, n)
+            got = family_class_count(fam, model, n)
+            if isinstance(got, str):
+                assert got.startswith(f"{fid}: no Burnside path: chart path: "), got
+                assert "; orbit path: " in got, got
+                uncounted.add((fid, n))
+            else:
+                assert got == _oracle_outcome(fam, model, n, transposed(model, fam.word).mats), fid
+                wrong += got != family_formula_count(fam, n)
     assert wrong  # the transposed action is not the centralizer's
+    assert uncounted
+    report = tmp_path / "r.json"
+    assert main(["verify", "params", "--n", "1", "--n", "2", "--report", str(report)]) == 1
+    assert "Traceback" not in "".join(capsys.readouterr())
+    records = json.loads(report.read_text())
+    failed = {(r["name"], r["n"]) for r in records
+              if r["check"] == "family_count" and "no Burnside path" in r["actual"]}
+    assert failed == uncounted
+    assert all(r["status"] == "fail" for r in records if (r["name"], r["n"]) in failed)
 
 
 def test_burnside_sum_must_divide(model):
@@ -800,19 +845,13 @@ def test_formerly_dropped_n4_families_match_formula(model):
 
 
 def test_orbit_kernel_exactness_bound():
-    # the listing walks orbits on Python ints: points that doubles would
-    # merge (they differ far below the last bit of 2^89) stay apart
-    from dadecheck.paramsets import MixedOrbit, _moved, _orbits_met
+    # members move on Python ints: a coordinate far below the last bit of a
+    # double at 2^89 stays exact
+    from dadecheck.paramsets import _moved
 
     denom = 2 ** 89 - 1
-    group = [tuple(tuple(s * (i == j) for j in range(4)) for i in range(4)) for s in (1, -1)]
-    pts = [(0, 0, 0, x) for x in (0, 1, 2, denom - 1, denom - 2, 2 ** 60, denom - 2 ** 60,
-                                  2 ** 88, 2 ** 88 + 1)]
-    assert _orbits_met(pts, set(), group, denom) == 6
-    assert _orbits_met(pts[1:3], {(0, 0, 0, 3)}, group, denom) == 2
-    with pytest.raises(MixedOrbit):
-        _orbits_met(pts[:3], {(0, 0, 0, denom - 2)}, group, denom)
-    assert _moved((0, 0, 0, 2 ** 88 + 1), group[1], denom) == (0, 0, 0, 2 ** 88 - 2)
+    negation = tuple(tuple(-(i == j) for j in range(4)) for i in range(4))
+    assert _moved((0, 0, 0, 2 ** 88 + 1), negation, denom) == (0, 0, 0, 2 ** 88 - 2)
 
 
 def test_index_map_bound():
@@ -828,15 +867,15 @@ def test_index_map_bound():
 
 
 def test_budget_skip_is_a_record(model, monkeypatch):
-    # with no tuple listed, only the listed families are skips, each naming itself
+    # no count lists a tuple: with none allowed, no record is a skip and every
+    # one passes, while listing a set's classes still exceeds the budget
     from dadecheck import paramsets
 
     monkeypatch.setattr(paramsets, "_LISTED_TUPLES", 0)
     recs = cardinality_check(model, 1)
-    skips = [r for r in recs if r.reason is not None]
-    assert {r.name for r in skips} == LISTED
-    assert all(r.reason == f"{r.name}: grid: 1 tuples, more than 0" and not r.ok for r in skips)
-    assert all(r.ok for r in recs if r.reason is None)
+    assert len(recs) == 119 and all(r.reason is None and r.ok for r in recs)
+    with pytest.raises(BudgetExceeded, match="^grid: 7 tuples, more than 0$"):
+        class_representatives(model.paramsets["GI_27"], 1)
 
 
 def _fixed_by_scan(lin, shift, ranges):
@@ -1134,7 +1173,7 @@ def test_union_count_only_for_linear_maps():
 
 
 def test_burnside_path_builds_no_admissible_arrays(model, monkeypatch):
-    """Only the listed families list their grid; no set does."""
+    """No family and no set lists its grid."""
     from dadecheck import paramsets
 
     calls = []
@@ -1152,7 +1191,7 @@ def test_burnside_path_builds_no_admissible_arrays(model, monkeypatch):
             family_class_count(fam, model, n)
             if len(calls) > before:
                 builders.add(fid)
-        assert builders == LISTED, n
+        assert builders == set(), n
 
 
 def _enumerable_sets(model):

@@ -3,8 +3,8 @@
 import pytest
 
 from dadecheck import rootdatum as rd
-from weyl_oracle import (_R_IN_EPS, _eps_roots_doubled, _solve_in_basis, dynkin_type, f_classes,
-                         frobenius_twist, mat_inv_int, weyl_closure)
+from weyl_oracle import (_R_IN_EPS, _eps_roots_doubled, _inner2, _solve_in_basis, dynkin_type,
+                         f_classes, frobenius_twist, mat_inv_int, weyl_closure)
 
 
 def test_weyl_order(model):
@@ -41,7 +41,7 @@ def test_roots_and_inner_products_match_eps_coordinates():
     assert set(roots) == solved
     for a in roots:
         for b in roots:
-            assert rd._inner2(a, b) == 2 * sum(x * y for x, y in zip(eps(a), eps(b)))
+            assert _inner2(a, b) == 2 * sum(x * y for x, y in zip(eps(a), eps(b)))
 
 
 def test_m0_squares_to_two(model):

@@ -21,10 +21,10 @@ from dadecheck.tabledsl import (
     eval_expr,
     eval_expr_int,
     parse_blocks,
-    parse_model,
     parse_model_files,
     serialize_model,
 )
+from table_text import parse_model
 
 
 def test_minimal_paramset_block():

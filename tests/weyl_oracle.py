@@ -207,6 +207,11 @@ def _solve_in_basis(x, basis_rows):
     return tuple(sol)
 
 
+def _inner2(a, b) -> int:
+    """2 (a, b) for vectors on the simple-root basis, from rootdatum's Gram matrix."""
+    return sum(a[i] * g * b[j] for i, row in enumerate(rd._GRAM) for j, g in enumerate(row))
+
+
 def dynkin_type(psi):
     """Cartan type of the root system psi, e.g. 'B2' or 'A1xA1', from the Dynkin diagram of a base.
 
@@ -224,12 +229,12 @@ def dynkin_type(psi):
     simples = [r for r in pos
                if not any(tuple(x - y for x, y in zip(r, s)) in pos_set for s in pos)]
     k = len(simples)
-    norm = [rd._inner2(r, r) for r in simples]
+    norm = [_inner2(r, r) for r in simples]
     cartan = []
     for a in simples:
         row = []
         for b, nb in zip(simples, norm):
-            c, rest = divmod(2 * rd._inner2(a, b), nb)
+            c, rest = divmod(2 * _inner2(a, b), nb)
             assert not rest, (a, b)
             row.append(c)
         cartan.append(row)
