@@ -139,8 +139,28 @@ def _fixed_rows(lin, shift) -> List[List[int]]:
 
 
 def fixed_point_count(lin, shift, ranges) -> int:
-    """Grid tuples a with lin a + shift = a, row k mod ranges[k], counted by count."""
-    return count(_fixed_rows(lin, shift), ranges, ranges)
+    """Grid tuples a with lin a + shift = a, row k mod ranges[k], counted by count.
+
+    On one or two indices no triangle is needed.  The fixed points solve
+    (lin - I) a = -shift, and the columns of [lin - I | diag(ranges)] span a
+    lattice whose index d is the gcd of their maximal minors; with m = r,
+    count's prod r * d / prod m is d.  -shift is in the lattice exactly when
+    the minors with it as a column leave the gcd d.  On one index that reads:
+    gcd(l - 1, r) solutions where it divides t, none otherwise.  A map not
+    well defined on the grid goes to count, which refuses it.
+    """
+    rows = _fixed_rows(lin, shift)
+    if len(ranges) == 1:
+        ((a, y),), (r,) = rows, ranges
+        d = math.gcd(a, r)
+        return 0 if y % d else d
+    if len(ranges) == 2:
+        (a, b, y1), (c, e, y2) = rows
+        r1, r2 = ranges
+        if not (b * r2 % r1 or c * r1 % r2):
+            d = math.gcd(a * e - b * c, r1 * c, r2 * a, r1 * e, r2 * b, r1 * r2)
+            return d if math.gcd(d, a * y2 - c * y1, b * y2 - e * y1, r1 * y2, r2 * y1) == d else 0
+    return count(rows, ranges, ranges)
 
 
 # --- affine compilation ------------------------------------------------------
@@ -160,8 +180,10 @@ def _affine(owner: str, exprs, n: int, varnames) -> Tuple[int, Tuple[Tuple[Rat, 
     a_1*var_1 + ... + a_v*var_v + c, and D is the least common denominator of
     every entry.  Each expression is evaluated at n with the indices bound
     to variables, and is affine when every monomial of its value is 1 or
-    one index; so a*b - a*b + a is affine and a*b is not.  Errors name
-    owner, the set, family or class the expressions belong to.
+    one index; so a*b - a*b + a is affine and a*b is not.  Every coefficient
+    must be rational: one with a sqrt2 part, like a division by zero, is a
+    TableValueError.  Errors name owner, the set, family or class the
+    expressions belong to.
     """
     key = (tuple(exprs), n, tuple(varnames))
     if key in _AFFINE_CACHE:
@@ -181,7 +203,10 @@ def _affine(owner: str, exprs, n: int, varnames) -> Tuple[int, Tuple[Tuple[Rat, 
         if terms is None or not terms.keys() <= affine:
             raise MapClosureError(f"{owner}: expression {expr_to_str(expr)} is not affine "
                                   f"in {', '.join(varnames)}")
-        rows.append(tuple(terms.get(m, ZERO).as_fraction() for m in monomials))
+        try:
+            rows.append(tuple(terms.get(m, ZERO).as_fraction() for m in monomials))
+        except NotRationalInteger as e:  # a coefficient with a sqrt2 part
+            raise no_value(owner, expr, n, e) from None
     result = math.lcm(*(f.denominator for row in rows for f in row)), tuple(rows)
     _AFFINE_CACHE[key] = result
     return result
@@ -327,8 +352,17 @@ def _scaling(factors, moduli):
 
 
 def _compose(f, g, moduli):
-    """(f o g): apply g first, then f."""
+    """(f o g): apply g first, then f.  On one and two indices the products are written out."""
     nv = len(moduli)
+    if nv == 1:
+        ((a, c),), ((b, d),), (m,) = f, g, moduli
+        return ((a * b % m, (a * d + c) % m),)
+    if nv == 2:
+        (a, b, c), (d, e, h) = f
+        (p, q, r), (s, t, u) = g
+        m1, m2 = moduli
+        return (((a * p + b * s) % m1, (a * q + b * t) % m1, (a * r + b * u + c) % m1),
+                ((d * p + e * s) % m2, (d * q + e * t) % m2, (d * r + e * u + h) % m2))
     rows = []
     for i in range(nv):
         arow = f[i][:nv]
@@ -451,12 +485,12 @@ def _set_grid(spec: ParamSetSpec, n: int) -> _SetGrid:
 
 def _admissible_fixed(h, grid: _SetGrid) -> int:
     """Admissible tuples fixed by the map h: |Fix(h)| - |Fix(h) ∩ E|."""
-    rows = _fixed_rows(*_split(h))
-    mods = list(grid.moduli)
-    fixed = count(rows, mods, grid.moduli)
+    lin, shift = _split(h)
+    fixed = fixed_point_count(lin, shift, grid.moduli)
     if not fixed or grid.exclude is None:
         return fixed
-    return fixed - _count_in(rows, mods, grid.moduli, (grid.exclude,))
+    return fixed - _count_in(_fixed_rows(lin, shift), list(grid.moduli), grid.moduli,
+                             (grid.exclude,))
 
 
 def fixed_class_count(spec: ParamSetSpec, n: int, t: int = 0) -> int:

@@ -81,6 +81,8 @@ class SqrtTwoRat:
         other = _num(other)
         if other is NotImplemented:
             return other
+        if not (self.b or other.b):  # two rationals
+            return SqrtTwoRat(self.a * other.a)
         # (a1 + b1 s)(a2 + b2 s) = a1 a2 + 2 b1 b2 + (a1 b2 + a2 b1) s
         return SqrtTwoRat(
             self.a * other.a + 2 * self.b * other.b,
@@ -94,6 +96,8 @@ class SqrtTwoRat:
         norm = self.a * self.a - 2 * self.b * self.b
         if norm == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt2)")
+        if not self.b:
+            return SqrtTwoRat(1 / Fraction(self.a))
         return SqrtTwoRat(Fraction(self.a) / norm, Fraction(-self.b) / norm)
 
     def __truediv__(self, other):
@@ -291,7 +295,12 @@ class QPoly:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = QPoly.coerce(other)
+        if not isinstance(other, QPoly):  # a number: one inverse for every coefficient
+            other = SqrtTwoRat.coerce(other)
+            if other.is_zero():
+                raise ZeroDivisionError("division by the zero polynomial")
+            inv = other.inverse()
+            return QPoly({m: c * inv for m, c in self.terms.items()})
         if not other.terms:
             raise ZeroDivisionError("division by the zero polynomial")
         if len(other.terms) > 1:

@@ -3,19 +3,25 @@
 A family's classes are the orbits of the F-centralizer C of its torus
 (rootdatum.f_centralizer) on its admissible members.  A family with no index
 is one point, so one orbit, or none where its exclusion holds.  For any
-other, C's conjugacy classes and generators come from W's index tables
-(_group_structure), with no matrix product, and the orbits are counted by
-Burnside's lemma on Python ints, with no member listed, on one of two paths:
+other, C's conjugacy classes, generators and a spelling of every element as
+a word in the generators come from W's index tables (_group_structure),
+with no matrix product, and the orbits are counted by Burnside's lemma on
+Python ints, with no member listed, on one of two paths:
 
 - the chart path, where the family's chart (rootdatum._chart, shared with
   the torus checks) carries the action: each g in C acts on the index grid
-  as a map a_g, |Fix(a_g)| comes from counting.fixed_point_count, and the
-  excluded tuples among the fixed ones are counted on the shape of the
-  exclusion, a union of cyclic subgroups and points (_Union), or by
-  inclusion-exclusion (counting._count_in) where it has a few atoms;
+  as a map a_g.  Only the generators' maps are read off the chart and
+  checked; a class representative's map is composed from theirs along its
+  spelling, and classes whose maps coincide are counted once.
+  |Fix(a_g)| comes from counting.fixed_point_count, and the excluded tuples
+  among the fixed ones are counted on the shape of the exclusion, a union
+  of cyclic subgroups and points (_Union, made once per compiled exclusion
+  and grid), or by inclusion-exclusion (counting._count_in) where it has a
+  few atoms;
 - the orbit path, for a one-index family whose orbits leave its chart: the
   orbits on the union of the cyclic subgroups h phi(Z_r), h in C, less those
-  on the union of the h phi(E).
+  on the union of the h phi(E), each union the orbit of one line under the
+  generators.
 
 A family that neither path takes has no count: its record fails and names
 what each path found.  The parameter sets are counted in counting.py;
@@ -33,6 +39,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, 
 
 from . import rootdatum
 from .counting import (
+    _compose,
     _count_in,
     _exclusion,
     _fixed_rows,
@@ -44,7 +51,6 @@ from .counting import (
     _split,
     _well_defined,
     class_count,
-    count,
     family_formula_count,
     fixed_point_count,
     formula_count,
@@ -161,22 +167,21 @@ class _Union(NamedTuple):
 
     lines holds one generator of each distinct subgroup and orders their
     orders; meets holds (i, j, |<v_i> ∩ <v_j>|) for i < j; points holds the
-    points that no line holds, each once.
+    points that no line holds, each once.  congruences holds, for a union
+    made from an exclusion, the (row, m) of the atoms its lines came from:
+    the solutions of c . a = 0 mod m make up a line.
     """
 
     ranges: Tuple[int, ...]
     lines: Tuple[Tuple[int, ...], ...]
     orders: Tuple[int, ...]
     meets: Tuple[Tuple[int, int, int], ...]
-    points: Tuple[Tuple[int, ...], ...]
-
-    def __contains__(self, x) -> bool:
-        return x in self.points or any(_span(v, x, self.ranges) == o
-                                       for v, o in zip(self.lines, self.orders))
+    points: Tuple[Tuple[int, ...], ...] = ()
+    congruences: Tuple[Tuple[Tuple[int, ...], int], ...] = ()
 
 
-def _union(ranges, lines, points) -> _Union:
-    """The _Union of the subgroups the vectors of lines generate and of points.
+def _union(ranges, lines) -> _Union:
+    """The _Union of the subgroups the vectors of lines generate.
 
     <v_i> ∩ <v_j> has |<v_i>| |<v_j>| / |<v_i, v_j>| elements, and the two
     are one subgroup when that is both orders.
@@ -192,19 +197,13 @@ def _union(ranges, lines, points) -> _Union:
         meets.extend((i, len(gens), p * o // s) for i, (s, p) in enumerate(zip(spans, orders)))
         gens.append(v)
         orders.append(o)
-    u = _Union(ranges, tuple(gens), tuple(orders), tuple(meets), ())
-    rest = []
-    for p in points:
-        p = tuple(x % r for x, r in zip(p, ranges))
-        if p not in u and p not in rest:
-            rest.append(p)
-    return _Union(ranges, u.lines, u.orders, u.meets, tuple(rest))
+    return _Union(ranges, tuple(gens), tuple(orders), tuple(meets))
 
 
-def _union_fixed(u: _Union, image) -> int:
-    """|Fix ∩ E| for E = u and a linear map of the grid, given as image(v) on reduced tuples.
+def _union_fixed(u: _Union, lin) -> int:
+    """|Fix ∩ E| for E = u and the linear map a -> lin a of the grid, row k mod ranges[k].
 
-    Fix ∩ <v_i> is cyclic of order s_i = ord(v_i) / ord(image(v_i) - v_i).  An
+    Fix ∩ <v_i> is cyclic of order s_i = ord(v_i) / ord((lin - I) v_i).  An
     element of their union generates a cyclic subgroup of some order d; the
     Fix ∩ <v_i> with d | s_i have one each, and those of i and j are one
     when d | t_ij = gcd(s_i, s_j, |<v_i> ∩ <v_j>|).  So the union has
@@ -216,13 +215,17 @@ def _union_fixed(u: _Union, image) -> int:
     the Eulerian functions of a group, 1936).  No divisor is listed.
     """
     ranges = u.ranges
-    fixed = sum(image(p) == p for p in u.points)
-    s = [o // _order([x - y for x, y in zip(image(v), v)], ranges)
+    moved = [[x - (j == k) for j, x in enumerate(row)] for k, row in enumerate(lin)]  # lin - I
+    fixed = sum(not any(sum(map(mul, row, p)) % r for row, r in zip(moved, ranges))
+                for p in u.points)
+    s = [o // math.lcm(*(r // math.gcd(sum(map(mul, row, v)), r)
+                         for row, r in zip(moved, ranges))) if o > 1 else 1
          for v, o in zip(u.lines, u.orders)]
     if not s or max(s) == 1:  # only 0, if any line
         return fixed + bool(s)
-    pairs = [(i, j, math.gcd(t, s[i], s[j])) for i, j, t in u.meets]
-    closure = set(s) | {t for _, _, t in pairs}
+    # d = 1 is 0, one class; a larger d divides only s_i > 1, and t_ij only if i and j have one
+    pairs = [(i, j, math.gcd(t, s[i], s[j])) for i, j, t in u.meets if s[i] > 1 < s[j]]
+    closure = {x for x in s if x > 1} | {t for _, _, t in pairs}
     frontier = list(closure)
     while frontier:
         x = frontier.pop()
@@ -231,8 +234,9 @@ def _union_fixed(u: _Union, image) -> int:
             if z not in closure:
                 closure.add(z)
                 frontier.append(z)
-    psi: Dict[int, int] = {}
-    for g in sorted(closure):  # a proper divisor comes first
+    psi: Dict[int, int] = {1: 1}
+    fixed += 1
+    for g in sorted(closure - {1}):  # a proper divisor comes first
         psi[g] = g - sum(p for h, p in psi.items() if g % h == 0)
         members = [i for i, x in enumerate(s) if x % g == 0]
         if members:
@@ -258,12 +262,23 @@ def _classes(members, edges) -> int:
     return classes
 
 
-def _union_keeps(u: _Union, image) -> bool:
-    """Whether a linear map sends each v_i into some <v_j> and each point into E.
+def _on_lines(u: _Union, x) -> bool:
+    """Whether the reduced tuple x lies on a line of u, which is made from an exclusion."""
+    return any(sum(map(mul, row, x)) % m == 0 for row, m in u.congruences)
 
-    That is enough for it to send E into itself, not necessary.
+
+def _union_keeps(u: _Union, lin) -> bool:
+    """Whether the linear map a -> lin a sends each v_i into some <v_j> and each point into u.
+
+    That is enough for it to send the union into itself, not necessary.
+    Each image is tested on the congruences of the lines, one dot product
+    each.
     """
-    return all(image(v) in u for v in u.lines) and all(image(p) in u for p in u.points)
+    def image(v):
+        return _image(lin, [0] * len(lin), v, u.ranges)
+
+    return (all(_on_lines(u, image(v)) for v in u.lines)
+            and all(x in u.points or _on_lines(u, x) for x in map(image, u.points)))
 
 
 def _terms(pred, op: str):
@@ -276,16 +291,18 @@ def _terms(pred, op: str):
 def _line(atom, ranges) -> Optional[Tuple[int, ...]]:
     """A generator of the solutions of the atom c . a = 0 mod m, or None where it finds none.
 
-    The candidates are r / |H| on one index, and on more a vector with a 1 at
-    one index and, at an index whose coefficient is a unit mod m, what solves
-    the atom.  A candidate generates the solutions when it solves the atom
-    and its order is their number.
+    The solutions are the kernel of a -> c . a mod m, whose image is the
+    subgroup of Z_m that gcd(c, m) generates: there are prod r gcd(c, m) / m
+    of them.  The candidates are r / |H| on one index, and on more a vector
+    with a 1 at one index and, at an index whose coefficient is a unit mod
+    m, what solves the atom.  A candidate generates the solutions when it
+    solves the atom and its order is their number.
     """
     _, _, row, m = atom
     nv = len(ranges)
     if row[nv] % m:
         return None
-    size = count([row], [m], ranges)
+    size = math.prod(ranges) * math.gcd(*row[:nv], m) // m
     if nv == 1:
         candidates = [(ranges[0] // size,)]
     else:
@@ -316,14 +333,30 @@ def _pinned(atoms, ranges) -> Optional[Tuple[int, ...]]:
     return None if None in point else tuple(point)
 
 
+# (compiled exclusion, ranges) -> what _union_of makes of it.  That is the
+# whole key: the union is made from nothing else, and the owner's name is not
+# in the compiled exclusion.  So the families whose exclusions compile alike,
+# such as g13 and h13, share one entry: the 128 indexed families of
+# verify params --n 1..4 have 60 distinct ones.
+_UNION_CACHE: Dict[tuple, Optional[_Union]] = {}
+
+
 def _union_of(exclude, ranges) -> Optional[_Union]:
     """A compiled exclusion as a _Union, or None where it is not an "or" of lines and points.
 
     A line is an atom whose solutions _line finds a generator of; a point an
     atom, or an "and" of atoms, that _pinned pins to one tuple (a term that
-    does not hold there holds nowhere).
+    does not hold there holds nowhere).  Each is made once per exclusion and
+    ranges (_UNION_CACHE).
     """
-    lines, points = [], []
+    key = exclude, tuple(ranges)
+    if key not in _UNION_CACHE:
+        _UNION_CACHE[key] = _make_union(exclude, key[1])
+    return _UNION_CACHE[key]
+
+
+def _make_union(exclude, ranges) -> Optional[_Union]:
+    lines, congruences, points = [], [], []
     for term in _terms(exclude, "or"):
         atoms = _terms(term, "and")
         if any(a[0] != "atom" or a[1] for a in atoms):
@@ -331,40 +364,52 @@ def _union_of(exclude, ranges) -> Optional[_Union]:
         line = _line(atoms[0], ranges) if len(atoms) == 1 else None
         if line is not None:
             lines.append(line)
+            congruences.append((atoms[0][2], atoms[0][3]))
             continue
         point = _pinned(atoms, ranges)
         if point is None:
             return None
         if all(_holds(a, point) for a in atoms):
             points.append(point)
-    return _union(ranges, lines, points)
+    u = _union(ranges, lines)._replace(congruences=tuple(congruences))
+    rest = []
+    for p in points:
+        p = tuple(x % r for x, r in zip(p, ranges))
+        if not _on_lines(u, p) and p not in rest:
+            rest.append(p)
+    return u._replace(points=tuple(rest))
 
 
 # --- the F-centralizers --------------------------------------------------------
 
 
 class Centralizer(NamedTuple):
-    """A finite matrix group with its conjugacy classes and a generating set.
+    """A finite matrix group with its conjugacy classes, a generating set and a spelling.
 
     mats holds the elements as 4 x 4 integer matrices; classes holds
     (representative, class size) and gens the generators, both as indices
-    into mats.
+    into mats.  spelling[x] is (k, y) with mats[x] = mats[gens[k]] mats[y],
+    y spelt nearer the identity than x, and None for the identity: so every
+    element is a word in the generators, read down the spelling.
     """
 
     mats: Tuple[Matrix, ...]
     classes: Tuple[Tuple[int, int], ...]
     gens: Tuple[int, ...]
+    spelling: Tuple[Optional[Tuple[int, int]], ...]
 
 
 def _group_structure(weyl: rootdatum.WeylGroup, mats: Sequence[Matrix]) -> Centralizer:
-    """Conjugacy classes and generators of a subgroup of W, on W's index tables.
+    """Conjugacy classes, generators and a spelling of a subgroup of W, on W's index tables.
 
     The generators are greedy: each is the first element outside the
     subgroup so far.  Products are read from each generator's table of
-    left multiplications (rootdatum._times_left), and the class of x is its
-    orbit under x -> g x g^-1 = left_g[(left_g[x^-1])^-1] for the generators
-    g, with the inverses from weyl.inverses.  Every product is looked up
-    among the elements; none outside raises ValueError.
+    left multiplications (rootdatum._times_left).  The subgroup grows by
+    left products g_k y, and an element is spelt (k, y) where it is first
+    found.  The class of x is its orbit under x -> g x g^-1 =
+    left_g[(left_g[x^-1])^-1] for the generators g, with the inverses from
+    weyl.inverses.  Every product is looked up among the elements; none
+    outside raises ValueError.
     """
     mats = tuple(mats)
     members = [weyl.index[m] for m in mats]  # W index of each element
@@ -378,19 +423,26 @@ def _group_structure(weyl: rootdatum.WeylGroup, mats: Sequence[Matrix]) -> Centr
 
     gens: List[int] = []
     lefts: List[List[int]] = []  # g y for every y in W, one table per generator g
-    inside = {weyl.index[rootdatum.mat_identity()]}
+    spelt: Dict[int, Optional[Tuple[int, int]]] = {weyl.index[rootdatum.mat_identity()]: None}
     for x, w in enumerate(members):
-        if w in inside:
+        if w in spelt:
             continue
         gens.append(x)
         lefts.append(rootdatum._times_left(weyl.right, weyl.tree, w))
-        frontier = list(inside)
+        frontier = list(spelt)
         while frontier:
-            frontier = [z for z in {left[y] for y in frontier for left in lefts}
-                        if z not in inside]
-            inside.update(frontier)
-    if not inside <= pos.keys():
+            found = []
+            for y in frontier:
+                for k, left in enumerate(lefts):
+                    z = left[y]
+                    if z not in spelt:
+                        spelt[z] = k, y
+                        found.append(z)
+            frontier = found
+    if not spelt.keys() <= pos.keys():
         raise ValueError("the matrices are not closed under products")
+    spelling = tuple(None if spelt[w] is None else (spelt[w][0], pos[spelt[w][1]])
+                     for w in members)
     inv = weyl.inverses
     label = [False] * len(mats)
     classes = []
@@ -407,7 +459,7 @@ def _group_structure(weyl: rootdatum.WeylGroup, mats: Sequence[Matrix]) -> Centr
                     label[i] = True
                     orbit.append(z)
         classes.append((x, len(orbit)))
-    return Centralizer(mats, tuple(classes), tuple(gens))
+    return Centralizer(mats, tuple(classes), tuple(gens), spelling)
 
 
 # Keyed on the word and the root datum: the generator matrices it is spelled
@@ -510,9 +562,10 @@ def _induced_map(chart, lam, cols: Matrix, ranges, denom: int):
     nv = len(ranges)
     img = [list(_moved(row, cols, denom)) for row in chart]  # R_m g and R_nv g
     img[nv] = [(x - c) % denom for x, c in zip(img[nv], chart[nv])]  # the translation part
-    coef = [[sum(x * y for x, y in zip(row, l)) % r for l, r in zip(lam, ranges)] for row in img]
+    coef = [[sum(map(mul, row, l)) % r for l, r in zip(lam, ranges)] for row in img]
+    index_cols = list(zip(*chart[:nv]))  # coordinate j of each index row
     for c, row in zip(coef, img):
-        if [sum(a * rk[j] for a, rk in zip(c, chart)) % denom for j in range(4)] != row:
+        if [sum(map(mul, c, col)) % denom for col in index_cols] != row:
             return None
     return [[coef[m][k] for m in range(nv)] for k in range(nv)], coef[nv]
 
@@ -523,66 +576,101 @@ def _chart_count(fam: ClassFam, n: int, cent: Centralizer, ranges,
 
     Burnside's lemma: orbits = (1/|C|) sum over classes of |class| times
     the admissible tuples a_g fixes, with a_g the map g induces on the grid.
-    a_g is read for the class representatives and the generators only.  The
-    path does not apply, and says which of these it found, where the chart
-    has no exact left inverse, an element leaves the chart, the linear part
-    of some a_g is not well defined on the grid (the exact count needs it),
-    or the excluded set is not shown stable under the generators, so under
-    the group.
+    a_g is read off the chart, and checked exactly, for the generators only;
+    a class representative's map is composed from theirs along its spelling
+    (_composed_maps), and classes whose maps coincide are counted once, their
+    sizes summed.  The path does not apply, and says which of these it found
+    at the first generator that shows it, where the chart has no exact left
+    inverse, a generator leaves the chart, the linear part of its map is not
+    well defined on the grid (the exact count needs it), or the excluded set
+    is not shown stable under the generators, so under the group.
 
-    The tuples a_g fixes are a coset of a subgroup, counted by
-    fixed_point_count, and the excluded ones among them by _excluded_fixed.
-    Stability is enough on the excluded set: phi a_g = g phi with phi
-    injective on the grid (it has the left inverse) and g invertible, so
-    a_g permutes the finite grid, and a permutation maps the admissible set
-    into itself exactly when it maps the excluded set into itself.
+    A composite keeps what its factors were checked for: from phi a_h =
+    h phi and phi a_g = g phi, phi a_h a_g = h g phi where C acts on
+    columns (the torus side), and phi a_g a_h = phi h g where it acts on
+    rows (the dual side); and a product of maps well defined on the grid is
+    well defined.  The tuples a_g fixes are a coset of a subgroup,
+    counted by fixed_point_count, and the excluded ones among them by
+    _excluded_fixed.  Stability is enough on the excluded set: phi a_g =
+    g phi with phi injective on the grid (it has the left inverse) and g
+    invertible, so a_g permutes the finite grid, and a permutation maps the
+    admissible set into itself exactly when it maps the excluded set into
+    itself.
     """
     nv = len(ranges)
     denom, chart = _chart(fam.id, fam.coords, fam.vars, n, fam.side)
     lam = _left_inverse(chart[:nv], ranges, denom)
     if lam is None:
         return "the chart has no exact left inverse"
-    maps = {}
-    for g in {*cent.gens, *(rep for rep, _ in cent.classes)}:
+    gens = []
+    for g in cent.gens:
         a_g = _induced_map(chart, lam, _columns(cent.mats[g], fam.side), ranges, denom)
         if a_g is None:
             return "an element of the centralizer leaves the chart"
         if not _well_defined(a_g[0], ranges):
             return "the map an element induces is not well defined on the grid"
-        maps[g] = a_g
-    excluded = _excluded_fixed(exclude, ranges, list(maps.values()),
-                               [maps[g] for g in cent.gens])
+        gens.append(tuple(tuple(row) + (t,) for row, t in zip(*a_g)))
+    excluded = _excluded_fixed(exclude, ranges, gens)
     if excluded is None:
         return "the exclusion is not shown stable"
-    total = 0
+    maps = _composed_maps(cent, gens, fam.side, ranges, [rep for rep, _ in cent.classes])
+    sizes: Dict[tuple, int] = {}
     for rep, size in cent.classes:
-        lin, shift = maps[rep]
+        sizes[maps[rep]] = sizes.get(maps[rep], 0) + size
+    zero_admissible = exclude is None or not _holds(exclude, (0,) * nv)
+    total = 0
+    for h, size in sizes.items():
+        lin, shift = _split(h)
         fixed = fixed_point_count(lin, shift, ranges)
-        total += size * (fixed - excluded(lin, shift) if fixed else 0)
+        if fixed == 1 and not any(shift):  # a linear map that fixes one tuple fixes only 0
+            total += size * zero_admissible
+        elif fixed:
+            total += size * (fixed - excluded(lin, shift))
     return _orbits(fam.id, total, len(cent.mats))
 
 
-def _excluded_fixed(exclude, ranges, maps, gens):
+def _composed_maps(cent: Centralizer, gens, side: str, ranges, elements) -> Dict[int, tuple]:
+    """The grid map of each of the elements, composed from the generators' maps gens.
+
+    A map is the rows (L_k1, ..., L_kv, t_k) of a -> L a + t, row k reduced
+    mod ranges[k], as counting._compose takes it.  x = g_k y (cent.spelling)
+    acts on dual points, rows v M, as v g_k y, so a_x = a_y a_k, and on torus
+    points, columns M v, as g_k y v, so a_x = a_k a_y.  Each element's map
+    is composed once, from the nearest element whose map is known.
+    """
+    one = _scaling([1] * len(ranges), ranges)
+    maps: Dict[int, tuple] = {}
+    for x in elements:
+        path = []
+        while x not in maps and cent.spelling[x] is not None:
+            path.append(x)
+            x = cent.spelling[x][1]
+        h = maps.setdefault(x, one)  # x is known, or the identity
+        for x in reversed(path):
+            a_k = gens[cent.spelling[x][0]]
+            h = maps[x] = _compose(h, a_k, ranges) if side == "dual" else _compose(a_k, h, ranges)
+    return maps
+
+
+def _excluded_fixed(exclude, ranges, gens):
     """A function of (L, t) that counts the excluded tuples a -> L a + t fixes, or None.
 
-    None unless the excluded set is shown stable under the maps gens.  The
-    count is _union_fixed where the exclusion is a union of lines and
-    points and every map of maps is linear, else counting._count_in where
-    the exclusion has at most _FEW_ATOMS atoms; the stability check goes
-    with it, _union_keeps or counting._keeps.
+    gens are the generators' maps, as rows (L_k..., t_k).  None unless the
+    excluded set is shown stable under them.  The count is _union_fixed where
+    the exclusion is a union of lines and points and every generator is
+    linear, so every composite is, else counting._count_in where the
+    exclusion has at most _FEW_ATOMS atoms; the stability check goes with it,
+    _union_keeps or counting._keeps.
     """
     if exclude is None:
         return lambda lin, shift: 0
 
-    def image(lin, shift):
-        return lambda v: _image(lin, shift, v, ranges)
-
     union = _union_of(exclude, ranges)
-    if union is not None and not any(any(shift) for _, shift in maps):
-        if all(_union_keeps(union, image(*g)) for g in gens):
-            return lambda lin, shift: _union_fixed(union, image(lin, shift))
+    if union is not None and not any(row[-1] for g in gens for row in g):
+        if all(_union_keeps(union, _split(g)[0]) for g in gens):
+            return lambda lin, shift: _union_fixed(union, lin)
     elif _atoms(exclude) <= _FEW_ATOMS:
-        if all(_keeps(exclude, [row + [t] for row, t in zip(*g)], ranges) for g in gens):
+        if all(_keeps(exclude, g, ranges) for g in gens):
             return lambda lin, shift: _count_in(_fixed_rows(lin, shift), list(ranges), ranges,
                                                 (exclude,))
     return None
@@ -601,10 +689,11 @@ def _orbit_family_count(fam: ClassFam, n: int, cent: Centralizer, ranges,
     excluded tuples E a subgroup of Z_r, of order e (none: e = 0).  The
     orbits of C on C <v> = union of the <h v>, h in C, are counted by
     Burnside's lemma with _union_fixed, and so are those on C phi(E), the
-    union of the <h w> with w a generator of phi(E).  An element of C keeps
-    orders, so C phi(E) holds the points of C <v> whose order divides e and
-    C phi(Z_r - E) the others: the orbits that meet the admissible members
-    are the orbits on C <v> less those on C phi(E).
+    union of the <h w> with w a generator of phi(E).  Each union is the
+    orbit of its line under the generators (_line_orbit).  An element of C
+    keeps orders, so C phi(E) holds the points of C <v> whose order divides
+    e and C phi(Z_r - E) the others: the orbits that meet the admissible
+    members are the orbits on C <v> less those on C phi(E).
     """
     if len(ranges) != 1:
         return "more than one index"
@@ -622,15 +711,33 @@ def _orbit_family_count(fam: ClassFam, n: int, cent: Centralizer, ranges,
             return "the exclusion is not one cyclic subgroup"
         ((x,),) = union.lines
         subgroup = tuple(x * c % denom for c in v)
-    cols = [_columns(m, fam.side) for m in cent.mats]
+    gcols = [_columns(cent.mats[g], fam.side) for g in cent.gens]
+    cols = [(_columns(cent.mats[rep], fam.side), size) for rep, size in cent.classes]
 
     def orbits_on_lines(w) -> int:
-        union = _union(space, [_moved(w, c, denom) for c in cols], [])
-        total = sum(size * _union_fixed(union, lambda p: _moved(p, cols[rep], denom))
-                    for rep, size in cent.classes)
-        return _orbits(fam.id, total, len(cols))
+        union = _union(space, _line_orbit(w, gcols, denom))
+        total = sum(size * _union_fixed(union, c) for c, size in cols)
+        return _orbits(fam.id, total, len(cent.mats))
 
     return orbits_on_lines(v) - (0 if subgroup is None else orbits_on_lines(subgroup))
+
+
+def _line_orbit(v, gcols, denom: int) -> List[Tuple[int, ...]]:
+    """A generator of each distinct line h<v> of (Z_D)^4, h in the group the gcols generate.
+
+    The lines are walked by the generators from <v>; two are one when they
+    have the same order and span no more.
+    """
+    space = (denom,) * 4
+    lines, orders = [tuple(v)], [_order(v, space)]
+    for u in lines:  # lines grows while it is walked
+        for c in gcols:
+            x = _moved(u, c, denom)
+            o = _order(x, space)
+            if not any(p == o == _span(w, x, space) for w, p in zip(lines, orders)):
+                lines.append(x)
+                orders.append(o)
+    return lines
 
 
 # --- reports -----------------------------------------------------------------

@@ -958,6 +958,14 @@ M1 = "matrix: [[0, 0, 0, -2], [0, 0, 2, 2], [1, 1, 0, 0], [-1, 0, 0, 0]]"  # r1 
     # a family with no index has no modulus to compare in
     ("classes.def", "coords: [1/3, 0, 0, th/3]", "coords: [1/3, 0, 0, th/3]\n  exclude: th = 2",
      "g5: atom th = 2 compares modulo an index range, and there is no index"),
+    # an affine coefficient with a sqrt2 part, in an exclusion atom, a family's
+    # coordinates and a torus chart
+    ("classes.def", "exclude: i = 0\n  count: (q^2-2)/2", "exclude: i = q\n  count: (q^2-2)/2",
+     "h2: q at n = 1: 2*s2 has a sqrt2 part"),
+    ("classes.def", "coords: [0, 0, i/(q^2-1),", "coords: [0, 0, q*i/(q^2-1),",
+     "h2: (q*i)/((q^2)-1) at n = 1: 2/7*s2 has a sqrt2 part"),
+    ("weyl.def", "tcoords: [a/(q^2-1),", "tcoords: [q*a/(q^2-1),",
+     "T1: (q*a)/((q^2)-1) at n = 1: 2/7*s2 has a sqrt2 part"),
 ], ids=["missing", "misspelt", "repeated-field", "repeated-block", "second-frobenius",
         "misspelt-card", "exclude-expression", "card-predicate", "equiv-expression",
         "equiv-symbol", "map-too-few-targets", "map-too-many-targets", "map-other-order",
@@ -966,7 +974,8 @@ M1 = "matrix: [[0, 0, 0, -2], [0, 0, 2, 2], [1, 1, 0, 0], [-1, 0, 0, 0]]"  # r1 
         "div-modulus-not-integer", "order-not-integer", "card-not-integer",
         "count-not-integer", "fix-not-integer", "coords-by-zero", "range-by-zero",
         "equiv-by-zero", "pairing-by-zero", "coefficient-by-zero", "degree-by-zero",
-        "point-coords-by-zero", "point-exclusion-atom"])
+        "point-coords-by-zero", "point-exclusion-atom", "exclusion-sqrt2-coefficient",
+        "coords-sqrt2-coefficient", "tcoords-sqrt2-coefficient"])
 def test_bad_table_fields_exit_two(tmp_path, capsys, fname, old, new, message):
     data = _data_copy(tmp_path, fname, old, new)
     assert main(["verify", "all", "--n", "1", "--data-dir", data]) == 2

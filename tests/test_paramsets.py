@@ -715,6 +715,121 @@ def test_orbit_kernel_runs_only_for_uncharted_families(model):
             assert got == family_class_count(fam, model, n) == family_formula_count(fam, n), fid
 
 
+# The Burnside path of each family at every n: ROADMAP item 8 asks for it
+# recorded, so a change that moves a family between paths shows here.
+PATHS = {"no_index": {"g1", "g5", "h1", "h5"},
+         "orbit_family_count": {"g2", "g3", "h2", "h3", "h6"}}
+
+
+def test_path_per_family_is_pinned(model):
+    fids = set(model.classfams)
+    chart = fids - PATHS["no_index"] - PATHS["orbit_family_count"]
+    assert len(fids) == 36 and len(chart) == 27
+    for n in (1, 2, 3, 4):
+        for fid in sorted(fids):
+            path = next((p for p, members in PATHS.items() if fid in members), "chart_count")
+            assert _path(model.classfams[fid], model, n)[0] == path, (fid, n)
+
+
+def test_chart_path_reads_only_the_generators_off_the_chart(model, monkeypatch):
+    # verify params --n 1 checks at most |gens| maps exactly per family: the
+    # class representatives' maps are composed, and the orbit-path families
+    # leave the chart path at their first generator
+    from dadecheck import paramsets as ps
+    from dadecheck.cli import main
+
+    calls, current = {}, []
+    induced, count = ps._induced_map, ps.family_class_count
+
+    def counted_induced(*args):
+        calls[current[-1]] = calls.get(current[-1], 0) + 1
+        return induced(*args)
+
+    def counted_count(fam, *args):
+        current.append(fam.id)
+        return count(fam, *args)
+
+    monkeypatch.setattr(ps, "_induced_map", counted_induced)
+    monkeypatch.setattr(ps, "family_class_count", counted_count)
+    assert main(["verify", "params", "--n", "1", "--report", "/dev/null"]) == 0
+    assert set(current) == set(model.classfams)
+    for fid, fam in model.classfams.items():
+        gens = len(ps._centralizer(model, fam.word).gens)
+        if fid in PATHS["no_index"]:
+            assert fid not in calls
+        elif fid in PATHS["orbit_family_count"]:
+            assert 1 <= calls[fid] <= gens, fid
+        else:
+            assert calls[fid] == gens, fid
+
+
+def _rows(a_g):
+    """A map (L, t) of _induced_map as the rows (L_k..., t_k) that _composed_maps gives."""
+    return tuple(tuple(row) + (t,) for row, t in zip(*a_g))
+
+
+def test_composed_maps_equal_the_maps_read_off_the_chart(model):
+    # the oracle is _induced_map read for every element of C, not only the
+    # generators; and the Burnside sum over the distinct maps of the class
+    # representatives is the sum over the classes
+    from dadecheck import paramsets as ps
+
+    checked = 0
+    for n in (1, 2, 3):
+        for fid in sorted(model.classfams):
+            fam = model.classfams[fid]
+            if _path(fam, model, n)[0] != "chart_count":
+                continue
+            cent = ps._centralizer(model, fam.word)
+            ranges, exclude = _grid_and_exclusion(fam, n)
+            denom, chart = ps._chart(fam.id, fam.coords, fam.vars, n, fam.side)
+            lam = ps._left_inverse(chart[:len(ranges)], ranges, denom)
+            direct = [_rows(ps._induced_map(chart, lam, ps._columns(m, fam.side), ranges, denom))
+                      for m in cent.mats]
+            gens = [direct[g] for g in cent.gens]
+            composed = ps._composed_maps(cent, gens, fam.side, ranges, range(len(cent.mats)))
+            assert [composed[x] for x in range(len(cent.mats))] == direct, (fid, n)
+            excluded = ps._excluded_fixed(exclude, ranges, gens)
+            per_class = 0
+            for rep, size in cent.classes:
+                lin, shift = ps._split(direct[rep])
+                per_class += size * (ps.fixed_point_count(lin, shift, ranges)
+                                     - excluded(lin, shift))
+            assert per_class == len(cent.mats) * ps._chart_count(fam, n, cent, ranges, exclude)
+            checked += len(cent.mats)
+    assert checked > 2000
+
+
+def test_union_cache_keyed_on_exclusion_and_ranges(model, monkeypatch, tmp_path):
+    # one entry per compiled exclusion and ranges: the same exclusion on
+    # another grid, or with one atom changed, is made afresh, and a mutated
+    # exclusion that is not stable fails as it does with no cache
+    from dadecheck import paramsets as ps
+    from dadecheck.counting import _exclusion
+
+    monkeypatch.setattr(ps, "_UNION_CACHE", {})
+    three = _exclusion("X", ("atom", "div", ("int", 3), ("sym", "k")), 1, ("k",), (9,))
+    four = _exclusion("X", ("atom", "div", ("int", 4), ("sym", "k")), 1, ("k",), (12,))
+    assert ps._union_of(three, (9,)).orders == (3,)
+    assert ps._union_of(three, (12,)).orders == (4,)
+    assert ps._union_of(four, (12,)).orders == (3,)
+    assert ps._union_of(three, (9,)) is ps._union_of(three, (9,))
+    assert len(ps._UNION_CACHE) == 3
+    fam = model.classfams["h13"]
+    counts = [family_class_count(fam, model, n) for n in (1, 2)]
+    assert len(ps._UNION_CACHE) == 5
+    # j = -i is i = -j: one atom fewer, the same union and count, its own entry
+    same = _family_data_copy(tmp_path, "h13", [(" or i = -j", "")]).classfams["h13"]
+    assert [family_class_count(same, model, n) for n in (1, 2)] == counts
+    assert len(ps._UNION_CACHE) == 7
+    broken = _family_data_copy(tmp_path, "h13", [(" or i = -j", ""), (" or j = -i", "")])
+    chart, orbit = CHART_FAILURES["h13", "or i = -j"]
+    for n in (1, 2):
+        assert family_class_count(broken.classfams["h13"], broken, n) == (
+            f"h13: no Burnside path: chart path: {chart}; orbit path: {orbit}")
+    assert len(ps._UNION_CACHE) == 9
+
+
 def test_transposed_centralizer_same_count_on_both_paths(model, monkeypatch, tmp_path, capsys):
     # the transposes form a group with the same classes and generators, which
     # acts otherwise: each count a Burnside path makes agrees with the oracle,
@@ -726,8 +841,7 @@ def test_transposed_centralizer_same_count_on_both_paths(model, monkeypatch, tmp
 
     def transposed(m, word):
         cent = real(m, word)
-        return paramsets.Centralizer(tuple(tuple(zip(*x)) for x in cent.mats), cent.classes,
-                                     cent.gens)
+        return cent._replace(mats=tuple(tuple(zip(*x)) for x in cent.mats))
 
     monkeypatch.setattr(paramsets, "_centralizer", transposed)
     wrong, uncounted = 0, set()
@@ -756,7 +870,7 @@ def test_transposed_centralizer_same_count_on_both_paths(model, monkeypatch, tmp
 
 def test_burnside_sum_must_divide(model):
     from dadecheck import rootdatum as rd
-    from dadecheck.paramsets import Centralizer, _centralizer
+    from dadecheck.paramsets import _centralizer
 
     fam = model.classfams["g8"]
     cent = _centralizer(model, fam.word)
@@ -764,7 +878,7 @@ def test_burnside_sum_must_divide(model):
     _, vecs = family_elements(fam, 2)
     assert len(vecs) % len(cent.mats)  # the identity class alone sums to N
     with pytest.raises(ArithmeticError, match="not divisible"):
-        _path(fam, model, 2, Centralizer(cent.mats, ((one, 1),), cent.gens))
+        _path(fam, model, 2, cent._replace(classes=((one, 1),)))
 
 
 def test_centralizer_classes_and_generators(model):
@@ -789,6 +903,18 @@ def test_centralizer_classes_and_generators(model):
             group |= new
             frontier = list(new)
         assert group == set(elems), wc.id
+        # the spelling: x = g_k y for each element but 1, and every walk down it ends at 1
+        for x, spelt in enumerate(cent.spelling):
+            if spelt is None:
+                assert elems[x] == rd.mat_identity(), wc.id
+                continue
+            k, y = spelt
+            assert elems[x] == rd.mat_mul(elems[cent.gens[k]], elems[y]), wc.id
+            for _ in elems:
+                if cent.spelling[y] is None:
+                    break
+                y = cent.spelling[y][1]
+            assert cent.spelling[y] is None, wc.id
 
 
 def test_centralizer_structure_matches_matrix_oracle(model):
@@ -937,8 +1063,7 @@ def test_fixed_points_solved_match_grid_scan(model, n):
             assert not any(shift) and ps._well_defined(lin, ranges), fid
             img = apply_map(lin, shift, grid, ranges)
             fixed = np.logical_and.reduce([i == a for i, a in zip(img, grid)])
-            got = (ps.fixed_point_count(lin, shift, ranges)
-                   - ps._union_fixed(union, lambda v: ps._image(lin, shift, v, ranges)))
+            got = ps.fixed_point_count(lin, shift, ranges) - ps._union_fixed(union, lin)
             assert got == np.count_nonzero(fixed & keep), fid
             elements += 1
     assert uncharted == ORBIT_PATH and elements > 100
@@ -1137,8 +1262,7 @@ def test_union_fixed_matches_listing_random(case):
     assert _union_elements(union) == set(zip(*(a[excluded].tolist() for a in grid)))
     img = apply_map(lin, shift, grid, ranges)
     fixed = np.logical_and.reduce([i == a for i, a in zip(img, grid)])
-    assert (ps._union_fixed(union, lambda v: ps._image(lin, shift, v, ranges))
-            == np.count_nonzero(fixed & excluded))
+    assert ps._union_fixed(union, lin) == np.count_nonzero(fixed & excluded)
 
 
 def test_other_exclusions_counted_by_inclusion_exclusion(model, tmp_path, monkeypatch):
@@ -1166,10 +1290,10 @@ def test_union_count_only_for_linear_maps():
 
     ranges = (7, 7)
     exclude = _exclusion("X", ("atom", "=", ("sym", "k"), ("int", 0)), 1, ("k", "l"), ranges)
-    shift = ([[1, 0], [0, 1]], [0, 1])  # keeps k = 0, fixes nothing
-    assert ps._excluded_fixed(exclude, ranges, [shift], [shift])(*shift) == 0
-    double = ([[1, 0], [0, 2]], [0, 0])  # keeps k = 0, fixes (0, 0) on it
-    assert ps._excluded_fixed(exclude, ranges, [double], [double])(*double) == 1
+    shift = ((1, 0, 0), (0, 1, 1))  # keeps k = 0, fixes nothing
+    assert ps._excluded_fixed(exclude, ranges, [shift])(*ps._split(shift)) == 0
+    double = ((1, 0, 0), (0, 2, 0))  # keeps k = 0, fixes (0, 0) on it
+    assert ps._excluded_fixed(exclude, ranges, [double])(*ps._split(double)) == 1
 
 
 def test_burnside_path_builds_no_admissible_arrays(model, monkeypatch):

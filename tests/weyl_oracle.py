@@ -145,7 +145,7 @@ def group_structure(mats):
                     label[z] = True
                     orbit.append(z)
         classes.append((x, len(orbit)))
-    return Centralizer(mats, tuple(classes), tuple(gens))
+    return Centralizer(mats, tuple(classes), tuple(gens), ())  # no spelling: not compared
 
 
 # rows of the eps -> simple-root change of basis: r_i written in eps coords
