@@ -18,7 +18,7 @@ from itertools import product
 from math import gcd, lcm
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from .exactnum import ZERO, NotRationalInteger, QPoly, SqrtTwoRat, as_integer, val2
+from .exactnum import ZERO, NotRationalInteger, QPoly, SqrtTwoRat, as_integer
 from .counting import family_formula_count
 from .record import Record
 from .tabledsl import (
@@ -32,11 +32,20 @@ from .tabledsl import (
     exponent_poly,
     expr_to_str,
     int_value,
+    no_value,
 )
-from .dadeverify import two_part_exponent
+from .dadeverify import defect_of, two_part_exponent
 
 
 # --- class equation -----------------------------------------------------------
+
+
+def _divisor(node, n: int, owner: str) -> int:
+    """A centralizer or root-of-unity order at n, which checks divide by: 0 is a TableValueError."""
+    v = int_value(node, n, owner=owner)
+    if v == 0:
+        raise no_value(owner, node, n, ZeroDivisionError("the order is 0"))
+    return v
 
 
 def class_equation(model: Model, n: int) -> List[Record]:
@@ -50,7 +59,7 @@ def class_equation(model: Model, n: int) -> List[Record]:
     not_dividing = []
     for rid in sorted(model.classrows):
         row = model.classrows[rid]
-        cent = int_value(row.cent, n, owner=rid)
+        cent = _divisor(row.cent, n, rid)
         if order % cent:
             not_dividing.append(rid)
             continue
@@ -137,7 +146,7 @@ def f_relations_numeric(model: Model, n: int) -> List[Record]:
         sums: Dict[Fraction, SqrtTwoRat] = {}
         for c, func, cls in left + [(-c, func, cls) for c, func, cls in right]:
             cv = _chvalue(model, func, cls)
-            order = int_value(cv.order, n, owner=cv.id) if cv and cv.order is not None else 1
+            order = _divisor(cv.order, n, cv.id) if cv and cv.order is not None else 1
             for term in cv.terms if cv else ():
                 coeff = c * eval_expr(term.coeff, env, cv.id)
                 for e in term.exps:
@@ -219,7 +228,7 @@ def _norm_rows(model: Model, n: int, which: str) -> List[_NormRow]:
         if cv is None or not cv.terms:
             continue
         row = model.classrows[rid]
-        m = int_value(cv.order, n, owner=cv.id) if cv.order is not None else 1
+        m = _divisor(cv.order, n, cv.id) if cv.order is not None else 1
         terms = [(eval_expr(t.coeff, env, cv.id), t.eps4 % 4,
                   [_slope(rid, e, env) % m for e in t.exps])
                  for t in cv.terms]
@@ -233,7 +242,7 @@ def _norm_rows(model: Model, n: int, which: str) -> List[_NormRow]:
             count = family_formula_count(fam, n)
             if m - 1 != 4 * count:
                 raise _NotProved(f"{rid}: {(m - 1) // 4} index orbits vs family count {count}")
-        rows.append(_NormRow(rid, int_value(row.cent, n, owner=rid), m, terms, bool(fam.vars)))
+        rows.append(_NormRow(rid, _divisor(row.cent, n, rid), m, terms, bool(fam.vars)))
     return rows
 
 
@@ -309,9 +318,8 @@ def degree_identity_check(model: Model, n: int) -> List[Record]:
     records = []
     for rid in sorted(model.degrels):
         dr = model.degrels[rid]
-        deg = as_integer(eval_qpoly(dr.table, rid).eval(n))
-        d = two_part_exponent(n) - val2(deg)
+        d = defect_of(dr.table, n, rid)
         records.append(Record("degree_defect", rid, n, int_value(dr.defect, n, owner=rid), d))
-        if dr.odd:
-            records.append(Record("degree_odd", rid, n, 1, deg % 2))
+        if dr.odd:  # an odd degree has the whole 2-part of |G| as its 2-defect
+            records.append(Record("degree_odd", rid, n, 1, int(d == two_part_exponent(n))))
     return records

@@ -2,15 +2,22 @@
 
 The kernel, count, counts the tuples of a grid Z_r1 x ... x Z_rv that solve
 a system of congruences, from a triangular basis of its lattice; no tuple
-is listed and no value is bounded.  A parameter set is Z_m or Z_m1 x Z_m2
-minus excluded tuples, modulo the group generated by its affine
-equivalence maps.  Its classes, and those fixed by the doubling
-x -> 2^t x, are counted by Burnside's lemma, each term by the kernel.
+is listed and no value is bounded.  Each Burnside sum of the package, over
+the classes of a parameter set or of a class family (paramsets), adds the
+admissible tuples, those outside a compiled exclusion E, that maps h fix.
+_admissible_fixed counts them for both: Fix(h) by the kernel, and
+Fix(h) ∩ E on the shape of E, a union of lines and points (_Union), or by
+inclusion-exclusion.  _stable is the one rule for whether a map keeps E.
+A parameter set is Z_m or Z_m1 x Z_m2 minus excluded tuples, modulo the
+group generated by its affine equivalence maps.  Its classes, and those
+fixed by the doubling x -> 2^t x, are counted by Burnside's lemma.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .exactnum import ZERO, NotPolynomial, NotRationalInteger, QPoly, Rat
@@ -315,11 +322,306 @@ def _keeps(exclude, g, moduli) -> bool:
 
     For a permutation that is |E ∩ g^-1 E| = |E|: g^-1 E has |E| tuples.
     """
-    if exclude is None:
-        return True
     lin, shift = _split(g)
     size = _count_in([], [], moduli, (exclude,))
     return _count_in([], [], moduli, (exclude, _pullback(exclude, lin, shift))) == size
+
+
+# --- admissible fixed points: unions of lines and points ---------------------
+
+
+def _holds(pred, a) -> bool:
+    """Whether a compiled predicate (_exclusion) holds on the index tuple a."""
+    if pred[0] == "atom":
+        _, negated, row, m = pred
+        return ((sum(map(mul, row, a)) - row[-1]) % m == 0) != negated
+    if pred[0] == "and":
+        return _holds(pred[1], a) and _holds(pred[2], a)
+    return _holds(pred[1], a) or _holds(pred[2], a)
+
+
+def _image(lin, shift, a, ranges) -> Tuple[int, ...]:
+    """lin a + shift, row k mod ranges[k]."""
+    return tuple((sum(map(mul, row, a)) + t) % r for row, t, r in zip(lin, shift, ranges))
+
+
+def _order(v, ranges) -> int:
+    """The order of v in Z_r1 x ... x Z_rk."""
+    return math.lcm(*(r // math.gcd(x, r) for x, r in zip(v, ranges)))
+
+
+def _span(a, b, ranges) -> int:
+    """|<a, b>| in Z_r1 x ... x Z_rk, from the maximal minors.
+
+    <a, b> is L / R, with R the lattice of the r_i e_i and L that of a, b and
+    the r_i e_i.  The index of L is the gcd of its k x k minors: prod r, each
+    a_i or b_i times the r_j with j != i, and each a_i b_j - a_j b_i times the
+    r_l with l not i or j.  So |<a, b>| = prod r / that gcd.
+    """
+    total = math.prod(ranges)
+    g = total
+    for i, r in enumerate(ranges):
+        rest = total // r
+        g = math.gcd(g, a[i] * rest, b[i] * rest)
+        for j in range(i + 1, len(ranges)):
+            g = math.gcd(g, (a[i] * b[j] - a[j] * b[i]) * (rest // ranges[j]))
+    return total // g
+
+
+class _Union(NamedTuple):
+    """A union of cyclic subgroups <v_i> and single points of a grid Z_r1 x ... x Z_rk.
+
+    lines holds one generator of each distinct subgroup and orders their
+    orders; meets holds (i, j, |<v_i> ∩ <v_j>|) for i < j; points holds the
+    points that no line holds, each once.  congruences holds, for a union
+    made from an exclusion, the (row, m) of the atoms its lines came from:
+    the solutions of c . a = 0 mod m make up a line.
+    """
+
+    ranges: Tuple[int, ...]
+    lines: Tuple[Tuple[int, ...], ...]
+    orders: Tuple[int, ...]
+    meets: Tuple[Tuple[int, int, int], ...]
+    points: Tuple[Tuple[int, ...], ...] = ()
+    congruences: Tuple[Tuple[Tuple[int, ...], int], ...] = ()
+
+
+def _union(ranges, lines) -> _Union:
+    """The _Union of the subgroups the vectors of lines generate.
+
+    <v_i> ∩ <v_j> has |<v_i>| |<v_j>| / |<v_i, v_j>| elements, and the two
+    are one subgroup when that is both orders.
+    """
+    ranges = tuple(ranges)
+    gens, orders, meets = [], [], []
+    for v in lines:
+        v = tuple(x % r for x, r in zip(v, ranges))
+        o = _order(v, ranges)
+        spans = [_span(w, v, ranges) for w in gens]
+        if any(s == o == p for s, p in zip(spans, orders)):
+            continue
+        meets.extend((i, len(gens), p * o // s) for i, (s, p) in enumerate(zip(spans, orders)))
+        gens.append(v)
+        orders.append(o)
+    return _Union(ranges, tuple(gens), tuple(orders), tuple(meets))
+
+
+def _union_fixed(u: _Union, lin) -> int:
+    """|Fix ∩ E| for E = u and the linear map a -> lin a of the grid, row k mod ranges[k].
+
+    Fix ∩ <v_i> is cyclic of order s_i = ord(v_i) / ord((lin - I) v_i).  An
+    element of their union generates a cyclic subgroup of some order d; the
+    Fix ∩ <v_i> with d | s_i have one each, and those of i and j are one
+    when d | t_ij = gcd(s_i, s_j, |<v_i> ∩ <v_j>|).  So the union has
+    sum_d phi(d) N(d) elements, with N(d) the number of classes of
+    {i : d | s_i} under d | t_ij.  N(d) depends on d only through c(d), the
+    gcd of the members of the gcd closure S of the s_i and t_ij that d
+    divides; and the phi(d) with c(d) = g sum to psi(g) = g - sum of psi(g')
+    over the g' in S that properly divide g (P. Hall's Möbius recursion for
+    the Eulerian functions of a group, 1936).  No divisor is listed.
+    """
+    ranges = u.ranges
+    moved = [[x - (j == k) for j, x in enumerate(row)] for k, row in enumerate(lin)]  # lin - I
+    fixed = sum(not any(sum(map(mul, row, p)) % r for row, r in zip(moved, ranges))
+                for p in u.points)
+    s = [o // math.lcm(*(r // math.gcd(sum(map(mul, row, v)), r)
+                         for row, r in zip(moved, ranges))) if o > 1 else 1
+         for v, o in zip(u.lines, u.orders)]
+    if not s or max(s) == 1:  # only 0, if any line
+        return fixed + bool(s)
+    # d = 1 is 0, one class; a larger d divides only s_i > 1, and t_ij only if i and j have one
+    pairs = [(i, j, math.gcd(t, s[i], s[j])) for i, j, t in u.meets if s[i] > 1 < s[j]]
+    closure = {x for x in s if x > 1} | {t for _, _, t in pairs}
+    frontier = list(closure)
+    while frontier:
+        x = frontier.pop()
+        for y in list(closure):
+            z = math.gcd(x, y)
+            if z not in closure:
+                closure.add(z)
+                frontier.append(z)
+    psi: Dict[int, int] = {1: 1}
+    fixed += 1
+    for g in sorted(closure - {1}):  # a proper divisor comes first
+        psi[g] = g - sum(p for h, p in psi.items() if g % h == 0)
+        members = [i for i, x in enumerate(s) if x % g == 0]
+        if members:
+            fixed += psi[g] * _classes(members, [(i, j) for i, j, t in pairs if t % g == 0])
+    return fixed
+
+
+def _classes(members, edges) -> int:
+    """The number of classes of members under the equivalence the edges generate."""
+    parent = {i: i for i in members}
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    classes = len(members)
+    for i, j in edges:
+        a, b = root(i), root(j)
+        if a != b:
+            parent[a] = b
+            classes -= 1
+    return classes
+
+
+def _on_lines(u: _Union, x) -> bool:
+    """Whether the reduced tuple x lies on a line of u, which is made from an exclusion."""
+    return any(sum(map(mul, row, x)) % m == 0 for row, m in u.congruences)
+
+
+def _terms(pred, op: str):
+    """The operands of a tree of op nodes."""
+    if pred[0] == op:
+        return _terms(pred[1], op) + _terms(pred[2], op)
+    return [pred]
+
+
+def _line(atom, ranges) -> Optional[Tuple[int, ...]]:
+    """A generator of the solutions of the atom c . a = 0 mod m, or None where it finds none.
+
+    The solutions are the kernel of a -> c . a mod m, whose image is the
+    subgroup of Z_m that gcd(c, m) generates: there are prod r gcd(c, m) / m
+    of them.  The candidates are r / |H| on one index, and on more a vector
+    with a 1 at one index and, at an index whose coefficient is a unit mod
+    m, what solves the atom.  A candidate generates the solutions when it
+    solves the atom and its order is their number.
+    """
+    _, _, row, m = atom
+    nv = len(ranges)
+    if row[nv] % m:
+        return None
+    size = math.prod(ranges) * math.gcd(*row[:nv], m) // m
+    if nv == 1:
+        candidates = [(ranges[0] // size,)]
+    else:
+        candidates = []
+        for j, l in itertools.permutations(range(nv), 2):
+            if math.gcd(row[j], m) == 1:
+                v = [0] * nv
+                v[l] = 1
+                v[j] = -row[l] * pow(row[j], -1, m) % m
+                candidates.append(tuple(v))
+    for v in candidates:
+        if sum(c * x for c, x in zip(row, v)) % m == 0 and _order(v, ranges) == size:
+            return v
+    return None
+
+
+def _pinned(atoms, ranges) -> Optional[Tuple[int, ...]]:
+    """The one tuple the atoms can hold on, each index pinned by a unit coefficient, or None.
+
+    An index of range 1 is pinned to 0.
+    """
+    nv = len(ranges)
+    point: List[Optional[int]] = [0 if r == 1 else None for r in ranges]
+    for _, _, row, m in atoms:
+        used = [j for j in range(nv) if row[j] % m]
+        if len(used) == 1 and m == ranges[used[0]] and math.gcd(row[used[0]], m) == 1:
+            point[used[0]] = row[nv] * pow(row[used[0]], -1, m) % m
+    return None if None in point else tuple(point)
+
+
+# (compiled exclusion, ranges) -> what _union_of makes of it.  That is the
+# whole key: the union is made from nothing else, and the owner's name is not
+# in the compiled exclusion.  So owners whose exclusions compile alike, such
+# as g13 and h13, share one entry: the 128 indexed families and 48 set grids
+# with an exclusion of verify params --n 1..4 have 92 distinct ones.
+_UNION_CACHE: Dict[tuple, Optional[_Union]] = {}
+
+
+def _union_of(exclude, ranges) -> Optional[_Union]:
+    """A compiled exclusion as a _Union, or None where it is not an "or" of lines and points.
+
+    A line is an atom whose solutions _line finds a generator of; a point an
+    atom, or an "and" of atoms, that _pinned pins to one tuple (a term that
+    does not hold there holds nowhere).
+    """
+    key = exclude, tuple(ranges)
+    if key not in _UNION_CACHE:
+        _UNION_CACHE[key] = _make_union(exclude, key[1])
+    return _UNION_CACHE[key]
+
+
+def _one_line(exclude, ranges) -> Optional[Tuple[int, ...]]:
+    """The generator of the one subgroup that the exclusion is, or None where it is not one."""
+    u = _union_of(exclude, ranges)
+    return u.lines[0] if u is not None and not u.points and len(u.lines) == 1 else None
+
+
+def _make_union(exclude, ranges) -> Optional[_Union]:
+    lines, congruences, points = [], [], []
+    for term in _terms(exclude, "or"):
+        atoms = _terms(term, "and")
+        if any(a[0] != "atom" or a[1] for a in atoms):
+            return None
+        line = _line(atoms[0], ranges) if len(atoms) == 1 else None
+        if line is not None:
+            lines.append(line)
+            congruences.append((atoms[0][2], atoms[0][3]))
+            continue
+        point = _pinned(atoms, ranges)
+        if point is None:
+            return None
+        if all(_holds(a, point) for a in atoms):
+            points.append(point)
+    u = _union(ranges, lines)._replace(congruences=tuple(congruences))
+    # _pinned reduces each index mod its range, so equal points are equal tuples
+    return u._replace(points=tuple(p for p in dict.fromkeys(points) if not _on_lines(u, p)))
+
+
+# The most atoms of an exclusion counted by inclusion-exclusion, which makes
+# up to about 2^atoms calls of count per fixed-point count.
+_FEW_ATOMS = 4
+
+
+def _atoms(pred) -> int:
+    return 1 if pred[0] == "atom" else _atoms(pred[1]) + _atoms(pred[2])
+
+
+def _admissible_fixed(h, ranges, exclude) -> int:
+    """Admissible tuples that the map h, rows (a..., c), fixes: |Fix(h)| - |Fix(h) ∩ E|.
+
+    Fix(h) is a coset, counted by fixed_point_count.  Its excluded tuples are
+    counted by _union_fixed where h is linear and the exclusion a union of
+    lines and points, else by inclusion-exclusion, which _stable admits on at
+    most _FEW_ATOMS atoms.  A linear map that fixes one tuple fixes only 0.
+    """
+    lin, shift = _split(h)
+    fixed = fixed_point_count(lin, shift, ranges)
+    if not fixed or exclude is None:
+        return fixed
+    linear = not any(shift)
+    if fixed == 1 and linear:
+        return int(not _holds(exclude, (0,) * len(ranges)))
+    union = _union_of(exclude, ranges) if linear else None
+    if union is not None:
+        return fixed - _union_fixed(union, lin)
+    return fixed - _count_in(_fixed_rows(lin, shift), list(ranges), ranges, (exclude,))
+
+
+def _stable(exclude, ranges, g) -> bool:
+    """Whether the permutation g of the grid, rows (a..., c), is shown to keep the excluded set.
+
+    A linear g keeps a union of lines and points if it sends each v_i into
+    some <v_j> and each point into the union, each image tested on the
+    congruences of the lines, one dot product each.  That is enough, not
+    necessary; where it does not show stability, _keeps decides, exactly,
+    on at most _FEW_ATOMS atoms, and a larger exclusion is not shown stable.
+    For a permutation, keeping the excluded set is keeping the admissible one.
+    """
+    if exclude is None:
+        return True
+    lin, shift = _split(g)
+    u = None if any(shift) else _union_of(exclude, ranges)
+    if u is not None and (all(_on_lines(u, _image(lin, shift, v, ranges)) for v in u.lines)
+                          and all(x in u.points or _on_lines(u, x)
+                                  for x in (_image(lin, shift, p, ranges) for p in u.points))):
+        return True
+    return _atoms(exclude) <= _FEW_ATOMS and _keeps(exclude, g, ranges)
 
 
 # --- parameter sets ----------------------------------------------------------
@@ -461,10 +763,10 @@ def _set_grid(spec: ParamSetSpec, n: int) -> _SetGrid:
     """The set's grid at n, once its equivalence group is checked to act on the classes.
 
     Every generator has an inverse in the group, so the group permutes the
-    grid, and every generator keeps the excluded tuples; for a permutation
-    that is keeping the admissible ones.  A failure is a MapClosureError
-    naming the set.  Neither check depends on a doubling, so each runs once
-    per distinct grid and n.
+    grid, and every generator is shown to keep the excluded tuples
+    (_stable); for a permutation that is keeping the admissible ones.  A
+    failure is a MapClosureError naming the set.  Neither check depends on a
+    doubling, so each runs once per distinct grid and n.
     """
     if not has_index_structure(spec):
         raise ValueError(f"{spec.id} has no index structure")
@@ -477,20 +779,10 @@ def _set_grid(spec: ParamSetSpec, n: int) -> _SetGrid:
     group = equivalence_group(spec, n, moduli)
     if not _permutes(group):
         raise MapClosureError(f"{spec.id}: an equivalence map is not invertible mod {moduli}")
-    if not all(_keeps(exclude, group.maps[g], moduli) for g in group.gens):
+    if not all(_stable(exclude, moduli, group.maps[g]) for g in group.gens):
         raise MapClosureError(f"{spec.id}: equivalence map leaves the admissible set")
     grid = _SET_CACHE[key] = _SetGrid(moduli, exclude, group)
     return grid
-
-
-def _admissible_fixed(h, grid: _SetGrid) -> int:
-    """Admissible tuples fixed by the map h: |Fix(h)| - |Fix(h) ∩ E|."""
-    lin, shift = _split(h)
-    fixed = fixed_point_count(lin, shift, grid.moduli)
-    if not fixed or grid.exclude is None:
-        return fixed
-    return fixed - _count_in(_fixed_rows(lin, shift), list(grid.moduli), grid.moduli,
-                             (grid.exclude,))
 
 
 def fixed_class_count(spec: ParamSetSpec, n: int, t: int = 0) -> int:
@@ -499,14 +791,14 @@ def fixed_class_count(spec: ParamSetSpec, n: int, t: int = 0) -> int:
     With G the equivalence group, s fixes (1/|G|) sum over g in G of
     |Fix(s o g)| classes, counting admissible fixed points only (Burnside's
     lemma twisted by s; at t = 0, Burnside's lemma), each term counted by
-    count.  That holds when G and s permute the admissible tuples and s
+    _admissible_fixed.  That holds when G and s permute the admissible tuples and s
     permutes the classes.  _set_grid checks G once per distinct grid and n;
     the doubling is checked here, once per grid and t, and a failure is a
     MapClosureError naming the set:
     - 2^t is a unit mod every modulus, so s is a bijection;
     - s normalizes G, s g s^-1 in G for each generator g, so s sends classes
       to classes;
-    - s keeps the excluded tuples.
+    - s is shown to keep the excluded tuples (_stable).
     """
     grid = _set_grid(spec, n)
     key = (grid, t)
@@ -521,9 +813,10 @@ def fixed_class_count(spec: ParamSetSpec, n: int, t: int = 0) -> int:
     if any(_compose(_compose(double, group.maps[g], moduli), halve, moduli) not in members
            for g in group.gens):
         raise MapClosureError(f"{spec.id}: doubling does not normalize the equivalence group")
-    if not _keeps(grid.exclude, double, moduli):
+    if not _stable(grid.exclude, moduli, double):
         raise MapClosureError(f"{spec.id}: doubling leaves the class set")
-    total = sum(_admissible_fixed(_compose(double, g, moduli), grid) for g in group.maps)
+    total = sum(_admissible_fixed(_compose(double, g, moduli), moduli, grid.exclude)
+                for g in group.maps)
     fixed = _FIXED_CACHE[key] = _orbits(spec.id, total, len(group.maps))
     return fixed
 

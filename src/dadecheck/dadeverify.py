@@ -13,7 +13,7 @@ counts on both sides and cancel symbolically.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .autfix import (
     divisors,
@@ -25,7 +25,7 @@ from .autfix import (
 from .counting import formula_count
 from .exactnum import val2
 from .record import Record
-from .tabledsl import DefectLedger, Model, int_value
+from .tabledsl import DefectLedger, Model, int_value, no_value
 
 GROUPS = ("G", "B", "Pa", "Pb")
 LHS_GROUPS = ("G", "B")
@@ -47,11 +47,13 @@ def two_part_exponent(n: int) -> int:
     return 24 * n + 12
 
 
-def defect_of(degree_expr, n: int) -> int:
-    """(24n+12) - val2(degree): the 2-defect of a character of that degree."""
-    deg = int_value(degree_expr, n)
+def defect_of(degree_expr, n: int, owner: Optional[str] = None) -> int:
+    """(24n+12) - val2(degree): the 2-defect of a character of that degree.
+
+    A degree that is no positive integer at n is a TableValueError, after owner if given."""
+    deg = int_value(degree_expr, n, owner=owner)
     if deg <= 0:
-        raise ValueError(f"degree evaluated to {deg}")
+        raise no_value(owner, degree_expr, n, ValueError(f"degree {deg} is not positive"))
     return two_part_exponent(n) - val2(deg)
 
 
@@ -199,15 +201,12 @@ def ledger_consistency(model: Model, n: int) -> List[Record]:
         led = model.ledgers[lid]
         d = int_value(led.value, n, owner=lid)
         for e in led.entries:
+            name = f"{lid}/{e.set_id}"
             if e.degree is None:
                 # no degree shipped (semisimple union): defect by convention
-                records.append(Record("entry_defect", f"{lid}/{e.set_id}", n, d, d))
+                records.append(Record("entry_defect", name, n, d, d))
                 continue
-            records.append(
-                Record(
-                    "entry_defect", f"{lid}/{e.set_id}", n, d, defect_of(e.degree, n)
-                )
-            )
+            records.append(Record("entry_defect", name, n, d, defect_of(e.degree, n, name)))
 
     # (ii) coverage of the parabolic parameter sets, each exactly once
     seen: Dict[str, List[str]] = {g: [] for g in GROUPS}

@@ -12,16 +12,14 @@ Python ints, with no member listed, on one of two paths:
   the torus checks) carries the action: each g in C acts on the index grid
   as a map a_g.  Only the generators' maps are read off the chart and
   checked; a class representative's map is composed from theirs along its
-  spelling, and classes whose maps coincide are counted once.
-  |Fix(a_g)| comes from counting.fixed_point_count, and the excluded tuples
-  among the fixed ones are counted on the shape of the exclusion, a union
-  of cyclic subgroups and points (_Union, made once per compiled exclusion
-  and grid), or by inclusion-exclusion (counting._count_in) where it has a
-  few atoms;
+  spelling, and classes whose maps coincide are counted once.  The
+  admissible tuples each map fixes, and whether the generators keep the
+  exclusion, come from the kernel the parameter sets use too,
+  counting._admissible_fixed and counting._stable;
 - the orbit path, for a one-index family whose orbits leave its chart: the
   orbits on the union of the cyclic subgroups h phi(Z_r), h in C, less those
   on the union of the h phi(E), each union the orbit of one line under the
-  generators.
+  generators, counted by counting._union_fixed.
 
 A family that neither path takes has no count: its record fails and names
 what each path found.  The parameter sets are counted in counting.py;
@@ -39,20 +37,25 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, 
 
 from . import rootdatum
 from .counting import (
+    _admissible_fixed,
     _compose,
-    _count_in,
     _exclusion,
-    _fixed_rows,
-    _keeps,
+    _holds,
+    _image,
+    _one_line,
+    _order,
     _orbits,
     _ranges,
     _scaling,
     _set_grid,
+    _span,
     _split,
+    _stable,
+    _union,
+    _union_fixed,
     _well_defined,
     class_count,
     family_formula_count,
-    fixed_point_count,
     formula_count,
     has_index_structure,
 )
@@ -72,22 +75,8 @@ class BudgetExceeded(OverflowError):
 # class_representatives.
 _LISTED_TUPLES = 1 << 22
 
-# The most atoms of an exclusion counted by inclusion-exclusion, which makes
-# up to about 2^atoms calls of counting.count per fixed-point count.
-_FEW_ATOMS = 4
-
 
 # --- listing -----------------------------------------------------------------
-
-
-def _holds(pred, a) -> bool:
-    """Whether a compiled predicate (counting._exclusion) holds on the index tuple a."""
-    if pred[0] == "atom":
-        _, negated, row, m = pred
-        return ((sum(map(mul, row, a)) - row[-1]) % m == 0) != negated
-    if pred[0] == "and":
-        return _holds(pred[1], a) and _holds(pred[2], a)
-    return _holds(pred[1], a) or _holds(pred[2], a)
 
 
 def _grid(ranges: Sequence[int]) -> Iterator[Tuple[int, ...]]:
@@ -96,11 +85,6 @@ def _grid(ranges: Sequence[int]) -> Iterator[Tuple[int, ...]]:
     if size > _LISTED_TUPLES:
         raise BudgetExceeded(f"grid: {size} tuples, more than {_LISTED_TUPLES}")
     return itertools.product(*map(range, ranges))
-
-
-def _image(lin, shift, a, ranges) -> Tuple[int, ...]:
-    """lin a + shift, row k mod ranges[k]."""
-    return tuple((sum(map(mul, row, a)) + t) % r for row, t, r in zip(lin, shift, ranges))
 
 
 def class_representatives(spec: ParamSetSpec, n: int) -> Iterator[Tuple[int, ...]]:
@@ -134,250 +118,6 @@ def _least_of_orbits(moduli, exclude, maps, tuples) -> Iterator[Tuple[int, ...]]
         yield a
         for lin, shift in maps:
             marked[sum(map(mul, _image(lin, shift, a, moduli), strides))] = 1
-
-
-# --- unions of cyclic subgroups ------------------------------------------------
-
-
-def _order(v, ranges) -> int:
-    """The order of v in Z_r1 x ... x Z_rk."""
-    return math.lcm(*(r // math.gcd(x, r) for x, r in zip(v, ranges)))
-
-
-def _span(a, b, ranges) -> int:
-    """|<a, b>| in Z_r1 x ... x Z_rk, from the maximal minors.
-
-    <a, b> is L / R, with R the lattice of the r_i e_i and L that of a, b and
-    the r_i e_i.  The index of L is the gcd of its k x k minors: prod r, each
-    a_i or b_i times the r_j with j != i, and each a_i b_j - a_j b_i times the
-    r_l with l not i or j.  So |<a, b>| = prod r / that gcd.
-    """
-    total = math.prod(ranges)
-    g = total
-    for i, r in enumerate(ranges):
-        rest = total // r
-        g = math.gcd(g, a[i] * rest, b[i] * rest)
-        for j in range(i + 1, len(ranges)):
-            g = math.gcd(g, (a[i] * b[j] - a[j] * b[i]) * (rest // ranges[j]))
-    return total // g
-
-
-class _Union(NamedTuple):
-    """A union of cyclic subgroups <v_i> and single points of a grid Z_r1 x ... x Z_rk.
-
-    lines holds one generator of each distinct subgroup and orders their
-    orders; meets holds (i, j, |<v_i> ∩ <v_j>|) for i < j; points holds the
-    points that no line holds, each once.  congruences holds, for a union
-    made from an exclusion, the (row, m) of the atoms its lines came from:
-    the solutions of c . a = 0 mod m make up a line.
-    """
-
-    ranges: Tuple[int, ...]
-    lines: Tuple[Tuple[int, ...], ...]
-    orders: Tuple[int, ...]
-    meets: Tuple[Tuple[int, int, int], ...]
-    points: Tuple[Tuple[int, ...], ...] = ()
-    congruences: Tuple[Tuple[Tuple[int, ...], int], ...] = ()
-
-
-def _union(ranges, lines) -> _Union:
-    """The _Union of the subgroups the vectors of lines generate.
-
-    <v_i> ∩ <v_j> has |<v_i>| |<v_j>| / |<v_i, v_j>| elements, and the two
-    are one subgroup when that is both orders.
-    """
-    ranges = tuple(ranges)
-    gens, orders, meets = [], [], []
-    for v in lines:
-        v = tuple(x % r for x, r in zip(v, ranges))
-        o = _order(v, ranges)
-        spans = [_span(w, v, ranges) for w in gens]
-        if any(s == o == p for s, p in zip(spans, orders)):
-            continue
-        meets.extend((i, len(gens), p * o // s) for i, (s, p) in enumerate(zip(spans, orders)))
-        gens.append(v)
-        orders.append(o)
-    return _Union(ranges, tuple(gens), tuple(orders), tuple(meets))
-
-
-def _union_fixed(u: _Union, lin) -> int:
-    """|Fix ∩ E| for E = u and the linear map a -> lin a of the grid, row k mod ranges[k].
-
-    Fix ∩ <v_i> is cyclic of order s_i = ord(v_i) / ord((lin - I) v_i).  An
-    element of their union generates a cyclic subgroup of some order d; the
-    Fix ∩ <v_i> with d | s_i have one each, and those of i and j are one
-    when d | t_ij = gcd(s_i, s_j, |<v_i> ∩ <v_j>|).  So the union has
-    sum_d phi(d) N(d) elements, with N(d) the number of classes of
-    {i : d | s_i} under d | t_ij.  N(d) depends on d only through c(d), the
-    gcd of the members of the gcd closure S of the s_i and t_ij that d
-    divides; and the phi(d) with c(d) = g sum to psi(g) = g - sum of psi(g')
-    over the g' in S that properly divide g (P. Hall's Möbius recursion for
-    the Eulerian functions of a group, 1936).  No divisor is listed.
-    """
-    ranges = u.ranges
-    moved = [[x - (j == k) for j, x in enumerate(row)] for k, row in enumerate(lin)]  # lin - I
-    fixed = sum(not any(sum(map(mul, row, p)) % r for row, r in zip(moved, ranges))
-                for p in u.points)
-    s = [o // math.lcm(*(r // math.gcd(sum(map(mul, row, v)), r)
-                         for row, r in zip(moved, ranges))) if o > 1 else 1
-         for v, o in zip(u.lines, u.orders)]
-    if not s or max(s) == 1:  # only 0, if any line
-        return fixed + bool(s)
-    # d = 1 is 0, one class; a larger d divides only s_i > 1, and t_ij only if i and j have one
-    pairs = [(i, j, math.gcd(t, s[i], s[j])) for i, j, t in u.meets if s[i] > 1 < s[j]]
-    closure = {x for x in s if x > 1} | {t for _, _, t in pairs}
-    frontier = list(closure)
-    while frontier:
-        x = frontier.pop()
-        for y in list(closure):
-            z = math.gcd(x, y)
-            if z not in closure:
-                closure.add(z)
-                frontier.append(z)
-    psi: Dict[int, int] = {1: 1}
-    fixed += 1
-    for g in sorted(closure - {1}):  # a proper divisor comes first
-        psi[g] = g - sum(p for h, p in psi.items() if g % h == 0)
-        members = [i for i, x in enumerate(s) if x % g == 0]
-        if members:
-            fixed += psi[g] * _classes(members, [(i, j) for i, j, t in pairs if t % g == 0])
-    return fixed
-
-
-def _classes(members, edges) -> int:
-    """The number of classes of members under the equivalence the edges generate."""
-    parent = {i: i for i in members}
-
-    def root(i):
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
-    classes = len(members)
-    for i, j in edges:
-        a, b = root(i), root(j)
-        if a != b:
-            parent[a] = b
-            classes -= 1
-    return classes
-
-
-def _on_lines(u: _Union, x) -> bool:
-    """Whether the reduced tuple x lies on a line of u, which is made from an exclusion."""
-    return any(sum(map(mul, row, x)) % m == 0 for row, m in u.congruences)
-
-
-def _union_keeps(u: _Union, lin) -> bool:
-    """Whether the linear map a -> lin a sends each v_i into some <v_j> and each point into u.
-
-    That is enough for it to send the union into itself, not necessary.
-    Each image is tested on the congruences of the lines, one dot product
-    each.
-    """
-    def image(v):
-        return _image(lin, [0] * len(lin), v, u.ranges)
-
-    return (all(_on_lines(u, image(v)) for v in u.lines)
-            and all(x in u.points or _on_lines(u, x) for x in map(image, u.points)))
-
-
-def _terms(pred, op: str):
-    """The operands of a tree of op nodes."""
-    if pred[0] == op:
-        return _terms(pred[1], op) + _terms(pred[2], op)
-    return [pred]
-
-
-def _line(atom, ranges) -> Optional[Tuple[int, ...]]:
-    """A generator of the solutions of the atom c . a = 0 mod m, or None where it finds none.
-
-    The solutions are the kernel of a -> c . a mod m, whose image is the
-    subgroup of Z_m that gcd(c, m) generates: there are prod r gcd(c, m) / m
-    of them.  The candidates are r / |H| on one index, and on more a vector
-    with a 1 at one index and, at an index whose coefficient is a unit mod
-    m, what solves the atom.  A candidate generates the solutions when it
-    solves the atom and its order is their number.
-    """
-    _, _, row, m = atom
-    nv = len(ranges)
-    if row[nv] % m:
-        return None
-    size = math.prod(ranges) * math.gcd(*row[:nv], m) // m
-    if nv == 1:
-        candidates = [(ranges[0] // size,)]
-    else:
-        candidates = []
-        for j, l in itertools.permutations(range(nv), 2):
-            if math.gcd(row[j], m) == 1:
-                v = [0] * nv
-                v[l] = 1
-                v[j] = -row[l] * pow(row[j], -1, m) % m
-                candidates.append(tuple(v))
-    for v in candidates:
-        if sum(c * x for c, x in zip(row, v)) % m == 0 and _order(v, ranges) == size:
-            return v
-    return None
-
-
-def _pinned(atoms, ranges) -> Optional[Tuple[int, ...]]:
-    """The one tuple the atoms can hold on, each index pinned by a unit coefficient, or None.
-
-    An index of range 1 is pinned to 0.
-    """
-    nv = len(ranges)
-    point: List[Optional[int]] = [0 if r == 1 else None for r in ranges]
-    for _, _, row, m in atoms:
-        used = [j for j in range(nv) if row[j] % m]
-        if len(used) == 1 and m == ranges[used[0]] and math.gcd(row[used[0]], m) == 1:
-            point[used[0]] = row[nv] * pow(row[used[0]], -1, m) % m
-    return None if None in point else tuple(point)
-
-
-# (compiled exclusion, ranges) -> what _union_of makes of it.  That is the
-# whole key: the union is made from nothing else, and the owner's name is not
-# in the compiled exclusion.  So the families whose exclusions compile alike,
-# such as g13 and h13, share one entry: the 128 indexed families of
-# verify params --n 1..4 have 60 distinct ones.
-_UNION_CACHE: Dict[tuple, Optional[_Union]] = {}
-
-
-def _union_of(exclude, ranges) -> Optional[_Union]:
-    """A compiled exclusion as a _Union, or None where it is not an "or" of lines and points.
-
-    A line is an atom whose solutions _line finds a generator of; a point an
-    atom, or an "and" of atoms, that _pinned pins to one tuple (a term that
-    does not hold there holds nowhere).  Each is made once per exclusion and
-    ranges (_UNION_CACHE).
-    """
-    key = exclude, tuple(ranges)
-    if key not in _UNION_CACHE:
-        _UNION_CACHE[key] = _make_union(exclude, key[1])
-    return _UNION_CACHE[key]
-
-
-def _make_union(exclude, ranges) -> Optional[_Union]:
-    lines, congruences, points = [], [], []
-    for term in _terms(exclude, "or"):
-        atoms = _terms(term, "and")
-        if any(a[0] != "atom" or a[1] for a in atoms):
-            return None
-        line = _line(atoms[0], ranges) if len(atoms) == 1 else None
-        if line is not None:
-            lines.append(line)
-            congruences.append((atoms[0][2], atoms[0][3]))
-            continue
-        point = _pinned(atoms, ranges)
-        if point is None:
-            return None
-        if all(_holds(a, point) for a in atoms):
-            points.append(point)
-    u = _union(ranges, lines)._replace(congruences=tuple(congruences))
-    rest = []
-    for p in points:
-        p = tuple(x % r for x, r in zip(p, ranges))
-        if not _on_lines(u, p) and p not in rest:
-            rest.append(p)
-    return u._replace(points=tuple(rest))
 
 
 # --- the F-centralizers --------------------------------------------------------
@@ -589,10 +329,8 @@ def _chart_count(fam: ClassFam, n: int, cent: Centralizer, ranges,
     h phi and phi a_g = g phi, phi a_h a_g = h g phi where C acts on
     columns (the torus side), and phi a_g a_h = phi h g where it acts on
     rows (the dual side); and a product of maps well defined on the grid is
-    well defined.  The tuples a_g fixes are a coset of a subgroup,
-    counted by fixed_point_count, and the excluded ones among them by
-    _excluded_fixed.  Stability is enough on the excluded set: phi a_g =
-    g phi with phi injective on the grid (it has the left inverse) and g
+    well defined.  Stability is enough on the excluded set: phi a_g = g phi
+    with phi injective on the grid (it has the left inverse) and g
     invertible, so a_g permutes the finite grid, and a permutation maps the
     admissible set into itself exactly when it maps the excluded set into
     itself.
@@ -610,22 +348,13 @@ def _chart_count(fam: ClassFam, n: int, cent: Centralizer, ranges,
         if not _well_defined(a_g[0], ranges):
             return "the map an element induces is not well defined on the grid"
         gens.append(tuple(tuple(row) + (t,) for row, t in zip(*a_g)))
-    excluded = _excluded_fixed(exclude, ranges, gens)
-    if excluded is None:
+    if not all(_stable(exclude, ranges, g) for g in gens):
         return "the exclusion is not shown stable"
     maps = _composed_maps(cent, gens, fam.side, ranges, [rep for rep, _ in cent.classes])
     sizes: Dict[tuple, int] = {}
     for rep, size in cent.classes:
         sizes[maps[rep]] = sizes.get(maps[rep], 0) + size
-    zero_admissible = exclude is None or not _holds(exclude, (0,) * nv)
-    total = 0
-    for h, size in sizes.items():
-        lin, shift = _split(h)
-        fixed = fixed_point_count(lin, shift, ranges)
-        if fixed == 1 and not any(shift):  # a linear map that fixes one tuple fixes only 0
-            total += size * zero_admissible
-        elif fixed:
-            total += size * (fixed - excluded(lin, shift))
+    total = sum(size * _admissible_fixed(h, ranges, exclude) for h, size in sizes.items())
     return _orbits(fam.id, total, len(cent.mats))
 
 
@@ -650,34 +379,6 @@ def _composed_maps(cent: Centralizer, gens, side: str, ranges, elements) -> Dict
             a_k = gens[cent.spelling[x][0]]
             h = maps[x] = _compose(h, a_k, ranges) if side == "dual" else _compose(a_k, h, ranges)
     return maps
-
-
-def _excluded_fixed(exclude, ranges, gens):
-    """A function of (L, t) that counts the excluded tuples a -> L a + t fixes, or None.
-
-    gens are the generators' maps, as rows (L_k..., t_k).  None unless the
-    excluded set is shown stable under them.  The count is _union_fixed where
-    the exclusion is a union of lines and points and every generator is
-    linear, so every composite is, else counting._count_in where the
-    exclusion has at most _FEW_ATOMS atoms; the stability check goes with it,
-    _union_keeps or counting._keeps.
-    """
-    if exclude is None:
-        return lambda lin, shift: 0
-
-    union = _union_of(exclude, ranges)
-    if union is not None and not any(row[-1] for g in gens for row in g):
-        if all(_union_keeps(union, _split(g)[0]) for g in gens):
-            return lambda lin, shift: _union_fixed(union, lin)
-    elif _atoms(exclude) <= _FEW_ATOMS:
-        if all(_keeps(exclude, g, ranges) for g in gens):
-            return lambda lin, shift: _count_in(_fixed_rows(lin, shift), list(ranges), ranges,
-                                                (exclude,))
-    return None
-
-
-def _atoms(pred) -> int:
-    return 1 if pred[0] == "atom" else _atoms(pred[1]) + _atoms(pred[2])
 
 
 def _orbit_family_count(fam: ClassFam, n: int, cent: Centralizer, ranges,
@@ -706,10 +407,10 @@ def _orbit_family_count(fam: ClassFam, n: int, cent: Centralizer, ranges,
     if exclude is None:
         subgroup = None
     else:
-        union = _union_of(exclude, ranges)
-        if union is None or union.points or len(union.lines) != 1:
+        line = _one_line(exclude, ranges)
+        if line is None:
             return "the exclusion is not one cyclic subgroup"
-        ((x,),) = union.lines
+        (x,) = line
         subgroup = tuple(x * c % denom for c in v)
     gcols = [_columns(cent.mats[g], fam.side) for g in cent.gens]
     cols = [(_columns(cent.mats[rep], fam.side), size) for rep, size in cent.classes]

@@ -1082,6 +1082,8 @@ def validate_model(model: Model) -> None:
             raise TableSyntaxError(f"fixrow {row.id}: fix uses {', '.join(others)}; "
                                    "only t is allowed")
     for spec in model.paramsets.values():
+        if spec.arity > 2:  # a set's indices are k and l
+            raise TableSyntaxError(f"paramset {spec.id}: moduli: {spec.arity} moduli, more than 2")
         check.evaluate(spec.id, spec.card)
         if spec.exclude is not None:
             check.exclusion(spec.id, spec.exclude, names, spec.indices)
@@ -1107,6 +1109,9 @@ def validate_model(model: Model) -> None:
         check.symbols(f"weylclass {wc.id}", names | set(wc.svars), *wc.scoords)
         check.symbols(f"weylclass {wc.id}", names | set(wc.tvars) | set(wc.svars), wc.pairing)
     for fam in model.classfams.values():
+        if len(fam.ranges) != len(fam.vars):
+            raise TableSyntaxError(f"classfam {fam.id}: ranges: {len(fam.ranges)} for "
+                                   f"{len(fam.vars)} vars")
         check.evaluate(f"classfam {fam.id}", fam.count)
         if fam.exclude is not None:
             check.exclusion(f"classfam {fam.id}", fam.exclude, names, fam.vars)

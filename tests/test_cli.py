@@ -966,6 +966,31 @@ M1 = "matrix: [[0, 0, 0, -2], [0, 0, 2, 2], [1, 1, 0, 0], [-1, 0, 0, 0]]"  # r1 
      "h2: (q*i)/((q^2)-1) at n = 1: 2/7*s2 has a sqrt2 part"),
     ("weyl.def", "tcoords: [a/(q^2-1),", "tcoords: [q*a/(q^2-1),",
      "T1: (q*a)/((q^2)-1) at n = 1: 2/7*s2 has a sqrt2 part"),
+    # a degree is a positive integer at n, in a degree relation and a ledger entry
+    ("relations.def", "  table: (q-1)*(q+1)*(q^2+1)^2*(q^4-q^2+1)*(q^8-q^4+1)*(q^2+s2*q+1)\n",
+     "  table: 0\n", "deg_chi42: 0 at n = 1: degree 0 is not positive"),
+    ("relations.def", "  table: (q-1)*(q+1)*(q^2+1)^2*(q^4-q^2+1)*(q^8-q^4+1)*(q^2+s2*q+1)\n",
+     "  table: 1/3\n", "deg_chi42: 1/3 at n = 1: 1/3 is not an integer"),
+    ("relations.def", "  table: (q-1)*(q+1)*(q^2+1)^2*(q^4-q^2+1)*(q^8-q^4+1)*(q^2+s2*q+1)\n",
+     "  table: s2\n", "deg_chi42: s2 at n = 1: 1*s2 has a nonzero sqrt2 part"),
+    ("defects.def", "R_G_19_20, (q^13/s2)*p1*p2*p4^2*p12]", "R_G_19_20, q-q]",
+     "d_11n_6/GI_19: q-q at n = 1: degree 0 is not positive"),
+    ("defects.def", "R_G_19_20, (q^13/s2)*p1*p2*p4^2*p12]", "R_G_19_20, 1-q^2]",
+     "d_11n_6/GI_19: 1-(q^2) at n = 1: degree -7 is not positive"),
+    ("defects.def", "R_G_19_20, (q^13/s2)*p1*p2*p4^2*p12]", "R_G_19_20, q]",
+     "d_11n_6/GI_19: q at n = 1: 2*s2 has a nonzero sqrt2 part"),
+    # an order that a check divides by is not 0
+    ("classes.def", "  cent: q^24*(q^12+1)*(q^8-1)*(q^6+1)*(q^2-1)\n", "  cent: 0\n",
+     "c_1_0: 0 at n = 1: the order is 0"),
+    ("classes.def", "  cent: q^24*(q^12+1)*(q^8-1)*(q^6+1)*(q^2-1)\n", "  cent: q-q\n",
+     "c_1_0: q-q at n = 1: the order is 0"),
+    ("relations.def", "  order: p8b\n", "  order: 0\n", "f8_c_8_2: 0 at n = 1: the order is 0"),
+    # a set has at most two indices, and a family one range per index
+    ("paramsets.def", "paramset GI_23 {\n  group: G\n  action: doubling\n  moduli: [q^2-1]\n",
+     "paramset GI_23 {\n  group: G\n  action: doubling\n  moduli: [q^2-1, 3, 3]\n",
+     "paramset GI_23: moduli: 3 moduli, more than 2"),
+    ("classes.def", "  ranges: [p8b, p8a]\n", "  ranges: [p8b]\n",
+     "classfam h12: ranges: 1 for 2 vars"),
 ], ids=["missing", "misspelt", "repeated-field", "repeated-block", "second-frobenius",
         "misspelt-card", "exclude-expression", "card-predicate", "equiv-expression",
         "equiv-symbol", "map-too-few-targets", "map-too-many-targets", "map-other-order",
@@ -975,9 +1000,89 @@ M1 = "matrix: [[0, 0, 0, -2], [0, 0, 2, 2], [1, 1, 0, 0], [-1, 0, 0, 0]]"  # r1 
         "count-not-integer", "fix-not-integer", "coords-by-zero", "range-by-zero",
         "equiv-by-zero", "pairing-by-zero", "coefficient-by-zero", "degree-by-zero",
         "point-coords-by-zero", "point-exclusion-atom", "exclusion-sqrt2-coefficient",
-        "coords-sqrt2-coefficient", "tcoords-sqrt2-coefficient"])
+        "coords-sqrt2-coefficient", "tcoords-sqrt2-coefficient", "degree-zero",
+        "degree-not-integer", "degree-sqrt2", "entry-degree-zero", "entry-degree-negative",
+        "entry-degree-sqrt2", "cent-zero", "cent-zero-polynomial", "order-zero",
+        "three-moduli", "fewer-ranges-than-vars"])
 def test_bad_table_fields_exit_two(tmp_path, capsys, fname, old, new, message):
     data = _data_copy(tmp_path, fname, old, new)
     assert main(["verify", "all", "--n", "1", "--data-dir", data]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+
+def test_set_exclusion_off_the_union_kernel(tmp_path, capsys, monkeypatch):
+    # k != 0 and k != 1 and k != -1 is no union of lines and points: GI_23's
+    # classes are counted by inclusion-exclusion, 2 against the table's 3 and
+    # 15, and its doubling is found to leave the class set
+    from dadecheck import counting
+
+    old = _GI_23 + "  exclude: k = 0\n"
+    data = _data_copy(tmp_path, "paramsets.def", old,
+                      old.replace("k = 0", "k != 0 and k != 1 and k != -1"))
+    calls = []
+    real = counting._count_in
+    monkeypatch.setattr(counting, "_count_in", lambda *a: calls.append(a) or real(*a))
+    report = tmp_path / "r.json"
+    assert main(["verify", "params", "--n", "1", "--n", "2", "--data-dir", data,
+                 "--report", str(report)]) == 1
+    assert [(r["n"], r["expected"], r["actual"], r["status"])
+            for r in json.loads(report.read_text()) if r["name"] == "GI_23"] == [
+        (1, "3", "2", "fail"), (2, "15", "2", "fail")]
+    assert calls
+    capsys.readouterr()
+    assert main(["verify", "fixrows", "--n", "1", "--data-dir", data,
+                 "--report", os.devnull]) == 2
+    assert capsys.readouterr().err == "error: GI_23: doubling leaves the class set\n"
+
+
+# One numeric field of the shipped tables each: the text around it, the same
+# text with {v} for the field, and the verify kinds that read the field.
+_GI_23 = "paramset GI_23 {\n  group: G\n  action: doubling\n  moduli: [q^2-1]\n"
+_H2 = "  coords: [0, 0, i/(q^2-1), (2*th-1)*i/(q^2-1)]\n  ranges: [q^2-1]\n"
+_SWEPT_FIELDS = [
+    ("paramsets.def", "  equiv: [k -> -k]\n  card: (q^2-2)/2\n}",
+     "  equiv: [k -> -k]\n  card: {v}\n}", ("params", "dade")),
+    ("paramsets.def", _GI_23, _GI_23.replace("[q^2-1]", "[{v}]"), ("params",)),
+    ("fixrows.def", "sets: [GI_2, GI_3]\n  fix: 2\n", "sets: [GI_2, GI_3]\n  fix: {v}\n",
+     ("fixrows", "dade")),
+    ("defects.def", "  value: 11*n+6\n", "  value: {v}\n", ("dade",)),
+    ("defects.def", "R_G_19_20, (q^13/s2)*p1*p2*p4^2*p12]", "R_G_19_20, {v}]", ("dade",)),
+    ("weyl.def", "  order: (q^2-1)^2\n", "  order: {v}\n", ("weyl",)),
+    ("weyl.def", "  tranges: [q^2-1, q^2-1]\n", "  tranges: [{v}, q^2-1]\n", ("weyl",)),
+    ("weyl.def", "  sranges: [q^2-1, q^2-1]\n", "  sranges: [q^2-1, {v}]\n", ("weyl",)),
+    ("classes.def", "exclude: i = 0\n  count: (q^2-2)/2", "exclude: i = 0\n  count: {v}",
+     ("params", "classes")),
+    ("classes.def", _H2, _H2.replace("[q^2-1]", "[{v}]"), ("params",)),
+    ("classes.def", _H2, _H2.replace("[0, 0, i/(q^2-1),", "[0, 0, {v},"), ("params",)),
+    ("classes.def", "  cent: q^24*(q^12+1)*(q^8-1)*(q^6+1)*(q^2-1)\n", "  cent: {v}\n",
+     ("classes", "relations")),
+    ("classes.def", "  order: q^24*(q^12+1)*(q^8-1)*(q^6+1)*(q^2-1)\n", "  order: {v}\n",
+     ("classes",)),
+    ("relations.def", "  order: p8b\n", "  order: {v}\n", ("relations",)),
+    ("relations.def", "  table: (q-1)*(q+1)*(q^2+1)^2*(q^4-q^2+1)*(q^8-q^4+1)*(q^2+s2*q+1)\n",
+     "  table: {v}\n", ("relations",)),
+    ("relations.def", "  phi: p1*p2*p4^2*p12*p24*p8a\n", "  phi: {v}\n", ("relations",)),
+    ("relations.def", "  defect: 24*n+12\n  odd: yes\n", "  defect: {v}\n  odd: yes\n",
+     ("relations",)),
+]
+
+
+def test_numeric_field_mutants_end_in_an_exit_status(tmp_path, capsys):
+    # each field set to 0, 1/3 or s2: every run ends in 0, 1 or 2 and no
+    # exception escapes; an exit 2 prints one error line and no traceback
+    runs = 0
+    for i, (fname, old, new, kinds) in enumerate(_SWEPT_FIELDS):
+        for j, v in enumerate(("0", "1/3", "s2")):
+            case = tmp_path / f"{i}_{j}"
+            case.mkdir()
+            data = _data_copy(case, fname, old, new.replace("{v}", v))
+            for kind in kinds:
+                status = main(["verify", kind, "--n", "1", "--data-dir", data,
+                               "--report", os.devnull])
+                err = capsys.readouterr().err
+                assert status in (0, 1, 2), (fname, new, v, kind)
+                if status == 2:
+                    assert err.count("error:") == 1 and "Traceback" not in err, err
+                runs += 1
+    assert runs == 3 * 21

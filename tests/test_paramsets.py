@@ -224,14 +224,26 @@ def test_set_checks_run_once_per_set_and_n(model, monkeypatch):
     from dadecheck import counting
 
     calls = []
-    real = counting._keeps
-    monkeypatch.setattr(counting, "_keeps", lambda e, g, m: calls.append(g) or real(e, g, m))
+    real = counting._stable
+    monkeypatch.setattr(counting, "_stable", lambda e, r, g: calls.append(g) or real(e, r, g))
     monkeypatch.setattr(counting, "_SET_CACHE", {})
     monkeypatch.setattr(counting, "_FIXED_CACHE", {})
     spec = model.paramsets["PaI_4"]
     for t in (1, 3, 9):
         assert counting.fixed_class_count(spec, 4, t) >= 0
     assert len(spec.equiv) == 1 and len(calls) == 1 + 3
+
+
+def test_union_test_not_enough_falls_back_to_the_exact_check():
+    # the swap keeps l = 0 or (k, l) = (0, 1) on Z_2 x Z_2, but sends the line
+    # <(1, 0)> onto <(0, 1)>, no line: the exact check shows it stable
+    from dadecheck import counting
+
+    spec = _one_set("  moduli: [2, 2]\n  exclude: l = 0 or k = 0 and l = 1\n"
+                    "  equiv: [(k,l) -> (l,k)]\n  card: 1\n")
+    grid = counting._set_grid(spec, 1)
+    assert counting._union_of(grid.exclude, grid.moduli).points == ((0, 1),)
+    assert class_count(spec, 1) == enumerate_classes(spec, 1).count == 1
 
 
 def test_set_cache_keyed_on_the_spec():
@@ -264,7 +276,8 @@ def _counting_calls(monkeypatch):
 
     calls = []
     real = counting._admissible_fixed
-    monkeypatch.setattr(counting, "_admissible_fixed", lambda h, g: calls.append(h) or real(h, g))
+    monkeypatch.setattr(counting, "_admissible_fixed",
+                        lambda h, r, e: calls.append(h) or real(h, r, e))
     monkeypatch.setattr(counting, "_SET_CACHE", {})
     monkeypatch.setattr(counting, "_FIXED_CACHE", {})
     return calls
@@ -773,6 +786,7 @@ def test_composed_maps_equal_the_maps_read_off_the_chart(model):
     # generators; and the Burnside sum over the distinct maps of the class
     # representatives is the sum over the classes
     from dadecheck import paramsets as ps
+    from dadecheck.counting import _admissible_fixed, _stable
 
     checked = 0
     for n in (1, 2, 3):
@@ -789,12 +803,9 @@ def test_composed_maps_equal_the_maps_read_off_the_chart(model):
             gens = [direct[g] for g in cent.gens]
             composed = ps._composed_maps(cent, gens, fam.side, ranges, range(len(cent.mats)))
             assert [composed[x] for x in range(len(cent.mats))] == direct, (fid, n)
-            excluded = ps._excluded_fixed(exclude, ranges, gens)
-            per_class = 0
-            for rep, size in cent.classes:
-                lin, shift = ps._split(direct[rep])
-                per_class += size * (ps.fixed_point_count(lin, shift, ranges)
-                                     - excluded(lin, shift))
+            assert all(_stable(exclude, ranges, g) for g in gens), (fid, n)
+            per_class = sum(size * _admissible_fixed(direct[rep], ranges, exclude)
+                            for rep, size in cent.classes)
             assert per_class == len(cent.mats) * ps._chart_count(fam, n, cent, ranges, exclude)
             checked += len(cent.mats)
     assert checked > 2000
@@ -804,30 +815,30 @@ def test_union_cache_keyed_on_exclusion_and_ranges(model, monkeypatch, tmp_path)
     # one entry per compiled exclusion and ranges: the same exclusion on
     # another grid, or with one atom changed, is made afresh, and a mutated
     # exclusion that is not stable fails as it does with no cache
-    from dadecheck import paramsets as ps
+    from dadecheck import counting
     from dadecheck.counting import _exclusion
 
-    monkeypatch.setattr(ps, "_UNION_CACHE", {})
+    monkeypatch.setattr(counting, "_UNION_CACHE", {})
     three = _exclusion("X", ("atom", "div", ("int", 3), ("sym", "k")), 1, ("k",), (9,))
     four = _exclusion("X", ("atom", "div", ("int", 4), ("sym", "k")), 1, ("k",), (12,))
-    assert ps._union_of(three, (9,)).orders == (3,)
-    assert ps._union_of(three, (12,)).orders == (4,)
-    assert ps._union_of(four, (12,)).orders == (3,)
-    assert ps._union_of(three, (9,)) is ps._union_of(three, (9,))
-    assert len(ps._UNION_CACHE) == 3
+    assert counting._union_of(three, (9,)).orders == (3,)
+    assert counting._union_of(three, (12,)).orders == (4,)
+    assert counting._union_of(four, (12,)).orders == (3,)
+    assert counting._union_of(three, (9,)) is counting._union_of(three, (9,))
+    assert len(counting._UNION_CACHE) == 3
     fam = model.classfams["h13"]
     counts = [family_class_count(fam, model, n) for n in (1, 2)]
-    assert len(ps._UNION_CACHE) == 5
+    assert len(counting._UNION_CACHE) == 5
     # j = -i is i = -j: one atom fewer, the same union and count, its own entry
     same = _family_data_copy(tmp_path, "h13", [(" or i = -j", "")]).classfams["h13"]
     assert [family_class_count(same, model, n) for n in (1, 2)] == counts
-    assert len(ps._UNION_CACHE) == 7
+    assert len(counting._UNION_CACHE) == 7
     broken = _family_data_copy(tmp_path, "h13", [(" or i = -j", ""), (" or j = -i", "")])
     chart, orbit = CHART_FAILURES["h13", "or i = -j"]
     for n in (1, 2):
         assert family_class_count(broken.classfams["h13"], broken, n) == (
             f"h13: no Burnside path: chart path: {chart}; orbit path: {orbit}")
-    assert len(ps._UNION_CACHE) == 9
+    assert len(counting._UNION_CACHE) == 9
 
 
 def test_transposed_centralizer_same_count_on_both_paths(model, monkeypatch, tmp_path, capsys):
@@ -1040,6 +1051,7 @@ def test_fixed_points_solved_match_grid_scan(model, n):
     those a scan of the grid finds.
     """
     from dadecheck import paramsets as ps
+    from dadecheck.counting import _union_fixed, _union_of, fixed_point_count
     from enum_oracle import admissible
     from pred_oracle import apply_map
 
@@ -1057,13 +1069,13 @@ def test_fixed_points_solved_match_grid_scan(model, n):
         if None in maps:
             uncharted.add(fid)
             continue
-        union = ps._union_of(_grid_and_exclusion(fam, n)[1], ranges)
+        union = _union_of(_grid_and_exclusion(fam, n)[1], ranges)
         grid = [a.ravel() for a in np.indices(ranges, dtype=np.int64)]
         for lin, shift in maps:
             assert not any(shift) and ps._well_defined(lin, ranges), fid
             img = apply_map(lin, shift, grid, ranges)
             fixed = np.logical_and.reduce([i == a for i, a in zip(img, grid)])
-            got = ps.fixed_point_count(lin, shift, ranges) - ps._union_fixed(union, lin)
+            got = fixed_point_count(lin, shift, ranges) - _union_fixed(union, lin)
             assert got == np.count_nonzero(fixed & keep), fid
             elements += 1
     assert uncharted == ORBIT_PATH and elements > 100
@@ -1126,8 +1138,7 @@ def _union_elements(union):
 def test_exclusions_solved_match_scan(model, n):
     # a set's excluded tuples are counted by the kernel; a family's are its
     # union of lines and points, listed
-    from dadecheck import paramsets as ps
-    from dadecheck.counting import _count_in, _exclusion, _ranges
+    from dadecheck.counting import _count_in, _exclusion, _ranges, _union_of
 
     owners = ([(s.id, s.moduli, s.indices, s.exclude, False) for s in model.paramsets.values()
                if s.exclude is not None]
@@ -1139,7 +1150,7 @@ def test_exclusions_solved_match_scan(model, n):
         compiled = _exclusion(owner, exclude, n, varnames, ranges)
         scanned = _scan_excluded(owner, exclude, n, varnames, ranges)
         if family:
-            assert _union_elements(ps._union_of(compiled, ranges)) == scanned, owner
+            assert _union_elements(_union_of(compiled, ranges)) == scanned, owner
         else:
             assert _count_in([], [], ranges, (compiled,)) == len(scanned), owner
 
@@ -1189,8 +1200,7 @@ def test_exclusions_solved_match_scan_random(case):
     # the kernel's count of the compiled predicate, and its union of lines and
     # points where it has that shape, against the scan; an atom whose value
     # is not well defined on the grid, m | c_j r_j for every index j, is refused
-    from dadecheck import paramsets as ps
-    from dadecheck.counting import MapClosureError, _atom_row, _count_in, _exclusion
+    from dadecheck.counting import MapClosureError, _atom_row, _count_in, _exclusion, _union_of
 
     ranges, varnames, pred = case
     try:
@@ -1206,7 +1216,7 @@ def test_exclusions_solved_match_scan_random(case):
         return
     compiled = _exclusion("X", pred, 1, varnames, ranges)
     assert _count_in([], [], ranges, (compiled,)) == len(scanned)
-    union = ps._union_of(compiled, ranges)
+    union = _union_of(compiled, ranges)
     if union is not None:
         assert _union_elements(union) == scanned
 
@@ -1249,51 +1259,57 @@ def _unions_and_maps(draw):
 @given(_unions_and_maps())
 @settings(max_examples=300, deadline=None)
 def test_union_fixed_matches_listing_random(case):
-    from dadecheck import paramsets as ps
-    from dadecheck.counting import _exclusion
+    from dadecheck.counting import _exclusion, _union_fixed, _union_of
     from pred_oracle import apply_map, pred_mask
 
     ranges, varnames, pred, lin = case
     shift = [0] * len(ranges)
-    union = ps._union_of(_exclusion("X", pred, 1, varnames, ranges), ranges)
+    union = _union_of(_exclusion("X", pred, 1, varnames, ranges), ranges)
     assert union is not None
     grid = [a.ravel() for a in np.indices(ranges, dtype=np.int64)]
     excluded = pred_mask("X", pred, 1, varnames, grid, ranges)
     assert _union_elements(union) == set(zip(*(a[excluded].tolist() for a in grid)))
     img = apply_map(lin, shift, grid, ranges)
     fixed = np.logical_and.reduce([i == a for i, a in zip(img, grid)])
-    assert ps._union_fixed(union, lin) == np.count_nonzero(fixed & excluded)
+    assert _union_fixed(union, lin) == np.count_nonzero(fixed & excluded)
 
 
 def test_other_exclusions_counted_by_inclusion_exclusion(model, tmp_path, monkeypatch):
     # i != 0 is no union of lines and points: the chart path counts it with _count_in
+    from dadecheck import counting
     from dadecheck import paramsets as ps
 
     broken = _family_data_copy(tmp_path, "h8", [("exclude: i = 0", "exclude: i != 0")])
     fam = broken.classfams["h8"]
     calls = []
-    real = ps._count_in
-    monkeypatch.setattr(ps, "_count_in", lambda *a: calls.append(a) or real(*a))
+    real = counting._count_in
+    monkeypatch.setattr(counting, "_count_in", lambda *a: calls.append(a) or real(*a))
     for n in (1, 2):
         cent = ps._centralizer(broken, fam.word)
-        assert ps._union_of(*reversed(_grid_and_exclusion(fam, n))) is None
+        assert counting._union_of(*reversed(_grid_and_exclusion(fam, n))) is None
         assert _path(fam, broken, n) == ("chart_count", 1)
         assert family_class_count(fam, broken, n) == _oracle_outcome(fam, broken, n, cent.mats)
     assert calls
 
 
-def test_union_count_only_for_linear_maps():
+def test_union_count_only_for_linear_maps(monkeypatch):
     # the union count assumes that a_g fixes 0; a -> a + t with t != 0 does not,
     # and its excluded fixed tuples are counted by inclusion-exclusion
-    from dadecheck import paramsets as ps
-    from dadecheck.counting import _exclusion
+    from dadecheck import counting
+    from dadecheck.counting import _admissible_fixed, _exclusion, _stable
 
     ranges = (7, 7)
     exclude = _exclusion("X", ("atom", "=", ("sym", "k"), ("int", 0)), 1, ("k", "l"), ranges)
-    shift = ((1, 0, 0), (0, 1, 1))  # keeps k = 0, fixes nothing
-    assert ps._excluded_fixed(exclude, ranges, [shift])(*ps._split(shift)) == 0
-    double = ((1, 0, 0), (0, 2, 0))  # keeps k = 0, fixes (0, 0) on it
-    assert ps._excluded_fixed(exclude, ranges, [double])(*ps._split(double)) == 1
+    calls = []
+    real = counting._count_in
+    monkeypatch.setattr(counting, "_count_in", lambda *a: calls.append(a) or real(*a))
+    # keeps k = 0 and fixes (6, l), none excluded; its linear part fixes (0, l), all excluded
+    shift = ((1, 0, 0), (1, 1, 1))
+    assert _stable(exclude, ranges, shift)
+    calls.clear()
+    assert _admissible_fixed(shift, ranges, exclude) == 7 and calls
+    double = ((1, 0, 0), (0, 2, 0))  # keeps k = 0, fixes (0, 0) on it, and (k, 0) off it
+    assert _stable(exclude, ranges, double) and _admissible_fixed(double, ranges, exclude) == 6
 
 
 def test_burnside_path_builds_no_admissible_arrays(model, monkeypatch):
@@ -1345,6 +1361,54 @@ def test_doubling_counts_match_listing(model, n):
             assert fixed_class_count(spec, n, t) == fixed_classes_doubling(enum, t), (spec.id, t)
             cells += 1
     assert cells > 100
+
+
+def test_shipped_tables_count_on_the_union_kernel(monkeypatch):
+    # every shipped set and family exclusion is a union of lines and points
+    # and every map linear, so no count or stability check falls back to
+    # inclusion-exclusion
+    from dadecheck import counting
+    from dadecheck.cli import main
+
+    calls = {"_count_in": 0, "_union_fixed": 0}
+    for name in calls:
+        real = getattr(counting, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(counting, name, counted)
+    monkeypatch.setattr(counting, "_SET_CACHE", {})
+    monkeypatch.setattr(counting, "_FIXED_CACHE", {})
+    ns = ["--n", "1", "--n", "2", "--n", "3", "--n", "4", "--report", "/dev/null"]
+    assert main(["verify", "dade", "--mode", "both", *ns]) == 0
+    assert main(["verify", "params", *ns]) == 0
+    assert calls["_count_in"] == 0 and calls["_union_fixed"] > 0
+
+
+def test_stable_agrees_with_keeps_on_shipped_sets(model):
+    # the rule the counts use against the exact check, for every generator
+    # and every doubling of every shipped set with an exclusion
+    from dadecheck import counting
+    from dadecheck.autfix import divisors
+
+    checked = 0
+    for n in (1, 2, 3, 4):
+        for spec in _enumerable_sets(model):
+            grid = counting._set_grid(spec, n)
+            if grid.exclude is None:
+                continue
+            moduli = grid.moduli
+            maps = [grid.group.maps[g] for g in grid.group.gens]
+            if spec.action == "doubling":
+                maps += [counting._scaling([pow(2, t, m) for m in moduli], moduli)
+                         for t in divisors(2 * n + 1)]
+            for g in maps:
+                assert (counting._stable(grid.exclude, moduli, g)
+                        == counting._keeps(grid.exclude, g, moduli)), (spec.id, n, g)
+                checked += 1
+    assert checked > 400
 
 
 @st.composite
