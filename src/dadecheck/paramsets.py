@@ -3,23 +3,24 @@
 A family's classes are the orbits of the F-centralizer C of its torus
 (rootdatum.f_centralizer) on its admissible members.  A family with no index
 is one point, so one orbit, or none where its exclusion holds.  For any
-other, C's conjugacy classes, generators and a spelling of every element as
-a word in the generators come from W's index tables (_group_structure),
-with no matrix product, and the orbits are counted by Burnside's lemma on
-Python ints, with no member listed, on one of two paths:
+other, C is built as W is, by rootdatum._group from greedy generators, so
+its tree spells every element as a word in the generators, and its
+conjugacy classes are found as W's F-classes are (_centralizer).  The
+orbits are counted by Burnside's lemma on Python ints, with no member
+listed, on one of two paths:
 
 - the chart path, where the family's chart (rootdatum._chart, shared with
   the torus checks) carries the action: each g in C acts on the index grid
   as a map a_g.  Only the generators' maps are read off the chart and
-  checked; a class representative's map is composed from theirs along its
-  spelling, and classes whose maps coincide are counted once.  The
+  checked; a class representative's map is composed from theirs down C's
+  tree, and classes whose maps coincide are counted once.  The
   admissible tuples each map fixes, and whether the generators keep the
   exclusion, come from the kernel the parameter sets use too,
   counting._admissible_fixed and counting._stable;
 - the orbit path, for a one-index family whose orbits leave its chart: the
   orbits on the union of the cyclic subgroups h phi(Z_r), h in C, less those
-  on the union of the h phi(E), each union the orbit of one line under the
-  generators, counted by counting._union_fixed.
+  on the union of the h phi(E), each union made from C's listed elements
+  and counted by counting._union_fixed.
 
 A family that neither path takes has no count: its record fails and names
 what each path found.  The parameter sets are counted in counting.py;
@@ -48,7 +49,6 @@ from .counting import (
     _ranges,
     _scaling,
     _set_grid,
-    _span,
     _split,
     _stable,
     _union,
@@ -124,82 +124,23 @@ def _least_of_orbits(moduli, exclude, maps, tuples) -> Iterator[Tuple[int, ...]]
 
 
 class Centralizer(NamedTuple):
-    """A finite matrix group with its conjugacy classes, a generating set and a spelling.
+    """A subgroup of W as tables of ints, with its conjugacy classes and a generating set.
 
-    mats holds the elements as 4 x 4 integer matrices; classes holds
-    (representative, class size) and gens the generators, both as indices
-    into mats.  spelling[x] is (k, y) with mats[x] = mats[gens[k]] mats[y],
-    y spelt nearer the identity than x, and None for the identity: so every
-    element is a word in the generators, read down the spelling.
+    mats holds the elements as 4 x 4 integer matrices, sorted as tuples;
+    gens holds the generators g_k as indices into mats, and right, tree and
+    inverses are rootdatum._group's tables of them: right[k][x] is x g_k,
+    tree holds (x, k, p) with x = p g_k for every element but 1, each after
+    its p, so every element is a word in the generators, read down the tree;
+    inverses[x] is x^-1.  classes holds (least element, size) of each
+    conjugacy class, in the order of their least elements.
     """
 
     mats: Tuple[Matrix, ...]
+    right: Tuple[Tuple[int, ...], ...]
+    tree: Tuple[Tuple[int, int, int], ...]
+    inverses: Tuple[int, ...]
     classes: Tuple[Tuple[int, int], ...]
     gens: Tuple[int, ...]
-    spelling: Tuple[Optional[Tuple[int, int]], ...]
-
-
-def _group_structure(weyl: rootdatum.WeylGroup, mats: Sequence[Matrix]) -> Centralizer:
-    """Conjugacy classes, generators and a spelling of a subgroup of W, on W's index tables.
-
-    The generators are greedy: each is the first element outside the
-    subgroup so far.  Products are read from each generator's table of
-    left multiplications (rootdatum._times_left).  The subgroup grows by
-    left products g_k y, and an element is spelt (k, y) where it is first
-    found.  The class of x is its orbit under x -> g x g^-1 =
-    left_g[(left_g[x^-1])^-1] for the generators g, with the inverses from
-    weyl.inverses.  Every product is looked up among the elements; none
-    outside raises ValueError.
-    """
-    mats = tuple(mats)
-    members = [weyl.index[m] for m in mats]  # W index of each element
-    pos = {x: i for i, x in enumerate(members)}
-
-    def at(x):
-        try:
-            return pos[x]
-        except KeyError:
-            raise ValueError("the matrices are not closed under products") from None
-
-    gens: List[int] = []
-    lefts: List[List[int]] = []  # g y for every y in W, one table per generator g
-    spelt: Dict[int, Optional[Tuple[int, int]]] = {weyl.index[rootdatum.mat_identity()]: None}
-    for x, w in enumerate(members):
-        if w in spelt:
-            continue
-        gens.append(x)
-        lefts.append(rootdatum._times_left(weyl.right, weyl.tree, w))
-        frontier = list(spelt)
-        while frontier:
-            found = []
-            for y in frontier:
-                for k, left in enumerate(lefts):
-                    z = left[y]
-                    if z not in spelt:
-                        spelt[z] = k, y
-                        found.append(z)
-            frontier = found
-    if not spelt.keys() <= pos.keys():
-        raise ValueError("the matrices are not closed under products")
-    spelling = tuple(None if spelt[w] is None else (spelt[w][0], pos[spelt[w][1]])
-                     for w in members)
-    inv = weyl.inverses
-    label = [False] * len(mats)
-    classes = []
-    for x in range(len(mats)):
-        if label[x]:
-            continue
-        label[x] = True
-        orbit = [members[x]]
-        for y in orbit:  # orbit grows while it is walked
-            for left in lefts:
-                z = left[inv[left[inv[y]]]]
-                i = at(z)
-                if not label[i]:
-                    label[i] = True
-                    orbit.append(z)
-        classes.append((x, len(orbit)))
-    return Centralizer(mats, tuple(classes), tuple(gens), spelling)
 
 
 # Keyed on the word and the root datum: the generator matrices it is spelled
@@ -208,11 +149,30 @@ _CENT_CACHE: Dict[tuple, Centralizer] = {}
 
 
 def _centralizer(model: Model, word: Tuple[str, ...]) -> Centralizer:
+    """The F-centralizer of the word's element, built as W is (rootdatum._group).
+
+    The generators are greedy: each is the first element, in sorted order,
+    outside the subgroup the ones before it generate.  The class of x is
+    its orbit under x -> g^-1 x g = (g^-1 x^-1 g)^-1 for the generators g,
+    found by the routine that finds W's F-classes (rootdatum._orbits).
+    """
     key = (word, rootdatum._datum_key(model))
     if key not in _CENT_CACHE:
         weyl = rootdatum.weyl_group(model)
-        cent = rootdatum.f_centralizer(weyl, rootdatum.word_matrix(weyl, word))
-        _CENT_CACHE[key] = _group_structure(weyl, cent)
+        listed = rootdatum.f_centralizer(weyl, rootdatum.word_matrix(weyl, word))
+        gmats: List[Matrix] = []
+        closed = rootdatum._closure(gmats, 1)  # the identity alone
+        inside = set(closed[0])
+        for m in listed:
+            if m not in inside:
+                gmats.append(m)
+                closed = rootdatum._closure(gmats, len(listed))
+                inside = set(closed[0])
+        mats, index, right, tree, inv = rootdatum._group(*closed)
+        conj = [[inv[r[inv[r[x]]]] for x in range(len(mats))] for r in right]
+        classes = rootdatum._orbits(len(mats), conj)[1]
+        _CENT_CACHE[key] = Centralizer(mats, right, tree, inv, classes,
+                                       tuple(index[m] for m in gmats))
     return _CENT_CACHE[key]
 
 
@@ -362,22 +322,23 @@ def _composed_maps(cent: Centralizer, gens, side: str, ranges, elements) -> Dict
     """The grid map of each of the elements, composed from the generators' maps gens.
 
     A map is the rows (L_k1, ..., L_kv, t_k) of a -> L a + t, row k reduced
-    mod ranges[k], as counting._compose takes it.  x = g_k y (cent.spelling)
-    acts on dual points, rows v M, as v g_k y, so a_x = a_y a_k, and on torus
-    points, columns M v, as g_k y v, so a_x = a_k a_y.  Each element's map
-    is composed once, from the nearest element whose map is known.
+    mod ranges[k], as counting._compose takes it.  x = p g_k (cent.tree)
+    acts on dual points, rows v M, as v p g_k, so a_x = a_k a_p, and on
+    torus points, columns M v, as p g_k v, so a_x = a_p a_k.  Each element's
+    map is composed once, from the nearest element whose map is known.
     """
     one = _scaling([1] * len(ranges), ranges)
+    up = {x: (k, p) for x, k, p in cent.tree}  # the identity has no entry
     maps: Dict[int, tuple] = {}
     for x in elements:
         path = []
-        while x not in maps and cent.spelling[x] is not None:
+        while x not in maps and x in up:
             path.append(x)
-            x = cent.spelling[x][1]
+            x = up[x][1]
         h = maps.setdefault(x, one)  # x is known, or the identity
         for x in reversed(path):
-            a_k = gens[cent.spelling[x][0]]
-            h = maps[x] = _compose(h, a_k, ranges) if side == "dual" else _compose(a_k, h, ranges)
+            a_k = gens[up[x][0]]
+            h = maps[x] = _compose(a_k, h, ranges) if side == "dual" else _compose(h, a_k, ranges)
     return maps
 
 
@@ -390,11 +351,12 @@ def _orbit_family_count(fam: ClassFam, n: int, cent: Centralizer, ranges,
     excluded tuples E a subgroup of Z_r, of order e (none: e = 0).  The
     orbits of C on C <v> = union of the <h v>, h in C, are counted by
     Burnside's lemma with _union_fixed, and so are those on C phi(E), the
-    union of the <h w> with w a generator of phi(E).  Each union is the
-    orbit of its line under the generators (_line_orbit).  An element of C
-    keeps orders, so C phi(E) holds the points of C <v> whose order divides
-    e and C phi(Z_r - E) the others: the orbits that meet the admissible
-    members are the orbits on C <v> less those on C phi(E).
+    union of the <h w> with w a generator of phi(E).  Each union is made
+    from the lines h<v> of every listed h, and counting._union drops the
+    repeats.  An element of C keeps orders, so C phi(E) holds the points of
+    C <v> whose order divides e and C phi(Z_r - E) the others: the orbits
+    that meet the admissible members are the orbits on C <v> less those on
+    C phi(E).
     """
     if len(ranges) != 1:
         return "more than one index"
@@ -412,33 +374,15 @@ def _orbit_family_count(fam: ClassFam, n: int, cent: Centralizer, ranges,
             return "the exclusion is not one cyclic subgroup"
         (x,) = line
         subgroup = tuple(x * c % denom for c in v)
-    gcols = [_columns(cent.mats[g], fam.side) for g in cent.gens]
-    cols = [(_columns(cent.mats[rep], fam.side), size) for rep, size in cent.classes]
+    cols = [_columns(m, fam.side) for m in cent.mats]
 
     def orbits_on_lines(w) -> int:
-        union = _union(space, _line_orbit(w, gcols, denom))
-        total = sum(size * _union_fixed(union, c) for c, size in cols)
+        # the elements that move w alike give one vector, offered to _union once
+        union = _union(space, dict.fromkeys(_moved(w, c, denom) for c in cols))
+        total = sum(size * _union_fixed(union, cols[rep]) for rep, size in cent.classes)
         return _orbits(fam.id, total, len(cent.mats))
 
     return orbits_on_lines(v) - (0 if subgroup is None else orbits_on_lines(subgroup))
-
-
-def _line_orbit(v, gcols, denom: int) -> List[Tuple[int, ...]]:
-    """A generator of each distinct line h<v> of (Z_D)^4, h in the group the gcols generate.
-
-    The lines are walked by the generators from <v>; two are one when they
-    have the same order and span no more.
-    """
-    space = (denom,) * 4
-    lines, orders = [tuple(v)], [_order(v, space)]
-    for u in lines:  # lines grows while it is walked
-        for c in gcols:
-            x = _moved(u, c, denom)
-            o = _order(x, space)
-            if not any(p == o == _span(w, x, space) for w, p in zip(lines, orders)):
-                lines.append(x)
-                orders.append(o)
-    return lines
 
 
 # --- reports -----------------------------------------------------------------

@@ -6,7 +6,10 @@ vector e_i is row i of M.  The twist is carried by m0 = sqrt2 * F0 with
 m0^2 = 2, so the Frobenius on X is the integer matrix 2^n * m0.  The
 generators of W and m0 are read from the model (the weylgen and frobenius
 blocks of weyl.def) and reach the code that uses them through a WeylGroup,
-which holds W as tables of element indices.  One integer constant describes
+which holds W as tables of element indices.  Every finite group the package
+walks is built by one routine, _group: W from its generators and each
+F-centralizer from its own; _orbits finds both W's F-classes and the
+centralizers' conjugacy classes.  One integer constant describes
 Phi: the simple roots on the eps basis, doubled (_TWICE_ROOTS).  The Gram
 matrix, the 48 roots (the orbit of the simple roots under the simple
 reflections) and the torus charts' change from the eps basis to the
@@ -16,13 +19,15 @@ ints: this module loads no numpy and computes with no Fraction.
 
 from __future__ import annotations
 
+import functools
 import math
 from operator import itemgetter, mul
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .counting import _affine, _ranges, lattice_index, triangle
+from .exactnum import NotRationalInteger
 from .record import Record
-from .tabledsl import TableSyntaxError, WeylDataError
+from .tabledsl import TableSyntaxError, WeylDataError, build_env, eval_expr, int_value, no_value
 
 Matrix = Tuple[Tuple[int, ...], ...]
 
@@ -98,7 +103,7 @@ def _closure(gmats: Sequence[Matrix], limit: int):
     are interned: an element is keyed on the ids of its four rows, and a
     row's image under a generator is computed once, when an element with
     that row is first multiplied by it.  A finite monoid need not be a
-    group: _build_weyl looks for the generators' inverses.
+    group: _group looks for the generators' inverses.
     """
     rows = list(_IDENT)  # row id -> row
     row_ids = {row: i for i, row in enumerate(rows)}
@@ -136,14 +141,11 @@ class WeylGroup(NamedTuple):
     """W and the F-action on it as tables of ints, built once per root datum by ``weyl_group``.
 
     gens and m0 are the generator matrices and the twist (m0 m0 = 2) of the
-    model's weylgen and frobenius blocks, and index numbers the elements of
-    elems, which are sorted as the matrices sort as tuples.  With g the
-    position of a generator in gens: right[g][x] is x g; tree holds
-    (x, g, p) with x = p g for every element but 1, each after its p, so a
-    walk down it meets every element; move[g][x] is g^-1 x F(g), with
-    F(v) = m0^-1 v m0; inverses[x] is x^-1.  labels numbers the F-classes in
-    the order of their least elements, and classes gives each one's least
-    element and its size.  The tables hold elements as indices into elems.
+    model's weylgen and frobenius blocks.  elems, index, right, tree and
+    inverses are _group's tables of the generators, so g in right[g] and in
+    tree is the position of a generator in gens.  move[g][x] is g^-1 x F(g),
+    with F(v) = m0^-1 v m0, and labels and classes are _orbits' of the
+    moves: the F-classes.  The tables hold elements as indices into elems.
     """
 
     gens: Dict[str, Matrix]
@@ -159,9 +161,9 @@ class WeylGroup(NamedTuple):
 
 
 def _times_left(right, tree, h: int) -> List[int]:
-    """h x for every element x of W, down W's tree: h (p g) = (h p) g.
+    """h x for every element x of a group, down its tree: h (p g) = (h p) g.
 
-    right and tree are WeylGroup's tables; h and the entries are element indices.
+    right and tree are the group's tables (_group); h and the entries are element indices.
     """
     out = [h] * (len(tree) + 1)
     for x, g, p in tree:
@@ -169,10 +171,15 @@ def _times_left(right, tree, h: int) -> List[int]:
     return out
 
 
-def _build_weyl(gens: Dict[str, Matrix], m0: Matrix) -> WeylGroup:
-    gmats = list(gens.values())
-    found, right, tree = _closure(gmats, 2000)  # |W(F4)| = 1152
-    # renumber the elements in sorted order
+def _group(found, right, tree):
+    """The group _closure found, as tables of ints: (elems, index, right, tree, inverses).
+
+    The elements are renumbered in sorted order (as the matrices sort as
+    tuples), and index numbers them.  With gmats the generators that
+    _closure closed: right[g][x] is x gmats[g]; tree holds (x, g, p) with
+    x = p gmats[g] for every element but 1, each after its p, so a walk
+    down it meets every element; inverses[x] is x^-1.
+    """
     order = sorted(range(len(found)), key=found.__getitem__)
     pos = [0] * len(found)
     for i, x in enumerate(order):
@@ -192,9 +199,37 @@ def _build_weyl(gens: Dict[str, Matrix], m0: Matrix) -> WeylGroup:
     inverses = [one] * len(elems)
     for x, g, p in tree:  # (p g)^-1 = g^-1 p^-1
         inverses[x] = left_inv[g][inverses[p]]
+    return elems, index, right, tree, tuple(inverses)
+
+
+def _orbits(size: int, moves) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]:
+    """The orbits of the elements 0..size-1 under the maps moves, each a table: (labels, classes).
+
+    labels numbers the orbits in the order of their least elements, and
+    classes gives each one's least element and its size.
+    """
+    labels = [-1] * size
+    classes = []
+    for x in range(size):
+        if labels[x] < 0:
+            labels[x] = len(classes)
+            orbit = [x]
+            for u in orbit:  # orbit grows while it is walked
+                for mv in moves:
+                    v = mv[u]
+                    if labels[v] < 0:
+                        labels[v] = len(classes)
+                        orbit.append(v)
+            classes.append((x, len(orbit)))
+    return tuple(labels), tuple(classes)
+
+
+def _build_weyl(gens: Dict[str, Matrix], m0: Matrix) -> WeylGroup:
+    # |W(F4)| = 1152
+    elems, index, right, tree, inverses = _group(*_closure(list(gens.values()), 2000))
     # F(v) = m0 v m0 / 2 is multiplicative, so F(W) = W once every F(g) lies in W
     move = []
-    for gm, by_g_inv in zip(gmats, left_inv):
+    for gm, by_g in zip(gens.values(), right):
         twisted = mat_mul(mat_mul(m0, gm), m0)
         if any(x % 2 for row in twisted for x in row):
             raise WeylDataError("twist left the lattice; generators not in W?")
@@ -202,25 +237,11 @@ def _build_weyl(gens: Dict[str, Matrix], m0: Matrix) -> WeylGroup:
         if f is None:
             raise WeylDataError("the F-twist of W is not W: m0 does not normalize W")
         by_f_inv = _times_left(right, tree, inverses[f])
-        # x F(g) = (F(g)^-1 x^-1)^-1
-        move.append(tuple(inverses[by_f_inv[inverses[y]]] for y in by_g_inv))
-    # the F-class of w is the orbit of w under the moves; its representative
-    # is the least element no earlier class holds
-    labels = [-1] * len(elems)
-    classes = []
-    for x in range(len(elems)):
-        if labels[x] < 0:
-            labels[x] = len(classes)
-            orbit = [x]
-            for u in orbit:  # orbit grows while it is walked
-                for mv in move:
-                    v = mv[u]
-                    if labels[v] < 0:
-                        labels[v] = len(classes)
-                        orbit.append(v)
-            classes.append((x, len(orbit)))
-    return WeylGroup(gens, m0, elems, index, right, tree, tuple(move), tuple(inverses),
-                     tuple(labels), tuple(classes))
+        # g^-1 x F(g) = (F(g)^-1 x^-1 g)^-1
+        move.append(tuple(inverses[by_f_inv[by_g[inverses[x]]]] for x in range(len(elems))))
+    # the F-class of w is its orbit under the moves
+    labels, classes = _orbits(len(elems), move)
+    return WeylGroup(gens, m0, elems, index, right, tree, tuple(move), inverses, labels, classes)
 
 
 def _datum_key(model) -> tuple:
@@ -312,9 +333,7 @@ def _eps_to_x(a: Sequence[int], m: int) -> List[int]:
     return [sum(x * y for x, y in zip(a, r)) * half % m for r in _TWICE_ROOTS]
 
 
-_ROOTS_X: Optional[frozenset] = None
-
-
+@functools.cache
 def roots_in_x() -> frozenset:
     """The 48 roots of F4 as integer row vectors on the simple-root basis of X.
 
@@ -322,23 +341,20 @@ def roots_in_x() -> frozenset:
     (Humphreys, Introduction to Lie Algebras, 10.3): s_i(x) = x - c e_i with
     the Cartan integer c = 2 (x, r_i) / (r_i, r_i), read from _GRAM.
     """
-    global _ROOTS_X
-    if _ROOTS_X is None:
-        found = list(_IDENT)
-        seen = set(found)
-        for x in found:  # found grows while it is walked
-            for i, row in enumerate(_GRAM):
-                c, rest = divmod(2 * sum(map(mul, x, row)), row[i])
-                if rest:
-                    raise ValueError(f"{x} has no integral Cartan integer at r{i + 1}")
-                y = x[:i] + (x[i] - c,) + x[i + 1:]
-                if y not in seen:
-                    seen.add(y)
-                    found.append(y)
-        if len(seen) != 48:
-            raise ValueError(f"expected 48 roots, got {len(seen)}")
-        _ROOTS_X = frozenset(seen)
-    return _ROOTS_X
+    found = list(_IDENT)
+    seen = set(found)
+    for x in found:  # found grows while it is walked
+        for i, row in enumerate(_GRAM):
+            c, rest = divmod(2 * sum(map(mul, x, row)), row[i])
+            if rest:
+                raise ValueError(f"{x} has no integral Cartan integer at r{i + 1}")
+            y = x[:i] + (x[i] - c,) + x[i + 1:]
+            if y not in seen:
+                seen.add(y)
+                found.append(y)
+    if len(seen) != 48:
+        raise ValueError(f"expected 48 roots, got {len(seen)}")
+    return frozenset(seen)
 
 
 def _rank(tri) -> int:
@@ -435,22 +451,12 @@ def subsystem_stable_under(pi, composite: Matrix) -> bool:
     a root of the subsystem.
     """
     psi = closed_subsystem(pi) if pi else frozenset()
-    if not psi:
-        return True
-    dirs = {}
-    for r in psi:
-        dirs[_direction(r)] = True
-    for r in psi:
-        img = mat_vec(r, composite)
-        if _direction(img) not in dirs:
-            return False
-    return True
+    dirs = {_direction(r) for r in psi}
+    return all(_direction(mat_vec(r, composite)) in dirs for r in psi)
 
 
 def _direction(v):
-    g = 0
-    for x in v:
-        g = math.gcd(g, abs(x))
+    g = math.gcd(*v)
     if g == 0:
         return v
     w = tuple(x // g for x in v)
@@ -485,8 +491,6 @@ def weyl_table_checks(model):
 
 def torus_order_checks(model, n: int):
     """Each class's torus order from the table against det and the cokernel size."""
-    from .tabledsl import int_value
-
     records = []
     weyl = weyl_group(model)
     for wid in sorted(model.weylclasses):
@@ -536,8 +540,6 @@ def _torus_checks(model, n: int, side: str):
     has elements: D^4 over the index of the lattice that the R_k and D I_4
     span.  Where it is not, the distinct-point record fails.
     """
-    from .tabledsl import int_value
-
     prefix = "torus_param" if side == "torus" else "dual_torus"
     records = []
     weyl = weyl_group(model)
@@ -578,30 +580,25 @@ def pairing_checks(model, n: int):
     range must change the value by an integer for every dual basis index;
     bilinearity reduces this to the dual basis vectors.
     """
-    from .tabledsl import build_env, eval_expr, int_value
-
     records = []
     env0 = build_env(n)
     for wid in sorted(model.weylclasses):
         wc = model.weylclasses[wid]
         tranges = [int_value(r, n, owner=wid) for r in wc.tranges]
         ok = True
-        for r, (tvar, mod) in enumerate(zip(wc.tvars, tranges)):
-            for sbasis in range(len(wc.svars)):
-                env_lo = dict(env0)
-                env_hi = dict(env0)
-                for name in wc.tvars:
-                    env_lo[name] = 0
-                    env_hi[name] = 0
-                env_hi[tvar] = mod
-                for bi, name in enumerate(wc.svars):
-                    env_lo[name] = int(bi == sbasis)
-                    env_hi[name] = int(bi == sbasis)
+        for tvar, mod in zip(wc.tvars, tranges):
+            for basis in wc.svars:
+                env_lo = {**env0, **dict.fromkeys(wc.tvars, 0)}
+                env_hi = {**env_lo, tvar: mod}
+                for env in (env_lo, env_hi):
+                    env.update((name, int(name == basis)) for name in wc.svars)
                 delta = (eval_expr(wc.pairing, env_hi, wid)
                          - eval_expr(wc.pairing, env_lo, wid))
-                fr = delta.as_fraction()
-                if fr.denominator != 1:
-                    ok = False
+                try:
+                    fr = delta.as_fraction()
+                except NotRationalInteger as e:  # a value with a sqrt2 part
+                    raise no_value(wid, wc.pairing, n, e) from None
+                ok = ok and fr.denominator == 1
         records.append(Record("pairing_integral", wid, n, True, ok))
     return records
 

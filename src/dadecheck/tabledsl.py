@@ -1040,6 +1040,15 @@ class _ExprChecks:
         self.polynomial.add(e)
 
 
+def _check_count(where: str, field: str, entries, want: int, what: str) -> None:
+    """Raise TableSyntaxError naming where and the field unless it has want entries.
+
+    A point of X has 4 coordinates, since X has rank 4, and an index one range.
+    """
+    if len(entries) != want:
+        raise TableSyntaxError(f"{where}: {field}: {len(entries)} for {want} {what}")
+
+
 def validate_model(model: Model) -> None:
     """Resolve every cross reference and type-check expressions at n = 1.
 
@@ -1047,7 +1056,8 @@ def validate_model(model: Model) -> None:
     of them and no power in one); whether its coefficients are integers at
     n is left to the exponent_integrality check.  The Weyl data is checked
     here too: a model with Weyl classes or class families has weylgen and
-    frobenius blocks, and m0 m0 = 2 I.
+    frobenius blocks, and m0 m0 = 2 I; and every point field has 4
+    coordinates and every index one range.
     """
     if model.weylclasses or model.classfams:
         # their words are products of W's generators, and their checks read the twist
@@ -1103,15 +1113,20 @@ def validate_model(model: Model) -> None:
             if e.ref not in rows:
                 raise DanglingReference(f"ledger {led.id}: unknown {what} {e.ref}")
     for wc in model.weylclasses.values():
+        where = f"{model.sources['weylclass', wc.id]}: weylclass {wc.id}"
+        _check_count(where, "tcoords", wc.tcoords, 4, "coordinates")
+        _check_count(where, "scoords", wc.scoords, 4, "coordinates")
+        _check_count(where, "tranges", wc.tranges, len(wc.tvars), "tvars")
+        _check_count(where, "sranges", wc.sranges, len(wc.svars), "svars")
         check.evaluate(f"weylclass {wc.id}", wc.order)
         check.symbols(f"weylclass {wc.id}", names, *wc.tranges, *wc.sranges)
         check.symbols(f"weylclass {wc.id}", names | set(wc.tvars), *wc.tcoords)
         check.symbols(f"weylclass {wc.id}", names | set(wc.svars), *wc.scoords)
         check.symbols(f"weylclass {wc.id}", names | set(wc.tvars) | set(wc.svars), wc.pairing)
     for fam in model.classfams.values():
-        if len(fam.ranges) != len(fam.vars):
-            raise TableSyntaxError(f"classfam {fam.id}: ranges: {len(fam.ranges)} for "
-                                   f"{len(fam.vars)} vars")
+        where = f"{model.sources['classfam', fam.id]}: classfam {fam.id}"
+        _check_count(where, "coords", fam.coords, 4, "coordinates")
+        _check_count(where, "ranges", fam.ranges, len(fam.vars), "vars")
         check.evaluate(f"classfam {fam.id}", fam.count)
         if fam.exclude is not None:
             check.exclusion(f"classfam {fam.id}", fam.exclude, names, fam.vars)

@@ -254,8 +254,11 @@ def test_report_deterministic(tmp_path):
      "96dabd1ac9af9758e199aa7ff1dda9afd7382ece84a5c93ba5296920b6ebbd9c"),
     (["verify", "relations", "--n", "3", "--n", "4"], 1373,
      "5dff4d6f8311a20f4a29c3eb64b6dbca2fccbb89789f6a5a2b32c47993c7add8"),
+    # the family counts beyond n = 4: 144 of the records are family_count
+    (["verify", "params", "--n", "5", "--n", "8", "--n", "20", "--n", "60"], 491,
+     "e6472d4d1b1b3f269e06ac7521f1a908f9d63dc7e2f42fcd87dbdf4bcc7f03ff"),
 ], ids=["all-n1", "dade-both-n2", "weyl-n123", "params-n123", "all-max-n4", "dade-both-n1234",
-        "fixrows-n1234", "relations-n34"])
+        "fixrows-n1234", "relations-n34", "params-n5-8-20-60"])
 def test_report_matches_golden_digest(tmp_path, argv, count, digest):
     report = tmp_path / "r.json"
     assert main(argv + ["--report", str(report)]) == 0
@@ -878,6 +881,30 @@ def test_bad_index_field_symbol_exits_two(tmp_path, capsys, fname, old, new, mes
 
 M1 = "matrix: [[0, 0, 0, -2], [0, 0, 2, 2], [1, 1, 0, 0], [-1, 0, 0, 0]]"  # r1 m0 r1
 
+# A point field with other than 4 coordinates, a torus with other than one
+# range per index, and a pairing whose change under a range has a sqrt2 part.
+_T1_PAIRING = "pairing: ((k+l)*a+(k-l)*b)/(q^2-1)"
+_SHAPE_ERRORS = [
+    ("classes.def", "coords: [0, 0, i/(q^2-1),", "coords: [0, i/(q^2-1),",
+     "classes.def: classfam h2: coords: 3 for 4 coordinates"),
+    ("classes.def", "coords: [0, (2*th+2)*k/(q^2-1), (4*th+2)*k/(q^2-1), 0]",
+     "coords: [0, (2*th+2)*k/(q^2-1), (4*th+2)*k/(q^2-1)]",
+     "classes.def: classfam g2: coords: 3 for 4 coordinates"),
+    ("weyl.def", "  tranges: [q^2-1, q^2-1]\n", "  tranges: [q^2-1]\n",
+     "weyl.def: weylclass T1: tranges: 1 for 2 tvars"),
+    ("weyl.def", "  sranges: [q^2-1, q^2-1]\n", "  sranges: [q^2-1]\n",
+     "weyl.def: weylclass T1: sranges: 1 for 2 svars"),
+    ("weyl.def", "b/(q^2-1), (2*th-1)*b/(q^2-1)]", "b/(q^2-1)]",
+     "weyl.def: weylclass T1: tcoords: 3 for 4 coordinates"),
+    ("weyl.def", "(2*th+2)*(k+l)/(q^2-1)]", "(2*th+2)*(k+l)/(q^2-1), 0]",
+     "weyl.def: weylclass T1: scoords: 5 for 4 coordinates"),
+    ("weyl.def", _T1_PAIRING, _T1_PAIRING.replace(": ", ": s2*"),
+     "T1: (s2*(((k+l)*a)+((k-l)*b)))/((q^2)-1) at n = 1: 1*s2 has a sqrt2 part"),
+]
+_SHAPE_IDS = ["family-three-coords-torus", "family-three-coords-dual", "torus-fewer-tranges",
+              "torus-fewer-sranges", "torus-three-tcoords", "torus-five-scoords",
+              "pairing-sqrt2"]
+
 
 @pytest.mark.parametrize("fname, old, new, message", [
     ("weyl.def", "  cent: 16\n", "", "weyl.def: weylclass T1: missing field cent"),
@@ -990,8 +1017,9 @@ M1 = "matrix: [[0, 0, 0, -2], [0, 0, 2, 2], [1, 1, 0, 0], [-1, 0, 0, 0]]"  # r1 
      "paramset GI_23 {\n  group: G\n  action: doubling\n  moduli: [q^2-1, 3, 3]\n",
      "paramset GI_23: moduli: 3 moduli, more than 2"),
     ("classes.def", "  ranges: [p8b, p8a]\n", "  ranges: [p8b]\n",
-     "classfam h12: ranges: 1 for 2 vars"),
-], ids=["missing", "misspelt", "repeated-field", "repeated-block", "second-frobenius",
+     "classes.def: classfam h12: ranges: 1 for 2 vars"),
+] + _SHAPE_ERRORS, ids=[
+        "missing", "misspelt", "repeated-field", "repeated-block", "second-frobenius",
         "misspelt-card", "exclude-expression", "card-predicate", "equiv-expression",
         "equiv-symbol", "map-too-few-targets", "map-too-many-targets", "map-other-order",
         "missing-pairing",
@@ -1003,12 +1031,15 @@ M1 = "matrix: [[0, 0, 0, -2], [0, 0, 2, 2], [1, 1, 0, 0], [-1, 0, 0, 0]]"  # r1 
         "coords-sqrt2-coefficient", "tcoords-sqrt2-coefficient", "degree-zero",
         "degree-not-integer", "degree-sqrt2", "entry-degree-zero", "entry-degree-negative",
         "entry-degree-sqrt2", "cent-zero", "cent-zero-polynomial", "order-zero",
-        "three-moduli", "fewer-ranges-than-vars"])
+        "three-moduli", "fewer-ranges-than-vars"] + _SHAPE_IDS)
 def test_bad_table_fields_exit_two(tmp_path, capsys, fname, old, new, message):
+    # serially and in a pool of two workers, one error line and no traceback
     data = _data_copy(tmp_path, fname, old, new)
-    assert main(["verify", "all", "--n", "1", "--data-dir", data]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {message}") and "Traceback" not in err
+    for workers in ([], ["--workers", "2"]):
+        assert main(["verify", "all", "--n", "1", "--data-dir", data] + workers) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("error:") == 1
+        assert "Traceback" not in err
 
 
 def test_set_exclusion_off_the_union_kernel(tmp_path, capsys, monkeypatch):

@@ -895,7 +895,7 @@ def test_burnside_sum_must_divide(model):
 def test_centralizer_classes_and_generators(model):
     from dadecheck import rootdatum as rd
     from dadecheck.paramsets import _centralizer
-    from weyl_oracle import mat_inv_int
+    from weyl_oracle import mat_inv_int, spells_by_tree
 
     for wc in model.weylclasses.values():
         cent = _centralizer(model, wc.word)
@@ -914,26 +914,17 @@ def test_centralizer_classes_and_generators(model):
             group |= new
             frontier = list(new)
         assert group == set(elems), wc.id
-        # the spelling: x = g_k y for each element but 1, and every walk down it ends at 1
-        for x, spelt in enumerate(cent.spelling):
-            if spelt is None:
-                assert elems[x] == rd.mat_identity(), wc.id
-                continue
-            k, y = spelt
-            assert elems[x] == rd.mat_mul(elems[cent.gens[k]], elems[y]), wc.id
-            for _ in elems:
-                if cent.spelling[y] is None:
-                    break
-                y = cent.spelling[y][1]
-            assert cent.spelling[y] is None, wc.id
+        # the tree: x = p g_k for each element but 1, each after its p
+        assert spells_by_tree(cent.mats, cent.gens, cent.tree), wc.id
 
 
 def test_centralizer_structure_matches_matrix_oracle(model):
-    # the Centralizer built on W's index tables equals the one matrix products
-    # give, field by field and in order, for every family word
+    # the Centralizer's tables equal the ones matrix products give, field by
+    # field and in order, for every family word, and its tree spells every
+    # element by matrix products
     from dadecheck import rootdatum as rd
     from dadecheck.paramsets import _centralizer
-    from weyl_oracle import group_structure
+    from weyl_oracle import group_structure, spells_by_tree
 
     weyl = rd.weyl_group(model)
     words = sorted({fam.word for fam in model.classfams.values()})
@@ -941,14 +932,40 @@ def test_centralizer_structure_matches_matrix_oracle(model):
     for word in words:
         want = group_structure(rd.f_centralizer(weyl, rd.word_matrix(weyl, word)))
         got = _centralizer(model, word)
-        assert got.mats == want.mats, word
-        assert got.classes == want.classes, word
-        assert got.gens == want.gens, word
+        for field in want._fields:
+            assert getattr(got, field) == getattr(want, field), (word, field)
+        assert spells_by_tree(got.mats, got.gens, got.tree), word
+
+
+def test_centralizers_build_no_w_sized_table(model, monkeypatch):
+    # verify params --n 1..4 builds each centralizer's tables at its own
+    # size: every left-multiplication table made after W's own build has the
+    # order of a centralizer, and none has W's 1152 entries
+    from dadecheck import paramsets
+    from dadecheck import rootdatum as rd
+    from dadecheck.cli import main
+
+    weyl = rd.weyl_group(model)  # W's own build makes its 1152-entry tables here
+    sizes = []
+    real = rd._times_left
+
+    def counted(*args):
+        out = real(*args)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(rd, "_times_left", counted)
+    monkeypatch.setattr(paramsets, "_CENT_CACHE", {})
+    argv = ["verify", "params", "--report", "/dev/null"]
+    assert main(argv + [x for n in "1234" for x in ("--n", n)]) == 0
+    orders = {len(c.mats) for c in paramsets._CENT_CACHE.values()}
+    assert len(paramsets._CENT_CACHE) == 11 and sizes
+    assert set(sizes) <= orders and len(weyl.elems) not in orders
 
 
 def test_centralizers_multiply_no_matrices_once_w_is_built(model, monkeypatch):
-    # W's tables give every product: the only matrix products left are those
-    # that spell each word
+    # C is closed on interned rows, as W is: the only matrix products left
+    # are those that spell each word
     from dadecheck import paramsets
     from dadecheck import rootdatum as rd
 

@@ -2,7 +2,9 @@
 
 Only rootdatum's matrix arithmetic is shared; its closure, move table and
 centralizer walk are not called, and group_structure finds a subgroup's
-classes and generators with matrix products, not with W's index tables.  W
+classes, generators, right multiplications and inverses with matrix
+products, not with the package's group tables; spells_by_tree checks a
+spanning tree of such a subgroup by matrix products too.  W
 is the breadth-first closure of the generators on tuple matrices, and the
 F-class of w is the closure of w under the generator moves
 v -> g^-1 v F(g): F-conjugation by a product composes from generator
@@ -16,6 +18,7 @@ dynkin_type names a subsystem from the Dynkin diagram of a base of it.
 
 import itertools
 from fractions import Fraction
+from typing import NamedTuple
 
 from dadecheck import rootdatum as rd
 
@@ -103,15 +106,24 @@ def f_classes(gens, m0):
     return classes
 
 
+class Structure(NamedTuple):
+    """The fields of paramsets.Centralizer that have one right value, by matrix products."""
+
+    mats: tuple
+    right: tuple
+    inverses: tuple
+    classes: tuple
+    gens: tuple
+
+
 def group_structure(mats):
-    """paramsets.Centralizer of a subgroup of W by matrix products.
+    """Structure of a subgroup of W by matrix products.
 
     Greedy generators, each the first element outside the subgroup so far,
     and the class of x its orbit under x -> g x g^-1 for the generators g;
-    products are looked up among the elements.  W's tables are not read.
+    right[k][x] is x g_k and inverses[x] is x^-1, each looked up among the
+    elements.  No table of the package is read.
     """
-    from dadecheck.paramsets import Centralizer
-
     mats = tuple(mats)
     pos = {m: i for i, m in enumerate(mats)}
 
@@ -145,7 +157,23 @@ def group_structure(mats):
                     label[z] = True
                     orbit.append(z)
         classes.append((x, len(orbit)))
-    return Centralizer(mats, tuple(classes), tuple(gens), ())  # no spelling: not compared
+    right = tuple(tuple(times(x, g) for x in range(len(mats))) for g in gens)
+    inverses = tuple(pos[mat_inv_int(m)] for m in mats)
+    return Structure(mats, right, inverses, tuple(classes), tuple(gens))
+
+
+def spells_by_tree(mats, gens, tree) -> bool:
+    """Whether tree holds (x, k, p) with mats[x] = mats[p] mats[gens[k]] for every element but 1.
+
+    Each p must be 1 or come earlier in the tree, so that every element is
+    a word in the generators; each product is a matrix product.
+    """
+    met = {mats.index(rd.mat_identity())}
+    for x, k, p in tree:
+        if p not in met or x in met or mats[x] != rd.mat_mul(mats[p], mats[gens[k]]):
+            return False
+        met.add(x)
+    return len(met) == len(mats)
 
 
 # rows of the eps -> simple-root change of basis: r_i written in eps coords
