@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from typing import Dict, List
 
-from .exactnum import PHI_POLYS, as_integer
 from .counting import fixed_class_count, formula_count
 from .record import Record
 from .tabledsl import FixRow, Model, int_value
@@ -105,7 +104,7 @@ def fix_counts_for_row(row: FixRow, n: int) -> Dict[int, int]:
 
 def _phi8(n: int, eps: int) -> int:
     """q^2 + eps*sqrt2*q + 1 at n."""
-    return as_integer(PHI_POLYS["p8a" if eps == 1 else "p8b"].eval(n))
+    return int_value(("sym", "p8a" if eps == 1 else "p8b"), n)
 
 
 def _lemma(lemma: str, params: tuple, expected: int, actual: int) -> Record:

@@ -25,14 +25,11 @@ from .tabledsl import (
     EXPONENT_SYMBOLS,
     ChValue,
     Model,
-    _eval,
-    build_env,
-    eval_expr,
-    eval_qpoly,
-    exponent_poly,
     expr_to_str,
     int_value,
     no_value,
+    poly,
+    value,
 )
 from .dadeverify import defect_of, two_part_exponent
 
@@ -74,12 +71,11 @@ def class_equation(model: Model, n: int) -> List[Record]:
 
 # --- root exponents ------------------------------------------------------------
 
-def _exp_poly(expr) -> tuple:
+def _exp_poly(expr, owner: str) -> tuple:
     """A root exponent as its terms ((powers of th, i, k), rational coefficient), sorted."""
-    poly = exponent_poly(expr)
     return tuple(sorted(
         (tuple(dict(m).get(s, 0) for s in EXPONENT_SYMBOLS), Fraction(c.as_fraction()))
-        for m, c in poly.terms.items()))
+        for m, c in poly(expr, EXPONENT_SYMBOLS, owner=owner).terms.items()))
 
 
 def _add(out: dict, key, value) -> None:
@@ -95,8 +91,8 @@ def canonical_value(cv: Optional[ChValue]) -> Dict[tuple, QPoly]:
     """Value as a map (eps4 power, root-exponent multiset) -> q-polynomial."""
     out: Dict[tuple, QPoly] = {}
     for term in cv.terms if cv is not None else ():
-        exps = tuple(sorted(_exp_poly(e) for e in term.exps))
-        _add(out, (term.eps4 % 4, exps), eval_qpoly(term.coeff, cv.id))
+        exps = tuple(sorted(_exp_poly(e, cv.id) for e in term.exps))
+        _add(out, (term.eps4 % 4, exps), poly(term.coeff, owner=cv.id))
     return out
 
 
@@ -125,8 +121,8 @@ def f_relations_check(model: Model) -> List[Record]:
     def side(terms):
         out: Dict[tuple, QPoly] = {}
         for c, func, cls in terms:
-            for key, poly in canonical_value(_chvalue(model, func, cls)).items():
-                _add(out, key, QPoly.const(c) * poly)
+            for key, p in canonical_value(_chvalue(model, func, cls)).items():
+                _add(out, key, QPoly.const(c) * p)
         return out
 
     return [Record(check, name, None, side(right), side(left))
@@ -140,7 +136,7 @@ def f_relations_numeric(model: Model, n: int) -> List[Record]:
     mod 1; eps4 has angle 1/4) to its coefficient in Q(sqrt2); it passes when
     all cancel.  A true relation could fail so, a false one cannot pass.
     """
-    env = build_env(n, i=1, k=1)
+    ik = {"i": 1, "k": 1}
     records = []
     for check, name, left, right in _relation_instances(model):
         sums: Dict[Fraction, SqrtTwoRat] = {}
@@ -148,9 +144,9 @@ def f_relations_numeric(model: Model, n: int) -> List[Record]:
             cv = _chvalue(model, func, cls)
             order = _divisor(cv.order, n, cv.id) if cv and cv.order is not None else 1
             for term in cv.terms if cv else ():
-                coeff = c * eval_expr(term.coeff, env, cv.id)
+                coeff = c * value(term.coeff, n, ik, cv.id)
                 for e in term.exps:
-                    slope = eval_expr(e, env, cv.id).as_fraction()
+                    slope = value(e, n, ik, cv.id).as_fraction()
                     angle = Fraction(term.eps4, 4) + slope / order
                     _add(sums, angle % 1, coeff)
         records.append(Record(check + "_numeric", name, n, True, not sums))
@@ -166,21 +162,20 @@ def exponent_integrality(model: Model, n: int) -> List[Record]:
     exponent has degree at most 1 in each of i and k, and for those that is
     also necessary.
     """
-    env = dict(build_env(n), i=QPoly.var("i"), k=QPoly.var("k"))
-    ok = all(_integral(QPoly.coerce(_eval(e, env)))
+    ok = all(_integral(poly(e, ("i", "k"), n, cv.id))
              for cv in model.chvalues.values() if cv.order is not None
              for term in cv.terms for e in term.exps)
     return [Record("exponent_integrality", "all", n, True, ok)]
 
 
-def _integral(poly: QPoly) -> bool:
-    """Whether poly has integer coefficients and no negative power."""
+def _integral(p: QPoly) -> bool:
+    """Whether p has integer coefficients and no negative power."""
     try:
-        for c in poly.terms.values():
+        for c in p.terms.values():
             as_integer(c)
     except NotRationalInteger:
         return False
-    return all(p > 0 for m in poly.terms for _, p in m)
+    return all(power > 0 for m in p.terms for _, power in m)
 
 
 # --- norms ---------------------------------------------------------------------
@@ -199,11 +194,11 @@ class _NormRow(NamedTuple):
     indexed: bool
 
 
-def _slope(owner: str, expr, env) -> int:
-    """s with the root exponent expr = s*i*k in env; _NotProved for any other form."""
-    poly, ik = QPoly.coerce(_eval(expr, env)), (("i", 1), ("k", 1))
-    s = poly.terms.get(ik, ZERO)
-    if poly.terms.keys() - {ik} or s.b or s.a.denominator != 1:
+def _slope(owner: str, expr, n: int) -> int:
+    """s with the root exponent expr = s*i*k at n; _NotProved for any other form."""
+    terms, ik = poly(expr, ("i", "k"), n, owner).terms, (("i", 1), ("k", 1))
+    s = terms.get(ik, ZERO)
+    if terms.keys() - {ik} or s.b or s.a.denominator != 1:
         raise _NotProved(f"{owner}: root exponent {expr_to_str(expr)} is not an integer "
                          f"multiple of i*k")
     return s.a
@@ -220,8 +215,7 @@ def _norm_rows(model: Model, n: int, which: str) -> List[_NormRow]:
     prime to q^4 - 1 leaves no nonzero i fixed.  (m - 1)/4 is then the
     family count.
     """
-    env = dict(build_env(n), i=QPoly.var("i"), k=QPoly.var("k"))
-    q2 = as_integer(env["q"] ** 2)
+    q2 = int_value(("pow", ("sym", "q"), ("int", 2)), n)
     rows = []
     for rid in sorted(model.classrows):
         cv = _chvalue(model, which, rid)
@@ -229,8 +223,8 @@ def _norm_rows(model: Model, n: int, which: str) -> List[_NormRow]:
             continue
         row = model.classrows[rid]
         m = _divisor(cv.order, n, cv.id) if cv.order is not None else 1
-        terms = [(eval_expr(t.coeff, env, cv.id), t.eps4 % 4,
-                  [_slope(rid, e, env) % m for e in t.exps])
+        terms = [(value(t.coeff, n, owner=cv.id), t.eps4 % 4,
+                  [_slope(rid, e, n) % m for e in t.exps])
                  for t in cv.terms]
         fam = model.classfams[row.family]
         if fam.vars:
@@ -308,7 +302,7 @@ def f_norm_check(model: Model, n: int, which: str) -> List[Record]:
 def degree_polynomials(model: Model) -> List[Record]:
     """Each table degree equals its product of cyclotomic factors (n-free)."""
     return [
-        Record("degree_poly", rid, None, eval_qpoly(dr.phi, rid), eval_qpoly(dr.table, rid))
+        Record("degree_poly", rid, None, poly(dr.phi, owner=rid), poly(dr.table, owner=rid))
         for rid, dr in sorted(model.degrels.items())
     ]
 

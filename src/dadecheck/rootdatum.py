@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 from .counting import _affine, _ranges, lattice_index, triangle
 from .exactnum import NotRationalInteger
 from .record import Record
-from .tabledsl import TableSyntaxError, WeylDataError, build_env, eval_expr, int_value, no_value
+from .tabledsl import TableSyntaxError, WeylDataError, int_value, no_value, value
 
 Matrix = Tuple[Tuple[int, ...], ...]
 
@@ -581,19 +581,16 @@ def pairing_checks(model, n: int):
     bilinearity reduces this to the dual basis vectors.
     """
     records = []
-    env0 = build_env(n)
     for wid in sorted(model.weylclasses):
         wc = model.weylclasses[wid]
         tranges = [int_value(r, n, owner=wid) for r in wc.tranges]
         ok = True
         for tvar, mod in zip(wc.tvars, tranges):
             for basis in wc.svars:
-                env_lo = {**env0, **dict.fromkeys(wc.tvars, 0)}
-                env_hi = {**env_lo, tvar: mod}
-                for env in (env_lo, env_hi):
-                    env.update((name, int(name == basis)) for name in wc.svars)
-                delta = (eval_expr(wc.pairing, env_hi, wid)
-                         - eval_expr(wc.pairing, env_lo, wid))
+                dual = {name: int(name == basis) for name in wc.svars}
+                lo = {**dict.fromkeys(wc.tvars, 0), **dual}
+                hi = {**dict.fromkeys(wc.tvars, 0), tvar: mod, **dual}
+                delta = value(wc.pairing, n, hi, wid) - value(wc.pairing, n, lo, wid)
                 try:
                     fr = delta.as_fraction()
                 except NotRationalInteger as e:  # a value with a sqrt2 part

@@ -43,12 +43,8 @@ class TableValueError(NotRationalInteger):
     """
 
 
-class UnknownSymbol(KeyError):
-    pass
-
-
-class UnboundSymbol(KeyError):
-    pass
+class SymbolError(ValueError):
+    """A symbol an evaluation does not bind: an unknown one, or an index left unbound."""
 
 
 # symbols that are legal but must be bound by the consumer (parameters and
@@ -321,9 +317,9 @@ def parse_blocks(text: str):
 _QPOLY_ENV: Dict[str, QPoly] = {"q": Q, "s2": QPoly.const(SQRT2),
                                 "th": Q / QPoly.const(SQRT2), **PHI_POLYS}
 
-# n -> the environment of build_env(n) without t and indices.  n is the whole
-# key: _QPOLY_ENV is a module constant and every value is an immutable
-# SqrtTwoRat.  Filled on first use, so loading a model evaluates nothing.
+# n -> the symbols of _QPOLY_ENV and n, evaluated at n.  n is the whole key:
+# _QPOLY_ENV is a module constant and every value is an immutable SqrtTwoRat.
+# Filled on first use, so loading a model evaluates nothing.
 _BASE_ENV: Dict[int, Dict[str, object]] = {}
 
 
@@ -335,33 +331,11 @@ def _base_env(n: int) -> Dict[str, object]:
     return env
 
 
-def build_env(n: int, t: Optional[int] = None, **indices) -> Dict[str, object]:
-    """Numeric environment: q = 2^n sqrt2, th = 2^n, plus the named phi values.
-
-    Each call returns a fresh dict; the phi values are evaluated once per n.
-    """
-    env = dict(_base_env(n))
-    if t is not None:
-        env["t"] = SqrtTwoRat(t)
-    for k, v in indices.items():
-        env[k] = SqrtTwoRat.coerce(v)
-    return env
-
-
-def eval_int(node: Expr, env) -> int:
-    """Evaluate a subexpression that must be a plain integer (exponents).
-
-    A value with a variable in it raises NotPolynomial.
-    """
-    v = _eval(node, env)
-    return as_integer(v.constant() if isinstance(v, QPoly) else v)
-
-
 def _eval(node: Expr, env):
     """The value of an expression tree in env: a number, or a QPoly where env binds one.
 
     Integer literals are SqrtTwoRat; an operation with a QPoly is a QPoly.
-    This is the one evaluator of expression trees.
+    The one evaluator of expression trees: int_value, value and poly call it.
     """
     op = node[0]
     if op == "int":
@@ -369,16 +343,13 @@ def _eval(node: Expr, env):
     if op == "sym":
         name = node[1]
         if name not in env:
-            if name in INDEX_SYMBOLS:
-                raise UnboundSymbol(name)
-            raise UnknownSymbol(name)
+            raise SymbolError(f"{'unbound' if name in INDEX_SYMBOLS else 'unknown'} symbol {name}")
         return env[name]
     if op == "neg":
         return -_eval(node[1], env)
-    if op == "pow":
-        base = _eval(node[1], env)
-        exp = eval_int(node[2], env)
-        return base ** exp
+    if op == "pow":  # an exponent with a variable in it is NotPolynomial
+        base, exp = _eval(node[1], env), _eval(node[2], env)
+        return base ** as_integer(exp.constant() if isinstance(exp, QPoly) else exp)
     a = _eval(node[1], env)
     b_node = node[2]
     if op == "add":
@@ -392,29 +363,16 @@ def _eval(node: Expr, env):
     raise ValueError(f"bad expression node {node!r}")
 
 
-def eval_expr(node: Expr, env, owner: Optional[str] = None) -> SqrtTwoRat:
-    """Exact evaluation against a numeric environment from build_env.
+def _evaluate(convert, node: Expr, env, owner: Optional[str], n, t=None):
+    """convert(the value of node in env): as_integer, SqrtTwoRat.coerce or QPoly.coerce.
 
-    A division by zero is a TableValueError naming the expression and env's
-    n (and t), after owner if given.
+    Every failure but NotPolynomial (a symbol not bound, a power or value
+    that is no integer, a division by zero) is no_value's TableValueError.
     """
     try:
-        return SqrtTwoRat.coerce(_eval(node, env))
-    except ZeroDivisionError as e:
-        raise no_value(owner, node, env.get("n"), e, env.get("t")) from None
-
-
-def eval_expr_int(node: Expr, env) -> int:
-    """The value of node in env, which must be an integer.
-
-    A value that is no integer, or a division by zero, is a TableValueError
-    naming the expression and env's n (and t).
-    """
-    v = eval_expr(node, env)
-    try:
-        return as_integer(v)
-    except NotRationalInteger as e:
-        raise no_value(None, node, env.get("n"), e, env.get("t")) from None
+        return convert(_eval(node, env))
+    except (SymbolError, ZeroDivisionError, NotRationalInteger) as e:
+        raise no_value(owner, node, n, e, t) from None
 
 
 def no_value(owner: Optional[str], node: Expr, n, error: Exception, t=None) -> TableValueError:
@@ -428,40 +386,44 @@ def no_value(owner: Optional[str], node: Expr, n, error: Exception, t=None) -> T
 
 
 # (expression, n, t) -> the value int_value returns.  That is the whole key:
-# build_env(n, t=t) is a function of n and t, and the value an int.  Only
-# values are kept, so an expression that fails raises afresh on every call.
+# it is evaluated in _base_env(n) and t, and the value is an int.  Only values
+# are kept, so an expression that fails raises afresh on every call.
 _INT_VALUES: Dict[tuple, int] = {}
 
 
 def int_value(node: Expr, n: int, t: Optional[int] = None, owner: Optional[str] = None) -> int:
     """The integer value of an index-free expression at n (and t), evaluated once.
 
-    Raises what eval_expr_int(node, build_env(n, t=t)) raises, a
-    TableValueError after owner, the set, family or row the expression
-    belongs to, where owner is given.
+    owner, where given, is the set, family or row the expression belongs to.
     """
     key = (node, n, t)
     v = _INT_VALUES.get(key)
     if v is None:
-        try:
-            v = _INT_VALUES[key] = eval_expr_int(node, build_env(n, t=t))
-        except TableValueError as e:
-            if owner is None:
-                raise
-            raise TableValueError(f"{owner}: {e}") from None
+        env = _base_env(n) if t is None else {**_base_env(n), "t": SqrtTwoRat(t)}
+        v = _INT_VALUES[key] = _evaluate(as_integer, node, env, owner, n, t)
     return v
 
 
-def eval_qpoly(node: Expr, owner: Optional[str] = None) -> QPoly:
-    """Evaluate an n-free expression into a symbolic polynomial in q.
+def value(node: Expr, n: int, indices: Optional[Dict[str, object]] = None,
+          owner: Optional[str] = None) -> SqrtTwoRat:
+    """The exact value of an expression at n, each index in indices bound to its number."""
+    env = _base_env(n)
+    if indices:
+        env = {**env, **{name: SqrtTwoRat.coerce(v) for name, v in indices.items()}}
+    return _evaluate(SqrtTwoRat.coerce, node, env, owner, n)
 
-    A division by zero is a TableValueError naming the expression, after
-    owner if given.
+
+def poly(node: Expr, variables=(), n: Optional[int] = None,
+         owner: Optional[str] = None) -> QPoly:
+    """An expression as a polynomial in the named variables at n, or in q too if n is None.
+
+    A value that is no polynomial raises NotPolynomial, which the caller
+    words; poly(e, EXPONENT_SYMBOLS) is a root exponent in th, i and k.
     """
-    try:
-        return QPoly.coerce(_eval(node, _QPOLY_ENV))
-    except ZeroDivisionError as e:
-        raise no_value(owner, node, None, e) from None
+    env = _QPOLY_ENV if n is None else _base_env(n)
+    if variables:
+        env = {**env, **{name: QPoly.var(name) for name in variables}}
+    return _evaluate(QPoly.coerce, node, env, owner, n)
 
 
 def expr_symbols(node) -> set:
@@ -962,29 +924,22 @@ def parse_model_files(texts: Dict[str, str]) -> Model:
 # index i and the character index k (in this order, chartables' exponent
 # monomials are keyed on them).
 EXPONENT_SYMBOLS = ("th", "i", "k")
-_EXPONENT_ENV = {s: QPoly.var(s) for s in EXPONENT_SYMBOLS}
-
-
-def exponent_poly(node: Expr) -> QPoly:
-    """A root exponent as a polynomial in th, i and k, the three as variables."""
-    return QPoly.coerce(_eval(node, _EXPONENT_ENV))
 
 
 class _ExprChecks:
-    """The expression checks of validate_model, each made once per distinct expression.
+    """The expression checks of validate_model, for one validate_model call.
 
     What they find depends on the expression alone: its symbols, whether it
-    evaluates at n = 1 with t = 1, and whether it is a polynomial root
-    exponent.  A table repeats many expressions (1110 symbol checks of the
-    shipped tables cover 268 distinct ones, 350 evaluations 59), so each
-    result is kept here, for one validate_model call.
+    evaluates at n = 1 with t = 1, and whether it is a polynomial in q or
+    in th, i and k.  A table repeats many expressions (1110 symbol checks of
+    the shipped tables cover 268 distinct ones), so the symbols and the
+    evaluations are kept here, once per distinct expression.
     """
 
     def __init__(self):
-        self.env1 = build_env(1, t=1)
+        self.env1 = {**_base_env(1), "t": SqrtTwoRat(1)}
         self.symbols_of: Dict[Expr, frozenset] = {}
         self.evaluated = set()
-        self.polynomial = set()
 
     def evaluate(self, owner: str, node: Expr) -> None:
         """Evaluate node at n = 1; a table error naming owner if that fails."""
@@ -992,11 +947,7 @@ class _ExprChecks:
             return
         try:
             _eval(node, self.env1)
-        except UnknownSymbol as e:
-            raise TableSyntaxError(f"{owner}: unknown symbol {e.args[0]}") from None
-        except UnboundSymbol as e:
-            raise TableSyntaxError(f"{owner}: unbound symbol {e.args[0]}") from None
-        except (ZeroDivisionError, NotRationalInteger) as e:
+        except (SymbolError, ZeroDivisionError, NotRationalInteger) as e:
             raise TableSyntaxError(f"{owner}: {e}") from None
         self.evaluated.add(node)
 
@@ -1013,6 +964,14 @@ class _ExprChecks:
         if unknown:
             raise TableSyntaxError(f"{owner}: unknown symbol {', '.join(unknown)}")
 
+    def expression(self, where: str, field: str, node: Expr, names) -> None:
+        """A table error naming where, field and node unless node uses only names and
+        evaluates at n = 1 (which one of polynomial shape then always does)."""
+        if not (self.uses(node) <= names and _polynomial_by_shape(node)):
+            owner = f"{where}: {field} {expr_to_str(node)}"
+            self.symbols(owner, names, node)
+            self.evaluate(owner, node)
+
     def exclusion(self, owner: str, pred: Predicate, names, indices) -> None:
         """The atoms of an exclusion use known symbols and the owner's own indices.
 
@@ -1026,18 +985,37 @@ class _ExprChecks:
         self.symbols(owner, names if op == "div" else names | set(indices), e1)
         self.symbols(owner, names | set(indices), e2)
 
-    def exponent(self, owner: str, e: Expr) -> None:
-        """A table error naming owner unless e is a polynomial in th, i and k."""
-        if e in self.polynomial:
+    def polynomial(self, where: str, owner: str, what: str, e: Expr, variables=()) -> None:
+        """A table error naming where unless e is a polynomial in q, or in variables if given.
+
+        Past _polynomial_by_shape, poly decides; its TableValueError names owner.
+        """
+        if _polynomial_by_shape(e):
             return
         try:
-            poly = exponent_poly(e)
-        except (NotPolynomial, ZeroDivisionError):
-            poly = None
-        if poly is None or any(p < 0 for m in poly.terms for _, p in m):
-            raise TableSyntaxError(f"relations.def: {owner}: root exponent "
-                                   f"{expr_to_str(e)} is not a polynomial in th, i, k")
-        self.polynomial.add(e)
+            p = poly(e, variables, owner=owner)
+        except NotPolynomial:
+            p = None
+        if p is None or any(power < 0 for m in p.terms for _, power in m):
+            raise TableSyntaxError(f"{where}: {what} {expr_to_str(e)} is not a polynomial "
+                                   f"in {', '.join(variables or ('q',))}")
+
+
+def _polynomial_by_shape(node: Expr) -> bool:
+    """Whether node is a polynomial in its symbols by its shape: every exponent an
+    integer literal, and every divisor s2 or a nonzero integer literal.
+
+    Every symbol a checked expression may use is one, so validate_model need
+    not multiply out the factors of each degree, which is slower than loading.
+    """
+    op = node[0]
+    if op in ("int", "sym"):
+        return True
+    if op == "pow":
+        return node[2][0] == "int" and _polynomial_by_shape(node[1])
+    if op == "div" and node[2] != ("sym", "s2") and not (node[2][0] == "int" and node[2][1]):
+        return False
+    return all(_polynomial_by_shape(sub) for sub in node[1:])
 
 
 def _check_count(where: str, field: str, entries, want: int, what: str) -> None:
@@ -1053,11 +1031,12 @@ def validate_model(model: Model) -> None:
     """Resolve every cross reference and type-check expressions at n = 1.
 
     A root exponent must be a polynomial in th, i and k (no division by one
-    of them and no power in one); whether its coefficients are integers at
-    n is left to the exponent_integrality check.  The Weyl data is checked
-    here too: a model with Weyl classes or class families has weylgen and
-    frobenius blocks, and m0 m0 = 2 I; and every point field has 4
-    coordinates and every index one range.
+    of them and no power in one), and a value's coefficients and a degree
+    relation's table and phi polynomials in q; whether an exponent's
+    coefficients are integers at n is left to the exponent_integrality
+    check.  The Weyl data is checked here too: a model with Weyl classes or
+    class families has weylgen and frobenius blocks, and m0 m0 = 2 I; and
+    every point field has 4 coordinates and every index one range.
     """
     if model.weylclasses or model.classfams:
         # their words are products of W's generators, and their checks read the twist
@@ -1094,6 +1073,9 @@ def validate_model(model: Model) -> None:
     for spec in model.paramsets.values():
         if spec.arity > 2:  # a set's indices are k and l
             raise TableSyntaxError(f"paramset {spec.id}: moduli: {spec.arity} moduli, more than 2")
+        if spec.action == "doubling" and not spec.moduli:  # the doubling acts on the indices
+            raise TableSyntaxError(f"{model.sources['paramset', spec.id]}: paramset {spec.id}: "
+                                   "action doubling with no moduli")
         check.evaluate(spec.id, spec.card)
         if spec.exclude is not None:
             check.exclusion(spec.id, spec.exclude, names, spec.indices)
@@ -1112,6 +1094,9 @@ def validate_model(model: Model) -> None:
             rows, what = (model.fixrows, "fixrow") if e.tag == "fixed" else (model.pairs, "pair")
             if e.ref not in rows:
                 raise DanglingReference(f"ledger {led.id}: unknown {what} {e.ref}")
+            if e.degree is not None:
+                where = f"{model.sources['defect', led.id]}: defect {led.id}: entry {e.set_id}"
+                check.expression(where, "degree", e.degree, names)
     for wc in model.weylclasses.values():
         where = f"{model.sources['weylclass', wc.id]}: weylclass {wc.id}"
         _check_count(where, "tcoords", wc.tcoords, 4, "coordinates")
@@ -1123,6 +1108,13 @@ def validate_model(model: Model) -> None:
         check.symbols(f"weylclass {wc.id}", names | set(wc.tvars), *wc.tcoords)
         check.symbols(f"weylclass {wc.id}", names | set(wc.svars), *wc.scoords)
         check.symbols(f"weylclass {wc.id}", names | set(wc.tvars) | set(wc.svars), wc.pairing)
+    if model.order_expr is not None:
+        name = next(name for kind, name in model.sources if kind == "grouporder")
+        where = f"{model.sources['grouporder', name]}: grouporder {name}"
+        check.expression(where, "order", model.order_expr, names)
+    for row in model.classrows.values():
+        where = f"{model.sources['classrow', row.id]}: classrow {row.id}"
+        check.expression(where, "cent", row.cent, names)
     for fam in model.classfams.values():
         where = f"{model.sources['classfam', fam.id]}: classfam {fam.id}"
         _check_count(where, "coords", fam.coords, 4, "coordinates")
@@ -1138,11 +1130,17 @@ def validate_model(model: Model) -> None:
         check.symbols(f"chvalue {cv.id}", poly_names, *(t.coeff for t in cv.terms))
         exps = [e for t in cv.terms for e in t.exps]
         check.symbols(f"chvalue {cv.id}", EXPONENT_SYMBOLS, *exps)
+        where = f"{model.sources['chvalue', cv.id]}: chvalue {cv.id}"
+        for t in cv.terms:
+            check.polynomial(where, cv.id, "coefficient", t.coeff)
         for e in exps:
-            check.exponent(f"chvalue {cv.id}", e)
+            check.polynomial(where, cv.id, "root exponent", e, EXPONENT_SYMBOLS)
     for dr in model.degrels.values():
         check.symbols(f"degrel {dr.id}", poly_names, dr.table, dr.phi)
         check.symbols(f"degrel {dr.id}", names, dr.defect)
+        where = f"{model.sources['degrel', dr.id]}: degrel {dr.id}"
+        check.polynomial(where, dr.id, "table", dr.table)
+        check.polynomial(where, dr.id, "phi", dr.phi)
     for rel in model.relations.values():
         for _, cls in rel.sum:
             if cls not in model.classrows:

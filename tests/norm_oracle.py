@@ -4,7 +4,7 @@ Independent of chartables: every value is evaluated at one (n, i, k) in
 complex floats, with eps4 the imaginary unit and zeta = exp(2 pi i / m), and
 |value|^2 / |C| is summed over the class rows, on an indexed row over one
 representative i of each orbit {+-i, +-q^2 i} of nonzero indices.  Only the
-table evaluator (build_env, eval_expr) and the family count are shared.
+table evaluator (int_value, value) and the family count are shared.
 Good to about 1e-9 for n <= 2.
 """
 
@@ -12,7 +12,9 @@ import cmath
 import math
 
 from dadecheck.counting import family_formula_count
-from dadecheck.tabledsl import build_env, eval_expr, eval_expr_int
+from dadecheck.exactnum import as_integer
+from dadecheck.tabledsl import int_value
+from dadecheck.tabledsl import value as table_value
 
 
 def to_float(x) -> float:
@@ -23,13 +25,13 @@ def to_float(x) -> float:
 def value(cv, n: int, i: int = 0, k: int = 0) -> complex:
     if cv is None or not cv.terms:
         return 0j
-    env = build_env(n, i=i, k=k)
-    order = eval_expr_int(cv.order, env) if cv.order is not None else 1
+    ik = {"i": i, "k": k}
+    order = int_value(cv.order, n) if cv.order is not None else 1
     total = 0j
     for term in cv.terms:
-        roots = sum(cmath.exp(2j * cmath.pi * (eval_expr_int(e, env) % order) / order)
+        roots = sum(cmath.exp(2j * cmath.pi * (as_integer(table_value(e, n, ik)) % order) / order)
                     for e in term.exps)
-        total += to_float(eval_expr(term.coeff, env)) * (1j ** (term.eps4 % 4)) * roots
+        total += to_float(table_value(term.coeff, n, ik)) * (1j ** (term.eps4 % 4)) * roots
     return total
 
 
@@ -46,7 +48,6 @@ def orbit_reps(order: int, q2: int):
 
 def norm_parts(model, n: int, which: str, k: int):
     """{|C|: the sum of |value|^2 / |C| over the classes of the rows with that centralizer}."""
-    env = build_env(n)
     q2 = 2 ** (2 * n + 1)
     out = {}
     for rid in sorted(model.classrows):
@@ -54,10 +55,10 @@ def norm_parts(model, n: int, which: str, k: int):
         if cv is None or not cv.terms:
             continue
         row = model.classrows[rid]
-        cent = eval_expr_int(row.cent, env)
+        cent = int_value(row.cent, n)
         fam = model.classfams[row.family]
         if fam.vars:
-            reps = orbit_reps(eval_expr_int(cv.order, env), q2)
+            reps = orbit_reps(int_value(cv.order, n), q2)
             assert len(reps) == family_formula_count(fam, n), rid
             total = sum(abs(value(cv, n, i=i, k=k)) ** 2 for i in reps) / cent
         else:

@@ -5,7 +5,7 @@ image; and / or / != are the mask operations.
 """
 
 from dadecheck.counting import MapClosureError, _affine
-from dadecheck.tabledsl import build_env, eval_expr_int, pred_to_str
+from dadecheck.tabledsl import int_value, pred_to_str
 
 _INT64_MAX = (1 << 63) - 1
 
@@ -34,7 +34,7 @@ def pred_mask(owner, pred, n, varnames, arrays, moduli):
         return (a & b) if pred[0] == "and" else (a | b)
     _, op, e1, e2 = pred
     if op == "div":
-        m = eval_expr_int(e1, build_env(n))
+        m = int_value(e1, n)
         denom, (row,) = _affine(owner, [e2], n, varnames)
     else:
         denom, (r1, r2) = _affine(owner, [e1, e2], n, varnames)

@@ -19,7 +19,6 @@ from dadecheck.autfix import (
     verify_gcd_lemmas,
 )
 from dadecheck.paramsets import formula_count
-from dadecheck.tabledsl import build_env
 
 
 def test_brute_examples(model):
@@ -53,7 +52,6 @@ def test_trivial_group_gives_cardinality(model):
     # t = 2n+1: every class is fixed
     for n in (1, 2):
         t = 2 * n + 1
-        env = build_env(n)
         for row in model.fixrows.values():
             if not row_is_enumerable(row, model):
                 continue

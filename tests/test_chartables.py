@@ -8,7 +8,7 @@ import pytest
 import norm_oracle
 from dadecheck import chartables as ct
 from dadecheck.exactnum import as_integer
-from dadecheck.tabledsl import ValueTerm, build_env, eval_expr_int
+from dadecheck.tabledsl import ValueTerm, int_value, poly
 
 
 def test_class_equation(model):
@@ -18,18 +18,16 @@ def test_class_equation(model):
 
 
 def test_identity_class_contributes_one(model):
-    env = build_env(1)
-    order = eval_expr_int(model.order_expr, env)
-    cent = eval_expr_int(model.classrows["c_1_0"].cent, env)
+    order = int_value(model.order_expr, 1)
+    cent = int_value(model.classrows["c_1_0"].cent, 1)
     assert order == cent
 
 
 def test_centralizers_divide_group_order(model):
     for n in (1, 2, 3):
-        env = build_env(n)
-        order = eval_expr_int(model.order_expr, env)
+        order = int_value(model.order_expr, n)
         for row in model.classrows.values():
-            assert order % eval_expr_int(row.cent, env) == 0, row.id
+            assert order % int_value(row.cent, n) == 0, row.id
 
 
 def test_relations_symbolic_and_numeric(model):
@@ -44,11 +42,9 @@ def test_difference_equals_f8_at_c_1_11(model):
     f8 = ct.canonical_value(model.chvalues["f8_c_1_11"])
     assert rec.actual == rec.expected == f8
     assert ct.canonical_value(model.chvalues["chi43_c_1_11"]) != f8
-    ((key, poly),) = list(f8.items())
+    ((key, value),) = list(f8.items())
     assert key[0] == 1  # a pure eps4 multiple
-    from dadecheck.tabledsl import eval_qpoly
-
-    assert poly == eval_qpoly(_expr("-2*s2*q^3-2*q^2"))
+    assert value == poly(_expr("-2*s2*q^3-2*q^2"))
 
 
 def _expr(text):
@@ -207,9 +203,7 @@ def test_degree_identities(model):
 
 def test_chi42_degree_odd_n1(model):
     # 7 * 81 * 57 * 4033 * 13: the semisimple degree is odd
-    from dadecheck.tabledsl import eval_qpoly
-
-    deg = as_integer(eval_qpoly(model.degrels["deg_chi42"].table).eval(1))
+    deg = as_integer(poly(model.degrels["deg_chi42"].table).eval(1))
     assert deg == 7 * 81 * 57 * 4033 * 13
     assert deg % 2 == 1
 
@@ -235,21 +229,20 @@ def test_non_integral_index_detected(model):
     good, _ = ct.class_equation(model, 1)
     assert good.ok and not equation.ok
     lost = family_formula_count(model.classfams[row.family], 1) * (
-        good.expected // eval_expr_int(row.cent, build_env(1)))
+        good.expected // int_value(row.cent, 1))
     assert equation.actual == good.actual - lost
 
 
 def test_group_order_factorizes(model):
     # |G| = q^24 phi1^2 phi2^2 phi4^2 phi8^2 phi12 phi24 as polynomials
     from dadecheck.exactnum import PHI_POLYS, QPoly
-    from dadecheck.tabledsl import eval_qpoly
 
     phi = (
         QPoly.q(24)
         * PHI_POLYS["p1"] ** 2 * PHI_POLYS["p2"] ** 2 * PHI_POLYS["p4"] ** 2
         * PHI_POLYS["p8"] ** 2 * PHI_POLYS["p12"] * PHI_POLYS["p24"]
     )
-    assert eval_qpoly(model.order_expr) == phi
+    assert poly(model.order_expr) == phi
 
 
 def test_torus_orders_divide_group_order(model):
@@ -257,8 +250,7 @@ def test_torus_orders_divide_group_order(model):
 
     weyl = rd.weyl_group(model)
     for n in (1, 2, 3):
-        env = build_env(n)
-        order = eval_expr_int(model.order_expr, env)
+        order = int_value(model.order_expr, n)
         for wc in model.weylclasses.values():
             w = rd.word_matrix(weyl, wc.word)
             assert order % rd.torus_order(weyl, w, n) == 0, wc.id

@@ -12,6 +12,7 @@ import pytest
 import dadecheck
 from dadecheck.cli import main
 from dadecheck.record import Record
+from dadecheck.tabledsl import REPEATED
 
 
 def test_verify_dade_n1(tmp_path, capsys):
@@ -905,6 +906,44 @@ _SHAPE_IDS = ["family-three-coords-torus", "family-three-coords-dual", "torus-fe
               "torus-fewer-sranges", "torus-three-tcoords", "torus-five-scoords",
               "pairing-sqrt2"]
 
+# A ledger degree, the group order and a centralizer with a symbol they may
+# not use, a power whose exponent is no integer (at n = 1, or with q free),
+# and a doubling with no indices to act on.
+_GI_19 = "R_G_19_20, (q^13/s2)*p1*p2*p4^2*p12]"
+_BI_34 = "BI_34, paired, P4, left, q^4*p1^2*p2^2]"
+_ORDER = "q^24*(q^12+1)*(q^8-1)*(q^6+1)*(q^2-1)\n"
+_LOAD_ERRORS = [
+    ("defects.def", _GI_19, _GI_19.replace("p12", "zz"),
+     "defects.def: defect d_11n_6: entry GI_19: degree (((((q^13)/s2)*p1)*p2)*(p4^2))*zz: "
+     "unknown symbol zz"),
+    ("defects.def", _GI_19, _GI_19.replace("p12", "j"),
+     "defects.def: defect d_11n_6: entry GI_19: degree (((((q^13)/s2)*p1)*p2)*(p4^2))*j: "
+     "unknown symbol j"),
+    ("classes.def", "  order: " + _ORDER, "  order: " + _ORDER.replace("(q^2-1)", "(q^2-zz)"),
+     "classes.def: grouporder ree: order ((((q^24)*((q^12)+1))*((q^8)-1))*((q^6)+1))*((q^2)-zz): "
+     "unknown symbol zz"),
+    ("classes.def", "  family: h1\n  cent: q^24", "  family: h1\n  cent: zz*q^24",
+     "classes.def: classrow c_1_0: cent ((((zz*(q^24))*((q^12)+1))*((q^8)-1))*((q^6)+1))*((q^2)-1): "
+     "unknown symbol zz"),
+    ("defects.def", _BI_34, _BI_34.replace("q^4*p1", "q^4^p1"),
+     "defects.def: defect d_20n_10: entry BI_34: degree (q^(4^(p1^2)))*(p2^2): "
+     "9+-4*s2 has a nonzero sqrt2 part"),
+    ("relations.def", "term: [s2*q^3+q^2, 1, 0]", "term: [s2*q^3^q^2, 1, 0]",
+     "relations.def: chvalue chi44_c_1_11: coefficient s2*(q^(3^(q^2))) is not a polynomial in q"),
+    # a degree relation's table and phi are polynomials in q too
+    ("relations.def", "  phi: p1*p2*p4^2*p12*p24*p8a\n", "  phi: p1^q*p2*p4^2*p12*p24*p8a\n",
+     "relations.def: degrel deg_chi42: phi (((((p1^q)*p2)*(p4^2))*p12)*p24)*p8a is not a "
+     "polynomial in q"),
+    ("relations.def", "  table: (q-1)*(q+1)*(q^2+1)^2*(q^4-q^2+1)*(q^8-q^4+1)*(q^2+s2*q+1)\n",
+     "  table: 1/q\n", "relations.def: degrel deg_chi42: table 1/q is not a polynomial in q"),
+    ("paramsets.def", "paramset PbI_4 {\n  group: Pb\n  action: doubling\n  moduli: [q^2-1]\n",
+     "paramset PbI_4 {\n  group: Pb\n  action: doubling\n",
+     "paramsets.def: paramset PbI_4: action doubling with no moduli"),
+]
+_LOAD_IDS = ["entry-degree-unknown", "entry-degree-index", "group-order-unknown",
+             "cent-unknown", "entry-degree-sqrt2-exponent", "coefficient-exponent-in-q",
+             "phi-exponent-in-q", "table-negative-power", "doubling-no-moduli"]
+
 
 @pytest.mark.parametrize("fname, old, new, message", [
     ("weyl.def", "  cent: 16\n", "", "weyl.def: weylclass T1: missing field cent"),
@@ -1018,7 +1057,7 @@ _SHAPE_IDS = ["family-three-coords-torus", "family-three-coords-dual", "torus-fe
      "paramset GI_23: moduli: 3 moduli, more than 2"),
     ("classes.def", "  ranges: [p8b, p8a]\n", "  ranges: [p8b]\n",
      "classes.def: classfam h12: ranges: 1 for 2 vars"),
-] + _SHAPE_ERRORS, ids=[
+] + _SHAPE_ERRORS + _LOAD_ERRORS, ids=[
         "missing", "misspelt", "repeated-field", "repeated-block", "second-frobenius",
         "misspelt-card", "exclude-expression", "card-predicate", "equiv-expression",
         "equiv-symbol", "map-too-few-targets", "map-too-many-targets", "map-other-order",
@@ -1031,7 +1070,7 @@ _SHAPE_IDS = ["family-three-coords-torus", "family-three-coords-dual", "torus-fe
         "coords-sqrt2-coefficient", "tcoords-sqrt2-coefficient", "degree-zero",
         "degree-not-integer", "degree-sqrt2", "entry-degree-zero", "entry-degree-negative",
         "entry-degree-sqrt2", "cent-zero", "cent-zero-polynomial", "order-zero",
-        "three-moduli", "fewer-ranges-than-vars"] + _SHAPE_IDS)
+        "three-moduli", "fewer-ranges-than-vars"] + _SHAPE_IDS + _LOAD_IDS)
 def test_bad_table_fields_exit_two(tmp_path, capsys, fname, old, new, message):
     # serially and in a pool of two workers, one error line and no traceback
     data = _data_copy(tmp_path, fname, old, new)
@@ -1040,6 +1079,88 @@ def test_bad_table_fields_exit_two(tmp_path, capsys, fname, old, new, message):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("error:") == 1
         assert "Traceback" not in err
+
+
+def _in_first_atom(p, wrap):
+    if p[0] == "atom":
+        return p[:3] + (wrap(p[3]),)
+    return (p[0], _in_first_atom(p[1], wrap), p[2])
+
+
+# Each codec whose values hold expressions -> (value, wrap) -> the value with
+# its first expression e replaced by wrap(e) (None: an item that holds none),
+# and the codecs that hold none.  A new codec must be sorted into one of the two.
+_IN_FIRST_EXPRESSION = {
+    "expr": lambda v, wrap: wrap(v),
+    "exprs": lambda v, wrap: (wrap(v[0]),) + v[1:],
+    "pred": _in_first_atom,
+    "maps": lambda v, wrap: ((v[0][0], (wrap(v[0][1][0]),) + v[0][1][1:]),) + v[1:],
+    "entry": lambda e, wrap: None if e.degree is None else e._replace(degree=wrap(e.degree)),
+    "term": lambda t, wrap: t._replace(coeff=wrap(t.coeff)),
+}
+_NO_EXPRESSION = {"sym", "syms", "int", "ints", "matrix", "yesno", "sum"}
+# the verify kind that reads the expressions of each block kind
+_READER = {"paramset": "params", "fixrow": "fixrows", "defect": "dade", "weylclass": "weyl",
+           "grouporder": "classes", "classfam": "params", "classrow": "classes",
+           "chvalue": "relations", "degrel": "relations"}
+
+
+def _wrap_first_occurrence(model, bkind, kind, f, wrap):
+    """The model with wrap applied in the first shipped occurrence of field f, and its file."""
+    def edit(v):
+        return _IN_FIRST_EXPRESSION[f.codec](v, wrap)
+
+    for (k, name), fname in model.sources.items():
+        if k != bkind:
+            continue
+        slot = getattr(model, kind.attr)
+        obj = slot[name] if isinstance(slot, dict) else slot
+        v = getattr(obj, f.attr) if kind.record else obj
+        if f.arity == REPEATED:
+            new = next(((v[:i] + (x,) + v[i + 1:]) for i, x in enumerate(map(edit, v))
+                        if x is not None), None)
+        else:
+            new = edit(v) if v else None
+        if new is None:
+            continue
+        new_obj = obj._replace(**{f.attr: new}) if kind.record else new
+        return model._replace(**{kind.attr: {**slot, name: new_obj}
+                                 if isinstance(slot, dict) else new_obj}), fname
+    raise AssertionError(f"no shipped {bkind} has an expression in {f.table}")
+
+
+# wrap, and a text the error shows: an unknown symbol is named, while an
+# exponent's error shows its value or the whole expression, as the check has it
+@pytest.mark.parametrize("wrap, shown", [
+    (lambda e: ("add", e, ("sym", "zz")), "zz"),
+    # a power whose exponent is no integer: 1/2, and q (2*s2 at n = 1, a variable
+    # where q is free)
+    (lambda e: ("pow", e, ("div", ("int", 1), ("int", 2))), ""),
+    (lambda e: ("pow", e, ("sym", "q")), ""),
+], ids=["unknown-symbol", "half-exponent", "q-exponent"])
+def test_every_expression_field_with_a_bad_token_exits_two(tmp_path, capsys, wrap, shown):
+    # driven by the schema: a new expression field is covered when it is added
+    from dadecheck.tabledsl import _CODECS, _SCHEMA, serialize_model
+
+    assert set(_CODECS) == set(_IN_FIRST_EXPRESSION) | _NO_EXPRESSION
+    model = dadecheck.load_model()
+    fields = [(bkind, kind, f) for bkind, kind in _SCHEMA.items() for f in kind.fields
+              if f.codec in _IN_FIRST_EXPRESSION]
+    assert len(fields) >= 24  # 24 in the schema as written
+    for bkind, kind, f in fields:
+        bad, fname = _wrap_first_occurrence(model, bkind, kind, f, wrap)
+        case = tmp_path / f"{bkind}_{f.table}"
+        case.mkdir()
+        data = _data_copy(case, fname, "", "")
+        text = serialize_model(bad._replace(sources={key: src for key, src in bad.sources.items()
+                                                     if src == fname}))
+        (case / "data" / fname).write_text(text)
+        status = main(["verify", _READER[bkind], "--n", "1", "--data-dir", data,
+                       "--report", os.devnull])
+        err = capsys.readouterr().err
+        assert status == 2, (bkind, f.table, err)
+        assert err.startswith("error: ") and err.count("error:") == 1, (bkind, f.table, err)
+        assert shown in err and "Traceback" not in err, (bkind, f.table, err)
 
 
 def test_set_exclusion_off_the_union_kernel(tmp_path, capsys, monkeypatch):

@@ -10,7 +10,7 @@ from dadecheck.dadeverify import (
     verify_dade_exact_level,
 )
 from dadecheck.counting import formula_count
-from dadecheck.tabledsl import build_env, eval_expr, eval_expr_int
+from dadecheck.tabledsl import int_value
 
 
 def _expr(text):
@@ -36,11 +36,10 @@ def test_defect_examples():
 
 def test_shipped_degrees_positive_integers(model):
     for n in range(1, 9):
-        env = build_env(n)
         for led in model.ledgers.values():
             for e in led.entries:
                 if e.degree is not None:
-                    assert eval_expr_int(e.degree, env) > 0, e.set_id
+                    assert int_value(e.degree, n) > 0, e.set_id
 
 
 def test_k_fixed_examples(model):
@@ -191,6 +190,5 @@ def test_defect_value_list(model):
                 (20, 10), (20, 11), (20, 12), (21, 11), (22, 11), (23, 12), (24, 12),
             )
         )
-        env = build_env(n)
-        got = sorted(eval_expr_int(led.value, env) for led in model.ledgers.values())
+        got = sorted(int_value(led.value, n) for led in model.ledgers.values())
         assert got == expected

@@ -15,11 +15,9 @@ from dadecheck.tabledsl import (
     REQUIRED,
     DanglingReference,
     TableSyntaxError,
+    TableValueError,
     _ModelBuilder,
-    UnboundSymbol,
-    build_env,
-    eval_expr,
-    eval_expr_int,
+    int_value,
     parse_blocks,
     parse_model_files,
     serialize_model,
@@ -52,9 +50,8 @@ def test_syntax_error_coordinates():
 
 
 def test_unbound_t():
-    env = build_env(1)  # no t supplied
-    with pytest.raises(UnboundSymbol):
-        eval_expr_int(_expr("2^t-2"), env)
+    with pytest.raises(TableValueError, match="unbound symbol t$"):
+        int_value(_expr("2^t-2"), 1)  # no t supplied
 
 
 def _expr(text):
@@ -64,9 +61,9 @@ def _expr(text):
 
 
 def test_expr_examples():
-    assert eval_expr_int(_expr("2^t-2"), build_env(1, t=1)) == 0
-    assert eval_expr_int(_expr("p8b"), build_env(1)) == 5
-    assert eval_expr_int(_expr("(2^t-1)^2"), build_env(1, t=3)) == 49
+    assert int_value(_expr("2^t-2"), 1, 1) == 0
+    assert int_value(_expr("p8b"), 1) == 5
+    assert int_value(_expr("(2^t-1)^2"), 1, 3) == 49
 
 
 def test_and_binds_tighter_than_or():
@@ -110,21 +107,17 @@ def test_all_cardinalities_integral_and_nonnegative(model):
     # every shipped cardinality expression is a nonnegative integer for
     # n <= 4 and, where t appears, for every divisor t of 2n+1
     for n in range(1, 5):
-        env = build_env(n)
         for spec in model.paramsets.values():
             if spec.card is not None:
-                assert eval_expr_int(spec.card, env) >= 0, spec.id
+                assert int_value(spec.card, n) >= 0, spec.id
         for t in divisors(2 * n + 1):
-            envt = build_env(n, t=t)
             for row in model.fixrows.values():
-                assert eval_expr_int(row.formula, envt) >= 0, row.id
+                assert int_value(row.formula, n, t) >= 0, row.id
 
 
 def test_unknown_symbol():
-    from dadecheck.tabledsl import UnknownSymbol
-
-    with pytest.raises(UnknownSymbol):
-        eval_expr_int(_expr("nosuchthing+1"), build_env(1))
+    with pytest.raises(TableValueError, match="unknown symbol nosuchthing$"):
+        int_value(_expr("nosuchthing+1"), 1)
 
 
 from hypothesis import given, settings
@@ -159,23 +152,27 @@ def test_expr_serialize_roundtrip(e):
 @settings(max_examples=150, deadline=None)
 def test_symbolic_and_numeric_environments_agree(e):
     # each symbol is defined once: as a polynomial in q, evaluated at n
-    from dadecheck.tabledsl import eval_qpoly
+    from dadecheck.tabledsl import poly, value
 
-    poly = eval_qpoly(e)
+    p = poly(e)
     for n in (1, 2, 3, 4):
-        assert poly.eval(n) == eval_expr(e, build_env(n))
+        assert p.eval(n) == value(e, n)
 
 
-def test_build_env_returns_fresh_copies():
-    from dadecheck.exactnum import SqrtTwoRat
+def test_indices_are_bound_for_one_call():
+    from dadecheck.exactnum import QPoly, SqrtTwoRat
+    from dadecheck.tabledsl import poly, value
 
-    env = build_env(2, t=1, k=3)
-    env["q"] = SqrtTwoRat(0)
-    env["p8"] = SqrtTwoRat(0)
-    again = build_env(2)
-    assert again["q"] == SqrtTwoRat(0, 4)
-    assert eval_expr_int(_expr("p8"), again) == 1025
-    assert "t" not in again and "k" not in again
+    # an index may be named n: it shadows n for that call only
+    k, q_n = _expr("k*q"), _expr("q*n")
+    assert value(k, 2, {"k": 3}) == SqrtTwoRat(0, 12)
+    assert value(q_n, 2, {"n": 5}) == SqrtTwoRat(0, 20)
+    assert value(q_n, 2) == SqrtTwoRat(0, 8)
+    assert poly(k, ("k",), 2) == QPoly.var("k") * SqrtTwoRat(0, 4)
+    assert poly(k, ("k",)) == QPoly.var("k") * QPoly.q()
+    with pytest.raises(TableValueError, match="^X: k\\*q at n = 2: unbound symbol k$"):
+        value(k, 2, owner="X")
+    assert int_value(_expr("p8"), 2) == 1025
 
 
 # --- the one-regex tokenizer against the positional one in token_oracle.py ---
@@ -382,8 +379,8 @@ def test_load_model_rereads_edited_tables(tmp_path):
     old = "card: (q^2-2)/2\n  note: semisimple_member\n}\nparamset GI_23"
     path.write_text(path.read_text().replace(old, old.replace("q^2-2", "q^2-4")))
     again = dadecheck.load_model(str(tmp_path))
-    assert eval_expr_int(again.paramsets["GI_22"].card, build_env(1)) == 2
-    assert eval_expr_int(first.paramsets["GI_22"].card, build_env(1)) == 3
+    assert int_value(again.paramsets["GI_22"].card, 1) == 2
+    assert int_value(first.paramsets["GI_22"].card, 1) == 3
     assert dadecheck.load_model(str(tmp_path)) is again
 
 
@@ -423,9 +420,9 @@ def test_int_value_equals_a_fresh_evaluation(model, monkeypatch):
     assert len(exprs) >= 200  # 220 in the shipped tables
     for n in range(1, 7):
         for t in [None] + divisors(2 * n + 1):
-            env = build_env(n, t=t)
             for e in exprs:
-                fresh = _result(lambda: eval_expr_int(e, env))
+                tabledsl._INT_VALUES.clear()
+                fresh = _result(lambda: tabledsl.int_value(e, n, t))
                 assert _result(lambda: tabledsl.int_value(e, n, t)) == fresh, (e, n, t)
                 assert _result(lambda: tabledsl.int_value(e, n, t)) == fresh, (e, n, t)
 
@@ -439,7 +436,7 @@ def test_int_value_raises_again_and_keeps_no_error(monkeypatch):
     for _ in range(2):
         with pytest.raises(NotRationalInteger):
             tabledsl.int_value(half, 1)
-        with pytest.raises(KeyError, match="zz"):
+        with pytest.raises(TableValueError, match="unknown symbol zz"):
             tabledsl.int_value(unknown, 1)
     assert tabledsl._INT_VALUES == {}
     assert tabledsl.int_value(half, 2) == 1  # th = 4 at n = 2
@@ -452,7 +449,43 @@ def test_int_value_keys_on_n_and_t(monkeypatch):
     th, t = _expr("th"), _expr("t*n")
     assert [tabledsl.int_value(th, n) for n in (1, 2, 3)] == [2, 4, 8]
     assert [tabledsl.int_value(t, 4, s) for s in (1, 3, 9)] == [4, 12, 36]
-    with pytest.raises(UnboundSymbol):
+    with pytest.raises(TableValueError, match="unbound symbol t"):
         tabledsl.int_value(t, 4)
     assert sorted(tabledsl._INT_VALUES, key=str) == sorted(
         [(th, 1, None), (th, 2, None), (th, 3, None), (t, 4, 1), (t, 4, 3), (t, 4, 9)], key=str)
+
+
+# --- one failure rule: every evaluation failure but NotPolynomial is a TableValueError ---
+
+
+@pytest.mark.parametrize("text, n, t, message", [
+    ("zz+1", 1, None, "X: zz+1 at n = 1: unknown symbol zz"),
+    ("2^t", 1, None, "X: 2^t at n = 1: unbound symbol t"),
+    ("q^4^p1^2", 1, None, "X: q^(4^(p1^2)) at n = 1: 9+-4*s2 has a nonzero sqrt2 part"),
+    ("q^(t/2)", 1, 1, "X: q^(t/2) at n = 1, t = 1: 1/2 is not an integer"),
+    ("1/(th-2)", 1, None, "X: 1/(th-2) at n = 1: division by zero in Q(sqrt2)"),
+    ("q", 1, None, "X: q at n = 1: 2*s2 has a nonzero sqrt2 part"),
+], ids=["unknown", "unbound", "sqrt2-exponent", "fraction-exponent", "by-zero", "sqrt2-value"])
+def test_int_value_failures_name_owner_expression_and_n(text, n, t, message):
+    with pytest.raises(TableValueError) as exc:
+        int_value(_expr(text), n, t, owner="X")
+    assert str(exc.value) == message
+
+
+def test_value_and_poly_failures():
+    from dadecheck.exactnum import NotPolynomial
+    from dadecheck.tabledsl import poly, value
+
+    with pytest.raises(TableValueError, match="^X: zz at n = 1: unknown symbol zz$"):
+        value(_expr("zz"), 1, {"k": 1}, "X")
+    with pytest.raises(TableValueError, match="^X: zz: unknown symbol zz$"):
+        poly(_expr("zz"), owner="X")
+    with pytest.raises(TableValueError, match="^X: q/\\(th-th\\): division by the zero polynomial$"):
+        poly(_expr("q/(th-th)"), owner="X")
+    with pytest.raises(TableValueError, match="^th\\^\\(1/2\\): 1/2 is not an integer$"):
+        poly(_expr("th^(1/2)"), ("th",))
+    # no polynomial: left to the caller to word
+    with pytest.raises(NotPolynomial):
+        poly(_expr("s2*q^3^q^2"))
+    with pytest.raises(NotPolynomial):
+        poly(_expr("1/(q+1)"))
