@@ -215,7 +215,7 @@ def _norm_rows(model: Model, n: int, which: str) -> List[_NormRow]:
     prime to q^4 - 1 leaves no nonzero i fixed.  (m - 1)/4 is then the
     family count.
     """
-    q2 = int_value(("pow", ("sym", "q"), ("int", 2)), n)
+    q2 = 2 ** (2 * n + 1)
     rows = []
     for rid in sorted(model.classrows):
         cv = _chvalue(model, which, rid)

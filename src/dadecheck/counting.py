@@ -172,24 +172,11 @@ def fixed_point_count(lin, shift, ranges) -> int:
 # --- affine compilation ------------------------------------------------------
 
 
-# (expressions with each index renamed to its position, n, the index names as
-# positions) -> (D, rows) of _affine: the whole key, as the rows depend on the
-# names only through their positions, so expressions that differ only in index
-# names share an entry.  The rows are tuples, so no caller can change an entry.
-# Errors are raised afresh on every call, in the caller's owner and names.
+# (expressions, n, index names) -> (D, rows) of _affine.  That is the whole
+# key: the rows depend on nothing else (poly's symbols at n are a function of
+# n), and they are tuples, so no caller can change a cached entry.  Errors are
+# raised afresh on every call, naming the caller's owner.
 _AFFINE_CACHE: Dict[tuple, Tuple[int, Tuple[Tuple[Rat, ...], ...]]] = {}
-
-
-def _positional(node, position: Dict[str, int]):
-    """node with each index replaced by ("sym", its position): an int, which no symbol is."""
-    op = node[0]
-    if op == "sym":
-        return ("sym", position[node[1]]) if node[1] in position else node
-    if op == "int":
-        return node
-    if op == "neg":
-        return (op, _positional(node[1], position))
-    return (op, _positional(node[1], position), _positional(node[2], position))
 
 
 def _affine(owner: str, exprs, n: int, varnames) -> Tuple[int, Tuple[Tuple[Rat, ...], ...]]:
@@ -204,8 +191,7 @@ def _affine(owner: str, exprs, n: int, varnames) -> Tuple[int, Tuple[Tuple[Rat, 
     TableValueError.  Errors name owner, the set, family or class the
     expressions belong to.
     """
-    position = {v: i for i, v in enumerate(varnames)}  # a name given twice: its last
-    key = (tuple(_positional(e, position) for e in exprs), n, tuple(map(position.get, varnames)))
+    key = (tuple(exprs), n, tuple(varnames))
     if key in _AFFINE_CACHE:
         return _AFFINE_CACHE[key]
     monomials = [((v, 1),) for v in varnames] + [()]  # a row's terms, in its order

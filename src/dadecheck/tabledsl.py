@@ -931,8 +931,8 @@ class _ExprChecks:
 
     What they find depends on the expression alone: its symbols, whether it
     evaluates at n = 1 with t = 1, and whether it is a polynomial in q or
-    in th, i and k.  A table repeats many expressions (1110 symbol checks of
-    the shipped tables cover 268 distinct ones), so the symbols and the
+    in th, i and k.  A table repeats many expressions (1267 symbol checks of
+    the shipped tables cover 389 distinct ones), so the symbols and the
     evaluations are kept here, once per distinct expression.
     """
 
@@ -942,8 +942,13 @@ class _ExprChecks:
         self.evaluated = set()
 
     def evaluate(self, owner: str, node: Expr) -> None:
-        """Evaluate node at n = 1; a table error naming owner if that fails."""
-        if node in self.evaluated:
+        """Evaluate node at n = 1; a table error naming owner if that fails.
+
+        A polynomial by its shape in symbols that are all bound always has a
+        value, so it is not evaluated.
+        """
+        if node in self.evaluated or (self.uses(node) <= self.env1.keys()
+                                      and _polynomial_by_shape(node)):
             return
         try:
             _eval(node, self.env1)
@@ -963,14 +968,6 @@ class _ExprChecks:
         unknown = sorted(set().union(*map(self.uses, nodes)).difference(names))
         if unknown:
             raise TableSyntaxError(f"{owner}: unknown symbol {', '.join(unknown)}")
-
-    def expression(self, where: str, field: str, node: Expr, names) -> None:
-        """A table error naming where, field and node unless node uses only names and
-        evaluates at n = 1 (which one of polynomial shape then always does)."""
-        if not (self.uses(node) <= names and _polynomial_by_shape(node)):
-            owner = f"{where}: {field} {expr_to_str(node)}"
-            self.symbols(owner, names, node)
-            self.evaluate(owner, node)
 
     def exclusion(self, owner: str, pred: Predicate, names, indices) -> None:
         """The atoms of an exclusion use known symbols and the owner's own indices.
@@ -1006,7 +1003,8 @@ def _polynomial_by_shape(node: Expr) -> bool:
     integer literal, and every divisor s2 or a nonzero integer literal.
 
     Every symbol a checked expression may use is one, so validate_model need
-    not multiply out the factors of each degree, which is slower than loading.
+    not multiply out the factors of each degree, which is slower than loading,
+    nor evaluate such an expression at n = 1 to know that it has a value.
     """
     op = node[0]
     if op in ("int", "sym"):
@@ -1095,8 +1093,10 @@ def validate_model(model: Model) -> None:
             if e.ref not in rows:
                 raise DanglingReference(f"ledger {led.id}: unknown {what} {e.ref}")
             if e.degree is not None:
-                where = f"{model.sources['defect', led.id]}: defect {led.id}: entry {e.set_id}"
-                check.expression(where, "degree", e.degree, names)
+                where = (f"{model.sources['defect', led.id]}: defect {led.id}: "
+                         f"entry {e.set_id}: degree {expr_to_str(e.degree)}")
+                check.symbols(where, names, e.degree)
+                check.evaluate(where, e.degree)
     for wc in model.weylclasses.values():
         where = f"{model.sources['weylclass', wc.id]}: weylclass {wc.id}"
         _check_count(where, "tcoords", wc.tcoords, 4, "coordinates")
@@ -1110,11 +1110,15 @@ def validate_model(model: Model) -> None:
         check.symbols(f"weylclass {wc.id}", names | set(wc.tvars) | set(wc.svars), wc.pairing)
     if model.order_expr is not None:
         name = next(name for kind, name in model.sources if kind == "grouporder")
-        where = f"{model.sources['grouporder', name]}: grouporder {name}"
-        check.expression(where, "order", model.order_expr, names)
+        where = (f"{model.sources['grouporder', name]}: grouporder {name}: "
+                 f"order {expr_to_str(model.order_expr)}")
+        check.symbols(where, names, model.order_expr)
+        check.evaluate(where, model.order_expr)
     for row in model.classrows.values():
-        where = f"{model.sources['classrow', row.id]}: classrow {row.id}"
-        check.expression(where, "cent", row.cent, names)
+        where = (f"{model.sources['classrow', row.id]}: classrow {row.id}: "
+                 f"cent {expr_to_str(row.cent)}")
+        check.symbols(where, names, row.cent)
+        check.evaluate(where, row.cent)
     for fam in model.classfams.values():
         where = f"{model.sources['classfam', fam.id]}: classfam {fam.id}"
         _check_count(where, "coords", fam.coords, 4, "coordinates")

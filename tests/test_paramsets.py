@@ -411,28 +411,6 @@ def test_affine_cache_keyed_on_expressions(model, tmp_path):
             _affine(owner, [_expr("k^2")], 1, ("k",))
 
 
-def test_affine_cache_shares_expressions_that_differ_in_index_names(monkeypatch):
-    from dadecheck import counting
-    from dadecheck.counting import MapClosureError, _affine
-
-    monkeypatch.setattr(counting, "_AFFINE_CACHE", {})
-    kl = [_expr("(2*th+1)*(k+l)/(q^2-1)"), _expr("k-l")]
-    ij = [_expr("(2*th+1)*(i+j)/(q^2-1)"), _expr("i-j")]
-    for n in (1, 2, 3):
-        assert _affine("X", kl, n, ("k", "l")) == _affine("Y", ij, n, ("i", "j"))
-    assert len(counting._AFFINE_CACHE) == 3  # one miss per n
-    # the names are read by position: swapped, they are other expressions
-    assert _affine("Y", ij, 1, ("j", "i")) != _affine("X", kl, 1, ("k", "l"))
-    # a name given twice is one index in two places
-    assert _affine("X", [_expr("k")], 1, ("k", "k"))[1] == ((1, 1, 0),)
-    assert _affine("X", [_expr("k")], 1, ("k", "a"))[1] == ((1, 0, 0),)
-    # errors are raised afresh, in the caller's owner and names
-    for owner, text, names in (("X", "k*l", "k, l"), ("Y", "i*j", "i, j")):
-        with pytest.raises(MapClosureError, match=f"^{owner}: expression {text[0]}\\*{text[2]} "
-                                                  f"is not affine in {names}$"):
-            _affine(owner, [_expr(text)], 1, tuple(names.split(", ")))
-
-
 def test_affine_compiler_coefficients():
     from fractions import Fraction
 

@@ -411,6 +411,7 @@ def _result(f):
 
 def test_int_value_equals_a_fresh_evaluation(model, monkeypatch):
     from dadecheck import tabledsl
+    from dadecheck.exactnum import SqrtTwoRat, as_integer
 
     monkeypatch.setattr(tabledsl, "_INT_VALUES", {})
     free = set(tabledsl._base_env(1)) | {"t"}
@@ -418,13 +419,19 @@ def test_int_value_equals_a_fresh_evaluation(model, monkeypatch):
              for rec in getattr(model, kind.attr).values() for e in _table_exprs(rec)
              if tabledsl.expr_symbols(e) <= free}
     assert len(exprs) >= 200  # 220 in the shipped tables
+    # the cache is kept over every n and t, so a key that dropped one shows
     for n in range(1, 7):
         for t in [None] + divisors(2 * n + 1):
+            env = {**tabledsl._base_env(n), **({} if t is None else {"t": SqrtTwoRat(t)})}
             for e in exprs:
-                tabledsl._INT_VALUES.clear()
-                fresh = _result(lambda: tabledsl.int_value(e, n, t))
-                assert _result(lambda: tabledsl.int_value(e, n, t)) == fresh, (e, n, t)
-                assert _result(lambda: tabledsl.int_value(e, n, t)) == fresh, (e, n, t)
+                fresh = _result(lambda: as_integer(tabledsl._eval(e, env)))
+                for _ in range(2):  # the second call reads the cache
+                    got = _result(lambda: tabledsl.int_value(e, n, t))
+                    if isinstance(fresh, tuple):  # no_value's error, ending in fresh's
+                        assert got[0] is TableValueError, (e, n, t)
+                        assert got[1].endswith(f": {fresh[1]}"), (e, n, t)
+                    else:
+                        assert got == fresh, (e, n, t)
 
 
 def test_int_value_raises_again_and_keeps_no_error(monkeypatch):
